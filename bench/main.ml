@@ -35,8 +35,8 @@ let collect (rs : H.Experiment.result list) =
 (* 1000+-block generated stress kernel (fuzz CFG depth 5, seed 8):
    exercises the analysis manager and the similarity prefilter at a
    scale no registry kernel reaches.  Deliberately NOT in the registry,
-   so the hierarchical re-run below skips it (Registry.find fails) and
-   sweeps never pick it up.  Generated kernels have no host reference;
+   so sweeps never pick it up; the cross-model re-runs below resolve it
+   by tag.  Generated kernels have no host reference;
    the oracle is differential — the baseline simulation's own output —
    so the gate still catches a miscompiling meld. *)
 let stress_seed = 8
@@ -194,51 +194,49 @@ let () =
       H.Bench_json.default_path
       (List.length !bench_results)
       (H.Experiment.geomean (List.map H.Experiment.speedup !bench_results));
-    (* re-run the collected matrix under the hierarchical memory model:
-       both model variants land in ONE history record (flat and hier
-       entries distinguished by their mem_model key), so bench-diff
-       gates the hierarchical geomean alongside the flat one *)
-    let hier_points =
-      List.sort_uniq compare
-        (List.map
-           (fun (r : H.Experiment.result) ->
-             (r.H.Experiment.tag, r.H.Experiment.block_size))
-           !bench_results)
+    (* re-run exactly the points that produced [bench_results] — the
+       same (kernel, block size, n, seed), one re-run per result — under
+       the other models, so every model's geomean covers the same
+       workloads.  All trajectories land in ONE history record (entries
+       keyed apart by mem_model and reconvergence), so bench-diff gates
+       them together. *)
+    let kernel_of tag =
+      if tag = stress_kernel.Kernel.tag then stress_kernel
+      else
+        match Registry.find tag with
+        | Some k -> k
+        | None -> failwith ("bench: no kernel for collected point " ^ tag)
     in
-    let hier_mm =
-      Darm_sim.Simulator.Hier Darm_sim.Simulator.default_hier_params
+    let rerun ?mem_model ?reconvergence () =
+      List.map
+        (fun (r : H.Experiment.result) () ->
+          H.Experiment.run ?mem_model ?reconvergence ~n:r.H.Experiment.n
+            ~seed:r.H.Experiment.seed (kernel_of r.H.Experiment.tag)
+            ~block_size:r.H.Experiment.block_size)
+        !bench_results
     in
-    let hier_results =
+    (* both re-runs go to the pool as one batch, so their slowest
+       points (STRESS1K's meld pass) overlap *)
+    let reruns =
       H.Experiment.run_many
-        (List.filter_map
-           (fun (tag, bs) ->
-             Registry.find tag
-             |> Option.map (fun k () ->
-                    H.Experiment.run ~mem_model:hier_mm k ~block_size:bs))
-           hier_points)
+        (rerun
+           ~mem_model:
+             (Darm_sim.Simulator.Hier Darm_sim.Simulator.default_hier_params)
+           ()
+        @ rerun
+            ~reconvergence:
+              (Darm_sim.Simulator.Its Darm_sim.Simulator.default_its_params)
+            ())
     in
+    let npoints = List.length !bench_results in
+    let hier_results = List.filteri (fun i _ -> i < npoints) reruns in
+    let its_results = List.filteri (fun i _ -> i >= npoints) reruns in
     gate (H.Experiment.all_correct hier_results);
     Printf.printf "bench: hier model re-run (%d points, geomean %.3fx)\n"
       (List.length hier_results)
       (H.Experiment.geomean (List.map H.Experiment.speedup hier_results));
-    (* ...and under independent thread scheduling: the headline
-       cross-model comparison.  The stack/its geomean pair quantifies
-       how much of DARM's benefit survives when the hardware does not
-       force IPDOM reconvergence; both trajectories ride in the same
-       record (entries distinguished by their reconvergence key) so
-       bench-diff gates them together *)
-    let its_rc =
-      Darm_sim.Simulator.Its Darm_sim.Simulator.default_its_params
-    in
-    let its_results =
-      H.Experiment.run_many
-        (List.filter_map
-           (fun (tag, bs) ->
-             Registry.find tag
-             |> Option.map (fun k () ->
-                    H.Experiment.run ~reconvergence:its_rc k ~block_size:bs))
-           hier_points)
-    in
+    (* the headline cross-model comparison: how much of DARM's benefit
+       survives when the hardware does not force IPDOM reconvergence *)
     gate (H.Experiment.all_correct its_results);
     Printf.printf
       "bench: its model re-run (%d points, geomean %.3fx; stack %.3fx)\n"

@@ -25,10 +25,14 @@
 
     The interpreter runs over a {e pre-decoded} function representation
     built once per launch by {!prepare}: per-block instruction arrays
-    (no list walks on the hot path), dense instruction ids indexing a
-    flat register file (no hash lookups per operand), memoized
-    per-instruction latencies and classifications, and reusable scratch
-    buffers for memory-transaction accounting.
+    (no list walks on the hot path), every operand a slot of a flat
+    register file (constants and arguments included, so a lane's
+    operand is one array read), a lane executor resolved per
+    instruction (no opcode dispatch or closure allocation per issue),
+    memoized per-instruction latencies and classifications, and
+    reusable scratch buffers for memory-transaction accounting.  Both
+    reconvergence models issue through the same executors and the same
+    accounting.
 
     The interpreter is also the correctness oracle: tests run the same
     kernel before and after melding and require bit-identical memory. *)
@@ -150,12 +154,11 @@ exception Sim_error of string
 let errf fmt = Printf.ksprintf (fun s -> raise (Sim_error s)) fmt
 
 let eval_ibin (op : Op.ibinop) (x : int) (y : int) : int =
-  match I32.eval op x y with
-  | Some v -> v
-  | None -> (
-      match op with
-      | Op.Sdiv -> errf "sdiv by zero"
-      | _ -> errf "srem by zero")
+  try I32.eval_exn op x y
+  with Division_by_zero -> (
+    match op with
+    | Op.Sdiv -> errf "sdiv by zero"
+    | _ -> errf "srem by zero")
 
 let eval_fbin (op : Op.fbinop) (x : float) (y : float) : float =
   match op with
@@ -166,9 +169,6 @@ let eval_fbin (op : Op.fbinop) (x : float) (y : float) : float =
   | Op.Fmin -> Float.min x y
   | Op.Fmax -> Float.max x y
 
-let eval_icmp (p : Op.icmp_pred) (x : int) (y : int) : bool =
-  I32.compare_i32 p x y
-
 let eval_fcmp (p : Op.fcmp_pred) (x : float) (y : float) : bool =
   match p with
   | Op.Foeq -> x = y
@@ -178,44 +178,106 @@ let eval_fcmp (p : Op.fcmp_pred) (x : float) (y : float) : bool =
   | Op.Fogt -> x > y
   | Op.Foge -> x >= y
 
+let as_int (what : string) = function
+  | Rint n -> n
+  | Rbool true -> 1
+  | Rbool false -> 0
+  | Rundef -> errf "%s: use of undef integer" what
+  | Rfloat _ | Rptr _ -> errf "%s: expected integer" what
+
+let as_bool (what : string) = function
+  | Rbool b -> b
+  | Rint n -> n <> 0
+  | Rundef -> errf "%s: use of undef condition" what
+  | Rfloat _ | Rptr _ -> errf "%s: expected boolean" what
+
+let as_float (what : string) = function
+  | Rfloat x -> x
+  | Rint n -> float_of_int n
+  | Rundef -> errf "%s: use of undef float" what
+  | Rbool _ | Rptr _ -> errf "%s: expected float" what
+
+(* booleans are immutable, so every lane can share the two values *)
+let rtrue = Rbool true
+let rfalse = Rbool false
+let of_bool b = if b then rtrue else rfalse
+
+(* ------------------------------------------------------------------ *)
+(* Warp state *)
+
+(** One SIMT-stack entry.  The attribution fields are mutable so the
+    ITS loop can reuse one scratch frame for every issue; stack frames
+    never change them. *)
+type frame = {
+  mutable pc : int;  (** dense block index *)
+  mutable ip : int;  (** resume index into [db_code] (for barriers) *)
+  rpc : int;  (** pop when [pc] reaches this block; -1 = never *)
+  mask : bool array;
+  mutable origin : int;
+      (** dense index of the divergent branch block that pushed this
+          frame; -1 for uniform control flow.  Issue cycles under the
+          frame are attributed to this branch (innermost branch wins
+          under nested divergence). *)
+  mutable f_lost : int;
+      (** lanes of the split's parent mask left inactive while this
+          frame runs — the other arm's lane count; 0 when uniform *)
+  mutable f_active : int;  (** lanes set in [mask] *)
+}
+
+type warp_status = Running | At_barrier | Finished
+
+type warp = {
+  tid_base : int;  (** thread index (within block) of lane 0 *)
+  regs : rv array array;
+      (** flat register file: [slot].[lane].  Slots past the
+          instructions' hold the function's constants and kernel
+          arguments, shared read-only by every warp. *)
+  pred : int array;  (** per-lane predecessor block (dense), -1 = none *)
+  mutable stack : frame list;
+  mutable status : warp_status;
+}
+
+(** What an instruction sees of its thread block beyond its warp. *)
+type block_env = {
+  global : Memory.t;
+  shared : Memory.t;
+  block_idx : int;
+  block_dim : int;
+  grid_dim : int;
+}
+
+(** A lane executor: runs one instruction for the lanes set in the
+    mask.  Resolved once per instruction at decode time. *)
+type exec = block_env -> warp -> bool array -> unit
+
 (* ------------------------------------------------------------------ *)
 (* Pre-decoded function representation *)
 
-(** Decoded operand: everything an operand fetch needs without touching
-    the IR or a hash table. *)
-type dop =
-  | Dconst of rv  (** literal, canonicalized to i32 at decode time *)
-  | Dslot of int  (** register slot of the defining instruction *)
-  | Dparam of int  (** kernel argument index *)
-  | Dundef
-  | Dmissing of string * string
-      (** phi hole: (block name, pred name) — trap if ever read *)
-
 type mem_class = Mc_none | Mc_global | Mc_shared | Mc_flat
 
-(** Decoded instruction: opcode plus memoized latency, classification
-    and operand/successor arrays.  [d_orig] is kept only for error
-    context. *)
+type kind = K_exec | K_sync | K_br | K_condbr | K_ret
+
+(** Decoded instruction: executor plus memoized latency,
+    classification and operand/successor arrays. *)
 type dinstr = {
-  d_op : Op.t;
-  d_slot : int;  (** destination register slot *)
+  d_kind : kind;
+  d_exec : exec;  (** the lane executor; [K_exec] only *)
   d_lat : int;  (** memoized issue latency *)
   d_alu : bool;  (** memoized [Op.is_alu] *)
   d_mem : mem_class;  (** static pointer class of a memory access *)
-  d_ptr : int;  (** pointer operand index for load/store, -1 otherwise *)
-  d_term : bool;  (** memoized [Op.is_terminator] *)
+  d_ptr : int;  (** register slot of a load/store's pointer, -1 otherwise *)
   d_site : int;
       (** dense static access-site index for load/store ([fctx.sites]
           maps it to the stable "<block>#<k>" id), -1 otherwise *)
-  d_ops : dop array;
+  d_src : int array;  (** operand register slots *)
   d_succ : int array;  (** dense successor block indices *)
-  d_imm : int;  (** [Alloc_shared]: offset into shared memory *)
-  d_orig : instr;
 }
 
 type dphi = {
   p_slot : int;
-  p_inc : dop array;  (** incoming value, indexed by dense pred index *)
+  p_inc : int array;
+      (** register slot of the incoming value, indexed by dense pred
+          index; -1 = no incoming (trap if ever read) *)
 }
 
 type dblock = {
@@ -226,9 +288,11 @@ type dblock = {
 }
 
 type fctx = {
-  fn : func;
   dblocks : dblock array;  (** index 0 is the entry block *)
-  nslots : int;  (** register-file height: one slot per instruction *)
+  nslots : int;  (** instruction slots: one per instruction *)
+  const_regs : rv array array;
+      (** register rows of slots [nslots ..]: one per distinct constant
+          or argument, every lane holding the value *)
   max_phis : int;
   shared_size : int;
   sites : string array;
@@ -237,8 +301,211 @@ type fctx = {
           instructions — stable across runs like branch ids *)
 }
 
-let prepare (cfg : config) (fn : func) : fctx =
+let no_exec : exec = fun _ _ _ -> errf "no lane executor"
+
+let fill_lanes (out : rv array) (mask : bool array) (v : rv) : unit =
+  for lane = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask lane then out.(lane) <- v
+  done
+
+(* Lane executors.  Undef ({e poison}) semantics follow LLVM and real
+   hardware: pure ALU operations on undef produce undef (melding
+   executes gap instructions speculatively, and their discarded
+   wrong-side results may depend on undef entry-phi values);
+   dereferencing an undef pointer, dividing by an undef value or
+   branching on an undef condition is a genuine error and traps.  Each
+   executor is a plain loop over the lanes: no closure, option or tuple
+   is allocated per lane, only the result value. *)
+let decode_exec (i : instr) ~(src : int array) ~(dst : int) ~(imm : int) :
+    exec =
+  let undef_operand k lane =
+    errf "operand %d is undef in lane %d (instr %d, op %s, block %s)" k lane
+      i.id (Op.to_string i.op)
+      (match i.parent with Some b -> b.bname | None -> "?")
+  in
+  let a = if Array.length src > 0 then src.(0) else -1 in
+  let b = if Array.length src > 1 then src.(1) else -1 in
+  let c = if Array.length src > 2 then src.(2) else -1 in
+  match i.op with
+  | Op.Ibin ((Op.Sdiv | Op.Srem) as op) ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then begin
+            let y =
+              match rb.(lane) with
+              | Rundef -> undef_operand 1 lane
+              | v -> as_int "ibin" v
+            in
+            let x =
+              match ra.(lane) with
+              | Rundef -> undef_operand 0 lane
+              | v -> as_int "ibin" v
+            in
+            out.(lane) <- Rint (eval_ibin op x y)
+          end
+        done
+  | Op.Ibin op ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match (ra.(lane), rb.(lane)) with
+              | Rint x, Rint y -> Rint (I32.eval_exn op x y)
+              | Rundef, _ | _, Rundef -> Rundef
+              | x, y ->
+                  Rint (I32.eval_exn op (as_int "ibin" x) (as_int "ibin" y)))
+        done
+  | Op.Fbin op ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match (ra.(lane), rb.(lane)) with
+              | Rundef, _ | _, Rundef -> Rundef
+              | x, y ->
+                  Rfloat
+                    (eval_fbin op (as_float "fbin" x) (as_float "fbin" y)))
+        done
+  | Op.Icmp p ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match (ra.(lane), rb.(lane)) with
+              | Rundef, _ | _, Rundef -> Rundef
+              | x, y ->
+                  of_bool
+                    (I32.compare_i32 p (as_int "icmp" x) (as_int "icmp" y)))
+        done
+  | Op.Fcmp p ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match (ra.(lane), rb.(lane)) with
+              | Rundef, _ | _, Rundef -> Rundef
+              | x, y ->
+                  of_bool
+                    (eval_fcmp p (as_float "fcmp" x) (as_float "fcmp" y)))
+        done
+  | Op.Not ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match ra.(lane) with
+              | Rundef -> Rundef
+              | x -> of_bool (not (as_bool "not" x)))
+        done
+  | Op.Select ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and rc = w.regs.(c) in
+        let out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (* the not-taken arm may be undef without poisoning *)
+              (match ra.(lane) with
+              | Rundef -> Rundef
+              | x -> if as_bool "select" x then rb.(lane) else rc.(lane))
+        done
+  | Op.Load ->
+      fun env w mask ->
+        let ra = w.regs.(a) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match ra.(lane) with
+              | Rptr (Sp_global, off) -> Memory.read env.global off
+              | Rptr (Sp_shared, off) -> Memory.read env.shared off
+              | Rundef -> undef_operand 0 lane
+              | _ -> errf "load: expected pointer")
+        done
+  | Op.Store ->
+      fun env w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            match rb.(lane) with
+            | Rptr (Sp_global, off) -> Memory.write env.global off ra.(lane)
+            | Rptr (Sp_shared, off) -> Memory.write env.shared off ra.(lane)
+            | Rundef -> undef_operand 1 lane
+            | _ -> errf "store: expected pointer"
+        done
+  | Op.Gep ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match ra.(lane) with
+              | Rptr (sp, off) -> (
+                  match rb.(lane) with
+                  | Rundef -> Rundef
+                  | y -> Rptr (sp, off + as_int "gep" y))
+              | Rundef -> Rundef
+              | _ -> errf "gep: expected pointer")
+        done
+  | Op.Thread_idx ->
+      fun _ w mask ->
+        let out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <- Rint (w.tid_base + lane)
+        done
+  | Op.Block_idx ->
+      fun env w mask -> fill_lanes w.regs.(dst) mask (Rint env.block_idx)
+  | Op.Block_dim ->
+      fun env w mask -> fill_lanes w.regs.(dst) mask (Rint env.block_dim)
+  | Op.Grid_dim ->
+      fun env w mask -> fill_lanes w.regs.(dst) mask (Rint env.grid_dim)
+  | Op.Alloc_shared _ ->
+      let v = Rptr (Sp_shared, imm) in
+      fun _ w mask -> fill_lanes w.regs.(dst) mask v
+  | Op.Sitofp ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match ra.(lane) with
+              | Rundef -> Rundef
+              | x -> Rfloat (float_of_int (as_int "sitofp" x)))
+        done
+  | Op.Fptosi ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then
+            out.(lane) <-
+              (match ra.(lane) with
+              | Rundef -> Rundef
+              | x -> Rint (int_of_float (as_float "fptosi" x)))
+        done
+  | Op.Addrspace_cast ->
+      fun _ w mask ->
+        let ra = w.regs.(a) and out = w.regs.(dst) in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then out.(lane) <- ra.(lane)
+        done
+  | Op.Syncthreads | Op.Phi | Op.Br | Op.Condbr | Op.Ret -> no_exec
+
+(* Constants and arguments become register slots, deduplicated by
+   value; floats are keyed by their bits so [0.0] and [-0.0] (and NaN
+   payloads) stay apart. *)
+let const_key = function
+  | Rfloat x -> `Bits (Int64.bits_of_float x)
+  | v -> `Value v
+
+let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
   Verify.run_exn fn;
+  let ws = cfg.warp_size in
   let pdt = Darm_analysis.Domtree.compute_post fn in
   let blocks = Array.of_list fn.blocks_list in
   let nblocks = Array.length blocks in
@@ -250,6 +517,20 @@ let prepare (cfg : config) (fn : func) : fctx =
   iter_instrs fn (fun i ->
       Hashtbl.replace slot_of i.id !nslots;
       incr nslots);
+  let nslots = !nslots in
+  (* then one slot per distinct constant *)
+  let consts = Hashtbl.create 64 in
+  let consts_rev = ref [] in
+  let const_slot (v : rv) : int =
+    let key = const_key v in
+    match Hashtbl.find_opt consts key with
+    | Some s -> s
+    | None ->
+        let s = nslots + Hashtbl.length consts in
+        Hashtbl.replace consts key s;
+        consts_rev := v :: !consts_rev;
+        s
+  in
   (* shared-memory layout *)
   let shared_layout = Hashtbl.create 4 in
   let off = ref 0 in
@@ -259,18 +540,19 @@ let prepare (cfg : config) (fn : func) : fctx =
           Hashtbl.replace shared_layout i.id !off;
           off := !off + n
       | _ -> ());
-  let dop_of (v : value) : dop =
+  let slot_of_value (v : value) : int =
     match v with
-    | Int n -> Dconst (Rint (I32.to_i32 n))
-    | Bool b -> Dconst (Rbool b)
-    | Float x -> Dconst (Rfloat x)
-    | Undef _ -> Dundef
-    | Param p -> Dparam p.pindex
-    | Instr i -> Dslot (Hashtbl.find slot_of i.id)
+    | Int n -> const_slot (Rint (I32.to_i32 n))
+    | Bool b -> const_slot (of_bool b)
+    | Float x -> const_slot (Rfloat x)
+    | Undef _ -> const_slot Rundef
+    | Param p -> const_slot args.(p.pindex)
+    | Instr i -> Hashtbl.find slot_of i.id
   in
   let sites_rev = ref [] in
   let nsites = ref 0 in
   let decode_instr ~(bname : string) ~(k : int) (i : instr) : dinstr =
+    let src = Array.map slot_of_value i.operands in
     let d_mem, d_ptr =
       if Op.is_memory i.op then begin
         let pi = if i.op = Op.Store then 1 else 0 in
@@ -279,7 +561,7 @@ let prepare (cfg : config) (fn : func) : fctx =
           | Types.Ptr Types.Shared -> Mc_shared
           | Types.Ptr Types.Flat -> Mc_flat
           | _ -> Mc_none),
-          pi )
+          src.(pi) )
       end
       else (Mc_none, -1)
     in
@@ -292,22 +574,27 @@ let prepare (cfg : config) (fn : func) : fctx =
       end
       else -1
     in
+    let imm =
+      match i.op with
+      | Op.Alloc_shared _ -> Hashtbl.find shared_layout i.id
+      | _ -> 0
+    in
     {
-      d_op = i.op;
-      d_slot = Hashtbl.find slot_of i.id;
+      d_kind =
+        (match i.op with
+        | Op.Syncthreads -> K_sync
+        | Op.Br -> K_br
+        | Op.Condbr -> K_condbr
+        | Op.Ret -> K_ret
+        | _ -> K_exec);
+      d_exec = decode_exec i ~src ~dst:(Hashtbl.find slot_of i.id) ~imm;
       d_lat = Darm_analysis.Latency.of_instr cfg.latency i;
       d_alu = Op.is_alu i.op;
       d_mem;
       d_ptr;
-      d_term = Op.is_terminator i.op;
       d_site;
-      d_ops = Array.map dop_of i.operands;
+      d_src = src;
       d_succ = Array.map (fun b -> Hashtbl.find bidx b.bid) i.blocks;
-      d_imm =
-        (match i.op with
-        | Op.Alloc_shared _ -> Hashtbl.find shared_layout i.id
-        | _ -> 0);
-      d_orig = i;
     }
   in
   let decode_block (b : block) : dblock =
@@ -321,8 +608,8 @@ let prepare (cfg : config) (fn : func) : fctx =
                  Array.map
                    (fun pred ->
                      match phi_incoming_for p pred with
-                     | Some v -> dop_of v
-                     | None -> Dmissing (b.bname, pred.bname))
+                     | Some v -> slot_of_value v
+                     | None -> -1)
                    blocks;
              })
            (phis b))
@@ -347,41 +634,14 @@ let prepare (cfg : config) (fn : func) : fctx =
       0 dblocks
   in
   {
-    fn;
     dblocks;
-    nslots = !nslots;
+    nslots;
+    const_regs =
+      Array.of_list (List.rev_map (fun v -> Array.make ws v) !consts_rev);
     max_phis;
     shared_size = !off;
     sites = Array.of_list (List.rev !sites_rev);
   }
-
-(* ------------------------------------------------------------------ *)
-(* Warp state *)
-
-type frame = {
-  mutable pc : int;  (** dense block index *)
-  mutable ip : int;  (** resume index into [db_code] (for barriers) *)
-  rpc : int;  (** pop when [pc] reaches this block; -1 = never *)
-  mask : bool array;
-  origin : int;
-      (** dense index of the divergent branch block that pushed this
-          frame; -1 for uniform control flow.  Issue cycles under the
-          frame are attributed to this branch (innermost branch wins
-          under nested divergence). *)
-  f_lost : int;
-      (** lanes of the split's parent mask left inactive while this
-          frame runs — the other arm's lane count; 0 when uniform *)
-}
-
-type warp_status = Running | At_barrier | Finished
-
-type warp = {
-  tid_base : int;  (** thread index (within block) of lane 0 *)
-  regs : rv array array;  (** flat register file: [slot].[lane] *)
-  pred : int array;  (** per-lane predecessor block (dense), -1 = none *)
-  mutable stack : frame list;
-  mutable status : warp_status;
-}
 
 (** Mutable state of the hierarchical memory model.  Reset at every
     thread-block boundary — blocks are scheduled independently, so
@@ -413,20 +673,28 @@ let reset_hier_state (h : hier_state) : unit =
   h.l1_tick <- 0;
   Array.fill h.mshr_ready 0 (Array.length h.mshr_ready) 0
 
+(** Result of one warp-wide address scan ({!scan_mem}), in reusable
+    scratch. *)
+type mem_scan = {
+  segs : int array;  (** distinct global segments, first-touch order *)
+  mutable nseg : int;
+  mutable shared_seen : bool;  (** some lane addressed shared memory *)
+  mutable conflicts : int;
+      (** LDS serialization phases beyond the first, over all 32-lane
+          phases *)
+  bank_offs : int array;  (** shared offsets of one 32-lane phase *)
+  bank_count : int array;  (** distinct offsets per bank; all 0 between scans *)
+}
+
 type launch_ctx = {
   cfg : config;
   fctx : fctx;
-  args : rv array;
-  global : Memory.t;
-  shared : Memory.t;
-  block_idx : int;
-  block_dim : int;
-  grid_dim : int;
+  env : block_env;
   metrics : Metrics.t;
   (* reusable scratch, private to this block's sequential warp loop *)
-  seg_scratch : int array;  (** distinct global segments, [warp_size] *)
-  bank_scratch : int array;  (** shared offsets of one 32-lane phase *)
+  scan : mem_scan;
   phi_stage : rv array array;  (** two-phase phi staging buffers *)
+  cond_sel : bool array;  (** per-lane branch outcome of one condbr *)
   (* per-branch divergence attribution, indexed by dense block index
      of the branch block; folded into [metrics.branches] (keyed by
      block name — the stable static branch id) at the end of the
@@ -451,46 +719,6 @@ type launch_ctx = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Value evaluation *)
-
-let eval_dop (ctx : launch_ctx) (w : warp) (lane : int) (d : dop) : rv =
-  match d with
-  | Dconst v -> v
-  | Dslot s -> (Array.unsafe_get w.regs s).(lane)
-  | Dparam k -> ctx.args.(k)
-  | Dundef -> Rundef
-  | Dmissing (bname, pname) ->
-      errf "phi in %s has no incoming for pred %s" bname pname
-
-let as_int (what : string) = function
-  | Rint n -> n
-  | Rbool true -> 1
-  | Rbool false -> 0
-  | Rundef -> errf "%s: use of undef integer" what
-  | Rfloat _ | Rptr _ -> errf "%s: expected integer" what
-
-let as_bool (what : string) = function
-  | Rbool b -> b
-  | Rint n -> n <> 0
-  | Rundef -> errf "%s: use of undef condition" what
-  | Rfloat _ | Rptr _ -> errf "%s: expected boolean" what
-
-let as_float (what : string) = function
-  | Rfloat x -> x
-  | Rint n -> float_of_int n
-  | Rundef -> errf "%s: use of undef float" what
-  | Rbool _ | Rptr _ -> errf "%s: expected float" what
-
-let as_ptr (what : string) = function
-  | Rptr (s, o) -> (s, o)
-  | Rundef -> errf "%s: dereference of undef pointer" what
-  | Rint _ | Rbool _ | Rfloat _ -> errf "%s: expected pointer" what
-
-let mem_for (ctx : launch_ctx) = function
-  | Sp_global -> ctx.global
-  | Sp_shared -> ctx.shared
-
-(* ------------------------------------------------------------------ *)
 (* Cost accounting *)
 
 let popcount (mask : bool array) =
@@ -506,9 +734,14 @@ let popcount (mask : bool array) =
    Timeline events are stamped with [metrics.cycles] — a deterministic
    function of the execution — so traces are byte-identical across
    runs and domain-pool sizes.  Per-warp events go on tid
-   [1 + tid_base] (tid 0 carries the per-block cycle spans). *)
+   [1 + tid_base] (tid 0 carries the per-block cycle spans).  Callers
+   test [observing] first, so an unobserved run builds no event
+   arguments. *)
 
 module Tr = Darm_obs.Trace
+
+let observing (ctx : launch_ctx) =
+  match ctx.cfg.obs with None -> false | Some _ -> true
 
 (* active mask as hex, lane 0 in the least-significant bit *)
 let mask_hex (mask : bool array) : string =
@@ -533,9 +766,26 @@ let obs_warp (ctx : launch_ctx) (w : warp) (name : string)
       Tr.instant tr ~cat:"sim" ~pid:ctx.cfg.obs_pid ~tid:(1 + w.tid_base)
         ~ts:ctx.metrics.Metrics.cycles ~args name
 
+let obs_diverge (ctx : launch_ctx) (w : warp) (db : dblock) ~(tcount : int)
+    ~(fcount : int) (mask : bool array) (sel : bool array) : unit =
+  let tmask = Array.mapi (fun l m -> m && sel.(l)) mask in
+  let fmask = Array.mapi (fun l m -> m && not sel.(l)) mask in
+  let rpc = db.db_ipdom in
+  obs_warp ctx w "warp.diverge"
+    [
+      ("block", Tr.Str db.db_name);
+      ("branch_id", Tr.Str db.db_name);
+      ("t_active", Tr.Int tcount);
+      ("f_active", Tr.Int fcount);
+      ("t_mask", Tr.Str (mask_hex tmask));
+      ("f_mask", Tr.Str (mask_hex fmask));
+      ( "reconverge",
+        Tr.Str (if rpc >= 0 then ctx.fctx.dblocks.(rpc).db_name else "<none>")
+      );
+    ]
+
 let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
   let m = ctx.metrics in
-  let mask = fr.mask in
   m.cycles <- m.cycles + d.d_lat;
   m.instructions <- m.instructions + 1;
   if fr.origin >= 0 then begin
@@ -550,7 +800,7 @@ let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
   end;
   if d.d_alu then begin
     m.alu_issues <- m.alu_issues + 1;
-    m.alu_active_lanes <- m.alu_active_lanes + popcount mask
+    m.alu_active_lanes <- m.alu_active_lanes + fr.f_active
   end;
   if d.d_site >= 0 then begin
     ctx.ms_issues.(d.d_site) <- ctx.ms_issues.(d.d_site) + 1;
@@ -564,145 +814,109 @@ let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
   | Mc_flat -> m.mem_flat <- m.mem_flat + 1
 
 (* Memory coalescing: a warp-wide global access is served in 32-cell
-   transactions; the counter records how many distinct segments the
-   active lanes touch (rocprof's memory-transaction counters).  Shared
-   accesses instead hit 32 word-interleaved banks; lanes touching
-   different addresses in the same bank serialize (bank conflicts).
-   Both passes run over pre-allocated scratch arrays — no per-issue
-   allocation. *)
-let account_transactions (ctx : launch_ctx) (w : warp) (d : dinstr)
-    (mask : bool array) : unit =
-  if d.d_mem <> Mc_none then begin
-    let ptr = d.d_ops.(d.d_ptr) in
-    let segs = ctx.seg_scratch in
-    let nseg = ref 0 in
-    (* the 32 LDS banks serve the wavefront in 32-lane phases *)
-    let phase = ref 0 in
-    while !phase < ctx.cfg.warp_size do
-      let bo = ctx.bank_scratch in
-      let bn = ref 0 in
-      for lane = !phase to min (ctx.cfg.warp_size - 1) (!phase + 31) do
-        if mask.(lane) then
-          match eval_dop ctx w lane ptr with
-          | Rptr (Sp_global, off) ->
-              let seg = off / 32 in
-              let dup = ref false in
-              for k = 0 to !nseg - 1 do
-                if segs.(k) = seg then dup := true
+   transactions; the scan records the distinct segments the active
+   lanes touch (rocprof's memory-transaction counters) in first-touch
+   order.  Shared accesses instead hit 32 word-interleaved banks,
+   serving the warp in 32-lane phases; lanes touching different
+   addresses in the same bank serialize, so a phase costs as many
+   passes as its worst bank has distinct offsets (bank conflicts).
+   Both memory models share this scan, so the coalescing and conflict
+   counters are model-independent.  One linear pass over the lanes
+   plus an O(bn^2) distinct-offset pass per phase, over pre-allocated
+   scratch — no per-issue allocation. *)
+let scan_mem (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array) :
+    unit =
+  let s = ctx.scan in
+  let ptrs = w.regs.(d.d_ptr) in
+  let segs = s.segs and offs = s.bank_offs and cnt = s.bank_count in
+  let ws = Array.length mask in
+  s.nseg <- 0;
+  s.shared_seen <- false;
+  s.conflicts <- 0;
+  let phase = ref 0 in
+  while !phase < ws do
+    let bn = ref 0 in
+    for lane = !phase to min (ws - 1) (!phase + 31) do
+      if Array.unsafe_get mask lane then
+        match ptrs.(lane) with
+        | Rptr (Sp_global, off) ->
+            let seg = off / 32 in
+            (* neighbouring lanes usually share the newest segment *)
+            if s.nseg = 0 || segs.(s.nseg - 1) <> seg then begin
+              let k = ref 0 in
+              while !k < s.nseg && segs.(!k) <> seg do
+                incr k
               done;
-              if not !dup then begin
-                segs.(!nseg) <- seg;
-                incr nseg
+              if !k = s.nseg then begin
+                segs.(s.nseg) <- seg;
+                s.nseg <- s.nseg + 1
               end
-          | Rptr (Sp_shared, off) ->
-              bo.(!bn) <- off;
-              incr bn
-          | _ -> ()
-      done;
-      (* worst bank = max over banks of distinct offsets in that bank *)
+            end
+        | Rptr (Sp_shared, off) ->
+            offs.(!bn) <- off;
+            incr bn
+        | _ -> ()
+    done;
+    if !bn > 0 then begin
+      s.shared_seen <- true;
       let worst = ref 0 in
-      for b = 0 to 31 do
-        let cnt = ref 0 in
-        for i = 0 to !bn - 1 do
-          if bo.(i) land 31 = b then begin
-            let first = ref true in
-            for j = 0 to i - 1 do
-              if bo.(j) = bo.(i) then first := false
-            done;
-            if !first then incr cnt
-          end
+      for i = 0 to !bn - 1 do
+        let o = offs.(i) in
+        let j = ref 0 in
+        while !j < i && offs.(!j) <> o do
+          incr j
         done;
-        if !cnt > !worst then worst := !cnt
+        if !j = i then begin
+          let bank = o land 31 in
+          cnt.(bank) <- cnt.(bank) + 1;
+          if cnt.(bank) > !worst then worst := cnt.(bank)
+        end
+      done;
+      for i = 0 to !bn - 1 do
+        cnt.(offs.(i) land 31) <- 0
       done;
       if !worst > 1 then begin
-        ctx.metrics.bank_conflicts <-
-          ctx.metrics.bank_conflicts + (!worst - 1);
+        ctx.metrics.bank_conflicts <- ctx.metrics.bank_conflicts + (!worst - 1);
         ctx.ms_bank_conflicts.(d.d_site) <-
-          ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1)
-      end;
-      phase := !phase + 32
-    done;
-    if !nseg > 0 then begin
-      ctx.metrics.global_transactions <-
-        ctx.metrics.global_transactions + !nseg;
-      ctx.metrics.global_accesses <- ctx.metrics.global_accesses + 1;
-      ctx.ms_transactions.(d.d_site) <-
-        ctx.ms_transactions.(d.d_site) + !nseg;
-      ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1
-    end
+          ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1);
+        s.conflicts <- s.conflicts + (!worst - 1)
+      end
+    end;
+    phase := !phase + 32
+  done
+
+(* Flat-model transaction accounting, on top of [account]. *)
+let account_transactions (ctx : launch_ctx) (w : warp) (d : dinstr)
+    (mask : bool array) : unit =
+  scan_mem ctx w d mask;
+  let nseg = ctx.scan.nseg in
+  if nseg > 0 then begin
+    ctx.metrics.global_transactions <- ctx.metrics.global_transactions + nseg;
+    ctx.metrics.global_accesses <- ctx.metrics.global_accesses + 1;
+    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + nseg;
+    ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1
   end
 
-(* Hierarchical accounting for one memory issue: a combined pass that
-   replaces [account] + [account_transactions] when [cfg.mem_model] is
-   [Hier].  The coalescing/bank scan is identical to
-   [account_transactions] (those counters stay model-independent); on
-   top of it the L1 probe decides the charged global latency, each
-   coalesced segment beyond the first serializes at [txn_cycles], LDS
-   conflict phases cost [lds_conflict_cycles] each, and a miss finding
-   every MSHR slot busy stalls issue until the earliest in-flight
-   request completes.  The charged issue latency is the slower of the
-   global and LDS paths ([d_lat] when the access generated no traffic at
-   all), plus any stall. *)
+(* Hierarchical accounting for one memory issue: replaces [account] +
+   [account_transactions] when [cfg.mem_model] is [Hier].  On top of
+   the shared coalescing/bank scan, the L1 probe decides the charged
+   global latency, each coalesced segment beyond the first serializes at
+   [txn_cycles], LDS conflict phases cost [lds_conflict_cycles] each,
+   and a miss finding every MSHR slot busy stalls issue until the
+   earliest in-flight request completes.  The charged issue latency is
+   the slower of the global and LDS paths ([d_lat] when the access
+   generated no traffic at all), plus any stall. *)
 let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
     (d : dinstr) (h : hier_state) : unit =
   let m = ctx.metrics in
   let hp = h.hp in
-  let mask = frame.mask in
-  let ptr = d.d_ops.(d.d_ptr) in
-  let segs = ctx.seg_scratch in
-  let nseg = ref 0 in
-  let conflict_phases = ref 0 in
-  let shared_seen = ref false in
-  let phase = ref 0 in
-  while !phase < ctx.cfg.warp_size do
-    let bo = ctx.bank_scratch in
-    let bn = ref 0 in
-    for lane = !phase to min (ctx.cfg.warp_size - 1) (!phase + 31) do
-      if mask.(lane) then
-        match eval_dop ctx w lane ptr with
-        | Rptr (Sp_global, off) ->
-            let seg = off / 32 in
-            let dup = ref false in
-            for k = 0 to !nseg - 1 do
-              if segs.(k) = seg then dup := true
-            done;
-            if not !dup then begin
-              segs.(!nseg) <- seg;
-              incr nseg
-            end
-        | Rptr (Sp_shared, off) ->
-            shared_seen := true;
-            bo.(!bn) <- off;
-            incr bn
-        | _ -> ()
-    done;
-    let worst = ref 0 in
-    for b = 0 to 31 do
-      let cnt = ref 0 in
-      for i = 0 to !bn - 1 do
-        if bo.(i) land 31 = b then begin
-          let first = ref true in
-          for j = 0 to i - 1 do
-            if bo.(j) = bo.(i) then first := false
-          done;
-          if !first then incr cnt
-        end
-      done;
-      if !cnt > !worst then worst := !cnt
-    done;
-    if !worst > 1 then begin
-      m.bank_conflicts <- m.bank_conflicts + (!worst - 1);
-      ctx.ms_bank_conflicts.(d.d_site) <-
-        ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1);
-      conflict_phases := !conflict_phases + (!worst - 1)
-    end;
-    phase := !phase + 32
-  done;
+  scan_mem ctx w d frame.mask;
+  let segs = ctx.scan.segs and nseg = ctx.scan.nseg in
   (* L1: one probe per coalesced segment; the access counts as a hit
      only when every segment is resident, so [l1_hits + l1_misses]
      counts accesses, not segments. *)
   let all_hit = ref true in
-  for s = 0 to !nseg - 1 do
+  for s = 0 to nseg - 1 do
     let seg = segs.(s) in
     let base = seg mod hp.l1_sets * hp.l1_ways in
     let way = ref (-1) in
@@ -723,15 +937,15 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
     end
   done;
   let glat =
-    if !nseg = 0 then 0
+    if nseg = 0 then 0
     else
       (if !all_hit then hp.l1_hit_lat else hp.l1_miss_lat)
-      + (hp.txn_cycles * (!nseg - 1))
+      + (hp.txn_cycles * (nseg - 1))
   in
   (* MSHR: a missing access occupies the earliest-free slot for its
      global latency; when no slot is free at issue, the warp stalls. *)
   let stall = ref 0 in
-  if !nseg > 0 && not !all_hit then begin
+  if nseg > 0 && not !all_hit then begin
     let slot = ref 0 in
     for k = 1 to Array.length h.mshr_ready - 1 do
       if h.mshr_ready.(k) < h.mshr_ready.(!slot) then slot := k
@@ -740,8 +954,8 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
       stall := h.mshr_ready.(!slot) - m.cycles;
     h.mshr_ready.(!slot) <- m.cycles + !stall + glat
   end;
-  let bc_cycles = !conflict_phases * hp.lds_conflict_cycles in
-  let slat = (if !shared_seen then d.d_lat else 0) + bc_cycles in
+  let bc_cycles = ctx.scan.conflicts * hp.lds_conflict_cycles in
+  let slat = (if ctx.scan.shared_seen then d.d_lat else 0) + bc_cycles in
   let lat = max glat slat in
   let lat = if lat = 0 then d.d_lat else lat in
   let charged = !stall + lat in
@@ -771,10 +985,10 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
     ctx.ms_bank_conflict_cycles.(d.d_site) <-
       ctx.ms_bank_conflict_cycles.(d.d_site) + bc_cycles
   end;
-  if !nseg > 0 then begin
-    m.global_transactions <- m.global_transactions + !nseg;
+  if nseg > 0 then begin
+    m.global_transactions <- m.global_transactions + nseg;
     m.global_accesses <- m.global_accesses + 1;
-    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + !nseg;
+    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + nseg;
     ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1;
     if !all_hit then begin
       m.l1_hits <- m.l1_hits + 1;
@@ -797,25 +1011,30 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Instruction execution *)
+(* Instruction execution — shared by both reconvergence models *)
 
 (** Execute all phis of the block simultaneously (two-phase read/commit)
-    for the active lanes of [frame], staging into the context's
-    pre-allocated buffers. *)
-let exec_phis (ctx : launch_ctx) (w : warp) (frame : frame) (db : dblock) :
-    unit =
+    for the lanes of [mask], staging into the context's pre-allocated
+    buffers. *)
+let exec_phis (ctx : launch_ctx) (w : warp) (mask : bool array) (db : dblock)
+    : unit =
   let nphis = Array.length db.db_phis in
   if nphis > 0 then begin
-    let ws = ctx.cfg.warp_size in
+    let ws = Array.length mask in
     for pi = 0 to nphis - 1 do
       let p = db.db_phis.(pi) in
       let stage = ctx.phi_stage.(pi) in
       for lane = 0 to ws - 1 do
-        if frame.mask.(lane) then
+        if mask.(lane) then
           stage.(lane) <-
             (let pred = w.pred.(lane) in
              if pred < 0 then Rundef
-             else eval_dop ctx w lane p.p_inc.(pred))
+             else
+               let s = p.p_inc.(pred) in
+               if s < 0 then
+                 errf "phi in %s has no incoming for pred %s" db.db_name
+                   ctx.fctx.dblocks.(pred).db_name
+               else w.regs.(s).(lane))
       done
     done;
     for pi = 0 to nphis - 1 do
@@ -823,189 +1042,85 @@ let exec_phis (ctx : launch_ctx) (w : warp) (frame : frame) (db : dblock) :
       let stage = ctx.phi_stage.(pi) in
       let file = w.regs.(p.p_slot) in
       for lane = 0 to ws - 1 do
-        if frame.mask.(lane) then file.(lane) <- stage.(lane)
+        if mask.(lane) then file.(lane) <- stage.(lane)
       done
     done
   end
 
-exception Poison
-
-(** Execute one non-phi, non-terminator instruction under the mask.
-
-    Undef ({e poison}) semantics follow LLVM and real hardware: pure ALU
-    operations on undef produce undef (melding executes gap instructions
-    speculatively, and their discarded wrong-side results may depend on
-    undef entry-phi values); dereferencing an undef pointer, dividing by
-    an undef value or branching on an undef condition is a genuine
-    error and traps. *)
-let exec_instr (ctx : launch_ctx) (w : warp) (frame : frame) (d : dinstr) :
-    unit =
+(** Issue one [K_exec] instruction for the lanes of [fr]: charge it
+    under the configured memory model, then run its lane executor. *)
+let issue (ctx : launch_ctx) (w : warp) (fr : frame) (d : dinstr) : unit =
   (match ctx.hier with
-  | Some h when d.d_mem <> Mc_none -> account_mem_hier ctx w frame d h
+  | Some h when d.d_mem <> Mc_none -> account_mem_hier ctx w fr d h
   | _ ->
-      account ctx d frame;
-      if d.d_mem <> Mc_none then account_transactions ctx w d frame.mask);
-  let fail_context msg =
-    let i = d.d_orig in
-    errf "%s (instr %d, op %s, block %s)" msg i.id (Op.to_string i.op)
-      (match i.parent with Some b -> b.bname | None -> "?")
-  in
-  let mask = frame.mask in
-  let per_lane (f : int -> rv) : unit =
-    let file = w.regs.(d.d_slot) in
-    for lane = 0 to ctx.cfg.warp_size - 1 do
-      if mask.(lane) then
-        file.(lane) <- (try f lane with Poison -> Rundef)
-    done
-  in
-  (* strict operand fetch for operations that must not see undef *)
-  let opv_strict k lane =
-    match eval_dop ctx w lane d.d_ops.(k) with
-    | Rundef ->
-        fail_context
-          (Printf.sprintf "operand %d is undef in lane %d" k lane)
-    | v -> v
-  in
-  (* poisoning operand fetch for pure ALU operations *)
-  let opv k lane =
-    match eval_dop ctx w lane d.d_ops.(k) with
-    | Rundef -> raise Poison
-    | v -> v
-  in
-  match d.d_op with
-  | Op.Ibin ((Op.Sdiv | Op.Srem) as op) ->
-      per_lane (fun l ->
-          Rint
-            (eval_ibin op
-               (as_int "ibin" (opv_strict 0 l))
-               (as_int "ibin" (opv_strict 1 l))))
-  | Op.Ibin op ->
-      per_lane (fun l ->
-          Rint (eval_ibin op (as_int "ibin" (opv 0 l)) (as_int "ibin" (opv 1 l))))
-  | Op.Fbin op ->
-      per_lane (fun l ->
-          Rfloat
-            (eval_fbin op (as_float "fbin" (opv 0 l))
-               (as_float "fbin" (opv 1 l))))
-  | Op.Icmp p ->
-      per_lane (fun l ->
-          Rbool
-            (eval_icmp p (as_int "icmp" (opv 0 l)) (as_int "icmp" (opv 1 l))))
-  | Op.Fcmp p ->
-      per_lane (fun l ->
-          Rbool
-            (eval_fcmp p
-               (as_float "fcmp" (opv 0 l))
-               (as_float "fcmp" (opv 1 l))))
-  | Op.Not -> per_lane (fun l -> Rbool (not (as_bool "not" (opv 0 l))))
-  | Op.Select ->
-      per_lane (fun l ->
-          (* the not-taken arm may be undef without poisoning the result *)
-          if as_bool "select" (opv 0 l) then eval_dop ctx w l d.d_ops.(1)
-          else eval_dop ctx w l d.d_ops.(2))
-  | Op.Load ->
-      per_lane (fun l ->
-          let sp, off = as_ptr "load" (opv_strict 0 l) in
-          Memory.read (mem_for ctx sp) off)
-  | Op.Store ->
-      for lane = 0 to ctx.cfg.warp_size - 1 do
-        if mask.(lane) then begin
-          let v = eval_dop ctx w lane d.d_ops.(0) in
-          let sp, off = as_ptr "store" (opv_strict 1 lane) in
-          Memory.write (mem_for ctx sp) off v
-        end
-      done
-  | Op.Gep ->
-      per_lane (fun l ->
-          let sp, off = as_ptr "gep" (opv 0 l) in
-          Rptr (sp, off + as_int "gep" (opv 1 l)))
-  | Op.Thread_idx -> per_lane (fun l -> Rint (w.tid_base + l))
-  | Op.Block_idx -> per_lane (fun _ -> Rint ctx.block_idx)
-  | Op.Block_dim -> per_lane (fun _ -> Rint ctx.block_dim)
-  | Op.Grid_dim -> per_lane (fun _ -> Rint ctx.grid_dim)
-  | Op.Alloc_shared _ -> per_lane (fun _ -> Rptr (Sp_shared, d.d_imm))
-  | Op.Sitofp ->
-      per_lane (fun l -> Rfloat (float_of_int (as_int "sitofp" (opv 0 l))))
-  | Op.Fptosi ->
-      per_lane (fun l -> Rint (int_of_float (as_float "fptosi" (opv 0 l))))
-  | Op.Addrspace_cast -> per_lane (fun l -> opv 0 l)
-  | Op.Syncthreads | Op.Phi | Op.Br | Op.Condbr | Op.Ret ->
-      errf "exec_instr: %s handled elsewhere" (Op.to_string d.d_op)
-
-(* ------------------------------------------------------------------ *)
-(* Control flow *)
+      account ctx d fr;
+      if d.d_mem <> Mc_none then account_transactions ctx w d fr.mask);
+  d.d_exec ctx.env w fr.mask
 
 let set_pred_for_mask (w : warp) (mask : bool array) (bi : int) : unit =
   for lane = 0 to Array.length mask - 1 do
     if mask.(lane) then w.pred.(lane) <- bi
   done
 
+(** Evaluate a condbr's condition for the lanes of [mask] into
+    [ctx.cond_sel]; returns how many of them take the true edge. *)
+let eval_cond (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array)
+    : int =
+  let cond = w.regs.(d.d_src.(0)) and sel = ctx.cond_sel in
+  let t = ref 0 in
+  for lane = 0 to Array.length mask - 1 do
+    if mask.(lane) then begin
+      let c = as_bool "condbr" cond.(lane) in
+      sel.(lane) <- c;
+      if c then incr t
+    end
+  done;
+  !t
+
+(* ------------------------------------------------------------------ *)
+(* SIMT stack *)
+
 (** Execute the terminator of the top frame, updating the stack. *)
 let exec_terminator (ctx : launch_ctx) (w : warp) (frame : frame)
     (d : dinstr) (db : dblock) : unit =
   account ctx d frame;
-  match d.d_op with
-  | Op.Ret -> w.stack <- List.tl w.stack
-  | Op.Br ->
+  match d.d_kind with
+  | K_ret -> w.stack <- List.tl w.stack
+  | K_br ->
       set_pred_for_mask w frame.mask frame.pc;
       frame.pc <- d.d_succ.(0);
       frame.ip <- 0
-  | Op.Condbr ->
+  | K_condbr ->
       let ws = ctx.cfg.warp_size in
-      let cond = d.d_ops.(0) in
-      (* first pass: detect the (common) uniform case without
-         allocating the split masks *)
-      let tcount = ref 0 and fcount = ref 0 in
-      for lane = 0 to ws - 1 do
-        if frame.mask.(lane) then
-          if as_bool "condbr" (eval_dop ctx w lane cond) then incr tcount
-          else incr fcount
-      done;
+      let tcount = eval_cond ctx w d frame.mask in
+      let fcount = frame.f_active - tcount in
       let cur = frame.pc in
-      if !fcount = 0 then begin
-        set_pred_for_mask w frame.mask cur;
-        frame.pc <- d.d_succ.(0);
-        frame.ip <- 0
-      end
-      else if !tcount = 0 then begin
-        set_pred_for_mask w frame.mask cur;
-        frame.pc <- d.d_succ.(1);
+      set_pred_for_mask w frame.mask cur;
+      if fcount = 0 || tcount = 0 then begin
+        frame.pc <- d.d_succ.(if fcount = 0 then 0 else 1);
         frame.ip <- 0
       end
       else begin
         (* the warp splits: IPDOM reconvergence *)
         ctx.metrics.divergent_branches <- ctx.metrics.divergent_branches + 1;
         ctx.br_div.(cur) <- ctx.br_div.(cur) + 1;
-        set_pred_for_mask w frame.mask cur;
+        let sel = ctx.cond_sel in
         let tmask = Array.make ws false in
         let fmask = Array.make ws false in
         for lane = 0 to ws - 1 do
           if frame.mask.(lane) then
-            if as_bool "condbr" (eval_dop ctx w lane cond) then
-              tmask.(lane) <- true
-            else fmask.(lane) <- true
+            if sel.(lane) then tmask.(lane) <- true else fmask.(lane) <- true
         done;
+        if observing ctx then
+          obs_diverge ctx w db ~tcount ~fcount frame.mask sel;
         let rpc = db.db_ipdom in
-        obs_warp ctx w "warp.diverge"
-          [
-            ("block", Tr.Str db.db_name);
-            ("branch_id", Tr.Str db.db_name);
-            ("t_active", Tr.Int (popcount tmask));
-            ("f_active", Tr.Int (popcount fmask));
-            ("t_mask", Tr.Str (mask_hex tmask));
-            ("f_mask", Tr.Str (mask_hex fmask));
-            ( "reconverge",
-              Tr.Str
-                (if rpc >= 0 then ctx.fctx.dblocks.(rpc).db_name else "<none>")
-            );
-          ];
         let t_frame =
           { pc = d.d_succ.(0); ip = 0; rpc; mask = tmask; origin = cur;
-            f_lost = !fcount }
+            f_lost = fcount; f_active = tcount }
         in
         let f_frame =
           { pc = d.d_succ.(1); ip = 0; rpc; mask = fmask; origin = cur;
-            f_lost = !tcount }
+            f_lost = tcount; f_active = fcount }
         in
         if rpc >= 0 then begin
           frame.pc <- rpc;
@@ -1016,7 +1131,7 @@ let exec_terminator (ctx : launch_ctx) (w : warp) (frame : frame)
           (* no reconvergence point: both arms run to completion *)
           w.stack <- t_frame :: f_frame :: List.tl w.stack
       end
-  | _ -> errf "exec_terminator: %s is not a terminator" (Op.to_string d.d_op)
+  | K_exec | K_sync -> errf "exec_terminator: not a terminator"
 
 (** Run the warp until it finishes or reaches a barrier. *)
 let run_warp (ctx : launch_ctx) (w : warp) : unit =
@@ -1035,16 +1150,17 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
           ctx.metrics.reconvergences <- ctx.metrics.reconvergences + 1;
           if frame.origin >= 0 then
             ctx.br_reconv.(frame.origin) <- ctx.br_reconv.(frame.origin) + 1;
-          obs_warp ctx w "warp.reconverge"
-            [
-              ("block", Tr.Str dbs.(frame.pc).db_name);
-              ( "branch_id",
-                Tr.Str
-                  (if frame.origin >= 0 then dbs.(frame.origin).db_name
-                   else "<entry>") );
-              ("active", Tr.Int (popcount frame.mask));
-              ("mask", Tr.Str (mask_hex frame.mask));
-            ];
+          if observing ctx then
+            obs_warp ctx w "warp.reconverge"
+              [
+                ("block", Tr.Str dbs.(frame.pc).db_name);
+                ( "branch_id",
+                  Tr.Str
+                    (if frame.origin >= 0 then dbs.(frame.origin).db_name
+                     else "<entry>") );
+                ("active", Tr.Int frame.f_active);
+                ("mask", Tr.Str (mask_hex frame.mask));
+              ];
           w.stack <- rest
         end
         else begin
@@ -1055,9 +1171,9 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
           | Some emit when frame.ip = 0 ->
               emit
                 (Printf.sprintf "block=%s warp=%d mask=%d" db.db_name
-                   w.tid_base (popcount frame.mask))
+                   w.tid_base frame.f_active)
           | _ -> ());
-          if frame.ip = 0 then exec_phis ctx w frame db;
+          if frame.ip = 0 then exec_phis ctx w frame.mask db;
           (* execute from the resume index *)
           let code = db.db_code in
           let n = Array.length code in
@@ -1066,31 +1182,30 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
           while not !stop do
             if !k >= n then errf "block %s has no terminator" db.db_name;
             let d = Array.unsafe_get code !k in
-            if d.d_term then begin
-              exec_terminator ctx w frame d db;
-              decr budget;
-              stop := true
-            end
-            else if d.d_op = Op.Syncthreads then begin
-              account ctx d frame;
-              ctx.metrics.barriers <- ctx.metrics.barriers + 1;
-              obs_warp ctx w "warp.barrier"
-                [
-                  ("block", Tr.Str db.db_name);
-                  ("active", Tr.Int (popcount frame.mask));
-                ];
-              (match w.stack with
-              | _ :: _ :: _ -> errf "syncthreads in divergent control flow"
-              | _ -> ());
-              frame.ip <- !k + 1;
-              w.status <- At_barrier;
-              stop := true
-            end
-            else begin
-              exec_instr ctx w frame d;
-              decr budget;
-              incr k
-            end
+            match d.d_kind with
+            | K_exec ->
+                issue ctx w frame d;
+                decr budget;
+                incr k
+            | K_sync ->
+                account ctx d frame;
+                ctx.metrics.barriers <- ctx.metrics.barriers + 1;
+                if observing ctx then
+                  obs_warp ctx w "warp.barrier"
+                    [
+                      ("block", Tr.Str db.db_name);
+                      ("active", Tr.Int frame.f_active);
+                    ];
+                (match w.stack with
+                | _ :: _ :: _ -> errf "syncthreads in divergent control flow"
+                | _ -> ());
+                frame.ip <- !k + 1;
+                w.status <- At_barrier;
+                stop := true
+            | K_br | K_condbr | K_ret ->
+                exec_terminator ctx w frame d db;
+                decr budget;
+                stop := true
           done;
           if w.status = At_barrier then continue_ := false
         end
@@ -1117,13 +1232,14 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
    group leader's innermost open split and whose [f_lost] counts the
    warp's other non-retired lanes, so [account] / [account_mem_hier]
    feed the same per-branch and global lost-lane counters and the
-   exact-sum identities hold under both models. *)
+   exact-sum identities hold under both models.
 
-(** One open split a lane is inside of: the branch block that split the
-    warp and the reconvergence point where the entry pops.  A lane's
-    list is innermost-first, mirroring the stack model's frame
-    nesting. *)
-type lane_entry = { le_origin : int; le_rpc : int }
+   Cost per issue is O(warp size): one pass for the pending
+   reconvergence pops (skipped when no lane can have one), one for the
+   run/wait counts and the MinPC leader, one for the group mask and the
+   per-lane budget, then the lane executor.  Whether other lanes are
+   still inside a split is an O(1) lookup in a per-origin holder
+   count. *)
 
 type lane_status =
   | L_run
@@ -1136,37 +1252,32 @@ type its_warp = {
   iw_pc : int array;  (** per-lane dense block index *)
   iw_ip : int array;  (** per-lane index into [db_code] *)
   iw_stat : lane_status array;
-  iw_div : lane_entry list array;  (** open splits, innermost first *)
-  iw_wait : (int * int) array;
-      (** the (origin, rpc) a [L_wait] lane is parked on *)
+  iw_div : int list array;
+      (** open splits, innermost first, as the dense index of the
+          branch block that split the warp; each pops when the lane
+          reaches that block's IPDOM.  Mirrors the stack model's frame
+          nesting; a lane may hold one split several times (a divergent
+          loop exit) *)
+  iw_wait : int array;  (** the split an [L_wait] lane is parked on *)
+  iw_holders : int array;
+      (** per branch block: non-retired lanes holding at least one
+          entry of that split *)
   iw_budget : int array;  (** per-lane runaway-loop guard *)
 }
 
-let make_its_warp (cfg : config) ~(live : int) : its_warp =
+let make_its_warp (cfg : config) ~(live : int) ~(nblocks : int) : its_warp =
   let ws = cfg.warp_size in
   {
     iw_pc = Array.make ws 0;
     iw_ip = Array.make ws 0;
     iw_stat = Array.init ws (fun l -> if l < live then L_run else L_done);
     iw_div = Array.make ws [];
-    iw_wait = Array.make ws (-1, -1);
+    iw_wait = Array.make ws (-1);
+    iw_holders = Array.make nblocks 0;
     iw_budget = Array.make ws cfg.max_cycles_per_warp;
   }
 
-(* lanes (other than [except], not retired) still inside split (o, r) *)
-let its_holders (iw : its_warp) (ws : int) (o : int) (r : int)
-    (except : int) : int =
-  let n = ref 0 in
-  for l = 0 to ws - 1 do
-    if
-      l <> except
-      && iw.iw_stat.(l) <> L_done
-      && List.exists
-           (fun e -> e.le_origin = o && e.le_rpc = r)
-           iw.iw_div.(l)
-    then incr n
-  done;
-  !n
+let rec holds (o : int) = function [] -> false | x :: r -> x = o || holds o r
 
 (** Run one warp under ITS until every lane is retired or parked at a
     barrier. *)
@@ -1175,26 +1286,33 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
   let ws = ctx.cfg.warp_size in
   let dbs = ctx.fctx.dblocks in
   let m = ctx.metrics in
+  let stat = iw.iw_stat and pcs = iw.iw_pc and ips = iw.iw_ip in
+  let holders = iw.iw_holders in
   let gmask = Array.make ws false in
-  (* wake every lane parked on (o, r) — the split has fully drained (or
-     the warp would otherwise stall) *)
-  let wake o r =
+  let fr =
+    { pc = 0; ip = 0; rpc = -1; mask = gmask; origin = -1; f_lost = 0;
+      f_active = 0 }
+  in
+  (* some L_run lane at a block entry may have a split to pop: set when
+     lanes arrive at a block or are released from a wait, and when the
+     warp (re)starts after a barrier *)
+  let pops_due = ref true in
+  (* wake every lane parked on split [o] — it has fully drained (or the
+     warp would otherwise stall) *)
+  let wake o =
+    pops_due := true;
     for l = 0 to ws - 1 do
-      if iw.iw_stat.(l) = L_wait && iw.iw_wait.(l) = (o, r) then begin
-        iw.iw_stat.(l) <- L_run;
-        iw.iw_wait.(l) <- (-1, -1)
+      if stat.(l) = L_wait && iw.iw_wait.(l) = o then begin
+        stat.(l) <- L_run;
+        iw.iw_wait.(l) <- -1
       end
     done
   in
   let reconverge_event o r =
     m.reconvergences <- m.reconvergences + 1;
     ctx.br_reconv.(o) <- ctx.br_reconv.(o) + 1;
-    if ctx.cfg.obs <> None then begin
-      let joined = Array.make ws false in
-      for l = 0 to ws - 1 do
-        joined.(l) <-
-          iw.iw_stat.(l) <> L_done && iw.iw_pc.(l) = r
-      done;
+    if observing ctx then begin
+      let joined = Array.init ws (fun l -> stat.(l) <> L_done && pcs.(l) = r) in
       obs_warp ctx w "warp.reconverge"
         [
           ("block", Tr.Str dbs.(r).db_name);
@@ -1208,204 +1326,223 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
      is this block; with [its_reconv_wait] park for straggling siblings *)
   let process_pops lane =
     let continue_ = ref true in
-    while !continue_ && iw.iw_stat.(lane) = L_run do
+    while !continue_ && stat.(lane) = L_run do
       match iw.iw_div.(lane) with
-      | { le_origin = o; le_rpc = r } :: rest when r = iw.iw_pc.(lane) ->
+      | o :: rest when dbs.(o).db_ipdom = pcs.(lane) ->
           iw.iw_div.(lane) <- rest;
-          if its_holders iw ws o r lane = 0 then begin
+          let still = holds o rest in
+          if not still then holders.(o) <- holders.(o) - 1;
+          let others = if still then holders.(o) - 1 else holders.(o) in
+          if others = 0 then begin
             (* last lane out of the split: this is the reconvergence *)
-            reconverge_event o r;
-            wake o r
+            reconverge_event o pcs.(lane);
+            wake o
           end
           else if p.its_reconv_wait then begin
-            iw.iw_stat.(lane) <- L_wait;
-            iw.iw_wait.(lane) <- (o, r)
+            stat.(lane) <- L_wait;
+            iw.iw_wait.(lane) <- o
           end
       | _ -> continue_ := false
     done
   in
+  (* a retiring lane drops out of every split it still holds *)
+  let rec release_splits = function
+    | [] -> ()
+    | o :: rest ->
+        if not (holds o rest) then holders.(o) <- holders.(o) - 1;
+        release_splits rest
+  in
   let arrive lane bi =
-    iw.iw_pc.(lane) <- bi;
-    iw.iw_ip.(lane) <- 0
+    pcs.(lane) <- bi;
+    ips.(lane) <- 0
   in
   let running = ref true in
   while !running do
     (* reconvergence pops happen at block entry, before any issue (also
        covers lanes re-checked after a wake) *)
-    for l = 0 to ws - 1 do
-      if iw.iw_stat.(l) = L_run && iw.iw_ip.(l) = 0 then process_pops l
-    done;
-    let any st =
-      let found = ref false in
+    if !pops_due then begin
+      pops_due := false;
       for l = 0 to ws - 1 do
-        if iw.iw_stat.(l) = st then found := true
-      done;
-      !found
-    in
-    if not (any L_run) then begin
-      if any L_wait then
+        if stat.(l) = L_run && ips.(l) = 0 then process_pops l
+      done
+    end;
+    (* run/wait counts and the MinPC leader: the lowest lane of the
+       runnable group with the minimal (pc, ip) *)
+    let nrun = ref 0 and nwait = ref 0 in
+    let leader = ref (-1) and pc = ref max_int and ip = ref max_int in
+    for l = 0 to ws - 1 do
+      match stat.(l) with
+      | L_run ->
+          incr nrun;
+          let lpc = pcs.(l) in
+          if lpc < !pc || (lpc = !pc && ips.(l) < !ip) then begin
+            leader := l;
+            pc := lpc;
+            ip := ips.(l)
+          end
+      | L_wait -> incr nwait
+      | L_barrier | L_done -> ()
+    done;
+    if !nrun = 0 then begin
+      if !nwait > 0 then begin
         (* liveness backstop: no runnable lane — release every parked
            lane (its sibling lanes are at a barrier, retired, or parked
            themselves; the reconvergence-point wait must yield) *)
+        pops_due := true;
         for l = 0 to ws - 1 do
-          if iw.iw_stat.(l) = L_wait then begin
-            iw.iw_stat.(l) <- L_run;
-            iw.iw_wait.(l) <- (-1, -1)
+          if stat.(l) = L_wait then begin
+            stat.(l) <- L_run;
+            iw.iw_wait.(l) <- -1
           end
         done
+      end
       else running := false
     end
     else begin
-      (* MinPC: the runnable group with the minimal (pc, ip) *)
-      let leader = ref (-1) in
+      let pc = !pc and ip0 = !ip in
+      (* the issuing group, charging each member's budget; a lane out
+         of budget is reported once the group is otherwise set up.
+         [minb]/[minl]: the group's lowest remaining budget and its
+         lowest lane *)
+      let gsize = ref 0 and exhausted = ref (-1) in
+      let minb = ref max_int and minl = ref (-1) in
       for l = 0 to ws - 1 do
-        if iw.iw_stat.(l) = L_run then
-          if
-            !leader < 0
-            || iw.iw_pc.(l) < iw.iw_pc.(!leader)
-            || (iw.iw_pc.(l) = iw.iw_pc.(!leader)
-               && iw.iw_ip.(l) < iw.iw_ip.(!leader))
-          then leader := l
-      done;
-      let pc = iw.iw_pc.(!leader) and ip = iw.iw_ip.(!leader) in
-      let gsize = ref 0 and alive = ref 0 in
-      for l = 0 to ws - 1 do
-        let in_group =
-          iw.iw_stat.(l) = L_run && iw.iw_pc.(l) = pc && iw.iw_ip.(l) = ip
-        in
+        let in_group = stat.(l) = L_run && pcs.(l) = pc && ips.(l) = ip0 in
         gmask.(l) <- in_group;
-        if in_group then incr gsize;
-        if iw.iw_stat.(l) = L_run || iw.iw_stat.(l) = L_wait then
-          incr alive
+        if in_group then begin
+          incr gsize;
+          let b = iw.iw_budget.(l) in
+          if b <= 0 && !exhausted < 0 then exhausted := l;
+          iw.iw_budget.(l) <- b - 1;
+          if b - 1 < !minb then begin
+            minb := b - 1;
+            minl := l
+          end
+        end
       done;
+      let gsize = !gsize in
       let db = dbs.(pc) in
       let code = db.db_code in
-      if ip >= Array.length code then
+      if ip0 >= Array.length code then
         errf "block %s has no terminator" db.db_name;
       (match ctx.cfg.trace with
-      | Some emit when ip = 0 ->
+      | Some emit when ip0 = 0 ->
           emit
             (Printf.sprintf "block=%s warp=%d mask=%d" db.db_name
-               w.tid_base !gsize)
+               w.tid_base gsize)
       | _ -> ());
       (* attribution: the group leader's innermost open split wins (the
          stack model's innermost-frame rule); the split's cost in idle
          lanes is every live lane the group leaves behind *)
-      let origin =
-        match iw.iw_div.(!leader) with e :: _ -> e.le_origin | [] -> -1
-      in
-      let fr =
-        { pc; ip; rpc = -1; mask = gmask; origin; f_lost = !alive - !gsize }
-      in
-      if ip = 0 then exec_phis ctx w fr db;
-      let d = Array.unsafe_get code ip in
-      for l = 0 to ws - 1 do
-        if gmask.(l) then begin
-          if iw.iw_budget.(l) <= 0 then
-            errf "cycle budget exhausted in lane %d (runaway loop?)"
-              (w.tid_base + l);
-          iw.iw_budget.(l) <- iw.iw_budget.(l) - 1
-        end
-      done;
-      if d.d_term then begin
-        account ctx d fr;
-        match d.d_op with
-        | Op.Ret ->
+      fr.origin <- (match iw.iw_div.(!leader) with o :: _ -> o | [] -> -1);
+      fr.f_lost <- !nrun + !nwait - gsize;
+      fr.f_active <- gsize;
+      if ip0 = 0 then exec_phis ctx w gmask db;
+      if !exhausted >= 0 then
+        errf "cycle budget exhausted in lane %d (runaway loop?)"
+          (w.tid_base + !exhausted);
+      (* Unless a wake left pops pending, the group issues straight on
+         to the block's barrier or terminator without rescanning: MinPC
+         would pick it again at every one of these instructions, since
+         issuing changes no other lane, and it cannot meet another lane
+         on the way — a runnable lane sits mid-block only just past a
+         [syncthreads] that released it, and the group stops at that
+         barrier first.  The [extra] issues are charged to the members'
+         budgets at the end.  With pops pending, the next step's pops
+         may park or reconverge lanes, so the group issues once. *)
+      let straight = not !pops_due in
+      let ip = ref ip0 and extra = ref 0 and more = ref true in
+      while !more do
+        let d = Array.unsafe_get code !ip in
+        match d.d_kind with
+        | K_exec ->
+            issue ctx w fr d;
+            incr ip;
+            if straight then begin
+              if !ip >= Array.length code then
+                errf "block %s has no terminator" db.db_name;
+              if !extra >= !minb then
+                errf "cycle budget exhausted in lane %d (runaway loop?)"
+                  (w.tid_base + !minl);
+              incr extra
+            end
+            else begin
+              for l = 0 to ws - 1 do
+                if gmask.(l) then ips.(l) <- !ip
+              done;
+              more := false
+            end
+        | K_sync ->
+            more := false;
+            account ctx d fr;
+            m.barriers <- m.barriers + 1;
+            if observing ctx then
+              obs_warp ctx w "warp.barrier"
+                [ ("block", Tr.Str db.db_name); ("active", Tr.Int gsize) ];
             for l = 0 to ws - 1 do
-              if gmask.(l) then iw.iw_stat.(l) <- L_done
+              if gmask.(l) then begin
+                stat.(l) <- L_barrier;
+                ips.(l) <- !ip + 1
+              end
             done
-        | Op.Br ->
+        | K_ret ->
+            more := false;
+            account ctx d fr;
+            for l = 0 to ws - 1 do
+              if gmask.(l) then begin
+                stat.(l) <- L_done;
+                release_splits iw.iw_div.(l);
+                iw.iw_div.(l) <- []
+              end
+            done
+        | K_br ->
+            more := false;
+            account ctx d fr;
             set_pred_for_mask w gmask pc;
+            pops_due := true;
             for l = 0 to ws - 1 do
               if gmask.(l) then arrive l d.d_succ.(0)
             done
-        | Op.Condbr ->
-            let cond = d.d_ops.(0) in
-            let tcount = ref 0 and fcount = ref 0 in
-            for l = 0 to ws - 1 do
-              if gmask.(l) then
-                if as_bool "condbr" (eval_dop ctx w l cond) then
-                  incr tcount
-                else incr fcount
-            done;
+        | K_condbr ->
+            more := false;
+            account ctx d fr;
+            let tcount = eval_cond ctx w d gmask in
+            let fcount = gsize - tcount in
             set_pred_for_mask w gmask pc;
-            if !fcount = 0 then
+            pops_due := true;
+            if fcount = 0 || tcount = 0 then begin
+              let succ = d.d_succ.(if fcount = 0 then 0 else 1) in
               for l = 0 to ws - 1 do
-                if gmask.(l) then arrive l d.d_succ.(0)
+                if gmask.(l) then arrive l succ
               done
-            else if !tcount = 0 then
-              for l = 0 to ws - 1 do
-                if gmask.(l) then arrive l d.d_succ.(1)
-              done
+            end
             else begin
               (* the group splits: open a per-lane divergence entry;
                  lanes rejoin at the IPDOM (or opportunistically
                  earlier when their PCs coincide) *)
               m.divergent_branches <- m.divergent_branches + 1;
               ctx.br_div.(pc) <- ctx.br_div.(pc) + 1;
-              let rpc = db.db_ipdom in
-              if ctx.cfg.obs <> None then begin
-                let tmask = Array.make ws false in
-                let fmask = Array.make ws false in
-                for l = 0 to ws - 1 do
-                  if gmask.(l) then
-                    if as_bool "condbr" (eval_dop ctx w l cond) then
-                      tmask.(l) <- true
-                    else fmask.(l) <- true
-                done;
-                obs_warp ctx w "warp.diverge"
-                  [
-                    ("block", Tr.Str db.db_name);
-                    ("branch_id", Tr.Str db.db_name);
-                    ("t_active", Tr.Int !tcount);
-                    ("f_active", Tr.Int !fcount);
-                    ("t_mask", Tr.Str (mask_hex tmask));
-                    ("f_mask", Tr.Str (mask_hex fmask));
-                    ( "reconverge",
-                      Tr.Str
-                        (if rpc >= 0 then dbs.(rpc).db_name else "<none>")
-                    );
-                  ]
-              end;
+              let sel = ctx.cond_sel in
+              if observing ctx then
+                obs_diverge ctx w db ~tcount ~fcount gmask sel;
               for l = 0 to ws - 1 do
                 if gmask.(l) then begin
-                  iw.iw_div.(l) <-
-                    { le_origin = pc; le_rpc = rpc } :: iw.iw_div.(l);
-                  if as_bool "condbr" (eval_dop ctx w l cond) then
-                    arrive l d.d_succ.(0)
-                  else arrive l d.d_succ.(1)
+                  if not (holds pc iw.iw_div.(l)) then
+                    holders.(pc) <- holders.(pc) + 1;
+                  iw.iw_div.(l) <- pc :: iw.iw_div.(l);
+                  arrive l d.d_succ.(if sel.(l) then 0 else 1)
                 end
               done
             end
-        | _ ->
-            errf "run_warp_its: %s is not a terminator"
-              (Op.to_string d.d_op)
-      end
-      else if d.d_op = Op.Syncthreads then begin
-        account ctx d fr;
-        m.barriers <- m.barriers + 1;
-        obs_warp ctx w "warp.barrier"
-          [
-            ("block", Tr.Str db.db_name); ("active", Tr.Int !gsize);
-          ];
+      done;
+      if !extra > 0 then
         for l = 0 to ws - 1 do
-          if gmask.(l) then begin
-            iw.iw_stat.(l) <- L_barrier;
-            iw.iw_ip.(l) <- ip + 1
-          end
+          if gmask.(l) then iw.iw_budget.(l) <- iw.iw_budget.(l) - !extra
         done
-      end
-      else begin
-        exec_instr ctx w fr d;
-        for l = 0 to ws - 1 do
-          if gmask.(l) then iw.iw_ip.(l) <- ip + 1
-        done
-      end
     end
   done;
   w.status <-
-    (if Array.for_all (fun s -> s = L_done) iw.iw_stat then Finished
-     else At_barrier)
+    (if Array.for_all (fun s -> s = L_done) stat then Finished else At_barrier)
 
 (* ------------------------------------------------------------------ *)
 (* Grid launch *)
@@ -1420,16 +1557,25 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
   if List.length fn.params <> Array.length args then
     errf "kernel @%s expects %d arguments, got %d" fn.fname
       (List.length fn.params) (Array.length args);
-  let fctx = prepare config fn in
+  let fctx = prepare config fn ~args in
   let metrics = Metrics.create () in
   let ws = config.warp_size in
   (* scratch buffers live across the whole grid: blocks (and the warps
      within a block) execute sequentially on this domain *)
-  let seg_scratch = Array.make ws 0 in
-  let bank_scratch = Array.make 32 0 in
+  let scan =
+    {
+      segs = Array.make ws 0;
+      nseg = 0;
+      shared_seen = false;
+      conflicts = 0;
+      bank_offs = Array.make 32 0;
+      bank_count = Array.make 32 0;
+    }
+  in
   let phi_stage =
     Array.init (max fctx.max_phis 1) (fun _ -> Array.make ws Rundef)
   in
+  let cond_sel = Array.make ws false in
   let nblocks = Array.length fctx.dblocks in
   let br_div = Array.make nblocks 0 in
   let br_cycles = Array.make nblocks 0 in
@@ -1470,16 +1616,18 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       {
         cfg = config;
         fctx;
-        args;
-        global;
-        shared;
-        block_idx;
-        block_dim = launch.block_dim;
-        grid_dim = launch.grid_dim;
+        env =
+          {
+            global;
+            shared;
+            block_idx;
+            block_dim = launch.block_dim;
+            grid_dim = launch.grid_dim;
+          };
         metrics;
-        seg_scratch;
-        bank_scratch;
+        scan;
         phi_stage;
+        cond_sel;
         br_div;
         br_cycles;
         br_lost;
@@ -1497,6 +1645,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       }
     in
     let nwarps = (launch.block_dim + ws - 1) / ws in
+    let nconsts = Array.length fctx.const_regs in
     let warps =
       Array.init nwarps (fun wi ->
           let tid_base = wi * ws in
@@ -1504,10 +1653,16 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
           let mask = Array.init ws (fun l -> l < live) in
           {
             tid_base;
-            regs = Array.init fctx.nslots (fun _ -> Array.make ws Rundef);
+            regs =
+              Array.init (fctx.nslots + nconsts) (fun s ->
+                  if s < fctx.nslots then Array.make ws Rundef
+                  else fctx.const_regs.(s - fctx.nslots));
             pred = Array.make ws (-1);
             stack =
-              [ { pc = 0; ip = 0; rpc = -1; mask; origin = -1; f_lost = 0 } ];
+              [
+                { pc = 0; ip = 0; rpc = -1; mask; origin = -1; f_lost = 0;
+                  f_active = live };
+              ];
             status = Running;
           })
     in
@@ -1521,7 +1676,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       | Some _ ->
           Array.init nwarps (fun wi ->
               let live = min ws (launch.block_dim - (wi * ws)) in
-              make_its_warp config ~live)
+              make_its_warp config ~live ~nblocks)
     in
     (* phase execution: run every warp to its next barrier or the end;
        release the barrier when all non-finished warps have reached it *)

@@ -42,6 +42,9 @@ let identity_transform : transform =
 type result = {
   tag : string;
   block_size : int;
+  n : int;  (** problem size the point ran at *)
+  seed : int;  (** input seed; with [tag], [block_size] and [n] it
+                   names the point exactly, so it can be re-run *)
   transform_name : string;
   rewrites : int;  (** melds / merges applied *)
   base : Metrics.t;
@@ -217,6 +220,8 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?sim ?obs ?mem_model
     {
       tag = kernel.Kernel.tag;
       block_size;
+      n;
+      seed;
       transform_name = transform.t_name;
       rewrites;
       base;

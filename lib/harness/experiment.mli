@@ -34,6 +34,9 @@ val identity_transform : transform
 type result = {
   tag : string;
   block_size : int;
+  n : int;  (** problem size the point ran at *)
+  seed : int;  (** input seed; with [tag], [block_size] and [n] it
+                   names the point exactly, so it can be re-run *)
   transform_name : string;
   rewrites : int;
   base : Metrics.t;

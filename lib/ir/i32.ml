@@ -13,8 +13,9 @@
     [Add]/[Sub]/[Mul] modulo 2^32, shifts mask their amount to [0, 31],
     [Shl] sign-extends its truncated result (so [1 lsl 31] is
     [-2^31], not [+2^31]), and [Ashr]/[Lshr] operate on the truncated
-    32-bit value.  [Sdiv]/[Srem] signal division by zero by returning
-    [None] (the simulator traps, the folder declines to fold). *)
+    32-bit value.  [Sdiv]/[Srem] signal division by zero: {!eval_exn}
+    raises (the simulator traps), {!eval} returns [None] (the folder
+    declines to fold). *)
 
 let mask = 0xFFFFFFFF
 
@@ -27,29 +28,38 @@ let to_i32 (x : int) : int =
   let m = x land mask in
   if m land 0x80000000 <> 0 then m - 0x100000000 else m
 
-(** [eval op x y] evaluates [op] under i32 semantics on arbitrary OCaml
-    ints (operands are truncated first) and returns the canonical
-    result, or [None] for division/remainder by zero. *)
-let eval (op : Op.ibinop) (x : int) (y : int) : int option =
+(** [eval_exn op x y] evaluates [op] under i32 semantics on arbitrary
+    OCaml ints (operands are truncated first) and returns the canonical
+    result; raises [Division_by_zero] for division or remainder by zero.
+    Every case is int-typed and allocates nothing — the simulator calls
+    it once per active lane. *)
+let eval_exn (op : Op.ibinop) (x : int) (y : int) : int =
   let x = to_i32 x and y = to_i32 y in
   match op with
-  | Op.Add -> Some (to_i32 (x + y))
-  | Op.Sub -> Some (to_i32 (x - y))
+  | Op.Add -> to_i32 (x + y)
+  | Op.Sub -> to_i32 (x - y)
   | Op.Mul ->
       (* native multiplication wraps modulo 2^63; since 2^32 divides
          2^63, truncating the wrapped product still yields the exact
          product modulo 2^32 *)
-      Some (to_i32 (x * y))
-  | Op.Sdiv -> if y = 0 then None else Some (to_i32 (x / y))
-  | Op.Srem -> if y = 0 then None else Some (to_i32 (x mod y))
-  | Op.And -> Some (x land y)
-  | Op.Or -> Some (x lor y)
-  | Op.Xor -> Some (x lxor y)
-  | Op.Shl -> Some (to_i32 (x lsl (y land 31)))
-  | Op.Lshr -> Some (to_i32 ((x land mask) lsr (y land 31)))
-  | Op.Ashr -> Some (x asr (y land 31))
-  | Op.Smin -> Some (min x y)
-  | Op.Smax -> Some (max x y)
+      to_i32 (x * y)
+  | Op.Sdiv -> to_i32 (x / y)
+  | Op.Srem -> to_i32 (x mod y)
+  | Op.And -> x land y
+  | Op.Or -> x lor y
+  | Op.Xor -> x lxor y
+  | Op.Shl -> to_i32 (x lsl (y land 31))
+  | Op.Lshr -> to_i32 ((x land mask) lsr (y land 31))
+  | Op.Ashr -> x asr (y land 31)
+  | Op.Smin -> if x <= y then x else y
+  | Op.Smax -> if x >= y then x else y
+
+(** [eval op x y] is {!eval_exn} with division by zero reported as
+    [None] — the constant folder's view, which declines to fold. *)
+let eval (op : Op.ibinop) (x : int) (y : int) : int option =
+  match eval_exn op x y with
+  | v -> Some v
+  | exception Division_by_zero -> None
 
 (** Signed comparison on the canonical representations. *)
 let compare_i32 (p : Op.icmp_pred) (x : int) (y : int) : bool =

@@ -15,8 +15,13 @@ val to_i32 : int -> int
 (** Evaluate an integer binary operation under i32 semantics: operands
     are truncated, [Add]/[Sub]/[Mul] wrap modulo 2^32, shift amounts
     are masked to [0, 31], [Shl] sign-extends its truncated result,
-    [Ashr]/[Lshr] operate on the truncated 32-bit value.  Returns
-    [None] for division or remainder by zero. *)
+    [Ashr]/[Lshr] operate on the truncated 32-bit value.  Raises
+    [Division_by_zero] for division or remainder by zero; allocates
+    nothing. *)
+val eval_exn : Op.ibinop -> int -> int -> int
+
+(** {!eval_exn} with division or remainder by zero returned as
+    [None]. *)
 val eval : Op.ibinop -> int -> int -> int option
 
 (** Signed i32 comparison (operands truncated first). *)

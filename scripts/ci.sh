@@ -146,6 +146,28 @@ rm -f /tmp/darm_report_rc_stack.txt /tmp/darm_report_rc_dflt.txt \
   /tmp/darm_report_its_j1.txt /tmp/darm_report_its_j4.txt \
   /tmp/darm_report_bit_its.json /tmp/darm_sim_hier_its.txt
 
+# simulator correctness through the layer ledger (ledger/README.md): one
+# round of the 53-point paper matrix, base and DARM simulated under all
+# four machine models with every output checked against the host
+# reference, must report no failure and reproduce the recorded
+# default-model geomean, 1.392x
+ledger_out=$(mktemp /tmp/darm_ledger.XXXXXX.txt)
+bash ledger/ledger.sh --workload paper-sim --seed 2022 --seconds 0 \
+  --trace 0 > "$ledger_out"
+ledger_last=$(tail -n 1 "$ledger_out")
+rm -f "$ledger_out"
+case "$ledger_last" in
+  *'"failed":0,'*) ;;
+  *) echo "ci: ledger paper-sim reported failures: $ledger_last" >&2; exit 1 ;;
+esac
+ledger_gm=$(sed -n \
+  's/.*"speedup_gm\.flat_stack":{"value":\([0-9.eE+-]*\).*/\1/p' \
+  <<< "$ledger_last")
+if [ "$(printf '%.3f' "$ledger_gm")" != "1.392" ]; then
+  echo "ci: ledger speedup_gm.flat_stack is $ledger_gm, expected 1.392" >&2
+  exit 1
+fi
+
 # sanity checkers: every registry kernel must be diagnostic-clean both
 # before and after melding (non-zero exit on any error diagnostic), and
 # the seeded negative kernels must be flagged with the expected ids

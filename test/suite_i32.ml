@@ -97,6 +97,17 @@ let test_simulator_matches_oracle =
        ~name:"simulator eval_ibin = Int32 oracle" case_gen
        (fun (op, x, y) -> sim_eval op x y = oracle op x y))
 
+(* the simulator's non-allocating evaluator, raising on zero division *)
+let test_eval_exn_matches_oracle =
+  qcheck
+    (QCheck2.Test.make ~count:2000 ~print:print_case
+       ~name:"I32.eval_exn = Int32 oracle" case_gen
+       (fun (op, x, y) ->
+         (match I32.eval_exn op x y with
+         | v -> Some v
+         | exception Division_by_zero -> None)
+         = oracle op x y))
+
 let test_constfold_matches_oracle =
   qcheck
     (QCheck2.Test.make ~count:2000 ~print:print_case
@@ -199,6 +210,7 @@ let suites =
       unit_cases
       @ [
           test_simulator_matches_oracle;
+          test_eval_exn_matches_oracle;
           test_constfold_matches_oracle;
           test_constfold_matches_simulator;
           test_icmp_matches_int32;

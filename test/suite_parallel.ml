@@ -136,6 +136,8 @@ let test_speedup_zero_cycles_raises () =
     {
       E.tag = "FAKE";
       block_size = 64;
+      n = 256;
+      seed = 2022;
       transform_name = "DARM";
       rewrites = 1;
       base = m_base;

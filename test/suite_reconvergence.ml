@@ -76,6 +76,154 @@ let test_stack_golden_cycles () =
     golden_stack
 
 (* ------------------------------------------------------------------ *)
+(* Every simulated statistic, all four machine models *)
+
+(* Canonical rendering of every counter a run produces: the aggregate
+   [M.t] fields, the per-block cycles, and the per-branch and per-site
+   attribution in their deterministic orders.  Two runs agree on this
+   string iff every statistic the simulator reports agrees. *)
+let canonical_stats (m : M.t) : string =
+  let b = Buffer.create 1024 in
+  let ints xs = String.concat "," (List.map string_of_int xs) in
+  Printf.bprintf b "%s;blocks=%s"
+    (ints
+       [
+         m.M.cycles; m.M.instructions; m.M.alu_issues; m.M.alu_active_lanes;
+         m.M.mem_global; m.M.mem_shared; m.M.mem_flat;
+         m.M.global_transactions; m.M.global_accesses; m.M.bank_conflicts;
+         m.M.l1_hits; m.M.l1_misses; m.M.mem_stall_cycles;
+         m.M.bank_conflict_cycles; m.M.mem_cycles; m.M.divergent_branches;
+         m.M.lost_lane_cycles; m.M.reconvergences; m.M.barriers;
+       ])
+    (ints m.M.block_cycles);
+  List.iter
+    (fun (id, (s : M.branch_stat)) ->
+      Printf.bprintf b ";br:%s=%s" id
+        (ints
+           [
+             s.M.br_divergences; s.M.br_cycles; s.M.br_lost_lane_cycles;
+             s.M.br_reconvergences;
+           ]))
+    (M.branch_stats m);
+  List.iter
+    (fun (id, (s : M.mem_site_stat)) ->
+      Printf.bprintf b ";site:%s=%s" id
+        (ints
+           [
+             s.M.ms_issues; s.M.ms_accesses; s.M.ms_transactions;
+             s.M.ms_l1_hits; s.M.ms_l1_misses; s.M.ms_bank_conflicts;
+             s.M.ms_bank_conflict_cycles; s.M.ms_stall_cycles; s.M.ms_cycles;
+           ]))
+    (M.site_stats m);
+  Buffer.contents b
+
+let stats_digest (m : M.t) : string =
+  String.sub (Digest.to_hex (Digest.string (canonical_stats m))) 0 16
+
+let models =
+  [
+    ("flat_stack", Sim.Flat, Sim.Stack);
+    ("hier_stack", hier, Sim.Stack);
+    ("flat_its", Sim.Flat, its);
+    ("hier_its", hier, its);
+  ]
+
+(* (tag, model, base cycles, DARM cycles, base digest, DARM digest) for
+   every registry kernel at its first block size, default n, seed 2022,
+   recorded before the simulator's issue loop was rewritten for speed.
+   The digest is [stats_digest]: a change to any counter of either run
+   — aggregate, per-block, per-branch or per-site — changes it. *)
+let golden_stats =
+  [
+    ("SB1", "flat_stack", 114816, 72064, "14da3511f73e9906", "f2f2010b94cc2112");
+    ("SB1", "hier_stack", 121984, 79232, "54a12356369727a6", "00e57a89124f29b4");
+    ("SB1", "flat_its", 114816, 72064, "651b5d7ae4f8504b", "f2f2010b94cc2112");
+    ("SB1", "hier_its", 121984, 79232, "e979ecf262350b3b", "00e57a89124f29b4");
+    ("SB2", "flat_stack", 96998, 63538, "d5079425377ccec8", "6220d41bf65e87f3");
+    ("SB2", "hier_stack", 104166, 70706, "d4d39495825b6234", "8aeab8edd6f6893f");
+    ("SB2", "flat_its", 96998, 63538, "1eea2ba4273e98c9", "1859fdaef9799de5");
+    ("SB2", "hier_its", 104166, 70706, "bedd3ba09080d18e", "02074d9179793cb9");
+    ("SB3", "flat_stack", 210662, 121906, "37a11db99587589c", "63fbfd111c3395a0");
+    ("SB3", "hier_stack", 217830, 129074, "95a81f52f25ca667", "0b02f7b5062b2509");
+    ("SB3", "flat_its", 210662, 121906, "58b0e9978f302d68", "7d1d776698c2f124");
+    ("SB3", "hier_its", 217830, 129074, "dc1a30ccb448d27a", "a3032ebc0a601a8b");
+    ("SB1-R", "flat_stack", 115328, 79744, "1d724800491d35b2", "cc11bb1955fc0e03");
+    ("SB1-R", "hier_stack", 122496, 86912, "ff37aade13a2f8f8", "3c2488f4d3c7730e");
+    ("SB1-R", "flat_its", 115328, 79744, "71853916bb362377", "6d261d4ffc426e6c");
+    ("SB1-R", "hier_its", 122496, 86912, "6d58d14f7e1c7041", "51a9aef6d44b6f4c");
+    ("SB2-R", "flat_stack", 133142, 105384, "bfd8c31217779890", "5104aafe1aba62fc");
+    ("SB2-R", "hier_stack", 140310, 112552, "0a52979744c1d241", "7bfd936ae6663959");
+    ("SB2-R", "flat_its", 133142, 105384, "980c1919f099a6d2", "9b0013c845b42652");
+    ("SB2-R", "hier_its", 140310, 112552, "133d9bb90dd9bdb5", "69c85d834112ee1a");
+    ("SB3-R", "flat_stack", 209190, 129070, "a292cb94e45a9537", "dae77894ee9daf29");
+    ("SB3-R", "hier_stack", 216358, 136238, "f62a317a8c5f2357", "878d0b280869c5f1");
+    ("SB3-R", "flat_its", 209190, 129070, "c04badad76d9f88c", "6ce50e84bd321d11");
+    ("SB3-R", "hier_its", 216358, 136238, "39a37224ffa7b54c", "9d79cec474e1b6ee");
+    ("LUD", "flat_stack", 544000, 272640, "ad0c7d7524ba4e4f", "45a1d4023ce91c85");
+    ("LUD", "hier_stack", 302336, 167424, "e46fff7b52d63086", "13cc580b2563a484");
+    ("LUD", "flat_its", 544000, 272640, "810d51abe34ae42c", "0b6d1f299a86a5a4");
+    ("LUD", "hier_its", 302336, 167424, "fe6e305b11cd4cc1", "c1281b9459293654");
+    ("BIT", "flat_stack", 215776, 145408, "15cc0e4bff9a4a8b", "8fd281be6f0f193f");
+    ("BIT", "hier_stack", 216544, 146176, "91840b3d3bd8a27d", "97c71cc56f10bbc0");
+    ("BIT", "flat_its", 215776, 168592, "b69db674aabcb8ca", "6ac899b530c3a7d1");
+    ("BIT", "hier_its", 216544, 169360, "cb55a6fd9791b72d", "491889bee251159b");
+    ("DCT", "flat_stack", 24576, 22656, "8723c001dd86de1d", "55f174ec9fc25a47");
+    ("DCT", "hier_stack", 31744, 29824, "96efb489004950b7", "41a9be0ac465774d");
+    ("DCT", "flat_its", 24576, 22656, "d67c6d49284935e0", "021f23267e023fcb");
+    ("DCT", "hier_its", 31744, 29824, "50a5c7bbc2d3620a", "2da6d9ce6ca1b74d");
+    ("MS", "flat_stack", 215585, 198612, "5aa5972b654065ac", "7996fece8f1c8d14");
+    ("MS", "hier_stack", 215969, 198996, "173cd3b4868b3803", "7636e45c27f68a61");
+    ("MS", "flat_its", 215585, 198612, "f4288eae7bd37a52", "d986fb1124b2d283");
+    ("MS", "hier_its", 215969, 198996, "93f96ae2eea1a680", "ddb2d327d681c235");
+    ("PCM", "flat_stack", 16972, 13740, "6768fe8bb448fc2c", "fc4aab0900fa305f");
+    ("PCM", "hier_stack", 23568, 18380, "b1e62eb32e8dfd16", "3e401714a74a62f1");
+    ("PCM", "flat_its", 16972, 13740, "c3ecaf0c786810be", "dae9d7c9d0c73adb");
+    ("PCM", "hier_its", 23568, 18380, "04e0706040c9ca46", "7efd7123961db2ab");
+    ("IDENT", "flat_stack", 6592, 3312, "36a9a189e0fe9e25", "fd9d2936d9b8d512");
+    ("IDENT", "hier_stack", 4928, 3696, "308a3981c2210ba8", "b117d1265ab022e9");
+    ("IDENT", "flat_its", 6592, 3312, "81f7b00e442d9d60", "fd9d2936d9b8d512");
+    ("IDENT", "hier_its", 4928, 3696, "3279e79975b7df7a", "b117d1265ab022e9");
+    ("FLAT", "flat_stack", 8512, 7712, "7c9bade65fd95089", "33d4bc45b2dce091");
+    ("FLAT", "hier_stack", 6848, 8096, "ffaf145a27e8f59e", "2af3b5795a58a521");
+    ("FLAT", "flat_its", 8512, 7712, "f887713f57db2276", "e485fa4ab686078b");
+    ("FLAT", "hier_its", 6848, 8096, "26bd397145b1b668", "2fcf01f141ddc714");
+    ("FDCT", "flat_stack", 11392, 10848, "abc5e1b7e0fb03f4", "f4e526c589453936");
+    ("FDCT", "hier_stack", 14976, 14432, "841ab7c2df19eeed", "3908694726e8fcee");
+    ("FDCT", "flat_its", 11392, 10848, "4ff4a0f4e2e4a851", "9a58ebc105363514");
+    ("FDCT", "hier_its", 14976, 14432, "0bc902c1013f8f23", "e883c1ccfa690168");
+  ]
+
+let test_all_models_golden_stats () =
+  List.iter
+    (fun (k : Kernel.t) ->
+      let block_size = List.hd k.Kernel.block_sizes in
+      List.iter
+        (fun (model, mem_model, reconvergence) ->
+          let r = E.run ~mem_model ~reconvergence k ~block_size in
+          let tag = k.Kernel.tag in
+          Alcotest.(check bool) (tag ^ " " ^ model ^ " correct") true r.E.correct;
+          let got =
+            ( r.E.base.M.cycles, r.E.opt.M.cycles, stats_digest r.E.base,
+              stats_digest r.E.opt )
+          in
+          let bc, oc, bd, od = got in
+          match
+            List.find_opt (fun (t, m, _, _, _, _) -> t = tag && m = model)
+              golden_stats
+          with
+          | None ->
+              Alcotest.failf "no golden row; record: (%S, %S, %d, %d, %S, %S);"
+                tag model bc oc bd od
+          | Some (_, _, gbc, goc, gbd, god) ->
+              let what = Printf.sprintf "%s/bs%d %s" tag block_size model in
+              Alcotest.(check int) (what ^ " base cycles") gbc bc;
+              Alcotest.(check int) (what ^ " DARM cycles") goc oc;
+              Alcotest.(check string) (what ^ " base stats digest") gbd bd;
+              Alcotest.(check string) (what ^ " DARM stats digest") god od)
+        models)
+    Registry.all
+
+(* ------------------------------------------------------------------ *)
 (* Attribution identities (both models) *)
 
 (* The per-branch divergence attribution must close exactly against
@@ -137,8 +285,9 @@ let parse text =
 
 (* Mirrors the fuzz oracle's launch convention: two global arrays with
    deterministic contents, one block-per-128/64 launch. *)
-let exec ?(reconvergence = Sim.Stack) ?(max_cycles = 1_000_000)
-    ?(block_size = 64) ?(n = 128) text : M.t * Memory.rv array =
+let exec ?(mem_model = Sim.Flat) ?(reconvergence = Sim.Stack)
+    ?(max_cycles = 1_000_000) ?(block_size = 64) ?(n = 128) text :
+    M.t * Memory.rv array =
   let f = parse text in
   let a_init = Kernel.random_int_array ~seed:11 ~n ~bound:1000 in
   let b_init = Kernel.random_int_array ~seed:12 ~n ~bound:1000 in
@@ -149,6 +298,7 @@ let exec ?(reconvergence = Sim.Stack) ?(max_cycles = 1_000_000)
     {
       Sim.default_config with
       max_cycles_per_warp = max_cycles;
+      mem_model;
       reconvergence;
     }
   in
@@ -324,6 +474,20 @@ let test_per_lane_budget () =
   | _ -> Alcotest.fail "stack budget should exhaust on the serialized arms"
   | exception Sim.Sim_error _ -> ())
 
+(* The ITS budget is charged per issue, also while a group runs through
+   a block without being rescheduled: the uniform kernel's 11 issues per
+   lane fit a budget of 11 and exhaust a budget of 10, reported for the
+   lowest lane. *)
+let test_its_budget_exact () =
+  (match exec ~reconvergence:its ~max_cycles:11 uniform_kernel with
+  | m, _ -> Alcotest.(check bool) "budget 11 fits" true (m.M.cycles > 0)
+  | exception Sim.Sim_error e -> Alcotest.failf "budget 11 should fit: %s" e);
+  match exec ~reconvergence:its ~max_cycles:10 uniform_kernel with
+  | _ -> Alcotest.fail "budget 10 must be exhausted"
+  | exception Sim.Sim_error e ->
+      Alcotest.(check string)
+        "exhausted lane" "cycle budget exhausted in lane 0 (runaway loop?)" e
+
 let test_runaway_guard_both_models () =
   List.iter
     (fun (model, rc) ->
@@ -331,6 +495,123 @@ let test_runaway_guard_both_models () =
       | _ -> Alcotest.failf "%s: runaway loop must trip the guard" model
       | exception Sim.Sim_error _ -> ())
     [ ("stack", Sim.Stack); ("its", its) ]
+
+(* ------------------------------------------------------------------ *)
+(* Hand-written kernels, every statistic pinned under all four models *)
+
+(* Lane [t] runs [t] trips, so the loop exit diverges on every
+   iteration and under ITS a lane that pops the loop's split at the
+   exit may still hold the same split from earlier iterations; without
+   the reconvergence wait, the last lane pops those entries with no
+   other holder left.  No registry kernel reaches either case. *)
+let divloop_kernel =
+  {|
+kernel @divloop(%a: ptr(global), %b: ptr(global)) {
+entry:
+  %0 = thread.idx
+  br head
+head:
+  %2 = phi i32 [%4, body], [0, entry]
+  %3 = icmp slt %2, %0
+  condbr %3, body, exit
+body:
+  %4 = add %2, 1
+  br head
+exit:
+  %5 = gep %a, %0
+  store %2, %5
+  ret
+}
+|}
+
+let handwritten_models =
+  models
+  @ [ ("flat_its_nowait", Sim.Flat, Sim.Its { Sim.its_reconv_wait = false }) ]
+
+(* (kernel, model, cycles, [stats_digest]), recorded before the
+   simulator's issue loop was rewritten for speed *)
+let golden_handwritten =
+  [
+    ("divloop", "flat_stack", 964, "337c2d1200b77d17");
+    ("divloop", "hier_stack", 1140, "051ea67d82ef428c");
+    ("divloop", "flat_its", 12920, "42276f82d1ba6028");
+    ("divloop", "hier_its", 5096, "8bd995e563f69793");
+    ("divloop", "flat_its_nowait", 964, "d5dd12db04a7f334");
+    ("its_smoke", "flat_stack", 612, "b44ccfe5b153f595");
+    ("its_smoke", "hier_stack", 964, "89bc1702bde3693f");
+    ("its_smoke", "flat_its", 628, "2a713d2c5965c963");
+    ("its_smoke", "hier_its", 980, "8f85f2285e65d79b");
+    ("its_smoke", "flat_its_nowait", 612, "03d3258105386723");
+    ("perlane", "flat_stack", 4826, "a95f97effff9426e");
+    ("perlane", "hier_stack", 4826, "a95f97effff9426e");
+    ("perlane", "flat_its", 4826, "3c6cfbd1212e5f45");
+    ("perlane", "hier_its", 4826, "3c6cfbd1212e5f45");
+    ("perlane", "flat_its_nowait", 4826, "3c6cfbd1212e5f45");
+  ]
+
+let test_handwritten_golden () =
+  List.iter
+    (fun (kname, text) ->
+      List.iter
+        (fun (model, mem_model, reconvergence) ->
+          let m, _ = exec ~mem_model ~reconvergence text in
+          let cycles = m.M.cycles and digest = stats_digest m in
+          match
+            List.find_opt
+              (fun (k, md, _, _) -> k = kname && md = model)
+              golden_handwritten
+          with
+          | None ->
+              Alcotest.failf "no golden row; record: (%S, %S, %d, %S);" kname
+                model cycles digest
+          | Some (_, _, gc, gd) ->
+              Alcotest.(check int) (kname ^ " " ^ model ^ " cycles") gc cycles;
+              Alcotest.(check string)
+                (kname ^ " " ^ model ^ " stats digest")
+                gd digest)
+        handwritten_models)
+    [
+      ("divloop", divloop_kernel);
+      ("its_smoke", barrier_kernel);
+      ("perlane", perlane_kernel);
+    ]
+
+(* Generated smoke kernel 23, melded: under ITS a reconvergence pop
+   wakes lanes the same pops pass has already visited, so their own
+   pops are still pending when the next group issues — the scheduler
+   must not run that group through its block before they happen. *)
+let golden_generated =
+  [
+    (23, "flat_stack", 4856, "84652cf8f77ced5e");
+    (23, "hier_stack", 3116, "b4482b2802e15466");
+    (23, "flat_its", 8552, "e8bae1e8c8b869be");
+    (23, "hier_its", 4644, "3bdde434f87182ee");
+  ]
+
+let test_generated_golden () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (model, mem_model, reconvergence) ->
+          let inst = Gen.instance ~cfg:Gen.smoke_cfg ~seed ~block_size:64 () in
+          ignore (Darm_core.Pass.run inst.Kernel.func);
+          let config = { E.sim_config with Sim.mem_model; reconvergence } in
+          let m = E.run_instance ~config inst in
+          let cycles = m.M.cycles and digest = stats_digest m in
+          match
+            List.find_opt
+              (fun (sd, md, _, _) -> sd = seed && md = model)
+              golden_generated
+          with
+          | None ->
+              Alcotest.failf "no golden row; record: (%d, %S, %d, %S);" seed
+                model cycles digest
+          | Some (_, _, gc, gd) ->
+              let what = Printf.sprintf "gen seed %d melded %s" seed model in
+              Alcotest.(check int) (what ^ " cycles") gc cycles;
+              Alcotest.(check string) (what ^ " stats digest") gd digest)
+        models)
+    [ 23 ]
 
 (* ------------------------------------------------------------------ *)
 (* MinPC determinism: byte-identical reports for any pool size *)
@@ -410,6 +691,8 @@ let suites =
       [
         Alcotest.test_case "stack: golden cycles pinned" `Slow
           test_stack_golden_cycles;
+        Alcotest.test_case "all four models: every statistic pinned" `Slow
+          test_all_models_golden_stats;
         Alcotest.test_case "attribution identities under both models" `Quick
           test_attr_identities_both_models;
         Alcotest.test_case "non-divergent kernels cost identical cycles"
@@ -418,8 +701,14 @@ let suites =
           `Quick test_barrier_under_divergence;
         Alcotest.test_case "its: runaway guard is per-lane" `Quick
           test_per_lane_budget;
+        Alcotest.test_case "its: budget exact on straight-line issues" `Quick
+          test_its_budget_exact;
         Alcotest.test_case "runaway loop trips the guard under both models"
           `Quick test_runaway_guard_both_models;
+        Alcotest.test_case "hand-written kernels: every statistic pinned"
+          `Quick test_handwritten_golden;
+        Alcotest.test_case "its: pending pops end a group's run" `Quick
+          test_generated_golden;
         Alcotest.test_case "its: report byte-identical across jobs" `Slow
           test_its_report_byte_identical_across_jobs;
         test_xmodel_generated;
