@@ -1,148 +1,20 @@
-(** Dominator and post-dominator trees.
+(** Dominator and post-dominator trees: the queries the analyses and
+    the pass ask of {!Darm_ir.Dom}, the dominator implementation shared
+    with the IR verifier. *)
 
-    Implementation: the Cooper–Harvey–Kennedy iterative algorithm ("A
-    Simple, Fast Dominance Algorithm") over reverse-postorder-indexed
-    nodes.  Post-dominators are computed on the reversed CFG with a
-    virtual exit node joining every [Ret] block, so functions with
-    multiple exits (or none of the blocks post-dominating each other)
-    are handled uniformly.
-
-    Dominance queries are O(1) via preorder interval numbering of the
-    tree. *)
-
+open Darm_ir
 open Darm_ir.Ssa
 
-type t = {
-  index_of : (int, int) Hashtbl.t;  (** block id -> node index *)
-  node_block : block option array;  (** node index -> block; [None] = virtual root *)
-  idom : int array;                 (** node index -> parent index; root maps to itself *)
-  tin : int array;                  (** preorder interval entry *)
-  tout : int array;                 (** preorder interval exit *)
-  children_ : int list array;
-  is_post : bool;
-}
+type t = Dom.t
 
-(* Generic CHK over an abstract graph: nodes 0..n-1, 0 is the root,
-   [preds] in the dominance direction, [rpo] a reverse postorder. *)
-let chk_idoms ~(n : int) ~(preds : int list array) ~(rpo : int list) : int array
-    =
-  let rpo_num = Array.make n (-1) in
-  List.iteri (fun k v -> rpo_num.(v) <- k) rpo;
-  let idom = Array.make n (-1) in
-  idom.(0) <- 0;
-  let rec intersect a b =
-    if a = b then a
-    else if rpo_num.(a) > rpo_num.(b) then intersect idom.(a) b
-    else intersect a idom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b <> 0 then begin
-          let processed = List.filter (fun p -> idom.(p) >= 0) preds.(b) in
-          match processed with
-          | [] -> ()
-          | p0 :: rest ->
-              let new_idom = List.fold_left intersect p0 rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
-        end)
-      rpo
-  done;
-  idom
+let compute (f : func) : t =
+  Dom.compute ~is_post:false ~preds:(predecessors f) f
 
-let build ~(is_post : bool) (f : func) : t =
-  (* Enumerate nodes: node 0 is the root (entry block, or the virtual
-     exit for the post-dominator tree). *)
-  let reach = Cfg.reachable_blocks f in
-  let nblocks = List.length reach in
-  let n, node_block, root_succs =
-    if is_post then
-      (* virtual exit = node 0; blocks at nodes 1..n *)
-      (nblocks + 1, Array.make (nblocks + 1) None, ())
-    else (nblocks, Array.make (max nblocks 1) None, ())
-  in
-  ignore root_succs;
-  let index_of = Hashtbl.create 32 in
-  let base = if is_post then 1 else 0 in
-  List.iteri
-    (fun k b ->
-      Hashtbl.replace index_of b.bid (k + base);
-      node_block.(k + base) <- Some b)
-    reach;
-  (* Edges in the *dominance* direction: for dominators, preds = CFG
-     preds; for post-dominators, preds = CFG succs, and every Ret block
-     has the virtual exit as a successor (edge exit -> ret in the
-     reversed graph). *)
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  let ptbl = predecessors f in
-  List.iter
-    (fun b ->
-      let bi = Hashtbl.find index_of b.bid in
-      let cfg_preds =
-        List.filter_map
-          (fun p -> Hashtbl.find_opt index_of p.bid)
-          (preds_of ptbl b)
-      in
-      let cfg_succs =
-        List.filter_map
-          (fun s -> Hashtbl.find_opt index_of s.bid)
-          (successors b)
-      in
-      if is_post then begin
-        preds.(bi) <- cfg_succs;
-        succs.(bi) <- cfg_preds;
-        if has_terminator b && (terminator b).op = Darm_ir.Op.Ret then begin
-          preds.(bi) <- 0 :: preds.(bi);
-          succs.(0) <- bi :: succs.(0)
-        end
-      end
-      else begin
-        preds.(bi) <- cfg_preds;
-        succs.(bi) <- cfg_succs
-      end)
-    reach;
-  if (not is_post) && n > 0 then ();
-  (* RPO from the root over the dominance-direction graph. *)
-  let visited = Array.make n false in
-  let post = ref [] in
-  let rec dfs v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      List.iter dfs succs.(v);
-      post := v :: !post
-    end
-  in
-  if n > 0 then dfs 0;
-  let rpo = !post in
-  let idom = chk_idoms ~n ~preds ~rpo in
-  (* Tree children + interval numbering. *)
-  let children_ = Array.make n [] in
-  Array.iteri
-    (fun v p -> if v <> 0 && p >= 0 then children_.(p) <- v :: children_.(p))
-    idom;
-  let tin = Array.make n 0 and tout = Array.make n 0 in
-  let clock = ref 0 in
-  let rec number v =
-    incr clock;
-    tin.(v) <- !clock;
-    List.iter number children_.(v);
-    incr clock;
-    tout.(v) <- !clock
-  in
-  if n > 0 && idom.(0) = 0 then number 0;
-  { index_of; node_block; idom; tin; tout; children_; is_post }
+let compute_post (f : func) : t =
+  Dom.compute ~is_post:true ~preds:(predecessors f) f
 
-let compute (f : func) : t = build ~is_post:false f
-
-let compute_post (f : func) : t = build ~is_post:true f
-
-let node (t : t) (b : block) : int option = Hashtbl.find_opt t.index_of b.bid
+let node (t : t) (b : block) : int option =
+  Hashtbl.find_opt t.Dom.index_of b.bid
 
 (** Immediate (post-)dominator of [b]; [None] for the root, for blocks
     whose immediate post-dominator is the virtual exit, and for
@@ -153,25 +25,13 @@ let idom (t : t) (b : block) : block option =
   | Some v ->
       if v = 0 then None
       else
-        let p = t.idom.(v) in
-        if p < 0 then None else t.node_block.(p)
+        let p = t.Dom.idom.(v) in
+        if p < 0 then None else t.Dom.node_block.(p)
 
-(** [dominates t a b]: does [a] (post-)dominate [b]?  Reflexive. *)
-let dominates (t : t) (a : block) (b : block) : bool =
-  match node t a, node t b with
-  | Some va, Some vb ->
-      t.idom.(va) >= 0 && t.idom.(vb) >= 0
-      && t.tin.(va) <= t.tin.(vb)
-      && t.tout.(vb) <= t.tout.(va)
-  | _ -> false
+let dominates = Dom.dominates
 
 let strictly_dominates (t : t) (a : block) (b : block) : bool =
   a.bid <> b.bid && dominates t a b
-
-let children (t : t) (b : block) : block list =
-  match node t b with
-  | None -> []
-  | Some v -> List.filter_map (fun c -> t.node_block.(c)) t.children_.(v)
 
 (* A node's immediate-dominator fact as comparable data: [None] =
    dominated by the root (entry, or the virtual exit for post-dominator
@@ -181,29 +41,28 @@ let children (t : t) (b : block) : block list =
 let idom_fact (t : t) (v : int) : int option =
   if v = 0 then None
   else
-    let p = t.idom.(v) in
+    let p = t.Dom.idom.(v) in
     if p < 0 then None
-    else match t.node_block.(p) with None -> None | Some b -> Some b.bid
+    else match t.Dom.node_block.(p) with None -> None | Some b -> Some b.bid
 
 (** Structural equality of two trees over the same function: same node
     set (block ids) and same immediate-dominator relation. *)
 let equal (a : t) (b : t) : bool =
-  a.is_post = b.is_post
-  && Hashtbl.length a.index_of = Hashtbl.length b.index_of
+  a.Dom.is_post = b.Dom.is_post
+  && Hashtbl.length a.Dom.index_of = Hashtbl.length b.Dom.index_of
   && Hashtbl.fold
        (fun bid va acc ->
          acc
          &&
-         match Hashtbl.find_opt b.index_of bid with
+         match Hashtbl.find_opt b.Dom.index_of bid with
          | None -> false
          | Some vb -> idom_fact a va = idom_fact b vb)
-       a.index_of true
+       a.Dom.index_of true
 
 (** For an instruction-level dominance query: does the definition [def]
     dominate a use at instruction [use]?  Same-block positions are
     resolved by instruction order. *)
-let instr_dominates (t : t) (def : Darm_ir.Ssa.instr)
-    (use : Darm_ir.Ssa.instr) : bool =
+let instr_dominates (t : t) (def : instr) (use : instr) : bool =
   match def.parent, use.parent with
   | Some db, Some ub ->
       if db.bid = ub.bid then begin

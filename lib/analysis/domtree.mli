@@ -1,8 +1,8 @@
 (** Dominator and post-dominator trees.
 
-    Implementation: the Cooper–Harvey–Kennedy iterative algorithm ("A
-    Simple, Fast Dominance Algorithm") over reverse-postorder-indexed
-    nodes.  Post-dominators are computed on the reversed CFG with a
+    Implementation: {!Darm_ir.Dom}, the Cooper–Harvey–Kennedy iterative
+    algorithm ("A Simple, Fast Dominance Algorithm") shared with the IR
+    verifier.  Post-dominators are computed on the reversed CFG with a
     virtual exit node joining every [Ret] block, so functions with
     multiple exits are handled uniformly.  Dominance queries are O(1)
     via preorder interval numbering of the tree.
@@ -27,8 +27,6 @@ val idom : t -> Ssa.block -> Ssa.block option
 val dominates : t -> Ssa.block -> Ssa.block -> bool
 
 val strictly_dominates : t -> Ssa.block -> Ssa.block -> bool
-
-val children : t -> Ssa.block -> Ssa.block list
 
 (** Structural equality of two trees over the same function: same node
     set and same immediate-dominator relation. *)

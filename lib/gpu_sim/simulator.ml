@@ -597,21 +597,30 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
       d_succ = Array.map (fun b -> Hashtbl.find bidx b.bid) i.blocks;
     }
   in
+  (* one write per incoming edge, the first per pred winning; slots are
+     resolved in dense block order, so constants are numbered in block
+     order *)
+  let phi_row (p : instr) : int array =
+    let row = Array.make nblocks (-1) in
+    let hit = ref [] in
+    Array.iteri
+      (fun j (blk : block) ->
+        match Hashtbl.find_opt bidx blk.bid with
+        | Some k when row.(k) < 0 ->
+            row.(k) <- j;
+            hit := k :: !hit
+        | _ -> ())
+      p.blocks;
+    List.iter
+      (fun k -> row.(k) <- slot_of_value p.operands.(row.(k)))
+      (List.sort compare !hit);
+    row
+  in
   let decode_block (b : block) : dblock =
     let db_phis =
       Array.of_list
         (List.map
-           (fun p ->
-             {
-               p_slot = Hashtbl.find slot_of p.id;
-               p_inc =
-                 Array.map
-                   (fun pred ->
-                     match phi_incoming_for p pred with
-                     | Some v -> slot_of_value v
-                     | None -> -1)
-                   blocks;
-             })
+           (fun p -> { p_slot = Hashtbl.find slot_of p.id; p_inc = phi_row p })
            (phis b))
     in
     let db_code =

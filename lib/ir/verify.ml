@@ -2,77 +2,16 @@
 
     Run after every transformation in tests; a passing verifier means the
     function can be printed, parsed back, simulated, and further
-    transformed.  The dominance check uses a local iterative dominator
-    computation so that the IR library stays self-contained. *)
+    transformed.  One predecessor table serves the phi checks and the
+    dominator tree, which comes from {!Dom} (the Cooper–Harvey–Kennedy
+    core shared with the analyses), so each def-use dominance query is
+    O(1). *)
 
 open Ssa
 
 type error = { msg : string }
 
 let errf fmt = Printf.ksprintf (fun msg -> { msg }) fmt
-
-(* Iterative dominator sets over reachable blocks; quadratic but only used
-   for verification. *)
-let dominators (f : func) : (int, (int, unit) Hashtbl.t) Hashtbl.t =
-  let entry = entry_block f in
-  let reachable = Hashtbl.create 32 in
-  let rec dfs b =
-    if not (Hashtbl.mem reachable b.bid) then begin
-      Hashtbl.replace reachable b.bid b;
-      List.iter dfs (successors b)
-    end
-  in
-  dfs entry;
-  let blocks = Hashtbl.fold (fun _ b acc -> b :: acc) reachable [] in
-  let preds = predecessors f in
-  let dom : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
-  let all () =
-    let t = Hashtbl.create 32 in
-    List.iter (fun b -> Hashtbl.replace t b.bid ()) blocks;
-    t
-  in
-  List.iter
-    (fun b ->
-      if b.bid = entry.bid then begin
-        let t = Hashtbl.create 4 in
-        Hashtbl.replace t b.bid ();
-        Hashtbl.replace dom b.bid t
-      end
-      else Hashtbl.replace dom b.bid (all ()))
-    blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun b ->
-        if b.bid <> entry.bid then begin
-          let ps =
-            List.filter
-              (fun p -> Hashtbl.mem reachable p.bid)
-              (preds_of preds b)
-          in
-          let inter = Hashtbl.create 32 in
-          (match ps with
-          | [] -> ()
-          | p0 :: rest ->
-              Hashtbl.iter
-                (fun k () ->
-                  if
-                    List.for_all
-                      (fun p -> Hashtbl.mem (Hashtbl.find dom p.bid) k)
-                      rest
-                  then Hashtbl.replace inter k ())
-                (Hashtbl.find dom p0.bid));
-          Hashtbl.replace inter b.bid ();
-          let cur = Hashtbl.find dom b.bid in
-          if Hashtbl.length cur <> Hashtbl.length inter then begin
-            Hashtbl.replace dom b.bid inter;
-            changed := true
-          end
-        end)
-      blocks
-  done;
-  dom
 
 (* Operand/result type rules per opcode.  Pointer positions accept any
    address space: melding legitimately mixes spaces through flat
@@ -225,6 +164,8 @@ let run (f : func) : error list =
   if f.blocks_list = [] then List.rev !errors
   else begin
     let preds = predecessors f in
+    let listed = Hashtbl.create 64 in
+    List.iter (fun b -> Hashtbl.replace listed b.bid ()) f.blocks_list;
     (* Structural checks *)
     List.iter
       (fun b ->
@@ -250,20 +191,26 @@ let run (f : func) : error list =
             check_order false instrs;
             let last = List.nth instrs (List.length instrs - 1) in
             if not (Op.is_terminator last.op) then
-              err (errf "block %s lacks a terminator" b.bname)))
+              err (errf "block %s lacks a terminator" b.bname)
+            else
+              Array.iter
+                (fun s ->
+                  if not (Hashtbl.mem listed s.bid) then
+                    err
+                      (errf "branch in %s targets block %s outside @%s"
+                         b.bname s.bname f.fname))
+                last.blocks))
       f.blocks_list;
     if !errors <> [] then List.rev !errors
     else begin
+      (* Dominance over the blocks reachable from the entry.  Every
+         edge stays inside [f.blocks_list] (checked above), so [preds]
+         holds every reachable edge. *)
+      let dom = Dom.compute ~is_post:false ~preds f in
+      let reachable b = Hashtbl.mem dom.Dom.index_of b.bid in
+      let dominates = Dom.dominates dom in
       (* Phi incoming lists must match predecessor sets exactly (for
          reachable blocks). *)
-      let dom = dominators f in
-      let reachable b = Hashtbl.mem dom b.bid in
-      let dominates a b =
-        (* does block a dominate block b? *)
-        match Hashtbl.find_opt dom b with
-        | Some s -> Hashtbl.mem s a
-        | None -> false
-      in
       List.iter
         (fun b ->
           if reachable b then begin
@@ -322,13 +269,13 @@ let run (f : func) : error list =
             | Some edge_src ->
                 (* value flows along edge edge_src -> ub; def must dominate
                    edge_src (or be in it). *)
-                db.bid = edge_src.bid || dominates db.bid edge_src.bid
+                db.bid = edge_src.bid || dominates db edge_src
             | None ->
                 if db.bid = ub.bid then
                   let _, dk = Hashtbl.find pos def.id in
                   let _, uk = Hashtbl.find pos use.id in
                   dk < uk
-                else dominates db.bid ub.bid)
+                else dominates db ub)
         | _ -> false
       in
       iter_instrs f (fun i -> type_check_instr err i);

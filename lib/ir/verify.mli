@@ -2,9 +2,12 @@
 
     Run after every transformation in the test suites; a passing
     verifier means the function can be printed, parsed back, simulated
-    and further transformed.  Checks: block/terminator structure, phi
-    incoming lists matching the predecessor sets, and def-use dominance
-    (including per-edge dominance for phi operands). *)
+    and further transformed.  Checks: block/terminator structure, branch
+    targets inside the function's block list, phi incoming lists
+    matching the predecessor sets, and def-use dominance (including
+    per-edge dominance for phi operands) over the blocks reachable from
+    the entry.  Dominance comes from the shared {!Dom} tree, so each
+    def-use query is O(1). *)
 
 type error = { msg : string }
 

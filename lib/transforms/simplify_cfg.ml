@@ -138,10 +138,19 @@ let merge_into_predecessor (f : func) : bool =
   !changed
 
 (* Remove blocks that contain only `br dest` by threading predecessors
-   directly to dest, unless that would create a phi conflict. *)
+   directly to dest, unless that would create a phi conflict.  One
+   predecessor table serves the whole sweep: removing [b] changes only
+   [dest]'s entry, which is patched to what a fresh [predecessors f]
+   would return, in its order (descending block-list position) — the
+   order the phi incoming lists below follow. *)
 let remove_forwarding_blocks (f : func) : bool =
   let changed = ref false in
   let entry = entry_block f in
+  let preds = predecessors f in
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun k b -> Hashtbl.replace pos b.bid k) f.blocks_list;
+  let at b = Hashtbl.find pos b.bid in
+  let removed = Hashtbl.create 16 in
   let forwarding =
     List.filter
       (fun b ->
@@ -155,13 +164,11 @@ let remove_forwarding_blocks (f : func) : bool =
     (fun b ->
       if
         (* earlier removals in this batch change the CFG: recheck *)
-        List.exists (fun x -> x.bid = b.bid) f.blocks_list
+        (not (Hashtbl.mem removed b.bid))
         && (match b.instrs with [ t ] -> t.op = Op.Br | _ -> false)
       then begin
       let dest = (terminator b).blocks.(0) in
       if dest.bid <> b.bid then begin
-        (* predecessors must be fresh: the batch mutates the CFG *)
-        let preds = predecessors f in
         let bpreds = preds_of preds b in
         (* Conflict: a phi in dest would need two different values for the
            same predecessor edge, or a pred already reaches dest. *)
@@ -219,6 +226,12 @@ let remove_forwarding_blocks (f : func) : bool =
             (fun p -> redirect_edge p ~old_dest:b ~new_dest:dest)
             bpreds;
           remove_block f b;
+          Hashtbl.replace removed b.bid ();
+          Hashtbl.replace preds dest.bid
+            (List.sort_uniq
+               (fun x y -> compare (at y) (at x))
+               (bpreds
+               @ List.filter (fun p -> p.bid <> b.bid) (preds_of preds dest)));
           changed := true
         end
       end

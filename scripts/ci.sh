@@ -167,6 +167,17 @@ if [ "$(printf '%.3f' "$ledger_gm")" != "1.392" ]; then
   echo "ci: ledger speedup_gm.flat_stack is $ledger_gm, expected 1.392" >&2
   exit 1
 fi
+# ... and one round of compile-large, the only path that parses, checks,
+# melds, verifies and simulates 450+-block kernels (about 2 s a round)
+ledger_out=$(mktemp /tmp/darm_ledger.XXXXXX.txt)
+bash ledger/ledger.sh --workload compile-large --seed 1 --seconds 0 \
+  --trace 0 > "$ledger_out"
+ledger_last=$(tail -n 1 "$ledger_out")
+rm -f "$ledger_out"
+case "$ledger_last" in
+  *'"failed":0,'*) ;;
+  *) echo "ci: ledger compile-large reported failures: $ledger_last" >&2; exit 1 ;;
+esac
 
 # sanity checkers: every registry kernel must be diagnostic-clean both
 # before and after melding (non-zero exit on any error diagnostic), and

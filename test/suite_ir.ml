@@ -91,6 +91,31 @@ let test_verifier_catches_phi_mismatch () =
   Ssa.append_instr j (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
   check "phi mismatch found" true (Verify.run f <> [])
 
+(* entry -> ghost -> exit, with ghost missing from the block list: the
+   branch into it must be a verifier error, not an uncaught Not_found
+   from the simulator's block index. *)
+let test_verifier_catches_dangling_target () =
+  let f = Ssa.mk_func "dangling" [] in
+  let e = Ssa.mk_block "entry"
+  and ghost = Ssa.mk_block "ghost"
+  and x = Ssa.mk_block "exit" in
+  Ssa.append_block f e;
+  Ssa.append_block f x;
+  Ssa.append_instr e (Ssa.mk_instr Op.Br [||] [| ghost |] Types.Void);
+  Ssa.append_instr ghost (Ssa.mk_instr Op.Br [||] [| x |] Types.Void);
+  Ssa.append_instr x (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
+  Alcotest.(check (list string))
+    "one error"
+    [ "branch in entry targets block ghost outside @dangling" ]
+    (List.map (fun (e : Verify.error) -> e.Verify.msg) (Verify.run f));
+  match
+    Darm_sim.Simulator.run f ~args:[||]
+      ~global:(Darm_sim.Memory.create ~space:Darm_sim.Memory.Sp_global 1)
+      { Darm_sim.Simulator.grid_dim = 1; block_dim = 32 }
+  with
+  | _ -> Alcotest.fail "simulated a function with a dangling branch"
+  | exception Verify.Invalid_ir _ -> ()
+
 let test_verifier_type_checks () =
   let mk_broken build =
     let f = Ssa.mk_func "ty" [] in
@@ -228,6 +253,8 @@ let suites =
           test_verifier_catches_use_before_def;
         Alcotest.test_case "verifier: phi mismatch" `Quick
           test_verifier_catches_phi_mismatch;
+        Alcotest.test_case "verifier: dangling branch target" `Quick
+          test_verifier_catches_dangling_target;
         Alcotest.test_case "verifier: type checks" `Quick
           test_verifier_type_checks;
         Alcotest.test_case "dsl diamond verifies" `Quick
