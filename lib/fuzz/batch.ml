@@ -302,16 +302,16 @@ let compute_fuzz ~(cfg : Gen.cfg) ~(seed : int) ~(block_size : int)
       (* checker-flagged kernels are never executed (the oracle's rule) *)
       (mk ~status:"check-failed" ~check_ids:ids ~correct:false (), 0.)
   | [] ->
-      let ts0 = Unix.gettimeofday () in
+      let ts0 = Clock.now_s () in
       let base_m, base_out = exec_fuzz ~n ~block_size ~input_seed:seed f0 in
-      let sim0 = (Unix.gettimeofday () -. ts0) *. 1000. in
+      let sim0 = (Clock.now_s () -. ts0) *. 1000. in
       let f1 = Gen.generate ~cfg ~seed () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_s () in
       let stats = Pass.run f1 in
-      let pass_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      let ts1 = Unix.gettimeofday () in
+      let pass_ms = (Clock.now_s () -. t0) *. 1000. in
+      let ts1 = Clock.now_s () in
       let opt_m, opt_out = exec_fuzz ~n ~block_size ~input_seed:seed f1 in
-      let sim_ms = sim0 +. ((Unix.gettimeofday () -. ts1) *. 1000.) in
+      let sim_ms = sim0 +. ((Clock.now_s () -. ts1) *. 1000.) in
       let correct =
         Kernel.rv_array_equal base_out opt_out
         && base_m.Metrics.cycles > 0
@@ -331,9 +331,9 @@ let compute_registry ~(kernel : Kernel.t) ~(block_size : int) ~(n : int)
   | _ :: _ as ids ->
       (mk ~status:"check-failed" ~check_ids:ids ~correct:false (), 0.)
   | [] ->
-      let t_all0 = Unix.gettimeofday () in
+      let t_all0 = Clock.now_s () in
       let r = E.run ~transform:E.darm_default ~seed ~n kernel ~block_size in
-      let t_all = (Unix.gettimeofday () -. t_all0) *. 1000. in
+      let t_all = (Clock.now_s () -. t_all0) *. 1000. in
       (* the experiment times its own transform (t_ms); the remainder
          of its wall is dominated by the two simulations *)
       let sim_ms = Float.max 0. (t_all -. r.E.t_ms) in
@@ -438,7 +438,7 @@ let prepare (spec : spec) : string * string * (unit -> string * float) =
               compute_registry ~kernel ~block_size ~n ~seed:r.rs_seed inst ))
 
 let process ?(cache : Cache.t option) (spec : spec) : outcome =
-  let t_spec0 = Unix.gettimeofday () in
+  let t_spec0 = Clock.now_s () in
   let finish ~hit ~lookup_ms ~sim_ms ~key line =
     let status, correct, pass_ms = line_flags line in
     {
@@ -449,7 +449,7 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
       oc_pass_ms = pass_ms;
       oc_sim_ms = sim_ms;
       oc_lookup_ms = lookup_ms;
-      oc_spec_ms = (Unix.gettimeofday () -. t_spec0) *. 1000.;
+      oc_spec_ms = (Clock.now_s () -. t_spec0) *. 1000.;
       oc_key = key;
       oc_worker = 0;
       oc_seq = 0;
@@ -467,7 +467,7 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
       let key =
         Option.map (fun c -> Cache.key c [ ir; pass_sig; workload ]) cache
       in
-      let t_lookup0 = Unix.gettimeofday () in
+      let t_lookup0 = Clock.now_s () in
       let hit =
         match (cache, key) with
         | Some c, Some k -> Cache.find c ~key:k
@@ -476,7 +476,7 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
       let lookup_ms =
         match cache with
         | None -> 0.
-        | Some _ -> (Unix.gettimeofday () -. t_lookup0) *. 1000.
+        | Some _ -> (Clock.now_s () -. t_lookup0) *. 1000.
       in
       match hit with
       | Some bytes -> finish ~hit:true ~lookup_ms ~sim_ms:0. ~key bytes
@@ -632,7 +632,7 @@ let make_live ?registry ~jobs ~total ~t0 ~stall_deadline_s cache : live =
 (* per-spec accounting, called by pool workers *)
 let observe_outcome (lv : live) (o : outcome) : unit =
   Atomic.incr lv.lv_done;
-  Health.beat lv.lv_health ~worker:o.oc_worker ~now:(Unix.gettimeofday ());
+  Health.beat lv.lv_health ~worker:o.oc_worker ~now:(Clock.now_s ());
   with_reg lv (fun reg ->
       MR.inc reg "darm_batch_kernels_total";
       if o.oc_hit then MR.inc reg "darm_batch_cache_hits_total"
@@ -737,7 +737,7 @@ let write_snapshot (lv : live) ~(base : string) : unit =
 let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
     ?(cadence_s = 1.0) ?(stall_deadline_s = 30.) ~(out : string)
     (specs : spec list) : summary =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let deadline = Option.map (fun b -> t0 +. b) budget_s in
   let total = List.length specs in
   let jobs_n =
@@ -772,7 +772,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
       Some
         (Domain.spawn (fun () ->
              let rec loop () =
-               let now = Unix.gettimeofday () in
+               let now = Clock.now_s () in
                let newly = Health.check lv.lv_health ~now in
                List.iter
                  (fun w ->
@@ -800,7 +800,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
   let finish_telemetry () =
     Atomic.set stop true;
     Option.iter Domain.join monitor;
-    update_gauges lv ~now:(Unix.gettimeofday ());
+    update_gauges lv ~now:(Clock.now_s ());
     (match snapshot with Some base -> write_snapshot lv ~base | None -> ());
     Option.iter Ev.close sink
   in
@@ -827,7 +827,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
         (fun ci chunk ->
           let past_deadline =
             match deadline with
-            | Some d -> Unix.gettimeofday () > d
+            | Some d -> Clock.now_s () > d
             | None -> false
           in
           if past_deadline then cut := true
@@ -841,7 +841,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
               ];
             for w = 0 to jobs_n - 1 do
               Health.set_busy lv.lv_health ~worker:w
-                ~now:(Unix.gettimeofday ())
+                ~now:(Clock.now_s ())
             done;
             let outs = PS.map_with ~jobs:jobs_n work chunk in
             for w = 0 to jobs_n - 1 do
@@ -898,7 +898,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
             flush oc;
             run_n := !run_n + List.length chunk;
             emit ~ev:"chunk_finish"
-              ~rt:[ ("wall_s", J.Float (Unix.gettimeofday () -. t0)) ]
+              ~rt:[ ("wall_s", J.Float (Clock.now_s () -. t0)) ]
               [
                 ("chunk", J.Int ci);
                 ("done", J.Int !run_n);
@@ -913,7 +913,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
           [ ("worker", J.Int w) ]
           ~rt:[ ("beats", J.Int (Health.beats lv.lv_health ~worker:w)) ]
       done;
-      let wall_s = Unix.gettimeofday () -. t0 in
+      let wall_s = Clock.now_s () -. t0 in
       emit ~ev:"run_finish"
         ~rt:
           [
@@ -938,7 +938,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
     bt_incorrect = !incorrect;
     bt_check_failed = !check_failed;
     bt_errors = !errors;
-    bt_wall_s = Unix.gettimeofday () -. t0;
+    bt_wall_s = Clock.now_s () -. t0;
     bt_budget_exhausted = !cut;
     bt_pass_ms_p99 = exact_percentile !pass_samples 0.99;
     bt_stalled = Health.stalled_total lv.lv_health;

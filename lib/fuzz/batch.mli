@@ -122,7 +122,8 @@ val to_batch_stats : summary -> Darm_harness.History.batch
     (truncated at start, appended chunk-by-chunk, binary).  [cache]
     (optional) serves hits and absorbs misses; corrupt or truncated
     cache entries are recomputed, never fatal.  [budget_s] bounds
-    wall-clock as described above.
+    elapsed time as described above, read from the monotonic
+    {!Clock}, as are the watchdog's [now] and every latency.
 
     {b Telemetry} (all optional, all off by default — a plain call
     behaves exactly as before):

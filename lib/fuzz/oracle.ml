@@ -423,7 +423,7 @@ type summary = {
 let run_seeds ?jobs ?(stages = default_stages) ?(cfg = Gen.default_cfg)
     ?inject ?budget_s ~block_size ~seeds () : summary =
   let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) budget_s
+    Option.map (fun b -> Clock.now_s () +. b) budget_s
   in
   let chunk_size =
     max 4 (match jobs with Some j -> j | None -> 4)
@@ -447,7 +447,7 @@ let run_seeds ?jobs ?(stages = default_stages) ?(cfg = Gen.default_cfg)
     (fun chunk ->
       let past_deadline =
         match deadline with
-        | Some d -> Unix.gettimeofday () > d
+        | Some d -> Clock.now_s () > d
         | None -> false
       in
       if past_deadline then cut := true

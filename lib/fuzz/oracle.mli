@@ -119,7 +119,8 @@ type summary = {
 
 (** Fan a seed range over the domain pool ({!Darm_harness.Parallel_sweep});
     failures come back in seed order for any [jobs].  [budget_s] bounds
-    wall-clock time: the seed list is processed in deterministic chunks
+    elapsed time on the monotonic {!Clock}: the seed list is processed
+    in deterministic chunks
     and no new chunk starts past the deadline (so a generous budget
     never changes the outcome, and [sm_budget_exhausted] says when the
     range was cut short). *)

@@ -25,76 +25,139 @@ type ctx = {
   current_def : (int * int, value) Hashtbl.t;  (** (var, block) -> value *)
   incomplete : (int, (var * instr) list) Hashtbl.t;
       (** block id -> phis awaiting operands *)
+  preds : (int, block list) Hashtbl.t;
+      (** block id -> predecessors, highest block id first (the order
+          {!Ssa.predecessors} gives, since blocks are appended in id
+          order); final once the block is sealed *)
+  forward : (int, value) Hashtbl.t;
+      (** removed trivial phi id -> its replacement, which may itself
+          have been removed since *)
+  phi_users : (int, instr list) Hashtbl.t;
+      (** phi id -> phis with an operand that resolves to it; may hold
+          removed phis and duplicates, which readers skip *)
   mutable var_count : int;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Braun et al. SSA construction *)
+(* Braun et al. SSA construction
+
+   Linear in the size of the kernel: predecessor lists grow as branches
+   are emitted, and a removed trivial phi is forwarded to its
+   replacement instead of being rewritten out of the whole function.
+   Reads of [current_def] and phi operands resolve through the
+   forwarding table; one sweep at the end rewrites every operand. *)
+
+let rec resolve ctx (v : value) : value =
+  match v with
+  | Instr i when i.op = Op.Phi -> (
+      match Hashtbl.find_opt ctx.forward i.id with
+      | None -> v
+      | Some r ->
+          let r' = resolve ctx r in
+          if r' != r then Hashtbl.replace ctx.forward i.id r';
+          r')
+  | _ -> v
 
 let write_variable ctx (v : var) (b : block) (value : value) =
   Hashtbl.replace ctx.current_def (v.vid, b.bid) value
 
-let new_phi ctx (v : var) (b : block) : instr =
+(* Phis form a prefix of the block; a new one goes after the last. *)
+let new_phi (v : var) (b : block) : instr =
   let i = mk_instr Op.Phi [||] [||] v.vty in
   i.parent <- Some b;
-  let ps, rest = List.partition (fun x -> x.op = Op.Phi) b.instrs in
-  b.instrs <- ps @ (i :: rest);
-  ignore ctx;
+  let rec after_phis = function
+    | x :: tl when x.op = Op.Phi -> x :: after_phis tl
+    | rest -> i :: rest
+  in
+  b.instrs <- after_phis b.instrs;
   i
 
+let remove_phi (phi : instr) =
+  match phi.parent with
+  | None -> ()
+  | Some b ->
+      let rec drop = function
+        | [] -> []
+        | x :: tl -> if x.id = phi.id then tl else x :: drop tl
+      in
+      b.instrs <- drop b.instrs;
+      phi.parent <- None
+
 let block_preds ctx (b : block) : block list =
-  let tbl = predecessors ctx.func in
-  preds_of tbl b
+  try Hashtbl.find ctx.preds b.bid with Not_found -> []
+
+let add_edge ctx ~(src : block) (dst : block) =
+  let rec insert = function
+    | p :: tl when p.bid > src.bid -> p :: insert tl
+    | p :: _ as l when p.bid = src.bid -> l
+    | l -> src :: l
+  in
+  Hashtbl.replace ctx.preds dst.bid (insert (block_preds ctx dst))
+
+let add_user ctx ~(user : instr) (v : value) =
+  match v with
+  | Instr p when p.op = Op.Phi ->
+      let us = try Hashtbl.find ctx.phi_users p.id with Not_found -> [] in
+      Hashtbl.replace ctx.phi_users p.id (user :: us)
+  | _ -> ()
+
+let add_incoming ctx (phi : instr) (v : value) (pred : block) =
+  let v = resolve ctx v in
+  phi.operands <- Array.append phi.operands [| v |];
+  phi.blocks <- Array.append phi.blocks [| pred |];
+  add_user ctx ~user:phi v
+
+(* The phis still in the function that use [phi], in function order:
+   block position (ascending id), then position among the block's phis
+   (ascending id, since each new phi goes after the others). *)
+let live_users ctx (phi : instr) : instr list =
+  let us = try Hashtbl.find ctx.phi_users phi.id with Not_found -> [] in
+  List.filter (fun u -> u.id <> phi.id && u.parent <> None) us
+  |> List.sort_uniq (fun a b ->
+         match a.parent, b.parent with
+         | Some x, Some y when x.bid <> y.bid -> compare x.bid y.bid
+         | _ -> compare a.id b.id)
 
 (* Remove phi if all its operands are the same value (or itself). *)
 let rec try_remove_trivial_phi ctx (phi : instr) : value =
-  let same = ref None in
-  let trivial = ref true in
-  Array.iter
-    (fun op ->
-      match op with
-      | Instr i when i.id = phi.id -> ()
-      | v -> (
-          match !same with
-          | None -> same := Some v
-          | Some s -> if not (value_equal s v) then trivial := false))
-    phi.operands;
-  if not !trivial then Instr phi
+  if Hashtbl.mem ctx.forward phi.id then resolve ctx (Instr phi)
   else begin
-    let replacement =
-      match !same with Some v -> v | None -> Undef phi.ty
-    in
-    (* Users that are phis may become trivial in turn. *)
-    let phi_users =
-      List.filter
-        (fun u -> u.op = Op.Phi && u.id <> phi.id)
-        (users ctx.func (Instr phi))
-    in
-    replace_all_uses ctx.func ~old_v:(Instr phi) ~new_v:replacement;
-    (match phi.parent with Some b -> remove_instr b phi | None -> ());
-    (* Fix current_def entries still pointing at the removed phi. *)
-    let to_fix =
-      Hashtbl.fold
-        (fun k v acc ->
-          if value_equal v (Instr phi) then k :: acc else acc)
-        ctx.current_def []
-    in
-    List.iter
-      (fun k -> Hashtbl.replace ctx.current_def k replacement)
-      to_fix;
-    List.iter (fun u -> ignore (try_remove_trivial_phi ctx u)) phi_users;
-    replacement
+    let same = ref None in
+    let trivial = ref true in
+    Array.iter
+      (fun op ->
+        match resolve ctx op with
+        | Instr i when i.id = phi.id -> ()
+        | v -> (
+            match !same with
+            | None -> same := Some v
+            | Some s -> if not (value_equal s v) then trivial := false))
+      phi.operands;
+    if not !trivial then Instr phi
+    else begin
+      let replacement =
+        match !same with Some v -> v | None -> Undef phi.ty
+      in
+      (* Users that are phis may become trivial in turn. *)
+      let user_phis = live_users ctx phi in
+      Hashtbl.replace ctx.forward phi.id replacement;
+      remove_phi phi;
+      List.iter (fun u -> add_user ctx ~user:u replacement) user_phis;
+      Hashtbl.remove ctx.phi_users phi.id;
+      List.iter (fun u -> ignore (try_remove_trivial_phi ctx u)) user_phis;
+      resolve ctx replacement
+    end
   end
 
 let rec read_variable ctx (v : var) (b : block) : value =
   match Hashtbl.find_opt ctx.current_def (v.vid, b.bid) with
-  | Some value -> value
+  | Some value -> resolve ctx value
   | None -> read_variable_recursive ctx v b
 
 and read_variable_recursive ctx (v : var) (b : block) : value =
   let value =
     if not (Hashtbl.mem ctx.sealed b.bid) then begin
-      let phi = new_phi ctx v b in
+      let phi = new_phi v b in
       let cur = try Hashtbl.find ctx.incomplete b.bid with Not_found -> [] in
       Hashtbl.replace ctx.incomplete b.bid ((v, phi) :: cur);
       Instr phi
@@ -104,7 +167,7 @@ and read_variable_recursive ctx (v : var) (b : block) : value =
       | [ p ] -> read_variable ctx v p
       | [] -> Undef v.vty (* entry block, variable never written *)
       | _ :: _ :: _ ->
-          let phi = new_phi ctx v b in
+          let phi = new_phi v b in
           write_variable ctx v b (Instr phi);
           add_phi_operands ctx v phi
   in
@@ -113,12 +176,9 @@ and read_variable_recursive ctx (v : var) (b : block) : value =
 
 and add_phi_operands ctx (v : var) (phi : instr) : value =
   let b = match phi.parent with Some b -> b | None -> assert false in
-  let preds = block_preds ctx b in
   List.iter
-    (fun p ->
-      let value = read_variable ctx v p in
-      phi_add_incoming phi value p)
-    preds;
+    (fun p -> add_incoming ctx phi (read_variable ctx v p) p)
+    (block_preds ctx b);
   try_remove_trivial_phi ctx phi
 
 let seal_block ctx (b : block) =
@@ -131,6 +191,16 @@ let seal_block ctx (b : block) =
     List.iter (fun (v, phi) -> ignore (add_phi_operands ctx v phi)) pending
   end
 
+(* Point every operand at the live value its removed phi forwards to. *)
+let resolve_operands ctx =
+  if Hashtbl.length ctx.forward > 0 then
+    iter_instrs ctx.func (fun i ->
+        Array.iteri
+          (fun k op ->
+            let r = resolve ctx op in
+            if r != op then i.operands.(k) <- r)
+          i.operands)
+
 (* ------------------------------------------------------------------ *)
 (* Cursor helpers *)
 
@@ -142,9 +212,16 @@ let move_to ctx (b : block) =
   ctx.cur <- b;
   ctx.terminated <- false
 
+let condbr ctx (cond : value) (then_b : block) (else_b : block) =
+  Builder.ins_condbr (at ctx) cond then_b else_b;
+  add_edge ctx ~src:ctx.cur then_b;
+  add_edge ctx ~src:ctx.cur else_b;
+  ctx.terminated <- true
+
 let terminate_with_br ctx (dest : block) =
   if not ctx.terminated then begin
     Builder.ins_br (at ctx) dest;
+    add_edge ctx ~src:ctx.cur dest;
     ctx.terminated <- true
   end
 
@@ -231,8 +308,7 @@ let if_ ctx (cond : value) (then_f : unit -> unit) (else_f : unit -> unit) =
   let then_b = fresh_block ctx "if.then" in
   let else_b = fresh_block ctx "if.else" in
   let end_b = fresh_block ctx "if.end" in
-  Builder.ins_condbr (at ctx) cond then_b else_b;
-  ctx.terminated <- true;
+  condbr ctx cond then_b else_b;
   seal_block ctx then_b;
   seal_block ctx else_b;
   move_to ctx then_b;
@@ -247,8 +323,7 @@ let if_ ctx (cond : value) (then_f : unit -> unit) (else_f : unit -> unit) =
 let if_then ctx (cond : value) (then_f : unit -> unit) =
   let then_b = fresh_block ctx "if.then" in
   let end_b = fresh_block ctx "if.end" in
-  Builder.ins_condbr (at ctx) cond then_b end_b;
-  ctx.terminated <- true;
+  condbr ctx cond then_b end_b;
   seal_block ctx then_b;
   move_to ctx then_b;
   then_f ();
@@ -265,8 +340,7 @@ let while_ ctx (cond_f : unit -> value) (body_f : unit -> unit) =
   let c = cond_f () in
   let body_b = fresh_block ctx "while.body" in
   let end_b = fresh_block ctx "while.end" in
-  Builder.ins_condbr (at ctx) c body_b end_b;
-  ctx.terminated <- true;
+  condbr ctx c body_b end_b;
   seal_block ctx body_b;
   move_to ctx body_b;
   body_f ();
@@ -318,6 +392,9 @@ let build_kernel ~(name : string) ~(params : (string * Types.ty) list)
       sealed = Hashtbl.create 16;
       current_def = Hashtbl.create 64;
       incomplete = Hashtbl.create 16;
+      preds = Hashtbl.create 16;
+      forward = Hashtbl.create 16;
+      phi_users = Hashtbl.create 16;
       var_count = 0;
     }
   in
@@ -327,5 +404,6 @@ let build_kernel ~(name : string) ~(params : (string * Types.ty) list)
     Builder.ins_ret (at ctx);
     ctx.terminated <- true
   end;
+  resolve_operands ctx;
   Verify.run_exn f;
   f

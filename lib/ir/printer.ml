@@ -51,81 +51,134 @@ let assign_names (f : func) : names =
       end);
   { val_names; blk_names }
 
-let value_str (n : names) (v : value) : string =
+(* Everything below appends to one buffer; the [*_str] functions are
+   thin wrappers for callers that want a single piece. *)
+
+let add_instr_name buf (n : names) (i : instr) =
+  match Hashtbl.find_opt n.val_names i.id with
+  | Some s -> Buffer.add_string buf s
+  | None ->
+      Buffer.add_char buf '?';
+      Buffer.add_string buf (string_of_int i.id)
+
+let add_value buf (n : names) (v : value) =
   match v with
-  | Int k -> string_of_int k
-  | Bool true -> "true"
-  | Bool false -> "false"
-  | Float x -> Printf.sprintf "%h" x
-  | Undef t -> "undef:" ^ Types.to_string t
-  | Param p -> "%" ^ p.pname
-  | Instr i -> (
-      match Hashtbl.find_opt n.val_names i.id with
-      | Some s -> "%" ^ s
-      | None -> Printf.sprintf "%%?%d" i.id)
+  | Int k -> Buffer.add_string buf (string_of_int k)
+  | Bool true -> Buffer.add_string buf "true"
+  | Bool false -> Buffer.add_string buf "false"
+  | Float x -> Buffer.add_string buf (Printf.sprintf "%h" x)
+  | Undef t ->
+      Buffer.add_string buf "undef:";
+      Buffer.add_string buf (Types.to_string t)
+  | Param p ->
+      Buffer.add_char buf '%';
+      Buffer.add_string buf p.pname
+  | Instr i ->
+      Buffer.add_char buf '%';
+      add_instr_name buf n i
+
+let add_block_name buf (n : names) (b : block) =
+  match Hashtbl.find_opt n.blk_names b.bid with
+  | Some s -> Buffer.add_string buf s
+  | None ->
+      Buffer.add_string buf "?blk";
+      Buffer.add_string buf (string_of_int b.bid)
+
+let add_instr buf (n : names) (i : instr) =
+  let v k = add_value buf n i.operands.(k) in
+  let s = Buffer.add_string buf in
+  if not (Types.equal i.ty Types.Void) then begin
+    Buffer.add_char buf '%';
+    add_instr_name buf n i;
+    s " = "
+  end;
+  match i.op with
+  | Op.Phi ->
+      if Array.length i.operands <> Array.length i.blocks then
+        invalid_arg "Printer: phi with unpaired incoming values";
+      s "phi ";
+      s (Types.to_string i.ty);
+      Buffer.add_char buf ' ';
+      Array.iteri
+        (fun k blk ->
+          s (if k = 0 then "[" else ", [");
+          v k;
+          s ", ";
+          add_block_name buf n blk;
+          Buffer.add_char buf ']')
+        i.blocks
+  | Op.Br ->
+      s "br ";
+      add_block_name buf n i.blocks.(0)
+  | Op.Condbr ->
+      s "condbr ";
+      v 0;
+      s ", ";
+      add_block_name buf n i.blocks.(0);
+      s ", ";
+      add_block_name buf n i.blocks.(1)
+  | Op.Ret -> s "ret"
+  | Op.Store ->
+      s "store ";
+      v 0;
+      s ", ";
+      v 1
+  | Op.Syncthreads -> s "syncthreads"
+  | Op.Load ->
+      s "load ";
+      s (Types.to_string i.ty);
+      s ", ";
+      v 0
+  | _ ->
+      s (Op.to_string i.op);
+      Array.iteri
+        (fun k _ ->
+          s (if k = 0 then " " else ", ");
+          v k)
+        i.operands
+
+let to_string (add : Buffer.t -> 'a -> unit) (x : 'a) : string =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Buffer.contents buf
+
+let value_str (n : names) (v : value) : string =
+  to_string (fun buf -> add_value buf n) v
 
 let block_str (n : names) (b : block) : string =
-  match Hashtbl.find_opt n.blk_names b.bid with
-  | Some s -> s
-  | None -> Printf.sprintf "?blk%d" b.bid
+  to_string (fun buf -> add_block_name buf n) b
 
 let instr_str (n : names) (i : instr) : string =
-  let v = value_str n in
-  let ops () =
-    String.concat ", " (Array.to_list (Array.map v i.operands))
-  in
-  let rhs =
-    match i.op with
-    | Op.Phi ->
-        let pairs =
-          List.map
-            (fun (value, blk) ->
-              Printf.sprintf "[%s, %s]" (v value) (block_str n blk))
-            (phi_incoming i)
-        in
-        Printf.sprintf "phi %s %s" (Types.to_string i.ty)
-          (String.concat ", " pairs)
-    | Op.Br -> Printf.sprintf "br %s" (block_str n i.blocks.(0))
-    | Op.Condbr ->
-        Printf.sprintf "condbr %s, %s, %s"
-          (v i.operands.(0))
-          (block_str n i.blocks.(0))
-          (block_str n i.blocks.(1))
-    | Op.Ret -> "ret"
-    | Op.Store ->
-        Printf.sprintf "store %s, %s" (v i.operands.(0)) (v i.operands.(1))
-    | Op.Syncthreads -> "syncthreads"
-    | Op.Load ->
-        Printf.sprintf "load %s, %s" (Types.to_string i.ty) (v i.operands.(0))
-    | _ when Array.length i.operands = 0 -> Op.to_string i.op
-    | _ -> Printf.sprintf "%s %s" (Op.to_string i.op) (ops ())
-  in
-  if Types.equal i.ty Types.Void then rhs
-  else Printf.sprintf "%%%s = %s"
-         (match Hashtbl.find_opt n.val_names i.id with
-         | Some s -> s
-         | None -> Printf.sprintf "?%d" i.id)
-         rhs
+  to_string (fun buf -> add_instr buf n) i
 
 let func_to_string (f : func) : string =
   let n = assign_names f in
-  let buf = Buffer.create 1024 in
-  let params =
-    String.concat ", "
-      (List.map
-         (fun p -> Printf.sprintf "%%%s: %s" p.pname (Types.to_string p.pty))
-         f.params)
-  in
-  Buffer.add_string buf (Printf.sprintf "kernel @%s(%s) {\n" f.fname params);
+  let buf = Buffer.create 4096 in
+  let s = Buffer.add_string buf in
+  s "kernel @";
+  s f.fname;
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun k p ->
+      if k > 0 then s ", ";
+      Buffer.add_char buf '%';
+      s p.pname;
+      s ": ";
+      s (Types.to_string p.pty))
+    f.params;
+  s ") {\n";
   List.iter
     (fun b ->
-      Buffer.add_string buf (Printf.sprintf "%s:\n" (block_str n b));
+      add_block_name buf n b;
+      s ":\n";
       List.iter
         (fun i ->
-          Buffer.add_string buf (Printf.sprintf "  %s\n" (instr_str n i)))
+          s "  ";
+          add_instr buf n i;
+          Buffer.add_char buf '\n')
         b.instrs)
     f.blocks_list;
-  Buffer.add_string buf "}\n";
+  s "}\n";
   Buffer.contents buf
 
 let module_to_string (m : modul) : string =

@@ -178,6 +178,19 @@ case "$ledger_last" in
   *'"failed":0,'*) ;;
   *) echo "ci: ledger compile-large reported failures: $ledger_last" >&2; exit 1 ;;
 esac
+# ... and one round of fleet-warm: 784 fuzz specs served from the cache
+# its set-up filled, each warm Batch.run output line required to equal
+# the cold fill's byte for byte.  A warm hit costs Gen, printing and the
+# key digest, so this is the stage that sees a change to the printed IR
+ledger_out=$(mktemp /tmp/darm_ledger.XXXXXX.txt)
+bash ledger/ledger.sh --workload fleet-warm --seed 1 --seconds 0 \
+  --trace 0 > "$ledger_out"
+ledger_last=$(tail -n 1 "$ledger_out")
+rm -f "$ledger_out"
+case "$ledger_last" in
+  *'"failed":0,'*) ;;
+  *) echo "ci: ledger fleet-warm reported failures: $ledger_last" >&2; exit 1 ;;
+esac
 
 # sanity checkers: every registry kernel must be diagnostic-clean both
 # before and after melding (non-zero exit on any error diagnostic), and

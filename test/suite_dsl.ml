@@ -209,6 +209,119 @@ let test_float_pipeline () =
   in
   Alcotest.(check (array int)) "float math" expected out
 
+(* ------------------------------------------------------------------ *)
+(* SSA invariants of every constructed kernel                          *)
+
+module Gen = Darm_fuzz.Gen
+module Kernel = Darm_kernels.Kernel
+module Registry = Darm_kernels.Registry
+
+(* The invariants [build_kernel] promises beyond what the verifier
+   checks: each phi's incoming blocks are its block's predecessors in
+   [Ssa.predecessors] order, no phi is trivial (fewer than two distinct
+   operands other than itself), and every instruction operand is still
+   in the function.  Returns the violations and the number of phis. *)
+let ssa_violations (f : Ssa.func) : string list * int =
+  let preds = Ssa.predecessors f in
+  let present = Hashtbl.create 256 in
+  Ssa.iter_instrs f (fun i -> Hashtbl.replace present i.Ssa.id ());
+  let bad = ref [] and phis = ref 0 in
+  let report fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
+  List.iter
+    (fun (b : Ssa.block) ->
+      let want = List.map (fun p -> p.Ssa.bid) (Ssa.preds_of preds b) in
+      List.iter
+        (fun (i : Ssa.instr) ->
+          if i.Ssa.op = Op.Phi then begin
+            incr phis;
+            let got = Array.to_list (Array.map (fun p -> p.Ssa.bid) i.Ssa.blocks) in
+            if got <> want then
+              report "phi %d in %s: incoming blocks are not the predecessors"
+                i.Ssa.id b.Ssa.bname;
+            let distinct =
+              Array.fold_left
+                (fun acc v ->
+                  match v with
+                  | Ssa.Instr j when j.Ssa.id = i.Ssa.id -> acc
+                  | v when List.exists (Ssa.value_equal v) acc -> acc
+                  | v -> v :: acc)
+                [] i.Ssa.operands
+            in
+            if List.length distinct < 2 then
+              report "phi %d in %s is trivial" i.Ssa.id b.Ssa.bname
+          end;
+          Array.iter
+            (function
+              | Ssa.Instr d when not (Hashtbl.mem present d.Ssa.id) ->
+                  report "instr %d in %s uses %d, which is not in the function"
+                    i.Ssa.id b.Ssa.bname d.Ssa.id
+              | _ -> ())
+            i.Ssa.operands)
+        b.Ssa.instrs)
+    f.Ssa.blocks_list;
+  (List.rev !bad, !phis)
+
+let check_ssa ~(what : string) (f : Ssa.func) : int =
+  match ssa_violations f with
+  | [], phis -> phis
+  | bad, _ -> Alcotest.failf "%s:\n  %s" what (String.concat "\n  " bad)
+
+let test_ssa_invariants_registry () =
+  let phis = ref 0 in
+  List.iter
+    (fun (k : Kernel.t) ->
+      List.iter
+        (fun bs ->
+          let inst = k.Kernel.make ~seed:1 ~block_size:bs ~n:k.Kernel.default_n in
+          let what = Printf.sprintf "%s bs=%d" k.Kernel.tag bs in
+          phis := !phis + check_ssa ~what inst.Kernel.func)
+        k.Kernel.block_sizes)
+    (Registry.all @ Registry.negative);
+  List.iter
+    (fun (tag, src) ->
+      match Darm_frontend.Lower.compile ~name:"hip" src with
+      | Ok m ->
+          List.iter
+            (fun f -> phis := !phis + check_ssa ~what:(tag ^ ".hip") f)
+            m.Ssa.funcs
+      | Error e -> Alcotest.failf "%s.hip: %s" tag e)
+    Darm_kernels.Hip_sources.all;
+  check "registry and Mini-HIP kernels have phis" true (!phis > 0)
+
+(* max_depth 0-4, stmts_per_block 1-4, any feature subset *)
+let gen_subject : (Gen.cfg * int) QCheck2.Gen.t =
+  QCheck2.Gen.(
+    let* max_depth = int_range 0 4 in
+    let* stmts_per_block = int_range 1 4 in
+    let* flags = array_repeat 6 bool in
+    let+ seed = int_range 0 100_000 in
+    let features =
+      {
+        Gen.loops_uniform = flags.(0);
+        loops_divergent = flags.(1);
+        barriers = flags.(2);
+        shared_tile = flags.(3);
+        nested_diamonds = flags.(4);
+        switch_ladders = flags.(5);
+      }
+    in
+    ({ Gen.default_cfg with Gen.max_depth; stmts_per_block; features }, seed))
+
+let print_gen_subject ((cfg : Gen.cfg), seed) =
+  Printf.sprintf "seed %d, max_depth %d, stmts_per_block %d, features %s" seed
+    cfg.Gen.max_depth cfg.Gen.stmts_per_block
+    (Gen.features_to_string cfg.Gen.features)
+
+let prop_ssa_invariants_gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:50 ~print:print_gen_subject
+       ~name:"ssa invariants: generated kernels" gen_subject
+       (fun (cfg, seed) ->
+         ignore
+           (check_ssa ~what:(print_gen_subject (cfg, seed))
+              (Gen.generate ~cfg ~seed ()));
+         true))
+
 let suites =
   [
     ( "dsl",
@@ -231,5 +344,8 @@ let suites =
           test_type_mismatch_rejected;
         Alcotest.test_case "custom step loop" `Quick test_for_with_custom_step;
         Alcotest.test_case "float pipeline" `Quick test_float_pipeline;
+        Alcotest.test_case "ssa invariants: registry and Mini-HIP" `Quick
+          test_ssa_invariants_registry;
+        prop_ssa_invariants_gen;
       ] );
   ]

@@ -10,4 +10,5 @@ let () =
    @ Suite_corpus.suites @ Suite_batch.suites @ Suite_mem_model.suites
    @ Suite_incremental.suites @ Suite_telemetry.suites
    @ Suite_events.suites @ Suite_reconvergence.suites
-   @ Suite_dominance.suites @ Suite_pass_golden.suites)
+   @ Suite_dominance.suites @ Suite_pass_golden.suites
+   @ Suite_construction_golden.suites)
