@@ -516,6 +516,32 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
       remove_block fn b)
     (Region.subgraph_block_list s_f);
   (* -------- pass 5: unpredication -------- *)
+  (* The users of every instruction, indexed by one function scan on
+     first need instead of one scan per moved instruction.  Splits keep
+     it exact for every value still to be queried: a split only adds
+     tail phis over its run's own values and rewrites uses of those
+     values, and each value's run moves once.  Users move between
+     blocks, so [escaping] reads their current parents. *)
+  let users_index =
+    lazy
+      (let idx : (int, instr list) Hashtbl.t = Hashtbl.create 256 in
+       iter_instrs fn (fun u ->
+           Array.iter
+             (function
+               | Instr d -> (
+                   match Hashtbl.find_opt idx d.id with
+                   | Some (u' :: _) when u' == u -> ()
+                   | Some l -> Hashtbl.replace idx d.id (u :: l)
+                   | None -> Hashtbl.replace idx d.id [ u ])
+               | _ -> ())
+             u.operands);
+       idx)
+  in
+  let users_of (r : instr) : instr list =
+    match Hashtbl.find_opt (Lazy.force users_index) r.id with
+    | Some l -> List.rev l
+    | None -> []
+  in
   let unpredicate_block (m : block) =
     (* repeatedly extract the first run that must move *)
     let continue_ = ref true in
@@ -616,7 +642,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
                     match u.parent with
                     | Some pb -> pb.bid <> guard.bid
                     | None -> false)
-                  (users fn (Instr r))
+                  (users_of r)
               in
               if escaping <> [] then begin
                 let phi = mk_instr Op.Phi [||] [||] r.ty in

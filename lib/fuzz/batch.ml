@@ -2,6 +2,7 @@
 
 open Darm_ir
 module J = Darm_obs.Json
+module Clock = Darm_obs.Clock
 module MR = Darm_obs.Metrics_registry
 module Fsio = Darm_obs.Fsio
 module Cache = Darm_harness.Result_cache

@@ -2,6 +2,7 @@
 
 open Darm_ir
 module Kernel = Darm_kernels.Kernel
+module Clock = Darm_obs.Clock
 module Memory = Darm_sim.Memory
 module Simulator = Darm_sim.Simulator
 module Metrics = Darm_sim.Metrics

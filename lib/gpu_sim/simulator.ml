@@ -25,9 +25,10 @@
 
     The interpreter runs over a {e pre-decoded} function representation
     built once per launch by {!prepare}: per-block instruction arrays
-    (no list walks on the hot path), every operand a slot of a flat
+    (no list walks on the hot path), every operand a slot of an unboxed
     register file (constants and arguments included, so a lane's
-    operand is one array read), a lane executor resolved per
+    operand is a tag byte and a payload, and a lane's result allocates
+    nothing), a lane executor resolved per
     instruction (no opcode dispatch or closure allocation per issue),
     memoized per-instruction latencies and classifications, and
     reusable scratch buffers for memory-transaction accounting.  Both
@@ -160,7 +161,8 @@ let eval_ibin (op : Op.ibinop) (x : int) (y : int) : int =
     | Op.Sdiv -> errf "sdiv by zero"
     | _ -> errf "srem by zero")
 
-let eval_fbin (op : Op.fbinop) (x : float) (y : float) : float =
+(* inlined, so the float operands of the lane executors stay unboxed *)
+let[@inline] eval_fbin (op : Op.fbinop) (x : float) (y : float) : float =
   match op with
   | Op.Fadd -> x +. y
   | Op.Fsub -> x -. y
@@ -169,7 +171,7 @@ let eval_fbin (op : Op.fbinop) (x : float) (y : float) : float =
   | Op.Fmin -> Float.min x y
   | Op.Fmax -> Float.max x y
 
-let eval_fcmp (p : Op.fcmp_pred) (x : float) (y : float) : bool =
+let[@inline] eval_fcmp (p : Op.fcmp_pred) (x : float) (y : float) : bool =
   match p with
   | Op.Foeq -> x = y
   | Op.Fone -> x <> y
@@ -178,29 +180,109 @@ let eval_fcmp (p : Op.fcmp_pred) (x : float) (y : float) : bool =
   | Op.Fogt -> x > y
   | Op.Foge -> x >= y
 
-let as_int (what : string) = function
-  | Rint n -> n
-  | Rbool true -> 1
-  | Rbool false -> 0
-  | Rundef -> errf "%s: use of undef integer" what
-  | Rfloat _ | Rptr _ -> errf "%s: expected integer" what
+(* ------------------------------------------------------------------ *)
+(* Register files *)
 
-let as_bool (what : string) = function
-  | Rbool b -> b
-  | Rint n -> n <> 0
-  | Rundef -> errf "%s: use of undef condition" what
-  | Rfloat _ | Rptr _ -> errf "%s: expected boolean" what
+(** An unboxed register file: one cell per (slot, lane), at index
+    [slot * warp_size + lane].  A cell is a tag byte and a payload:
+    [ints] holds integers, booleans as 0/1 and pointer offsets, [flts]
+    holds floats, and the tag says which (and which memory a pointer
+    addresses).  A lane result is a few plain array stores — no
+    allocation and no write barrier per lane. *)
+type regfile = { tags : Bytes.t; ints : int array; flts : Float.Array.t }
 
-let as_float (what : string) = function
-  | Rfloat x -> x
-  | Rint n -> float_of_int n
-  | Rundef -> errf "%s: use of undef float" what
-  | Rbool _ | Rptr _ -> errf "%s: expected float" what
+(* cell tags; a pointer's tag names the memory it addresses *)
+let t_undef = '\000'
+let t_int = '\001'
+let t_bool = '\002'
+let t_float = '\003'
+let t_gptr = '\004'
+let t_sptr = '\005'
 
-(* booleans are immutable, so every lane can share the two values *)
+let make_regfile (cells : int) : regfile =
+  {
+    tags = Bytes.make cells t_undef;
+    ints = Array.make cells 0;
+    flts = Float.Array.make cells 0.;
+  }
+
+(* Every cell index below is [base + lane] with [base] a multiple of
+   the warp size below the file's size and [lane] below the warp size,
+   so the accessors skip the bounds checks. *)
+let[@inline] tag (rf : regfile) (i : int) : char = Bytes.unsafe_get rf.tags i
+let[@inline] int_cell (rf : regfile) (i : int) : int =
+  Array.unsafe_get rf.ints i
+
+let[@inline] set_undef (rf : regfile) (i : int) : unit =
+  Bytes.unsafe_set rf.tags i t_undef
+
+let[@inline] set_int (rf : regfile) (i : int) (n : int) : unit =
+  Bytes.unsafe_set rf.tags i t_int;
+  Array.unsafe_set rf.ints i n
+
+let[@inline] set_bool (rf : regfile) (i : int) (b : bool) : unit =
+  Bytes.unsafe_set rf.tags i t_bool;
+  Array.unsafe_set rf.ints i (Bool.to_int b)
+
+let[@inline] set_float (rf : regfile) (i : int) (x : float) : unit =
+  Bytes.unsafe_set rf.tags i t_float;
+  Float.Array.unsafe_set rf.flts i x
+
+let[@inline] set_ptr (rf : regfile) (i : int) (t : char) (off : int) : unit =
+  Bytes.unsafe_set rf.tags i t;
+  Array.unsafe_set rf.ints i off
+
+let[@inline] copy_cell (src : regfile) (si : int) (dst : regfile) (di : int) :
+    unit =
+  Bytes.unsafe_set dst.tags di (Bytes.unsafe_get src.tags si);
+  Array.unsafe_set dst.ints di (Array.unsafe_get src.ints si);
+  Float.Array.unsafe_set dst.flts di (Float.Array.unsafe_get src.flts si)
+
+(* The typed views of a cell.  [int_at] accepts booleans and
+   [float_at] integers; undef and the other kinds trap with the
+   operation's name. *)
+let int_at (what : string) (rf : regfile) (i : int) : int =
+  let t = tag rf i in
+  if t = t_int || t = t_bool then int_cell rf i
+  else if t = t_undef then errf "%s: use of undef integer" what
+  else errf "%s: expected integer" what
+
+let bool_at (what : string) (rf : regfile) (i : int) : bool =
+  let t = tag rf i in
+  if t = t_bool || t = t_int then int_cell rf i <> 0
+  else if t = t_undef then errf "%s: use of undef condition" what
+  else errf "%s: expected boolean" what
+
+let float_at (what : string) (rf : regfile) (i : int) : float =
+  let t = tag rf i in
+  if t = t_float then Float.Array.unsafe_get rf.flts i
+  else if t = t_int then float_of_int (int_cell rf i)
+  else if t = t_undef then errf "%s: use of undef float" what
+  else errf "%s: expected float" what
+
+(* The memory boundary: a load decodes a memory cell into a register
+   cell without allocating; a store builds the memory value. *)
+let set_rv (rf : regfile) (i : int) (v : rv) : unit =
+  match v with
+  | Rint n -> set_int rf i n
+  | Rbool b -> set_bool rf i b
+  | Rfloat x -> set_float rf i x
+  | Rptr (Sp_global, off) -> set_ptr rf i t_gptr off
+  | Rptr (Sp_shared, off) -> set_ptr rf i t_sptr off
+  | Rundef -> set_undef rf i
+
+(* booleans are immutable, so every store can share the two values *)
 let rtrue = Rbool true
 let rfalse = Rbool false
-let of_bool b = if b then rtrue else rfalse
+
+let rv_at (rf : regfile) (i : int) : rv =
+  let t = tag rf i in
+  if t = t_int then Rint (int_cell rf i)
+  else if t = t_bool then if int_cell rf i <> 0 then rtrue else rfalse
+  else if t = t_float then Rfloat (Float.Array.unsafe_get rf.flts i)
+  else if t = t_gptr then Rptr (Sp_global, int_cell rf i)
+  else if t = t_sptr then Rptr (Sp_shared, int_cell rf i)
+  else Rundef
 
 (* ------------------------------------------------------------------ *)
 (* Warp state *)
@@ -228,10 +310,10 @@ type warp_status = Running | At_barrier | Finished
 
 type warp = {
   tid_base : int;  (** thread index (within block) of lane 0 *)
-  regs : rv array array;
-      (** flat register file: [slot].[lane].  Slots past the
-          instructions' hold the function's constants and kernel
-          arguments, shared read-only by every warp. *)
+  rf : regfile;
+      (** the warp's register file.  Slots past the instructions' hold
+          the function's constants and kernel arguments, written once
+          per launch and only ever read. *)
   pred : int array;  (** per-lane predecessor block (dense), -1 = none *)
   mutable stack : frame list;
   mutable status : warp_status;
@@ -265,19 +347,21 @@ type dinstr = {
   d_lat : int;  (** memoized issue latency *)
   d_alu : bool;  (** memoized [Op.is_alu] *)
   d_mem : mem_class;  (** static pointer class of a memory access *)
-  d_ptr : int;  (** register slot of a load/store's pointer, -1 otherwise *)
+  d_ptr : int;
+      (** register-file base ([slot * warp_size]) of a load/store's
+          pointer, -1 otherwise *)
   d_site : int;
       (** dense static access-site index for load/store ([fctx.sites]
           maps it to the stable "<block>#<k>" id), -1 otherwise *)
-  d_src : int array;  (** operand register slots *)
+  d_src : int array;  (** register-file bases of the operands *)
   d_succ : int array;  (** dense successor block indices *)
 }
 
 type dphi = {
-  p_slot : int;
+  p_slot : int;  (** register-file base of the phi *)
   p_inc : int array;
-      (** register slot of the incoming value, indexed by dense pred
-          index; -1 = no incoming (trap if ever read) *)
+      (** register-file base of the incoming value, indexed by dense
+          pred index; -1 = no incoming (trap if ever read) *)
 }
 
 type dblock = {
@@ -290,9 +374,9 @@ type dblock = {
 type fctx = {
   dblocks : dblock array;  (** index 0 is the entry block *)
   nslots : int;  (** instruction slots: one per instruction *)
-  const_regs : rv array array;
-      (** register rows of slots [nslots ..]: one per distinct constant
-          or argument, every lane holding the value *)
+  consts : rv array;
+      (** the values of slots [nslots ..]: one per distinct constant or
+          argument, held by every lane *)
   max_phis : int;
   shared_size : int;
   sites : string array;
@@ -303,9 +387,10 @@ type fctx = {
 
 let no_exec : exec = fun _ _ _ -> errf "no lane executor"
 
-let fill_lanes (out : rv array) (mask : bool array) (v : rv) : unit =
+(* an integer in every lane of the mask *)
+let fill_int (rf : regfile) (o : int) (mask : bool array) (n : int) : unit =
   for lane = 0 to Array.length mask - 1 do
-    if Array.unsafe_get mask lane then out.(lane) <- v
+    if Array.unsafe_get mask lane then set_int rf (o + lane) n
   done
 
 (* Lane executors.  Undef ({e poison}) semantics follow LLVM and real
@@ -314,8 +399,10 @@ let fill_lanes (out : rv array) (mask : bool array) (v : rv) : unit =
    wrong-side results may depend on undef entry-phi values);
    dereferencing an undef pointer, dividing by an undef value or
    branching on an undef condition is a genuine error and traps.  Each
-   executor is a plain loop over the lanes: no closure, option or tuple
-   is allocated per lane, only the result value. *)
+   executor is a plain loop over the lanes reading and writing
+   register-file cells at bases resolved here: the common operand kinds
+   are handled inline, the rest through the typed views, and nothing
+   is allocated per lane but a store's memory value. *)
 let decode_exec (i : instr) ~(src : int array) ~(dst : int) ~(imm : int) :
     exec =
   let undef_operand k lane =
@@ -326,173 +413,206 @@ let decode_exec (i : instr) ~(src : int array) ~(dst : int) ~(imm : int) :
   let a = if Array.length src > 0 then src.(0) else -1 in
   let b = if Array.length src > 1 then src.(1) else -1 in
   let c = if Array.length src > 2 then src.(2) else -1 in
+  let o = dst in
   match i.op with
   | Op.Ibin ((Op.Sdiv | Op.Srem) as op) ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
           if Array.unsafe_get mask lane then begin
             let y =
-              match rb.(lane) with
-              | Rundef -> undef_operand 1 lane
-              | v -> as_int "ibin" v
+              if tag rf (b + lane) = t_undef then undef_operand 1 lane
+              else int_at "ibin" rf (b + lane)
             in
             let x =
-              match ra.(lane) with
-              | Rundef -> undef_operand 0 lane
-              | v -> as_int "ibin" v
+              if tag rf (a + lane) = t_undef then undef_operand 0 lane
+              else int_at "ibin" rf (a + lane)
             in
-            out.(lane) <- Rint (eval_ibin op x y)
+            set_int rf (o + lane) (eval_ibin op x y)
           end
         done
   | Op.Ibin op ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match (ra.(lane), rb.(lane)) with
-              | Rint x, Rint y -> Rint (I32.eval_exn op x y)
-              | Rundef, _ | _, Rundef -> Rundef
-              | x, y ->
-                  Rint (I32.eval_exn op (as_int "ibin" x) (as_int "ibin" y)))
+          if Array.unsafe_get mask lane then begin
+            let ia = a + lane and ib = b + lane in
+            let ta = tag rf ia and tb = tag rf ib in
+            if ta = t_int && tb = t_int then
+              set_int rf (o + lane)
+                (I32.eval_exn op (int_cell rf ia) (int_cell rf ib))
+            else if ta = t_undef || tb = t_undef then set_undef rf (o + lane)
+            else
+              set_int rf (o + lane)
+                (I32.eval_exn op (int_at "ibin" rf ia) (int_at "ibin" rf ib))
+          end
         done
   | Op.Fbin op ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match (ra.(lane), rb.(lane)) with
-              | Rundef, _ | _, Rundef -> Rundef
-              | x, y ->
-                  Rfloat
-                    (eval_fbin op (as_float "fbin" x) (as_float "fbin" y)))
+          if Array.unsafe_get mask lane then begin
+            let ia = a + lane and ib = b + lane in
+            let ta = tag rf ia and tb = tag rf ib in
+            if ta = t_float && tb = t_float then
+              set_float rf (o + lane)
+                (eval_fbin op
+                   (Float.Array.unsafe_get rf.flts ia)
+                   (Float.Array.unsafe_get rf.flts ib))
+            else if ta = t_undef || tb = t_undef then set_undef rf (o + lane)
+            else
+              set_float rf (o + lane)
+                (eval_fbin op (float_at "fbin" rf ia) (float_at "fbin" rf ib))
+          end
         done
   | Op.Icmp p ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match (ra.(lane), rb.(lane)) with
-              | Rundef, _ | _, Rundef -> Rundef
-              | x, y ->
-                  of_bool
-                    (I32.compare_i32 p (as_int "icmp" x) (as_int "icmp" y)))
+          if Array.unsafe_get mask lane then begin
+            let ia = a + lane and ib = b + lane in
+            let ta = tag rf ia and tb = tag rf ib in
+            if ta = t_int && tb = t_int then
+              set_bool rf (o + lane)
+                (I32.compare_i32 p (int_cell rf ia) (int_cell rf ib))
+            else if ta = t_undef || tb = t_undef then set_undef rf (o + lane)
+            else
+              set_bool rf (o + lane)
+                (I32.compare_i32 p (int_at "icmp" rf ia) (int_at "icmp" rf ib))
+          end
         done
   | Op.Fcmp p ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match (ra.(lane), rb.(lane)) with
-              | Rundef, _ | _, Rundef -> Rundef
-              | x, y ->
-                  of_bool
-                    (eval_fcmp p (as_float "fcmp" x) (as_float "fcmp" y)))
+          if Array.unsafe_get mask lane then begin
+            let ia = a + lane and ib = b + lane in
+            let ta = tag rf ia and tb = tag rf ib in
+            if ta = t_float && tb = t_float then
+              set_bool rf (o + lane)
+                (eval_fcmp p
+                   (Float.Array.unsafe_get rf.flts ia)
+                   (Float.Array.unsafe_get rf.flts ib))
+            else if ta = t_undef || tb = t_undef then set_undef rf (o + lane)
+            else
+              set_bool rf (o + lane)
+                (eval_fcmp p (float_at "fcmp" rf ia) (float_at "fcmp" rf ib))
+          end
         done
   | Op.Not ->
       fun _ w mask ->
-        let ra = w.regs.(a) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
           if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match ra.(lane) with
-              | Rundef -> Rundef
-              | x -> of_bool (not (as_bool "not" x)))
+            if tag rf (a + lane) = t_undef then set_undef rf (o + lane)
+            else set_bool rf (o + lane) (not (bool_at "not" rf (a + lane)))
         done
   | Op.Select ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and rc = w.regs.(c) in
-        let out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
           if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (* the not-taken arm may be undef without poisoning *)
-              (match ra.(lane) with
-              | Rundef -> Rundef
-              | x -> if as_bool "select" x then rb.(lane) else rc.(lane))
+            (* the not-taken arm may be undef without poisoning *)
+            if tag rf (a + lane) = t_undef then set_undef rf (o + lane)
+            else
+              copy_cell rf
+                ((if bool_at "select" rf (a + lane) then b else c) + lane)
+                rf (o + lane)
         done
   | Op.Load ->
       fun env w mask ->
-        let ra = w.regs.(a) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match ra.(lane) with
-              | Rptr (Sp_global, off) -> Memory.read env.global off
-              | Rptr (Sp_shared, off) -> Memory.read env.shared off
-              | Rundef -> undef_operand 0 lane
-              | _ -> errf "load: expected pointer")
+          if Array.unsafe_get mask lane then begin
+            let ia = a + lane in
+            let t = tag rf ia in
+            if t = t_gptr then
+              set_rv rf (o + lane) (Memory.read env.global (int_cell rf ia))
+            else if t = t_sptr then
+              set_rv rf (o + lane) (Memory.read env.shared (int_cell rf ia))
+            else if t = t_undef then undef_operand 0 lane
+            else errf "load: expected pointer"
+          end
         done
   | Op.Store ->
       fun env w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            match rb.(lane) with
-            | Rptr (Sp_global, off) -> Memory.write env.global off ra.(lane)
-            | Rptr (Sp_shared, off) -> Memory.write env.shared off ra.(lane)
-            | Rundef -> undef_operand 1 lane
-            | _ -> errf "store: expected pointer"
+          if Array.unsafe_get mask lane then begin
+            let ib = b + lane in
+            let t = tag rf ib in
+            if t = t_gptr then
+              Memory.write env.global (int_cell rf ib) (rv_at rf (a + lane))
+            else if t = t_sptr then
+              Memory.write env.shared (int_cell rf ib) (rv_at rf (a + lane))
+            else if t = t_undef then undef_operand 1 lane
+            else errf "store: expected pointer"
+          end
         done
   | Op.Gep ->
       fun _ w mask ->
-        let ra = w.regs.(a) and rb = w.regs.(b) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match ra.(lane) with
-              | Rptr (sp, off) -> (
-                  match rb.(lane) with
-                  | Rundef -> Rundef
-                  | y -> Rptr (sp, off + as_int "gep" y))
-              | Rundef -> Rundef
-              | _ -> errf "gep: expected pointer")
+          if Array.unsafe_get mask lane then begin
+            let ia = a + lane and ib = b + lane in
+            let ta = tag rf ia in
+            if ta = t_gptr || ta = t_sptr then begin
+              let tb = tag rf ib in
+              if tb = t_int then
+                set_ptr rf (o + lane) ta (int_cell rf ia + int_cell rf ib)
+              else if tb = t_undef then set_undef rf (o + lane)
+              else
+                set_ptr rf (o + lane) ta (int_cell rf ia + int_at "gep" rf ib)
+            end
+            else if ta = t_undef then set_undef rf (o + lane)
+            else errf "gep: expected pointer"
+          end
         done
   | Op.Thread_idx ->
       fun _ w mask ->
-        let out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
           if Array.unsafe_get mask lane then
-            out.(lane) <- Rint (w.tid_base + lane)
+            set_int rf (o + lane) (w.tid_base + lane)
         done
-  | Op.Block_idx ->
-      fun env w mask -> fill_lanes w.regs.(dst) mask (Rint env.block_idx)
-  | Op.Block_dim ->
-      fun env w mask -> fill_lanes w.regs.(dst) mask (Rint env.block_dim)
-  | Op.Grid_dim ->
-      fun env w mask -> fill_lanes w.regs.(dst) mask (Rint env.grid_dim)
+  | Op.Block_idx -> fun env w mask -> fill_int w.rf o mask env.block_idx
+  | Op.Block_dim -> fun env w mask -> fill_int w.rf o mask env.block_dim
+  | Op.Grid_dim -> fun env w mask -> fill_int w.rf o mask env.grid_dim
   | Op.Alloc_shared _ ->
-      let v = Rptr (Sp_shared, imm) in
-      fun _ w mask -> fill_lanes w.regs.(dst) mask v
+      fun _ w mask ->
+        let rf = w.rf in
+        for lane = 0 to Array.length mask - 1 do
+          if Array.unsafe_get mask lane then set_ptr rf (o + lane) t_sptr imm
+        done
   | Op.Sitofp ->
       fun _ w mask ->
-        let ra = w.regs.(a) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
           if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match ra.(lane) with
-              | Rundef -> Rundef
-              | x -> Rfloat (float_of_int (as_int "sitofp" x)))
+            if tag rf (a + lane) = t_undef then set_undef rf (o + lane)
+            else
+              set_float rf (o + lane)
+                (float_of_int (int_at "sitofp" rf (a + lane)))
         done
   | Op.Fptosi ->
       fun _ w mask ->
-        let ra = w.regs.(a) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
           if Array.unsafe_get mask lane then
-            out.(lane) <-
-              (match ra.(lane) with
-              | Rundef -> Rundef
-              | x -> Rint (int_of_float (as_float "fptosi" x)))
+            if tag rf (a + lane) = t_undef then set_undef rf (o + lane)
+            else
+              set_int rf (o + lane)
+                (int_of_float
+                   (if tag rf (a + lane) = t_float then
+                      Float.Array.unsafe_get rf.flts (a + lane)
+                    else float_at "fptosi" rf (a + lane)))
         done
   | Op.Addrspace_cast ->
       fun _ w mask ->
-        let ra = w.regs.(a) and out = w.regs.(dst) in
+        let rf = w.rf in
         for lane = 0 to Array.length mask - 1 do
-          if Array.unsafe_get mask lane then out.(lane) <- ra.(lane)
+          if Array.unsafe_get mask lane then
+            copy_cell rf (a + lane) rf (o + lane)
         done
   | Op.Syncthreads | Op.Phi | Op.Br | Op.Condbr | Op.Ret -> no_exec
 
@@ -504,6 +624,11 @@ let const_key = function
   | v -> `Value v
 
 let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
+  (* arguments bind parameters positionally: check the count before
+     any [Param] operand reads [args] *)
+  if List.length fn.params <> Array.length args then
+    errf "kernel @%s expects %d arguments, got %d" fn.fname
+      (List.length fn.params) (Array.length args);
   Verify.run_exn fn;
   let ws = cfg.warp_size in
   let pdt = Darm_analysis.Domtree.compute_post fn in
@@ -543,16 +668,19 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
   let slot_of_value (v : value) : int =
     match v with
     | Int n -> const_slot (Rint (I32.to_i32 n))
-    | Bool b -> const_slot (of_bool b)
+    | Bool b -> const_slot (if b then rtrue else rfalse)
     | Float x -> const_slot (Rfloat x)
     | Undef _ -> const_slot Rundef
     | Param p -> const_slot args.(p.pindex)
     | Instr i -> Hashtbl.find slot_of i.id
   in
+  (* executors address a slot's cells from its register-file base *)
+  let base_of_value (v : value) : int = slot_of_value v * ws in
+  let base_of (i : instr) : int = Hashtbl.find slot_of i.id * ws in
   let sites_rev = ref [] in
   let nsites = ref 0 in
   let decode_instr ~(bname : string) ~(k : int) (i : instr) : dinstr =
-    let src = Array.map slot_of_value i.operands in
+    let src = Array.map base_of_value i.operands in
     let d_mem, d_ptr =
       if Op.is_memory i.op then begin
         let pi = if i.op = Op.Store then 1 else 0 in
@@ -587,7 +715,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
         | Op.Condbr -> K_condbr
         | Op.Ret -> K_ret
         | _ -> K_exec);
-      d_exec = decode_exec i ~src ~dst:(Hashtbl.find slot_of i.id) ~imm;
+      d_exec = decode_exec i ~src ~dst:(base_of i) ~imm;
       d_lat = Darm_analysis.Latency.of_instr cfg.latency i;
       d_alu = Op.is_alu i.op;
       d_mem;
@@ -597,7 +725,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
       d_succ = Array.map (fun b -> Hashtbl.find bidx b.bid) i.blocks;
     }
   in
-  (* one write per incoming edge, the first per pred winning; slots are
+  (* one write per incoming edge, the first per pred winning; bases are
      resolved in dense block order, so constants are numbered in block
      order *)
   let phi_row (p : instr) : int array =
@@ -612,7 +740,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
         | _ -> ())
       p.blocks;
     List.iter
-      (fun k -> row.(k) <- slot_of_value p.operands.(row.(k)))
+      (fun k -> row.(k) <- base_of_value p.operands.(row.(k)))
       (List.sort compare !hit);
     row
   in
@@ -620,7 +748,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
     let db_phis =
       Array.of_list
         (List.map
-           (fun p -> { p_slot = Hashtbl.find slot_of p.id; p_inc = phi_row p })
+           (fun p -> { p_slot = base_of p; p_inc = phi_row p })
            (phis b))
     in
     let db_code =
@@ -645,8 +773,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
   {
     dblocks;
     nslots;
-    const_regs =
-      Array.of_list (List.rev_map (fun v -> Array.make ws v) !consts_rev);
+    consts = Array.of_list (List.rev !consts_rev);
     max_phis;
     shared_size = !off;
     sites = Array.of_list (List.rev !sites_rev);
@@ -702,7 +829,8 @@ type launch_ctx = {
   metrics : Metrics.t;
   (* reusable scratch, private to this block's sequential warp loop *)
   scan : mem_scan;
-  phi_stage : rv array array;  (** two-phase phi staging buffers *)
+  phi_stage : regfile;
+      (** two-phase phi staging buffer: one row per phi of a block *)
   cond_sel : bool array;  (** per-lane branch outcome of one condbr *)
   (* per-branch divergence attribution, indexed by dense block index
      of the branch block; folded into [metrics.branches] (keyed by
@@ -836,7 +964,7 @@ let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
 let scan_mem (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array) :
     unit =
   let s = ctx.scan in
-  let ptrs = w.regs.(d.d_ptr) in
+  let rf = w.rf and pb = d.d_ptr in
   let segs = s.segs and offs = s.bank_offs and cnt = s.bank_count in
   let ws = Array.length mask in
   s.nseg <- 0;
@@ -846,25 +974,27 @@ let scan_mem (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array) :
   while !phase < ws do
     let bn = ref 0 in
     for lane = !phase to min (ws - 1) (!phase + 31) do
-      if Array.unsafe_get mask lane then
-        match ptrs.(lane) with
-        | Rptr (Sp_global, off) ->
-            let seg = off / 32 in
-            (* neighbouring lanes usually share the newest segment *)
-            if s.nseg = 0 || segs.(s.nseg - 1) <> seg then begin
-              let k = ref 0 in
-              while !k < s.nseg && segs.(!k) <> seg do
-                incr k
-              done;
-              if !k = s.nseg then begin
-                segs.(s.nseg) <- seg;
-                s.nseg <- s.nseg + 1
-              end
+      if Array.unsafe_get mask lane then begin
+        let t = tag rf (pb + lane) in
+        if t = t_gptr then begin
+          let seg = int_cell rf (pb + lane) / 32 in
+          (* neighbouring lanes usually share the newest segment *)
+          if s.nseg = 0 || segs.(s.nseg - 1) <> seg then begin
+            let k = ref 0 in
+            while !k < s.nseg && segs.(!k) <> seg do
+              incr k
+            done;
+            if !k = s.nseg then begin
+              segs.(s.nseg) <- seg;
+              s.nseg <- s.nseg + 1
             end
-        | Rptr (Sp_shared, off) ->
-            offs.(!bn) <- off;
-            incr bn
-        | _ -> ()
+          end
+        end
+        else if t = t_sptr then begin
+          offs.(!bn) <- int_cell rf (pb + lane);
+          incr bn
+        end
+      end
     done;
     if !bn > 0 then begin
       s.shared_seen <- true;
@@ -1030,28 +1160,27 @@ let exec_phis (ctx : launch_ctx) (w : warp) (mask : bool array) (db : dblock)
   let nphis = Array.length db.db_phis in
   if nphis > 0 then begin
     let ws = Array.length mask in
+    let rf = w.rf and stage = ctx.phi_stage in
     for pi = 0 to nphis - 1 do
       let p = db.db_phis.(pi) in
-      let stage = ctx.phi_stage.(pi) in
+      let sb = pi * ws in
       for lane = 0 to ws - 1 do
-        if mask.(lane) then
-          stage.(lane) <-
-            (let pred = w.pred.(lane) in
-             if pred < 0 then Rundef
-             else
-               let s = p.p_inc.(pred) in
-               if s < 0 then
-                 errf "phi in %s has no incoming for pred %s" db.db_name
-                   ctx.fctx.dblocks.(pred).db_name
-               else w.regs.(s).(lane))
+        if mask.(lane) then begin
+          let pred = w.pred.(lane) in
+          if pred < 0 then set_undef stage (sb + lane)
+          else
+            let s = p.p_inc.(pred) in
+            if s < 0 then
+              errf "phi in %s has no incoming for pred %s" db.db_name
+                ctx.fctx.dblocks.(pred).db_name
+            else copy_cell rf (s + lane) stage (sb + lane)
+        end
       done
     done;
     for pi = 0 to nphis - 1 do
-      let p = db.db_phis.(pi) in
-      let stage = ctx.phi_stage.(pi) in
-      let file = w.regs.(p.p_slot) in
+      let sb = pi * ws and o = db.db_phis.(pi).p_slot in
       for lane = 0 to ws - 1 do
-        if mask.(lane) then file.(lane) <- stage.(lane)
+        if mask.(lane) then copy_cell stage (sb + lane) rf (o + lane)
       done
     done
   end
@@ -1075,11 +1204,11 @@ let set_pred_for_mask (w : warp) (mask : bool array) (bi : int) : unit =
     [ctx.cond_sel]; returns how many of them take the true edge. *)
 let eval_cond (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array)
     : int =
-  let cond = w.regs.(d.d_src.(0)) and sel = ctx.cond_sel in
+  let rf = w.rf and cond = d.d_src.(0) and sel = ctx.cond_sel in
   let t = ref 0 in
   for lane = 0 to Array.length mask - 1 do
     if mask.(lane) then begin
-      let c = as_bool "condbr" cond.(lane) in
+      let c = bool_at "condbr" rf (cond + lane) in
       sel.(lane) <- c;
       if c then incr t
     end
@@ -1563,9 +1692,6 @@ type launch = { grid_dim : int; block_dim : int }
     function parameters positionally. *)
 let run ?(config = default_config) (fn : func) ~(args : rv array)
     ~(global : Memory.t) (launch : launch) : Metrics.t =
-  if List.length fn.params <> Array.length args then
-    errf "kernel @%s expects %d arguments, got %d" fn.fname
-      (List.length fn.params) (Array.length args);
   let fctx = prepare config fn ~args in
   let metrics = Metrics.create () in
   let ws = config.warp_size in
@@ -1581,9 +1707,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
       bank_count = Array.make 32 0;
     }
   in
-  let phi_stage =
-    Array.init (max fctx.max_phis 1) (fun _ -> Array.make ws Rundef)
-  in
+  let phi_stage = make_regfile (max fctx.max_phis 1 * ws) in
   let cond_sel = Array.make ws false in
   let nblocks = Array.length fctx.dblocks in
   let br_div = Array.make nblocks 0 in
@@ -1605,6 +1729,24 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
     match config.mem_model with
     | Flat -> None
     | Hier hp -> Some (make_hier_state hp)
+  in
+  (* one register file per warp index for the whole grid, constants and
+     arguments written once; each block only marks the instruction
+     slots undef again *)
+  let nwarps = (launch.block_dim + ws - 1) / ws in
+  let inst_cells = fctx.nslots * ws in
+  let files =
+    Array.init nwarps (fun _ ->
+        let rf =
+          make_regfile (inst_cells + (Array.length fctx.consts * ws))
+        in
+        Array.iteri
+          (fun k v ->
+            for lane = 0 to ws - 1 do
+              set_rv rf (inst_cells + (k * ws) + lane) v
+            done)
+          fctx.consts;
+        rf)
   in
   for block_idx = 0 to launch.grid_dim - 1 do
     let cycles_before = metrics.cycles in
@@ -1653,19 +1795,16 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
         hier;
       }
     in
-    let nwarps = (launch.block_dim + ws - 1) / ws in
-    let nconsts = Array.length fctx.const_regs in
     let warps =
       Array.init nwarps (fun wi ->
           let tid_base = wi * ws in
           let live = min ws (launch.block_dim - tid_base) in
           let mask = Array.init ws (fun l -> l < live) in
+          let rf = files.(wi) in
+          Bytes.fill rf.tags 0 inst_cells t_undef;
           {
             tid_base;
-            regs =
-              Array.init (fctx.nslots + nconsts) (fun s ->
-                  if s < fctx.nslots then Array.make ws Rundef
-                  else fctx.const_regs.(s - fctx.nslots));
+            rf;
             pred = Array.make ws (-1);
             stack =
               [

@@ -50,7 +50,9 @@ type result = {
   base : Metrics.t;
   opt : Metrics.t;
   correct : bool;  (** transformed output == baseline output == reference *)
-  t_ms : float;  (** wall-clock time of the transform itself *)
+  t_ms : float;
+      (** time of the transform itself, on the monotonic clock
+          ({!Darm_obs.Clock}) *)
 }
 
 let speedup (r : result) : float =
@@ -205,9 +207,9 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?sim ?obs ?mem_model
           (m, inst.Kernel.read_result (), inst.Kernel.reference ())
     in
     let opt_inst = kernel.Kernel.make ~seed ~block_size ~n in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Darm_obs.Clock.now_s () in
     let rewrites = transform.t_apply opt_inst.Kernel.func in
-    let t_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    let t_ms = (Darm_obs.Clock.now_s () -. t0) *. 1000. in
     Darm_ir.Verify.run_exn opt_inst.Kernel.func;
     let opt = run_instance ?config:(sim_with 2) opt_inst in
     let out_opt = opt_inst.Kernel.read_result () in

@@ -265,9 +265,9 @@ let table2 ?(reps = 5) () : unit =
   pf "%-6s %12s %12s %12s\n" "bench" "O3 (ms)" "DARM (ms)" "normalized";
   hr ();
   let time_ms f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Darm_obs.Clock.now_s () in
     f ();
-    (Unix.gettimeofday () -. t0) *. 1000.
+    (Darm_obs.Clock.now_s () -. t0) *. 1000.
   in
   List.iter
     (fun kernel ->

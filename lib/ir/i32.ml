@@ -24,7 +24,7 @@ let mask = 0xFFFFFFFF
 let of_i32 (x : int) : int = x land mask
 
 (** Canonical i32: truncate [x] to 32 bits and sign-extend. *)
-let to_i32 (x : int) : int =
+let[@inline] to_i32 (x : int) : int =
   let m = x land mask in
   if m land 0x80000000 <> 0 then m - 0x100000000 else m
 
@@ -32,8 +32,8 @@ let to_i32 (x : int) : int =
     OCaml ints (operands are truncated first) and returns the canonical
     result; raises [Division_by_zero] for division or remainder by zero.
     Every case is int-typed and allocates nothing — the simulator calls
-    it once per active lane. *)
-let eval_exn (op : Op.ibinop) (x : int) (y : int) : int =
+    it once per active lane, so it is inlined into the lane loops. *)
+let[@inline] eval_exn (op : Op.ibinop) (x : int) (y : int) : int =
   let x = to_i32 x and y = to_i32 y in
   match op with
   | Op.Add -> to_i32 (x + y)
@@ -61,8 +61,9 @@ let eval (op : Op.ibinop) (x : int) (y : int) : int option =
   | v -> Some v
   | exception Division_by_zero -> None
 
-(** Signed comparison on the canonical representations. *)
-let compare_i32 (p : Op.icmp_pred) (x : int) (y : int) : bool =
+(** Signed comparison on the canonical representations (inlined into
+    the simulator's lane loops, like {!eval_exn}). *)
+let[@inline] compare_i32 (p : Op.icmp_pred) (x : int) (y : int) : bool =
   let x = to_i32 x and y = to_i32 y in
   match p with
   | Op.Ieq -> x = y

@@ -224,6 +224,115 @@ let test_all_models_golden_stats () =
     Registry.all
 
 (* ------------------------------------------------------------------ *)
+(* Final memory, all four models *)
+
+(* Every global-memory cell rendered with its constructor
+   ([Testlib.cell_string]), so a cell that keeps its integer value but
+   changes kind (an [Rbool true] stored back as [Rint 1]) changes the
+   digest. *)
+let canonical_memory (g : Memory.t) : string =
+  String.concat ";"
+    (List.init (Memory.size g) (fun off ->
+         Testlib.cell_string (Memory.read g off)))
+
+let memory_digest (g : Memory.t) : string =
+  String.sub (Digest.to_hex (Digest.string (canonical_memory g))) 0 16
+
+(* ((tag, model), (base digest, DARM digest)): [memory_digest] of the
+   whole global memory after the baseline and the DARM run of every
+   registry kernel at its first block size, default n, seed 2022,
+   recorded before the simulator's register file was unboxed. *)
+let golden_memory =
+  [
+    (("SB1", "flat_stack"), ("e6bea7f3a467c123", "e6bea7f3a467c123"));
+    (("SB1", "hier_stack"), ("e6bea7f3a467c123", "e6bea7f3a467c123"));
+    (("SB1", "flat_its"), ("e6bea7f3a467c123", "e6bea7f3a467c123"));
+    (("SB1", "hier_its"), ("e6bea7f3a467c123", "e6bea7f3a467c123"));
+    (("SB2", "flat_stack"), ("a4bb3118bf78eaef", "a4bb3118bf78eaef"));
+    (("SB2", "hier_stack"), ("a4bb3118bf78eaef", "a4bb3118bf78eaef"));
+    (("SB2", "flat_its"), ("a4bb3118bf78eaef", "a4bb3118bf78eaef"));
+    (("SB2", "hier_its"), ("a4bb3118bf78eaef", "a4bb3118bf78eaef"));
+    (("SB3", "flat_stack"), ("2284a93d09abe660", "2284a93d09abe660"));
+    (("SB3", "hier_stack"), ("2284a93d09abe660", "2284a93d09abe660"));
+    (("SB3", "flat_its"), ("2284a93d09abe660", "2284a93d09abe660"));
+    (("SB3", "hier_its"), ("2284a93d09abe660", "2284a93d09abe660"));
+    (("SB1-R", "flat_stack"), ("c0a8cdb6ba4e0f87", "c0a8cdb6ba4e0f87"));
+    (("SB1-R", "hier_stack"), ("c0a8cdb6ba4e0f87", "c0a8cdb6ba4e0f87"));
+    (("SB1-R", "flat_its"), ("c0a8cdb6ba4e0f87", "c0a8cdb6ba4e0f87"));
+    (("SB1-R", "hier_its"), ("c0a8cdb6ba4e0f87", "c0a8cdb6ba4e0f87"));
+    (("SB2-R", "flat_stack"), ("7e88a372423f5fb5", "7e88a372423f5fb5"));
+    (("SB2-R", "hier_stack"), ("7e88a372423f5fb5", "7e88a372423f5fb5"));
+    (("SB2-R", "flat_its"), ("7e88a372423f5fb5", "7e88a372423f5fb5"));
+    (("SB2-R", "hier_its"), ("7e88a372423f5fb5", "7e88a372423f5fb5"));
+    (("SB3-R", "flat_stack"), ("5d4cc3d5d6be0a63", "5d4cc3d5d6be0a63"));
+    (("SB3-R", "hier_stack"), ("5d4cc3d5d6be0a63", "5d4cc3d5d6be0a63"));
+    (("SB3-R", "flat_its"), ("5d4cc3d5d6be0a63", "5d4cc3d5d6be0a63"));
+    (("SB3-R", "hier_its"), ("5d4cc3d5d6be0a63", "5d4cc3d5d6be0a63"));
+    (("LUD", "flat_stack"), ("9e8de0ceea34956e", "9e8de0ceea34956e"));
+    (("LUD", "hier_stack"), ("9e8de0ceea34956e", "9e8de0ceea34956e"));
+    (("LUD", "flat_its"), ("9e8de0ceea34956e", "9e8de0ceea34956e"));
+    (("LUD", "hier_its"), ("9e8de0ceea34956e", "9e8de0ceea34956e"));
+    (("BIT", "flat_stack"), ("12c264972c5d6f9a", "12c264972c5d6f9a"));
+    (("BIT", "hier_stack"), ("12c264972c5d6f9a", "12c264972c5d6f9a"));
+    (("BIT", "flat_its"), ("12c264972c5d6f9a", "12c264972c5d6f9a"));
+    (("BIT", "hier_its"), ("12c264972c5d6f9a", "12c264972c5d6f9a"));
+    (("DCT", "flat_stack"), ("c8e88b122ed3ab25", "c8e88b122ed3ab25"));
+    (("DCT", "hier_stack"), ("c8e88b122ed3ab25", "c8e88b122ed3ab25"));
+    (("DCT", "flat_its"), ("c8e88b122ed3ab25", "c8e88b122ed3ab25"));
+    (("DCT", "hier_its"), ("c8e88b122ed3ab25", "c8e88b122ed3ab25"));
+    (("MS", "flat_stack"), ("1114776b0afd2788", "1114776b0afd2788"));
+    (("MS", "hier_stack"), ("1114776b0afd2788", "1114776b0afd2788"));
+    (("MS", "flat_its"), ("1114776b0afd2788", "1114776b0afd2788"));
+    (("MS", "hier_its"), ("1114776b0afd2788", "1114776b0afd2788"));
+    (("PCM", "flat_stack"), ("360fde612d86dfcf", "360fde612d86dfcf"));
+    (("PCM", "hier_stack"), ("360fde612d86dfcf", "360fde612d86dfcf"));
+    (("PCM", "flat_its"), ("360fde612d86dfcf", "360fde612d86dfcf"));
+    (("PCM", "hier_its"), ("360fde612d86dfcf", "360fde612d86dfcf"));
+    (("IDENT", "flat_stack"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("IDENT", "hier_stack"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("IDENT", "flat_its"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("IDENT", "hier_its"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("FLAT", "flat_stack"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("FLAT", "hier_stack"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("FLAT", "flat_its"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("FLAT", "hier_its"), ("5e7f003ef8553db4", "5e7f003ef8553db4"));
+    (("FDCT", "flat_stack"), ("3b79fa10cb091984", "3b79fa10cb091984"));
+    (("FDCT", "hier_stack"), ("3b79fa10cb091984", "3b79fa10cb091984"));
+    (("FDCT", "flat_its"), ("3b79fa10cb091984", "3b79fa10cb091984"));
+    (("FDCT", "hier_its"), ("3b79fa10cb091984", "3b79fa10cb091984"));
+  ]
+
+let check_digests what (gb, go) (b, o) =
+  Alcotest.(check string) (what ^ " base memory digest") gb b;
+  Alcotest.(check string) (what ^ " DARM memory digest") go o
+
+let test_all_models_golden_memory () =
+  let got =
+    List.concat_map
+      (fun (k : Kernel.t) ->
+        let block_size = List.hd k.Kernel.block_sizes in
+        List.map
+          (fun (model, mem_model, reconvergence) ->
+            let config = { E.sim_config with Sim.mem_model; reconvergence } in
+            let final ~meld =
+              let inst =
+                k.Kernel.make ~seed:2022 ~block_size ~n:k.Kernel.default_n
+              in
+              if meld then ignore (Darm_core.Pass.run inst.Kernel.func);
+              ignore (E.run_instance ~config inst);
+              memory_digest inst.Kernel.global
+            in
+            ((k.Kernel.tag, model), (final ~meld:false, final ~meld:true)))
+          models)
+      Registry.all
+  in
+  Testlib.check_table ~what:"registry final memory" golden_memory got
+    ~label:(fun (t, m) -> t ^ " " ^ m)
+    ~record:(fun (t, m) (b, o) ->
+      Printf.sprintf "((%S, %S), (%S, %S));" t m b o)
+    check_digests
+
+(* ------------------------------------------------------------------ *)
 (* Attribution identities (both models) *)
 
 (* The per-branch divergence attribution must close exactly against
@@ -284,11 +393,13 @@ let parse text =
   | Error e -> Alcotest.failf "parse: %s" e
 
 (* Mirrors the fuzz oracle's launch convention: two global arrays with
-   deterministic contents, one block-per-128/64 launch. *)
-let exec ?(mem_model = Sim.Flat) ?(reconvergence = Sim.Stack)
-    ?(max_cycles = 1_000_000) ?(block_size = 64) ?(n = 128) text :
-    M.t * Memory.rv array =
+   deterministic contents, one block-per-128/64 launch.  [meld] runs the
+   DARM pass first.  Returns the metrics and the whole global memory. *)
+let exec_global ?(mem_model = Sim.Flat) ?(reconvergence = Sim.Stack)
+    ?(max_cycles = 1_000_000) ?(block_size = 64) ?(n = 128) ?(meld = false)
+    text : M.t * Memory.t =
   let f = parse text in
+  if meld then ignore (Darm_core.Pass.run f);
   let a_init = Kernel.random_int_array ~seed:11 ~n ~bound:1000 in
   let b_init = Kernel.random_int_array ~seed:12 ~n ~bound:1000 in
   let global = Memory.create ~space:Memory.Sp_global (2 * n) in
@@ -306,13 +417,16 @@ let exec ?(mem_model = Sim.Flat) ?(reconvergence = Sim.Stack)
     { Sim.grid_dim = max 1 (n / block_size); block_dim = block_size }
   in
   let m = Sim.run ~config f ~args:[| pa; pb |] ~global launch in
-  let out =
-    Array.append
-      (Memory.read_int_array global pa n)
-      (Memory.read_int_array global pb n)
-    |> Kernel.ints
+  (m, global)
+
+(* [exec_global], with both arrays read back as integers *)
+let exec ?mem_model ?reconvergence ?max_cycles ?block_size ?(n = 128) text :
+    M.t * Memory.rv array =
+  let m, global =
+    exec_global ?mem_model ?reconvergence ?max_cycles ?block_size ~n text
   in
-  (m, out)
+  let base = Memory.Rptr (Memory.Sp_global, 0) in
+  (m, Kernel.ints (Memory.read_int_array global base (2 * n)))
 
 (* ------------------------------------------------------------------ *)
 (* Non-divergent kernels: the models must agree cycle-for-cycle *)
@@ -576,6 +690,59 @@ let test_handwritten_golden () =
       ("perlane", perlane_kernel);
     ]
 
+(* ((kernel, model), (base digest, DARM digest)): [memory_digest] of
+   the global memory after running each hand-written kernel as written
+   and after the DARM pass, recorded before the simulator's register
+   file was unboxed *)
+let golden_handwritten_memory =
+  [
+    (("divloop", "flat_stack"), ("cc5fabc9af0e928e", "cc5fabc9af0e928e"));
+    (("divloop", "hier_stack"), ("cc5fabc9af0e928e", "cc5fabc9af0e928e"));
+    (("divloop", "flat_its"), ("cc5fabc9af0e928e", "cc5fabc9af0e928e"));
+    (("divloop", "hier_its"), ("cc5fabc9af0e928e", "cc5fabc9af0e928e"));
+    (("divloop", "flat_its_nowait"), ("cc5fabc9af0e928e", "cc5fabc9af0e928e"));
+    (("its_smoke", "flat_stack"), ("0b318685a18a786c", "0b318685a18a786c"));
+    (("its_smoke", "hier_stack"), ("0b318685a18a786c", "0b318685a18a786c"));
+    (("its_smoke", "flat_its"), ("0b318685a18a786c", "0b318685a18a786c"));
+    (("its_smoke", "hier_its"), ("0b318685a18a786c", "0b318685a18a786c"));
+    (("its_smoke", "flat_its_nowait"), ("0b318685a18a786c", "0b318685a18a786c"));
+    (("perlane", "flat_stack"), ("a7450585ab898332", "a7450585ab898332"));
+    (("perlane", "hier_stack"), ("a7450585ab898332", "a7450585ab898332"));
+    (("perlane", "flat_its"), ("a7450585ab898332", "a7450585ab898332"));
+    (("perlane", "hier_its"), ("a7450585ab898332", "a7450585ab898332"));
+    (("perlane", "flat_its_nowait"), ("a7450585ab898332", "a7450585ab898332"));
+    (("uniform", "flat_stack"), ("3015233d6e88edf4", "3015233d6e88edf4"));
+    (("uniform", "hier_stack"), ("3015233d6e88edf4", "3015233d6e88edf4"));
+    (("uniform", "flat_its"), ("3015233d6e88edf4", "3015233d6e88edf4"));
+    (("uniform", "hier_its"), ("3015233d6e88edf4", "3015233d6e88edf4"));
+    (("uniform", "flat_its_nowait"), ("3015233d6e88edf4", "3015233d6e88edf4"));
+  ]
+
+let test_handwritten_golden_memory () =
+  let got =
+    List.concat_map
+      (fun (kname, text) ->
+        List.map
+          (fun (model, mem_model, reconvergence) ->
+            let final ~meld =
+              memory_digest
+                (snd (exec_global ~mem_model ~reconvergence ~meld text))
+            in
+            ((kname, model), (final ~meld:false, final ~meld:true)))
+          handwritten_models)
+      [
+        ("divloop", divloop_kernel);
+        ("its_smoke", barrier_kernel);
+        ("perlane", perlane_kernel);
+        ("uniform", uniform_kernel);
+      ]
+  in
+  Testlib.check_table ~what:"hand-written final memory" golden_handwritten_memory got
+    ~label:(fun (k, m) -> k ^ " " ^ m)
+    ~record:(fun (k, m) (b, o) ->
+      Printf.sprintf "((%S, %S), (%S, %S));" k m b o)
+    check_digests
+
 (* Generated smoke kernel 23, melded: under ITS a reconvergence pop
    wakes lanes the same pops pass has already visited, so their own
    pops are still pending when the next group issues — the scheduler
@@ -693,6 +860,8 @@ let suites =
           test_stack_golden_cycles;
         Alcotest.test_case "all four models: every statistic pinned" `Slow
           test_all_models_golden_stats;
+        Alcotest.test_case "all four models: final memory pinned" `Slow
+          test_all_models_golden_memory;
         Alcotest.test_case "attribution identities under both models" `Quick
           test_attr_identities_both_models;
         Alcotest.test_case "non-divergent kernels cost identical cycles"
@@ -707,6 +876,8 @@ let suites =
           `Quick test_runaway_guard_both_models;
         Alcotest.test_case "hand-written kernels: every statistic pinned"
           `Quick test_handwritten_golden;
+        Alcotest.test_case "hand-written kernels: final memory pinned" `Quick
+          test_handwritten_golden_memory;
         Alcotest.test_case "its: pending pops end a group's run" `Quick
           test_generated_golden;
         Alcotest.test_case "its: report byte-identical across jobs" `Slow

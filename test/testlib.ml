@@ -14,6 +14,36 @@ let run_instance (inst : Kernel.instance) : Metrics.t =
   Simulator.run ~config:small_sim_config inst.Kernel.func
     ~args:inst.Kernel.args ~global:inst.Kernel.global inst.Kernel.launch
 
+(** A memory cell rendered with its constructor: [i<n>], [b0]/[b1],
+    [f<bits in hex>], [pg<off>]/[ps<off>] (global/shared pointer) or
+    [u] (undef).  Two cells render alike iff they are the same value. *)
+let cell_string : Memory.rv -> string = function
+  | Memory.Rint n -> Printf.sprintf "i%d" n
+  | Memory.Rbool v -> Printf.sprintf "b%d" (Bool.to_int v)
+  | Memory.Rfloat x -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
+  | Memory.Rptr (Memory.Sp_global, o) -> Printf.sprintf "pg%d" o
+  | Memory.Rptr (Memory.Sp_shared, o) -> Printf.sprintf "ps%d" o
+  | Memory.Rundef -> "u"
+
+(** Check [(key, value)] pairs against a recorded golden table with
+    [check label golden value]; every pair missing from the table is
+    reported at once, rendered by [record] as a row to paste, so a new
+    table is recorded in one run. *)
+let check_table ~what ~label ~record table got check =
+  let missing =
+    List.filter_map
+      (fun (k, v) ->
+        match List.assoc_opt k table with
+        | None -> Some (record k v)
+        | Some g ->
+            check (label k) g v;
+            None)
+      got
+  in
+  if missing <> [] then
+    Alcotest.failf "%s: no golden rows; record:\n%s" what
+      (String.concat "\n" missing)
+
 let show_mismatch tagline a b =
   match Kernel.first_mismatch a b with
   | None -> ()
