@@ -11,7 +11,6 @@ module PS = Darm_harness.Parallel_sweep
 module E = Darm_harness.Experiment
 module Kernel = Darm_kernels.Kernel
 module Registry = Darm_kernels.Registry
-module Memory = Darm_sim.Memory
 module Simulator = Darm_sim.Simulator
 module Metrics = Darm_sim.Metrics
 module Checker = Darm_checks.Checker
@@ -98,6 +97,10 @@ let get_str_opt j k ~default =
 
 let ( let* ) = Result.bind
 
+let positive k v =
+  if v > 0 then Ok v
+  else Error (Printf.sprintf "field %S must be positive, got %d" k v)
+
 let spec_of_json (j : J.t) : (spec, string) result =
   match J.member "kind" j with
   | Some (J.Str "registry") ->
@@ -106,16 +109,15 @@ let spec_of_json (j : J.t) : (spec, string) result =
         | Some (J.Str s) -> Ok s
         | _ -> Error "missing string field \"kernel\""
       in
-      let* block_size =
-        match J.member "block_size" j with
+      let size k =
+        match J.member k j with
         | None -> Ok None
-        | Some _ -> Result.map Option.some (get_int j "block_size")
+        | Some _ ->
+            let* v = get_int j k in
+            Result.map Option.some (positive k v)
       in
-      let* n =
-        match J.member "n" j with
-        | None -> Ok None
-        | Some _ -> Result.map Option.some (get_int j "n")
-      in
+      let* block_size = size "block_size" in
+      let* n = size "n" in
       let* seed = get_int_opt j "seed" ~default:2022 in
       Ok
         (Registry
@@ -123,7 +125,10 @@ let spec_of_json (j : J.t) : (spec, string) result =
              rs_seed = seed })
   | Some (J.Str "fuzz") ->
       let* seed = get_int j "seed" in
-      let* block_size = get_int_opt j "block_size" ~default:64 in
+      let* block_size =
+        Result.bind (get_int_opt j "block_size" ~default:64)
+          (positive "block_size")
+      in
       let* profile = get_str_opt j "profile" ~default:"smoke" in
       let* smoke =
         match profile with
@@ -182,32 +187,18 @@ let read_manifest (path : string) : (spec list, string) result =
 
 let write_fuzz_manifest ~path ~count ?(seed_start = 0) ?(block_size = 64)
     ?(smoke = true) ?(features = "all") ?inject () : unit =
-  (match fuzz_cfg ~smoke ~features with
+  let spec seed =
+    Fuzz
+      { fz_seed = seed; fz_block_size = block_size; fz_smoke = smoke;
+        fz_features = features; fz_inject = inject }
+  in
+  (* the reader's checks, once: every line differs only in its seed *)
+  (match spec_of_json (spec_to_json (spec seed_start)) with
   | Error e -> invalid_arg ("Batch.write_fuzz_manifest: " ^ e)
-  | Ok cfg ->
-      if cfg.Gen.array_size < block_size then
-        invalid_arg
-          (Printf.sprintf
-             "Batch.write_fuzz_manifest: block_size %d > array_size %d"
-             block_size cfg.Gen.array_size));
-  (match inject with
-  | Some tag when Mutate.of_tag tag = None ->
-      invalid_arg
-        (Printf.sprintf "Batch.write_fuzz_manifest: unknown inject tag %S"
-           tag)
-  | _ -> ());
+  | Ok _ -> ());
   let b = Buffer.create (count * 64) in
   for i = 0 to count - 1 do
-    J.to_buffer b
-      (spec_to_json
-         (Fuzz
-            {
-              fz_seed = seed_start + i;
-              fz_block_size = block_size;
-              fz_smoke = smoke;
-              fz_features = features;
-              fz_inject = inject;
-            }));
+    J.to_buffer b (spec_to_json (spec (seed_start + i)));
     Buffer.add_char b '\n'
   done;
   Fsio.write_atomic ~path (Buffer.contents b)
@@ -262,29 +253,8 @@ let payload ~name ~kind ~block_size ~n ~status ?(check_ids = [])
        @ match detail with None -> [] | Some d -> [ ("detail", J.Str d) ]))
   ^ "\n"
 
-(* run a fuzz kernel over the two-array workload (same discipline as
-   Oracle.exec: deterministic inputs from the seed, warp size 64) *)
-let exec_fuzz ~(n : int) ~(block_size : int) ~(input_seed : int)
-    (f : Ssa.func) : Metrics.t * Memory.rv array =
-  let a_init = Kernel.random_int_array ~seed:(input_seed + 1) ~n ~bound:1000 in
-  let b_init = Kernel.random_int_array ~seed:(input_seed + 2) ~n ~bound:1000 in
-  let global = Memory.create ~space:Memory.Sp_global (2 * n) in
-  let pa = Memory.alloc_of_int_array global a_init in
-  let pb = Memory.alloc_of_int_array global b_init in
-  let config =
-    { Simulator.default_config with max_cycles_per_warp = 10_000_000 }
-  in
-  let launch =
-    { Simulator.grid_dim = max 1 (n / block_size); block_dim = block_size }
-  in
-  let m = Simulator.run ~config f ~args:[| pa; pb |] ~global launch in
-  let out =
-    Array.append
-      (Memory.read_int_array global pa n)
-      (Memory.read_int_array global pb n)
-    |> Kernel.ints
-  in
-  (m, out)
+(* fuzz specs run at the simulator's default warp (64), stack model *)
+let fuzz_warp = Simulator.default_config.Simulator.warp_size
 
 let check_ids_of report =
   List.map (fun (d : Diag.t) -> d.Diag.id) (Checker.errors report)
@@ -293,9 +263,8 @@ let check_ids_of report =
 (* compute functions return (payload line, this run's simulation wall
    in ms) — the sim time never enters the payload (it would break the
    warm-replay byte-identity), only the live latency histograms *)
-let compute_fuzz ~(cfg : Gen.cfg) ~(seed : int) ~(block_size : int)
+let compute_fuzz ~(n : int) ~(seed : int) ~(block_size : int)
     ~(name : string) (f0 : Ssa.func) : string * float =
-  let n = cfg.Gen.array_size in
   let mk = payload ~name ~kind:"fuzz" ~block_size ~n in
   let report = Checker.check_func f0 in
   match check_ids_of report with
@@ -303,15 +272,19 @@ let compute_fuzz ~(cfg : Gen.cfg) ~(seed : int) ~(block_size : int)
       (* checker-flagged kernels are never executed (the oracle's rule) *)
       (mk ~status:"check-failed" ~check_ids:ids ~correct:false (), 0.)
   | [] ->
+      let exec f =
+        Oracle.exec ~n ~input_seed:seed ~block_size ~warp_size:fuzz_warp f
+      in
       let ts0 = Clock.now_s () in
-      let base_m, base_out = exec_fuzz ~n ~block_size ~input_seed:seed f0 in
+      let base_m, base_out = exec f0 in
       let sim0 = (Clock.now_s () -. ts0) *. 1000. in
-      let f1 = Gen.generate ~cfg ~seed () in
+      (* the checker, the printer and the simulator only read the IR,
+         so the kernel they saw melds in place *)
       let t0 = Clock.now_s () in
-      let stats = Pass.run f1 in
+      let stats = Pass.run f0 in
       let pass_ms = (Clock.now_s () -. t0) *. 1000. in
       let ts1 = Clock.now_s () in
-      let opt_m, opt_out = exec_fuzz ~n ~block_size ~input_seed:seed f1 in
+      let opt_m, opt_out = exec f0 in
       let sim_ms = sim0 +. ((Clock.now_s () -. ts1) *. 1000.) in
       let correct =
         Kernel.rv_array_equal base_out opt_out
@@ -402,8 +375,7 @@ let prepare (spec : spec) : string * string * (unit -> string * float) =
       let ir = Printer.func_to_string f0 in
       let workload =
         Printf.sprintf "kind=fuzz|bs=%d|n=%d|input_seed=%d|warp=%d%s"
-          f.fz_block_size cfg.Gen.array_size f.fz_seed
-          Simulator.default_config.Simulator.warp_size
+          f.fz_block_size cfg.Gen.array_size f.fz_seed fuzz_warp
           (match f.fz_inject with
           | None -> ""
           | Some tag -> "|inject=" ^ tag)
@@ -411,8 +383,8 @@ let prepare (spec : spec) : string * string * (unit -> string * float) =
       ( ir,
         workload,
         fun () ->
-          compute_fuzz ~cfg ~seed:f.fz_seed ~block_size:f.fz_block_size
-            ~name:(spec_name spec) f0 )
+          compute_fuzz ~n:cfg.Gen.array_size ~seed:f.fz_seed
+            ~block_size:f.fz_block_size ~name:(spec_name spec) f0 )
   | Registry r -> (
       match Registry.find_any r.rs_tag with
       | None -> failwith (Printf.sprintf "unknown kernel %s" r.rs_tag)
@@ -499,22 +471,6 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
 (* The sharded driver                                                  *)
 
 let chunk_size = 64
-
-let chunks (l : 'a list) : 'a list list =
-  let rec take k = function
-    | [] -> ([], [])
-    | x :: tl when k > 0 ->
-        let a, b = take (k - 1) tl in
-        (x :: a, b)
-    | l -> ([], l)
-  in
-  let rec go = function
-    | [] -> []
-    | l ->
-        let c, rest = take chunk_size l in
-        c :: go rest
-  in
-  go l
 
 type summary = {
   bt_total : int;
@@ -849,7 +805,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
               Health.set_idle lv.lv_health ~worker:w
             done;
             List.iteri
-              (fun i o ->
+              (fun i (spec, o) ->
                 let gi = first + i in
                 output_string oc o.oc_line;
                 if o.oc_hit then incr hits else incr misses;
@@ -867,8 +823,8 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                 emit ~ev:"spec_start"
                   [
                     ("spec", J.Int gi);
-                    ("name", J.Str (spec_name (List.nth chunk i)));
-                    ("kind", J.Str (spec_kind (List.nth chunk i)));
+                    ("name", J.Str (spec_name spec));
+                    ("kind", J.Str (spec_kind spec));
                     ("chunk", J.Int ci);
                   ];
                 (match (cache, o.oc_key) with
@@ -893,7 +849,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                     ("hit", J.Bool o.oc_hit);
                     ("correct", J.Bool o.oc_correct);
                   ])
-              outs;
+              (List.combine chunk outs);
             (* flush per chunk: a crash or budget cut leaves a valid
                JSONL prefix in manifest order *)
             flush oc;
@@ -908,7 +864,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                 ("errors", J.Int !errors);
               ]
           end)
-        (chunks specs);
+        (Oracle.chunks chunk_size specs);
       for w = 0 to jobs_n - 1 do
         emit ~ev:"worker_finish"
           [ ("worker", J.Int w) ]

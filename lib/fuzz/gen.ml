@@ -365,17 +365,16 @@ let generate ?(cfg = default_cfg) ~(seed : int) () : Ssa.func =
       let out = D.add ctx out (D.get ctx g.vars.(3)) in
       D.store ctx out g.own_cell)
 
-(** Build a runnable instance around a generated kernel. *)
-let instance ?(cfg = default_cfg) ~(seed : int) ~(block_size : int) () :
+(* The two-array workload; see the interface. *)
+let workload ~(n : int) ~(seed : int) ~(block_size : int) (f : Ssa.func) :
     Kernel.instance =
-  let n = cfg.array_size in
   let a_init = Kernel.random_int_array ~seed:(seed + 1) ~n ~bound:1000 in
   let b_init = Kernel.random_int_array ~seed:(seed + 2) ~n ~bound:1000 in
   let global = Memory.create ~space:Memory.Sp_global (2 * n) in
   let pa = Memory.alloc_of_int_array global a_init in
   let pb = Memory.alloc_of_int_array global b_init in
   {
-    Kernel.func = generate ~cfg ~seed ();
+    Kernel.func = f;
     global;
     args = [| pa; pb |];
     launch =
@@ -391,3 +390,7 @@ let instance ?(cfg = default_cfg) ~(seed : int) ~(block_size : int) () :
         |> Kernel.ints);
     reference = (fun () -> [||]);
   }
+
+let instance ?(cfg = default_cfg) ~(seed : int) ~(block_size : int) () :
+    Kernel.instance =
+  workload ~n:cfg.array_size ~seed ~block_size (generate ~cfg ~seed ())

@@ -1,14 +1,13 @@
 (** Feature-flagged structured kernel generator — the adversarial input
     source of the conformance subsystem.
 
-    Extends {!Darm_kernels.Random_kernel}'s loop-free diamonds with the
-    hazard classes the checkers and the melding pass actually have to
-    survive: bounded loops with uniform and thread-dependent (divergent)
-    trip counts, correctly-guarded [syncthreads] phases, shared-memory
-    tiles with affine tid addressing, nested and sequential diamonds,
-    and switch-like comparison ladders.  Each feature sits behind a
-    {!features} flag so a checker suite can target exactly its own
-    hazard class.
+    Random arithmetic in nested divergent diamonds, plus the hazard
+    classes the checkers and the melding pass actually have to survive:
+    bounded loops with uniform and thread-dependent (divergent) trip
+    counts, correctly-guarded [syncthreads] phases, shared-memory tiles
+    with affine tid addressing, nested and sequential diamonds, and
+    switch-like comparison ladders.  Each hazard class sits behind a
+    {!features} flag so a checker suite can target exactly its own.
 
     Race-freedom discipline (what makes the differential oracle sound):
     divergent code only {e reads} shared memory and only writes the
@@ -60,9 +59,21 @@ val smoke_cfg : cfg
     deterministic in [(seed, cfg)]. *)
 val generate : ?cfg:cfg -> seed:int -> unit -> Ssa.func
 
-(** Build a runnable instance around a generated kernel (inputs are
-    seeded deterministically from [seed]; the [reference] accessor is
-    empty — differential testing uses the untransformed run as the
-    oracle). *)
+(** The two-array workload every generated kernel runs over, around
+    any kernel [f] with {!generate}'s parameters: arrays [a] and [b] of
+    [n] cells each, filled from [seed + 1] and [seed + 2], in a fresh
+    global memory of [2n] cells; a grid of [max 1 (n / block_size)]
+    blocks of [block_size] threads; [read_result] returns [a] then [b].
+    The [reference] accessor is empty: differential testing uses the
+    untransformed run as the oracle. *)
+val workload :
+  n:int ->
+  seed:int ->
+  block_size:int ->
+  Ssa.func ->
+  Darm_kernels.Kernel.instance
+
+(** [workload] around [generate ~cfg ~seed ()], with
+    [n = cfg.array_size]. *)
 val instance :
   ?cfg:cfg -> seed:int -> block_size:int -> unit -> Darm_kernels.Kernel.instance

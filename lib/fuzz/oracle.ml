@@ -141,15 +141,9 @@ let failure_to_string f =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let exec ?(reconvergence = Simulator.Stack) subject (f : Ssa.func)
-    ~(warp_size : int) : Metrics.t * Memory.rv array =
-  let n = subject.sb_n in
-  let seed = subject.sb_input_seed in
-  let a_init = Kernel.random_int_array ~seed:(seed + 1) ~n ~bound:1000 in
-  let b_init = Kernel.random_int_array ~seed:(seed + 2) ~n ~bound:1000 in
-  let global = Memory.create ~space:Memory.Sp_global (2 * n) in
-  let pa = Memory.alloc_of_int_array global a_init in
-  let pb = Memory.alloc_of_int_array global b_init in
+let exec ?(reconvergence = Simulator.Stack) ~n ~input_seed ~block_size
+    ~warp_size (f : Ssa.func) : Metrics.t * Memory.rv array =
+  let inst = Gen.workload ~n ~seed:input_seed ~block_size f in
   let config =
     {
       Simulator.default_config with
@@ -158,20 +152,11 @@ let exec ?(reconvergence = Simulator.Stack) subject (f : Ssa.func)
       reconvergence;
     }
   in
-  let launch =
-    {
-      Simulator.grid_dim = max 1 (n / subject.sb_block_size);
-      block_dim = subject.sb_block_size;
-    }
+  let m =
+    Simulator.run ~config f ~args:inst.Kernel.args ~global:inst.Kernel.global
+      inst.Kernel.launch
   in
-  let m = Simulator.run ~config f ~args:[| pa; pb |] ~global launch in
-  let out =
-    Array.append
-      (Memory.read_int_array global pa n)
-      (Memory.read_int_array global pb n)
-    |> Kernel.ints
-  in
-  (m, out)
+  (m, inst.Kernel.read_result ())
 
 (* the independent-thread-scheduling model used by the cross-model
    differential legs below *)
@@ -260,6 +245,10 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
       :: !failures
   in
   let done_ () = List.rev !failures in
+  let exec ?reconvergence f ~warp_size =
+    exec ?reconvergence ~n:subject.sb_n ~input_seed:subject.sb_input_seed
+      ~block_size:subject.sb_block_size ~warp_size f
+  in
   match subject.sb_fresh () with
   | exception e ->
       fail "base" "crash" (Printexc.to_string e);
@@ -282,7 +271,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                 (String.concat "; " (List.map Diag.to_string ds));
               done_ ()
           | [] -> (
-              match exec subject f0 ~warp_size:64 with
+              match exec f0 ~warp_size:64 with
               | exception e ->
                   fail "base" "crash" (Printexc.to_string e);
                   done_ ()
@@ -291,7 +280,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                   List.iter
                     (fun ws ->
                       if ws <> 64 then
-                        match exec subject f0 ~warp_size:ws with
+                        match exec f0 ~warp_size:ws with
                         | exception e ->
                             fail "base" "crash"
                               (Printf.sprintf "warp=%d: %s" ws
@@ -312,8 +301,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                   List.iter
                     (fun ws ->
                       match
-                        exec ~reconvergence:its_model subject f0
-                          ~warp_size:ws
+                        exec ~reconvergence:its_model f0 ~warp_size:ws
                       with
                       | exception e ->
                           fail "base" "crash"
@@ -360,7 +348,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                               let opt_m = ref None in
                               List.iter
                                 (fun ws ->
-                                  match exec subject ft ~warp_size:ws with
+                                  match exec ft ~warp_size:ws with
                                   | exception e ->
                                       fail st.st_name "crash"
                                         (Printf.sprintf "warp=%d: %s" ws
@@ -382,7 +370,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                               List.iter
                                 (fun ws ->
                                   match
-                                    exec ~reconvergence:its_model subject ft
+                                    exec ~reconvergence:its_model ft
                                       ~warp_size:ws
                                   with
                                   | exception e ->
@@ -414,6 +402,21 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
 (* ------------------------------------------------------------------ *)
 (* Seed-range driver                                                   *)
 
+let chunks (size : int) (l : 'a list) : 'a list list =
+  let rec take k = function
+    | x :: tl when k > 0 ->
+        let a, b = take (k - 1) tl in
+        (x :: a, b)
+    | l -> ([], l)
+  in
+  let rec go = function
+    | [] -> []
+    | l ->
+        let c, rest = take size l in
+        c :: go rest
+  in
+  go l
+
 type summary = {
   sm_failures : failure list;
   sm_seeds_run : int;
@@ -425,22 +428,6 @@ let run_seeds ?jobs ?(stages = default_stages) ?(cfg = Gen.default_cfg)
     ?inject ?budget_s ~block_size ~seeds () : summary =
   let deadline =
     Option.map (fun b -> Clock.now_s () +. b) budget_s
-  in
-  let chunk_size =
-    max 4 (match jobs with Some j -> j | None -> 4)
-  in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-        let rec take k = function
-          | [] -> ([], [])
-          | x :: tl when k > 0 ->
-              let a, b = take (k - 1) tl in
-              (x :: a, b)
-          | l -> ([], l)
-        in
-        let c, rest = take chunk_size l in
-        c :: chunks rest
   in
   let total = List.length seeds in
   let failures = ref [] and run = ref 0 and cut = ref false in
@@ -465,7 +452,7 @@ let run_seeds ?jobs ?(stages = default_stages) ?(cfg = Gen.default_cfg)
           outcomes;
         run := !run + List.length chunk
       end)
-    (chunks seeds);
+    (chunks (max 4 (Option.value jobs ~default:4)) seeds);
   {
     sm_failures = List.rev !failures;
     sm_seeds_run = !run;

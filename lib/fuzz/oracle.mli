@@ -103,12 +103,31 @@ val failure_to_string : failure -> string
 
 (** {2 Running} *)
 
+(** Run [f] over {!Gen.workload} [~n ~seed:input_seed ~block_size] at
+    [warp_size] under [reconvergence] (default the stack model), with a
+    budget of 10M cycles per warp; returns the metrics and the final
+    [a] then [b].  Every leg of {!run_subject} runs through this, and so
+    does {!Batch} at warp 64 under the stack model. *)
+val exec :
+  ?reconvergence:Darm_sim.Simulator.reconvergence ->
+  n:int ->
+  input_seed:int ->
+  block_size:int ->
+  warp_size:int ->
+  Ssa.func ->
+  Darm_sim.Metrics.t * Darm_sim.Memory.rv array
+
 (** Run one subject through the matrix; [[]] means fully conformant.
     [warps] (default {!warp_sizes}) narrows the schedule sweep — the
     shrinker passes [[64]] so each candidate costs two simulations
     instead of six. *)
 val run_subject :
   ?stages:stage list -> ?warps:int list -> subject -> failure list
+
+(** [chunks size l] splits [l] into consecutive lists of [size]
+    elements (the last may be shorter): the unit at which {!run_seeds}
+    and {!Batch.run} check their budget. *)
+val chunks : int -> 'a list -> 'a list list
 
 type summary = {
   sm_failures : failure list;  (** in seed order *)

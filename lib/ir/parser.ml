@@ -438,11 +438,19 @@ let parse_kernel (s : stream) : func =
         | Some v -> v
         | None -> errf "line %d: %%%s used before definition" line name)
   in
-  (* pre-register phi results so any instruction may reference them *)
+  (* every name is defined once (parameters included); phi results are
+     pre-registered so any instruction may reference them *)
+  let defined = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace defined p.pname ()) params;
   List.iter
     (fun (_, protos) ->
       List.iter
         (fun p ->
+          (match p.p_result with
+          | Some name when Hashtbl.mem defined name ->
+              errf "line %d: %%%s is defined twice" p.p_line name
+          | Some name -> Hashtbl.replace defined name ()
+          | None -> ());
           if p.p_op = Op.Phi then
             match p.p_result, p.p_ty with
             | Some name, Some ty ->
@@ -477,6 +485,11 @@ let parse_kernel (s : stream) : func =
                   (List.map (fun sym -> resolve_now sym p.p_line) p.p_syms)
               in
               let targets = Array.of_list (List.map block_of p.p_labels) in
+              (* infer_ty reads a select's arms *)
+              (match (p.p_op, Array.length operands) with
+              | Op.Select, k when k <> 3 ->
+                  errf "line %d: select takes 3 operands, got %d" p.p_line k
+              | _ -> ());
               let ty = infer_ty p.p_op operands p.p_ty in
               let i = mk_instr p.p_op operands targets ty in
               (match p.p_result with

@@ -125,9 +125,19 @@ let parse (s : string) : (t, string) result =
   in
   let hex4 () : int =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "non-hex digit in \\u escape"
+    in
+    let v = ref 0 in
+    for k = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + k]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () : string =
     expect '"';

@@ -295,6 +295,19 @@ if dune exec bin/darm_opt.exe -- bench-diff \
   echo "ci: bench-diff sentinel failed to fire on batch throughput collapse" >&2
   rm -rf "$batch_dir"; exit 1
 fi
+# a manifest with a non-positive size is refused when it is read: exit 2,
+# naming the 1-based line, before any spec runs
+printf '%s\n' '{"kind":"fuzz","seed":1}' '{"kind":"fuzz","seed":2,"block_size":0}' \
+  > "$batch_dir/bad_size.jsonl"
+bad_size_rc=0
+dune exec bin/darm_opt.exe -- batch -m "$batch_dir/bad_size.jsonl" \
+  -o "$batch_dir/bad_size.out.jsonl" --no-cache --no-history \
+  2> "$batch_dir/bad_size.err" || bad_size_rc=$?
+if [ "$bad_size_rc" -ne 2 ]; then
+  echo "ci: batch exited $bad_size_rc on a zero block size, expected 2" >&2
+  rm -rf "$batch_dir"; exit 1
+fi
+grep -q 'bad_size.jsonl:2:' "$batch_dir/bad_size.err"
 rm -rf "$batch_dir"
 
 # fleet telemetry (doc/observability.md): two cold runs with separate

@@ -193,6 +193,40 @@ let test_spec_validation () =
   (match parse "{\"kind\":\"fuzz\",\"seed\":1,\"features\":\"warp-drives\"}" with
   | Ok _ -> Alcotest.fail "bad feature spec must be rejected"
   | Error _ -> ());
+  (* non-positive sizes: a zero block divided by zero, a negative one
+     ran no thread and reported a miscompile, a negative n ran *)
+  List.iter
+    (fun (line, field) ->
+      match parse line with
+      | Ok _ -> Alcotest.failf "%s must be rejected" line
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %s" line e field)
+            true
+            (contains e (Printf.sprintf "%S must be positive" field)))
+    [
+      ("{\"kind\":\"fuzz\",\"seed\":1,\"block_size\":0}", "block_size");
+      ("{\"kind\":\"fuzz\",\"seed\":1,\"block_size\":-64}", "block_size");
+      ("{\"kind\":\"registry\",\"kernel\":\"BIT\",\"n\":-5}", "n");
+      ("{\"kind\":\"registry\",\"kernel\":\"BIT\",\"n\":0}", "n");
+      ( "{\"kind\":\"registry\",\"kernel\":\"BIT\",\"block_size\":0}",
+        "block_size" );
+    ];
+  (let path = Filename.concat (temp_dir ()) "m.jsonl" in
+   write_raw path
+     "{\"kind\":\"fuzz\",\"seed\":1}\n{\"kind\":\"fuzz\",\"seed\":2,\"block_size\":0}\n";
+   match B.read_manifest path with
+   | Ok _ -> Alcotest.fail "a zero block size must fail the manifest"
+   | Error e ->
+       Alcotest.(check bool) "names the 1-based line" true
+         (contains e (path ^ ":2:")));
+  (match
+     B.write_fuzz_manifest
+       ~path:(Filename.concat (temp_dir ()) "m.jsonl")
+       ~count:1 ~block_size:0 ()
+   with
+  | () -> Alcotest.fail "the writer must refuse a zero block size"
+  | exception Invalid_argument _ -> ());
   match parse "{\"kind\":\"fuzz\",\"seed\":7}" with
   | Error e -> Alcotest.failf "defaults must apply: %s" e
   | Ok s -> Alcotest.(check string) "defaulted spec" "fuzz_7" (B.spec_name s)

@@ -13,7 +13,6 @@
 open Darm_ir
 module Kernel = Darm_kernels.Kernel
 module Registry = Darm_kernels.Registry
-module Random_kernel = Darm_kernels.Random_kernel
 module Hip_sources = Darm_kernels.Hip_sources
 module Gen = Darm_fuzz.Gen
 
@@ -89,13 +88,6 @@ let subjects () : (string * (unit -> Ssa.func list)) list =
       (fun (tag, src) -> (Printf.sprintf "hip/%s" tag, fun () -> hip src))
       Hip_sources.all
   in
-  let random =
-    List.map
-      (fun seed ->
-        ( Printf.sprintf "random/%d" seed,
-          fun () -> [ Random_kernel.generate ~seed () ] ))
-      (Testlib.seeds 0 49)
-  in
   let gen label (cfg : Gen.cfg) features seeds =
     let cfg = { cfg with Gen.features = features_of features } in
     List.map
@@ -105,7 +97,7 @@ let subjects () : (string * (unit -> Ssa.func list)) list =
       seeds
   in
   let large_cfg = { Gen.default_cfg with Gen.max_depth = 5 } in
-  registry @ hip_programs @ random
+  registry @ hip_programs
   @ [ ("dsl/cascade", fun () -> [ cascade () ]) ]
   @ List.concat_map
       (fun fs ->
@@ -199,56 +191,6 @@ let golden : (string * string) list =
     ("hip/LUD", "2804c0cf3f1647a2");
     ("hip/PCM", "0d19f74deeebf878");
     ("hip/FDCT", "687cfb552d15ca43");
-    ("random/0", "aafea1941d6d412c");
-    ("random/1", "2f54719c83c02bb7");
-    ("random/2", "56a60f0b5795178b");
-    ("random/3", "e3e3a3e859af0480");
-    ("random/4", "54da2e486b8a52c0");
-    ("random/5", "458b761a96abd27e");
-    ("random/6", "f5803d4126e8062c");
-    ("random/7", "586f0b6a3c77369b");
-    ("random/8", "95121356f2603744");
-    ("random/9", "0cd1d9153e150ddc");
-    ("random/10", "5f45047ad42947f8");
-    ("random/11", "96c464cc2ecbca92");
-    ("random/12", "68db57b2a7accc1d");
-    ("random/13", "3831e25e4ddbdabd");
-    ("random/14", "2553104d222a313b");
-    ("random/15", "4ac59e7657353112");
-    ("random/16", "6d8131cab717f512");
-    ("random/17", "da63f787133b2edb");
-    ("random/18", "2d04cdf31ab0e257");
-    ("random/19", "d1e2ff0db750c905");
-    ("random/20", "798b72963cb4052a");
-    ("random/21", "a189d80dce23e18b");
-    ("random/22", "1c2eaa8d9d68ea63");
-    ("random/23", "5b5015438016e5c8");
-    ("random/24", "ca33cb200e8aca10");
-    ("random/25", "bfa89b848ee743f0");
-    ("random/26", "8d10fb58aa060b5b");
-    ("random/27", "0e8e055ace67ce88");
-    ("random/28", "0f2d9e10c728d7ff");
-    ("random/29", "b16013b8f42259ed");
-    ("random/30", "e67a7e8301bcd5f2");
-    ("random/31", "463d38f68d2b34c3");
-    ("random/32", "f383688ddc38effb");
-    ("random/33", "5f7f040d2b324afa");
-    ("random/34", "01d8af8b5b6b3d99");
-    ("random/35", "74b4d60118938109");
-    ("random/36", "6e47c1f2260caca5");
-    ("random/37", "05f314086007f1e7");
-    ("random/38", "0e923da24be80907");
-    ("random/39", "64e06cdd9a7f4187");
-    ("random/40", "c50b507279cf0baa");
-    ("random/41", "c975ff4f14486d77");
-    ("random/42", "e1443c94bd1c68e5");
-    ("random/43", "4c691283032b065b");
-    ("random/44", "b8f6d1e744741161");
-    ("random/45", "4ca06ca1c96221fb");
-    ("random/46", "80fd3b0013efe674");
-    ("random/47", "643f5c8530edc2a8");
-    ("random/48", "4a2fa60cc1252e33");
-    ("random/49", "9b0ffc86d3b579dd");
     ("dsl/cascade", "d96decc5df0d2eab");
     ("gen-smoke-all/0", "41c9cdfc57b4878a");
     ("gen-smoke-all/1", "20e50e2d6f7f4878");

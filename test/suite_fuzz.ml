@@ -1,22 +1,27 @@
-(* Differential fuzzing: random structured divergent kernels must
-   behave identically before and after every transformation.  The
-   untransformed simulation is the oracle, so this covers the whole
-   pipeline end to end with no hand-written expectations.
+(* Differential fuzzing: generated structured divergent kernels
+   ({!Darm_fuzz.Gen}) must behave identically before and after every
+   transformation.  The untransformed simulation is the oracle, so this
+   covers the whole pipeline end to end with no hand-written
+   expectations.
 
-   Seed ranges and transform thunks live in {!Testlib} and are shared
-   with the generative-conformance suites (suite_gen, suite_shrink,
-   suite_corpus). *)
+   Seed ranges, transform thunks and the oracle-backed runner live in
+   {!Testlib} and are shared with the generative-conformance suites
+   (suite_gen, suite_shrink, suite_corpus). *)
 
-module RK = Darm_kernels.Random_kernel
-module K = Darm_kernels.Kernel
+module Gen = Darm_fuzz.Gen
+module Oracle = Darm_fuzz.Oracle
 module C = Darm_core
 module CK = Darm_checks
 open Testlib
 
-let small_cfg = rk_small_cfg
+let small_cfg = gen_small_cfg
+
+let no_shared_cfg =
+  { small_cfg with
+    Gen.features = { Gen.all_features with shared_tile = false } }
 
 let run_seeds ~name ~transform ~seeds () =
-  run_rk_seeds ~cfg:small_cfg ~name ~transform ~seeds ()
+  run_gen_seeds ~cfg:small_cfg ~name ~transform ~seeds ()
 
 let suites =
   [
@@ -41,23 +46,18 @@ let suites =
         Alcotest.test_case "darm, deep nesting" `Quick
           (fun () ->
             let deep =
-              { RK.default_cfg with array_size = 128; max_depth = 4;
-                stmts_per_block = 2 }
+              { small_cfg with Gen.max_depth = 4; stmts_per_block = 2 }
             in
-            run_rk_seeds ~cfg:deep ~name:"deep" ~transform:darm
+            run_gen_seeds ~cfg:deep ~name:"deep" ~transform:darm
               ~seeds:(seeds 300 314) ());
         Alcotest.test_case "darm, no shared memory" `Quick
           (fun () ->
-            let cfg =
-              { RK.default_cfg with array_size = 128; max_depth = 2;
-                use_shared = false }
-            in
-            run_rk_seeds ~cfg ~name:"no-shared" ~transform:darm
-              ~seeds:(seeds 320 334) ());
+            run_gen_seeds ~cfg:no_shared_cfg ~name:"no-shared"
+              ~transform:darm ~seeds:(seeds 320 334) ());
         Alcotest.test_case "darm, partial warp (block 32 on warp 64)"
           `Quick
           (fun () ->
-            run_rk_seeds ~cfg:small_cfg ~block_size:32 ~name:"partial-warp"
+            run_gen_seeds ~cfg:small_cfg ~block_size:32 ~name:"partial-warp"
               ~transform:darm ~seeds:(seeds 340 354) ());
         Alcotest.test_case "alignment pairing on random kernels" `Quick
           (fun () ->
@@ -67,7 +67,7 @@ let suites =
                    ~config:{ C.Pass.default_config with pairing = C.Pass.Alignment }
                    ~verify_each:true f)
             in
-            run_rk_seeds ~cfg:small_cfg ~name:"alignment" ~transform
+            run_gen_seeds ~cfg:small_cfg ~name:"alignment" ~transform
               ~seeds:(seeds 360 374) ());
         Alcotest.test_case "checker cross-validation vs schedule" `Quick
           (fun () ->
@@ -75,74 +75,44 @@ let suites =
                the simulator: a kernel the checker proves race-free must
                produce schedule-independent output.  Warp size is the
                schedule knob — it changes which threads run in lockstep
-               and therefore the interleaving of memory accesses — so a
-               proved-free kernel must give identical results at warp
-               sizes 64, 16 and 4, both before and after melding (run
-               with Vfail validation, so the TV hook is exercised on
-               random kernels too). *)
-            let cfg =
-              { RK.default_cfg with array_size = 128; max_depth = 2;
-                use_shared = false }
-            in
-            let meld f =
-              ignore
-                (C.Pass.run
-                   ~config:{ C.Pass.default_config with validate = C.Pass.Vfail }
-                   ~verify_each:true f)
+               and therefore the interleaving of memory accesses.  The
+               oracle's darm stage runs exactly that check: no checker
+               error before melding and none new after it (melding runs
+               under Vfail validation, so the TV hook is exercised on
+               random kernels too), and the same memory at warp sizes
+               64, 16 and 4, before and after melding. *)
+            let darm_stage =
+              List.filter
+                (fun st -> st.Oracle.st_name = "darm")
+                Oracle.default_stages
             in
             List.iter
               (fun seed ->
-                let f0 = RK.generate ~cfg ~seed () in
-                let report = CK.Checker.check_func f0 in
-                if CK.Checker.has_errors report then
-                  Alcotest.failf "seed %d: checker errors:\n%s" seed
-                    (CK.Checker.report_to_string report);
+                let subject =
+                  Oracle.subject_of_seed ~cfg:no_shared_cfg ~block_size:64
+                    ~seed ()
+                in
+                let report =
+                  CK.Checker.check_func (subject.Oracle.sb_fresh ())
+                in
                 if report.CK.Checker.verdict <> CK.Race_check.Proved_free
                 then
                   Alcotest.failf "seed %d: expected proved-free, got %s" seed
                     (CK.Race_check.verdict_to_string
                        report.CK.Checker.verdict);
-                (* melding must not mint new checker errors either *)
-                let fm = RK.generate ~cfg ~seed () in
-                meld fm;
-                let after = CK.Checker.check_func fm in
-                (match CK.Checker.new_errors ~before:report ~after with
+                match Oracle.run_subject ~stages:darm_stage subject with
                 | [] -> ()
-                | news ->
-                    Alcotest.failf "seed %d: melding introduced:\n%s" seed
+                | fs ->
+                    Alcotest.failf "seed %d:\n%s" seed
                       (String.concat "\n"
-                         (List.map CK.Diag.to_string news)));
-                let outputs ~melded ws =
-                  let inst = RK.instance ~cfg ~seed ~block_size:64 () in
-                  if melded then meld inst.K.func;
-                  let config =
-                    { Darm_sim.Simulator.default_config with warp_size = ws }
-                  in
-                  ignore
-                    (Darm_sim.Simulator.run ~config inst.K.func
-                       ~args:inst.K.args ~global:inst.K.global inst.K.launch);
-                  inst.K.read_result ()
-                in
-                List.iter
-                  (fun melded ->
-                    let base = outputs ~melded 64 in
-                    List.iter
-                      (fun ws ->
-                        match K.first_mismatch base (outputs ~melded ws) with
-                        | None -> ()
-                        | Some i ->
-                            Alcotest.failf
-                              "seed %d melded=%b warp=%d: mismatch at %d"
-                              seed melded ws i)
-                      [ 16; 4 ])
-                  [ false; true ])
+                         (List.map Oracle.failure_to_string fs)))
               (seeds 400 411));
         Alcotest.test_case "printer-parser roundtrip on random kernels"
           `Quick
           (fun () ->
             List.iter
               (fun seed ->
-                let f = RK.generate ~cfg:small_cfg ~seed () in
+                let f = Gen.generate ~cfg:small_cfg ~seed () in
                 let text = Darm_ir.Printer.func_to_string f in
                 match Darm_ir.Parser.parse_func text with
                 | Ok f2 ->

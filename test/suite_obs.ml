@@ -124,6 +124,22 @@ let test_jsonl_rejects_incomplete () =
   | Ok _ -> Alcotest.fail "event without ts/pid/tid must be rejected"
   | Error _ -> ()
 
+(* \u escapes take exactly four hex digits; anything else is an Error,
+   never an exception *)
+let test_json_unicode_escapes () =
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | Ok _ -> Alcotest.failf "%s must be rejected" doc
+      | Error _ -> ())
+    [ {|{"a":"\uZZZZ"}|}; {|{"a":"\u12"}|}; {|{"a":"\u1_23"}|};
+      {|{"a":"\u+123"}|} ];
+  match Json.parse {|{"a":"\u00e9\u00C9"}|} with
+  | Ok j ->
+      Alcotest.(check bool) "decoded as UTF-8" true
+        (Json.member "a" j = Some (Json.Str "\xc3\xa9\xc3\x89"))
+  | Error e -> Alcotest.failf "valid escape rejected: %s" e
+
 let required_fields = [ "name"; "ph"; "ts"; "pid"; "tid" ]
 
 let check_chrome_schema (doc : string) : int =
@@ -340,6 +356,8 @@ let suites =
         Alcotest.test_case "jsonl: round-trip" `Quick test_jsonl_round_trip;
         Alcotest.test_case "jsonl: rejects incomplete events" `Quick
           test_jsonl_rejects_incomplete;
+        Alcotest.test_case "json: malformed \\u escapes are errors" `Quick
+          test_json_unicode_escapes;
         Alcotest.test_case "chrome: schema" `Quick test_chrome_schema;
         Alcotest.test_case "chrome: counter events across pid tracks" `Quick
           test_chrome_counter_tracks;

@@ -86,6 +86,37 @@ let test_error_bad_literal () =
   let e = parse_err "kernel @k() {\nentry:\n  %0 = add 12x4, 1\n  ret\n}\n" in
   check "reports literal" true (contains e "literal")
 
+(* Inputs that once escaped the parser as an exception instead of an
+   [Error]: (what, source, substring of the error). *)
+let escape_rows =
+  [
+    ( "select with one operand",
+      "kernel @k() {\nentry:\n  %0 = add 1, 2\n  %1 = select %0\n  ret\n}\n",
+      "select takes 3 operands" );
+    ( "select with two operands",
+      "kernel @k() {\nentry:\n  %0 = icmp slt 1, 2\n  %1 = select %0, 7\n\
+      \  ret\n}\n",
+      "select takes 3 operands" );
+    ( "phi reusing a non-phi's name",
+      "kernel @k() {\nentry:\n  %0 = add 1, 2\n  br next\nnext:\n\
+      \  %0 = phi i32 [1, entry]\n  ret\n}\n",
+      "%0 is defined twice" );
+    ( "non-phi rebinding a name",
+      "kernel @k() {\nentry:\n  %0 = add 1, 2\n  %0 = add 3, 4\n  ret\n}\n",
+      "%0 is defined twice" );
+    ( "result named like a parameter",
+      "kernel @k(%a: i32) {\nentry:\n  %a = add 1, 2\n  ret\n}\n",
+      "%a is defined twice" );
+  ]
+
+let test_error_escapes () =
+  List.iter
+    (fun (what, src, needle) ->
+      let e = parse_err src in
+      check (Printf.sprintf "%s: %S mentions %S" what e needle) true
+        (contains e needle))
+    escape_rows
+
 let test_comments_and_whitespace () =
   let src =
     "; a leading comment\n\
@@ -171,6 +202,8 @@ let suites =
         Alcotest.test_case "error: unclosed body" `Quick
           test_error_unclosed_body;
         Alcotest.test_case "error: bad literal" `Quick test_error_bad_literal;
+        Alcotest.test_case "error: malformed operands and names" `Quick
+          test_error_escapes;
         Alcotest.test_case "comments and whitespace" `Quick
           test_comments_and_whitespace;
         Alcotest.test_case "parse then simulate" `Quick

@@ -5,7 +5,7 @@
 open Darm_ir
 module Seq = Darm_align.Sequence
 module A = Darm_analysis
-module RK = Darm_kernels.Random_kernel
+module Gen = Darm_fuzz.Gen
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -92,9 +92,9 @@ let test_sw_never_negative =
 
 (* --- invariants of the analyses over random kernels --- *)
 
-let gen_cfg = { RK.default_cfg with array_size = 64; max_depth = 2; stmts_per_block = 2 }
+let gen_cfg = { Gen.smoke_cfg with Gen.array_size = 64 }
 
-let random_func seed = RK.generate ~cfg:gen_cfg ~seed ()
+let random_func seed = Gen.generate ~cfg:gen_cfg ~seed ()
 
 let test_domtree_invariants =
   qcheck
@@ -191,7 +191,7 @@ let test_simulator_deterministic =
        QCheck2.Gen.small_int
        (fun seed ->
          let run () =
-           let inst = RK.instance ~cfg:gen_cfg ~seed ~block_size:64 () in
+           let inst = Gen.instance ~cfg:gen_cfg ~seed ~block_size:64 () in
            let m =
              Darm_sim.Simulator.run inst.Darm_kernels.Kernel.func
                ~args:inst.Darm_kernels.Kernel.args

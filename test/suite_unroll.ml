@@ -4,7 +4,6 @@
 open Darm_ir
 module T = Darm_transforms
 module D = Dsl
-module RK = Darm_kernels.Random_kernel
 module Sim = Darm_sim.Simulator
 module Memory = Darm_sim.Memory
 
@@ -121,28 +120,15 @@ let test_unroll_divergent_body () =
   Alcotest.(check (array int)) "unroll+meld preserves output" out_base out_opt
 
 let test_unroll_fuzz () =
-  let failures = ref [] in
   let transform f =
     ignore (T.Loop_unroll.run ~max_trip:8 f);
     Verify.run_exn f;
     ignore (Darm_core.Pass.run ~verify_each:true f)
   in
-  List.iter
-    (fun seed ->
-      match
-        RK.check_transform
-          ~cfg:{ RK.default_cfg with array_size = 128; max_depth = 2; stmts_per_block = 3 }
-          ~seed ~block_size:64 ~transform ()
-      with
-      | Ok () -> ()
-      | Error e -> failures := e :: !failures)
-    [ 200; 201; 202; 203; 204; 205; 206; 207; 208; 209;
-      210; 211; 212; 213; 214; 215; 216; 217; 218; 219 ];
-  match !failures with
-  | [] -> ()
-  | fs ->
-      Alcotest.failf "unroll+meld: %d failure(s):\n%s" (List.length fs)
-        (String.concat "\n" fs)
+  (* every feature, constant-trip loops included, so unrolling has
+     something to expose to the melder *)
+  Testlib.run_gen_seeds ~name:"unroll+meld" ~transform
+    ~seeds:(Testlib.seeds 200 219) ()
 
 let suites =
   [

@@ -11,4 +11,5 @@ let () =
    @ Suite_incremental.suites @ Suite_telemetry.suites
    @ Suite_events.suites @ Suite_reconvergence.suites
    @ Suite_dominance.suites @ Suite_pass_golden.suites
-   @ Suite_construction_golden.suites @ Suite_sim_traps.suites)
+   @ Suite_construction_golden.suites @ Suite_sim_traps.suites
+   @ Suite_batch_golden.suites)

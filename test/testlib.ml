@@ -100,8 +100,9 @@ let diamond_func () : Ssa.func =
 (* ------------------------------------------------------------------ *)
 (* Seed ranges and transform thunks shared by the fuzz-style suites    *)
 
-module RK = Darm_kernels.Random_kernel
 module Tf = Darm_transforms
+module Gen = Darm_fuzz.Gen
+module Oracle = Darm_fuzz.Oracle
 
 (** [seeds lo hi] is the inclusive range [lo..hi]. *)
 let seeds lo hi =
@@ -135,23 +136,29 @@ let everything f =
   ignore (Tf.Simplify_cfg.if_convert f);
   cleanups f
 
-let rk_small_cfg =
-  { RK.default_cfg with array_size = 128; max_depth = 2; stmts_per_block = 3 }
+(** Every generator feature at depth 2, three statements per block,
+    128-cell arrays. *)
+let gen_small_cfg = { Gen.default_cfg with Gen.max_depth = 2 }
 
-(** Run [transform] over [Random_kernel] instances for every seed;
-    collects all failures before reporting so one bad seed doesn't mask
-    the others. *)
-let run_rk_seeds ?(cfg = rk_small_cfg) ?(block_size = 64) ~name ~transform
+(** Run [transform] as the one oracle stage over the [Gen] kernel of
+    every seed, at warp 64: the kernel and its transform must verify,
+    the transform must mint no checker error, and both must leave the
+    same memory under the stack and the ITS model.  All failures are
+    collected before reporting so one bad seed doesn't mask the
+    others. *)
+let run_gen_seeds ?(cfg = gen_small_cfg) ?(block_size = 64) ~name ~transform
     ~seeds:seed_list () =
-  let failures = ref [] in
-  List.iter
-    (fun seed ->
-      match RK.check_transform ~cfg ~seed ~block_size ~transform () with
-      | Ok () -> ()
-      | Error e -> failures := e :: !failures)
-    seed_list;
-  match !failures with
+  let stage =
+    { Oracle.st_name = name; st_apply = (fun f -> transform f; None) }
+  in
+  match
+    List.concat_map
+      (fun seed ->
+        Oracle.run_subject ~stages:[ stage ] ~warps:[ 64 ]
+          (Oracle.subject_of_seed ~cfg ~block_size ~seed ()))
+      seed_list
+  with
   | [] -> ()
   | fs ->
       Alcotest.failf "%s: %d failure(s):\n%s" name (List.length fs)
-        (String.concat "\n" fs)
+        (String.concat "\n" (List.map Oracle.failure_to_string fs))
