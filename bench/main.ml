@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Table I, Table II, Figures 7-10) on the SIMT simulator,
-   plus Bechamel wall-clock micro-benchmarks of the compile pipelines
-   (one Test per Table II row).
+   and appends one record per run to BENCH_history.jsonl.
 
    Experiment points fan out over a domain pool sized by DARM_JOBS
    (default: the core count); the printed figures are byte-identical
@@ -25,8 +24,8 @@ let all_ok = ref true
 
 let gate (ok : bool) = if not ok then all_ok := false
 
-(* per-kernel experiment points accumulated for BENCH_darm.json — the
-   machine-readable perf trajectory tracked across PRs *)
+(* per-kernel experiment points accumulated for BENCH_history.jsonl —
+   the machine-readable perf trajectory *)
 let bench_results : H.Experiment.result list ref = ref []
 
 let collect (rs : H.Experiment.result list) =
@@ -93,68 +92,6 @@ let run_figures which =
   if want "ablation" then gate (H.Ablation.run ());
   if List.mem "csv" which then H.Csv_export.export ~dir:"bench_csv" ()
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of compile time (Table II's measurement,
-   with proper statistics). *)
-
-open Bechamel
-open Toolkit
-
-let compile_tests () =
-  let mk_test (kernel : Kernel.t) (name : string)
-      (pipeline : Darm_ir.Ssa.func -> unit) =
-    let block_size = List.nth kernel.Kernel.block_sizes 1 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let inst =
-             kernel.Kernel.make ~seed:1 ~block_size ~n:kernel.Kernel.default_n
-           in
-           pipeline inst.Kernel.func))
-  in
-  let o3 f =
-    ignore (Darm_transforms.Simplify_cfg.run f);
-    ignore (Darm_transforms.Constfold.run f);
-    ignore (Darm_transforms.Dce.run f)
-  in
-  let darm f =
-    o3 f;
-    ignore (Darm_core.Pass.run f)
-  in
-  Test.make_grouped ~name:"compile"
-    (List.concat_map
-       (fun k ->
-         [
-           mk_test k (k.Kernel.tag ^ "/O3") o3;
-           mk_test k (k.Kernel.tag ^ "/DARM") darm;
-         ])
-       Registry.real_world)
-
-let run_bechamel () =
-  print_newline ();
-  print_endline "== Bechamel: compile-time micro-benchmarks (Table II) ==";
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances (compile_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name ols_r acc -> (name, ols_r) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Printf.printf "%-24s %16s\n" "test" "time/run";
-  Printf.printf "%s\n" (String.make 42 '-');
-  List.iter
-    (fun (name, r) ->
-      let est =
-        match Analyze.OLS.estimates r with
-        | Some (t :: _) -> Printf.sprintf "%10.3f ms" (t /. 1e6)
-        | _ -> "n/a"
-      in
-      Printf.printf "%-24s %16s\n" name est)
-    rows
-
 let () =
   (* durations read the monotonic clock; record timestamps stay on
      wall-clock time *)
@@ -173,29 +110,11 @@ let () =
        over 1000+ blocks must stay inside the CI budget *)
     run_stress ()
   end
-  else begin
-    let figure_args =
-      List.filter (fun a -> a <> "bechamel" && a <> "quick") args
-    in
-    if args = [] then begin
-      run_figures [];
-      run_bechamel ()
-    end
-    else begin
-      if figure_args <> [] then run_figures figure_args;
-      if List.mem "bechamel" args then run_bechamel ()
-    end
-  end;
-  (* machine-readable summary: written and validated whenever any
-     experiment points were collected (full run, fig7/fig8, --smoke) *)
+  else run_figures args;
+  (* machine-readable record: appended whenever any experiment points
+     were collected (full run, fig7/fig8, --smoke) *)
   if !bench_results <> [] then begin
-    H.Bench_json.write
-      ~wall_s:(Darm_obs.Clock.now_s () -. t_start)
-      !bench_results;
-    Printf.printf "\nbench: wrote %s (%d points, geomean %.3fx)\n"
-      H.Bench_json.default_path
-      (List.length !bench_results)
-      (H.Experiment.geomean (List.map H.Experiment.speedup !bench_results));
+    print_newline ();
     (* re-run exactly the points that produced [bench_results] — the
        same (kernel, block size, n, seed), one re-run per result — under
        the other models, so every model's geomean covers the same

@@ -25,6 +25,13 @@ let find_kernel tag =
         (String.concat ", " (Registry.tags ()));
       exit 2
 
+let find_transform name =
+  match E.transform_of_name name with
+  | Ok t -> t
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+
 let kernel_arg =
   let doc = "Benchmark kernel tag (see the list command)." in
   Arg.(value & opt string "BIT" & info [ "k"; "kernel" ] ~docv:"TAG" ~doc)
@@ -104,27 +111,11 @@ let trace_out_arg =
              doc/observability.md)." in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
-let obs_transform_of_name name =
-  match Profile.transform_named name with
-  | Ok tf -> tf
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
 let write_trace ~format ~path trace =
   Export.write_file ~format ~path trace;
   Printf.printf ";; trace: %s (%d events, %s)\n" path
     (Darm_obs.Trace.length trace)
     (match format with Export.Chrome -> "chrome" | Export.Jsonl -> "jsonl")
-
-let transform_of_name = function
-  | "darm" -> E.darm_transform ()
-  | "branch-fusion" -> E.branch_fusion_transform
-  | "tail-merge" -> E.tail_merge_transform
-  | "none" -> E.identity_transform
-  | other ->
-      Printf.eprintf "unknown pass %s\n" other;
-      exit 2
 
 let make_instance kernel ~seed ~block_size ~n =
   let n = Option.value ~default:kernel.Kernel.default_n n in
@@ -234,7 +225,7 @@ let meld_cmd =
           let stats = Darm_core.Pass.run ~config f in
           (stats.Darm_core.Pass.melds_applied, Some stats)
       | _ ->
-          let t = transform_of_name pass in
+          let t = find_transform pass in
           (t.E.t_apply f, None)
     in
     Darm_ir.Verify.run_exn f;
@@ -279,14 +270,14 @@ let simulate_cmd =
   let run tag block_size n seed pass trace_out format mem_model reconvergence
       =
     let kernel = find_kernel tag in
+    let transform = find_transform pass in
     let r, trace =
       match trace_out with
       | None ->
-          (E.run ~transform:(transform_of_name pass) ~seed ?n ~mem_model
-             ~reconvergence kernel ~block_size,
+          (E.run ~transform ~seed ?n ~mem_model ~reconvergence kernel
+             ~block_size,
            None)
       | Some path ->
-          let transform = obs_transform_of_name pass in
           let tr, r =
             Profile.run_point ~seed ?n ~mem_model ~reconvergence ~transform
               kernel ~block_size
@@ -334,18 +325,17 @@ let print_sweep_table (kernel : Kernel.t) (results : E.result list) : unit =
 let sweep_cmd =
   let run tag n seed pass jobs trace_out format mem_model reconvergence =
     let kernel = find_kernel tag in
+    let transform = find_transform pass in
     let results =
       match trace_out with
       | None ->
-          let t = transform_of_name pass in
           E.run_many ?jobs
             (List.map
                (fun block_size () ->
-                 E.run ~transform:t ~seed ?n ~mem_model ~reconvergence kernel
+                 E.run ~transform ~seed ?n ~mem_model ~reconvergence kernel
                    ~block_size)
                kernel.Kernel.block_sizes)
       | Some path ->
-          let transform = obs_transform_of_name pass in
           let trace, results =
             Profile.sweep ?jobs ~seed ?n ~mem_model ~reconvergence ~transform
               kernel
@@ -376,7 +366,7 @@ let profile_cmd =
   in
   let run tag n seed pass jobs format trace_out =
     let kernel = find_kernel tag in
-    let transform = obs_transform_of_name pass in
+    let transform = find_transform pass in
     let trace, results = Profile.sweep ?jobs ~seed ?n ~transform kernel in
     print_sweep_table kernel results;
     write_trace ~format ~path:trace_out trace;
@@ -504,7 +494,7 @@ let trace_cmd =
     let kernel = find_kernel tag in
     let inst = make_instance kernel ~seed ~block_size ~n in
     let f = inst.Kernel.func in
-    let t = transform_of_name pass in
+    let t = find_transform pass in
     ignore (t.E.t_apply f);
     Darm_ir.Verify.run_exn f;
     let config =
@@ -563,7 +553,7 @@ let check_cmd =
                      Registry.negative));
             exit 2
     in
-    let transform = transform_of_name pass in
+    let transform = find_transform pass in
     let reports =
       List.map
         (fun k ->
@@ -1319,13 +1309,9 @@ let top_cmd =
   let read_events = function
     | None -> None
     | Some path -> (
-        match
-          try
-            Some (In_channel.with_open_bin path In_channel.input_all)
-          with Sys_error _ -> None
-        with
-        | None -> None
-        | Some text -> (
+        match Darm_obs.Fsio.read path with
+        | Error _ -> None
+        | Ok text -> (
             match Ev.read text with Ok vs -> Some vs | Error _ -> None))
   in
   let run base events once interval_s =
@@ -1406,10 +1392,11 @@ let events_cmd =
   in
   let run file validate canonical ev_filter =
     let text =
-      try In_channel.with_open_bin file In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "events: %s\n" msg;
-        exit 2
+      match Darm_obs.Fsio.read file with
+      | Ok text -> text
+      | Error msg ->
+          Printf.eprintf "events: %s\n" msg;
+          exit 2
     in
     if validate then (
       match Ev.validate text with

@@ -166,24 +166,20 @@ let spec_of_json (j : J.t) : (spec, string) result =
   | _ -> Error "missing string field \"kind\""
 
 let read_manifest (path : string) : (spec list, string) result =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s: no such file" path)
-  else
-    let text = Fsio.read_file path in
-    let lines = String.split_on_char '\n' text in
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest when String.trim line = "" -> go (i + 1) acc rest
-      | line :: rest -> (
-          match J.parse line with
-          | Error e ->
-              Error (Printf.sprintf "%s:%d: invalid JSON: %s" path i e)
-          | Ok j -> (
-              match spec_of_json j with
-              | Error e -> Error (Printf.sprintf "%s:%d: %s" path i e)
-              | Ok s -> go (i + 1) (s :: acc) rest))
-    in
-    go 1 [] lines
+  Result.bind (Fsio.read path) @@ fun text ->
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> go (i + 1) acc rest
+    | line :: rest -> (
+        match J.parse line with
+        | Error e ->
+            Error (Printf.sprintf "%s:%d: invalid JSON: %s" path i e)
+        | Ok j -> (
+            match spec_of_json j with
+            | Error e -> Error (Printf.sprintf "%s:%d: %s" path i e)
+            | Ok s -> go (i + 1) (s :: acc) rest))
+  in
+  go 1 [] (String.split_on_char '\n' text)
 
 let write_fuzz_manifest ~path ~count ?(seed_start = 0) ?(block_size = 64)
     ?(smoke = true) ?(features = "all") ?inject () : unit =

@@ -68,7 +68,8 @@ val spec_of_json : Darm_obs.Json.t -> (spec, string) result
 
 (** All specs of a JSONL manifest, in file order.  Blank lines are
     skipped; a parse error carries [path:line:] with the 1-based line
-    number. *)
+    number, and a path that cannot be read (missing, a directory,
+    unreadable) is an [Error] naming it. *)
 val read_manifest : string -> (spec list, string) result
 
 (** Write a fuzz manifest of [count] consecutive seeds (atomic,

@@ -131,14 +131,9 @@ let of_string (s : string) : (entry, string) result =
               }))
 
 let load_file (path : string) : (entry, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
+  match Darm_obs.Fsio.read path with
+  | Error e -> Error e
+  | Ok s -> (
       match of_string s with
       | Ok e -> Ok e
       | Error e -> Error (Printf.sprintf "%s: %s" path e))

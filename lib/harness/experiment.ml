@@ -10,34 +10,49 @@ module Pass = Darm_core.Pass
 
 type transform = {
   t_name : string;
-  t_apply : Darm_ir.Ssa.func -> int;  (** returns #rewrites applied *)
+  t_apply : ?obs:Darm_obs.Trace.t -> Darm_ir.Ssa.func -> int;
+      (** returns #rewrites applied; [obs] receives the pass's spans and
+          meld decisions *)
 }
 
-let darm_transform ?(config = Pass.default_config) () : transform =
+let pass_transform name (config : Pass.config) : transform =
   {
-    t_name = "DARM";
+    t_name = name;
     t_apply =
-      (fun f ->
-        let stats = Pass.run ~config f in
-        stats.Pass.melds_applied);
+      (fun ?obs f ->
+        let config =
+          match obs with None -> config | Some _ -> { config with Pass.obs }
+        in
+        (Pass.run ~config f).Pass.melds_applied);
   }
+
+let darm_transform ?(config = Pass.default_config) () : transform =
+  pass_transform "DARM" config
 
 let darm_default : transform = darm_transform ()
 
 let branch_fusion_transform : transform =
-  {
-    t_name = "branch-fusion";
-    t_apply =
-      (fun f ->
-        let stats = Pass.run_branch_fusion f in
-        stats.Pass.melds_applied);
-  }
+  pass_transform "branch-fusion" Pass.branch_fusion_config
 
 let tail_merge_transform : transform =
-  { t_name = "tail-merging"; t_apply = Darm_transforms.Tail_merge.run }
+  {
+    t_name = "tail-merging";
+    t_apply = (fun ?obs:_ f -> Darm_transforms.Tail_merge.run f);
+  }
 
 let identity_transform : transform =
-  { t_name = "baseline"; t_apply = (fun _ -> 0) }
+  { t_name = "baseline"; t_apply = (fun ?obs:_ _ -> 0) }
+
+let transform_of_name (name : string) : (transform, string) result =
+  match name with
+  | "darm" -> Ok darm_default
+  | "branch-fusion" -> Ok branch_fusion_transform
+  | "tail-merge" -> Ok tail_merge_transform
+  | "none" -> Ok identity_transform
+  | other ->
+      Error
+        (Printf.sprintf
+           "unknown pass %S (darm|branch-fusion|tail-merge|none)" other)
 
 type result = {
   tag : string;
@@ -80,21 +95,45 @@ let run_instance ?(config = sim_config) (inst : Kernel.instance) : Metrics.t =
    simulations: every transform of a (kernel, block size, seed, n)
    point re-runs the untransformed kernel for its reference cycles and
    expected output.  Those runs are deterministic, so we compute each
-   one once and share it.  Caching applies only under the default
-   machine model ([sim = None]); a custom config bypasses the caches
-   entirely.  Cached arrays are written once and only ever read
-   afterwards, so sharing them across domains is safe; the tables are
-   mutex-protected.  A concurrent miss on the same key computes the
-   value twice and both writers store an identical entry — wasteful but
-   harmless, and it keeps the baseline simulation outside the lock. *)
+   one once and share it.  Both tables are keyed on the point plus the
+   whole simulator config, so every machine model (warp width, memory
+   model, reconvergence model) is cached on its own.  Cached arrays are
+   written once and only ever read afterwards, so sharing them across
+   domains is safe; the tables are mutex-protected.  A concurrent miss
+   on the same key computes the value twice and both writers store an
+   identical entry — wasteful but harmless, and it keeps the simulation
+   outside the lock. *)
 
-type point = { c_tag : string; c_bs : int; c_seed : int; c_n : int }
+type point = {
+  p_tag : string;
+  p_bs : int;
+  p_seed : int;
+  p_n : int;
+  p_config : Sim.config;  (** carries neither [obs] nor [trace] *)
+}
 
-let base_cache :
-    (point, Metrics.t * Memory.rv array * Memory.rv array) Hashtbl.t =
-  Hashtbl.create 64
+type ('k, 'v) memo = { tbl : ('k, 'v) Hashtbl.t; lock : Mutex.t }
 
-let base_mutex = Mutex.create ()
+let memo () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
+
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let find_or_compute m key compute =
+  match with_lock m.lock (fun () -> Hashtbl.find_opt m.tbl key) with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      with_lock m.lock (fun () ->
+          match Hashtbl.find_opt m.tbl key with
+          | Some v' -> v'
+          | None ->
+              Hashtbl.add m.tbl key v;
+              v)
+
+let baselines : (point, Metrics.t * Memory.rv array * Memory.rv array) memo =
+  memo ()
 
 (* full results are additionally memoized for the stock transforms
    (identified physically, since a user-built transform with a custom
@@ -103,71 +142,35 @@ let canonical (t : transform) : bool =
   t == darm_default || t == branch_fusion_transform
   || t == tail_merge_transform || t == identity_transform
 
-let result_cache : (point * string, result) Hashtbl.t = Hashtbl.create 64
+let results : (point * string, result) memo = memo ()
 
-let result_mutex = Mutex.create ()
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let baseline ?sim (kernel : Kernel.t) ~seed ~block_size ~n :
-    Metrics.t * Memory.rv array * Memory.rv array =
-  let compute () =
-    let inst = kernel.Kernel.make ~seed ~block_size ~n in
-    let m = run_instance ?config:sim inst in
-    (m, inst.Kernel.read_result (), inst.Kernel.reference ())
-  in
-  match sim with
-  | Some _ -> compute ()
-  | None -> (
-      let key = { c_tag = kernel.Kernel.tag; c_bs = block_size; c_seed = seed;
-                  c_n = n }
-      in
-      match
-        with_lock base_mutex (fun () -> Hashtbl.find_opt base_cache key)
-      with
-      | Some v -> v
-      | None ->
-          let v = compute () in
-          with_lock base_mutex (fun () ->
-              match Hashtbl.find_opt base_cache key with
-              | Some v' -> v'
-              | None ->
-                  Hashtbl.add base_cache key v;
-                  v))
-
-(** Run [kernel] at [block_size] with and without [transform]; check
-    output equivalence against the host reference as a built-in sanity
-    gate.  [sim] overrides the machine model (e.g. the warp width).
-
-    [obs] wraps the whole experiment in an [experiment] span and routes
-    both simulations into the buffer (baseline on pid 1, transformed on
-    pid 2; override via [sim.obs_pid] conventions in
-    doc/observability.md).  An observed run always recomputes — the
-    caches would otherwise swallow the events of a repeated point. *)
-let run ?(transform = darm_default) ?(seed = 2022) ?n ?sim ?obs ?mem_model
-    ?reconvergence (kernel : Kernel.t) ~(block_size : int) : result =
+(* An observed run always recomputes — the caches would otherwise
+   swallow the events of a repeated point — and so does a run whose
+   [sim] carries [obs] or [trace] (a closure and a mutable buffer, which
+   a structural key cannot hold). *)
+let run ?(transform = darm_default) ?(seed = 2022) ?n ?(sim = sim_config) ?obs
+    ?mem_model ?reconvergence (kernel : Kernel.t) ~(block_size : int) : result
+    =
   let n = Option.value ~default:kernel.Kernel.default_n n in
-  (* a mem-model override folds into [sim], so a [Hier] run naturally
-     bypasses the memoization caches below (their entries are
-     default-model only) *)
-  let sim =
-    match (mem_model, sim) with
-    | None, _ -> sim
-    | Some Sim.Flat, None -> None (* the default model: keep cacheable *)
-    | Some mm, _ ->
-        Some { (Option.value ~default:sim_config sim) with Sim.mem_model = mm }
+  let config =
+    {
+      sim with
+      Sim.mem_model = Option.value ~default:sim.Sim.mem_model mem_model;
+      reconvergence = Option.value ~default:sim.Sim.reconvergence reconvergence;
+    }
   in
-  (* likewise for the reconvergence model: [Stack] is the default and
-     stays cacheable, [Its] folds into [sim] and bypasses the caches *)
-  let sim =
-    match (reconvergence, sim) with
-    | None, _ -> sim
-    | Some Sim.Stack, None -> None
-    | Some rc, _ ->
-        Some
-          { (Option.value ~default:sim_config sim) with Sim.reconvergence = rc }
+  let cacheable =
+    Option.is_none obs && Option.is_none config.Sim.obs
+    && Option.is_none config.Sim.trace
+  in
+  let point =
+    { p_tag = kernel.Kernel.tag; p_bs = block_size; p_seed = seed; p_n = n;
+      p_config = config }
+  in
+  let simulate config =
+    let inst = kernel.Kernel.make ~seed ~block_size ~n in
+    let m = run_instance ~config inst in
+    (m, inst.Kernel.read_result (), inst.Kernel.reference ())
   in
   let compute () =
     let span body =
@@ -186,32 +189,22 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?sim ?obs ?mem_model
             "experiment" body
     in
     span @@ fun () ->
-    let sim_with pid =
+    let config_for pid =
       match obs with
-      | None -> sim
-      | Some tr ->
-          Some
-            {
-              (Option.value ~default:sim_config sim) with
-              Sim.obs = Some tr;
-              obs_pid = pid;
-            }
+      | None -> config
+      | Some tr -> { config with Sim.obs = Some tr; obs_pid = pid }
     in
     let base, out_base, expected =
-      match obs with
-      | None -> baseline ?sim kernel ~seed ~block_size ~n
-      | Some _ ->
-          (* inline (uncached) baseline so its events land in the buffer *)
-          let inst = kernel.Kernel.make ~seed ~block_size ~n in
-          let m = run_instance ?config:(sim_with 1) inst in
-          (m, inst.Kernel.read_result (), inst.Kernel.reference ())
+      if cacheable then
+        find_or_compute baselines point (fun () -> simulate config)
+      else simulate (config_for 1)
     in
     let opt_inst = kernel.Kernel.make ~seed ~block_size ~n in
     let t0 = Darm_obs.Clock.now_s () in
-    let rewrites = transform.t_apply opt_inst.Kernel.func in
+    let rewrites = transform.t_apply ?obs opt_inst.Kernel.func in
     let t_ms = (Darm_obs.Clock.now_s () -. t0) *. 1000. in
     Darm_ir.Verify.run_exn opt_inst.Kernel.func;
-    let opt = run_instance ?config:(sim_with 2) opt_inst in
+    let opt = run_instance ~config:(config_for 2) opt_inst in
     let out_opt = opt_inst.Kernel.read_result () in
     let correct =
       base.Metrics.cycles > 0
@@ -232,25 +225,9 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?sim ?obs ?mem_model
       t_ms;
     }
   in
-  if sim <> None || obs <> None || not (canonical transform) then compute ()
-  else
-    let key =
-      ( { c_tag = kernel.Kernel.tag; c_bs = block_size; c_seed = seed;
-          c_n = n },
-        transform.t_name )
-    in
-    match
-      with_lock result_mutex (fun () -> Hashtbl.find_opt result_cache key)
-    with
-    | Some r -> r
-    | None ->
-        let r = compute () in
-        with_lock result_mutex (fun () ->
-            match Hashtbl.find_opt result_cache key with
-            | Some r' -> r'
-            | None ->
-                Hashtbl.add result_cache key r;
-                r)
+  if cacheable && canonical transform then
+    find_or_compute results (point, transform.t_name) compute
+  else compute ()
 
 (** Sweep a kernel over its block sizes. *)
 let sweep ?jobs ?transform ?seed ?n ?mem_model ?reconvergence

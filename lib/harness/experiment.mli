@@ -2,12 +2,12 @@
     simulator and collects the paper's metrics, with a built-in output
     equivalence check against the host reference.
 
-    Under the default machine model the runner memoizes both the
-    baseline simulation of each (kernel, block size, seed, n) point and
-    the full results of the stock transforms, so figures, tables and
-    CSV exports that revisit the same point share one simulation.  The
-    caches are mutex-protected and safe to hit from the
-    {!Parallel_sweep} domain pool. *)
+    The runner memoizes both the baseline simulation of each (kernel,
+    block size, seed, n, simulator config) point and the full results
+    of the stock transforms, so figures, tables and CSV exports that
+    revisit the same point under the same machine model share one
+    simulation.  The caches are mutex-protected and safe to hit from
+    the {!Parallel_sweep} domain pool. *)
 
 module Kernel = Darm_kernels.Kernel
 module Sim = Darm_sim.Simulator
@@ -16,7 +16,9 @@ module Pass = Darm_core.Pass
 
 type transform = {
   t_name : string;
-  t_apply : Darm_ir.Ssa.func -> int;  (** returns #rewrites applied *)
+  t_apply : ?obs:Darm_obs.Trace.t -> Darm_ir.Ssa.func -> int;
+      (** returns #rewrites applied; [obs] receives the pass's spans and
+          meld decisions (the melding transforms only) *)
 }
 
 val darm_transform : ?config:Pass.config -> unit -> transform
@@ -30,6 +32,10 @@ val darm_default : transform
 val branch_fusion_transform : transform
 val tail_merge_transform : transform
 val identity_transform : transform
+
+(** The stock transform behind a CLI pass name: "darm", "branch-fusion",
+    "tail-merge" or "none"; [Error] names the unknown pass. *)
+val transform_of_name : string -> (transform, string) result
 
 type result = {
   tag : string;
@@ -45,9 +51,9 @@ type result = {
       (** transformed output == baseline output == reference, and both
           runs retired a non-zero cycle count *)
   t_ms : float;
-      (** wall-clock milliseconds spent inside the transform (the pass
-          pipeline only — simulation time excluded); feeds the
-          [pass_ms] column of BENCH_darm.json *)
+      (** milliseconds spent inside the transform on the monotonic
+          clock (the pass only — IR construction and simulation
+          excluded); the [pass_ms] column of the bench history *)
 }
 
 (** Baseline cycles over optimized cycles.  Raises [Invalid_argument]
@@ -64,20 +70,21 @@ val sim_config : Sim.config
 val run_instance : ?config:Sim.config -> Kernel.instance -> Metrics.t
 
 (** Run [kernel] at [block_size] with and without [transform]; [sim]
-    overrides the machine model (e.g. the warp width).
+    overrides the machine model (e.g. the warp width), and [mem_model]
+    and [reconvergence] override its memory and reconvergence models.
+    The overrides compose — Flat/Hier x Stack/Its are all valid — and
+    the resulting config is part of the memo key.
 
     [obs] instruments the run: the whole experiment is wrapped in an
     [experiment] span carrying kernel/block-size/transform attributes,
-    and both simulations emit their divergence timelines into the
-    buffer (baseline on pid 1, transformed on pid 2).  Observed runs
-    bypass the memoization caches so the events are always emitted.
+    the transform receives the buffer, and both simulations emit their
+    divergence timelines into it (baseline on pid 1, transformed on
+    pid 2).
 
-    [mem_model] selects the memory model for both simulations (folded
-    into [sim]); [Hier] runs bypass the memoization caches, which hold
-    default-model results only.  [reconvergence] selects the
-    divergence-handling model the same way: [Stack] (the default) stays
-    cacheable, [Its] folds into [sim] and bypasses the caches.  The two
-    overrides compose — Flat/Hier x Stack/Its are all valid. *)
+    Three things bypass the memoization caches: [obs] (so the events
+    are always emitted), a [sim] that carries [obs] or [trace], and a
+    transform other than the four stock ones (which bypasses the
+    result cache only). *)
 val run :
   ?transform:transform ->
   ?seed:int ->

@@ -312,8 +312,8 @@ let table2 ?(reps = 5) () : unit =
 (** Smoke mode: every registered kernel once — smallest workload, one
     block size, one seed — through the full transform + equivalence
     pipeline.  Fast enough for CI; returns whether everything checked
-    out, plus the results (the bench harness feeds them into
-    BENCH_darm.json). *)
+    out, plus the results (the bench harness records them in
+    BENCH_history.jsonl). *)
 let smoke ?jobs () : bool * E.result list =
   let kernels = Registry.synthetic @ Registry.real_world in
   let results =

@@ -41,11 +41,14 @@ val fig10 :
     equivalence check. *)
 val table1 : ?n:int -> ?jobs:int -> unit -> bool
 
-(** Compile time of the pass pipelines, averaged over [reps] runs.
-    Serial by design — it measures wall clock. *)
+(** Compile time of the pass pipelines — IR construction plus the
+    cleanup pipeline (O3), with and without the DARM pass — averaged
+    over [reps] runs on the monotonic clock: the one Table II timing.
+    Serial by design — it measures elapsed time.  (The per-point
+    [Experiment.t_ms] is a different quantity: the transform alone.) *)
 val table2 : ?reps:int -> unit -> unit
 
 (** CI smoke pass: every registered kernel once at its smallest
     workload, one block size, one seed.  Returns all-correct plus the
-    results (input to {!Bench_json}). *)
+    results (input to {!History.of_results}). *)
 val smoke : ?jobs:int -> unit -> bool * E.result list

@@ -52,6 +52,10 @@ type entry = {
   e_rewrites : int;
   e_base_cycles : int;
   e_opt_cycles : int;
+  e_alu_util_base : float option;
+  e_alu_util_opt : float option;
+  e_divergent_branches_base : int option;
+  e_divergent_branches_opt : int option;
   e_pass_ms : float;
   e_correct : bool;
 }
@@ -96,6 +100,7 @@ let of_batch ?jobs ~time (b : batch) : record =
 
 let entries_of_results ?(mem_model = "flat") ?(reconvergence = "stack")
     (results : E.result list) : entry list =
+  let warp_size = E.sim_config.E.Sim.warp_size in
   List.map
     (fun (r : E.result) ->
       {
@@ -107,6 +112,12 @@ let entries_of_results ?(mem_model = "flat") ?(reconvergence = "stack")
         e_rewrites = r.E.rewrites;
         e_base_cycles = r.E.base.Metrics.cycles;
         e_opt_cycles = r.E.opt.Metrics.cycles;
+        e_alu_util_base =
+          Some (Metrics.alu_utilization r.E.base ~warp_size);
+        e_alu_util_opt = Some (Metrics.alu_utilization r.E.opt ~warp_size);
+        e_divergent_branches_base =
+          Some r.E.base.Metrics.divergent_branches;
+        e_divergent_branches_opt = Some r.E.opt.Metrics.divergent_branches;
         e_pass_ms = r.E.t_ms;
         e_correct = r.E.correct;
       })
@@ -137,20 +148,31 @@ let env_to_json (e : env) : J.t =
       ("reconvergence", J.Str e.reconvergence);
     ]
 
+(* an absent optional field is left out, not written as null *)
+let opt_field k to_json = function None -> [] | Some v -> [ (k, to_json v) ]
+
 let entry_to_json (e : entry) : J.t =
   J.Obj
-    [
-      ("kernel", J.Str e.e_kernel);
-      ("block_size", J.Int e.e_block_size);
-      ("transform", J.Str e.e_transform);
-      ("mem_model", J.Str e.e_mem_model);
-      ("reconvergence", J.Str e.e_reconvergence);
-      ("rewrites", J.Int e.e_rewrites);
-      ("base_cycles", J.Int e.e_base_cycles);
-      ("opt_cycles", J.Int e.e_opt_cycles);
-      ("pass_ms", J.Float e.e_pass_ms);
-      ("correct", J.Bool e.e_correct);
-    ]
+    ([
+       ("kernel", J.Str e.e_kernel);
+       ("block_size", J.Int e.e_block_size);
+       ("transform", J.Str e.e_transform);
+       ("mem_model", J.Str e.e_mem_model);
+       ("reconvergence", J.Str e.e_reconvergence);
+       ("rewrites", J.Int e.e_rewrites);
+       ("base_cycles", J.Int e.e_base_cycles);
+       ("opt_cycles", J.Int e.e_opt_cycles);
+     ]
+    @ opt_field "alu_util_base" (fun f -> J.Float f) e.e_alu_util_base
+    @ opt_field "alu_util_opt" (fun f -> J.Float f) e.e_alu_util_opt
+    @ opt_field "divergent_branches_base" (fun i -> J.Int i)
+        e.e_divergent_branches_base
+    @ opt_field "divergent_branches_opt" (fun i -> J.Int i)
+        e.e_divergent_branches_opt
+    @ [
+        ("pass_ms", J.Float e.e_pass_ms);
+        ("correct", J.Bool e.e_correct);
+      ])
 
 let batch_to_json (b : batch) : J.t =
   J.Obj
@@ -161,9 +183,7 @@ let batch_to_json (b : batch) : J.t =
        ("incorrect", J.Int b.b_incorrect);
        ("wall_s", J.Float b.b_wall_s);
      ]
-    @ (match b.b_pass_ms_p99 with
-      | None -> []
-      | Some p -> [ ("pass_ms_p99", J.Float p) ])
+    @ opt_field "pass_ms_p99" (fun p -> J.Float p) b.b_pass_ms_p99
     @ [
         (* derived, for greppability; the loader recomputes them *)
         ("hit_rate", J.Float (batch_hit_rate b));
@@ -214,6 +234,13 @@ let get_bool j k =
 
 let ( let* ) = Result.bind
 
+(* a field added within the schema window: absent on older lines, and
+   type-checked by [get] when present *)
+let get_opt get j k =
+  match J.member k j with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (get j k)
+
 let env_of_json (j : J.t) : (env, string) result =
   let* ocaml_version = get_str j "ocaml_version" in
   let* os_type = get_str j "os_type" in
@@ -242,6 +269,12 @@ let entry_of_json (j : J.t) : (entry, string) result =
   let* e_rewrites = get_int j "rewrites" in
   let* e_base_cycles = get_int j "base_cycles" in
   let* e_opt_cycles = get_int j "opt_cycles" in
+  let* e_alu_util_base = get_opt get_float j "alu_util_base" in
+  let* e_alu_util_opt = get_opt get_float j "alu_util_opt" in
+  let* e_divergent_branches_base =
+    get_opt get_int j "divergent_branches_base"
+  in
+  let* e_divergent_branches_opt = get_opt get_int j "divergent_branches_opt" in
   let* e_pass_ms = get_float j "pass_ms" in
   let* e_correct = get_bool j "correct" in
   Ok
@@ -254,6 +287,10 @@ let entry_of_json (j : J.t) : (entry, string) result =
       e_rewrites;
       e_base_cycles;
       e_opt_cycles;
+      e_alu_util_base;
+      e_alu_util_opt;
+      e_divergent_branches_base;
+      e_divergent_branches_opt;
       e_pass_ms;
       e_correct;
     }
@@ -264,11 +301,7 @@ let batch_of_json (j : J.t) : (batch, string) result =
   let* b_misses = get_int j "cache_misses" in
   let* b_incorrect = get_int j "incorrect" in
   let* b_wall_s = get_float j "wall_s" in
-  let* b_pass_ms_p99 =
-    match J.member "pass_ms_p99" j with
-    | None -> Ok None
-    | Some _ -> Result.map Option.some (get_float j "pass_ms_p99")
-  in
+  let* b_pass_ms_p99 = get_opt get_float j "pass_ms_p99" in
   Ok { b_kernels; b_hits; b_misses; b_incorrect; b_wall_s; b_pass_ms_p99 }
 
 let record_of_json (j : J.t) : (record, string) result =
@@ -316,33 +349,19 @@ let append ?(path = default_path) (r : record) : unit =
     (fun () -> output_string oc (J.to_string (record_to_json r) ^ "\n"))
 
 let load ?(path = default_path) () : (record list, string) result =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s: no such file" path)
-  else
-    let ic = open_in path in
-    let lines =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    in
-    let rec parse i acc = function
-      | [] -> Ok (List.rev acc)
-      | line :: rest when String.trim line = "" -> parse (i + 1) acc rest
-      | line :: rest -> (
-          match J.parse line with
-          | Error e -> Error (Printf.sprintf "%s:%d: invalid JSON: %s" path i e)
-          | Ok j -> (
-              match record_of_json j with
-              | Error e -> Error (Printf.sprintf "%s:%d: %s" path i e)
-              | Ok r -> parse (i + 1) (r :: acc) rest))
-    in
-    parse 1 [] lines
+  let* text = Darm_obs.Fsio.read path in
+  let rec parse i acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> parse (i + 1) acc rest
+    | line :: rest -> (
+        match J.parse line with
+        | Error e -> Error (Printf.sprintf "%s:%d: invalid JSON: %s" path i e)
+        | Ok j -> (
+            match record_of_json j with
+            | Error e -> Error (Printf.sprintf "%s:%d: %s" path i e)
+            | Ok r -> parse (i + 1) (r :: acc) rest))
+  in
+  parse 1 [] (String.split_on_char '\n' text)
 
 (* ------------------------------------------------------------------ *)
 (* Regression sentinel *)

@@ -2,11 +2,11 @@
 
     Every bench run appends one env-fingerprinted record to a JSONL
     file ([BENCH_history.jsonl] by default, one JSON document per
-    line, schema [darm-bench-hist-v2] — see doc/schemas.md), so the
-    performance trajectory across commits survives the overwrite of
-    [BENCH_darm.json].  {!diff} compares two records under configurable
-    noise thresholds and is the engine of [darm_opt bench-diff] — the
-    CI regression sentinel.
+    line, schema [darm-bench-hist-v2] — see doc/schemas.md): the one
+    machine-readable perf record of the bench harness, carrying the
+    performance trajectory across commits.  {!diff} compares two
+    records under configurable noise thresholds and is the engine of
+    [darm_opt bench-diff] — the CI regression sentinel.
 
     Cycle counts are deterministic per (kernel, block size, seed, n,
     warp size), so the cycle thresholds can be tight; [pass_ms] is
@@ -18,7 +18,9 @@ val schema : string
     fingerprint ([env.reconvergence], per-entry [reconvergence]) was
     added within the v2 window: it is always written going forward, and
     lines without it load as ["stack"] (the only model that existed
-    when they were recorded). *)
+    when they were recorded).  The per-entry counter columns
+    ([alu_util_base]/[_opt], [divergent_branches_base]/[_opt]) were
+    added the same way and load as [None] when absent. *)
 
 val default_path : string
 (** ["BENCH_history.jsonl"]. *)
@@ -57,6 +59,16 @@ type entry = {
   e_rewrites : int;
   e_base_cycles : int;
   e_opt_cycles : int;
+  e_alu_util_base : float option;
+      (** ALU utilization (active lanes over issued lanes) of the
+          baseline run; the four counter columns were added within the
+          v2 window, so they are always written going forward and
+          [None] when absent from an older line.  {!diff} does not gate
+          them. *)
+  e_alu_util_opt : float option;
+  e_divergent_branches_base : int option;
+      (** dynamic warp splits of the baseline run *)
+  e_divergent_branches_opt : int option;
   e_pass_ms : float;
   e_correct : bool;
 }
@@ -130,8 +142,9 @@ val record_of_json : Darm_obs.Json.t -> (record, string) result
 (** Append one line to the history file (creating it if needed). *)
 val append : ?path:string -> record -> unit
 
-(** All records of a history file in file order.  [Error] on a missing
-    file, unparsable line or wrong schema — CI treats any of these as a
+(** All records of a history file in file order.  [Error] (never an
+    exception) on a missing, unreadable or directory path, an
+    unparsable line or a wrong schema — CI treats any of these as a
     corrupt history. *)
 val load : ?path:string -> unit -> (record list, string) result
 

@@ -6,30 +6,9 @@
 module Kernel = Darm_kernels.Kernel
 module Trace = Darm_obs.Trace
 module E = Experiment
-module Pass = Darm_core.Pass
 
-let darm_obs_transform ?(config = Pass.default_config) (tr : Trace.t) :
-    E.transform =
-  {
-    E.t_name = (if config.Pass.diamonds_only then "branch-fusion" else "DARM");
-    t_apply =
-      (fun f ->
-        let stats = Pass.run ~config:{ config with Pass.obs = Some tr } f in
-        stats.Pass.melds_applied);
-  }
-
-let transform_named (name : string) :
-    (Trace.t -> E.transform, string) result =
-  match name with
-  | "darm" -> Ok (fun tr -> darm_obs_transform tr)
-  | "branch-fusion" ->
-      Ok (fun tr -> darm_obs_transform ~config:Pass.branch_fusion_config tr)
-  | "tail-merge" -> Ok (fun _ -> E.tail_merge_transform)
-  | "none" -> Ok (fun _ -> E.identity_transform)
-  | other -> Error (Printf.sprintf "unknown pass %S for profiling" other)
-
-let run_point ?seed ?n ?mem_model ?reconvergence ~(transform : Trace.t -> E.transform)
-    (kernel : Kernel.t) ~(block_size : int) : Trace.t * E.result =
+let run_point ?seed ?n ?mem_model ?reconvergence ?transform (kernel : Kernel.t)
+    ~(block_size : int) : Trace.t * E.result =
   let tr = Trace.create () in
   Trace.instant tr ~cat:"profile"
     ~args:
@@ -39,8 +18,7 @@ let run_point ?seed ?n ?mem_model ?reconvergence ~(transform : Trace.t -> E.tran
       ]
     "profile.task";
   let r =
-    E.run ~transform:(transform tr) ?seed ?n ?mem_model ?reconvergence
-      ~obs:tr kernel
+    E.run ?transform ?seed ?n ?mem_model ?reconvergence ~obs:tr kernel
       ~block_size
   in
   Trace.instant tr ~cat:"profile"
@@ -62,13 +40,12 @@ let run_point ?seed ?n ?mem_model ?reconvergence ~(transform : Trace.t -> E.tran
    task uses pids 0 (pass/harness), 1 (baseline sim), 2 (melded sim) *)
 let pid_stride = 1000
 
-let sweep ?jobs ?seed ?n ?mem_model ?reconvergence
-    ?(transform = fun tr -> darm_obs_transform tr)
+let sweep ?jobs ?seed ?n ?mem_model ?reconvergence ?transform
     (kernel : Kernel.t) : Trace.t * E.result list =
   let points =
     Parallel_sweep.map ?jobs
       (fun block_size ->
-        run_point ?seed ?n ?mem_model ?reconvergence ~transform kernel
+        run_point ?seed ?n ?mem_model ?reconvergence ?transform kernel
           ~block_size)
       kernel.Kernel.block_sizes
   in

@@ -15,27 +15,20 @@
 module Kernel = Darm_kernels.Kernel
 module Trace = Darm_obs.Trace
 module E = Experiment
-module Pass = Darm_core.Pass
-
-(** The DARM transform with its pass instrumentation routed into the
-    given buffer. *)
-val darm_obs_transform : ?config:Pass.config -> Trace.t -> E.transform
-
-(** CLI pass-name mapping: "darm" and "branch-fusion" are instrumented
-    ({!darm_obs_transform}); "tail-merge" and "none" run uninstrumented
-    (they do not go through the melding driver). *)
-val transform_named : string -> (Trace.t -> E.transform, string) result
 
 (** Profile a single (kernel, block size) point into a fresh buffer.
-    [mem_model] selects the simulator's memory model (default
-    [Flat]); [reconvergence] the divergence-handling model (default
-    [Stack]). *)
+    [transform] (default {!E.darm_default}) receives the buffer through
+    {!E.run}'s [obs]: the melding transforms record their pass spans
+    and meld decisions there, while tail merging and the identity
+    record none.  [mem_model] selects the simulator's memory model
+    (default [Flat]); [reconvergence] the divergence-handling model
+    (default [Stack]). *)
 val run_point :
   ?seed:int ->
   ?n:int ->
   ?mem_model:Darm_sim.Simulator.mem_model ->
   ?reconvergence:Darm_sim.Simulator.reconvergence ->
-  transform:(Trace.t -> E.transform) ->
+  ?transform:E.transform ->
   Kernel.t ->
   block_size:int ->
   Trace.t * E.result
@@ -53,6 +46,6 @@ val sweep :
   ?n:int ->
   ?mem_model:Darm_sim.Simulator.mem_model ->
   ?reconvergence:Darm_sim.Simulator.reconvergence ->
-  ?transform:(Trace.t -> E.transform) ->
+  ?transform:E.transform ->
   Kernel.t ->
   Trace.t * E.result list

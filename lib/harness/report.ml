@@ -180,7 +180,7 @@ let compute ?(config = Pass.default_config) ?(seed = 2022) ?n ?mem_model
     {
       Experiment.t_name = "DARM";
       t_apply =
-        (fun f ->
+        (fun ?obs:_ f ->
           let st = Pass.run ~config f in
           stats_ref := Some st;
           st.Pass.melds_applied);

@@ -76,14 +76,13 @@ let payload_valid t (bytes : string) : bool =
 
 let find t ~key : string option =
   let path = entry_path t ~key in
-  (* Sys_error: missing/unreadable.  End_of_file: the file shrank
-     between the length probe and the read (a concurrent truncation) —
-     both are misses, never crashes. *)
-  match Fsio.read_file path with
-  | exception (Sys_error _ | End_of_file) ->
+  (* missing, unreadable, or truncated mid-read by a concurrent
+     writer: a miss, never a crash *)
+  match Fsio.read path with
+  | Error _ ->
       Atomic.incr t.c_misses;
       None
-  | bytes ->
+  | Ok bytes ->
       if payload_valid t bytes then begin
         Atomic.incr t.c_hits;
         Some bytes

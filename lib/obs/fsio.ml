@@ -1,10 +1,37 @@
-(* Binary, atomic file output.  See fsio.mli. *)
+(* Binary, atomic file output and the one whole-file reader.  See
+   fsio.mli. *)
+
+let read path =
+  (* failures are classified here, off the success path: a successful
+     read is one open and one read, with no stat *)
+  let fail ~otherwise =
+    Error
+      (if not (Sys.file_exists path) then path ^ ": no such file"
+       else if Sys.is_directory path then path ^ ": is a directory"
+       else otherwise)
+  in
+  match open_in_bin path with
+  | exception Sys_error e -> fail ~otherwise:e (* "<path>: <reason>" *)
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let len = in_channel_length ic in
+            let bytes = really_input_string ic len in
+            (* a zero-length read never reaches the descriptor: probe
+               it, so a directory that reports size 0 is not read as an
+               empty file *)
+            if len = 0 then ignore (input ic (Bytes.create 1) 0 1);
+            bytes)
+      with
+      | bytes -> Ok bytes
+      | exception Sys_error e -> fail ~otherwise:(path ^ ": " ^ e)
+      | exception End_of_file ->
+          fail ~otherwise:(path ^ ": truncated while being read"))
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match read path with Ok bytes -> bytes | Error e -> raise (Sys_error e)
 
 let write_atomic ?validate ~path contents =
   let dir = Filename.dirname path in

@@ -1,17 +1,18 @@
-(** Binary, atomic file output shared by every sink that promises
-    byte-identical or crash-safe files.
+(** Binary, atomic file output and the one whole-file reader, shared by
+    every sink that promises byte-identical or crash-safe files and
+    every loader of an external input.
 
     Two properties every writer in this tree wants and none should
     re-implement:
 
-    - {b binary mode} — the determinism story of the trace, bench and
+    - {b binary mode} — the determinism story of the trace, history and
       CSV sinks is "[cmp] the files"; a text-mode channel would rewrite
       ['\n'] on some platforms and silently break it;
-    - {b atomicity} — the bench summary and metrics snapshots are
-      overwritten in place by every run; a crash mid-write must never
-      leave a torn file for the validator (or CI) to choke on, so the
-      bytes go to a sibling temp file first and [Sys.rename] into
-      place only once complete (and validated). *)
+    - {b atomicity} — metrics snapshots and cache entries are
+      overwritten in place; a crash mid-write must never leave a torn
+      file for the validator (or CI) to choke on, so the bytes go to a
+      sibling temp file first and [Sys.rename] into place only once
+      complete (and validated). *)
 
 (** [write_atomic ?validate ~path contents] writes [contents] to a
     fresh temp file in [path]'s directory, optionally re-reads the
@@ -23,5 +24,13 @@
 val write_atomic :
   ?validate:(string -> unit) -> path:string -> string -> unit
 
-(** Whole file as bytes ([open_in_bin]). *)
+(** Whole file as bytes (binary mode).  Never raises: a missing file
+    (["<path>: no such file"]), a directory (["<path>: is a
+    directory"]), an unreadable file, or one that shrinks while it is
+    read gives an [Error] naming the path.  A successful read costs one
+    open and one read; the error path alone stats the file. *)
+val read : string -> (string, string) result
+
+(** {!read} for callers that treat a failed read as fatal: raises
+    [Sys_error] with {!read}'s message. *)
 val read_file : string -> string

@@ -19,10 +19,9 @@ let write ~base (fams : MR.family list) : unit =
     (Json.to_string (MR.to_json fams) ^ "\n")
 
 let read_json ~path : (MR.family list, string) result =
-  match Fsio.read_file path with
-  | exception Sys_error e -> Error e
-  | exception End_of_file -> Error (path ^ ": truncated mid-read")
-  | bytes -> (
+  match Fsio.read path with
+  | Error e -> Error e
+  | Ok bytes -> (
       match Json.parse bytes with
       | Error e -> Error (Printf.sprintf "%s: invalid JSON: %s" path e)
       | Ok j -> (

@@ -8,19 +8,31 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
-# bench smoke pass; must leave a non-empty machine-readable summary and
-# append an env-fingerprinted record to the bench history.  Two smoke
-# runs back to back give the regression sentinel an identical pair to
-# compare (cycle counts are deterministic, so the diff must be clean).
+# bench smoke pass; must append an env-fingerprinted record to the
+# bench history, its one machine-readable record.  Two smoke runs back
+# to back give the regression sentinel an identical pair to compare
+# (cycle counts are deterministic, so the diff must be clean).  A
+# BENCH_darm.json left by an older checkout is removed first, so the
+# check that no run writes one sees only these runs.
 rm -f BENCH_darm.json BENCH_history.jsonl
 dune exec bench/main.exe -- --smoke
 dune exec bench/main.exe -- --smoke
-test -s BENCH_darm.json
-grep -q '"schema":"darm-bench-v1"' BENCH_darm.json
-grep -q '"geomean_speedup"' BENCH_darm.json
+if [ -e BENCH_darm.json ]; then
+  echo "ci: the bench wrote BENCH_darm.json; its history is the one record" >&2
+  exit 1
+fi
 test -s BENCH_history.jsonl
 grep -q '"schema":"darm-bench-hist-v2"' BENCH_history.jsonl
 test "$(wc -l < BENCH_history.jsonl)" -eq 2
+# every entry carries the four counter columns
+entries=$(grep -o '"kernel":' BENCH_history.jsonl | wc -l)
+for col in alu_util_base alu_util_opt divergent_branches_base \
+    divergent_branches_opt; do
+  if [ "$(grep -o "\"$col\":" BENCH_history.jsonl | wc -l)" -ne "$entries" ]; then
+    echo "ci: $col missing from some of the $entries history entries" >&2
+    exit 1
+  fi
+done
 # every record covers both memory models; flat and hier entries are
 # both present and keyed apart
 grep -q '"mem_model":"flat+hier"' BENCH_history.jsonl
@@ -82,6 +94,19 @@ if dune exec bin/darm_opt.exe -- bench-diff \
   rm -f "$hist_its_inflated"; exit 1
 fi
 rm -f "$hist_its_inflated"
+
+# a history path that is a directory is a load error: exit 2, naming
+# the path
+hist_dir=$(mktemp -d /tmp/darm_hist_dir.XXXXXX)
+hist_dir_rc=0
+dune exec bin/darm_opt.exe -- bench-diff --history "$hist_dir" \
+  2> "$hist_dir/err" || hist_dir_rc=$?
+if [ "$hist_dir_rc" -ne 2 ]; then
+  echo "ci: bench-diff exited $hist_dir_rc on a directory history, expected 2" >&2
+  rm -rf "$hist_dir"; exit 1
+fi
+grep -qF "$hist_dir: is a directory" "$hist_dir/err"
+rm -rf "$hist_dir"
 
 # divergence attribution: the report must be byte-identical for any
 # --jobs count, and must join melds with per-branch counters
@@ -308,6 +333,16 @@ if [ "$bad_size_rc" -ne 2 ]; then
   rm -rf "$batch_dir"; exit 1
 fi
 grep -q 'bad_size.jsonl:2:' "$batch_dir/bad_size.err"
+# ...and so is a manifest path that is a directory
+dir_rc=0
+dune exec bin/darm_opt.exe -- batch -m "$batch_dir" \
+  -o "$batch_dir/dir.out.jsonl" --no-cache --no-history \
+  2> "$batch_dir/dir.err" || dir_rc=$?
+if [ "$dir_rc" -ne 2 ]; then
+  echo "ci: batch exited $dir_rc on a directory manifest, expected 2" >&2
+  rm -rf "$batch_dir"; exit 1
+fi
+grep -qF "$batch_dir: is a directory" "$batch_dir/dir.err"
 rm -rf "$batch_dir"
 
 # fleet telemetry (doc/observability.md): two cold runs with separate

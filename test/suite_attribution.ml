@@ -295,6 +295,10 @@ let entry ?(correct = true) ?(pass_ms = 1.) k bs base opt =
     e_rewrites = 1;
     e_base_cycles = base;
     e_opt_cycles = opt;
+    e_alu_util_base = Some 50.;
+    e_alu_util_opt = Some 87.5;
+    e_divergent_branches_base = Some 64;
+    e_divergent_branches_opt = Some 0;
     e_pass_ms = pass_ms;
     e_correct = correct;
   }
@@ -308,9 +312,19 @@ let record entries =
     r_batch = None;
   }
 
+let counter_columns =
+  [ "alu_util_base"; "alu_util_opt"; "divergent_branches_base";
+    "divergent_branches_opt" ]
+
 let test_history_json_round_trip () =
   let r = record [ entry "BIT" 64 2000 1000; entry "MS" 64 500 400 ] in
-  match History.record_of_json (History.record_to_json r) with
+  let j = History.record_to_json r in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " written") true
+        (contains (J.to_string j) (Printf.sprintf "\"%s\":" k)))
+    counter_columns;
+  (match History.record_of_json j with
   | Error e -> Alcotest.failf "round-trip failed: %s" e
   | Ok r' ->
       Alcotest.(check bool) "entries survive" true
@@ -318,7 +332,37 @@ let test_history_json_round_trip () =
       Alcotest.(check bool) "env survives" true
         (r'.History.r_env = r.History.r_env);
       Alcotest.(check bool) "wall_s survives" true
-        (r'.History.r_wall_s = r.History.r_wall_s)
+        (r'.History.r_wall_s = r.History.r_wall_s));
+  (* a line written before the counter columns existed still loads *)
+  let strip = function
+    | J.Obj fields ->
+        J.Obj
+          (List.filter (fun (k, _) -> not (List.mem k counter_columns)) fields)
+    | e -> e
+  in
+  let older =
+    match j with
+    | J.Obj fields ->
+        J.Obj
+          (List.map
+             (function
+               | "results", J.List es -> ("results", J.List (List.map strip es))
+               | kv -> kv)
+             fields)
+    | _ -> Alcotest.fail "record_to_json must yield an object"
+  in
+  match History.record_of_json older with
+  | Error e -> Alcotest.failf "a line without the columns must load: %s" e
+  | Ok r' ->
+      let without (e : History.entry) =
+        { e with
+          History.e_alu_util_base = None;
+          e_alu_util_opt = None;
+          e_divergent_branches_base = None;
+          e_divergent_branches_opt = None }
+      in
+      Alcotest.(check bool) "columns absent, the rest intact" true
+        (r'.History.r_entries = List.map without r.History.r_entries)
 
 let test_history_rejects_wrong_schema () =
   let j =
@@ -352,6 +396,22 @@ let test_history_file_round_trip () =
           Alcotest.(check bool) "second record" true
             (b'.History.r_entries = b.History.r_entries)
       | Ok l -> Alcotest.failf "expected 2 records, got %d" (List.length l))
+
+let test_history_load_missing_or_directory () =
+  let dir = Filename.get_temp_dir_name () in
+  let absent = Filename.concat dir "darm_hist_absent.jsonl" in
+  (match History.load ~path:absent () with
+  | Ok _ -> Alcotest.fail "a missing history must not load"
+  | Error e ->
+      Alcotest.(check bool) "missing file reported" true
+        (contains e (absent ^ ": no such file")));
+  match History.load ~path:dir () with
+  | Ok _ -> Alcotest.fail "a directory must not load as a history"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names the directory" e)
+        true
+        (contains e (dir ^ ": is a directory"))
 
 let test_sentinel_identical_ok () =
   let r = record [ entry "BIT" 64 2000 1000; entry "MS" 64 500 400 ] in
@@ -417,7 +477,13 @@ let test_history_of_results () =
       Alcotest.(check int) "opt cycles" r.E.opt.M.cycles
         e.History.e_opt_cycles;
       Alcotest.(check (float 0.001)) "speedup recomputed" (E.speedup r)
-        (History.entry_speedup e)
+        (History.entry_speedup e);
+      Alcotest.(check (option (float 1e-12))) "alu_util_opt"
+        (Some (M.alu_utilization r.E.opt ~warp_size:64))
+        e.History.e_alu_util_opt;
+      Alcotest.(check (option int)) "divergent_branches_base"
+        (Some r.E.base.M.divergent_branches)
+        e.History.e_divergent_branches_base
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
@@ -484,5 +550,7 @@ let suites =
           test_sentinel_disjoint_records;
         Alcotest.test_case "history: built from experiment results" `Quick
           test_history_of_results;
+        Alcotest.test_case "file: missing or directory history" `Quick
+          test_history_load_missing_or_directory;
       ] );
   ]

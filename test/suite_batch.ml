@@ -169,11 +169,18 @@ let test_manifest_error_line_numbers () =
   | Error e ->
       Alcotest.(check bool) "unknown kind names the line" true
         (contains e ":1:" && contains e "teapot"));
-  match B.read_manifest (Filename.concat dir "absent.jsonl") with
+  (match B.read_manifest (Filename.concat dir "absent.jsonl") with
   | Ok _ -> Alcotest.fail "missing manifest must not parse"
   | Error e ->
       Alcotest.(check bool) "missing file reported" true
-        (contains e "no such file")
+        (contains e "no such file"));
+  match B.read_manifest dir with
+  | Ok _ -> Alcotest.fail "a directory must not parse as a manifest"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names the directory" e)
+        true
+        (contains e (dir ^ ": is a directory"))
 
 let test_spec_validation () =
   let parse line =

@@ -40,7 +40,7 @@ let test_broken_transform_is_detected () =
     {
       E.t_name = "sabotage";
       t_apply =
-        (fun f ->
+        (fun ?obs:_ f ->
           let changed = ref 0 in
           Darm_ir.Ssa.iter_instrs f (fun i ->
               if !changed = 0 then
@@ -97,6 +97,46 @@ let test_block_cycles_recorded () =
   Alcotest.(check int) "entries sum to total" r.E.base.Darm_sim.Metrics.cycles
     (List.fold_left ( + ) 0 bc)
 
+(* the memo is keyed on the whole simulator config: a repeated run under
+   a non-default model returns the physically same result, whose cycles
+   match an observed run (which bypasses the memo), and two warp widths
+   never share an entry *)
+let test_memo_keyed_on_config () =
+  let module Sim = Darm_sim.Simulator in
+  let module M = Darm_sim.Metrics in
+  let k = K.Sb.sb1 and block_size = 64 and n = 128 in
+  let warp32 = { E.sim_config with Sim.warp_size = 32 } in
+  let cases =
+    [
+      ( "hier",
+        fun obs ->
+          E.run ?obs ~n ~mem_model:(Sim.Hier Sim.default_hier_params) k
+            ~block_size );
+      ( "its",
+        fun obs ->
+          E.run ?obs ~n ~reconvergence:(Sim.Its Sim.default_its_params) k
+            ~block_size );
+      ("warp32", fun obs -> E.run ?obs ~n ~sim:warp32 k ~block_size);
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      let r = run None in
+      check (name ^ ": repeat is memoized") true (run None == r);
+      let observed = run (Some (Darm_obs.Trace.create ())) in
+      check (name ^ ": observed run recomputes") true (observed != r);
+      Alcotest.(check (pair int int))
+        (name ^ ": cycles match the observed run")
+        (observed.E.base.M.cycles, observed.E.opt.M.cycles)
+        (r.E.base.M.cycles, r.E.opt.M.cycles))
+    cases;
+  let w64 = E.run ~n k ~block_size in
+  let w32 = E.run ~n ~sim:warp32 k ~block_size in
+  check "warp 32 and warp 64 results do not alias" true (w32 != w64);
+  check "nor do their baselines" true (w32.E.base != w64.E.base);
+  check "an explicit default config shares the default entry" true
+    (E.run ~n ~sim:E.sim_config k ~block_size == w64)
+
 let test_metrics_add () =
   let module M = Darm_sim.Metrics in
   let a = M.create () and b = M.create () in
@@ -125,5 +165,7 @@ let suites =
         Alcotest.test_case "makespan" `Quick test_makespan;
         Alcotest.test_case "block cycles recorded" `Quick
           test_block_cycles_recorded;
+        Alcotest.test_case "memo keyed on the simulator config" `Quick
+          test_memo_keyed_on_config;
       ] );
   ]

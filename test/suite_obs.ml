@@ -169,13 +169,7 @@ let test_chrome_schema () =
 
 let profile_point () =
   let k = kernel "BIT" in
-  let transform =
-    match Profile.transform_named "darm" with
-    | Ok t -> t
-    | Error msg -> Alcotest.fail msg
-  in
-  Profile.run_point ~n:128 ~transform k
-    ~block_size:(List.hd k.Kernel.block_sizes)
+  Profile.run_point ~n:128 k ~block_size:(List.hd k.Kernel.block_sizes)
 
 let has_event ?arg name tr =
   List.exists
@@ -243,12 +237,7 @@ let test_zero_overhead () =
      same cycle counts with obs absent and present *)
   let k = kernel "BIT" in
   let block_size = List.hd k.Kernel.block_sizes in
-  let transform =
-    match Profile.transform_named "darm" with
-    | Ok t -> t
-    | Error msg -> Alcotest.fail msg
-  in
-  let _, observed = Profile.run_point ~n:128 ~transform k ~block_size in
+  let _, observed = Profile.run_point ~n:128 k ~block_size in
   let plain =
     E.run ~transform:(E.darm_transform ()) ~n:128 k ~block_size
   in

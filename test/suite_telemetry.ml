@@ -151,6 +151,20 @@ let test_snapshot_read_missing_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing snapshot must be an Error"
 
+(* an empty file reads as empty, not as a failure, and the raising
+   variant carries the typed error's text *)
+let test_fsio_read_empty_and_raising () =
+  let module Fsio = Darm_obs.Fsio in
+  let dir = temp_dir () in
+  let path = Filename.concat dir "empty" in
+  write_raw path "";
+  Alcotest.(check (result string string)) "empty file" (Ok "") (Fsio.read path);
+  match Fsio.read_file dir with
+  | _ -> Alcotest.fail "read_file must raise on a directory"
+  | exception Sys_error e ->
+      Alcotest.(check string) "read_file raises read's message"
+        (dir ^ ": is a directory") e
+
 let test_snapshot_atomic_under_concurrent_reader () =
   (* a reader polling mid-rewrite must never observe a torn file: every
      successful open parses and schema-checks *)
@@ -364,6 +378,8 @@ let suites =
           test_snapshot_round_trip;
         Alcotest.test_case "missing file is an Error" `Quick
           test_snapshot_read_missing_is_error;
+        Alcotest.test_case "fsio read: empty file, raising variant" `Quick
+          test_fsio_read_empty_and_raising;
         Alcotest.test_case "atomic under a concurrent reader" `Slow
           test_snapshot_atomic_under_concurrent_reader;
       ] );
