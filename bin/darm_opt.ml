@@ -117,6 +117,42 @@ let write_trace ~format ~path trace =
     (Darm_obs.Trace.length trace)
     (match format with Export.Chrome -> "chrome" | Export.Jsonl -> "jsonl")
 
+(* --metrics-out FILE [--metrics-format prom|json]: evaluates to the
+   writer a command hands its filled registry, or [None] without
+   --metrics-out *)
+let metrics_out_term doc =
+  let module MR = Darm_obs.Metrics_registry in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+  in
+  let format =
+    Arg.(
+      value
+      & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
+      & info [ "metrics-format" ] ~docv:"FMT"
+          ~doc:
+            "Metrics snapshot format: prom (Prometheus text exposition) or \
+             json (darm-metrics-v1).")
+  in
+  let writer path format reg =
+    let snap = MR.snapshot reg in
+    let contents =
+      match format with
+      | `Prom -> MR.to_prometheus snap
+      | `Json -> Darm_obs.Json.to_string (MR.to_json snap) ^ "\n"
+    in
+    Darm_obs.Fsio.write_atomic ~path contents;
+    let n = List.length snap in
+    Printf.eprintf ";; metrics: %s (%d famil%s)\n" path n
+      (if n = 1 then "y" else "ies")
+  in
+  Term.(
+    const (fun out format -> Option.map (fun path -> writer path format) out)
+    $ out $ format)
+
 let make_instance kernel ~seed ~block_size ~n =
   let n = Option.value ~default:kernel.Kernel.default_n n in
   kernel.Kernel.make ~seed ~block_size ~n
@@ -184,25 +220,14 @@ let meld_cmd =
              from-scratch recompute; fails loudly on a stale result.  \
              Equivalent to DARM_ANALYSIS_DEBUG=1.")
   in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Export the pass's darm_pass_* counters (melds, scored and \
-             prefiltered candidate pairs, avoided analysis recomputes) as \
-             a metrics snapshot to $(docv).")
-  in
-  let metrics_fmt_arg =
-    Arg.(
-      value
-      & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
-      & info [ "metrics-format" ] ~docv:"FMT"
-          ~doc:"Metrics snapshot format: prom or json (darm-metrics-v1).")
+  let metrics_out =
+    metrics_out_term
+      "Export the pass's darm_pass_* counters (melds, scored and \
+       prefiltered candidate pairs, avoided analysis recomputes) as a \
+       metrics snapshot to $(docv)."
   in
   let run tag block_size n seed pass before after no_prefilter analysis_debug
-      metrics_out metrics_fmt =
+      write_metrics =
     let kernel = find_kernel tag in
     let inst = make_instance kernel ~seed ~block_size ~n in
     let f = inst.Kernel.func in
@@ -243,28 +268,19 @@ let meld_cmd =
       print_endline ";; --- after ---";
       print_string (Darm_ir.Printer.func_to_string f)
     end;
-    match metrics_out, pass_stats with
+    match write_metrics, pass_stats with
     | None, _ | _, None -> ()
-    | Some path, Some s ->
+    | Some write, Some s ->
         let reg = MR.create () in
         Darm_core.Pass.fill_metrics reg ~labels:[ ("kernel", tag) ] s;
-        let snap = MR.snapshot reg in
-        let contents =
-          match metrics_fmt with
-          | `Prom -> MR.to_prometheus snap
-          | `Json -> Darm_obs.Json.to_string (MR.to_json snap) ^ "\n"
-        in
-        Darm_obs.Fsio.write_atomic ~path contents;
-        Printf.eprintf ";; metrics: %s (%d famil%s)\n" path
-          (List.length snap)
-          (if List.length snap = 1 then "y" else "ies")
+        write reg
   in
   Cmd.v
     (Cmd.info "meld" ~doc:"Apply a divergence-reduction pass to a kernel.")
     Term.(
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ pass_arg
       $ dump_before $ dump_after $ no_prefilter $ analysis_debug
-      $ metrics_out_arg $ metrics_fmt_arg)
+      $ metrics_out)
 
 let simulate_cmd =
   let run tag block_size n seed pass trace_out format mem_model reconvergence
@@ -393,7 +409,10 @@ let parse_cmd =
       & info [] ~docv:"FILE" ~doc:"Textual IR file (.cir).")
   in
   let run file =
-    match Darm_ir.Parser.parse_file file with
+    match
+      Result.bind (Darm_obs.Fsio.read file)
+        (Darm_ir.Parser.parse_module ~name:(Filename.basename file))
+    with
     | Ok m ->
         List.iter
           (fun f ->
@@ -426,10 +445,14 @@ let compile_cmd =
              unroll, tail-merge, branch-fusion, darm, if-convert.")
   in
   let run file passes =
-    let parsed =
+    let parse =
       if Filename.check_suffix file ".hip" || Filename.check_suffix file ".cu"
-      then Darm_frontend.Lower.compile_file file
-      else Darm_ir.Parser.parse_file file
+      then Darm_frontend.Lower.compile
+      else Darm_ir.Parser.parse_module
+    in
+    let parsed =
+      Result.bind (Darm_obs.Fsio.read file)
+        (parse ~name:(Filename.basename file))
     in
     match parsed with
     | Error msg ->
@@ -490,6 +513,13 @@ let dot_cmd =
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ melded)
 
 let trace_cmd =
+  let module Tr = Darm_obs.Trace in
+  let value_str = function
+    | Tr.Str s -> s
+    | Tr.Int i -> string_of_int i
+    | Tr.Float x -> Printf.sprintf "%g" x
+    | Tr.Bool b -> string_of_bool b
+  in
   let run tag block_size n seed pass =
     let kernel = find_kernel tag in
     let inst = make_instance kernel ~seed ~block_size ~n in
@@ -497,13 +527,25 @@ let trace_cmd =
     let t = find_transform pass in
     ignore (t.E.t_apply f);
     Darm_ir.Verify.run_exn f;
-    let config =
-      { Darm_sim.Simulator.default_config with trace = Some print_endline }
-    in
+    let obs = Tr.create () in
+    let config = { Darm_sim.Simulator.default_config with obs = Some obs } in
     let m =
       Darm_sim.Simulator.run ~config f ~args:inst.Kernel.args
         ~global:inst.Kernel.global inst.Kernel.launch
     in
+    List.iter
+      (fun (ev : Tr.event) ->
+        match ev.Tr.ev_name with
+        | "warp.diverge" | "warp.reconverge" | "warp.barrier" ->
+            (* warp tracks are tid [1 + tid_base] *)
+            Printf.printf "cycle=%d warp=%d %s%s\n" ev.Tr.ev_ts
+              (ev.Tr.ev_tid - 1) ev.Tr.ev_name
+              (String.concat ""
+                 (List.map
+                    (fun (k, v) -> Printf.sprintf " %s=%s" k (value_str v))
+                    ev.Tr.ev_args))
+        | _ -> ())
+      (Tr.events obs);
     Printf.printf ";; %s\n"
       (Darm_sim.Metrics.to_string m
          ~warp_size:config.Darm_sim.Simulator.warp_size)
@@ -511,8 +553,9 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Execute a kernel printing one line per basic block a warp \
-          executes - divergence appears as interleaved half-mask lines.")
+         "Execute a kernel printing its divergence timeline: one line per \
+          warp split, reconvergence and barrier (cycle, warp, event and \
+          its attributes), then the run's metrics.")
     Term.(
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ pass_arg)
 
@@ -841,26 +884,13 @@ let report_cmd =
       value & flag
       & info [ "json" ] ~doc:"Shorthand for --format json.")
   in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Also export both runs' counters (including the per-branch \
-             attribution series) as a metrics snapshot to $(docv).")
+  let metrics_out =
+    metrics_out_term
+      "Also export both runs' counters (including the per-branch \
+       attribution series) as a metrics snapshot to $(docv)."
   in
-  let metrics_fmt_arg =
-    Arg.(
-      value
-      & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
-      & info [ "metrics-format" ] ~docv:"FMT"
-          ~doc:
-            "Metrics snapshot format: prom (Prometheus text exposition) or \
-             json (darm-metrics-v1).")
-  in
-  let run tag block_size n seed jobs all fmt json metrics_out metrics_fmt
-      mem_model reconvergence =
+  let run tag block_size n seed jobs all fmt json write_metrics mem_model
+      reconvergence =
     let fmt = if json then `Json else fmt in
     let points =
       if all then
@@ -896,20 +926,12 @@ let report_cmd =
             if i > 0 then print_newline ();
             print_string (Report.to_markdown r))
           reports);
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
+    Option.iter
+      (fun write ->
         let reg = MR.create () in
         List.iter (Report.fill_metrics reg) reports;
-        let snap = MR.snapshot reg in
-        let contents =
-          match metrics_fmt with
-          | `Prom -> MR.to_prometheus snap
-          | `Json -> Darm_obs.Json.to_string (MR.to_json snap) ^ "\n"
-        in
-        Darm_obs.Fsio.write_atomic ~path contents;
-        Printf.eprintf ";; metrics: %s (%d famil%s)\n" path (List.length snap)
-          (if List.length snap = 1 then "y" else "ies"));
+        write reg)
+      write_metrics;
     if List.exists (fun r -> not r.Report.rp_correct) reports then exit 1
   in
   Cmd.v
@@ -926,8 +948,8 @@ let report_cmd =
           byte-identical for any --jobs count.")
     Term.(
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ jobs_arg
-      $ all_flag $ fmt_arg $ json_flag $ metrics_out_arg $ metrics_fmt_arg
-      $ mem_model_arg $ reconvergence_arg)
+      $ all_flag $ fmt_arg $ json_flag $ metrics_out $ mem_model_arg
+      $ reconvergence_arg)
 
 let batch_cmd =
   let module B = Darm_fuzz.Batch in
@@ -983,20 +1005,10 @@ let batch_cmd =
     Arg.(value & flag & info [ "no-history" ]
            ~doc:"Do not append a throughput record to the bench history.")
   in
-  let metrics_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Export the run's darm_batch_* counters as a metrics \
-                snapshot to $(docv).")
-  in
-  let metrics_fmt_arg =
-    Arg.(
-      value
-      & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
-      & info [ "metrics-format" ] ~docv:"FMT"
-          ~doc:"Metrics snapshot format: prom or json (darm-metrics-v1).")
+  let metrics_out =
+    metrics_out_term
+      "Export the run's darm_batch_* counters as a metrics snapshot to \
+       $(docv)."
   in
   let gen_fuzz_arg =
     Arg.(
@@ -1080,7 +1092,7 @@ let batch_cmd =
              the occasional degenerate generator seed.")
   in
   let run manifest out jobs budget_s cache_dir no_cache clear_cache
-      history_path no_history metrics_out metrics_fmt gen_fuzz seed_start
+      history_path no_history write_metrics gen_fuzz seed_start
       block_size smoke features inject events snapshot cadence_s
       stall_deadline_s fail_on_error =
     match gen_fuzz with
@@ -1120,17 +1132,7 @@ let batch_cmd =
             (match snapshot with
             | Some b -> Printf.eprintf ";; snapshot: %s.{prom,json}\n" b
             | None -> ());
-            (match metrics_out with
-            | None -> ()
-            | Some path ->
-                let snap = MR.snapshot reg in
-                let contents =
-                  match metrics_fmt with
-                  | `Prom -> MR.to_prometheus snap
-                  | `Json -> Darm_obs.Json.to_string (MR.to_json snap) ^ "\n"
-                in
-                Darm_obs.Fsio.write_atomic ~path contents;
-                Printf.eprintf ";; metrics: %s\n" path);
+            Option.iter (fun write -> write reg) write_metrics;
             if not no_history then begin
               History.append ~path:history_path
                 (History.of_batch ?jobs ~time:(Unix.gettimeofday ())
@@ -1161,7 +1163,7 @@ let batch_cmd =
     Term.(
       const run $ manifest_arg $ out_arg $ jobs_arg $ budget $ cache_dir_arg
       $ no_cache $ clear_cache $ history_path_arg $ no_history
-      $ metrics_out_arg $ metrics_fmt_arg $ gen_fuzz_arg $ seed_start
+      $ metrics_out $ gen_fuzz_arg $ seed_start
       $ gen_block_size $ profile $ gen_features $ gen_inject $ events_arg
       $ snapshot_arg $ cadence_arg $ stall_arg $ fail_on_error)
 

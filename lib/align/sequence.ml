@@ -1,14 +1,8 @@
-(** Generic pairwise sequence alignment.
-
-    Two algorithms, both parameterised by a scoring function:
-    - {!needleman_wunsch}: global alignment with affine gap penalties
-      (Gotoh's algorithm) — used for instruction alignment, where the
-      paper's gap cost is two branches per gap {e run}, independent of
-      run length;
-    - {!smith_waterman}: local alignment with linear gaps — provided for
-      the subgraph-alignment formulation of the paper (the default
-      melding pipeline uses the greedy pairing instead, as the paper's
-      implementation does). *)
+(** Generic pairwise sequence alignment: {!needleman_wunsch}, global
+    alignment with affine gap penalties (Gotoh's algorithm),
+    parameterised by a scoring function — used for instruction
+    alignment, where the paper's gap cost is two branches per gap
+    {e run}, independent of run length. *)
 
 type ('a, 'b) aligned =
   | Both of 'a * 'b   (** proper alignment: "I-I" pair *)
@@ -72,44 +66,3 @@ let needleman_wunsch ~(score : 'a -> 'b -> float option)
   in
   let total = best n m in
   (walk n m [], total)
-
-(** [smith_waterman ~score ~gap a b] computes the best-scoring local
-    alignment (a contiguous aligned window of both sequences) with linear
-    gap penalty [gap <= 0].  Returns the aligned window and its score
-    (0 and [] when nothing scores positively). *)
-let smith_waterman ~(score : 'a -> 'b -> float option) ~(gap : float)
-    (a : 'a array) (b : 'b array) : ('a, 'b) aligned list * float =
-  let n = Array.length a and m = Array.length b in
-  let h = Array.make_matrix (n + 1) (m + 1) 0. in
-  let best = ref 0. and best_ij = ref (0, 0) in
-  for i = 1 to n do
-    for j = 1 to m do
-      let diag =
-        match score a.(i - 1) b.(j - 1) with
-        | Some s -> h.(i - 1).(j - 1) +. s
-        | None -> neg_inf
-      in
-      let v = max 0. (max diag (max (h.(i - 1).(j) +. gap) (h.(i).(j - 1) +. gap))) in
-      h.(i).(j) <- v;
-      if v > !best then begin
-        best := v;
-        best_ij := (i, j)
-      end
-    done
-  done;
-  let rec walk i j acc =
-    if h.(i).(j) = 0. then acc
-    else
-      let diag =
-        match score a.(i - 1) b.(j - 1) with
-        | Some s -> h.(i - 1).(j - 1) +. s
-        | None -> neg_inf
-      in
-      if i > 0 && j > 0 && h.(i).(j) = diag then
-        walk (i - 1) (j - 1) (Both (a.(i - 1), b.(j - 1)) :: acc)
-      else if i > 0 && h.(i).(j) = h.(i - 1).(j) +. gap then
-        walk (i - 1) j (Left a.(i - 1) :: acc)
-      else walk i (j - 1) (Right b.(j - 1) :: acc)
-  in
-  let i0, j0 = !best_ij in
-  (walk i0 j0 [], !best)

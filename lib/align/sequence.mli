@@ -1,11 +1,8 @@
-(** Generic pairwise sequence alignment.
-
-    Two algorithms, both parameterised by a scoring function:
-    {!needleman_wunsch} (global alignment with affine gap penalties,
-    Gotoh's algorithm) — used for instruction alignment, where the
-    paper's gap cost is two branches per gap {e run}, independent of run
-    length — and {!smith_waterman} (local alignment with linear gaps),
-    provided for the subgraph-alignment formulation of §IV-C. *)
+(** Generic pairwise sequence alignment: {!needleman_wunsch}, global
+    alignment with affine gap penalties (Gotoh's algorithm),
+    parameterised by a scoring function — used for instruction
+    alignment, where the paper's gap cost is two branches per gap
+    {e run}, independent of run length. *)
 
 type ('a, 'b) aligned =
   | Both of 'a * 'b   (** proper alignment: "I-I" pair *)
@@ -22,17 +19,6 @@ val needleman_wunsch :
   score:('a -> 'b -> float option) ->
   gap_open:float ->
   gap_extend:float ->
-  'a array ->
-  'b array ->
-  ('a, 'b) aligned list * float
-
-(** [smith_waterman ~score ~gap a b] computes the best-scoring local
-    alignment (a contiguous aligned window of both sequences) with
-    linear gap penalty [gap <= 0].  Returns the aligned window and its
-    score (0 and [[]] when nothing scores positively). *)
-val smith_waterman :
-  score:('a -> 'b -> float option) ->
-  gap:float ->
   'a array ->
   'b array ->
   ('a, 'b) aligned list * float

@@ -5,7 +5,7 @@
     of change it made and {e which blocks} it touched; the manager then
     invalidates only the cached analyses that edit can affect.  An edit
     is a contract: reporting a weaker edit than what actually happened
-    (e.g. [Instrs] after rewiring an edge) yields stale analyses — the
+    (e.g. [Dce] after rewiring an edge) yields stale analyses — the
     manager's debug mode ({!Manager.create}[ ~debug:true]) exists to
     catch exactly that.
 
@@ -18,9 +18,6 @@
     value-level divergence analysis. *)
 
 type t =
-  | Nothing
-      (** the transform ran but changed nothing; all analyses remain
-          valid *)
   | Dce of int list
       (** user-less non-terminator instructions were deleted from the
           listed blocks; no edges changed.  Preserves every CFG-derived
@@ -28,18 +25,12 @@ type t =
           surviving instructions also hold — removed instructions have
           no users — but the divergent-instruction set itself may
           shrink, so the cached divergence result is invalidated *)
-  | Instrs of int list
-      (** instruction bodies of the listed blocks changed (instructions
-          added, removed, or operands replaced) but every terminator
-          edge is intact.  Preserves the CFG, dominator/post-dominator
-          trees and loops; invalidates divergence *)
   | Cfg_local of int list
       (** blocks were created or deleted and/or terminator edges were
           rewired, all within the listed dirty set (every changed edge
           has its source in the set; created and deleted blocks are in
           the set).  Invalidates the CFG, both dominator trees and
-          divergence; loops survive when the dirty set provably cannot
-          intersect or touch any natural loop (see {!Manager}) *)
+          divergence *)
   | Whole  (** arbitrary rewrite; invalidates everything *)
 
 (** A log of edits accumulated by a transform on behalf of its caller.
@@ -60,17 +51,3 @@ let drain (l : log) : t list =
   let es = List.rev !l in
   l := [];
   es
-
-let dirty_blocks (e : t) : int list =
-  match e with
-  | Nothing | Whole -> []
-  | Dce bids | Instrs bids | Cfg_local bids -> bids
-
-let to_string (e : t) : string =
-  let ids bids = String.concat "," (List.map string_of_int bids) in
-  match e with
-  | Nothing -> "nothing"
-  | Dce bids -> Printf.sprintf "dce[%s]" (ids bids)
-  | Instrs bids -> Printf.sprintf "instrs[%s]" (ids bids)
-  | Cfg_local bids -> Printf.sprintf "cfg-local[%s]" (ids bids)
-  | Whole -> "whole"

@@ -14,22 +14,16 @@
     need not be listed. *)
 
 type t =
-  | Nothing  (** no change; preserves everything *)
   | Dce of int list
       (** user-less instructions deleted from the listed blocks; no
           edges changed.  Preserves every CFG-derived analysis; the
           divergence {e facts} about surviving instructions also hold
           (the deleted ones had no users), but the divergent-instruction
           {e set} may shrink, so the cached result is invalidated *)
-  | Instrs of int list
-      (** instruction bodies changed, terminator edges intact.
-          Preserves CFG/domtree/postdomtree/loops; invalidates
-          divergence *)
   | Cfg_local of int list
       (** blocks created/deleted and/or edges rewired, all changed
           edge sources within the listed set.  Invalidates
-          CFG/domtrees/divergence; loops survive when the dirty set
-          provably cannot touch any natural loop *)
+          CFG/domtrees/divergence *)
   | Whole  (** arbitrary rewrite; invalidates everything *)
 
 (** Edit log accumulated by a transform for its caller; see
@@ -43,6 +37,3 @@ val note : log option -> t -> unit
 
 (** The accumulated edits, oldest first; empties the log. *)
 val drain : log -> t list
-
-val dirty_blocks : t -> int list
-val to_string : t -> string

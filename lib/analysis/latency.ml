@@ -101,7 +101,3 @@ let class_of (i : Ssa.instr) : string =
       | Some a -> base ^ "." ^ Types.addrspace_to_string a
       | None -> base)
   | op -> Op.to_string op
-
-(** Total static latency of a block — [lat(b)] in the paper. *)
-let block_latency (c : config) (b : Ssa.block) : int =
-  List.fold_left (fun acc i -> acc + of_instr c i) 0 b.instrs

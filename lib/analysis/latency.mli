@@ -46,6 +46,3 @@ val of_instr : config -> Ssa.instr -> int
     costs).  Used for diagnostics; the melding profitability uses plain
     opcodes as its class set Q, see {!Darm_core.Profitability}. *)
 val class_of : Ssa.instr -> string
-
-(** Total static latency of a block — lat(b) in the paper. *)
-val block_latency : config -> Ssa.block -> int

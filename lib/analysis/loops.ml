@@ -106,25 +106,6 @@ let compute (f : func) : t =
     loops;
   { loops; loop_of }
 
-(** Canonical comparable form of a loop forest: per loop, the header
-    id, sorted latch ids and sorted body ids; loops sorted by header.
-    Nesting and depth are derived from body containment, so comparing
-    signatures compares the whole forest. *)
-let signature (t : t) : (int * int list * int list) list =
-  List.map
-    (fun l ->
-      ( l.header.bid,
-        List.sort compare (List.map (fun b -> b.bid) l.latches),
-        List.sort compare
-          (Hashtbl.fold (fun bid _ acc -> bid :: acc) l.body []) ))
-    t.loops
-  |> List.sort compare
-
-let equal (a : t) (b : t) : bool = signature a = signature b
-
-(** [b] is inside some natural loop (equivalently: [loop_depth t b > 0]). *)
-let in_any_loop (t : t) (bid : int) : bool = Hashtbl.mem t.loop_of bid
-
 let innermost_loop (t : t) (b : block) : loop option =
   Hashtbl.find_opt t.loop_of b.bid
 

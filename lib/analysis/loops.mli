@@ -26,12 +26,3 @@ val exit_edges : loop -> (Ssa.block * Ssa.block) list
 val compute : Ssa.func -> t
 val innermost_loop : t -> Ssa.block -> loop option
 val loop_depth : t -> Ssa.block -> int
-
-(** Canonical comparable form: per loop (header id, sorted latch ids,
-    sorted body ids), sorted by header. *)
-val signature : t -> (int * int list * int list) list
-
-val equal : t -> t -> bool
-
-(** Is the block (by id) inside any natural loop? *)
-val in_any_loop : t -> int -> bool

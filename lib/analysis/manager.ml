@@ -1,17 +1,15 @@
 (** Per-function analysis manager: caches the CFG walk, dominator and
-    post-dominator trees, divergence and natural loops behind a typed
-    query API, and invalidates selectively from the {!Edit} sets that
-    transforms report.
+    post-dominator trees and divergence behind a typed query API, and
+    invalidates selectively from the {!Edit} sets that transforms
+    report.
 
     Invalidation rules (see {!Edit.t} for the edit contracts):
 
     {v
-    edit        cfg/preds  domtree  postdomtree  divergence  loops
-    Nothing     keep       keep     keep         keep        keep
-    Dce         keep       keep     keep         drop        keep
-    Instrs      keep       keep     keep         drop        keep
-    Cfg_local   drop       drop     drop         drop        conditional
-    Whole       drop       drop     drop         drop        drop
+    edit        cfg/preds  domtree  postdomtree  divergence
+    Dce         keep       keep     keep         drop
+    Cfg_local   drop       drop     drop         drop
+    Whole       drop       drop     drop         drop
     v}
 
     [Dce] keeps every CFG-derived analysis (dead-code elimination never
@@ -19,26 +17,8 @@
     set may shrink when a {e dead} divergent instruction is removed, so
     a cached result would fail the debug-mode set comparison.
 
-    The conditional loop retention after [Cfg_local bids] holds when the
-    rewiring provably cannot touch any natural loop; otherwise the
-    forest is recomputed (the per-analysis conservative fallback).  The
-    retention test, evaluated lazily at the next [loops] query against
-    the {e new} CFG:
-
-    - the reachable-block set changed only inside the dirty set (blocks
-      that appeared or disappeared were all reported dirty);
-    - no dirty block is inside any cached natural loop;
-    - no CFG successor of a live dirty block is inside any cached loop
-      (by the [Cfg_local] contract every changed edge has its source in
-      the dirty set, so these are the only possible new entries into a
-      loop);
-    - no block of the dirty set is reachable from the dirty set's
-      outgoing edges, and the dirty set's internal edges are acyclic —
-      together: no new cycle runs through the dirty set, so no new loop
-      exists and no cached loop grew.
-
-    Two further cross-analysis shares: the post-dominator tree is served
-    from a cached divergence result (which computes one internally), and
+    Two cross-analysis shares: the post-dominator tree is served from a
+    cached divergence result (which computes one internally), and
     divergence computation is seeded with the cached post-dominator
     tree.
 
@@ -60,9 +40,6 @@ type stats = {
       (** queries served from cache — each one is a recompute a
           manager-less driver would have performed *)
   mutable invalidations : int;  (** cached results dropped by edits *)
-  mutable loops_retained : int;
-      (** [Cfg_local] edits whose loop forest survived the retention
-          test *)
   mutable cross_checks : int;  (** debug-mode recompute comparisons *)
 }
 
@@ -74,11 +51,6 @@ type t = {
   mutable dt : Domtree.t option;
   mutable pdt : Domtree.t option;
   mutable dvg : Divergence.t option;
-  mutable loops : Loops.t option;
-  mutable loops_reach : (int, unit) Hashtbl.t;
-      (** reachable bid set at the time [loops] was computed *)
-  mutable loops_dirty : int list;
-      (** dirty bids accumulated since, awaiting the retention test *)
   stats : stats;
 }
 
@@ -96,17 +68,7 @@ let create ?debug (f : func) : t =
     dt = None;
     pdt = None;
     dvg = None;
-    loops = None;
-    loops_reach = Hashtbl.create 1;
-    loops_dirty = [];
-    stats =
-      {
-        computes = 0;
-        reuses = 0;
-        invalidations = 0;
-        loops_retained = 0;
-        cross_checks = 0;
-      };
+    stats = { computes = 0; reuses = 0; invalidations = 0; cross_checks = 0 };
   }
 
 let func (m : t) : func = m.func
@@ -202,84 +164,6 @@ let divergence (m : t) : Divergence.t =
       | None -> Divergence.compute m.func)
     ~check:Divergence.equal
 
-(* Loop-retention test for the accumulated Cfg_local dirty set; see the
-   module doc for the four conditions. *)
-let loops_still_valid (m : t) (l : Loops.t) : bool =
-  let dirty = List.sort_uniq compare m.loops_dirty in
-  let in_dirty =
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun d -> Hashtbl.replace tbl d ()) dirty;
-    fun bid -> Hashtbl.mem tbl bid
-  in
-  let reach = reachable m in
-  (* 1. reachable-set changes confined to the dirty set *)
-  let reach_ok =
-    List.for_all
-      (fun b -> Hashtbl.mem m.loops_reach b.bid || in_dirty b.bid)
-      reach
-    && Hashtbl.fold
-         (fun bid () acc ->
-           acc
-           && (List.exists (fun b -> b.bid = bid) reach || in_dirty bid))
-         m.loops_reach true
-  in
-  reach_ok
-  (* 2. no dirty block inside any cached loop *)
-  && List.for_all (fun d -> not (Loops.in_any_loop l d)) dirty
-  &&
-  let live_dirty = List.filter (fun b -> in_dirty b.bid) reach in
-  (* 3. no successor of a live dirty block inside any cached loop *)
-  List.for_all
-    (fun d ->
-      List.for_all
-        (fun s -> not (Loops.in_any_loop l s.bid))
-        (successors d))
-    live_dirty
-  &&
-  (* 4. no cycle through the dirty set: nothing reachable from the
-     dirty blocks' successors leads back into the dirty set (this also
-     subsumes dirty-internal cycles, since an internal cycle makes a
-     dirty block reachable from a dirty successor) *)
-  let seen = Hashtbl.create 64 in
-  let ok = ref true in
-  let rec walk b =
-    if !ok && not (Hashtbl.mem seen b.bid) then begin
-      Hashtbl.replace seen b.bid ();
-      if in_dirty b.bid then ok := false
-      else List.iter walk (successors b)
-    end
-  in
-  List.iter (fun d -> List.iter walk (successors d)) live_dirty;
-  !ok
-
-let loops (m : t) : Loops.t =
-  (* settle a pending retention test first *)
-  (match m.loops, m.loops_dirty with
-  | Some l, _ :: _ ->
-      if loops_still_valid m l then begin
-        m.loops_dirty <- [];
-        m.stats.loops_retained <- m.stats.loops_retained + 1;
-        (* the reachable set may have shifted inside the dirty set *)
-        let tbl = Hashtbl.create 64 in
-        List.iter (fun b -> Hashtbl.replace tbl b.bid ()) (reachable m);
-        m.loops_reach <- tbl
-      end
-      else begin
-        m.loops <- None;
-        m.loops_dirty <- [];
-        m.stats.invalidations <- m.stats.invalidations + 1
-      end
-  | _ -> ());
-  query m ~name:"loops"
-    ~cached:(fun () -> m.loops)
-    ~store:(fun v ->
-      m.loops <- Some v;
-      let tbl = Hashtbl.create 64 in
-      List.iter (fun b -> Hashtbl.replace tbl b.bid ()) (reachable m);
-      m.loops_reach <- tbl)
-    ~compute:(fun () -> Loops.compute m.func)
-    ~check:Loops.equal
-
 (* ---------------- invalidation ---------------- *)
 
 let drop_slot (m : t) (present : bool) (clear : unit -> unit) : unit =
@@ -297,16 +181,8 @@ let drop_cfgish (m : t) : unit =
 
 let note (m : t) (e : Edit.t) : unit =
   match e with
-  | Edit.Nothing -> ()
-  | Edit.Dce _ | Edit.Instrs _ ->
-      drop_slot m (m.dvg <> None) (fun () -> m.dvg <- None)
-  | Edit.Cfg_local dirty ->
-      drop_cfgish m;
-      if m.loops <> None then m.loops_dirty <- dirty @ m.loops_dirty
-  | Edit.Whole ->
-      drop_cfgish m;
-      drop_slot m (m.loops <> None) (fun () -> m.loops <- None);
-      m.loops_dirty <- []
+  | Edit.Dce _ -> drop_slot m (m.dvg <> None) (fun () -> m.dvg <- None)
+  | Edit.Cfg_local _ | Edit.Whole -> drop_cfgish m
 
 let note_all (m : t) (es : Edit.t list) : unit = List.iter (note m) es
 

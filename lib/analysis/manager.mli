@@ -1,26 +1,19 @@
 (** Per-function analysis manager: caches the CFG walk, dominator and
-    post-dominator trees, divergence and natural loops behind a typed
-    query API, and invalidates selectively from the {!Edit} sets that
-    transforms report.
+    post-dominator trees and divergence behind a typed query API, and
+    invalidates selectively from the {!Edit} sets that transforms
+    report.
 
     Invalidation rules:
 
     {v
-    edit        cfg/preds  domtree  postdomtree  divergence  loops
-    Nothing     keep       keep     keep         keep        keep
-    Dce         keep       keep     keep         drop        keep
-    Instrs      keep       keep     keep         drop        keep
-    Cfg_local   drop       drop     drop         drop        conditional
-    Whole       drop       drop     drop         drop        drop
+    edit        cfg/preds  domtree  postdomtree  divergence
+    Dce         keep       keep     keep         drop
+    Cfg_local   drop       drop     drop         drop
+    Whole       drop       drop     drop         drop
     v}
 
-    Loops survive a [Cfg_local] edit when the rewiring provably cannot
-    touch any natural loop (dirty blocks and their successors outside
-    every cached loop body, reachable-set changes confined to the dirty
-    set, and no cycle through the dirty set); otherwise the forest is
-    recomputed — the per-analysis conservative fallback.  The
-    post-dominator tree is shared with a cached divergence result in
-    both directions.
+    The post-dominator tree is shared with a cached divergence result
+    in both directions.
 
     Debug mode ([~debug:true] or the [DARM_ANALYSIS_DEBUG] environment
     variable) cross-validates every cache-served query against a
@@ -38,9 +31,6 @@ type stats = {
       (** queries served from cache — each one is a recompute a
           manager-less driver would have performed *)
   mutable invalidations : int;  (** cached results dropped by edits *)
-  mutable loops_retained : int;
-      (** [Cfg_local] edits whose loop forest survived the retention
-          test *)
   mutable cross_checks : int;  (** debug-mode recompute comparisons *)
 }
 
@@ -67,7 +57,6 @@ val preds : t -> (int, Ssa.block list) Hashtbl.t
 val domtree : t -> Domtree.t
 val postdomtree : t -> Domtree.t
 val divergence : t -> Divergence.t
-val loops : t -> Loops.t
 
 (** Report one edit; invalidates per the table above. *)
 val note : t -> Edit.t -> unit

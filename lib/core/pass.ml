@@ -574,11 +574,3 @@ let fill_metrics (reg : Darm_obs.Metrics_registry.t)
     control-flow melding, used as a baseline in Table I and §VI. *)
 let run_branch_fusion ?(verify_each = false) (f : func) : stats =
   run ~config:branch_fusion_config ~verify_each f
-
-(** Run the melding pass over every kernel of a module; returns the
-    per-function statistics. *)
-let run_module ?config ?verify_each (m : Darm_ir.Ssa.modul) :
-    (string * stats) list =
-  List.map
-    (fun f -> (f.Darm_ir.Ssa.fname, run ?config ?verify_each f))
-    m.Darm_ir.Ssa.funcs

@@ -159,8 +159,3 @@ val fill_metrics :
 (** Branch fusion: the diamond-only restriction of control-flow melding,
     used as a baseline in Table I and §VI. *)
 val run_branch_fusion : ?verify_each:bool -> Ssa.func -> stats
-
-(** Run the melding pass over every kernel of a module; returns the
-    per-function statistics. *)
-val run_module :
-  ?config:config -> ?verify_each:bool -> Ssa.modul -> (string * stats) list

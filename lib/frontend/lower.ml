@@ -337,14 +337,3 @@ let compile ~(name : string) (src : string) : (Ssa.modul, string) result =
       | m -> Ok m
       | exception Error e -> Error e
       | exception Invalid_argument e -> Error e)
-
-let compile_file (path : string) : (Ssa.modul, string) result =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let src = really_input_string ic len in
-    close_in ic;
-    src
-  with
-  | src -> compile ~name:(Filename.basename path) src
-  | exception Sys_error e -> Error e

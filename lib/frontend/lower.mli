@@ -11,5 +11,3 @@ val lower_kernel : Ast.kernel -> Ssa.func
 
 (** Compile a Mini-HIP source string into a verified IR module. *)
 val compile : name:string -> string -> (Ssa.modul, string) result
-
-val compile_file : string -> (Ssa.modul, string) result

@@ -535,7 +535,6 @@ type live = {
   lv_t0 : float;
   lv_health : Health.t;
   lv_cache : Cache.t option;
-  mutable lv_cache_base : Cache.stats option;  (* stats at run start *)
   mutable lv_cache_synced : Cache.stats option;  (* last delta-synced *)
   lv_hb_synced : int array;  (* heartbeats already exported per worker *)
 }
@@ -556,7 +555,6 @@ let make_live ?registry ~jobs ~total ~t0 ~stall_deadline_s cache : live =
       lv_t0 = t0;
       lv_health = Health.create ~workers:jobs ~deadline_s:stall_deadline_s;
       lv_cache = cache;
-      lv_cache_base = Option.map Cache.stats cache;
       lv_cache_synced = Option.map Cache.stats cache;
       lv_hb_synced = Array.make jobs 0;
     }
@@ -663,9 +661,6 @@ let update_gauges (lv : live) ~(now : float) : unit =
             (s.Cache.st_misses - last.Cache.st_misses);
           MR.help reg "darm_cache_misses_total"
             "Result-cache lookups that found no usable entry";
-          delta "darm_cache_evictions_total"
-            (s.Cache.st_evictions - last.Cache.st_evictions);
-          MR.help reg "darm_cache_evictions_total" "Entries removed by clear";
           delta "darm_cache_poison_evictions_total"
             (s.Cache.st_poison_evictions - last.Cache.st_poison_evictions);
           MR.help reg "darm_cache_poison_evictions_total"
@@ -896,36 +891,6 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
     bt_pass_ms_p99 = exact_percentile !pass_samples 0.99;
     bt_stalled = Health.stalled_total lv.lv_health;
   }
-
-let fill_metrics (reg : MR.t) (s : summary) : unit =
-  let count name help v =
-    MR.inc reg ~by:(float_of_int v) name;
-    MR.help reg name help
-  in
-  count "darm_batch_kernels_total" "Manifest entries processed" s.bt_run;
-  count "darm_batch_cache_hits_total" "Result-cache hits" s.bt_hits;
-  count "darm_batch_cache_misses_total" "Result-cache misses (computed)"
-    s.bt_misses;
-  count "darm_batch_incorrect_total"
-    "Kernels whose melded output mismatched the baseline" s.bt_incorrect;
-  count "darm_batch_check_failed_total"
-    "Checker-rejected kernels (never simulated)" s.bt_check_failed;
-  count "darm_batch_errors_total" "Crashed or invalid manifest entries"
-    s.bt_errors;
-  MR.set reg "darm_batch_cache_hit_rate" (hit_rate s);
-  MR.help reg "darm_batch_cache_hit_rate"
-    "Hits over processed entries, 0..1";
-  MR.set reg "darm_batch_kernels_per_sec" (kernels_per_sec s);
-  MR.help reg "darm_batch_kernels_per_sec"
-    "Batch throughput over the whole run";
-  MR.set reg "darm_batch_wall_seconds" s.bt_wall_s;
-  MR.help reg "darm_batch_wall_seconds" "Wall-clock of the batch run";
-  match s.bt_pass_ms_p99 with
-  | Some p ->
-      MR.set reg "darm_batch_pass_ms_p99" p;
-      MR.help reg "darm_batch_pass_ms_p99"
-        "p99 pass_ms over the run's computed specs (exact)"
-  | None -> ()
 
 let summary_to_string (s : summary) : string =
   Printf.sprintf

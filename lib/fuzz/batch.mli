@@ -135,8 +135,8 @@ val to_batch_stats : summary -> Darm_harness.History.batch
       [darm_batch_cache_lookup_ms], computed specs only for the first
       two), progress/health gauges and the [darm_cache_*] /
       [darm_worker_*] families.  After [run] returns the registry holds
-      the final state, so callers export it directly instead of
-      {!fill_metrics} (calling both double-counts).
+      the final state — it is the one exporter of these families, so
+      callers snapshot it directly.
     - [events]: path of a [darm-events-v1] stream
       ({!Darm_obs.Events}) journaling the run/chunk/spec lifecycle.
       Core events are emitted by the coordinator in manifest order, so
@@ -167,13 +167,6 @@ val run :
   out:string ->
   spec list ->
   summary
-
-(** Export a finished run's throughput counters into a metrics
-    registry ([darm_batch_*] families, plus the [darm_batch_pass_ms_p99]
-    gauge when the summary carries one).  For registries that lived
-    through the run via [run ?registry] this is redundant (and
-    double-counts) — it serves callers that only have the summary. *)
-val fill_metrics : Darm_obs.Metrics_registry.t -> summary -> unit
 
 (** One deterministic summary line (the CLI's last stdout line):
     [batch: R/T kernel(s), H hit(s) / M miss(es), hit-rate P%, ...]. *)

@@ -122,11 +122,6 @@ type config = {
       (** divergence handling model; [Stack] (the default) is the IPDOM
           SIMT stack, [Its] independent thread scheduling.  Orthogonal
           to [mem_model]: all four combinations are valid. *)
-  trace : (string -> unit) option;
-      (** legacy string-trace shim, kept for [darm_opt trace]: called
-          once per executed basic block with
-          "block=<name> warp=<tid_base> mask=<popcount>".  New tooling
-          should use [obs], the structured replacement. *)
   obs : Darm_obs.Trace.t option;
       (** structured divergence timeline: per-warp [warp.diverge] /
           [warp.reconverge] / [warp.barrier] instants and per-block
@@ -145,7 +140,6 @@ let default_config : config =
     max_cycles_per_warp = 400_000_000;
     mem_model = Flat;
     reconvergence = Stack;
-    trace = None;
     obs = None;
     obs_pid = 1;
   }
@@ -1303,14 +1297,6 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
         end
         else begin
           let db = dbs.(frame.pc) in
-          (* string-trace compatibility shim ([darm_opt trace]); the
-             structured timeline goes through [obs_warp] instead *)
-          (match ctx.cfg.trace with
-          | Some emit when frame.ip = 0 ->
-              emit
-                (Printf.sprintf "block=%s warp=%d mask=%d" db.db_name
-                   w.tid_base frame.f_active)
-          | _ -> ());
           if frame.ip = 0 then exec_phis ctx w frame.mask db;
           (* execute from the resume index *)
           let code = db.db_code in
@@ -1563,12 +1549,6 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
       let code = db.db_code in
       if ip0 >= Array.length code then
         errf "block %s has no terminator" db.db_name;
-      (match ctx.cfg.trace with
-      | Some emit when ip0 = 0 ->
-          emit
-            (Printf.sprintf "block=%s warp=%d mask=%d" db.db_name
-               w.tid_base gsize)
-      | _ -> ());
       (* attribution: the group leader's innermost open split wins (the
          stack model's innermost-frame rule); the split's cost in idle
          lanes is every live lane the group leaves behind *)

@@ -97,11 +97,6 @@ type config = {
           earlier than lock-step execution would) *)
   mem_model : mem_model;  (** default [Flat] *)
   reconvergence : reconvergence;  (** default [Stack] *)
-  trace : (string -> unit) option;
-      (** legacy string-trace compatibility shim (kept for
-          [darm_opt trace]): called once per executed basic block with
-          "block=<name> warp=<tid_base> mask=<popcount>".  New tooling
-          should use [obs] below — the structured replacement. *)
   obs : Darm_obs.Trace.t option;
       (** structured divergence timeline: one [warp.diverge] /
           [warp.reconverge] / [warp.barrier] instant per warp split,

@@ -109,7 +109,7 @@ type point = {
   p_bs : int;
   p_seed : int;
   p_n : int;
-  p_config : Sim.config;  (** carries neither [obs] nor [trace] *)
+  p_config : Sim.config;  (** never carries [obs] *)
 }
 
 type ('k, 'v) memo = { tbl : ('k, 'v) Hashtbl.t; lock : Mutex.t }
@@ -146,8 +146,8 @@ let results : (point * string, result) memo = memo ()
 
 (* An observed run always recomputes — the caches would otherwise
    swallow the events of a repeated point — and so does a run whose
-   [sim] carries [obs] or [trace] (a closure and a mutable buffer, which
-   a structural key cannot hold). *)
+   [sim] carries [obs] (a mutable buffer, which a structural key cannot
+   hold). *)
 let run ?(transform = darm_default) ?(seed = 2022) ?n ?(sim = sim_config) ?obs
     ?mem_model ?reconvergence (kernel : Kernel.t) ~(block_size : int) : result
     =
@@ -159,10 +159,7 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?(sim = sim_config) ?obs
       reconvergence = Option.value ~default:sim.Sim.reconvergence reconvergence;
     }
   in
-  let cacheable =
-    Option.is_none obs && Option.is_none config.Sim.obs
-    && Option.is_none config.Sim.trace
-  in
+  let cacheable = Option.is_none obs && Option.is_none config.Sim.obs in
   let point =
     { p_tag = kernel.Kernel.tag; p_bs = block_size; p_seed = seed; p_n = n;
       p_config = config }

@@ -82,7 +82,7 @@ val run_instance : ?config:Sim.config -> Kernel.instance -> Metrics.t
     pid 2).
 
     Three things bypass the memoization caches: [obs] (so the events
-    are always emitted), a [sim] that carries [obs] or [trace], and a
+    are always emitted), a [sim] that carries [obs], and a
     transform other than the four stock ones (which bypasses the
     result cache only). *)
 val run :

@@ -131,19 +131,3 @@ let clear t : int =
       (Sys.readdir t.c_dir);
   Atomic.set t.c_evictions (Atomic.get t.c_evictions + !removed);
   !removed
-
-let fill_metrics (reg : Darm_obs.Metrics_registry.t) t : unit =
-  let module MR = Darm_obs.Metrics_registry in
-  let s = stats t in
-  let count name help v =
-    MR.inc reg ~by:(float_of_int v) name;
-    MR.help reg name help
-  in
-  count "darm_cache_hits_total" "Result-cache lookups served from disk"
-    s.st_hits;
-  count "darm_cache_misses_total"
-    "Result-cache lookups that found no usable entry" s.st_misses;
-  count "darm_cache_evictions_total" "Entries removed by clear"
-    s.st_evictions;
-  count "darm_cache_poison_evictions_total"
-    "Corrupt/wrong-schema entries evicted on lookup" s.st_poison_evictions

@@ -82,10 +82,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** Export the handle's counters into a registry as the
-    [darm_cache_{hits,misses,evictions,poison_evictions}_total]
-    counter families.  Increments by the current totals — call once
-    per registry (the batch driver instead delta-syncs its live
-    registry on the snapshot cadence). *)
-val fill_metrics : Darm_obs.Metrics_registry.t -> t -> unit

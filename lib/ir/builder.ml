@@ -99,16 +99,6 @@ let ins_gep (b : t) (ptr : value) (idx : value) : value =
     invalid_arg "Builder.ins_gep: index must be i32";
   insert b (mk_instr Op.Gep [| ptr; idx |] [||] (Types.Ptr space))
 
-(** Create an (initially empty) phi of type [ty] at the start of the
-    current block. *)
-let ins_phi (b : t) (ty : Types.ty) : instr =
-  let i = mk_instr Op.Phi [||] [||] ty in
-  let blk = insertion_block b in
-  let ps, rest = List.partition (fun x -> x.op = Op.Phi) blk.instrs in
-  i.parent <- Some blk;
-  blk.instrs <- ps @ (i :: rest);
-  i
-
 let ins_br (b : t) (dest : block) : unit =
   ignore (insert b (mk_instr Op.Br [||] [| dest |] Types.Void))
 

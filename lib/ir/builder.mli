@@ -39,10 +39,6 @@ val ins_load_f : t -> Ssa.value -> Ssa.value
 val ins_store : t -> Ssa.value -> Ssa.value -> Ssa.value
 val ins_gep : t -> Ssa.value -> Ssa.value -> Ssa.value
 
-(** Create an (initially empty) phi of the given type at the start of
-    the current block. *)
-val ins_phi : t -> Types.ty -> Ssa.instr
-
 val ins_br : t -> Ssa.block -> unit
 val ins_condbr : t -> Ssa.value -> Ssa.block -> Ssa.block -> unit
 val ins_ret : t -> unit

@@ -538,14 +538,3 @@ let parse_func (src : string) : (func, string) result =
   | Ok { funcs = [ f ]; _ } -> Ok f
   | Ok _ -> Error "expected exactly one kernel"
   | Error e -> Error e
-
-let parse_file (path : string) : (modul, string) result =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let src = really_input_string ic len in
-    close_in ic;
-    src
-  with
-  | src -> parse_module ~name:(Filename.basename path) src
-  | exception Sys_error e -> Error e

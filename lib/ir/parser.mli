@@ -15,5 +15,3 @@ val parse_module : name:string -> string -> (Ssa.modul, string) result
 
 (** Parse a string containing exactly one kernel. *)
 val parse_func : string -> (Ssa.func, string) result
-
-val parse_file : string -> (Ssa.modul, string) result

@@ -184,10 +184,6 @@ let func_to_string (f : func) : string =
 let module_to_string (m : modul) : string =
   String.concat "\n" (List.map func_to_string m.funcs)
 
-let pp_func fmt f = Format.pp_print_string fmt (func_to_string f)
-
-let pp_module fmt m = Format.pp_print_string fmt (module_to_string m)
-
 (** Compact structural summary of the CFG: one line per block listing its
     successors, handy in debug logs and tests. *)
 let cfg_summary (f : func) : string =

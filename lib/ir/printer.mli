@@ -28,9 +28,6 @@ val instr_str : names -> Ssa.instr -> string
 val func_to_string : Ssa.func -> string
 val module_to_string : Ssa.modul -> string
 
-val pp_func : Format.formatter -> Ssa.func -> unit
-val pp_module : Format.formatter -> Ssa.modul -> unit
-
 (** Compact structural summary of the CFG: one line per block listing
     its successors — handy in debug logs and tests. *)
 val cfg_summary : Ssa.func -> string

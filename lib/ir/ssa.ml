@@ -130,16 +130,6 @@ let append_instr (b : block) (i : instr) =
   i.parent <- Some b;
   b.instrs <- b.instrs @ [ i ]
 
-(** Insert [i] immediately before the terminator of [b]. *)
-let insert_before_terminator (b : block) (i : instr) =
-  i.parent <- Some b;
-  let rec go = function
-    | [] -> [ i ]
-    | [ t ] when Op.is_terminator t.op -> [ i; t ]
-    | x :: tl -> x :: go tl
-  in
-  b.instrs <- go b.instrs
-
 (** Insert [i] immediately before [anchor] in its block. *)
 let insert_before (anchor : instr) (i : instr) =
   match anchor.parent with
@@ -221,9 +211,6 @@ let set_phi_incoming (i : instr) (pairs : (value * block) list) =
   assert (i.op = Op.Phi);
   i.operands <- Array.of_list (List.map fst pairs);
   i.blocks <- Array.of_list (List.map snd pairs)
-
-let phi_add_incoming (i : instr) (v : value) (b : block) =
-  set_phi_incoming i (phi_incoming i @ [ (v, b) ])
 
 let phi_incoming_for (i : instr) (pred : block) : value option =
   let rec find = function

@@ -90,7 +90,6 @@ val body : block -> instr list
 val successors : block -> block list
 
 val append_instr : block -> instr -> unit
-val insert_before_terminator : block -> instr -> unit
 val insert_before : instr -> instr -> unit
 val insert_after_phis : block -> instr -> unit
 val remove_instr : block -> instr -> unit
@@ -119,7 +118,6 @@ val redirect_edge : block -> old_dest:block -> new_dest:block -> unit
 
 val phi_incoming : instr -> (value * block) list
 val set_phi_incoming : instr -> (value * block) list -> unit
-val phi_add_incoming : instr -> value -> block -> unit
 val phi_incoming_for : instr -> block -> value option
 
 val phi_replace_incoming_block :

@@ -2,11 +2,6 @@
 
 type format = Jsonl | Chrome
 
-let format_of_string = function
-  | "jsonl" -> Ok Jsonl
-  | "chrome" -> Ok Chrome
-  | other -> Error (Printf.sprintf "unknown trace format %S (jsonl|chrome)" other)
-
 let ph_to_string : Trace.phase -> string = function
   | Trace.B -> "B"
   | Trace.E -> "E"

@@ -10,8 +10,6 @@
 
 type format = Jsonl | Chrome
 
-val format_of_string : string -> (format, string) result
-
 (** One event object per line, in emission order. *)
 val to_jsonl : Trace.t -> string
 

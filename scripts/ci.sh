@@ -385,6 +385,33 @@ if dune exec bin/darm_opt.exe -- batch -m "$tel_dir/bad.jsonl" \
 fi
 rm -rf "$tel_dir"
 
+# darm_opt trace renders the simulator's obs timeline as text: every
+# warp split is one warp.diverge line, so their count must equal the
+# div_branches counter on its last (metrics) line
+trace_txt=$(mktemp /tmp/darm_trace_txt.XXXXXX)
+dune exec bin/darm_opt.exe -- trace -k BIT -n 256 > "$trace_txt"
+trace_div=$(tail -n 1 "$trace_txt" | sed -n 's/.* div_branches=\([0-9]*\).*/\1/p')
+trace_lines=$(grep -c ' warp\.diverge ' "$trace_txt" || true)
+rm -f "$trace_txt"
+if [ -z "$trace_div" ] || [ "$trace_lines" -ne "$trace_div" ]; then
+  echo "ci: trace printed $trace_lines warp.diverge line(s), div_branches=$trace_div" >&2
+  exit 1
+fi
+
+# textual IR round trip: a printed kernel parses back and reprints
+# byte-identically; a directory is refused with a message naming it
+ir_dir=$(mktemp -d /tmp/darm_ir.XXXXXX)
+dune exec bin/darm_opt.exe -- show -k BIT > "$ir_dir/x.cir"
+dune exec bin/darm_opt.exe -- parse "$ir_dir/x.cir" > "$ir_dir/y.cir"
+cmp "$ir_dir/x.cir" "$ir_dir/y.cir"
+if dune exec bin/darm_opt.exe -- parse "$ir_dir" > /dev/null \
+    2> "$ir_dir/err"; then
+  echo "ci: darm_opt parse accepted a directory" >&2
+  rm -rf "$ir_dir"; exit 1
+fi
+grep -qF "$ir_dir: is a directory" "$ir_dir/err"
+rm -rf "$ir_dir"
+
 # observability: profile one kernel end to end and validate the trace
 trace=$(mktemp /tmp/darm_trace.XXXXXX.json)
 trap 'rm -f "$trace"' EXIT

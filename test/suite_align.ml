@@ -64,18 +64,6 @@ let test_nw_order_preserved () =
   in
   check "at most one match" true (matches <= 1)
 
-let test_sw_local () =
-  let a = [| 'x'; 'a'; 'b'; 'c'; 'y' |] and b = [| 'q'; 'a'; 'b'; 'c' |] in
-  let al, score = Seq.smith_waterman ~score:char_score ~gap:(-1.) a b in
-  Alcotest.(check string) "local window" "(a)(b)(c)" (render al);
-  Alcotest.(check (float 0.001)) "score" 6. score
-
-let test_sw_empty_when_nothing_matches () =
-  let a = [| 'a' |] and b = [| 'b' |] in
-  let al, score = Seq.smith_waterman ~score:char_score ~gap:(-1.) a b in
-  check "empty" true (al = []);
-  Alcotest.(check (float 0.001)) "zero" 0. score
-
 (* --- instruction-level matching --- *)
 
 let mk op operands ty = Ssa.mk_instr op operands [||] ty
@@ -131,8 +119,6 @@ let suites =
           test_nw_affine_prefers_one_run;
         Alcotest.test_case "nw forbidden pairs" `Quick test_nw_forbidden_pairs;
         Alcotest.test_case "nw order preserved" `Quick test_nw_order_preserved;
-        Alcotest.test_case "sw local window" `Quick test_sw_local;
-        Alcotest.test_case "sw empty" `Quick test_sw_empty_when_nothing_matches;
         Alcotest.test_case "match_instrs" `Quick test_match_instrs;
         Alcotest.test_case "match loads cross-space" `Quick
           test_match_loads_cross_space;

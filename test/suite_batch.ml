@@ -328,19 +328,26 @@ let test_batch_error_specs_not_cached () =
 
 let test_batch_metrics_export () =
   let dir = temp_dir () in
+  let cache = Cache.create ~dir:(Filename.concat dir "cache") () in
   let out = Filename.concat dir "r.jsonl" in
-  let sum = B.run ~jobs:1 ~out (smoke_specs ~count:2) in
+  let specs = smoke_specs ~count:2 in
   let reg = MR.create () in
-  B.fill_metrics reg sum;
+  let sum = B.run ~jobs:1 ~cache ~registry:reg ~out specs in
   Alcotest.(check (option (float 0.))) "kernel counter" (Some 2.)
     (MR.find reg "darm_batch_kernels_total");
   Alcotest.(check (option (float 0.))) "hit-rate gauge" (Some 0.)
     (MR.find reg "darm_batch_cache_hit_rate");
+  Alcotest.(check (option (float 0.))) "cache misses" (Some 2.)
+    (MR.find reg "darm_cache_misses_total");
   let doc = MR.to_prometheus (MR.snapshot reg) in
   Alcotest.(check bool) "throughput exposed" true
     (contains doc "darm_batch_kernels_per_sec");
   Alcotest.(check bool) "summary line format" true
-    (contains (B.summary_to_string sum) "hit-rate 0.0%")
+    (contains (B.summary_to_string sum) "hit-rate 0.0%");
+  let warm = MR.create () in
+  ignore (B.run ~jobs:1 ~cache ~registry:warm ~out specs);
+  Alcotest.(check (option (float 0.))) "warm cache hits" (Some 2.)
+    (MR.find warm "darm_cache_hits_total")
 
 (* ------------------------------------------------------------------ *)
 (* Bench-history integration *)

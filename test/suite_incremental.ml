@@ -1,8 +1,7 @@
 (* Incremental analysis manager + similarity prefilter (the caching /
    candidate-search layer): the invalidation table per edit kind,
-   debug-mode cross-validation catching under-reported edits, the
-   conditional loop retention, and the exactness of the meld-candidate
-   prefilter — decisions must be byte-identical with it on or off, over
+   debug-mode cross-validation catching under-reported edits, and the
+   exactness of the meld-candidate prefilter — decisions must be byte-identical with it on or off, over
    the registry, the regression corpus, and fuzz-generated kernels. *)
 
 open Darm_ir
@@ -47,43 +46,6 @@ let diamond_cfg () =
   Ssa.append_instr j (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
   (f, e, t, fl, j)
 
-(* entry -> (d1 | d2) -> join -> head; head -> (body | exit);
-   body -> head.  A diamond disjoint from the natural loop {head, body},
-   so a Cfg_local edit confined to the diamond must retain the cached
-   loop forest while one touching the loop body must not. *)
-let loop_diamond_cfg () =
-  let f = Ssa.mk_func "ld" [] in
-  let e = Ssa.mk_block "entry"
-  and d1 = Ssa.mk_block "d1"
-  and d2 = Ssa.mk_block "d2"
-  and j = Ssa.mk_block "join"
-  and h = Ssa.mk_block "head"
-  and b = Ssa.mk_block "body"
-  and x = Ssa.mk_block "exit" in
-  List.iter (Ssa.append_block f) [ e; d1; d2; j; h; b; x ];
-  let tidi = Ssa.mk_instr Op.Thread_idx [||] [||] Types.I32 in
-  Ssa.append_instr e tidi;
-  let c =
-    Ssa.mk_instr (Op.Icmp Op.Islt) [| Ssa.Instr tidi; Ssa.Int 3 |] [||]
-      Types.I1
-  in
-  Ssa.append_instr e c;
-  Ssa.append_instr e
-    (Ssa.mk_instr Op.Condbr [| Ssa.Instr c |] [| d1; d2 |] Types.Void);
-  Ssa.append_instr d1 (Ssa.mk_instr Op.Br [||] [| j |] Types.Void);
-  Ssa.append_instr d2 (Ssa.mk_instr Op.Br [||] [| j |] Types.Void);
-  Ssa.append_instr j (Ssa.mk_instr Op.Br [||] [| h |] Types.Void);
-  let c2 =
-    Ssa.mk_instr (Op.Icmp Op.Islt) [| Ssa.Instr tidi; Ssa.Int 2 |] [||]
-      Types.I1
-  in
-  Ssa.append_instr h c2;
-  Ssa.append_instr h
-    (Ssa.mk_instr Op.Condbr [| Ssa.Instr c2 |] [| b; x |] Types.Void);
-  Ssa.append_instr b (Ssa.mk_instr Op.Br [||] [| h |] Types.Void);
-  Ssa.append_instr x (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
-  (f, e, d1, d2, j, h, b, x)
-
 let terminator (bl : Ssa.block) : Ssa.instr = List.hd (List.rev bl.Ssa.instrs)
 
 (* ------------------------------------------------------------------ *)
@@ -102,46 +64,15 @@ let test_reuse_and_pdt_share () =
   check "repeat query serves the same result" true (d == d2);
   check "recomputes_avoided tracks reuses" true (M.recomputes_avoided m >= 2)
 
-let test_nothing_keeps_all () =
-  let f, _, _, _, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.divergence m);
-  ignore (M.domtree m);
-  ignore (M.loops m);
-  let s = M.stats m in
-  let c0 = s.M.computes in
-  M.note m E.Nothing;
-  ignore (M.divergence m);
-  ignore (M.domtree m);
-  ignore (M.loops m);
-  check_int "Nothing invalidates nothing" c0 s.M.computes
-
-let test_instrs_drops_divergence_only () =
-  let f, _, t, _, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.divergence m);
-  ignore (M.domtree m);
-  ignore (M.loops m);
-  let s = M.stats m in
-  let c0 = s.M.computes in
-  M.note m (E.Instrs [ t.Ssa.bid ]);
-  ignore (M.domtree m);
-  ignore (M.loops m);
-  check_int "domtree/loops survive Instrs" c0 s.M.computes;
-  ignore (M.divergence m);
-  check "divergence recomputed after Instrs" true (s.M.computes > c0)
-
 let test_dce_drops_divergence_only () =
   let f, _, t, _, _ = diamond_cfg () in
   let m = M.create ~debug:true f in
   ignore (M.divergence m);
   ignore (M.domtree m);
-  ignore (M.loops m);
   let s = M.stats m in
   let c0 = s.M.computes in
   M.note m (E.Dce [ t.Ssa.bid ]);
   ignore (M.domtree m);
-  ignore (M.loops m);
   check_int "CFG-derived analyses survive Dce" c0 s.M.computes;
   ignore (M.divergence m);
   check "divergent-id set may shrink: divergence recomputed" true
@@ -173,27 +104,6 @@ let test_invalidate_all () =
   ignore (M.domtree m);
   check "domtree recomputed after invalidate_all" true (s.M.computes > c0)
 
-let test_loop_retention_positive () =
-  let f, _, d1, _, _, _, _, _ = loop_diamond_cfg () in
-  let fresh = A.Loops.compute f in
-  let m = M.create ~debug:true f in
-  ignore (M.loops m);
-  let s = M.stats m in
-  M.note m (E.Cfg_local [ d1.Ssa.bid ]);
-  let l = M.loops m in
-  check_int "diamond-confined edit retains the loop forest" 1
-    s.M.loops_retained;
-  check "retained forest matches a fresh compute" true (A.Loops.equal l fresh)
-
-let test_loop_retention_negative () =
-  let f, _, _, _, _, _, b, _ = loop_diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.loops m);
-  let s = M.stats m in
-  M.note m (E.Cfg_local [ b.Ssa.bid ]);
-  ignore (M.loops m);
-  check_int "edit inside the loop body defeats retention" 0 s.M.loops_retained
-
 let test_debug_catches_underreport () =
   let f, e, t, _, _ = diamond_cfg () in
   let m = M.create ~debug:true f in
@@ -217,8 +127,6 @@ let test_analysis_equal_sanity () =
     (A.Domtree.equal (A.Domtree.compute f) (A.Domtree.compute f));
   check "Divergence.equal reflexive across recomputes" true
     (A.Divergence.equal (A.Divergence.compute f) (A.Divergence.compute f));
-  check "Loops.equal reflexive across recomputes" true
-    (A.Loops.equal (A.Loops.compute f) (A.Loops.compute f));
   (* collapse the diamond in f2's clone-by-construction: domtree differs *)
   let dt = A.Domtree.compute f in
   (terminator e).Ssa.blocks.(1) <- List.nth f.Ssa.blocks_list 1;
@@ -438,19 +346,11 @@ let suites =
       [
         Alcotest.test_case "reuse + pdt/divergence sharing" `Quick
           test_reuse_and_pdt_share;
-        Alcotest.test_case "Nothing keeps everything" `Quick
-          test_nothing_keeps_all;
-        Alcotest.test_case "Instrs drops divergence only" `Quick
-          test_instrs_drops_divergence_only;
         Alcotest.test_case "Dce drops divergence only" `Quick
           test_dce_drops_divergence_only;
         Alcotest.test_case "Cfg_local drops CFG analyses" `Quick
           test_cfg_local_drops_cfg;
         Alcotest.test_case "invalidate_all" `Quick test_invalidate_all;
-        Alcotest.test_case "loop retention: disjoint diamond edit" `Quick
-          test_loop_retention_positive;
-        Alcotest.test_case "loop retention: loop-body edit" `Quick
-          test_loop_retention_negative;
         Alcotest.test_case "debug mode catches under-reported edit" `Quick
           test_debug_catches_underreport;
         Alcotest.test_case "analysis equal sanity" `Quick

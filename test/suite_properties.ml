@@ -81,15 +81,6 @@ let test_nw_alignment_is_legal =
          String.init (List.length left) (List.nth left) = a
          && String.init (List.length right) (List.nth right) = b))
 
-let test_sw_never_negative =
-  qcheck
-    (QCheck2.Test.make ~count:200 ~name:"SW score is non-negative"
-       QCheck2.Gen.(pair small_string_gen small_string_gen)
-       (fun (a, b) ->
-         let arr s = Array.init (String.length s) (String.get s) in
-         let _, s = Seq.smith_waterman ~score:char_score ~gap:(-1.) (arr a) (arr b) in
-         s >= 0.))
-
 (* --- invariants of the analyses over random kernels --- *)
 
 let gen_cfg = { Gen.smoke_cfg with Gen.array_size = 64 }
@@ -220,7 +211,6 @@ let suites =
       [
         test_nw_matches_brute_force;
         test_nw_alignment_is_legal;
-        test_sw_never_negative;
         test_domtree_invariants;
         test_postdom_invariants;
         test_divergence_requires_tid;

@@ -289,13 +289,13 @@ let test_bank_conflicts () =
   Alcotest.(check int) "no conflicts at stride 1" 0 m1.Metrics.bank_conflicts;
   check "stride 32 conflicts heavily" true (m32.Metrics.bank_conflicts > 50)
 
-(* execution trace shows divergent serialization *)
+(* the divergence timeline shows the diamond's serialization: one
+   32/32 split at its branch, and both halves reconverge *)
 let test_trace_shows_serialization () =
+  let module Tr = Darm_obs.Trace in
   let f = Testlib.diamond_func () in
-  let events = ref [] in
-  let config =
-    { Sim.default_config with trace = Some (fun s -> events := s :: !events) }
-  in
+  let obs = Tr.create () in
+  let config = { Sim.default_config with obs = Some obs } in
   let n = 64 in
   let g = Memory.create ~space:Memory.Sp_global (2 * n) in
   let input = Array.init n (fun i -> if i mod 2 = 0 then i + 1 else -i - 1) in
@@ -303,16 +303,26 @@ let test_trace_shows_serialization () =
   let dst = Memory.alloc g n in
   ignore (Sim.run ~config f ~args:[| src; dst |] ~global:g
             { Sim.grid_dim = 1; block_dim = n });
-  let events = List.rev !events in
-  (* both arms of the diamond must appear, each with a 32-lane mask *)
-  let has sub = List.exists (fun e ->
-      let n = String.length e and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub e i m = sub || go (i+1)) in
-      go 0) events
+  let named name =
+    List.filter (fun e -> e.Tr.ev_name = name) (Tr.events obs)
   in
-  check "true arm traced" true (has "if.then");
-  check "false arm traced" true (has "if.else");
-  check "half masks" true (has "mask=32")
+  let arg e k = List.assoc k e.Tr.ev_args in
+  match named "warp.diverge" with
+  | [ d ] ->
+      check "32 lanes take the true arm" true (arg d "t_active" = Tr.Int 32);
+      check "32 lanes take the false arm" true (arg d "f_active" = Tr.Int 32);
+      let rs = named "warp.reconverge" in
+      Alcotest.(check (list int)) "both halves reconverge" [ 32; 32 ]
+        (List.map
+           (fun r -> match arg r "active" with Tr.Int a -> a | _ -> -1)
+           rs);
+      check "at the split's reconvergence point" true
+        (List.for_all
+           (fun r ->
+             arg r "branch_id" = arg d "branch_id"
+             && arg r "block" = arg d "reconverge")
+           rs)
+  | evs -> Alcotest.failf "expected one split, got %d" (List.length evs)
 
 let suites =
   [

@@ -268,25 +268,6 @@ let test_cache_stats_count_lookups () =
   let s = Cache.stats c in
   Alcotest.(check int) "clear counts evictions" removed s.Cache.st_evictions
 
-let test_cache_fill_metrics_names () =
-  let c = Cache.create ~dir:(Filename.concat (temp_dir ()) "cache") () in
-  let key = Cache.key c [ "metrics" ] in
-  ignore (Cache.find c ~key);
-  Cache.store c ~key valid_payload;
-  ignore (Cache.find c ~key);
-  let reg = MR.create () in
-  Cache.fill_metrics reg c;
-  let text = MR.to_prometheus (MR.snapshot reg) in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " exported") true (contains text name))
-    [
-      "darm_cache_hits_total"; "darm_cache_misses_total";
-      "darm_cache_evictions_total"; "darm_cache_poison_evictions_total";
-    ];
-  Alcotest.(check (option (float 0.))) "hit count value" (Some 1.)
-    (MR.find reg "darm_cache_hits_total")
-
 (* ------------------------------------------------------------------ *)
 (* History p99 gate *)
 
@@ -396,8 +377,6 @@ let suites =
       [
         Alcotest.test_case "hits/misses/evictions counted" `Quick
           test_cache_stats_count_lookups;
-        Alcotest.test_case "fill_metrics exports the families" `Quick
-          test_cache_fill_metrics_names;
       ] );
     ( "telemetry-history",
       [
