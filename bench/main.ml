@@ -165,18 +165,9 @@ let () =
       (H.Experiment.geomean (List.map H.Experiment.speedup its_results))
       (H.Experiment.geomean (List.map H.Experiment.speedup !bench_results));
     let wall_s = Darm_obs.Clock.now_s () -. t_start in
-    let record =
-      {
-        (H.History.of_results ~wall_s ~mem_model:"flat+hier"
-           ~reconvergence:"stack+its" ~time:(Unix.time ()) !bench_results)
-        with
-        H.History.r_entries =
-          H.History.entries_of_results ~mem_model:"flat" !bench_results
-          @ H.History.entries_of_results ~mem_model:"hier" hier_results
-          @ H.History.entries_of_results ~reconvergence:"its" its_results;
-      }
-    in
-    H.History.append record;
+    H.History.append
+      (H.History.of_results ~wall_s ~time:(Unix.time ())
+         (!bench_results @ reruns));
     Printf.printf "bench: appended run to %s\n" H.History.default_path
   end;
   if not !all_ok then begin

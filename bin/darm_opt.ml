@@ -48,8 +48,10 @@ let seed_arg =
   let doc = "Input random seed." in
   Arg.(value & opt int 2022 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let pass_names = String.concat ", " (List.map fst E.transforms)
+
 let pass_arg =
-  let doc = "Transformation: darm, branch-fusion, tail-merge or none." in
+  let doc = "Pipeline step: one of " ^ pass_names ^ "." in
   Arg.(value & opt string "darm" & info [ "p"; "pass" ] ~docv:"PASS" ~doc)
 
 let jobs_arg =
@@ -67,15 +69,7 @@ let mem_model_arg =
   in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("flat", Darm_sim.Simulator.Flat);
-             ( "hier",
-               Darm_sim.Simulator.Hier Darm_sim.Simulator.default_hier_params
-             );
-           ])
-        Darm_sim.Simulator.Flat
+    & opt (enum Darm_sim.Simulator.mem_models) Darm_sim.Simulator.Flat
     & info [ "mem-model" ] ~docv:"MODEL" ~doc)
 
 let reconvergence_arg =
@@ -86,15 +80,7 @@ let reconvergence_arg =
   in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("stack", Darm_sim.Simulator.Stack);
-             ( "its",
-               Darm_sim.Simulator.Its Darm_sim.Simulator.default_its_params
-             );
-           ])
-        Darm_sim.Simulator.Stack
+    & opt (enum Darm_sim.Simulator.reconvergences) Darm_sim.Simulator.Stack
     & info [ "reconvergence" ] ~docv:"MODEL" ~doc)
 
 let format_arg =
@@ -229,41 +215,28 @@ let meld_cmd =
   let run tag block_size n seed pass before after no_prefilter analysis_debug
       write_metrics =
     let kernel = find_kernel tag in
+    let transform = find_transform pass in
     let inst = make_instance kernel ~seed ~block_size ~n in
     let f = inst.Kernel.func in
     if before then begin
       print_endline ";; --- before ---";
       print_string (Darm_ir.Printer.func_to_string f)
     end;
-    (* the darm pass runs directly (not through the transform wrapper)
-       so the candidate-search and analysis-cache counters survive *)
-    let rewrites, pass_stats =
-      match pass with
-      | "darm" ->
-          let config =
-            {
-              Darm_core.Pass.default_config with
-              Darm_core.Pass.prefilter = not no_prefilter;
-              analysis_debug;
-            }
-          in
-          let stats = Darm_core.Pass.run ~config f in
-          (stats.Darm_core.Pass.melds_applied, Some stats)
-      | _ ->
-          let t = find_transform pass in
-          (t.E.t_apply f, None)
-    in
+    (* the two debug flags are the environment switches the pass reads *)
+    if no_prefilter then Unix.putenv "DARM_NO_PREFILTER" "1";
+    if analysis_debug then Unix.putenv "DARM_ANALYSIS_DEBUG" "1";
+    let rewrites, pass_stats = transform.E.t_apply f in
     Darm_ir.Verify.run_exn f;
     Printf.printf ";; pass %s applied %d rewrite(s)\n" pass rewrites;
-    (match pass_stats with
-    | None -> ()
-    | Some s ->
+    Option.iter
+      (fun s ->
         Printf.printf
           ";; candidates: %d scored, %d prefiltered; analysis: %d \
            recompute(s) avoided\n"
           s.Darm_core.Pass.pairs_scored
           s.Darm_core.Pass.candidates_prefiltered
-          s.Darm_core.Pass.analysis_recomputes_avoided);
+          s.Darm_core.Pass.analysis_recomputes_avoided)
+      pass_stats;
     if after then begin
       print_endline ";; --- after ---";
       print_string (Darm_ir.Printer.func_to_string f)
@@ -300,7 +273,7 @@ let simulate_cmd =
           in
           (r, Some (path, tr))
     in
-    let ws = E.sim_config.Darm_sim.Simulator.warp_size in
+    let ws = r.E.machine.Darm_sim.Simulator.warp_size in
     Printf.printf "kernel %s, block size %d, pass %s (%d rewrites)\n" r.E.tag
       r.E.block_size r.E.transform_name r.E.rewrites;
     Printf.printf "  baseline: %s\n"
@@ -334,7 +307,7 @@ let print_sweep_table (kernel : Kernel.t) (results : E.result list) : unit =
         block_size r.E.base.Darm_sim.Metrics.cycles
         r.E.opt.Darm_sim.Metrics.cycles (E.speedup r)
         (Darm_sim.Metrics.alu_utilization r.E.opt
-           ~warp_size:E.sim_config.Darm_sim.Simulator.warp_size)
+           ~warp_size:r.E.machine.Darm_sim.Simulator.warp_size)
         (if r.E.correct then "yes" else "NO"))
     kernel.Kernel.block_sizes results
 
@@ -440,9 +413,7 @@ let compile_cmd =
       value
       & opt (list string) [ "simplify"; "darm" ]
       & info [ "passes" ] ~docv:"P1,P2,..."
-          ~doc:
-            "Comma-separated pipeline over: simplify, constfold, dce, \
-             unroll, tail-merge, branch-fusion, darm, if-convert.")
+          ~doc:("Comma-separated pipeline over: " ^ pass_names ^ "."))
   in
   let run file passes =
     let parse =
@@ -459,24 +430,10 @@ let compile_cmd =
         Printf.eprintf "parse error: %s\n" msg;
         exit 1
     | Ok m ->
-        let apply f = function
-          | "simplify" -> ignore (Darm_transforms.Simplify_cfg.run f)
-          | "constfold" -> ignore (Darm_transforms.Constfold.run f)
-          | "dce" -> ignore (Darm_transforms.Dce.run f)
-          | "unroll" -> ignore (Darm_transforms.Loop_unroll.run f)
-          | "tail-merge" -> ignore (Darm_transforms.Tail_merge.run f)
-          | "branch-fusion" ->
-              ignore (Darm_core.Pass.run_branch_fusion f)
-          | "darm" -> ignore (Darm_core.Pass.run f)
-          | "if-convert" ->
-              ignore (Darm_transforms.Simplify_cfg.if_convert f)
-          | other ->
-              Printf.eprintf "unknown pass %s\n" other;
-              exit 2
-        in
+        let steps = List.map find_transform passes in
         List.iter
           (fun f ->
-            List.iter (apply f) passes;
+            List.iter (fun t -> ignore (t.E.t_apply f)) steps;
             Darm_ir.Verify.run_exn f)
           m.Darm_ir.Ssa.funcs;
         print_string (Darm_ir.Printer.module_to_string m)
@@ -497,7 +454,7 @@ let dot_cmd =
     let kernel = find_kernel tag in
     let inst = make_instance kernel ~seed ~block_size ~n in
     let f = inst.Kernel.func in
-    if melded then ignore (Darm_core.Pass.run f);
+    if melded then ignore (E.darm_default.E.t_apply f);
     let dvg = Darm_analysis.Divergence.compute f in
     print_string
       (Darm_ir.Dot.func_to_dot
@@ -576,8 +533,7 @@ let check_cmd =
   in
   let check_pass_arg =
     let doc =
-      "Transformation to apply before checking: none, darm, branch-fusion \
-       or tail-merge."
+      "Pipeline step to apply before checking: one of " ^ pass_names ^ "."
     in
     Arg.(value & opt string "none" & info [ "p"; "pass" ] ~docv:"PASS" ~doc)
   in
@@ -742,9 +698,7 @@ let fuzz_cmd =
         let text0 = Darm_ir.Printer.func_to_string f in
         let key0 = O.failure_key fl in
         let stages =
-          List.filter
-            (fun st -> st.O.st_name = fl.O.fl_stage)
-            O.default_stages
+          List.filter (fun (name, _) -> name = fl.O.fl_stage) O.stages
         in
         (* only spend simulations on warp sizes that can reproduce the
            recorded failure *)

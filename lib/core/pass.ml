@@ -93,6 +93,25 @@ let prefilter_enabled () =
 let branch_fusion_config : config =
   { default_config with diamonds_only = true }
 
+(* the fields that decide the printed IR, in a fixed order; the batch
+   result cache keys on this string, so its bytes are part of the
+   cache's key space *)
+let signature (c : config) : string =
+  let l = c.latency in
+  Printf.sprintf
+    "darm|pairing=%s|threshold=%g|unpredicate=%b|diamonds_only=%b|max_iterations=%d|run_cleanups=%b|if_convert_after=%b|validate=%s|lat=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
+    (match c.pairing with Greedy -> "greedy" | Alignment -> "alignment")
+    c.threshold c.unpredicate c.diamonds_only c.max_iterations c.run_cleanups
+    c.if_convert_after
+    (match c.validate with
+    | Vnone -> "none"
+    | Vfail -> "fail"
+    | Vreject -> "reject")
+    l.Latency.alu l.Latency.mul l.Latency.div l.Latency.falu l.Latency.fdiv
+    l.Latency.cast l.Latency.select l.Latency.branch l.Latency.shared_mem
+    l.Latency.global_mem l.Latency.flat_mem l.Latency.barrier
+    l.Latency.intrinsic
+
 (** Provenance of one applied meld — the join key between the pass and
     the simulator's per-branch divergence attribution ([darm_opt
     report]). *)
@@ -570,7 +589,3 @@ let fill_metrics (reg : Darm_obs.Metrics_registry.t)
     "Analysis queries served from the manager cache instead of recomputed"
     s.analysis_recomputes_avoided
 
-(** Branch fusion (Coutinho et al.): the diamond-only restriction of
-    control-flow melding, used as a baseline in Table I and §VI. *)
-let run_branch_fusion ?(verify_each = false) (f : func) : stats =
-  run ~config:branch_fusion_config ~verify_each f

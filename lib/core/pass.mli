@@ -83,6 +83,13 @@ val default_config : config
     (Coutinho et al.), the Table I baseline. *)
 val branch_fusion_config : config
 
+(** One line naming every field of [config] that decides the printed
+    IR ([obs], [prefilter] and [analysis_debug] do not).  The batch
+    result cache keys on it, so a config change starts a fresh key
+    space; the default config prints
+    [darm|pairing=greedy|threshold=0.1|...|lat=1,4,16,...]. *)
+val signature : config -> string
+
 (** Provenance of one applied meld — the join key between the pass and
     the simulator's per-branch divergence attribution: [darm_opt
     report] matches the [m_branches] ids against
@@ -155,7 +162,3 @@ val fill_metrics :
   ?labels:(string * string) list ->
   stats ->
   unit
-
-(** Branch fusion: the diamond-only restriction of control-flow melding,
-    used as a baseline in Table I and §VI. *)
-val run_branch_fusion : ?verify_each:bool -> Ssa.func -> stats

@@ -19,8 +19,6 @@ module Pass = Darm_core.Pass
 
 let manifest_schema = "darm-manifest-v1"
 
-let payload_schema = Cache.default_schema
-
 (* ------------------------------------------------------------------ *)
 (* Manifest specs                                                      *)
 
@@ -78,24 +76,10 @@ let spec_to_json = function
         | None -> []
         | Some tag -> [ ("inject", J.Str tag) ])
 
-(* tolerant accessors in the style of History: ints may arrive as
-   floats from other JSON emitters *)
-let get_int j k =
-  match J.member k j with
-  | Some (J.Int i) -> Ok i
-  | Some (J.Float f) when Float.is_integer f -> Ok (int_of_float f)
-  | _ -> Error (Printf.sprintf "missing int field %S" k)
-
-let get_int_opt j k ~default =
-  match J.member k j with None -> Ok default | Some _ -> get_int j k
-
-let get_str_opt j k ~default =
-  match J.member k j with
-  | None -> Ok default
-  | Some (J.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S is not a string" k)
-
 let ( let* ) = Result.bind
+
+(* an optional manifest field, [default] when absent *)
+let with_default ~default r = Result.map (Option.value ~default) r
 
 let positive k v =
   if v > 0 then Ok v
@@ -104,51 +88,44 @@ let positive k v =
 let spec_of_json (j : J.t) : (spec, string) result =
   match J.member "kind" j with
   | Some (J.Str "registry") ->
-      let* tag =
-        match J.member "kernel" j with
-        | Some (J.Str s) -> Ok s
-        | _ -> Error "missing string field \"kernel\""
-      in
+      let* tag = J.get_str j "kernel" in
       let size k =
-        match J.member k j with
-        | None -> Ok None
-        | Some _ ->
-            let* v = get_int j k in
-            Result.map Option.some (positive k v)
+        J.get_opt (fun j k -> Result.bind (J.get_int j k) (positive k)) j k
       in
       let* block_size = size "block_size" in
       let* n = size "n" in
-      let* seed = get_int_opt j "seed" ~default:2022 in
+      let* seed = with_default ~default:2022 (J.get_opt J.get_int j "seed") in
       Ok
         (Registry
            { rs_tag = tag; rs_block_size = block_size; rs_n = n;
              rs_seed = seed })
   | Some (J.Str "fuzz") ->
-      let* seed = get_int j "seed" in
+      let* seed = J.get_int j "seed" in
       let* block_size =
-        Result.bind (get_int_opt j "block_size" ~default:64)
+        Result.bind
+          (with_default ~default:64 (J.get_opt J.get_int j "block_size"))
           (positive "block_size")
       in
-      let* profile = get_str_opt j "profile" ~default:"smoke" in
+      let* profile =
+        with_default ~default:"smoke" (J.get_str_opt j "profile")
+      in
       let* smoke =
         match profile with
         | "smoke" -> Ok true
         | "default" -> Ok false
         | p -> Error (Printf.sprintf "unknown profile %S (smoke|default)" p)
       in
-      let* features = get_str_opt j "features" ~default:"all" in
+      let* features =
+        with_default ~default:"all" (J.get_str_opt j "features")
+      in
       let* cfg = fuzz_cfg ~smoke ~features in
       let* inject =
-        match J.member "inject" j with
-        | None -> Ok None
-        | Some (J.Str tag) -> (
-            match Mutate.of_tag tag with
-            | Some _ -> Ok (Some tag)
-            | None ->
-                Error
-                  (Printf.sprintf "unknown inject tag %S (%s)" tag
-                     (String.concat "|" (List.map Mutate.tag Mutate.all))))
-        | Some _ -> Error "field \"inject\" is not a string"
+        match J.get_str_opt j "inject" with
+        | Ok (Some tag) when Mutate.of_tag tag = None ->
+            Error
+              (Printf.sprintf "unknown inject tag %S (%s)" tag
+                 (String.concat "|" (List.map Mutate.tag Mutate.all)))
+        | r -> r
       in
       if cfg.Gen.array_size < block_size then
         Error
@@ -166,20 +143,7 @@ let spec_of_json (j : J.t) : (spec, string) result =
   | _ -> Error "missing string field \"kind\""
 
 let read_manifest (path : string) : (spec list, string) result =
-  Result.bind (Fsio.read path) @@ fun text ->
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest when String.trim line = "" -> go (i + 1) acc rest
-    | line :: rest -> (
-        match J.parse line with
-        | Error e ->
-            Error (Printf.sprintf "%s:%d: invalid JSON: %s" path i e)
-        | Ok j -> (
-            match spec_of_json j with
-            | Error e -> Error (Printf.sprintf "%s:%d: %s" path i e)
-            | Ok s -> go (i + 1) (s :: acc) rest))
-  in
-  go 1 [] (String.split_on_char '\n' text)
+  Result.bind (Fsio.read path) (J.parse_lines ~name:path spec_of_json)
 
 let write_fuzz_manifest ~path ~count ?(seed_start = 0) ?(block_size = 64)
     ?(smoke = true) ?(features = "all") ?inject () : unit =
@@ -203,51 +167,102 @@ let write_fuzz_manifest ~path ~count ?(seed_start = 0) ?(block_size = 64)
 (* Result payloads                                                     *)
 
 (* the cache key must cover everything a payload depends on: any change
-   to the pass configuration (or this signature's format) starts a
-   fresh key space *)
-let pass_sig : string =
-  let c = Pass.default_config in
-  let l = c.Pass.latency in
-  Printf.sprintf
-    "darm|pairing=%s|threshold=%g|unpredicate=%b|diamonds_only=%b|max_iterations=%d|run_cleanups=%b|if_convert_after=%b|validate=none|lat=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
-    (match c.Pass.pairing with
-    | Pass.Greedy -> "greedy"
-    | Pass.Alignment -> "alignment")
-    c.Pass.threshold c.Pass.unpredicate c.Pass.diamonds_only
-    c.Pass.max_iterations c.Pass.run_cleanups c.Pass.if_convert_after
-    l.Darm_analysis.Latency.alu l.Darm_analysis.Latency.mul
-    l.Darm_analysis.Latency.div l.Darm_analysis.Latency.falu
-    l.Darm_analysis.Latency.fdiv l.Darm_analysis.Latency.cast
-    l.Darm_analysis.Latency.select l.Darm_analysis.Latency.branch
-    l.Darm_analysis.Latency.shared_mem l.Darm_analysis.Latency.global_mem
-    l.Darm_analysis.Latency.flat_mem l.Darm_analysis.Latency.barrier
-    l.Darm_analysis.Latency.intrinsic
+   to the pass configuration (or its signature's format) starts a fresh
+   key space *)
+let pass_sig : string = Pass.signature Pass.default_config
+
+(* one result line, typed: computed specs build it, cache hits parse it
+   back ([payload_of_json]) *)
+type payload = {
+  p_name : string;
+  p_kind : string;
+  p_block_size : int;
+  p_n : int;
+  p_status : string;  (** "ok", "check-failed" or "error" *)
+  p_check_ids : string list;
+  p_rewrites : int;
+  p_base : int * int;  (** cycles, divergent branches *)
+  p_opt : int * int;
+  p_correct : bool;
+  p_pass_ms : float;
+  p_detail : string option;
+}
 
 let payload ~name ~kind ~block_size ~n ~status ?(check_ids = [])
     ?(rewrites = 0) ?(base = (0, 0)) ?(opt = (0, 0)) ?(correct = true)
-    ?(pass_ms = 0.) ?detail () : string =
-  let base_cycles, base_div = base and opt_cycles, opt_div = opt in
+    ?(pass_ms = 0.) ?detail () : payload =
+  {
+    p_name = name;
+    p_kind = kind;
+    p_block_size = block_size;
+    p_n = n;
+    p_status = status;
+    p_check_ids = check_ids;
+    p_rewrites = rewrites;
+    p_base = base;
+    p_opt = opt;
+    p_correct = correct;
+    p_pass_ms = pass_ms;
+    p_detail = detail;
+  }
+
+let payload_line (p : payload) : string =
+  let base_cycles, base_div = p.p_base and opt_cycles, opt_div = p.p_opt in
   J.to_string
     (J.Obj
        ([
-          ("schema", J.Str payload_schema);
-          ("name", J.Str name);
-          ("kind", J.Str kind);
-          ("block_size", J.Int block_size);
-          ("n", J.Int n);
-          ("status", J.Str status);
-          ("check_errors", J.Int (List.length check_ids));
-          ("check_ids", J.List (List.map (fun s -> J.Str s) check_ids));
-          ("rewrites", J.Int rewrites);
+          ("schema", J.Str Cache.schema);
+          ("name", J.Str p.p_name);
+          ("kind", J.Str p.p_kind);
+          ("block_size", J.Int p.p_block_size);
+          ("n", J.Int p.p_n);
+          ("status", J.Str p.p_status);
+          ("check_errors", J.Int (List.length p.p_check_ids));
+          ("check_ids", J.List (List.map (fun s -> J.Str s) p.p_check_ids));
+          ("rewrites", J.Int p.p_rewrites);
           ("base_cycles", J.Int base_cycles);
           ("opt_cycles", J.Int opt_cycles);
           ("divergent_branches_base", J.Int base_div);
           ("divergent_branches_opt", J.Int opt_div);
-          ("correct", J.Bool correct);
-          ("pass_ms", J.Float pass_ms);
+          ("correct", J.Bool p.p_correct);
+          ("pass_ms", J.Float p.p_pass_ms);
         ]
-       @ match detail with None -> [] | Some d -> [ ("detail", J.Str d) ]))
+       @
+       match p.p_detail with None -> [] | Some d -> [ ("detail", J.Str d) ]))
   ^ "\n"
+
+(* every field [payload_line] writes, with its type; the cache has
+   already checked [schema] *)
+let payload_of_json (j : J.t) : (payload, string) result =
+  let int = J.get_int j in
+  let* status = J.get_str j "status" in
+  let* check_ids =
+    J.get_list
+      (function J.Str s -> Ok s | _ -> Error "non-string check id")
+      j "check_ids"
+  in
+  let* check_errors = int "check_errors" in
+  if not (List.mem status [ "ok"; "check-failed"; "error" ]) then
+    Error (Printf.sprintf "unknown status %S" status)
+  else if check_errors <> List.length check_ids then
+    Error "check_errors disagrees with check_ids"
+  else
+    let* name = J.get_str j "name" in
+    let* kind = J.get_str j "kind" in
+    let* block_size = int "block_size" in
+    let* n = int "n" in
+    let* rewrites = int "rewrites" in
+    let* base_cycles = int "base_cycles" in
+    let* opt_cycles = int "opt_cycles" in
+    let* base_div = int "divergent_branches_base" in
+    let* opt_div = int "divergent_branches_opt" in
+    let* correct = J.get_bool j "correct" in
+    let* pass_ms = J.get_float j "pass_ms" in
+    let* detail = J.get_str_opt j "detail" in
+    Ok
+      (payload ~name ~kind ~block_size ~n ~status ~check_ids ~rewrites
+         ~base:(base_cycles, base_div) ~opt:(opt_cycles, opt_div) ~correct
+         ~pass_ms ?detail ())
 
 (* fuzz specs run at the simulator's default warp (64), stack model *)
 let fuzz_warp = Simulator.default_config.Simulator.warp_size
@@ -256,11 +271,11 @@ let check_ids_of report =
   List.map (fun (d : Diag.t) -> d.Diag.id) (Checker.errors report)
   |> List.sort_uniq compare
 
-(* compute functions return (payload line, this run's simulation wall
-   in ms) — the sim time never enters the payload (it would break the
+(* compute functions return (payload, this run's simulation wall in
+   ms) — the sim time never enters the payload (it would break the
    warm-replay byte-identity), only the live latency histograms *)
 let compute_fuzz ~(n : int) ~(seed : int) ~(block_size : int)
-    ~(name : string) (f0 : Ssa.func) : string * float =
+    ~(name : string) (f0 : Ssa.func) : payload * float =
   let mk = payload ~name ~kind:"fuzz" ~block_size ~n in
   let report = Checker.check_func f0 in
   match check_ids_of report with
@@ -277,7 +292,7 @@ let compute_fuzz ~(n : int) ~(seed : int) ~(block_size : int)
       (* the checker, the printer and the simulator only read the IR,
          so the kernel they saw melds in place *)
       let t0 = Clock.now_s () in
-      let stats = Pass.run f0 in
+      let rewrites, _ = E.darm_default.E.t_apply f0 in
       let pass_ms = (Clock.now_s () -. t0) *. 1000. in
       let ts1 = Clock.now_s () in
       let opt_m, opt_out = exec f0 in
@@ -287,14 +302,14 @@ let compute_fuzz ~(n : int) ~(seed : int) ~(block_size : int)
         && base_m.Metrics.cycles > 0
         && opt_m.Metrics.cycles > 0
       in
-      ( mk ~status:"ok" ~rewrites:stats.Pass.melds_applied
+      ( mk ~status:"ok" ~rewrites
           ~base:(base_m.Metrics.cycles, base_m.Metrics.divergent_branches)
           ~opt:(opt_m.Metrics.cycles, opt_m.Metrics.divergent_branches)
           ~correct ~pass_ms (),
         sim_ms )
 
 let compute_registry ~(kernel : Kernel.t) ~(block_size : int) ~(n : int)
-    ~(seed : int) (inst : Kernel.instance) : string * float =
+    ~(seed : int) (inst : Kernel.instance) : payload * float =
   let mk = payload ~name:kernel.Kernel.tag ~kind:"registry" ~block_size ~n in
   let report = Checker.check_func inst.Kernel.func in
   match check_ids_of report with
@@ -317,11 +332,9 @@ let compute_registry ~(kernel : Kernel.t) ~(block_size : int) ~(n : int)
 (* Per-spec processing                                                 *)
 
 type outcome = {
-  oc_line : string;
+  oc_line : string;  (** the payload's bytes, verbatim on a hit *)
+  oc_payload : payload;
   oc_hit : bool;
-  oc_status : string;
-  oc_correct : bool;
-  oc_pass_ms : float;
   oc_sim_ms : float;
   oc_lookup_ms : float;
   oc_spec_ms : float;
@@ -330,27 +343,9 @@ type outcome = {
   oc_seq : int;
 }
 
-let line_flags (line : string) : string * bool * float =
-  match J.parse line with
-  | Error _ -> ("error", false, 0.)
-  | Ok j ->
-      let status =
-        match J.member "status" j with Some (J.Str s) -> s | _ -> "ok"
-      in
-      let correct =
-        match J.member "correct" j with Some (J.Bool b) -> b | _ -> true
-      in
-      let pass_ms =
-        match J.member "pass_ms" j with
-        | Some (J.Float f) -> f
-        | Some (J.Int i) -> float_of_int i
-        | _ -> 0.
-      in
-      (status, correct, pass_ms)
-
 (* (printed IR, workload signature, compute thunk) — everything the
    content-addressed key needs, plus the way to fill a miss *)
-let prepare (spec : spec) : string * string * (unit -> string * float) =
+let prepare (spec : spec) : string * string * (unit -> payload * float) =
   match spec with
   | Fuzz f ->
       let cfg =
@@ -408,14 +403,11 @@ let prepare (spec : spec) : string * string * (unit -> string * float) =
 
 let process ?(cache : Cache.t option) (spec : spec) : outcome =
   let t_spec0 = Clock.now_s () in
-  let finish ~hit ~lookup_ms ~sim_ms ~key line =
-    let status, correct, pass_ms = line_flags line in
+  let finish ~hit ~lookup_ms ~sim_ms ~key ?line payload =
     {
-      oc_line = line;
+      oc_line = (match line with Some l -> l | None -> payload_line payload);
+      oc_payload = payload;
       oc_hit = hit;
-      oc_status = status;
-      oc_correct = correct;
-      oc_pass_ms = pass_ms;
       oc_sim_ms = sim_ms;
       oc_lookup_ms = lookup_ms;
       oc_spec_ms = (Clock.now_s () -. t_spec0) *. 1000.;
@@ -424,14 +416,14 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
       oc_seq = 0;
     }
   in
-  let error_line detail =
+  let error_payload detail =
     payload ~name:(spec_name spec) ~kind:(spec_kind spec) ~block_size:0 ~n:0
       ~status:"error" ~correct:false ~detail ()
   in
   match prepare spec with
   | exception e ->
       finish ~hit:false ~lookup_ms:0. ~sim_ms:0. ~key:None
-        (error_line (Printexc.to_string e))
+        (error_payload (Printexc.to_string e))
   | ir, workload, compute -> (
       let key =
         Option.map (fun c -> Cache.key c [ ir; pass_sig; workload ]) cache
@@ -439,7 +431,7 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
       let t_lookup0 = Clock.now_s () in
       let hit =
         match (cache, key) with
-        | Some c, Some k -> Cache.find c ~key:k
+        | Some c, Some k -> Cache.find c ~key:k ~decode:payload_of_json
         | _ -> None
       in
       let lookup_ms =
@@ -448,20 +440,21 @@ let process ?(cache : Cache.t option) (spec : spec) : outcome =
         | Some _ -> (Clock.now_s () -. t_lookup0) *. 1000.
       in
       match hit with
-      | Some bytes -> finish ~hit:true ~lookup_ms ~sim_ms:0. ~key bytes
+      | Some (line, p) -> finish ~hit:true ~lookup_ms ~sim_ms:0. ~key ~line p
       | None -> (
           match compute () with
           | exception e ->
               finish ~hit:false ~lookup_ms ~sim_ms:0. ~key
-                (error_line (Printexc.to_string e))
-          | line, sim_ms ->
+                (error_payload (Printexc.to_string e))
+          | p, sim_ms ->
+              let line = payload_line p in
               (* the cache is best-effort: an unwritable directory must
                  not fail a run whose results are already in hand *)
               (match (cache, key) with
               | Some c, Some k -> (
                   try Cache.store c ~key:k line with _ -> ())
               | _ -> ());
-              finish ~hit:false ~lookup_ms ~sim_ms ~key line))
+              finish ~hit:false ~lookup_ms ~sim_ms ~key ~line p))
 
 (* ------------------------------------------------------------------ *)
 (* The sharded driver                                                  *)
@@ -588,8 +581,9 @@ let observe_outcome (lv : live) (o : outcome) : unit =
       MR.inc reg "darm_batch_kernels_total";
       if o.oc_hit then MR.inc reg "darm_batch_cache_hits_total"
       else MR.inc reg "darm_batch_cache_misses_total";
-      (match o.oc_status with
-      | "ok" -> if not o.oc_correct then MR.inc reg "darm_batch_incorrect_total"
+      let p = o.oc_payload in
+      (match p.p_status with
+      | "ok" -> if not p.p_correct then MR.inc reg "darm_batch_incorrect_total"
       | "check-failed" -> MR.inc reg "darm_batch_check_failed_total"
       | _ -> MR.inc reg "darm_batch_errors_total");
       if lv.lv_cache <> None then begin
@@ -598,9 +592,9 @@ let observe_outcome (lv : live) (o : outcome) : unit =
         MR.help reg "darm_batch_cache_lookup_ms"
           "Result-cache lookup wall per spec (ms)"
       end;
-      if (not o.oc_hit) && o.oc_status = "ok" then begin
+      if (not o.oc_hit) && p.p_status = "ok" then begin
         MR.observe reg ~buckets:latency_buckets "darm_batch_pass_ms"
-          o.oc_pass_ms;
+          p.p_pass_ms;
         MR.help reg "darm_batch_pass_ms"
           "Meld-pass wall per computed spec (ms)";
         MR.observe reg ~buckets:latency_buckets "darm_batch_sim_ms" o.oc_sim_ms;
@@ -758,7 +752,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
       ("total", J.Int total);
       ("chunk_size", J.Int chunk_size);
       ("cache", J.Bool (cache <> None));
-      ("payload_schema", J.Str payload_schema);
+      ("payload_schema", J.Str Cache.schema);
     ];
   for w = 0 to jobs_n - 1 do
     emit ~ev:"worker_start" [ ("worker", J.Int w) ]
@@ -797,14 +791,14 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
             done;
             List.iteri
               (fun i (spec, o) ->
-                let gi = first + i in
+                let gi = first + i and p = o.oc_payload in
                 output_string oc o.oc_line;
                 if o.oc_hit then incr hits else incr misses;
-                (match o.oc_status with
+                (match p.p_status with
                 | "ok" ->
-                    if not o.oc_correct then incr incorrect;
+                    if not p.p_correct then incr incorrect;
                     if not o.oc_hit then
-                      pass_samples := o.oc_pass_ms :: !pass_samples
+                      pass_samples := p.p_pass_ms :: !pass_samples
                 | "check-failed" -> incr check_failed
                 | _ -> incr errors);
                 (* journal the spec lifecycle in manifest order: the
@@ -831,14 +825,14 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                       ("worker", J.Int o.oc_worker);
                       ("seq", J.Int o.oc_seq);
                       ("ms", J.Float o.oc_spec_ms);
-                      ("pass_ms", J.Float o.oc_pass_ms);
+                      ("pass_ms", J.Float p.p_pass_ms);
                       ("sim_ms", J.Float o.oc_sim_ms);
                     ]
                   [
                     ("spec", J.Int gi);
-                    ("status", J.Str o.oc_status);
+                    ("status", J.Str p.p_status);
                     ("hit", J.Bool o.oc_hit);
-                    ("correct", J.Bool o.oc_correct);
+                    ("correct", J.Bool p.p_correct);
                   ])
               (List.combine chunk outs);
             (* flush per chunk: a crash or budget cut leaves a valid

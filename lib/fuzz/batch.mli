@@ -32,10 +32,6 @@
 (** ["darm-manifest-v1"] — one spec object per line (doc/fleet.md). *)
 val manifest_schema : string
 
-(** ["darm-batchres-v1"] — the result payload schema; also the cache's
-    validation schema ({!Darm_harness.Result_cache.default_schema}). *)
-val payload_schema : string
-
 type spec =
   | Registry of {
       rs_tag : string;  (** registry kernel tag, e.g. ["BIT"] *)
@@ -121,8 +117,10 @@ val to_batch_stats : summary -> Darm_harness.History.batch
 (** [run ~out specs] streams [specs] through the pipeline and appends
     one [darm-batchres-v1] JSON line per processed spec to [out]
     (truncated at start, appended chunk-by-chunk, binary).  [cache]
-    (optional) serves hits and absorbs misses; corrupt or truncated
-    cache entries are recomputed, never fatal.  [budget_s] bounds
+    (optional) serves hits and absorbs misses; a hit is parsed into
+    the payload's typed fields, and an entry that is corrupt, truncated
+    or missing a field (or holds one of the wrong type) is evicted as
+    poison and recomputed, never fatal and never replayed.  [budget_s] bounds
     elapsed time as described above, read from the monotonic
     {!Clock}, as are the watchdog's [now] and every latency.
 

@@ -155,12 +155,12 @@ let load_dir (dir : string) : (string * (entry, string) result) list =
   in
   List.map (fun f -> (f, load_file (Filename.concat dir f))) files
 
-let replay ?stages (e : entry) : (unit, string) result =
+let replay (e : entry) : (unit, string) result =
   let subject =
     Oracle.subject_of_text ~name:e.en_name ~block_size:e.en_block_size
       ~n:e.en_n ~input_seed:e.en_input_seed e.en_text
   in
-  let failures = Oracle.run_subject ?stages subject in
+  let failures = Oracle.run_subject subject in
   match (e.en_expect, failures) with
   | Pass, [] -> Ok ()
   | Pass, fl :: _ ->

@@ -48,4 +48,4 @@ val load_dir : string -> (string * (entry, string) result) list
     against its expectation.  [Ok] exactly when an [expect=pass] entry
     produces no failures, or an [expect=fail] entry produces at least
     one failure whose {!Oracle.failure_key} matches. *)
-val replay : ?stages:Oracle.stage list -> entry -> (unit, string) result
+val replay : entry -> (unit, string) result

@@ -9,7 +9,7 @@ module Metrics = Darm_sim.Metrics
 module Checker = Darm_checks.Checker
 module Diag = Darm_checks.Diag
 module Pass = Darm_core.Pass
-module T = Darm_transforms
+module E = Darm_harness.Experiment
 module Report = Darm_harness.Report
 
 (* ------------------------------------------------------------------ *)
@@ -70,55 +70,10 @@ let subject_of_text ~name ~block_size ~n ~input_seed text =
 (* ------------------------------------------------------------------ *)
 (* Stages                                                              *)
 
-type stage = {
-  st_name : string;
-  st_apply : Ssa.func -> Pass.stats option;
-}
-
-let vfail config = { config with Pass.validate = Pass.Vfail }
-
-let default_stages =
-  [
-    {
-      st_name = "cleanups";
-      st_apply =
-        (fun f ->
-          ignore (T.Simplify_cfg.run f);
-          ignore (T.Constfold.run f);
-          ignore (T.Dce.run f);
-          None);
-    };
-    {
-      st_name = "tail-merge";
-      st_apply = (fun f -> ignore (T.Tail_merge.run f); None);
-    };
-    {
-      st_name = "branch-fusion";
-      st_apply =
-        (fun f ->
-          Some
-            (Pass.run ~config:(vfail Pass.branch_fusion_config)
-               ~verify_each:true f));
-    };
-    {
-      st_name = "darm";
-      st_apply =
-        (fun f ->
-          Some
-            (Pass.run ~config:(vfail Pass.default_config) ~verify_each:true
-               f));
-    };
-    {
-      st_name = "darm-nounpred";
-      st_apply =
-        (fun f ->
-          Some
-            (Pass.run
-               ~config:
-                 (vfail { Pass.default_config with Pass.unpredicate = false })
-               ~verify_each:true f));
-    };
-  ]
+let stages =
+  List.map
+    (fun name -> (name, List.assoc name E.transforms))
+    [ "cleanups"; "tail-merge"; "branch-fusion"; "darm"; "darm-nounpred" ]
 
 let warp_sizes = [ 64; 16; 4 ]
 
@@ -201,7 +156,7 @@ let metrics_invariants (m : Metrics.t) : string option =
              m.Metrics.reconvergences)
       else None
 
-let report_invariants subject ~stage:(_ : string) ~(stats : Pass.stats)
+let report_invariants subject ~(stats : Pass.stats)
     ~(base : Metrics.t) ~(opt : Metrics.t) : string option =
   if List.length stats.Pass.melds <> stats.Pass.melds_applied then
     Some
@@ -212,7 +167,7 @@ let report_invariants subject ~stage:(_ : string) ~(stats : Pass.stats)
     let r =
       Report.build ~kernel:subject.sb_name ~block_size:subject.sb_block_size
         ~seed:subject.sb_input_seed ~n:subject.sb_n ~correct:true
-        ~rewrites:stats.Pass.melds_applied ~pass_ms:0. ~base ~opt
+        ~rewrites:stats.Pass.melds_applied ~base ~opt
         ~melds:stats.Pass.melds ()
     in
     let saved =
@@ -235,7 +190,7 @@ let report_invariants subject ~stage:(_ : string) ~(stats : Pass.stats)
 (* ------------------------------------------------------------------ *)
 (* The matrix                                                          *)
 
-let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
+let run_subject ?(stages = stages) ?(warps = warp_sizes) subject :
     failure list =
   let failures = ref [] in
   let fail stage kind detail =
@@ -319,17 +274,17 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                           | None -> ()))
                     warps;
                   List.iter
-                    (fun st ->
+                    (fun (stage, (t : E.transform)) ->
                       let ft = subject.sb_fresh () in
-                      match st.st_apply ft with
+                      match t.E.t_apply ~checked:true ft with
                       | exception Pass.Validation_failed msg ->
-                          fail st.st_name "tv" msg
+                          fail stage "tv" msg
                       | exception e ->
-                          fail st.st_name "crash" (Printexc.to_string e)
-                      | stats_opt -> (
+                          fail stage "crash" (Printexc.to_string e)
+                      | _, stats_opt -> (
                           match Verify.run ft with
                           | _ :: _ as errs ->
-                              fail st.st_name "verifier"
+                              fail stage "verifier"
                                 (String.concat "; "
                                    (List.map
                                       (fun (e : Verify.error) ->
@@ -342,7 +297,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                                with
                               | [] -> ()
                               | d :: _ ->
-                                  fail st.st_name
+                                  fail stage
                                     ("checker-regression:" ^ d.Diag.id)
                                     (Diag.to_string d));
                               let opt_m = ref None in
@@ -350,7 +305,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                                 (fun ws ->
                                   match exec ft ~warp_size:ws with
                                   | exception e ->
-                                      fail st.st_name "crash"
+                                      fail stage "crash"
                                         (Printf.sprintf "warp=%d: %s" ws
                                            (Printexc.to_string e))
                                   | m, out ->
@@ -360,7 +315,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                                            base_out out
                                        with
                                       | Some d ->
-                                          fail st.st_name "mismatch" d
+                                          fail stage "mismatch" d
                                       | None -> ()))
                                 warps;
                               (* the transformed kernel must also agree
@@ -374,7 +329,7 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                                       ~warp_size:ws
                                   with
                                   | exception e ->
-                                      fail st.st_name "crash"
+                                      fail stage "crash"
                                         (Printf.sprintf "its warp=%d: %s" ws
                                            (Printexc.to_string e))
                                   | _, out -> (
@@ -383,17 +338,16 @@ let run_subject ?(stages = default_stages) ?(warps = warp_sizes) subject :
                                           base_out out
                                       with
                                       | Some d ->
-                                          fail st.st_name "xmodel" d
+                                          fail stage "xmodel" d
                                       | None -> ()))
                                 warps;
                               match (stats_opt, !opt_m) with
                               | Some stats, Some opt ->
                                   (match
-                                     report_invariants subject
-                                       ~stage:st.st_name ~stats ~base:base_m
-                                       ~opt
+                                     report_invariants subject ~stats
+                                       ~base:base_m ~opt
                                    with
-                                  | Some d -> fail st.st_name "metrics" d
+                                  | Some d -> fail stage "metrics" d
                                   | None -> ())
                               | _ -> ())))
                     stages;
@@ -424,7 +378,7 @@ type summary = {
   sm_budget_exhausted : bool;
 }
 
-let run_seeds ?jobs ?(stages = default_stages) ?(cfg = Gen.default_cfg)
+let run_seeds ?jobs ?(cfg = Gen.default_cfg)
     ?inject ?budget_s ~block_size ~seeds () : summary =
   let deadline =
     Option.map (fun b -> Clock.now_s () +. b) budget_s
@@ -443,7 +397,7 @@ let run_seeds ?jobs ?(stages = default_stages) ?(cfg = Gen.default_cfg)
         let outcomes =
           Darm_harness.Parallel_sweep.map ?jobs
             (fun seed ->
-              run_subject ~stages
+              run_subject
                 (subject_of_seed ~cfg ?inject ~block_size ~seed ()))
             chunk
         in

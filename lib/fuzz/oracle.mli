@@ -69,16 +69,10 @@ val subject_of_text :
 
 (** {2 Pipeline stages} *)
 
-type stage = {
-  st_name : string;
-  st_apply : Ssa.func -> Darm_core.Pass.stats option;
-      (** returns the pass statistics for melding stages (their meld
-          provenance feeds the metrics invariants) *)
-}
-
-(** cleanups, tail-merge, branch-fusion, darm, darm-nounpred — melding
-    stages under [Vfail] translation validation. *)
-val default_stages : stage list
+(** The {!Darm_harness.Experiment.transforms} entries cleanups,
+    tail-merge, branch-fusion, darm and darm-nounpred, in that order;
+    {!run_subject} applies each in its [checked] mode. *)
+val stages : (string * Darm_harness.Experiment.transform) list
 
 val warp_sizes : int list
 (** [64; 16; 4] *)
@@ -122,7 +116,10 @@ val exec :
     shrinker passes [[64]] so each candidate costs two simulations
     instead of six. *)
 val run_subject :
-  ?stages:stage list -> ?warps:int list -> subject -> failure list
+  ?stages:(string * Darm_harness.Experiment.transform) list ->
+  ?warps:int list ->
+  subject ->
+  failure list
 
 (** [chunks size l] splits [l] into consecutive lists of [size]
     elements (the last may be shorter): the unit at which {!run_seeds}
@@ -145,7 +142,6 @@ type summary = {
     range was cut short). *)
 val run_seeds :
   ?jobs:int ->
-  ?stages:stage list ->
   ?cfg:Gen.cfg ->
   ?inject:Mutate.bug ->
   ?budget_s:float ->

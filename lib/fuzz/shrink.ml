@@ -1,7 +1,7 @@
 (** Deterministic delta-debugging minimizer over printed IR text. *)
 
 open Darm_ir
-module T = Darm_transforms
+module E = Darm_harness.Experiment
 
 type result = { sh_text : string; sh_steps : int; sh_blocks : int }
 
@@ -79,16 +79,13 @@ let edits (f : Ssa.func) : (unit -> bool) list =
   List.concat [ List.rev !branches; List.rev !effects;
                 List.rev !zeros; List.rev !consts ]
 
+(* the cleanups step to a fixpoint, at most 8 rounds *)
 let cleanup (f : Ssa.func) =
-  let fuel = ref 8 in
-  let changed = ref true in
-  while !changed && !fuel > 0 do
-    decr fuel;
-    let a = T.Simplify_cfg.run f in
-    let b = T.Constfold.run f in
-    let c = T.Dce.run f in
-    changed := a || b || c
-  done
+  let cleanups = List.assoc "cleanups" E.transforms in
+  let rec go fuel =
+    if fuel > 0 && fst (cleanups.E.t_apply f) > 0 then go (fuel - 1)
+  in
+  go 8
 
 type attempt = Accepted of string | Rejected | Exhausted
 

@@ -105,6 +105,14 @@ let default_its_params : its_params = { its_reconv_wait = true }
     (MinPC), reconverging opportunistically when PCs coincide. *)
 type reconvergence = Stack | Its of its_params
 
+let mem_models = [ ("flat", Flat); ("hier", Hier default_hier_params) ]
+
+let mem_model_name = function Flat -> "flat" | Hier _ -> "hier"
+
+let reconvergences = [ ("stack", Stack); ("its", Its default_its_params) ]
+
+let reconvergence_name = function Stack -> "stack" | Its _ -> "its"
+
 type config = {
   warp_size : int;
   latency : Darm_analysis.Latency.config;

@@ -88,6 +88,15 @@ val default_its_params : its_params
     branch costs identical cycles under both. *)
 type reconvergence = Stack | Its of its_params
 
+(** The one mapping between the models and their names: darm_opt's
+    [--mem-model]/[--reconvergence] values and the model fields of
+    reports and of the bench history.  Default model first. *)
+
+val mem_models : (string * mem_model) list
+val reconvergences : (string * reconvergence) list
+val mem_model_name : mem_model -> string
+val reconvergence_name : reconvergence -> string
+
 type config = {
   warp_size : int;  (** 64 = an AMD wavefront *)
   latency : Darm_analysis.Latency.config;

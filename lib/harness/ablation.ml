@@ -20,7 +20,7 @@ let pf = Printf.printf
 
 let run_with (config : Pass.config) (kernel : Kernel.t) ~block_size :
     E.result =
-  E.run ~transform:(E.darm_transform ~config ()) kernel ~block_size
+  E.run ~transform:(E.pass_transform "DARM" config) kernel ~block_size
 
 let unpredication_ablation ?jobs () : E.result list =
   let kernels =

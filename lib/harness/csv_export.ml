@@ -20,13 +20,12 @@ let write_file (path : string) (header : string) (rows : string list) : unit =
   Darm_obs.Fsio.write_atomic ~path (Buffer.contents b)
 
 let result_row (r : E.result) : string =
+  let warp_size = r.E.machine.Darm_sim.Simulator.warp_size in
   Printf.sprintf "%s,%d,%s,%d,%d,%d,%.4f,%.2f,%.2f,%d,%d,%d,%d,%d,%d,%d"
     r.E.tag r.E.block_size r.E.transform_name r.E.rewrites
     r.E.base.Metrics.cycles r.E.opt.Metrics.cycles (E.speedup r)
-    (Metrics.alu_utilization r.E.base
-       ~warp_size:E.sim_config.Darm_sim.Simulator.warp_size)
-    (Metrics.alu_utilization r.E.opt
-       ~warp_size:E.sim_config.Darm_sim.Simulator.warp_size)
+    (Metrics.alu_utilization r.E.base ~warp_size)
+    (Metrics.alu_utilization r.E.opt ~warp_size)
     r.E.base.Metrics.mem_global r.E.opt.Metrics.mem_global
     r.E.base.Metrics.mem_shared r.E.opt.Metrics.mem_shared
     r.E.base.Metrics.mem_flat r.E.opt.Metrics.mem_flat

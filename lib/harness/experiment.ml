@@ -7,52 +7,73 @@ module Sim = Darm_sim.Simulator
 module Metrics = Darm_sim.Metrics
 module Memory = Darm_sim.Memory
 module Pass = Darm_core.Pass
+module T = Darm_transforms
 
 type transform = {
   t_name : string;
-  t_apply : ?obs:Darm_obs.Trace.t -> Darm_ir.Ssa.func -> int;
-      (** returns #rewrites applied; [obs] receives the pass's spans and
-          meld decisions *)
+  t_apply :
+    ?obs:Darm_obs.Trace.t ->
+    ?checked:bool ->
+    Darm_ir.Ssa.func ->
+    int * Pass.stats option;
 }
 
 let pass_transform name (config : Pass.config) : transform =
   {
     t_name = name;
     t_apply =
-      (fun ?obs f ->
+      (fun ?obs ?(checked = false) f ->
         let config =
           match obs with None -> config | Some _ -> { config with Pass.obs }
         in
-        (Pass.run ~config f).Pass.melds_applied);
+        let validate = if checked then Pass.Vfail else config.Pass.validate in
+        let stats =
+          Pass.run ~config:{ config with validate } ~verify_each:checked f
+        in
+        (stats.Pass.melds_applied, Some stats));
   }
 
-let darm_transform ?(config = Pass.default_config) () : transform =
-  pass_transform "DARM" config
+(* a step that does not meld: its own rewrite count, no pass stats *)
+let rewrite_transform name (apply : Darm_ir.Ssa.func -> int) : transform =
+  { t_name = name; t_apply = (fun ?obs:_ ?checked:_ f -> (apply f, None)) }
 
-let darm_default : transform = darm_transform ()
+(* a rewrite that reports only whether it changed anything *)
+let changed_transform name apply =
+  rewrite_transform name (fun f -> Bool.to_int (apply f))
 
-let branch_fusion_transform : transform =
-  pass_transform "branch-fusion" Pass.branch_fusion_config
+let darm_default : transform = pass_transform "DARM" Pass.default_config
 
-let tail_merge_transform : transform =
-  {
-    t_name = "tail-merging";
-    t_apply = (fun ?obs:_ f -> Darm_transforms.Tail_merge.run f);
-  }
-
-let identity_transform : transform =
-  { t_name = "baseline"; t_apply = (fun ?obs:_ _ -> 0) }
+let transforms : (string * transform) list =
+  [
+    ("darm", darm_default);
+    ( "darm-nounpred",
+      pass_transform "DARM-nounpred"
+        { Pass.default_config with Pass.unpredicate = false } );
+    ( "branch-fusion",
+      pass_transform "branch-fusion" Pass.branch_fusion_config );
+    ( "tail-merge",
+      rewrite_transform "tail-merging" (fun f -> T.Tail_merge.run f) );
+    ("none", rewrite_transform "baseline" (fun _ -> 0));
+    ( "cleanups",
+      rewrite_transform "cleanups" (fun f ->
+          let s = Bool.to_int (T.Simplify_cfg.run f) in
+          let c = Bool.to_int (T.Constfold.run f) in
+          s + c + Bool.to_int (T.Dce.run f)) );
+    ("simplify", changed_transform "SimplifyCFG" T.Simplify_cfg.run);
+    ("constfold", changed_transform "constfold" T.Constfold.run);
+    ("dce", changed_transform "DCE" T.Dce.run);
+    ("unroll", rewrite_transform "unroll" (fun f -> T.Loop_unroll.run f));
+    ( "if-convert",
+      changed_transform "if-convert" (fun f -> T.Simplify_cfg.if_convert f) );
+  ]
 
 let transform_of_name (name : string) : (transform, string) result =
-  match name with
-  | "darm" -> Ok darm_default
-  | "branch-fusion" -> Ok branch_fusion_transform
-  | "tail-merge" -> Ok tail_merge_transform
-  | "none" -> Ok identity_transform
-  | other ->
+  match List.assoc_opt name transforms with
+  | Some t -> Ok t
+  | None ->
       Error
-        (Printf.sprintf
-           "unknown pass %S (darm|branch-fusion|tail-merge|none)" other)
+        (Printf.sprintf "unknown pass %S (%s)" name
+           (String.concat "|" (List.map fst transforms)))
 
 type result = {
   tag : string;
@@ -68,6 +89,8 @@ type result = {
   t_ms : float;
       (** time of the transform itself, on the monotonic clock
           ({!Darm_obs.Clock}) *)
+  pass_stats : Pass.stats option;
+  machine : Sim.config;  (** never carries [obs] *)
 }
 
 let speedup (r : result) : float =
@@ -135,12 +158,11 @@ let find_or_compute m key compute =
 let baselines : (point, Metrics.t * Memory.rv array * Memory.rv array) memo =
   memo ()
 
-(* full results are additionally memoized for the stock transforms
+(* full results are additionally memoized for the table's transforms
    (identified physically, since a user-built transform with a custom
    Pass.config can produce different IR under the same name) *)
 let canonical (t : transform) : bool =
-  t == darm_default || t == branch_fusion_transform
-  || t == tail_merge_transform || t == identity_transform
+  List.exists (fun (_, t') -> t' == t) transforms
 
 let results : (point * string, result) memo = memo ()
 
@@ -198,7 +220,7 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?(sim = sim_config) ?obs
     in
     let opt_inst = kernel.Kernel.make ~seed ~block_size ~n in
     let t0 = Darm_obs.Clock.now_s () in
-    let rewrites = transform.t_apply ?obs opt_inst.Kernel.func in
+    let rewrites, pass_stats = transform.t_apply ?obs opt_inst.Kernel.func in
     let t_ms = (Darm_obs.Clock.now_s () -. t0) *. 1000. in
     Darm_ir.Verify.run_exn opt_inst.Kernel.func;
     let opt = run_instance ~config:(config_for 2) opt_inst in
@@ -220,6 +242,8 @@ let run ?(transform = darm_default) ?(seed = 2022) ?n ?(sim = sim_config) ?obs
       opt;
       correct;
       t_ms;
+      pass_stats;
+      machine = { config with Sim.obs = None };
     }
   in
   if cacheable && canonical transform then

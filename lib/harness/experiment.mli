@@ -4,7 +4,7 @@
 
     The runner memoizes both the baseline simulation of each (kernel,
     block size, seed, n, simulator config) point and the full results
-    of the stock transforms, so figures, tables and CSV exports that
+    of the {!transforms} table, so figures, tables and CSV exports that
     revisit the same point under the same machine model share one
     simulation.  The caches are mutex-protected and safe to hit from
     the {!Parallel_sweep} domain pool. *)
@@ -14,27 +14,39 @@ module Sim = Darm_sim.Simulator
 module Metrics = Darm_sim.Metrics
 module Pass = Darm_core.Pass
 
+(** One pipeline step: the melding pass under some configuration, or
+    a rewrite that does not meld. *)
 type transform = {
-  t_name : string;
-  t_apply : ?obs:Darm_obs.Trace.t -> Darm_ir.Ssa.func -> int;
-      (** returns #rewrites applied; [obs] receives the pass's spans and
-          meld decisions (the melding transforms only) *)
+  t_name : string;  (** display name, e.g. ["DARM"], ["tail-merging"] *)
+  t_apply :
+    ?obs:Darm_obs.Trace.t ->
+    ?checked:bool ->
+    Darm_ir.Ssa.func ->
+    int * Pass.stats option;
+      (** #rewrites applied, and the pass's stats for a melding step
+          ([None] otherwise).  [obs] receives the pass's spans and meld
+          decisions; [checked] (default [false]), the conformance
+          oracle's mode, runs a melding step under [Vfail] translation
+          validation and verifies the IR after every meld. *)
 }
 
-val darm_transform : ?config:Pass.config -> unit -> transform
+(** The melding pass under [config], displayed as [name].  Outside
+    {!transforms}, so its results are never memoized. *)
+val pass_transform : string -> Pass.config -> transform
 
-(** The shared default-config DARM transform.  Results produced through
-    this instance (and the other stock transforms below) are memoized;
-    a fresh [darm_transform ()] behaves identically but bypasses the
-    result cache. *)
 val darm_default : transform
 
-val branch_fusion_transform : transform
-val tail_merge_transform : transform
-val identity_transform : transform
+(** Every pipeline step by its CLI and oracle-stage name: ["darm"]
+    ({!darm_default}), ["darm-nounpred"] (without unpredication),
+    ["branch-fusion"], ["tail-merge"], ["none"] (the identity),
+    ["cleanups"] (SimplifyCFG, constant folding, DCE: the oracle's
+    first stage and Table II's baseline), then compile's single
+    rewrites ["simplify"], ["constfold"], ["dce"], ["unroll"] and
+    ["if-convert"]. *)
+val transforms : (string * transform) list
 
-(** The stock transform behind a CLI pass name: "darm", "branch-fusion",
-    "tail-merge" or "none"; [Error] names the unknown pass. *)
+(** [Error] is the [unknown pass "NAME" (darm|darm-nounpred|...)] line
+    every command prints, listing the whole table. *)
 val transform_of_name : string -> (transform, string) result
 
 type result = {
@@ -54,6 +66,9 @@ type result = {
       (** milliseconds spent inside the transform on the monotonic
           clock (the pass only — IR construction and simulation
           excluded); the [pass_ms] column of the bench history *)
+  pass_stats : Pass.stats option;  (** [None] for steps that don't meld *)
+  machine : Sim.config;
+      (** the config both runs simulated under, [obs] stripped *)
 }
 
 (** Baseline cycles over optimized cycles.  Raises [Invalid_argument]
@@ -83,8 +98,8 @@ val run_instance : ?config:Sim.config -> Kernel.instance -> Metrics.t
 
     Three things bypass the memoization caches: [obs] (so the events
     are always emitted), a [sim] that carries [obs], and a
-    transform other than the four stock ones (which bypasses the
-    result cache only). *)
+    transform outside {!transforms} (which bypasses the result cache
+    only). *)
 val run :
   ?transform:transform ->
   ?seed:int ->

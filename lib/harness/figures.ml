@@ -17,8 +17,6 @@ let pf = Printf.printf
 
 let hr () = pf "%s\n" (String.make 78 '-')
 
-let warp_size = E.sim_config.Darm_sim.Simulator.warp_size
-
 let check_banner (results : E.result list) : bool =
   let bad = List.filter (fun r -> not r.E.correct) results in
   if bad <> [] then begin
@@ -163,6 +161,7 @@ let fig9 ?n ?jobs () : (string * float * float) list * E.result list =
   let series =
     List.map
       (fun r ->
+        let warp_size = r.E.machine.Darm_sim.Simulator.warp_size in
         let u_base = Metrics.alu_utilization r.E.base ~warp_size in
         let u_darm = Metrics.alu_utilization r.E.opt ~warp_size in
         pf "%-8s %9.1f%% %9.1f%% %+7.1f%%   (bs=%d)\n" r.E.tag u_base u_darm
@@ -215,7 +214,9 @@ let table1 ?(n = 256) ?jobs () : bool =
     ]
   in
   let techniques =
-    [ E.tail_merge_transform; E.branch_fusion_transform; E.darm_default ]
+    List.map
+      (fun name -> List.assoc name E.transforms)
+      [ "tail-merge"; "branch-fusion"; "darm" ]
   in
   let cells =
     Parallel_sweep.map ?jobs
@@ -225,7 +226,9 @@ let table1 ?(n = 256) ?jobs () : bool =
          patterns)
   in
   pf "\n== Table I: divergence-reduction capability matrix ==\n";
-  pf "%-28s %14s %14s %14s\n" "pattern" "tail-merging" "branch-fusion" "DARM";
+  pf "%-28s" "pattern";
+  List.iter (fun t -> pf " %14s" t.E.t_name) techniques;
+  pf "\n";
   hr ();
   List.iteri
     (fun pi (label, _) ->
@@ -276,11 +279,7 @@ let table2 ?(reps = 5) () : unit =
       (* both timings include IR construction (the frontend analogue) so
          the "normalized" column compares full device-code pipelines, as
          the paper does *)
-      let cleanup f =
-        ignore (Darm_transforms.Simplify_cfg.run f);
-        ignore (Darm_transforms.Constfold.run f);
-        ignore (Darm_transforms.Dce.run f)
-      in
+      let cleanups = List.assoc "cleanups" E.transforms in
       for _ = 1 to reps do
         baseline_ms :=
           !baseline_ms
@@ -289,7 +288,7 @@ let table2 ?(reps = 5) () : unit =
                    kernel.Kernel.make ~seed:1 ~block_size
                      ~n:kernel.Kernel.default_n
                  in
-                 cleanup inst.Kernel.func);
+                 ignore (cleanups.E.t_apply inst.Kernel.func));
         darm_ms :=
           !darm_ms
           +. time_ms (fun () ->
@@ -297,8 +296,8 @@ let table2 ?(reps = 5) () : unit =
                    kernel.Kernel.make ~seed:1 ~block_size
                      ~n:kernel.Kernel.default_n
                  in
-                 cleanup inst.Kernel.func;
-                 ignore (Darm_core.Pass.run inst.Kernel.func))
+                 ignore (cleanups.E.t_apply inst.Kernel.func);
+                 ignore (E.darm_default.E.t_apply inst.Kernel.func))
       done;
       let b = !baseline_ms /. float_of_int reps in
       let d = !darm_ms /. float_of_int reps in

@@ -29,16 +29,15 @@ type env = {
           "stack" *)
 }
 
-let current_env ?jobs ?(mem_model = "flat") ?(reconvergence = "stack") () :
-    env =
+let current_env ?jobs () : env =
   {
     ocaml_version = Sys.ocaml_version;
     os_type = Sys.os_type;
     word_size = Sys.word_size;
     warp_size = E.sim_config.E.Sim.warp_size;
     jobs = (match jobs with Some j -> j | None -> Parallel_sweep.default_jobs ());
-    mem_model;
-    reconvergence;
+    mem_model = E.Sim.mem_model_name E.sim_config.E.Sim.mem_model;
+    reconvergence = E.Sim.reconvergence_name E.sim_config.E.Sim.reconvergence;
   }
 
 type entry = {
@@ -98,17 +97,17 @@ let of_batch ?jobs ~time (b : batch) : record =
     r_batch = Some b;
   }
 
-let entries_of_results ?(mem_model = "flat") ?(reconvergence = "stack")
-    (results : E.result list) : entry list =
-  let warp_size = E.sim_config.E.Sim.warp_size in
+let entries_of_results (results : E.result list) : entry list =
   List.map
     (fun (r : E.result) ->
+      let m = r.E.machine in
+      let warp_size = m.E.Sim.warp_size in
       {
         e_kernel = r.E.tag;
         e_block_size = r.E.block_size;
         e_transform = r.E.transform_name;
-        e_mem_model = mem_model;
-        e_reconvergence = reconvergence;
+        e_mem_model = E.Sim.mem_model_name m.E.Sim.mem_model;
+        e_reconvergence = E.Sim.reconvergence_name m.E.Sim.reconvergence;
         e_rewrites = r.E.rewrites;
         e_base_cycles = r.E.base.Metrics.cycles;
         e_opt_cycles = r.E.opt.Metrics.cycles;
@@ -123,14 +122,28 @@ let entries_of_results ?(mem_model = "flat") ?(reconvergence = "stack")
       })
     results
 
-let of_results ?wall_s ?jobs ?mem_model ?reconvergence ~time
-    (results : E.result list) : record =
+(* the models the entries cover, in the simulator's order, joined with
+   "+" ("flat+hier"); the default model when there are none *)
+let coverage names name_of entries =
+  let covered n = List.exists (fun e -> name_of e = n) entries in
+  match List.filter covered (List.map fst names) with
+  | [] -> fst (List.hd names)
+  | l -> String.concat "+" l
+
+let of_results ?wall_s ?jobs ~time (results : E.result list) : record =
+  let entries = entries_of_results results in
   {
     r_time = time;
-    r_env = current_env ?jobs ?mem_model ?reconvergence ();
+    r_env =
+      {
+        (current_env ?jobs ()) with
+        mem_model = coverage E.Sim.mem_models (fun e -> e.e_mem_model) entries;
+        reconvergence =
+          coverage E.Sim.reconvergences (fun e -> e.e_reconvergence) entries;
+      };
     r_wall_s = wall_s;
     r_batch = None;
-    r_entries = entries_of_results ?mem_model ?reconvergence results;
+    r_entries = entries;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -205,48 +218,17 @@ let record_to_json (r : record) : J.t =
       | Some b -> [ ("batch", batch_to_json b) ])
     @ [ ("results", J.List (List.map entry_to_json r.r_entries)) ])
 
-(* tolerant field accessors: ints may have been written as floats *)
-let get_str j k =
-  match J.member k j with
-  | Some (J.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" k)
-
-let get_int j k =
-  match J.member k j with
-  | Some (J.Int i) -> Ok i
-  | Some (J.Float f) when Float.is_integer f -> Ok (int_of_float f)
-  | _ -> Error (Printf.sprintf "missing int field %S" k)
-
-let get_float j k =
-  match J.member k j with
-  | Some (J.Float f) -> Ok f
-  | Some (J.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "missing number field %S" k)
-
 (* a string field absent from pre-v2 lines *)
-let get_str_default j k ~default =
-  match J.member k j with Some (J.Str s) -> s | _ -> default
-
-let get_bool j k =
-  match J.member k j with
-  | Some (J.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing bool field %S" k)
+let get_str_default j k ~default = Result.value (J.get_str j k) ~default
 
 let ( let* ) = Result.bind
 
-(* a field added within the schema window: absent on older lines, and
-   type-checked by [get] when present *)
-let get_opt get j k =
-  match J.member k j with
-  | None -> Ok None
-  | Some _ -> Result.map Option.some (get j k)
-
 let env_of_json (j : J.t) : (env, string) result =
-  let* ocaml_version = get_str j "ocaml_version" in
-  let* os_type = get_str j "os_type" in
-  let* word_size = get_int j "word_size" in
-  let* warp_size = get_int j "warp_size" in
-  let* jobs = get_int j "jobs" in
+  let* ocaml_version = J.get_str j "ocaml_version" in
+  let* os_type = J.get_str j "os_type" in
+  let* word_size = J.get_int j "word_size" in
+  let* warp_size = J.get_int j "warp_size" in
+  let* jobs = J.get_int j "jobs" in
   let mem_model = get_str_default j "mem_model" ~default:"flat" in
   let reconvergence = get_str_default j "reconvergence" ~default:"stack" in
   Ok
@@ -261,22 +243,24 @@ let env_of_json (j : J.t) : (env, string) result =
     }
 
 let entry_of_json (j : J.t) : (entry, string) result =
-  let* e_kernel = get_str j "kernel" in
-  let* e_block_size = get_int j "block_size" in
-  let* e_transform = get_str j "transform" in
+  let* e_kernel = J.get_str j "kernel" in
+  let* e_block_size = J.get_int j "block_size" in
+  let* e_transform = J.get_str j "transform" in
   let e_mem_model = get_str_default j "mem_model" ~default:"flat" in
   let e_reconvergence = get_str_default j "reconvergence" ~default:"stack" in
-  let* e_rewrites = get_int j "rewrites" in
-  let* e_base_cycles = get_int j "base_cycles" in
-  let* e_opt_cycles = get_int j "opt_cycles" in
-  let* e_alu_util_base = get_opt get_float j "alu_util_base" in
-  let* e_alu_util_opt = get_opt get_float j "alu_util_opt" in
+  let* e_rewrites = J.get_int j "rewrites" in
+  let* e_base_cycles = J.get_int j "base_cycles" in
+  let* e_opt_cycles = J.get_int j "opt_cycles" in
+  let* e_alu_util_base = J.get_opt J.get_float j "alu_util_base" in
+  let* e_alu_util_opt = J.get_opt J.get_float j "alu_util_opt" in
   let* e_divergent_branches_base =
-    get_opt get_int j "divergent_branches_base"
+    J.get_opt J.get_int j "divergent_branches_base"
   in
-  let* e_divergent_branches_opt = get_opt get_int j "divergent_branches_opt" in
-  let* e_pass_ms = get_float j "pass_ms" in
-  let* e_correct = get_bool j "correct" in
+  let* e_divergent_branches_opt =
+    J.get_opt J.get_int j "divergent_branches_opt"
+  in
+  let* e_pass_ms = J.get_float j "pass_ms" in
+  let* e_correct = J.get_bool j "correct" in
   Ok
     {
       e_kernel;
@@ -296,50 +280,34 @@ let entry_of_json (j : J.t) : (entry, string) result =
     }
 
 let batch_of_json (j : J.t) : (batch, string) result =
-  let* b_kernels = get_int j "kernels" in
-  let* b_hits = get_int j "cache_hits" in
-  let* b_misses = get_int j "cache_misses" in
-  let* b_incorrect = get_int j "incorrect" in
-  let* b_wall_s = get_float j "wall_s" in
-  let* b_pass_ms_p99 = get_opt get_float j "pass_ms_p99" in
+  let* b_kernels = J.get_int j "kernels" in
+  let* b_hits = J.get_int j "cache_hits" in
+  let* b_misses = J.get_int j "cache_misses" in
+  let* b_incorrect = J.get_int j "incorrect" in
+  let* b_wall_s = J.get_float j "wall_s" in
+  let* b_pass_ms_p99 = J.get_opt J.get_float j "pass_ms_p99" in
   Ok { b_kernels; b_hits; b_misses; b_incorrect; b_wall_s; b_pass_ms_p99 }
 
 let record_of_json (j : J.t) : (record, string) result =
-  let* s = get_str j "schema" in
+  let* s = J.get_str j "schema" in
   if s <> schema && s <> schema_v1 then
     Error (Printf.sprintf "schema mismatch: expected %S, got %S" schema s)
   else
-    let* r_time = get_float j "time" in
+    let* r_time = J.get_float j "time" in
     let* env_j =
       match J.member "env" j with
       | Some e -> Ok e
       | None -> Error "missing object field \"env\""
     in
     let* r_env = env_of_json env_j in
-    let r_wall_s =
-      match J.member "wall_s" j with
-      | Some (J.Float f) -> Some f
-      | Some (J.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
+    let r_wall_s = Result.to_option (J.get_float j "wall_s") in
     let* r_batch =
       match J.member "batch" j with
       | None -> Ok None
       | Some bj -> Result.map Option.some (batch_of_json bj)
     in
-    let* entries =
-      match J.member "results" j with
-      | Some (J.List l) ->
-          List.fold_left
-            (fun acc e ->
-              let* acc = acc in
-              let* entry = entry_of_json e in
-              Ok (entry :: acc))
-            (Ok []) l
-          |> Result.map List.rev
-      | _ -> Error "missing list field \"results\""
-    in
-    Ok { r_time; r_env; r_wall_s; r_batch; r_entries = entries }
+    let* r_entries = J.get_list entry_of_json j "results" in
+    Ok { r_time; r_env; r_wall_s; r_batch; r_entries }
 
 let append ?(path = default_path) (r : record) : unit =
   (* Open_binary: the history's determinism contract is cmp-able bytes *)
@@ -350,18 +318,7 @@ let append ?(path = default_path) (r : record) : unit =
 
 let load ?(path = default_path) () : (record list, string) result =
   let* text = Darm_obs.Fsio.read path in
-  let rec parse i acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest when String.trim line = "" -> parse (i + 1) acc rest
-    | line :: rest -> (
-        match J.parse line with
-        | Error e -> Error (Printf.sprintf "%s:%d: invalid JSON: %s" path i e)
-        | Ok j -> (
-            match record_of_json j with
-            | Error e -> Error (Printf.sprintf "%s:%d: %s" path i e)
-            | Ok r -> parse (i + 1) (r :: acc) rest))
-  in
-  parse 1 [] (String.split_on_char '\n' text)
+  J.parse_lines ~name:path record_of_json text
 
 (* ------------------------------------------------------------------ *)
 (* Regression sentinel *)

@@ -42,10 +42,9 @@ type env = {
 }
 
 (** Fingerprint of the current process ([jobs] defaults to
-    {!Parallel_sweep.default_jobs}, [mem_model] to "flat",
-    [reconvergence] to "stack"). *)
-val current_env :
-  ?jobs:int -> ?mem_model:string -> ?reconvergence:string -> unit -> env
+    {!Parallel_sweep.default_jobs}); the models are
+    {!Experiment.sim_config}'s. *)
+val current_env : ?jobs:int -> unit -> env
 
 (** One experiment point, flattened to the serialized fields. *)
 type entry = {
@@ -110,23 +109,13 @@ type record = {
   r_batch : batch option;  (** present on [darm_opt batch] records *)
 }
 
-(** Flatten results into entries tagged with [mem_model] (default
-    "flat") and [reconvergence] (default "stack") — for composing
-    multi-model records by hand. *)
-val entries_of_results :
-  ?mem_model:string ->
-  ?reconvergence:string ->
-  Experiment.result list ->
-  entry list
-
+(** One record of [results], which may mix machine models.  Each
+    entry's model names and the warp width of its ALU utilization come
+    from its result's {!Experiment.result.machine}; the env's
+    [mem_model] and [reconvergence] name every model the entries cover,
+    in {!Darm_sim.Simulator}'s order ("flat+hier", "stack+its"). *)
 val of_results :
-  ?wall_s:float ->
-  ?jobs:int ->
-  ?mem_model:string ->
-  ?reconvergence:string ->
-  time:float ->
-  Experiment.result list ->
-  record
+  ?wall_s:float -> ?jobs:int -> time:float -> Experiment.result list -> record
 
 (** An entry-less record carrying batch throughput stats. *)
 val of_batch : ?jobs:int -> time:float -> batch -> record

@@ -5,6 +5,7 @@
 module Kernel = Darm_kernels.Kernel
 module Metrics = Darm_sim.Metrics
 module Pass = Darm_core.Pass
+module Sim = Darm_sim.Simulator
 module J = Darm_obs.Json
 
 let schema = "darm-report-v2"
@@ -42,9 +43,8 @@ type t = {
   rp_n : int;
   rp_correct : bool;
   rp_rewrites : int;
-  rp_pass_ms : float;
-  rp_mem_model : string;  (** "flat" or "hier" *)
-  rp_reconvergence : string;  (** "stack" or "its" *)
+  rp_mem_model : string;  (** {!Sim.mem_model_name} *)
+  rp_reconvergence : string;  (** {!Sim.reconvergence_name} *)
   rp_base : Metrics.t;
   rp_opt : Metrics.t;
   rp_melds : meld_row list;
@@ -80,9 +80,10 @@ let no_memory (t : t) : bool = t.rp_mem_sites = []
 (* Assembly: claim branches to melds (first application wins), join
    the two runs' per-branch counters. *)
 
-let build ?(mem_model = "flat") ?(reconvergence = "stack") ~kernel
-    ~block_size ~seed ~n ~correct
-    ~rewrites ~pass_ms ~(base : Metrics.t) ~(opt : Metrics.t)
+let build ?(mem_model = Sim.default_config.Sim.mem_model)
+    ?(reconvergence = Sim.default_config.Sim.reconvergence) ~kernel
+    ~block_size ~seed ~n ~correct ~rewrites ~(base : Metrics.t)
+    ~(opt : Metrics.t)
     ~(melds : Pass.meld_record list) () : t =
   let stat_of m id = Hashtbl.find_opt m.Metrics.branches id in
   let claimed_by : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -160,9 +161,8 @@ let build ?(mem_model = "flat") ?(reconvergence = "stack") ~kernel
     rp_n = n;
     rp_correct = correct;
     rp_rewrites = rewrites;
-    rp_pass_ms = pass_ms;
-    rp_mem_model = mem_model;
-    rp_reconvergence = reconvergence;
+    rp_mem_model = Sim.mem_model_name mem_model;
+    rp_reconvergence = Sim.reconvergence_name reconvergence;
     rp_base = base;
     rp_opt = opt;
     rp_melds = meld_rows;
@@ -170,50 +170,21 @@ let build ?(mem_model = "flat") ?(reconvergence = "stack") ~kernel
     rp_mem_sites = mem_sites;
   }
 
-let compute ?(config = Pass.default_config) ?(seed = 2022) ?n ?mem_model
-    ?reconvergence (kernel : Kernel.t) ~(block_size : int) : t =
-  let n = Option.value ~default:kernel.Kernel.default_n n in
-  let stats_ref = ref None in
-  (* custom transform (bypasses the result cache) so the pass's
-     provenance records are captured, not just the meld count *)
-  let transform =
-    {
-      Experiment.t_name = "DARM";
-      t_apply =
-        (fun ?obs:_ f ->
-          let st = Pass.run ~config f in
-          stats_ref := Some st;
-          st.Pass.melds_applied);
-    }
+let compute ?seed ?n ?mem_model ?reconvergence (kernel : Kernel.t)
+    ~(block_size : int) : t =
+  let r : Experiment.result =
+    Experiment.run ?seed ?n ?mem_model ?reconvergence kernel ~block_size
   in
-  let r =
-    Experiment.run ~transform ~seed ~n ?mem_model ?reconvergence kernel
-      ~block_size
-  in
-  let melds =
-    match !stats_ref with Some st -> st.Pass.melds | None -> []
-  in
-  let mm_name =
-    match mem_model with
-    | None | Some Darm_sim.Simulator.Flat -> "flat"
-    | Some (Darm_sim.Simulator.Hier _) -> "hier"
-  in
-  let rc_name =
-    match reconvergence with
-    | None | Some Darm_sim.Simulator.Stack -> "stack"
-    | Some (Darm_sim.Simulator.Its _) -> "its"
-  in
-  build ~mem_model:mm_name ~reconvergence:rc_name ~kernel:r.Experiment.tag
-    ~block_size ~seed ~n
-    ~correct:r.Experiment.correct ~rewrites:r.Experiment.rewrites
-    ~pass_ms:r.Experiment.t_ms ~base:r.Experiment.base
-    ~opt:r.Experiment.opt ~melds ()
+  build ~mem_model:r.machine.mem_model ~reconvergence:r.machine.reconvergence
+    ~kernel:r.tag ~block_size ~seed:r.seed ~n:r.n ~correct:r.correct
+    ~rewrites:r.rewrites ~base:r.base ~opt:r.opt
+    ~melds:(Option.fold ~none:[] ~some:(fun s -> s.Pass.melds) r.pass_stats)
+    ()
 
-let compute_many ?jobs ?config ?seed ?n ?mem_model ?reconvergence
+let compute_many ?jobs ?seed ?n ?mem_model ?reconvergence
     (points : (Kernel.t * int) list) : t list =
   Parallel_sweep.map ?jobs
-    (fun (k, bs) ->
-      compute ?config ?seed ?n ?mem_model ?reconvergence k ~block_size:bs)
+    (fun (k, bs) -> compute ?seed ?n ?mem_model ?reconvergence k ~block_size:bs)
     points
 
 (* ------------------------------------------------------------------ *)

@@ -26,6 +26,7 @@
 module Kernel = Darm_kernels.Kernel
 module Metrics = Darm_sim.Metrics
 module Pass = Darm_core.Pass
+module Sim = Darm_sim.Simulator
 
 val schema : string
 (** ["darm-report-v2"] — the [schema] key of the JSON rendering (see
@@ -78,9 +79,9 @@ type t = {
   rp_n : int;
   rp_correct : bool;
   rp_rewrites : int;  (** melds applied by the pass *)
-  rp_pass_ms : float;  (** wall-clock ms inside the pass pipeline *)
-  rp_mem_model : string;  (** "flat" or "hier" *)
-  rp_reconvergence : string;  (** "stack" or "its" *)
+  rp_mem_model : string;  (** "flat" or "hier" ({!Sim.mem_model_name}) *)
+  rp_reconvergence : string;
+      (** "stack" or "its" ({!Sim.reconvergence_name}) *)
   rp_base : Metrics.t;
   rp_opt : Metrics.t;
   rp_melds : meld_row list;  (** in application order *)
@@ -124,33 +125,33 @@ val no_memory : t -> bool
 (** Assemble a report from raw pieces (exposed so the tests can build
     synthetic inputs without running kernels).  Claims branches to
     melds, builds the joined branch table and the joined per-site
-    memory table.  [mem_model] and [reconvergence] are display/schema
-    tags only (defaults "flat" and "stack"); the site counters come
-    from the two metrics records. *)
+    memory table.  [mem_model] and [reconvergence] (defaults: those of
+    {!Sim.default_config}) only name the models in the report; the
+    site counters come from the two metrics records. *)
 val build :
-  ?mem_model:string ->
-  ?reconvergence:string ->
+  ?mem_model:Sim.mem_model ->
+  ?reconvergence:Sim.reconvergence ->
   kernel:string ->
   block_size:int ->
   seed:int ->
   n:int ->
   correct:bool ->
   rewrites:int ->
-  pass_ms:float ->
   base:Metrics.t ->
   opt:Metrics.t ->
   melds:Pass.meld_record list ->
   unit ->
   t
 
-(** Run [kernel] baseline-vs-DARM at [block_size] (capturing the pass's
-    provenance) and assemble the attribution report.  Deterministic:
-    identical inputs produce identical reports.  [mem_model] selects
-    the simulator's memory model for both runs (default [Flat]);
-    [reconvergence] the divergence-handling model (default [Stack]) —
-    the two compose freely. *)
+(** Run [kernel] baseline-vs-DARM at [block_size] through
+    {!Experiment.run} and assemble the attribution report from the
+    result: its meld provenance ({!Experiment.result.pass_stats}) and
+    its machine model's names.  Deterministic: identical inputs
+    produce identical reports.  [mem_model] selects the simulator's
+    memory model for both runs (default [Flat]); [reconvergence] the
+    divergence-handling model (default [Stack]) — the two compose
+    freely. *)
 val compute :
-  ?config:Pass.config ->
   ?seed:int ->
   ?n:int ->
   ?mem_model:Darm_sim.Simulator.mem_model ->
@@ -164,7 +165,6 @@ val compute :
     output is byte-identical across pool sizes. *)
 val compute_many :
   ?jobs:int ->
-  ?config:Pass.config ->
   ?seed:int ->
   ?n:int ->
   ?mem_model:Darm_sim.Simulator.mem_model ->

@@ -12,7 +12,6 @@ type stats = {
 
 type t = {
   c_dir : string;
-  c_schema : string;
   (* lifetime telemetry of this handle; atomics because batch pool
      domains share one handle *)
   c_hits : int Atomic.t;
@@ -21,14 +20,13 @@ type t = {
   c_poison : int Atomic.t;
 }
 
-let default_schema = "darm-batchres-v1"
+let schema = "darm-batchres-v1"
 
 let default_dir = ".darm-cache"
 
-let create ?(dir = default_dir) ?(schema = default_schema) () =
+let create ?(dir = default_dir) () =
   {
     c_dir = dir;
-    c_schema = schema;
     c_hits = Atomic.make 0;
     c_misses = Atomic.make 0;
     c_evictions = Atomic.make 0;
@@ -43,15 +41,13 @@ let stats t : stats =
     st_poison_evictions = Atomic.get t.c_poison;
   }
 
-let dir t = t.c_dir
-let schema t = t.c_schema
 
 (* Length-prefix every part so ["ab"; "c"] and ["a"; "bc"] hash apart,
    and fold the schema version in so a payload format bump is a whole
    new key space. *)
-let key t (parts : string list) : string =
+let key _ (parts : string list) : string =
   let b = Buffer.create 1024 in
-  Buffer.add_string b t.c_schema;
+  Buffer.add_string b schema;
   List.iter
     (fun p ->
       Buffer.add_char b '\x00';
@@ -66,15 +62,14 @@ let shard_of_key k = if String.length k >= 2 then String.sub k 0 2 else "xx"
 let entry_path t ~key =
   Filename.concat (Filename.concat t.c_dir (shard_of_key key)) (key ^ ".json")
 
-let payload_valid t (bytes : string) : bool =
-  match Json.parse bytes with
-  | Error _ -> false
-  | Ok j -> (
+(* the parsed payload, when it carries the cache's schema *)
+let parse_payload (bytes : string) : (Json.t, string) result =
+  Result.bind (Json.parse bytes) (fun j ->
       match Json.member "schema" j with
-      | Some (Json.Str s) -> s = t.c_schema
-      | _ -> false)
+      | Some (Json.Str s) when s = schema -> Ok j
+      | _ -> Error "schema mismatch")
 
-let find t ~key : string option =
+let find t ~key ~decode =
   let path = entry_path t ~key in
   (* missing, unreadable, or truncated mid-read by a concurrent
      writer: a miss, never a crash *)
@@ -82,20 +77,20 @@ let find t ~key : string option =
   | Error _ ->
       Atomic.incr t.c_misses;
       None
-  | Ok bytes ->
-      if payload_valid t bytes then begin
-        Atomic.incr t.c_hits;
-        Some bytes
-      end
-      else begin
-        (* corrupt, truncated or wrong-schema bytes: evict the poison
-           file so the next store rewrites it, instead of re-parsing
-           the same garbage on every lookup forever *)
-        (try Sys.remove path with Sys_error _ -> ());
-        Atomic.incr t.c_poison;
-        Atomic.incr t.c_misses;
-        None
-      end
+  | Ok bytes -> (
+      match Result.bind (parse_payload bytes) decode with
+      | Ok v ->
+          Atomic.incr t.c_hits;
+          Some (bytes, v)
+      | Error _ ->
+          (* corrupt, truncated, wrong-schema or undecodable bytes:
+             evict the poison file so the next store rewrites it,
+             instead of re-parsing the same garbage on every lookup
+             forever *)
+          (try Sys.remove path with Sys_error _ -> ());
+          Atomic.incr t.c_poison;
+          Atomic.incr t.c_misses;
+          None)
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -104,10 +99,10 @@ let rec mkdir_p d =
   end
 
 let store t ~key payload =
-  if not (payload_valid t payload) then
+  if Result.is_error (parse_payload payload) then
     invalid_arg
-      (Printf.sprintf
-         "Result_cache.store: payload is not valid %S JSON" t.c_schema);
+      (Printf.sprintf "Result_cache.store: payload is not valid %S JSON"
+         schema);
   let path = entry_path t ~key in
   mkdir_p (Filename.dirname path);
   Fsio.write_atomic ~path payload

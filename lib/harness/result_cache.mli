@@ -24,21 +24,16 @@
 
 type t
 
-(** ["darm-batchres-v1"] — the payload schema of the batch driver;
-    {!create}'s default [schema]. *)
-val default_schema : string
+(** ["darm-batchres-v1"]: the ["schema"] field every stored payload
+    carries, folded into every {!key} — bumping it invalidates the
+    whole cache without deleting it. *)
+val schema : string
 
 (** [".darm-cache"]. *)
 val default_dir : string
 
-(** Open (and lazily create) a cache rooted at [dir].  [schema] is the
-    value the ["schema"] field of every stored payload must carry;
-    entries that disagree are treated as misses, so bumping the payload
-    schema version invalidates the whole cache without deleting it. *)
-val create : ?dir:string -> ?schema:string -> unit -> t
-
-val dir : t -> string
-val schema : t -> string
+(** Open (and lazily create) a cache rooted at [dir]. *)
+val create : ?dir:string -> unit -> t
 
 (** [key t parts] — hex digest of [parts] (joined unambiguously) and
     the cache schema version.  Deterministic across processes. *)
@@ -47,13 +42,17 @@ val key : t -> string list -> string
 (** Path the entry for [key] lives at (whether or not it exists). *)
 val entry_path : t -> key:string -> string
 
-(** The stored payload bytes, or [None] when the entry is missing or
-    fails validation (unreadable, truncated mid-read by a concurrent
-    writer, not JSON, or its ["schema"] field differs from the
-    cache's).  An entry whose bytes fail validation is also evicted
-    (best-effort [Sys.remove]) so a poison file is recomputed once,
-    not re-parsed on every lookup.  Never raises. *)
-val find : t -> key:string -> string option
+(** The stored bytes and [decode] of their parse (parsed once), or
+    [None] when the entry is missing or fails validation: unreadable,
+    truncated mid-read by a concurrent writer, not JSON, another
+    schema, or [decode] returns [Error].  A failing entry is also
+    evicted (best-effort [Sys.remove]) so a poison file is recomputed
+    once, not re-parsed on every lookup. *)
+val find :
+  t ->
+  key:string ->
+  decode:(Darm_obs.Json.t -> ('a, string) result) ->
+  (string * 'a) option
 
 (** Atomically store a payload (newline-terminated JSON line).  Raises
     [Invalid_argument] if [payload] does not parse as JSON carrying the

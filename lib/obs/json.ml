@@ -269,3 +269,55 @@ let parse (s : string) : (t, string) result =
 
 let member (k : string) (j : t) : t option =
   match j with Obj fields -> List.assoc_opt k fields | _ -> None
+
+(* another emitter may write an integral number as a float *)
+let get what conv j k =
+  match Option.bind (member k j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing %s field %S" what k)
+
+let get_str = get "string" (function Str s -> Some s | _ -> None)
+let get_bool = get "bool" (function Bool b -> Some b | _ -> None)
+
+let get_int =
+  get "int" (function
+    | Int i -> Some i
+    | Float f when Float.is_integer f -> Some (int_of_float f)
+    | _ -> None)
+
+let get_float =
+  get "number" (function
+    | Float f -> Some f
+    | Int i -> Some (float_of_int i)
+    | _ -> None)
+
+let get_opt get j k =
+  match member k j with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (get j k)
+
+let get_str_opt j k =
+  match member k j with
+  | None | Some (Str _) -> get_opt get_str j k
+  | Some _ -> Error (Printf.sprintf "field %S is not a string" k)
+
+let get_list elt j k =
+  Result.bind (get "list" (function List l -> Some l | _ -> None) j k)
+  @@ fun l ->
+  List.fold_left
+    (fun acc x ->
+      Result.bind acc (fun xs -> Result.map (fun v -> v :: xs) (elt x)))
+    (Ok []) l
+  |> Result.map List.rev
+
+let parse_lines ~name decode text =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> go (i + 1) acc rest
+    | line :: rest -> (
+        let invalid e = "invalid JSON: " ^ e in
+        match Result.bind (Result.map_error invalid (parse line)) decode with
+        | Error e -> Error (Printf.sprintf "%s:%d: %s" name i e)
+        | Ok v -> go (i + 1) (v :: acc) rest)
+  in
+  go 1 [] (String.split_on_char '\n' text)

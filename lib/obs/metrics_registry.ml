@@ -422,17 +422,8 @@ let family_of_json (j : Json.t) : (family, string) result =
 
 let of_json (j : Json.t) : (family list, string) result =
   match Json.member "schema" j with
-  | Some (Json.Str "darm-metrics-v1") -> (
-      match Json.member "families" j with
-      | Some (Json.List fs) ->
-          List.fold_left
-            (fun acc f ->
-              let* acc = acc in
-              let* fam = family_of_json f in
-              Ok (fam :: acc))
-            (Ok []) fs
-          |> Result.map List.rev
-      | _ -> Error "missing list field \"families\"")
+  | Some (Json.Str "darm-metrics-v1") ->
+      Json.get_list family_of_json j "families"
   | Some (Json.Str other) ->
       Error
         (Printf.sprintf "schema mismatch: expected \"darm-metrics-v1\", got %S"

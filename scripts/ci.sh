@@ -412,6 +412,35 @@ fi
 grep -qF "$ir_dir: is a directory" "$ir_dir/err"
 rm -rf "$ir_dir"
 
+# one transform table names every pipeline step: an unknown name is
+# refused with the same line, exit 2, by every command that takes one,
+# and compile's cleanups entry is exactly simplify,constfold,dce
+tt_dir=$(mktemp -d /tmp/darm_table.XXXXXX)
+dune exec bin/darm_opt.exe -- show -k BIT > "$tt_dir/bit.cir"
+for cmd in "meld -p foo" "simulate -p foo" "check -p foo" \
+    "compile --passes foo $tt_dir/bit.cir"; do
+  tt_rc=0
+  # shellcheck disable=SC2086
+  dune exec bin/darm_opt.exe -- $cmd > /dev/null 2> "$tt_dir/err" || tt_rc=$?
+  if [ "$tt_rc" -ne 2 ]; then
+    echo "ci: darm_opt $cmd exited $tt_rc, expected 2" >&2
+    rm -rf "$tt_dir"; exit 1
+  fi
+  grep '^unknown pass' "$tt_dir/err" >> "$tt_dir/lines"
+done
+if [ "$(wc -l < "$tt_dir/lines")" -ne 4 ] || \
+    [ "$(sort -u "$tt_dir/lines" | wc -l)" -ne 1 ]; then
+  echo "ci: the unknown-pass lines differ across commands:" >&2
+  cat "$tt_dir/lines" >&2
+  rm -rf "$tt_dir"; exit 1
+fi
+dune exec bin/darm_opt.exe -- compile --passes cleanups,darm \
+  "$tt_dir/bit.cir" > "$tt_dir/a.cir"
+dune exec bin/darm_opt.exe -- compile --passes simplify,constfold,dce,darm \
+  "$tt_dir/bit.cir" > "$tt_dir/b.cir"
+cmp "$tt_dir/a.cir" "$tt_dir/b.cir"
+rm -rf "$tt_dir"
+
 # observability: profile one kernel end to end and validate the trace
 trace=$(mktemp /tmp/darm_trace.XXXXXX.json)
 trap 'rm -f "$trace"' EXIT

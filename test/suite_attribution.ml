@@ -249,7 +249,7 @@ let test_report_zero_divergence () =
   opt.M.cycles <- 100;
   let r =
     Report.build ~kernel:"UNIFORM" ~block_size:32 ~seed:1 ~n:64 ~correct:true
-      ~rewrites:0 ~pass_ms:0. ~base ~opt ~melds:[] ()
+      ~rewrites:0 ~base ~opt ~melds:[] ()
   in
   Alcotest.(check bool) "no_divergence" true (Report.no_divergence r);
   Alcotest.(check int) "delta zero" 0 (Report.delta r);
@@ -264,7 +264,7 @@ let test_report_zero_divergence () =
   let opt0 = M.create () in
   let r0 =
     Report.build ~kernel:"DEAD" ~block_size:32 ~seed:1 ~n:64 ~correct:false
-      ~rewrites:0 ~pass_ms:0. ~base ~opt:opt0 ~melds:[] ()
+      ~rewrites:0 ~base ~opt:opt0 ~melds:[] ()
   in
   let t0 = Report.to_text r0 in
   Alcotest.(check bool) "zero-cycle speedup prints n/a" true
@@ -486,6 +486,51 @@ let test_history_of_results () =
         e.History.e_divergent_branches_base
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
 
+(* an entry's ALU utilization is taken at the warp its result ran at,
+   not the default config's *)
+let test_history_alu_util_at_result_warp () =
+  let warp32 = { E.sim_config with Darm_sim.Simulator.warp_size = 32 } in
+  let r = E.run ~sim:warp32 (kernel "BIT") ~block_size:64 ~n:256 in
+  match (History.of_results ~time:0. [ r ]).History.r_entries with
+  | [ e ] ->
+      Alcotest.(check (option (float 1e-12))) "alu_util_base at warp 32"
+        (Some (M.alu_utilization r.E.base ~warp_size:32))
+        e.History.e_alu_util_base;
+      Alcotest.(check (option (float 1e-12))) "alu_util_opt at warp 32"
+        (Some (M.alu_utilization r.E.opt ~warp_size:32))
+        e.History.e_alu_util_opt
+  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
+
+(* a record mixing machine models names each entry's models from its
+   result and the env's coverage from all of them *)
+let test_history_models_from_results () =
+  let module Sim = Darm_sim.Simulator in
+  let k = kernel "BIT" in
+  let flat = E.run k ~block_size:64 ~n:256 in
+  let hier =
+    E.run ~mem_model:(Sim.Hier Sim.default_hier_params) k ~block_size:64
+      ~n:256
+  in
+  let its =
+    E.run ~reconvergence:(Sim.Its Sim.default_its_params) k ~block_size:64
+      ~n:256
+  in
+  let r = History.of_results ~jobs:1 ~time:0. [ flat; hier; its ] in
+  Alcotest.(check (list (pair string string))) "per-entry models"
+    [ ("flat", "stack"); ("hier", "stack"); ("flat", "its") ]
+    (List.map
+       (fun e -> (e.History.e_mem_model, e.History.e_reconvergence))
+       r.History.r_entries);
+  Alcotest.(check string) "env mem_model" "flat+hier"
+    r.History.r_env.History.mem_model;
+  Alcotest.(check string) "env reconvergence" "stack+its"
+    r.History.r_env.History.reconvergence;
+  let only_flat = History.of_results ~jobs:1 ~time:0. [ flat ] in
+  Alcotest.(check (pair string string)) "single-model env"
+    ("flat", "stack")
+    ( only_flat.History.r_env.History.mem_model,
+      only_flat.History.r_env.History.reconvergence )
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -550,6 +595,10 @@ let suites =
           test_sentinel_disjoint_records;
         Alcotest.test_case "history: built from experiment results" `Quick
           test_history_of_results;
+        Alcotest.test_case "history: ALU utilization at the result's warp"
+          `Quick test_history_alu_util_at_result_warp;
+        Alcotest.test_case "history: models named from the results" `Quick
+          test_history_models_from_results;
         Alcotest.test_case "file: missing or directory history" `Quick
           test_history_load_missing_or_directory;
       ] );

@@ -36,20 +36,23 @@ let write_raw path contents =
 
 let valid_payload =
   J.to_string
-    (J.Obj [ ("schema", J.Str Cache.default_schema); ("x", J.Int 1) ])
+    (J.Obj [ ("schema", J.Str Cache.schema); ("x", J.Int 1) ])
   ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Result cache *)
 
+(* a lookup that accepts any payload carrying the cache's schema *)
+let find c ~key = Option.map fst (Cache.find c ~key ~decode:Result.ok)
+
 let test_cache_store_find_identical () =
   let c = Cache.create ~dir:(Filename.concat (temp_dir ()) "cache") () in
   let key = Cache.key c [ "ir"; "pass"; "workload" ] in
   Alcotest.(check (option string)) "missing entry is a miss" None
-    (Cache.find c ~key);
+    (find c ~key);
   Cache.store c ~key valid_payload;
   Alcotest.(check (option string)) "hit replays the exact bytes"
-    (Some valid_payload) (Cache.find c ~key)
+    (Some valid_payload) (find c ~key)
 
 let test_cache_key_unambiguous () =
   let c = Cache.create ~dir:(Filename.concat (temp_dir ()) "cache") () in
@@ -68,23 +71,23 @@ let test_cache_damaged_entries_are_misses () =
   (* corrupt: not JSON at all *)
   write_raw path "not json {{{";
   Alcotest.(check (option string)) "corrupt entry recomputes" None
-    (Cache.find c ~key);
+    (find c ~key);
   (* truncated: a prefix of a valid payload *)
   write_raw path (String.sub valid_payload 0 (String.length valid_payload / 2));
   Alcotest.(check (option string)) "truncated entry recomputes" None
-    (Cache.find c ~key);
+    (find c ~key);
   (* wrong schema: valid JSON from some other (or future) writer *)
   write_raw path "{\"schema\":\"darm-batchres-v999\",\"x\":1}\n";
   Alcotest.(check (option string)) "wrong-schema entry recomputes" None
-    (Cache.find c ~key);
+    (find c ~key);
   (* empty file *)
   write_raw path "";
   Alcotest.(check (option string)) "empty entry recomputes" None
-    (Cache.find c ~key);
+    (find c ~key);
   (* and a repaired entry is served again *)
   write_raw path valid_payload;
   Alcotest.(check (option string)) "repaired entry hits"
-    (Some valid_payload) (Cache.find c ~key)
+    (Some valid_payload) (find c ~key)
 
 let test_cache_evicts_poison_entries () =
   let c = Cache.create ~dir:(Filename.concat (temp_dir ()) "cache") () in
@@ -95,14 +98,14 @@ let test_cache_evicts_poison_entries () =
      store rewrites it instead of every lookup re-parsing garbage *)
   write_raw path (String.sub valid_payload 0 (String.length valid_payload / 2));
   Alcotest.(check (option string)) "truncated entry misses" None
-    (Cache.find c ~key);
+    (find c ~key);
   Alcotest.(check bool) "truncated entry evicted" false (Sys.file_exists path);
   Alcotest.(check (option string)) "second lookup still a miss" None
-    (Cache.find c ~key);
+    (find c ~key);
   (* a valid entry is never evicted *)
   Cache.store c ~key valid_payload;
   Alcotest.(check (option string)) "restored entry hits" (Some valid_payload)
-    (Cache.find c ~key);
+    (find c ~key);
   Alcotest.(check bool) "valid entry kept" true (Sys.file_exists path)
 
 let test_cache_store_rejects_invalid_payload () =
@@ -121,7 +124,7 @@ let test_cache_clear () =
   Cache.store c ~key:(Cache.key c [ "b" ]) valid_payload;
   Alcotest.(check int) "two entries removed" 2 (Cache.clear c);
   Alcotest.(check (option string)) "cleared entry is a miss" None
-    (Cache.find c ~key:(Cache.key c [ "a" ]));
+    (find c ~key:(Cache.key c [ "a" ]));
   Alcotest.(check int) "second clear is a no-op" 0 (Cache.clear c)
 
 (* ------------------------------------------------------------------ *)
@@ -247,6 +250,17 @@ let smoke_specs ~count =
         { fz_seed = i; fz_block_size = 64; fz_smoke = true;
           fz_features = "all"; fz_inject = None })
 
+(* drop the one wall-clock field so recomputed runs compare *)
+let scrub_pass_ms s =
+  String.split_on_char '\n' s
+  |> List.map (fun line ->
+         match J.parse line with
+         | Ok (J.Obj fields) ->
+             J.to_string
+               (J.Obj (List.filter (fun (k, _) -> k <> "pass_ms") fields))
+         | _ -> line)
+  |> String.concat "\n"
+
 let test_batch_two_pass_warm_hits () =
   let dir = temp_dir () in
   let cache = Cache.create ~dir:(Filename.concat dir "cache") () in
@@ -285,20 +299,59 @@ let test_batch_damaged_cache_recomputes () =
   let again = B.run ~jobs:1 ~cache ~out specs in
   Alcotest.(check int) "cleared cache recomputes" 2 again.B.bt_misses;
   Alcotest.(check int) "no errors from the damage" 0 again.B.bt_errors;
-  (* drop the one wall-clock field so the recomputed runs compare *)
-  let scrub s =
-    String.split_on_char '\n' s
-    |> List.map (fun line ->
-           match J.parse line with
-           | Ok (J.Obj fields) ->
-               J.to_string
-                 (J.Obj (List.filter (fun (k, _) -> k <> "pass_ms") fields))
-           | _ -> line)
-    |> String.concat "\n"
-  in
   Alcotest.(check string) "recomputed bytes identical modulo pass_ms"
-    (scrub bytes0)
-    (scrub (Fsio.read_file out))
+    (scrub_pass_ms bytes0)
+    (scrub_pass_ms (Fsio.read_file out))
+
+(* an entry with the right schema but missing or mistyped payload
+   fields is poison: it must be evicted and recomputed, never replayed
+   as a good result.  The recomputed run matches the cold one up to
+   the wall-clock pass_ms, is stored again, and the next run replays it
+   byte for byte *)
+let test_batch_poisoned_entries_recompute () =
+  let dir = temp_dir () in
+  let cache_dir = Filename.concat dir "cache" in
+  let out name = Filename.concat dir name in
+  let specs = smoke_specs ~count:4 in
+  let cold =
+    B.run ~jobs:1 ~cache:(Cache.create ~dir:cache_dir ()) ~out:(out "cold")
+      specs
+  in
+  Alcotest.(check int) "cold computes all" 4 cold.B.bt_misses;
+  let poisons =
+    [|
+      "{\"schema\":\"darm-batchres-v1\"}\n";
+      "{\"schema\":\"darm-batchres-v1\",\"status\":\"ok\",\"correct\":\"yes\",\
+       \"pass_ms\":\"0\"}\n";
+    |]
+  in
+  let poisoned = ref 0 in
+  Array.iter
+    (fun shard ->
+      let sdir = Filename.concat cache_dir shard in
+      Array.iter
+        (fun f ->
+          write_raw (Filename.concat sdir f) poisons.(!poisoned mod 2);
+          incr poisoned)
+        (Sys.readdir sdir))
+    (Sys.readdir cache_dir);
+  Alcotest.(check int) "one entry per spec" 4 !poisoned;
+  let cache = Cache.create ~dir:cache_dir () in
+  let warm = B.run ~jobs:2 ~cache ~out:(out "warm") specs in
+  Alcotest.(check int) "no poison entry is a hit" 0 warm.B.bt_hits;
+  Alcotest.(check int) "every poison entry recomputes" 4 warm.B.bt_misses;
+  Alcotest.(check int) "every poison entry is evicted" 4
+    (Cache.stats cache).Cache.st_poison_evictions;
+  Alcotest.(check int) "no errors" 0 warm.B.bt_errors;
+  Alcotest.(check string) "recomputed results equal the cold ones"
+    (scrub_pass_ms (Fsio.read_file (out "cold")))
+    (scrub_pass_ms (Fsio.read_file (out "warm")));
+  let again = B.run ~jobs:1 ~cache ~out:(out "again") specs in
+  Alcotest.(check int) "the recomputed entries were stored" 4
+    again.B.bt_hits;
+  Alcotest.(check string) "and replay byte for byte"
+    (Fsio.read_file (out "warm"))
+    (Fsio.read_file (out "again"))
 
 let test_batch_budget_cuts_deterministically () =
   let dir = temp_dir () in
@@ -502,6 +555,8 @@ let suites =
           test_spec_validation;
         Alcotest.test_case "two-pass: warm run hits and replays bytes" `Slow
           test_batch_two_pass_warm_hits;
+        Alcotest.test_case "poisoned cache entries recompute" `Slow
+          test_batch_poisoned_entries_recompute;
         Alcotest.test_case "damaged cache recomputes" `Slow
           test_batch_damaged_cache_recomputes;
         Alcotest.test_case "budget cuts before the first chunk" `Quick

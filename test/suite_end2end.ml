@@ -38,7 +38,10 @@ let test_unpredication_off_still_correct () =
     [ K.Sb.sb1; K.Sb.sb2; K.Sb.sb3; K.Sb.sb1_r; K.Sb.sb2_r; K.Sb.sb3_r ]
 
 let test_branch_fusion_equivalence () =
-  let transform f = ignore (C.Pass.run_branch_fusion ~verify_each:true f) in
+  let transform f =
+    ignore
+      (C.Pass.run ~config:C.Pass.branch_fusion_config ~verify_each:true f)
+  in
   List.iter
     (fun kernel -> ignore (equiv ~transform kernel ~block_size:64 ~n:128 ~seed:13))
     [ K.Sb.sb1; K.Sb.sb2; K.Sb.sb3 ]

@@ -82,9 +82,7 @@ let suites =
                random kernels too), and the same memory at warp sizes
                64, 16 and 4, before and after melding. *)
             let darm_stage =
-              List.filter
-                (fun st -> st.Oracle.st_name = "darm")
-                Oracle.default_stages
+              List.filter (fun (name, _) -> name = "darm") Oracle.stages
             in
             List.iter
               (fun seed ->

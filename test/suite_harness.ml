@@ -25,9 +25,11 @@ let test_sweep_covers_block_sizes () =
       check "positive cycles" true (r.E.base.Darm_sim.Metrics.cycles > 0))
     results
 
+let identity = List.assoc "none" E.transforms
+
 let test_identity_transform_is_neutral () =
   let r =
-    E.run ~transform:E.identity_transform K.Sb.sb1 ~block_size:64 ~n:128
+    E.run ~transform:identity K.Sb.sb1 ~block_size:64 ~n:128
   in
   check "no rewrites" true (r.E.rewrites = 0);
   Alcotest.(check (float 1e-9)) "speedup 1.0" 1.0 (E.speedup r);
@@ -40,7 +42,7 @@ let test_broken_transform_is_detected () =
     {
       E.t_name = "sabotage";
       t_apply =
-        (fun ?obs:_ f ->
+        (fun ?obs:_ ?checked:_ f ->
           let changed = ref 0 in
           Darm_ir.Ssa.iter_instrs f (fun i ->
               if !changed = 0 then
@@ -49,7 +51,7 @@ let test_broken_transform_is_detected () =
                     i.Darm_ir.Ssa.operands <- [| a; Darm_ir.Ssa.Int (k + 1) |];
                     incr changed
                 | _ -> ());
-          !changed);
+          (!changed, None));
     }
   in
   let r = E.run ~transform:sabotage K.Sb.sb1 ~block_size:64 ~n:128 in
@@ -91,7 +93,7 @@ let test_makespan () =
   Alcotest.(check int) "8 cus" 40 (M.makespan m ~num_cus:8)
 
 let test_block_cycles_recorded () =
-  let r = E.run ~transform:E.identity_transform K.Sb.sb1 ~block_size:64 ~n:256 in
+  let r = E.run ~transform:identity K.Sb.sb1 ~block_size:64 ~n:256 in
   let bc = r.E.base.Darm_sim.Metrics.block_cycles in
   Alcotest.(check int) "one entry per block" 4 (List.length bc);
   Alcotest.(check int) "entries sum to total" r.E.base.Darm_sim.Metrics.cycles
@@ -137,6 +139,68 @@ let test_memo_keyed_on_config () =
   check "an explicit default config shares the default entry" true
     (E.run ~n ~sim:E.sim_config k ~block_size == w64)
 
+(* the one transform table: every name resolves to its own entry, the
+   display names (the memo's key) are distinct, the oracle's stages are
+   entries of it, and an unknown name gets one error listing them all *)
+let test_transform_table () =
+  let names = List.map fst E.transforms in
+  List.iter
+    (fun (name, t) ->
+      check (name ^ " resolves to its entry") true
+        (match E.transform_of_name name with
+        | Ok t' -> t' == t
+        | Error _ -> false))
+    E.transforms;
+  let display = List.map (fun (_, t) -> t.E.t_name) E.transforms in
+  Alcotest.(check int) "display names are distinct" (List.length display)
+    (List.length (List.sort_uniq compare display));
+  List.iter
+    (fun (name, t) ->
+      check ("oracle stage " ^ name ^ " is a table entry") true
+        (match List.assoc_opt name E.transforms with
+        | Some t' -> t' == t
+        | None -> false))
+    Darm_fuzz.Oracle.stages;
+  Alcotest.(check (list string)) "oracle stage order"
+    [ "cleanups"; "tail-merge"; "branch-fusion"; "darm"; "darm-nounpred" ]
+    (List.map fst Darm_fuzz.Oracle.stages);
+  match E.transform_of_name "foo" with
+  | Ok _ -> Alcotest.fail "an unknown pass must not resolve"
+  | Error msg ->
+      Alcotest.(check string) "one line naming every entry"
+        ("unknown pass \"foo\" (" ^ String.concat "|" names ^ ")")
+        msg
+
+(* the batch result cache keys on this string: a parent-filled cache
+   keeps hitting only while the default config prints these bytes *)
+let test_pass_signature_pinned () =
+  Alcotest.(check string) "default config signature"
+    "darm|pairing=greedy|threshold=0.1|unpredicate=true|diamonds_only=false|max_iterations=64|run_cleanups=true|if_convert_after=false|validate=none|lat=1,4,16,4,16,2,1,2,24,96,100,8,1"
+    (Darm_core.Pass.signature Darm_core.Pass.default_config)
+
+(* a result names what produced it: the pass's stats for a melding
+   step (one provenance record per meld), none for the identity, and
+   the machine model it ran under *)
+let test_result_carries_stats_and_machine () =
+  let module Sim = Darm_sim.Simulator in
+  let hier = Sim.Hier Sim.default_hier_params in
+  let r = E.run ~n:128 ~mem_model:hier K.Sb.sb1 ~block_size:64 in
+  (match r.E.pass_stats with
+  | None -> Alcotest.fail "DARM must return its pass stats"
+  | Some s ->
+      Alcotest.(check int) "one provenance record per meld" r.E.rewrites
+        (List.length s.Darm_core.Pass.melds));
+  check "machine is the run's config" true
+    (r.E.machine = { E.sim_config with Sim.mem_model = hier });
+  let id =
+    E.run ~n:128 ~transform:identity K.Sb.sb1 ~block_size:64
+  in
+  check "the identity has no pass stats" true (id.E.pass_stats = None);
+  let traced =
+    E.run ~n:128 ~obs:(Darm_obs.Trace.create ()) K.Sb.sb1 ~block_size:64
+  in
+  check "machine never carries obs" true (traced.E.machine.Sim.obs = None)
+
 let test_metrics_add () =
   let module M = Darm_sim.Metrics in
   let a = M.create () and b = M.create () in
@@ -167,5 +231,11 @@ let suites =
           test_block_cycles_recorded;
         Alcotest.test_case "memo keyed on the simulator config" `Quick
           test_memo_keyed_on_config;
+        Alcotest.test_case "transform table: names, stages, unknown" `Quick
+          test_transform_table;
+        Alcotest.test_case "pass signature pinned" `Quick
+          test_pass_signature_pinned;
+        Alcotest.test_case "result carries pass stats and machine" `Quick
+          test_result_carries_stats_and_machine;
       ] );
   ]

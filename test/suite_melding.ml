@@ -197,12 +197,16 @@ let test_pass_respects_threshold () =
 let test_branch_fusion_rejects_complex () =
   (* branch fusion only handles diamonds; the SB2 shape must be skipped *)
   let f = if_then_region_func () in
-  let stats = C.Pass.run_branch_fusion ~verify_each:true f in
+  let stats =
+    C.Pass.run ~config:C.Pass.branch_fusion_config ~verify_each:true f
+  in
   check "no fusion on complex CF" true (stats.C.Pass.melds_applied = 0)
 
 let test_branch_fusion_handles_diamond () =
   let f = Testlib.diamond_func () in
-  let stats = C.Pass.run_branch_fusion ~verify_each:true f in
+  let stats =
+    C.Pass.run ~config:C.Pass.branch_fusion_config ~verify_each:true f
+  in
   check "diamond fused" true (stats.C.Pass.melds_applied >= 1);
   Verify.run_exn f
 

@@ -239,7 +239,9 @@ let test_zero_overhead () =
   let block_size = List.hd k.Kernel.block_sizes in
   let _, observed = Profile.run_point ~n:128 k ~block_size in
   let plain =
-    E.run ~transform:(E.darm_transform ()) ~n:128 k ~block_size
+    E.run
+      ~transform:(E.pass_transform "DARM" Darm_core.Pass.default_config)
+      ~n:128 k ~block_size
   in
   Alcotest.(check int) "base cycles" plain.E.base.Darm_sim.Metrics.cycles
     observed.E.base.Darm_sim.Metrics.cycles;

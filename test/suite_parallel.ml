@@ -89,7 +89,9 @@ let projected ~jobs =
         r.E.base.Metrics.cycles,
         r.E.opt.Metrics.cycles,
         r.E.correct ))
-    (E.sweep_many ~jobs ~transform:(E.darm_transform ()) ~n:256 kernels)
+    (E.sweep_many ~jobs
+       ~transform:(E.pass_transform "DARM" Darm_core.Pass.default_config)
+       ~n:256 kernels)
 
 let test_sweep_many_deterministic () =
   let one = projected ~jobs:1 in
@@ -144,6 +146,8 @@ let test_speedup_zero_cycles_raises () =
       opt = m_opt;
       correct = false;
       t_ms = 0.;
+      pass_stats = None;
+      machine = E.sim_config;
     }
   in
   match E.speedup r with

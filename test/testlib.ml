@@ -117,7 +117,8 @@ let darm_no_unpred f =
        ~config:{ Pass.default_config with unpredicate = false }
        ~verify_each:true f)
 
-let fusion f = ignore (Pass.run_branch_fusion ~verify_each:true f)
+let fusion f =
+  ignore (Pass.run ~config:Pass.branch_fusion_config ~verify_each:true f)
 
 let tail_merge f =
   ignore (Tf.Tail_merge.run f);
@@ -149,7 +150,11 @@ let gen_small_cfg = { Gen.default_cfg with Gen.max_depth = 2 }
 let run_gen_seeds ?(cfg = gen_small_cfg) ?(block_size = 64) ~name ~transform
     ~seeds:seed_list () =
   let stage =
-    { Oracle.st_name = name; st_apply = (fun f -> transform f; None) }
+    ( name,
+      {
+        Darm_harness.Experiment.t_name = name;
+        t_apply = (fun ?obs:_ ?checked:_ f -> transform f; (0, None));
+      } )
   in
   match
     List.concat_map
