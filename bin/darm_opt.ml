@@ -673,93 +673,17 @@ let fuzz_cmd =
       !bad;
     if !bad > 0 then exit 1
   in
-  let seed_of_subject name =
-    let stem =
-      match String.index_opt name '+' with
-      | Some i -> String.sub name 0 i
-      | None -> name
-    in
-    if String.length stem > 5 && String.sub stem 0 5 = "fuzz_" then
-      int_of_string_opt (String.sub stem 5 (String.length stem - 5))
-    else None
-  in
-  let shrink_failure ~cfg ~inject ~block_size ~corpus_dir (fl : O.failure) =
-    match seed_of_subject fl.O.fl_subject with
-    | None ->
-        Printf.printf "MINIMIZE %s: cannot recover seed\n" fl.O.fl_subject
-    | Some seed ->
-        let f = G.generate ~cfg ~seed () in
-        (match inject with
-        | Some bug -> (
-            match M.inject bug f with
-            | Ok () -> ()
-            | Error e -> failwith ("inject: " ^ e))
-        | None -> ());
-        let text0 = Darm_ir.Printer.func_to_string f in
-        let key0 = O.failure_key fl in
-        let stages =
-          List.filter (fun (name, _) -> name = fl.O.fl_stage) O.stages
-        in
-        (* only spend simulations on warp sizes that can reproduce the
-           recorded failure *)
-        let warps =
-          if
-            String.length fl.O.fl_detail >= 7
-            && String.sub fl.O.fl_detail 0 7 = "warp=64"
-          then [ 64 ]
-          else O.warp_sizes
-        in
-        let still_failing t =
-          let subj =
-            O.subject_of_text ~name:fl.O.fl_subject ~block_size
-              ~n:cfg.G.array_size ~input_seed:seed t
-          in
-          List.exists
-            (fun f' -> O.failure_key f' = key0)
-            (O.run_subject ~stages ~warps subj)
-        in
-        let r = Sh.minimize ~still_failing text0 in
-        Printf.printf "MINIMIZED subject=%s key=%s blocks=%d steps=%d\n%s"
-          fl.O.fl_subject key0 r.Sh.sh_blocks r.Sh.sh_steps r.Sh.sh_text;
-        Option.iter
-          (fun dir ->
-            let entry =
-              {
-                Corpus.en_name =
-                  String.map
-                    (fun c -> if c = '+' then '-' else c)
-                    fl.O.fl_subject;
-                en_seed = seed;
-                en_block_size = block_size;
-                en_n = cfg.G.array_size;
-                en_input_seed = seed;
-                en_expect =
-                  Corpus.Fail { stage = fl.O.fl_stage; kind = fl.O.fl_kind };
-                en_note =
-                  Some
-                    (Printf.sprintf
-                       "shrunk by darm_opt fuzz --minimize in %d steps"
-                       r.Sh.sh_steps);
-                en_text = r.Sh.sh_text;
-              }
-            in
-            Printf.printf "CORPUS %s\n" (Corpus.save ~dir entry))
-          corpus_dir
-  in
   let run count seed_start block_size jobs budget_s features smoke inject
       minimize corpus_dir replay_dir =
     match replay_dir with
     | Some dir -> replay dir
     | None ->
-        let features =
-          match G.features_of_string features with
-          | Ok fs -> fs
+        let cfg =
+          match G.cfg_of ~smoke ~features with
+          | Ok cfg -> cfg
           | Error e ->
               Printf.eprintf "%s\n" e;
               exit 2
-        in
-        let cfg =
-          { (if smoke then G.smoke_cfg else G.default_cfg) with G.features }
         in
         let inject =
           Option.map
@@ -776,32 +700,25 @@ let fuzz_cmd =
         let sum =
           O.run_seeds ?jobs ?budget_s ~cfg ?inject ~block_size ~seeds ()
         in
-        List.iter
-          (fun fl -> print_endline (O.failure_to_string fl))
-          sum.O.sm_failures;
-        (if minimize then
-           (* one shrink per failing subject, in seed order *)
-           let firsts =
-             List.rev
-               (List.fold_left
-                  (fun acc (fl : O.failure) ->
-                    if
-                      List.exists
-                        (fun (o : O.failure) ->
-                          o.O.fl_subject = fl.O.fl_subject)
-                        acc
-                    then acc
-                    else fl :: acc)
-                  [] sum.O.sm_failures)
-           in
-           List.iter
-             (shrink_failure ~cfg ~inject ~block_size ~corpus_dir)
-             firsts);
+        let failures = List.concat_map snd sum.O.sm_failing in
+        List.iter (fun fl -> print_endline (O.failure_to_string fl)) failures;
+        if minimize then
+          (* one shrink per failing subject, of its first failure *)
+          List.iter
+            (fun (sb, fls) ->
+              let fl = List.hd fls in
+              let r, entry = Sh.minimize_failure sb fl in
+              Printf.printf "MINIMIZED subject=%s key=%s blocks=%d steps=%d\n%s"
+                fl.O.fl_subject (O.failure_key fl) r.Sh.sh_blocks
+                r.Sh.sh_steps r.Sh.sh_text;
+              Option.iter
+                (fun dir -> Printf.printf "CORPUS %s\n" (Corpus.save ~dir entry))
+                corpus_dir)
+            sum.O.sm_failing;
         Printf.printf "fuzz: %d/%d seed(s), %d failure(s)%s\n"
-          sum.O.sm_seeds_run sum.O.sm_seeds_total
-          (List.length sum.O.sm_failures)
+          sum.O.sm_seeds_run sum.O.sm_seeds_total (List.length failures)
           (if sum.O.sm_budget_exhausted then " [budget exhausted]" else "");
-        if sum.O.sm_failures <> [] then exit 1
+        if failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"

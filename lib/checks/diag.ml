@@ -17,7 +17,9 @@ let make ~id ~severity ~(func : Darm_ir.Ssa.func) ?block ?instr message : t =
     severity;
     func_name = func.Darm_ir.Ssa.fname;
     block = Option.map (fun b -> b.Darm_ir.Ssa.bname) block;
-    instr_id = Option.map (fun i -> i.Darm_ir.Ssa.id) instr;
+    instr_id =
+      Option.bind block (fun b ->
+          Option.bind instr (Darm_ir.Ssa.site_index b));
     message;
   }
 

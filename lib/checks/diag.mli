@@ -16,10 +16,14 @@ type t = {
   severity : severity;
   func_name : string;
   block : string option;  (** name of the block containing the finding *)
-  instr_id : int option;  (** SSA id of the offending instruction *)
+  instr_id : int option;
+      (** the offending instruction's {!Darm_ir.Ssa.site_index} in
+          [block]: local to the function, so the same IR gives the same
+          diagnostic whatever the process built before *)
   message : string;       (** human-readable explanation *)
 }
 
+(** [instr] is recorded only with the [block] that lists it. *)
 val make :
   id:string ->
   severity:severity ->
@@ -32,8 +36,8 @@ val make :
 val severity_to_string : severity -> string
 
 (** [Error] sorts before [Warning] before [Info]; ties break on id,
-    then block name, then instruction id — a total, deterministic
-    order. *)
+    then block name, then the instruction's place in the block — a
+    total, deterministic order. *)
 val compare : t -> t -> int
 
 val is_error : t -> bool

@@ -44,8 +44,9 @@ let root_is_global = function
   | Ralloc _ -> false
   | Rparam p -> Types.equal p.pty (Types.Ptr Types.Global)
 
-let root_name = function
-  | Ralloc i -> Printf.sprintf "shared array %%%d" i.id
+(* an array by its printed name, which [names] gives on demand *)
+let root_name (names : Printer.names Lazy.t) = function
+  | Ralloc i -> "shared array " ^ Printer.value_str (Lazy.force names) (Instr i)
   | Rparam p -> "%" ^ p.pname
 
 (* Resolve an address to [root + affine index] through gep and
@@ -245,6 +246,7 @@ let analyze ?dvg ?dt ?preds ?bdiv (f : func) : t =
   let arr = Array.of_list accesses in
   let n = Array.length arr in
   let diags = ref [] in
+  let names = lazy (Printer.assign_names f) in
   let racy = ref false in
   (* definite races: same known shared root, common interval, concrete
      distinct-thread witness *)
@@ -263,16 +265,17 @@ let analyze ?dvg ?dt ?preds ?bdiv (f : func) : t =
                 match witness fa fb with
                 | Some (t, t') when not (a.a_solo || b.a_solo) ->
                     let ww = a.a_write && b.a_write in
+                    let site x = Ssa.site ~block:x.a_block x.a_instr in
                     let where =
                       if i = j then
-                        Printf.sprintf "instr %d (index %s)" a.a_instr.id
+                        Printf.sprintf "instr %s (index %s)" (site a)
                           (Affine.to_string ia)
                       else
                         Printf.sprintf
-                          "instrs %d (index %s, block %s) and %d (index %s, \
+                          "instrs %s (index %s, block %s) and %s (index %s, \
                            block %s)"
-                          a.a_instr.id (Affine.to_string ia) a.a_block.bname
-                          b.a_instr.id (Affine.to_string ib) b.a_block.bname
+                          (site a) (Affine.to_string ia) a.a_block.bname
+                          (site b) (Affine.to_string ib) b.a_block.bname
                     in
                     if a.a_divergent || b.a_divergent then
                       diags :=
@@ -283,7 +286,7 @@ let analyze ?dvg ?dt ?preds ?bdiv (f : func) : t =
                               branch: %s; threads %d and %d hit the same \
                               element"
                              (if ww then "write-write" else "read-write")
-                             (root_name ra) where t t')
+                             (root_name names ra) where t t')
                         :: !diags
                     else begin
                       racy := true;
@@ -296,7 +299,7 @@ let analyze ?dvg ?dt ?preds ?bdiv (f : func) : t =
                              "%s race on %s: %s; e.g. threads %d and %d hit \
                               the same element with no barrier in between"
                              (if ww then "write-write" else "read-write")
-                             (root_name ra) where t t')
+                             (root_name names ra) where t t')
                         :: !diags
                     end
                 | _ -> ())

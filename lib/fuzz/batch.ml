@@ -43,16 +43,6 @@ let spec_name = function
 
 let spec_kind = function Registry _ -> "registry" | Fuzz _ -> "fuzz"
 
-let fuzz_cfg ~smoke ~features : (Gen.cfg, string) result =
-  match Gen.features_of_string features with
-  | Error e -> Error e
-  | Ok fs ->
-      Ok
-        {
-          (if smoke then Gen.smoke_cfg else Gen.default_cfg) with
-          Gen.features = fs;
-        }
-
 let spec_to_json = function
   | Registry r ->
       J.Obj
@@ -118,7 +108,7 @@ let spec_of_json (j : J.t) : (spec, string) result =
       let* features =
         with_default ~default:"all" (J.get_str_opt j "features")
       in
-      let* cfg = fuzz_cfg ~smoke ~features in
+      let* cfg = Gen.cfg_of ~smoke ~features in
       let* inject =
         match J.get_str_opt j "inject" with
         | Ok (Some tag) when Mutate.of_tag tag = None ->
@@ -274,8 +264,9 @@ let check_ids_of report =
 (* compute functions return (payload, this run's simulation wall in
    ms) — the sim time never enters the payload (it would break the
    warm-replay byte-identity), only the live latency histograms *)
-let compute_fuzz ~(n : int) ~(seed : int) ~(block_size : int)
-    ~(name : string) (f0 : Ssa.func) : payload * float =
+let compute_fuzz ~(name : string) (sb : Oracle.subject) (f0 : Ssa.func) :
+    payload * float =
+  let { Oracle.sb_n = n; sb_input_seed; sb_block_size = block_size; _ } = sb in
   let mk = payload ~name ~kind:"fuzz" ~block_size ~n in
   let report = Checker.check_func f0 in
   match check_ids_of report with
@@ -284,7 +275,8 @@ let compute_fuzz ~(n : int) ~(seed : int) ~(block_size : int)
       (mk ~status:"check-failed" ~check_ids:ids ~correct:false (), 0.)
   | [] ->
       let exec f =
-        Oracle.exec ~n ~input_seed:seed ~block_size ~warp_size:fuzz_warp f
+        Oracle.exec ~n ~input_seed:sb_input_seed ~block_size
+          ~warp_size:fuzz_warp f
       in
       let ts0 = Clock.now_s () in
       let base_m, base_out = exec f0 in
@@ -349,33 +341,34 @@ let prepare (spec : spec) : string * string * (unit -> payload * float) =
   match spec with
   | Fuzz f ->
       let cfg =
-        match fuzz_cfg ~smoke:f.fz_smoke ~features:f.fz_features with
+        match Gen.cfg_of ~smoke:f.fz_smoke ~features:f.fz_features with
         | Ok c -> c
         | Error e -> failwith e
       in
-      let f0 = Gen.generate ~cfg ~seed:f.fz_seed () in
-      (match f.fz_inject with
-      | None -> ()
-      | Some tag -> (
-          match Mutate.of_tag tag with
-          | None -> failwith (Printf.sprintf "unknown inject tag %s" tag)
-          | Some bug -> (
-              match Mutate.inject bug f0 with
-              | Ok () -> ()
-              | Error e -> failwith (Printf.sprintf "inject %s: %s" tag e))));
-      let ir = Printer.func_to_string f0 in
-      let workload =
+      let inject =
+        Option.map
+          (fun tag ->
+            match Mutate.of_tag tag with
+            | Some bug -> bug
+            | None -> failwith (Printf.sprintf "unknown inject tag %s" tag))
+          f.fz_inject
+      in
+      let sb =
+        Oracle.subject_of_seed ~cfg ?inject ~block_size:f.fz_block_size
+          ~seed:f.fz_seed ()
+      in
+      let tag = Option.value f.fz_inject ~default:"" in
+      let f0 =
+        try sb.Oracle.sb_fresh ()
+        with Failure e when String.starts_with ~prefix:"inject: " e ->
+          (* a spec's name does not carry its bug, so the error does *)
+          failwith ("inject " ^ tag ^ String.sub e 6 (String.length e - 6))
+      in
+      ( Printer.func_to_string f0,
         Printf.sprintf "kind=fuzz|bs=%d|n=%d|input_seed=%d|warp=%d%s"
           f.fz_block_size cfg.Gen.array_size f.fz_seed fuzz_warp
-          (match f.fz_inject with
-          | None -> ""
-          | Some tag -> "|inject=" ^ tag)
-      in
-      ( ir,
-        workload,
-        fun () ->
-          compute_fuzz ~n:cfg.Gen.array_size ~seed:f.fz_seed
-            ~block_size:f.fz_block_size ~name:(spec_name spec) f0 )
+          (if tag = "" then "" else "|inject=" ^ tag),
+        fun () -> compute_fuzz ~name:(spec_name spec) sb f0 )
   | Registry r -> (
       match Registry.find_any r.rs_tag with
       | None -> failwith (Printf.sprintf "unknown kernel %s" r.rs_tag)
@@ -474,13 +467,6 @@ type summary = {
   bt_pass_ms_p99 : float option;
   bt_stalled : int;
 }
-
-let hit_rate (s : summary) : float =
-  if s.bt_run = 0 then 0. else float_of_int s.bt_hits /. float_of_int s.bt_run
-
-let kernels_per_sec (s : summary) : float =
-  if s.bt_wall_s <= 0. then 0.
-  else float_of_int s.bt_run /. s.bt_wall_s
 
 let to_batch_stats (s : summary) : History.batch =
   {
@@ -680,7 +666,6 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
     ?(cadence_s = 1.0) ?(stall_deadline_s = 30.) ~(out : string)
     (specs : spec list) : summary =
   let t0 = Clock.now_s () in
-  let deadline = Option.map (fun b -> t0 +. b) budget_s in
   let total = List.length specs in
   let jobs_n =
     max 1 (match jobs with Some j -> j | None -> PS.default_jobs ())
@@ -765,15 +750,9 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
       close_out_noerr oc;
       finish_telemetry ())
     (fun () ->
-      List.iteri
-        (fun ci chunk ->
-          let past_deadline =
-            match deadline with
-            | Some d -> Clock.now_s () > d
-            | None -> false
-          in
-          if past_deadline then cut := true
-          else begin
+      cut :=
+        Oracle.budgeted_chunks ?budget_s ~size:chunk_size specs
+          (fun ci chunk ->
             let first = !run_n in
             emit ~ev:"chunk_start"
               [
@@ -847,9 +826,7 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                 ("hits", J.Int !hits);
                 ("misses", J.Int !misses);
                 ("errors", J.Int !errors);
-              ]
-          end)
-        (Oracle.chunks chunk_size specs);
+              ]);
       for w = 0 to jobs_n - 1 do
         emit ~ev:"worker_finish"
           [ ("worker", J.Int w) ]
@@ -887,10 +864,12 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
   }
 
 let summary_to_string (s : summary) : string =
+  let b = to_batch_stats s in
   Printf.sprintf
     "batch: %d/%d kernel(s), %d hit(s) / %d miss(es), hit-rate %.1f%%, %.1f \
      kernels/s, %d incorrect, %d check-failed, %d error(s)%s"
     s.bt_run s.bt_total s.bt_hits s.bt_misses
-    (hit_rate s *. 100.)
-    (kernels_per_sec s) s.bt_incorrect s.bt_check_failed s.bt_errors
+    (History.batch_hit_rate b *. 100.)
+    (History.batch_kernels_per_sec b)
+    s.bt_incorrect s.bt_check_failed s.bt_errors
     (if s.bt_budget_exhausted then " [budget exhausted]" else "")

@@ -108,9 +108,6 @@ type summary = {
           the watchdog only runs when [events] or [snapshot] is on) *)
 }
 
-val hit_rate : summary -> float
-val kernels_per_sec : summary -> float
-
 (** The history-record form ({!Darm_harness.History.of_batch}). *)
 val to_batch_stats : summary -> Darm_harness.History.batch
 

@@ -139,12 +139,9 @@ let load_file (path : string) : (entry, string) result =
       | Error e -> Error (Printf.sprintf "%s: %s" path e))
 
 let save ~dir (e : entry) : string =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Darm_obs.Fsio.mkdir_p dir;
   let path = Filename.concat dir (e.en_name ^ ".ll") in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string e));
+  Darm_obs.Fsio.write_atomic ~path (to_string e);
   path
 
 let load_dir (dir : string) : (string * (entry, string) result) list =

@@ -36,8 +36,8 @@ val of_string : string -> (entry, string) result
 
 val load_file : string -> (entry, string) result
 
-(** Write [<dir>/<name>.ll] (creating [dir] if needed); returns the
-    path. *)
+(** Write [<dir>/<name>.ll] atomically, creating [dir] and its missing
+    parents; returns the path. *)
 val save : dir:string -> entry -> string
 
 (** All [*.ll] files in the directory, sorted by filename so replay

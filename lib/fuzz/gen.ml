@@ -102,6 +102,12 @@ let default_cfg =
 
 let smoke_cfg = { default_cfg with max_depth = 2; stmts_per_block = 2 }
 
+let cfg_of ~smoke ~features =
+  Result.map
+    (fun features ->
+      { (if smoke then smoke_cfg else default_cfg) with features })
+    (features_of_string features)
+
 type gen_state = {
   rng : Random.State.t;
   ctx : D.ctx;

@@ -55,6 +55,13 @@ val default_cfg : cfg
 (** A small configuration for quick smoke fuzzing. *)
 val smoke_cfg : cfg
 
+(** The configuration of a profile and a feature spec: {!smoke_cfg}
+    when [smoke], else {!default_cfg}, with the features
+    {!features_of_string} reads from [features] (whose error it
+    returns).  [darm_opt fuzz] and the batch manifest's fuzz specs both
+    read their generator settings through it. *)
+val cfg_of : smoke:bool -> features:string -> (cfg, string) result
+
 (** Generate a kernel over parameters [(a, ptr global); (b, ptr global)];
     deterministic in [(seed, cfg)]. *)
 val generate : ?cfg:cfg -> seed:int -> unit -> Ssa.func

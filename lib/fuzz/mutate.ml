@@ -16,11 +16,6 @@ let of_tag s =
   | "XRW" -> Some Xrw
   | _ -> None
 
-let expected_id = function
-  | Xbar -> Darm_checks.Barrier_check.id_barrier_divergence
-  | Xrace -> Darm_checks.Race_check.id_race_ww
-  | Xrw -> Darm_checks.Race_check.id_race_rw
-
 let find_ret_block (f : func) : block option =
   List.find_opt
     (fun b -> has_terminator b && (terminator b).op = Op.Ret)

@@ -22,10 +22,6 @@ val tag : bug -> string
 
 val of_tag : string -> bug option
 
-(** The checker diagnostic id the injected bug must trigger
-    ([barrier-divergence], [shared-race-ww], [shared-race-rw]). *)
-val expected_id : bug -> string
-
 (** Graft the bug onto [f] (in place).  [Error] when the kernel lacks
     the ingredients ([Xrace]/[Xrw] need a shared array; all need a
     [ret] exit block and two pointer parameters). *)

@@ -32,22 +32,18 @@ let subject_of_seed ?(cfg = Gen.default_cfg) ?inject ~block_size ~seed () =
          "Oracle.subject_of_seed: array_size %d < block_size %d breaks the \
           own-cell race-freedom discipline"
          cfg.Gen.array_size block_size);
-  let name =
-    match inject with
-    | None -> Printf.sprintf "fuzz_%d" seed
-    | Some bug -> Printf.sprintf "fuzz_%d+%s" seed (Mutate.tag bug)
-  in
+  let tag = Option.fold ~none:"" ~some:(fun b -> "+" ^ Mutate.tag b) inject in
   {
-    sb_name = name;
+    sb_name = Printf.sprintf "fuzz_%d%s" seed tag;
     sb_fresh =
       (fun () ->
         let f = Gen.generate ~cfg ~seed () in
-        (match inject with
-        | None -> ()
-        | Some bug -> (
-            match Mutate.inject bug f with
-            | Ok () -> ()
-            | Error e -> failwith ("inject: " ^ e)));
+        Option.iter
+          (fun bug ->
+            Result.iter_error
+              (fun e -> failwith ("inject: " ^ e))
+              (Mutate.inject bug f))
+          inject;
         f);
     sb_block_size = block_size;
     sb_n = cfg.Gen.array_size;
@@ -113,48 +109,31 @@ let exec ?(reconvergence = Simulator.Stack) ~n ~input_seed ~block_size
   in
   (m, inst.Kernel.read_result ())
 
-(* the independent-thread-scheduling model used by the cross-model
-   differential legs below *)
-let its_model = Simulator.Its Simulator.default_its_params
-
-let mismatch_detail ~warp_size base out =
-  match Kernel.first_mismatch base out with
-  | None -> None
-  | Some k ->
-      Some
-        (Printf.sprintf "warp=%d index=%d: %s vs %s" warp_size k
-           (Kernel.rv_to_string base.(k))
-           (Kernel.rv_to_string out.(k)))
-
 (* Per-branch attribution invariants shared by both runs. *)
 let metrics_invariants (m : Metrics.t) : string option =
   let stats = Metrics.branch_stats m in
-  let neg = ref None in
-  let sum_div = ref 0 and sum_reconv = ref 0 in
-  List.iter
-    (fun (id, (s : Metrics.branch_stat)) ->
-      sum_div := !sum_div + s.Metrics.br_divergences;
-      sum_reconv := !sum_reconv + s.Metrics.br_reconvergences;
-      if
-        s.Metrics.br_divergences < 0 || s.Metrics.br_cycles < 0
-        || s.Metrics.br_lost_lane_cycles < 0
-        || s.Metrics.br_reconvergences < 0
-      then neg := Some id)
-    stats;
-  match !neg with
-  | Some id -> Some (Printf.sprintf "negative branch counter at %s" id)
-  | None ->
-      if !sum_div <> m.Metrics.divergent_branches then
-        Some
-          (Printf.sprintf
-             "per-branch splits sum to %d but divergent_branches = %d"
-             !sum_div m.Metrics.divergent_branches)
-      else if !sum_reconv > m.Metrics.reconvergences then
-        Some
-          (Printf.sprintf
-             "per-branch reconvergences sum to %d > total %d" !sum_reconv
-             m.Metrics.reconvergences)
-      else None
+  let sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 stats in
+  let div = sum (fun s -> s.Metrics.br_divergences)
+  and reconv = sum (fun s -> s.Metrics.br_reconvergences) in
+  (* the last branch with a negative counter *)
+  match
+    List.find_opt
+      (fun (_, (s : Metrics.branch_stat)) ->
+        s.br_divergences < 0 || s.br_cycles < 0 || s.br_lost_lane_cycles < 0
+        || s.br_reconvergences < 0)
+      (List.rev stats)
+  with
+  | Some (id, _) -> Some (Printf.sprintf "negative branch counter at %s" id)
+  | None when div <> m.Metrics.divergent_branches ->
+      Some
+        (Printf.sprintf
+           "per-branch splits sum to %d but divergent_branches = %d" div
+           m.Metrics.divergent_branches)
+  | None when reconv > m.Metrics.reconvergences ->
+      Some
+        (Printf.sprintf "per-branch reconvergences sum to %d > total %d"
+           reconv m.Metrics.reconvergences)
+  | None -> None
 
 let report_invariants subject ~(stats : Pass.stats)
     ~(base : Metrics.t) ~(opt : Metrics.t) : string option =
@@ -180,12 +159,10 @@ let report_invariants subject ~(stats : Pass.stats)
            "exact-sum identity broken: melds %d + residual %d <> delta %d"
            saved (Report.residual r) (Report.delta r))
     else
-      match metrics_invariants base with
-      | Some e -> Some ("base: " ^ e)
-      | None -> (
-          match metrics_invariants opt with
-          | Some e -> Some ("opt: " ^ e)
-          | None -> None)
+      match (metrics_invariants base, metrics_invariants opt) with
+      | Some e, _ -> Some ("base: " ^ e)
+      | None, Some e -> Some ("opt: " ^ e)
+      | None, None -> None
 
 (* ------------------------------------------------------------------ *)
 (* The matrix                                                          *)
@@ -199,217 +176,174 @@ let run_subject ?(stages = stages) ?(warps = warp_sizes) subject :
         fl_detail = detail }
       :: !failures
   in
-  let done_ () = List.rev !failures in
+  (* a failure that ends the subject's run, or inside a stage the
+     stage's *)
+  let exception Halt in
+  let halt stage kind detail =
+    fail stage kind detail;
+    raise Halt
+  in
+  let verified stage f =
+    match Verify.run f with
+    | [] -> ()
+    | errs ->
+        halt stage "verifier"
+          (String.concat "; "
+             (List.map (fun (e : Verify.error) -> e.Verify.msg) errs))
+  in
   let exec ?reconvergence f ~warp_size =
     exec ?reconvergence ~n:subject.sb_n ~input_seed:subject.sb_input_seed
       ~block_size:subject.sb_block_size ~warp_size f
   in
-  match subject.sb_fresh () with
-  | exception e ->
-      fail "base" "crash" (Printexc.to_string e);
-      done_ ()
-  | f0 -> (
-      match Verify.run f0 with
-      | _ :: _ as errs ->
-          fail "base" "verifier"
-            (String.concat "; "
-               (List.map (fun (e : Verify.error) -> e.Verify.msg) errs));
-          done_ ()
-      | [] -> (
-          let base_report = Checker.check_func f0 in
-          match Checker.errors base_report with
-          | d :: _ as ds ->
-              (* a checker-flagged kernel is never executed: report and
-                 stop (mutation-kill targets land here) *)
-              fail "base"
-                ("checker:" ^ d.Diag.id)
-                (String.concat "; " (List.map Diag.to_string ds));
-              done_ ()
-          | [] -> (
-              match exec f0 ~warp_size:64 with
-              | exception e ->
-                  fail "base" "crash" (Printexc.to_string e);
-                  done_ ()
-              | base_m, base_out ->
-                  (* schedule independence of the untransformed kernel *)
-                  List.iter
-                    (fun ws ->
-                      if ws <> 64 then
-                        match exec f0 ~warp_size:ws with
-                        | exception e ->
-                            fail "base" "crash"
-                              (Printf.sprintf "warp=%d: %s" ws
-                                 (Printexc.to_string e))
-                        | _, out -> (
-                            match
-                              mismatch_detail ~warp_size:ws base_out out
-                            with
-                            | Some d -> fail "base" "schedule" d
-                            | None -> ()))
-                    warps;
-                  (match metrics_invariants base_m with
-                  | Some d -> fail "base" "metrics" d
-                  | None -> ());
-                  (* cross-model differential: independent thread
-                     scheduling must reproduce the stack model's final
-                     memory image at every warp size *)
-                  List.iter
-                    (fun ws ->
-                      match
-                        exec ~reconvergence:its_model f0 ~warp_size:ws
-                      with
-                      | exception e ->
-                          fail "base" "crash"
-                            (Printf.sprintf "its warp=%d: %s" ws
-                               (Printexc.to_string e))
-                      | m, out ->
-                          (if ws = 64 then
-                             match metrics_invariants m with
-                             | Some d -> fail "base" "metrics" ("its: " ^ d)
-                             | None -> ());
-                          (match
-                             mismatch_detail ~warp_size:ws base_out out
-                           with
-                          | Some d -> fail "base" "xmodel" d
-                          | None -> ()))
-                    warps;
-                  List.iter
-                    (fun (stage, (t : E.transform)) ->
-                      let ft = subject.sb_fresh () in
-                      match t.E.t_apply ~checked:true ft with
-                      | exception Pass.Validation_failed msg ->
-                          fail stage "tv" msg
-                      | exception e ->
-                          fail stage "crash" (Printexc.to_string e)
-                      | _, stats_opt -> (
-                          match Verify.run ft with
-                          | _ :: _ as errs ->
-                              fail stage "verifier"
-                                (String.concat "; "
-                                   (List.map
-                                      (fun (e : Verify.error) ->
-                                        e.Verify.msg)
-                                      errs))
-                          | [] -> (
-                              (match
-                                 Checker.new_errors ~before:base_report
-                                   ~after:(Checker.check_func ft)
-                               with
-                              | [] -> ()
-                              | d :: _ ->
-                                  fail stage
-                                    ("checker-regression:" ^ d.Diag.id)
-                                    (Diag.to_string d));
-                              let opt_m = ref None in
-                              List.iter
-                                (fun ws ->
-                                  match exec ft ~warp_size:ws with
-                                  | exception e ->
-                                      fail stage "crash"
-                                        (Printf.sprintf "warp=%d: %s" ws
-                                           (Printexc.to_string e))
-                                  | m, out ->
-                                      if ws = 64 then opt_m := Some m;
-                                      (match
-                                         mismatch_detail ~warp_size:ws
-                                           base_out out
-                                       with
-                                      | Some d ->
-                                          fail stage "mismatch" d
-                                      | None -> ()))
-                                warps;
-                              (* the transformed kernel must also agree
-                                 with the stack-model baseline image
-                                 when run under independent thread
-                                 scheduling *)
-                              List.iter
-                                (fun ws ->
-                                  match
-                                    exec ~reconvergence:its_model ft
-                                      ~warp_size:ws
-                                  with
-                                  | exception e ->
-                                      fail stage "crash"
-                                        (Printf.sprintf "its warp=%d: %s" ws
-                                           (Printexc.to_string e))
-                                  | _, out -> (
-                                      match
-                                        mismatch_detail ~warp_size:ws
-                                          base_out out
-                                      with
-                                      | Some d ->
-                                          fail stage "xmodel" d
-                                      | None -> ()))
-                                warps;
-                              match (stats_opt, !opt_m) with
-                              | Some stats, Some opt ->
-                                  (match
-                                     report_invariants subject ~stats
-                                       ~base:base_m ~opt
-                                   with
-                                  | Some d -> fail stage "metrics" d
-                                  | None -> ())
-                              | _ -> ())))
-                    stages;
-                  done_ ())))
+  (try
+     let f0 =
+       try subject.sb_fresh ()
+       with e -> halt "base" "crash" (Printexc.to_string e)
+     in
+     verified "base" f0;
+     let base_report = Checker.check_func f0 in
+     (match Checker.errors base_report with
+     | [] -> ()
+     | d :: _ as ds ->
+         (* a checker-flagged kernel is never executed: report and stop
+            (mutation-kill targets land here) *)
+         halt "base"
+           ("checker:" ^ d.Diag.id)
+           (String.concat "; " (List.map Diag.to_string ds)));
+     let base_m, base_out =
+       try exec f0 ~warp_size:64
+       with e -> halt "base" "crash" (Printexc.to_string e)
+     in
+     (* One differential leg: [f] at warp [ws] under the stack model, or
+        under independent thread scheduling when [its], against the
+        baseline image.  A crash is worded with the leg.  A different
+        image is a [schedule] failure for the untransformed kernel under
+        the stack model (race-free kernels are schedule-independent),
+        [mismatch] for a transformed one, and [xmodel] under ITS (the
+        reconvergence strategy is a schedule knob too).  [metrics] sees
+        the run's counters before the images are compared. *)
+     let leg ?(metrics = ignore) ~its stage f ws =
+       let reconvergence =
+         if its then Simulator.Its Simulator.default_its_params
+         else Simulator.Stack
+       in
+       match exec ~reconvergence f ~warp_size:ws with
+       | exception e ->
+           fail stage "crash"
+             (Printf.sprintf "%swarp=%d: %s"
+                (if its then "its " else "")
+                ws (Printexc.to_string e))
+       | m, out -> (
+           metrics m;
+           match Kernel.first_mismatch base_out out with
+           | None -> ()
+           | Some k ->
+               fail stage
+                 (if its then "xmodel"
+                  else if stage = "base" then "schedule"
+                  else "mismatch")
+                 (Printf.sprintf "warp=%d index=%d: %s vs %s" ws k
+                    (Kernel.rv_to_string base_out.(k))
+                    (Kernel.rv_to_string out.(k))))
+     in
+     List.iter (fun ws -> if ws <> 64 then leg ~its:false "base" f0 ws) warps;
+     Option.iter (fail "base" "metrics") (metrics_invariants base_m);
+     List.iter
+       (fun ws ->
+         let metrics m =
+           if ws = 64 then
+             Option.iter
+               (fun d -> fail "base" "metrics" ("its: " ^ d))
+               (metrics_invariants m)
+         in
+         leg ~metrics ~its:true "base" f0 ws)
+       warps;
+     List.iter
+       (fun (stage, (t : E.transform)) ->
+         try
+           let ft = subject.sb_fresh () in
+           let stats =
+             match t.E.t_apply ~checked:true ft with
+             | _, stats -> stats
+             | exception Pass.Validation_failed msg -> halt stage "tv" msg
+             | exception e -> halt stage "crash" (Printexc.to_string e)
+           in
+           verified stage ft;
+           (match
+              Checker.new_errors ~before:base_report
+                ~after:(Checker.check_func ft)
+            with
+           | [] -> ()
+           | d :: _ ->
+               fail stage ("checker-regression:" ^ d.Diag.id)
+                 (Diag.to_string d));
+           let opt_m = ref None in
+           List.iter
+             (fun ws ->
+               let metrics m = if ws = 64 then opt_m := Some m in
+               leg ~metrics ~its:false stage ft ws)
+             warps;
+           List.iter (leg ~its:true stage ft) warps;
+           match (stats, !opt_m) with
+           | Some stats, Some opt ->
+               Option.iter (fail stage "metrics")
+                 (report_invariants subject ~stats ~base:base_m ~opt)
+           | _ -> ()
+         with Halt -> ())
+       stages
+   with Halt -> ());
+  List.rev !failures
 
 (* ------------------------------------------------------------------ *)
 (* Seed-range driver                                                   *)
 
-let chunks (size : int) (l : 'a list) : 'a list list =
-  let rec take k = function
-    | x :: tl when k > 0 ->
-        let a, b = take (k - 1) tl in
-        (x :: a, b)
-    | l -> ([], l)
+let budgeted_chunks ?budget_s ~size items f =
+  let deadline = Option.map (fun b -> Clock.now_s () +. b) budget_s in
+  let rec take k acc = function
+    | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
+    | rest -> (List.rev acc, rest)
   in
-  let rec go = function
-    | [] -> []
-    | l ->
-        let c, rest = take size l in
-        c :: go rest
+  let rec go ci = function
+    | [] -> false
+    | _ when Option.fold ~none:false ~some:(fun d -> Clock.now_s () > d) deadline
+      ->
+        true
+    | items ->
+        let chunk, rest = take size [] items in
+        f ci chunk;
+        go (ci + 1) rest
   in
-  go l
+  go 0 items
 
 type summary = {
-  sm_failures : failure list;
+  sm_failing : (subject * failure list) list;
   sm_seeds_run : int;
   sm_seeds_total : int;
   sm_budget_exhausted : bool;
 }
 
-let run_seeds ?jobs ?(cfg = Gen.default_cfg)
-    ?inject ?budget_s ~block_size ~seeds () : summary =
-  let deadline =
-    Option.map (fun b -> Clock.now_s () +. b) budget_s
-  in
-  let total = List.length seeds in
-  let failures = ref [] and run = ref 0 and cut = ref false in
-  List.iter
-    (fun chunk ->
-      let past_deadline =
-        match deadline with
-        | Some d -> Clock.now_s () > d
-        | None -> false
-      in
-      if past_deadline then cut := true
-      else begin
-        let outcomes =
-          Darm_harness.Parallel_sweep.map ?jobs
-            (fun seed ->
-              run_subject
-                (subject_of_seed ~cfg ?inject ~block_size ~seed ()))
+let run_seeds ?jobs ?(cfg = Gen.default_cfg) ?inject ?budget_s ~block_size
+    ~seeds () : summary =
+  let failing = ref [] and run = ref 0 in
+  let cut =
+    budgeted_chunks ?budget_s
+      ~size:(max 4 (Option.value jobs ~default:4))
+      seeds
+      (fun _ chunk ->
+        let subjects =
+          List.map
+            (fun seed -> subject_of_seed ~cfg ?inject ~block_size ~seed ())
             chunk
         in
-        List.iter
-          (fun fs -> failures := List.rev_append fs !failures)
-          outcomes;
-        run := !run + List.length chunk
-      end)
-    (chunks (max 4 (Option.value jobs ~default:4)) seeds);
+        List.iter2
+          (fun sb fs -> if fs <> [] then failing := (sb, fs) :: !failing)
+          subjects
+          (Darm_harness.Parallel_sweep.map ?jobs run_subject subjects);
+        run := !run + List.length chunk)
+  in
   {
-    sm_failures = List.rev !failures;
+    sm_failing = List.rev !failing;
     sm_seeds_run = !run;
-    sm_seeds_total = total;
-    sm_budget_exhausted = !cut;
+    sm_seeds_total = List.length seeds;
+    sm_budget_exhausted = cut;
   }

@@ -47,11 +47,14 @@ type subject = {
   sb_input_seed : int;  (** seed of the deterministic array contents *)
 }
 
-(** A generated kernel (optionally with an injected bug).  Raises
-    [Invalid_argument] when [cfg.array_size < block_size]: threads of
-    one block would then share output cells, the kernel would race
-    against itself, and the schedule oracle would report phantom
-    failures. *)
+(** A generated kernel (optionally with an injected bug), named
+    [fuzz_<seed>] or [fuzz_<seed>+<TAG>], over [n = cfg.array_size] and
+    input seed [seed].  The one place that generates a kernel and grafts
+    a bug: [sb_fresh] raises [Failure "inject: <reason>"] when the bug
+    cannot be grafted.  Raises [Invalid_argument] when
+    [cfg.array_size < block_size]: threads of one block would then
+    share output cells, the kernel would race against itself, and the
+    schedule oracle would report phantom failures. *)
 val subject_of_seed :
   ?cfg:Gen.cfg -> ?inject:Mutate.bug -> block_size:int -> seed:int -> unit ->
   subject
@@ -121,25 +124,29 @@ val run_subject :
   subject ->
   failure list
 
-(** [chunks size l] splits [l] into consecutive lists of [size]
-    elements (the last may be shorter): the unit at which {!run_seeds}
-    and {!Batch.run} check their budget. *)
-val chunks : int -> 'a list -> 'a list list
+(** [budgeted_chunks ?budget_s ~size items f] hands [items] to [f] in
+    consecutive chunks of [size] (the last may be shorter), with each
+    chunk's index, and returns whether the budget cut the list short.
+    [budget_s] bounds elapsed time on the monotonic {!Clock}, read only
+    between chunks: no chunk starts past the deadline, so a generous
+    budget never changes the outcome.  {!run_seeds} and {!Batch.run}
+    both run through it. *)
+val budgeted_chunks :
+  ?budget_s:float -> size:int -> 'a list -> (int -> 'a list -> unit) -> bool
 
 type summary = {
-  sm_failures : failure list;  (** in seed order *)
+  sm_failing : (subject * failure list) list;
+      (** the subjects that failed, in seed order, each with its
+          {!run_subject} failures *)
   sm_seeds_run : int;
   sm_seeds_total : int;
   sm_budget_exhausted : bool;
 }
 
-(** Fan a seed range over the domain pool ({!Darm_harness.Parallel_sweep});
-    failures come back in seed order for any [jobs].  [budget_s] bounds
-    elapsed time on the monotonic {!Clock}: the seed list is processed
-    in deterministic chunks
-    and no new chunk starts past the deadline (so a generous budget
-    never changes the outcome, and [sm_budget_exhausted] says when the
-    range was cut short). *)
+(** Fan a seed range over the domain pool ({!Darm_harness.Parallel_sweep})
+    in {!budgeted_chunks}; the failing subjects come back in seed order
+    for any [jobs] (and [sm_budget_exhausted] says when the range was
+    cut short). *)
 val run_seeds :
   ?jobs:int ->
   ?cfg:Gen.cfg ->

@@ -138,3 +138,33 @@ let minimize ?(max_steps = 1_000) ~still_failing text0 : result =
     | Error _ -> 0
   in
   { sh_text = !cur; sh_steps = !steps; sh_blocks = blocks }
+
+let minimize_failure (sb : Oracle.subject) (fl : Oracle.failure) =
+  let open Oracle in
+  let stages = List.filter (fun (name, _) -> name = fl.fl_stage) stages in
+  (* only spend simulations on warp sizes that can reproduce it *)
+  let warps =
+    if String.starts_with ~prefix:"warp=64" fl.fl_detail then [ 64 ]
+    else warp_sizes
+  in
+  let still_failing text =
+    subject_of_text ~name:sb.sb_name ~block_size:sb.sb_block_size ~n:sb.sb_n
+      ~input_seed:sb.sb_input_seed text
+    |> run_subject ~stages ~warps
+    |> List.exists (fun f -> failure_key f = failure_key fl)
+  in
+  let r = minimize ~still_failing (Printer.func_to_string (sb.sb_fresh ())) in
+  ( r,
+    {
+      Corpus.en_name = String.map (function '+' -> '-' | c -> c) sb.sb_name;
+      en_seed = sb.sb_input_seed;
+      en_block_size = sb.sb_block_size;
+      en_n = sb.sb_n;
+      en_input_seed = sb.sb_input_seed;
+      en_expect = Corpus.Fail { stage = fl.fl_stage; kind = fl.fl_kind };
+      en_note =
+        Some
+          (Printf.sprintf "shrunk by darm_opt fuzz --minimize in %d steps"
+             r.sh_steps);
+      en_text = r.sh_text;
+    } )

@@ -33,3 +33,12 @@ type result = {
     [1_000]). *)
 val minimize :
   ?max_steps:int -> still_failing:(string -> bool) -> string -> result
+
+(** [minimize_failure sb fl] shrinks subject [sb]'s kernel while the
+    oracle still reports [fl]'s {!Oracle.failure_key}, re-running only
+    [fl]'s stage, and only warp 64 when [fl] was seen there.  It
+    returns the result and the corpus entry that replays it: named
+    after [sb] (['+'] becomes ['-']), expecting [fl]'s stage and kind,
+    with [sb]'s block size, [n] and input seed (also its seed
+    provenance). *)
+val minimize_failure : Oracle.subject -> Oracle.failure -> result * Corpus.entry

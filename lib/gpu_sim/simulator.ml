@@ -408,9 +408,8 @@ let fill_int (rf : regfile) (o : int) (mask : bool array) (n : int) : unit =
 let decode_exec (i : instr) ~(src : int array) ~(dst : int) ~(imm : int) :
     exec =
   let undef_operand k lane =
-    errf "operand %d is undef in lane %d (instr %d, op %s, block %s)" k lane
-      i.id (Op.to_string i.op)
-      (match i.parent with Some b -> b.bname | None -> "?")
+    errf "operand %d is undef in lane %d (instr %s, op %s)" k lane
+      (Ssa.site i) (Op.to_string i.op)
   in
   let a = if Array.length src > 0 then src.(0) else -1 in
   let b = if Array.length src > 1 then src.(1) else -1 in

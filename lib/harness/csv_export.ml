@@ -42,7 +42,7 @@ let header =
     fan out over the {!Parallel_sweep} domain pool; the emitted bytes
     are identical for any [jobs]. *)
 let export ?n ?jobs ~(dir : string) () : unit =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Darm_obs.Fsio.mkdir_p dir;
   let rows kernels =
     List.map result_row (E.sweep_many ?jobs ?n kernels)
   in

@@ -92,19 +92,13 @@ let find t ~key ~decode =
           Atomic.incr t.c_misses;
           None)
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
-  end
-
 let store t ~key payload =
   if Result.is_error (parse_payload payload) then
     invalid_arg
       (Printf.sprintf "Result_cache.store: payload is not valid %S JSON"
          schema);
   let path = entry_path t ~key in
-  mkdir_p (Filename.dirname path);
+  Fsio.mkdir_p (Filename.dirname path);
   Fsio.write_atomic ~path payload
 
 let clear t : int =

@@ -121,6 +121,16 @@ let non_phis (b : block) = List.filter (fun i -> i.op <> Op.Phi) b.instrs
 let body (b : block) =
   List.filter (fun i -> i.op <> Op.Phi && not (Op.is_terminator i.op)) b.instrs
 
+let site_index (b : block) (i : instr) : int option =
+  List.find_index (fun x -> x == i) b.instrs
+  |> Option.map (fun k -> k - List.length (phis b))
+
+let site ?block (i : instr) : string =
+  match (block, i.parent) with
+  | Some b, _ | None, Some b ->
+      b.bname ^ "#" ^ Option.fold ~none:"?" ~some:string_of_int (site_index b i)
+  | None, None -> "?"
+
 let successors (b : block) : block list =
   if has_terminator b then Array.to_list (terminator b).blocks else []
 

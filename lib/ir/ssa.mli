@@ -87,6 +87,18 @@ val non_phis : block -> instr list
     terminator. *)
 val body : block -> instr list
 
+(** [site_index b i]: [i]'s index among the non-phi instructions of
+    [b]; the phis, which lead a block, count back from [-1].  [None]
+    when [b] does not list [i].  Unlike [i.id] it depends on the
+    function alone, so diagnostics and traps name instructions by it;
+    it walks [b], so callers compute it only when they report. *)
+val site_index : block -> instr -> int option
+
+(** ["<block>#<k>"]: the name of [block] (default: [i]'s parent) and
+    {!site_index} — for a load or a store, the simulator's memory-site
+    id; [?] stands for a missing block or index. *)
+val site : ?block:block -> instr -> string
+
 val successors : block -> block list
 
 val append_instr : block -> instr -> unit

@@ -181,7 +181,8 @@ let run (f : func) : error list =
                   (match i.parent with
                   | Some bb when bb == b -> ()
                   | _ ->
-                      err (errf "instr %d in %s has wrong parent" i.id b.bname));
+                      err
+                        (errf "instr %s has wrong parent" (site ~block:b i)));
                   if Op.is_terminator i.op && tl <> [] then
                     err (errf "terminator mid-block in %s" b.bname);
                   if i.op = Op.Phi && seen_non_phi then
@@ -292,9 +293,9 @@ let run (f : func) : error list =
                         then
                           err
                             (errf
-                               "phi use in %s: def %d does not dominate edge \
+                               "phi use in %s: def %s does not dominate edge \
                                 from %s"
-                               b.bname def.id src.bname)
+                               b.bname (site def) src.bname)
                     | Int _ | Bool _ | Float _ | Undef _ | Param _ -> ())
                   (phi_incoming i))
               else
@@ -305,9 +306,9 @@ let run (f : func) : error list =
                         if not (def_dominates_use def i ~incoming:None) then
                           err
                             (errf
-                               "use in %s (op %s): def %d does not dominate \
-                                use %d"
-                               b.bname (Op.to_string i.op) def.id i.id)
+                               "use in %s (op %s): def %s does not dominate \
+                                use %s"
+                               b.bname (Op.to_string i.op) (site def) (site i))
                     | Int _ | Bool _ | Float _ | Undef _ | Param _ -> ())
                   i.operands
           | _ -> ());

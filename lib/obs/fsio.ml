@@ -1,5 +1,5 @@
-(* Binary, atomic file output and the one whole-file reader.  See
-   fsio.mli. *)
+(* Binary, atomic file output, the one directory creator and the one
+   whole-file reader.  See fsio.mli. *)
 
 let read path =
   (* failures are classified here, off the success path: a successful
@@ -32,6 +32,12 @@ let read path =
 
 let read_file path =
   match read path with Ok bytes -> bytes | Error e -> raise (Sys_error e)
+
+let rec mkdir_p d =
+  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
+  end
 
 let write_atomic ?validate ~path contents =
   let dir = Filename.dirname path in

@@ -24,6 +24,12 @@
 val write_atomic :
   ?validate:(string -> unit) -> path:string -> string -> unit
 
+(** [mkdir_p dir] creates [dir] and any missing parent directories
+    (mode 0o755); an existing directory, or one another process makes
+    meanwhile, is fine.  Raises [Sys_error] when a level cannot be
+    made. *)
+val mkdir_p : string -> unit
+
 (** Whole file as bytes (binary mode).  Never raises: a missing file
     (["<path>: no such file"]), a directory (["<path>: is a
     directory"]), an unreadable file, or one that shrinks while it is

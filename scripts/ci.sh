@@ -279,6 +279,33 @@ if dune exec bin/darm_opt.exe -- fuzz --smoke --count 5 --inject XBAR \
 fi
 grep -q 'checker:barrier-divergence' /tmp/darm_fuzz_inject.txt
 rm -f /tmp/darm_fuzz_inject.txt
+# failures print the same bytes at any --jobs, and a subject's failure
+# text does not depend on the seeds run before it: an injected race is
+# named by places in its own kernel
+fuzz_dir=$(mktemp -d /tmp/darm_fuzz.XXXXXX)
+for j in 1 4; do
+  rc=0
+  dune exec bin/darm_opt.exe -- fuzz --smoke --count 8 --inject XRW \
+    --jobs "$j" > "$fuzz_dir/xrw_j$j.txt" || rc=$?
+  test "$rc" -eq 1
+done
+cmp "$fuzz_dir/xrw_j1.txt" "$fuzz_dir/xrw_j4.txt"
+rc=0
+dune exec bin/darm_opt.exe -- fuzz --smoke --seed-start 3 --count 1 \
+  --inject XRW > "$fuzz_dir/xrw_s3.txt" || rc=$?
+test "$rc" -eq 1
+grep '^FAIL subject=fuzz_3+XRW ' "$fuzz_dir/xrw_j4.txt" > "$fuzz_dir/xrw_3.txt"
+test -s "$fuzz_dir/xrw_3.txt"
+grep '^FAIL ' "$fuzz_dir/xrw_s3.txt" | cmp - "$fuzz_dir/xrw_3.txt"
+# --minimize shrinks each failing subject into a corpus directory whose
+# missing parents it creates, and the saved repro replays
+rc=0
+dune exec bin/darm_opt.exe -- fuzz --smoke --count 1 --inject XBAR \
+  --minimize --corpus "$fuzz_dir/a/b" > "$fuzz_dir/min.txt" || rc=$?
+test "$rc" -eq 1
+test "$(grep -c '^CORPUS ' "$fuzz_dir/min.txt")" -eq 1
+dune exec bin/darm_opt.exe -- fuzz --replay "$fuzz_dir/a/b"
+rm -rf "$fuzz_dir"
 
 # cross-model differential: every oracle run above already re-executes
 # each subject under independent thread scheduling (the xmodel legs);

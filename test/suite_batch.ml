@@ -21,13 +21,7 @@ let contains (hay : string) (needle : string) : bool =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
-(* fresh scratch directory; tests clean up what they care about and
-   the OS tempdir absorbs the rest *)
-let temp_dir () =
-  let path = Filename.temp_file "darm_batch_test" "" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  path
+let temp_dir = Testlib.temp_dir
 
 let write_raw path contents =
   let oc = open_out_bin path in
@@ -275,7 +269,8 @@ let test_batch_two_pass_warm_hits () =
   Alcotest.(check int) "no errors" 0 cold.B.bt_errors;
   let warm = B.run ~jobs:4 ~cache ~out:warm_out specs in
   Alcotest.(check int) "warm run hits everything" 5 warm.B.bt_hits;
-  Alcotest.(check (float 0.)) "hit rate 1.0" 1.0 (B.hit_rate warm);
+  Alcotest.(check (float 0.)) "hit rate 1.0" 1.0
+    (History.batch_hit_rate (B.to_batch_stats warm));
   (* the byte-identity contract: warm bytes = cold bytes, across
      different pool sizes *)
   Alcotest.(check string) "warm replay is byte-identical"

@@ -50,6 +50,22 @@ let codec_cases =
               (C.expectation_to_string entry.C.en_expect)
               (C.expectation_to_string e2.C.en_expect);
             Alcotest.(check (option string)) "note" entry.C.en_note e2.C.en_note);
+    Alcotest.test_case "save creates missing parent directories" `Quick
+      (fun () ->
+        let entry =
+          {
+            C.en_name = "nested"; en_seed = 1; en_block_size = 64; en_n = 128;
+            en_input_seed = 1; en_expect = C.Pass; en_note = None;
+            en_text = "kernel @k(%a: ptr(global), %b: ptr(global)) {\n}";
+          }
+        in
+        let dir = Filename.concat (Testlib.temp_dir ()) "missing/nested" in
+        let path = C.save ~dir entry in
+        match C.load_file path with
+        | Error e -> Alcotest.fail e
+        | Ok e2 ->
+            Alcotest.(check string) "bytes" (C.to_string entry)
+              (C.to_string e2));
     Alcotest.test_case "expectation_of_string" `Quick (fun () ->
         (match C.expectation_of_string "pass" with
         | Ok C.Pass -> ()

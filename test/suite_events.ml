@@ -16,11 +16,7 @@ let contains (hay : string) (needle : string) : bool =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
-let temp_dir () =
-  let path = Filename.temp_file "darm_events_test" "" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  path
+let temp_dir = Testlib.temp_dir
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

@@ -14,11 +14,9 @@ let key = "base/checker:shared-race-ww"
 (* the injected kernel, printed *)
 let text0 =
   lazy
-    (let f = G.generate ~cfg ~seed () in
-     (match M.inject M.Xrace f with
-     | Ok () -> ()
-     | Error e -> Alcotest.failf "inject: %s" e);
-     Darm_ir.Printer.func_to_string f)
+    (Darm_ir.Printer.func_to_string
+       ((O.subject_of_seed ~cfg ~inject:M.Xrace ~block_size:64 ~seed ())
+          .O.sb_fresh ()))
 
 (* base-only oracle (verifier + checkers + single-warp run) keyed on
    the injected race diagnostic *)

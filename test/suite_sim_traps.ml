@@ -10,9 +10,10 @@
    guard, a barrier in divergent control flow and a launch whose
    argument array does not match the kernel's parameters; programs that
    must run pin the cells they store, constructor included: poisoned
-   results, bools, coerced ints and pointers of both spaces.  Global
-   instruction ids depend on how much IR the process built before, so
-   they are masked. *)
+   results, bools, coerced ints and pointers of both spaces.  A trap
+   names its instruction by its place in the function ("<block>#<k>"),
+   so the text does not depend on how much IR the process built
+   before. *)
 
 module Sim = Darm_sim.Simulator
 module Memory = Darm_sim.Memory
@@ -25,34 +26,12 @@ let parse text =
   | Ok f -> f
   | Error e -> Alcotest.failf "parse: %s" e
 
-(* "instr 123" -> "instr #" *)
-let mask_ids (s : string) : string =
-  let key = "instr " in
-  let n = String.length s and k = String.length key in
-  let is_digit c = c >= '0' && c <= '9' in
-  let b = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + k < n && String.sub s !i k = key && is_digit s.[!i + k] then begin
-      Buffer.add_string b "instr #";
-      i := !i + k;
-      while !i < n && is_digit s.[!i] do
-        incr i
-      done
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
 (* the global array every program gets as [%a]: cells 0..63 hold their
    own index *)
 let gptr = Memory.Rptr (Memory.Sp_global, 0)
 
 (* Run [text] as one 64-lane block with [args] and render how it ended:
-   the masked error text, or "ok" and the first four global cells *)
+   the error text, or "ok" and the first four global cells *)
 let outcome ~reconvergence ~(args : Memory.rv array) (text : string) : string =
   let f = parse text in
   let global = Memory.create ~space:Memory.Sp_global 64 in
@@ -65,8 +44,8 @@ let outcome ~reconvergence ~(args : Memory.rv array) (text : string) : string =
   | _ ->
       let cell off = Testlib.cell_string (Memory.read global off) in
       "ok " ^ String.concat " " (List.init 4 cell)
-  | exception Sim.Sim_error e -> "Sim_error: " ^ mask_ids e
-  | exception Memory.Fault e -> "Fault: " ^ mask_ids e
+  | exception Sim.Sim_error e -> "Sim_error: " ^ e
+  | exception Memory.Fault e -> "Fault: " ^ e
 
 (* a one-block kernel over [%a] and one extra parameter [%x : ty]; the
    body runs after [%0 = thread.idx] *)
@@ -206,15 +185,16 @@ let programs : (string * Memory.rv array * string) list =
   ]
 
 (* (name, Stack outcome, Its outcome), recorded before the simulator's
-   register file was unboxed *)
+   register file was unboxed; the undef-operand traps' instruction
+   names re-recorded when they became local to the function *)
 let golden_traps =
   [
     ("sdiv by undef",
-     "Sim_error: operand 1 is undef in lane 0 (instr #, op sdiv, block entry)",
-     "Sim_error: operand 1 is undef in lane 0 (instr #, op sdiv, block entry)");
+     "Sim_error: operand 1 is undef in lane 0 (instr entry#1, op sdiv)",
+     "Sim_error: operand 1 is undef in lane 0 (instr entry#1, op sdiv)");
     ("srem of undef",
-     "Sim_error: operand 0 is undef in lane 0 (instr #, op srem, block entry)",
-     "Sim_error: operand 0 is undef in lane 0 (instr #, op srem, block entry)");
+     "Sim_error: operand 0 is undef in lane 0 (instr entry#1, op srem)",
+     "Sim_error: operand 0 is undef in lane 0 (instr entry#1, op srem)");
     ("sdiv by zero",
      "Sim_error: sdiv by zero",
      "Sim_error: sdiv by zero");
@@ -222,11 +202,11 @@ let golden_traps =
      "Sim_error: srem by zero",
      "Sim_error: srem by zero");
     ("load through undef",
-     "Sim_error: operand 0 is undef in lane 0 (instr #, op load, block entry)",
-     "Sim_error: operand 0 is undef in lane 0 (instr #, op load, block entry)");
+     "Sim_error: operand 0 is undef in lane 0 (instr entry#1, op load)",
+     "Sim_error: operand 0 is undef in lane 0 (instr entry#1, op load)");
     ("store through undef",
-     "Sim_error: operand 1 is undef in lane 0 (instr #, op store, block entry)",
-     "Sim_error: operand 1 is undef in lane 0 (instr #, op store, block entry)");
+     "Sim_error: operand 1 is undef in lane 0 (instr entry#1, op store)",
+     "Sim_error: operand 1 is undef in lane 0 (instr entry#1, op store)");
     ("branch on undef",
      "Sim_error: condbr: use of undef condition",
      "Sim_error: condbr: use of undef condition");

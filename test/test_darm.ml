@@ -12,4 +12,4 @@ let () =
    @ Suite_events.suites @ Suite_reconvergence.suites
    @ Suite_dominance.suites @ Suite_pass_golden.suites
    @ Suite_construction_golden.suites @ Suite_sim_traps.suites
-   @ Suite_batch_golden.suites)
+   @ Suite_batch_golden.suites @ Suite_oracle.suites)

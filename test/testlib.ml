@@ -7,6 +7,14 @@ module Memory = Darm_sim.Memory
 module Metrics = Darm_sim.Metrics
 module Pass = Darm_core.Pass
 
+(* a fresh scratch directory; tests clean up what they care about and
+   the OS tempdir absorbs the rest *)
+let temp_dir () =
+  let path = Filename.temp_file "darm_test" "" in
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  path
+
 let small_sim_config =
   { Simulator.default_config with max_cycles_per_warp = 50_000_000 }
 
