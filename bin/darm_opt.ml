@@ -678,12 +678,19 @@ let fuzz_cmd =
     match replay_dir with
     | Some dir -> replay dir
     | None ->
+        let usage_error e =
+          Printf.eprintf "%s\n" e;
+          exit 2
+        in
         let cfg =
           match G.cfg_of ~smoke ~features with
           | Ok cfg -> cfg
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              exit 2
+          | Error e -> usage_error e
+        in
+        let block_size =
+          match O.check_block_size cfg block_size with
+          | Ok b -> b
+          | Error e -> usage_error e
         in
         let inject =
           Option.map
@@ -703,17 +710,22 @@ let fuzz_cmd =
         let failures = List.concat_map snd sum.O.sm_failing in
         List.iter (fun fl -> print_endline (O.failure_to_string fl)) failures;
         if minimize then
-          (* one shrink per failing subject, of its first failure *)
+          (* one shrink per failing subject, of its first failure; a
+             subject whose kernel cannot be built has only its FAIL line *)
           List.iter
             (fun (sb, fls) ->
               let fl = List.hd fls in
-              let r, entry = Sh.minimize_failure sb fl in
-              Printf.printf "MINIMIZED subject=%s key=%s blocks=%d steps=%d\n%s"
-                fl.O.fl_subject (O.failure_key fl) r.Sh.sh_blocks
-                r.Sh.sh_steps r.Sh.sh_text;
               Option.iter
-                (fun dir -> Printf.printf "CORPUS %s\n" (Corpus.save ~dir entry))
-                corpus_dir)
+                (fun (r, entry) ->
+                  Printf.printf
+                    "MINIMIZED subject=%s key=%s blocks=%d steps=%d\n%s"
+                    fl.O.fl_subject (O.failure_key fl) r.Sh.sh_blocks
+                    r.Sh.sh_steps r.Sh.sh_text;
+                  Option.iter
+                    (fun dir ->
+                      Printf.printf "CORPUS %s\n" (Corpus.save ~dir entry))
+                    corpus_dir)
+                (Sh.minimize_failure sb fl))
             sum.O.sm_failing;
         Printf.printf "fuzz: %d/%d seed(s), %d failure(s)%s\n"
           sum.O.sm_seeds_run sum.O.sm_seeds_total (List.length failures)

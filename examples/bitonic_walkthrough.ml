@@ -26,7 +26,7 @@ let () =
       (fun acc b ->
         match acc with
         | Some _ -> acc
-        | None -> C.Region.detect f dvg dt pdt b)
+        | None -> C.Region.detect dvg dt pdt b)
       None
       (A.Cfg.reachable_blocks f)
   in

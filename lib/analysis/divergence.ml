@@ -1,24 +1,5 @@
-(** GPU divergence analysis.
-
-    Determines which values and branches can differ between threads of a
-    warp, in the style of LLVM's divergence analysis (Karrenberg & Hack):
-
-    - {b data dependence}: [thread.idx] is divergent; any instruction with
-      a divergent operand is divergent (this covers loads, whose value is
-      divergent exactly when the address is — a load from a uniform
-      address broadcasts one location and is uniform);
-    - {b sync dependence}: for each divergent conditional branch, the phi
-      nodes at its control-flow joins (every multi-predecessor block on a
-      path between the branch and its immediate post-dominator, including
-      the post-dominator itself) merge values from paths taken by
-      different threads, and are therefore divergent.  Because a loop's
-      back edge re-enters the header, a divergent loop exit marks the
-      header phis as well (temporal divergence).
-
-    The analysis is a may-analysis: "divergent" is the conservative
-    answer.  The melding pass only uses it to {e select} branches worth
-    melding, so imprecision costs optimization opportunity, never
-    correctness. *)
+(** GPU divergence analysis (data and sync dependence).  See the
+    interface for the rules. *)
 
 open Darm_ir
 open Darm_ir.Ssa
@@ -42,28 +23,23 @@ let is_divergent_branch (t : t) (b : block) : bool =
   let term = terminator b in
   term.op = Op.Condbr && is_divergent_value t term.operands.(0)
 
-(* Body of [sync_joins] over a caller-supplied predecessor table, so
-   the fixpoint below can share one table across every query. *)
-let sync_joins_with (preds : (int, block list) Hashtbl.t) (pdt : Domtree.t)
-    (b : block) : block list =
+(** Multi-predecessor blocks on paths from the successors of [b] that
+    stop at (and include) [b]'s immediate post-dominator — the sync
+    joins of a branch at [b]. *)
+let sync_joins (pdt : Domtree.t) (b : block) : block list =
+  let is_join blk = List.length (preds blk) >= 2 in
   match Domtree.idom pdt b with
   | None ->
       (* No post-dominator (e.g. divergence straight to exit): every
          multi-pred block reachable from b is potentially a join. *)
-      List.filter
-        (fun blk -> List.length (preds_of preds blk) >= 2)
-        (Cfg.reachable_without b ~stop:[])
+      List.filter is_join (Cfg.reachable_without b ~stop:[])
   | Some m ->
       let region =
         List.concat_map
           (fun s -> Cfg.reachable_without s ~stop:[ m ])
           (successors b)
       in
-      let joins =
-        List.filter
-          (fun blk -> List.length (preds_of preds blk) >= 2)
-          region
-      in
+      let joins = List.filter is_join region in
       let dedup = Hashtbl.create 8 in
       let out = ref [ m ] in
       Hashtbl.replace dedup m.bid ();
@@ -75,12 +51,6 @@ let sync_joins_with (preds : (int, block list) Hashtbl.t) (pdt : Domtree.t)
           end)
         joins;
       !out
-
-(** Multi-predecessor blocks on paths from the successors of [b] that
-    stop at (and include) [b]'s immediate post-dominator — the sync
-    joins of a branch at [b]. *)
-let sync_joins (f : func) (pdt : Domtree.t) (b : block) : block list =
-  sync_joins_with (predecessors f) pdt b
 
 let compute ?pdt (f : func) : t =
   let pdt =
@@ -97,15 +67,13 @@ let compute ?pdt (f : func) : t =
   in
   (* The joins of a branch depend only on the CFG and the
      post-dominator tree — not on which values are divergent — so one
-     predecessor table and one joins list per branch serve the whole
-     fixpoint. *)
-  let preds = predecessors f in
+     joins list per branch serves the whole fixpoint. *)
   let joins_memo : (int, block list) Hashtbl.t = Hashtbl.create 16 in
   let joins_of (b : block) : block list =
     match Hashtbl.find_opt joins_memo b.bid with
     | Some js -> js
     | None ->
-        let js = sync_joins_with preds pdt b in
+        let js = sync_joins pdt b in
         Hashtbl.replace joins_memo b.bid js;
         js
   in

@@ -39,7 +39,6 @@ val divergent_ids : t -> int list
 val equal : t -> t -> bool
 
 val is_divergent_instr : t -> Ssa.instr -> bool
-val is_divergent_value : t -> Ssa.value -> bool
 
 (** A conditional branch whose condition is thread-dependent. *)
 val is_divergent_branch : t -> Ssa.block -> bool
@@ -47,7 +46,7 @@ val is_divergent_branch : t -> Ssa.block -> bool
 (** Multi-predecessor blocks on paths from the successors of a branch
     block, stopping at (and including) its immediate post-dominator —
     the sync joins of the branch. *)
-val sync_joins : Ssa.func -> Domtree.t -> Ssa.block -> Ssa.block list
+val sync_joins : Domtree.t -> Ssa.block -> Ssa.block list
 
 (** Blocks ending in a divergent conditional branch. *)
 val divergent_branches : t -> Ssa.func -> Ssa.block list

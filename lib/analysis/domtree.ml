@@ -7,11 +7,8 @@ open Darm_ir.Ssa
 
 type t = Dom.t
 
-let compute (f : func) : t =
-  Dom.compute ~is_post:false ~preds:(predecessors f) f
-
-let compute_post (f : func) : t =
-  Dom.compute ~is_post:true ~preds:(predecessors f) f
+let compute (f : func) : t = Dom.compute ~is_post:false f
+let compute_post (f : func) : t = Dom.compute ~is_post:true f
 
 let node (t : t) (b : block) : int option =
   Hashtbl.find_opt t.Dom.index_of b.bid

@@ -31,7 +31,6 @@ let exit_edges (l : loop) : (block * block) list =
 
 let compute (f : func) : t =
   let dt = Domtree.compute f in
-  let preds = predecessors f in
   let reach = Cfg.reachable_blocks f in
   (* back edge: b -> h where h dominates b *)
   let back_edges =
@@ -62,7 +61,7 @@ let compute (f : func) : t =
         let rec pull b =
           if not (Hashtbl.mem body b.bid) then begin
             Hashtbl.replace body b.bid b;
-            List.iter pull (preds_of preds b)
+            List.iter pull (preds b)
           end
         in
         List.iter pull latches;

@@ -1,32 +1,5 @@
-(** Per-function analysis manager: caches the CFG walk, dominator and
-    post-dominator trees and divergence behind a typed query API, and
-    invalidates selectively from the {!Edit} sets that transforms
-    report.
-
-    Invalidation rules (see {!Edit.t} for the edit contracts):
-
-    {v
-    edit        cfg/preds  domtree  postdomtree  divergence
-    Dce         keep       keep     keep         drop
-    Cfg_local   drop       drop     drop         drop
-    Whole       drop       drop     drop         drop
-    v}
-
-    [Dce] keeps every CFG-derived analysis (dead-code elimination never
-    touches terminators) but drops divergence: the divergent-instruction
-    set may shrink when a {e dead} divergent instruction is removed, so
-    a cached result would fail the debug-mode set comparison.
-
-    Two cross-analysis shares: the post-dominator tree is served from a
-    cached divergence result (which computes one internally), and
-    divergence computation is seeded with the cached post-dominator
-    tree.
-
-    Debug mode ([~debug:true], or the [DARM_ANALYSIS_DEBUG] environment
-    variable) cross-validates every cache-served query against a
-    from-scratch recompute and raises {!Stale_analysis} on any mismatch
-    — the harness for catching transforms that under-report their
-    edits. *)
+(** Per-function analysis manager.  See the interface for the
+    invalidation table. *)
 
 open Darm_ir.Ssa
 
@@ -47,7 +20,6 @@ type t = {
   func : func;
   debug : bool;
   mutable cfg : block list option;  (** reachable blocks, DFS preorder *)
-  mutable preds : (int, block list) Hashtbl.t option;
   mutable dt : Domtree.t option;
   mutable pdt : Domtree.t option;
   mutable dvg : Divergence.t option;
@@ -64,7 +36,6 @@ let create ?debug (f : func) : t =
     func = f;
     debug = (match debug with Some d -> d | None -> debug_env ());
     cfg = None;
-    preds = None;
     dt = None;
     pdt = None;
     dvg = None;
@@ -113,26 +84,6 @@ let reachable (m : t) : block list =
     ~compute:(fun () -> Cfg.reachable_blocks m.func)
     ~check:(fun a b -> bids a = bids b)
 
-let preds_equal (a : (int, block list) Hashtbl.t)
-    (b : (int, block list) Hashtbl.t) : bool =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun bid pa acc ->
-         acc
-         &&
-         match Hashtbl.find_opt b bid with
-         | None -> false
-         | Some pb ->
-             List.sort compare (bids pa) = List.sort compare (bids pb))
-       a true
-
-let preds (m : t) : (int, block list) Hashtbl.t =
-  query m ~name:"preds"
-    ~cached:(fun () -> m.preds)
-    ~store:(fun v -> m.preds <- Some v)
-    ~compute:(fun () -> predecessors m.func)
-    ~check:preds_equal
-
 let domtree (m : t) : Domtree.t =
   query m ~name:"domtree"
     ~cached:(fun () -> m.dt)
@@ -174,7 +125,6 @@ let drop_slot (m : t) (present : bool) (clear : unit -> unit) : unit =
 
 let drop_cfgish (m : t) : unit =
   drop_slot m (m.cfg <> None) (fun () -> m.cfg <- None);
-  drop_slot m (m.preds <> None) (fun () -> m.preds <- None);
   drop_slot m (m.dt <> None) (fun () -> m.dt <- None);
   drop_slot m (m.pdt <> None) (fun () -> m.pdt <- None);
   drop_slot m (m.dvg <> None) (fun () -> m.dvg <- None)

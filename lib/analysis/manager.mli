@@ -3,21 +3,29 @@
     invalidates selectively from the {!Edit} sets that transforms
     report.
 
-    Invalidation rules:
+    Invalidation rules (see {!Edit.t} for the edit contracts):
 
     {v
-    edit        cfg/preds  domtree  postdomtree  divergence
-    Dce         keep       keep     keep         drop
-    Cfg_local   drop       drop     drop         drop
-    Whole       drop       drop     drop         drop
+    edit        cfg   domtree  postdomtree  divergence
+    Dce         keep  keep     keep         drop
+    Cfg_local   drop  drop     drop         drop
+    Whole       drop  drop     drop         drop
     v}
 
+    [Dce] keeps every CFG-derived analysis (dead-code elimination never
+    touches terminators) but drops divergence: the divergent-instruction
+    set may shrink when a {e dead} divergent instruction is removed, so
+    a cached result would fail the debug-mode set comparison.
+
     The post-dominator tree is shared with a cached divergence result
-    in both directions.
+    in both directions: it is served from one (divergence computes one
+    internally), and divergence is seeded with a cached one.
 
     Debug mode ([~debug:true] or the [DARM_ANALYSIS_DEBUG] environment
     variable) cross-validates every cache-served query against a
-    from-scratch recompute and raises {!Stale_analysis} on mismatch. *)
+    from-scratch recompute and raises {!Stale_analysis} on mismatch —
+    the harness for catching transforms that under-report their
+    edits. *)
 
 open Darm_ir
 
@@ -50,9 +58,6 @@ val recomputes_avoided : t -> int
 
 (** Reachable blocks in DFS preorder (cached {!Cfg.reachable_blocks}). *)
 val reachable : t -> Ssa.block list
-
-(** Cached predecessor table ({!Darm_ir.Ssa.predecessors}). *)
-val preds : t -> (int, Ssa.block list) Hashtbl.t
 
 val domtree : t -> Domtree.t
 val postdomtree : t -> Domtree.t

@@ -37,11 +37,10 @@ let check_func ?facts ?dvg (f : Ssa.func) : report =
       in
       let pdt = Option.map Darm_analysis.Manager.postdomtree facts in
       let dt = Option.map Darm_analysis.Manager.domtree facts in
-      let preds = Option.map Darm_analysis.Manager.preds facts in
       (* one barrier-divergence run feeds both its own diagnostics and
          the race checker (which previously recomputed it) *)
       let bdiv = Barrier_check.analyze ~dvg ?pdt f in
-      let race = Race_check.analyze ~dvg ?dt ?preds ~bdiv f in
+      let race = Race_check.analyze ~dvg ?dt ~bdiv f in
       let hygiene = Hygiene.check f in
       let diags =
         List.sort Diag.compare

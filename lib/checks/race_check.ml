@@ -108,9 +108,8 @@ let may_same_interval a b = not (IntSet.disjoint a.a_intervals b.a_intervals)
    operands are affine with distinct tid coefficients, so for any
    fixed value of the uniform symbols at most one thread satisfies
    equality. *)
-let solo_block_set ?dt ?preds (af : Affine.t) (f : func) : IntSet.t =
+let solo_block_set ?dt (af : Affine.t) (f : func) : IntSet.t =
   let dt = match dt with Some d -> d | None -> Domtree.compute f in
-  let preds = match preds with Some p -> p | None -> predecessors f in
   let solo = ref IntSet.empty in
   let reachable = Cfg.reachable_blocks f in
   List.iter
@@ -134,7 +133,7 @@ let solo_block_set ?dt ?preds (af : Affine.t) (f : func) : IntSet.t =
                   | Affine.Form a, Affine.Form b when a.Affine.c <> b.Affine.c
                     ->
                       if
-                        List.length (preds_of preds dest) = 1
+                        List.length (preds dest) = 1
                         && dest.bid <> c.bid
                       then
                         List.iter
@@ -230,7 +229,7 @@ let collect_accesses (af : Affine.t) (bdiv : Barrier_check.t)
     (Cfg.reachable_blocks f);
   List.rev !accesses
 
-let analyze ?dvg ?dt ?preds ?bdiv (f : func) : t =
+let analyze ?dvg ?dt ?bdiv (f : func) : t =
   let dvg = match dvg with Some d -> d | None -> Divergence.compute f in
   let af = Affine.compute dvg f in
   let bdiv =
@@ -241,7 +240,7 @@ let analyze ?dvg ?dt ?preds ?bdiv (f : func) : t =
       ~entry:(IntSet.singleton entry_marker)
       ~init:IntSet.empty ~transfer:block_transfer f
   in
-  let solo = solo_block_set ?dt ?preds af f in
+  let solo = solo_block_set ?dt af f in
   let accesses = collect_accesses af bdiv intervals solo f in
   let arr = Array.of_list accesses in
   let n = Array.length arr in

@@ -38,15 +38,14 @@ type verdict =
 
 type t
 
-(** [dvg], [dt], [preds] and [bdiv] (when supplied) must be current for
-    [f]; they save recomputing the divergence analysis, the dominator
-    tree, the predecessor table and the barrier-divergence analysis —
-    e.g. from a {!Darm_analysis.Manager} and a {!Checker}-level shared
+(** [dvg], [dt] and [bdiv] (when supplied) must be current for [f];
+    they save recomputing the divergence analysis, the dominator tree
+    and the barrier-divergence analysis — e.g. from a
+    {!Darm_analysis.Manager} and a {!Checker}-level shared
     {!Barrier_check.analyze} run. *)
 val analyze :
   ?dvg:Darm_analysis.Divergence.t ->
   ?dt:Darm_analysis.Domtree.t ->
-  ?preds:(int, Ssa.block list) Hashtbl.t ->
   ?bdiv:Barrier_check.t ->
   Ssa.func ->
   t

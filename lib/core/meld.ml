@@ -109,10 +109,9 @@ let entry_phi env (d : instr) ~(from_true : bool) : value =
       (* If the melded entry is a loop header, the back edges carry the
          phi's own value around the loop. *)
       let internal_preds =
-        let tbl = predecessors env.fn in
         List.filter
           (fun p -> p.bid <> env.pre_t.bid && p.bid <> env.pre_f.bid)
-          (preds_of tbl m0)
+          (preds m0)
       in
       let incoming =
         incoming @ List.map (fun p -> (Instr phi, p)) internal_preds

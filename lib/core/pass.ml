@@ -410,8 +410,12 @@ let restore_func (f : func) (snap : string) : unit =
   | Error e ->
       invalid_arg ("Pass.restore_func: snapshot does not re-parse: " ^ e)
   | Ok g ->
-      f.blocks_list <- g.blocks_list;
-      List.iter (fun b -> b.bparent <- Some f) f.blocks_list
+      List.iter (remove_block f) f.blocks_list;
+      List.iter
+        (fun b ->
+          remove_block g b;
+          append_block f b)
+        g.blocks_list
 
 (** Run the melding pass on [f] to a fixpoint; returns the statistics.
     The function is verified after every meld when [verify_each] is set
@@ -448,15 +452,14 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
     obs_span "pass.iteration"
       [ ("iteration", Darm_obs.Trace.Int stats.iterations) ]
     @@ fun () ->
-    let dvg, dt, pdt, preds =
+    let dvg, dt, pdt =
       obs_span "pass.analysis" [] @@ fun () ->
       (* divergence first: it computes a post-dominator tree internally,
          so the postdomtree query right after is a cache hit *)
       let dvg = Manager.divergence mgr in
       let dt = Manager.domtree mgr in
       let pdt = Manager.postdomtree mgr in
-      let preds = Manager.preds mgr in
-      (dvg, dt, pdt, preds)
+      (dvg, dt, pdt)
     in
     let candidate =
       obs_span "pass.candidates" [] @@ fun () ->
@@ -465,7 +468,7 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
           match acc with
           | Some _ -> acc
           | None -> (
-              match Region.detect ~preds f dvg dt pdt b with
+              match Region.detect dvg dt pdt b with
               | None -> None
               | Some r ->
                   stats.regions_found <- stats.regions_found + 1;

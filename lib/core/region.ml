@@ -50,11 +50,10 @@ let subgraph_size (s : subgraph) = Hashtbl.length s.sg_blocks
     stays on that side or goes to [X]; every edge into a side block other
     than the side's entry comes from within the side.  This is what makes
     the region transformable without re-routing unrelated control flow. *)
-let side_closed ?preds (f : func) ~(side : block list)
-    ~(side_entry : block) ~(region_entry : block) ~(exit_ : block) : bool =
+let side_closed ~(side : block list) ~(side_entry : block)
+    ~(region_entry : block) ~(exit_ : block) : bool =
   let in_side = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace in_side b.bid ()) side;
-  let preds = match preds with Some p -> p | None -> predecessors f in
   List.for_all
     (fun b ->
       List.for_all
@@ -64,17 +63,17 @@ let side_closed ?preds (f : func) ~(side : block list)
            (fun p ->
              Hashtbl.mem in_side p.bid
              || (b.bid = side_entry.bid && p.bid = region_entry.bid))
-           (preds_of preds b))
+           (preds b))
     side
 
-(** [detect f dvg dt pdt b] checks whether [b] is the entry of a
+(** [detect dvg dt pdt b] checks whether [b] is the entry of a
     meldable divergent region (Definition 5) and returns it.  Besides
     the branch conditions, every block of both paths must be dominated
     by [b] and post-dominated by the exit — the defining property of a
     region — which rules out pseudo-regions whose reachability sets leak
     through loop back edges into unrelated control flow. *)
-let detect ?preds (f : func) (dvg : Divergence.t) (dt : Domtree.t)
-    (pdt : Domtree.t) (b : block) : t option =
+let detect (dvg : Divergence.t) (dt : Domtree.t) (pdt : Domtree.t)
+    (b : block) : t option =
   if not (Divergence.is_divergent_branch dvg b) then None
   else
     let term = terminator b in
@@ -104,10 +103,10 @@ let detect ?preds (f : func) (dvg : Divergence.t) (dt : Domtree.t)
           if
             disjoint
             && dominated t_side && dominated f_side
-            && side_closed ?preds f ~side:t_side ~side_entry:t_succ
-                 ~region_entry:b ~exit_:x
-            && side_closed ?preds f ~side:f_side ~side_entry:f_succ
-                 ~region_entry:b ~exit_:x
+            && side_closed ~side:t_side ~side_entry:t_succ ~region_entry:b
+                 ~exit_:x
+            && side_closed ~side:f_side ~side_entry:f_succ ~region_entry:b
+                 ~exit_:x
           then
             Some
               {

@@ -46,17 +46,14 @@ val in_subgraph : subgraph -> Ssa.block -> bool
 val subgraph_block_list : subgraph -> Ssa.block list
 val subgraph_size : subgraph -> int
 
-(** [detect f dvg dt pdt b] checks whether [b] is the entry of a
+(** [detect dvg dt pdt b] checks whether [b] is the entry of a
     meldable divergent region (Definition 5) and returns it.  Beyond the
     branch conditions, every block of both paths must be dominated by
     [b] and post-dominated by the exit — the defining property of a
     region — which rules out pseudo-regions whose reachability sets leak
-    through loop back edges into unrelated control flow.  [preds] (when
-    supplied) must be the current predecessor table of [f] and saves
-    rebuilding it per closure check. *)
+    through loop back edges into unrelated control flow. *)
 val detect :
-  ?preds:(int, Ssa.block list) Hashtbl.t ->
-  Ssa.func -> Divergence.t -> Domtree.t -> Domtree.t -> Ssa.block -> t option
+  Divergence.t -> Domtree.t -> Domtree.t -> Ssa.block -> t option
 
 (** Ordered SESE subgraph sequences of the two paths; earlier subgraphs
     execute first. *)

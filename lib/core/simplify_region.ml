@@ -84,11 +84,8 @@ let normalize_exit ?edits (f : func) (sg : Region.subgraph) :
     entry's conditional branch). *)
 let normalize_entry ?edits (f : func) (sg : Region.subgraph) :
     Region.subgraph * block =
-  let preds_tbl = predecessors f in
   let external_preds =
-    List.filter
-      (fun p -> not (Region.in_subgraph sg p))
-      (preds_of preds_tbl sg.sg_entry)
+    List.filter (fun p -> not (Region.in_subgraph sg p)) (preds sg.sg_entry)
   in
   match external_preds with
   | [ p ]

@@ -92,9 +92,7 @@ let spec_of_json (j : J.t) : (spec, string) result =
   | Some (J.Str "fuzz") ->
       let* seed = J.get_int j "seed" in
       let* block_size =
-        Result.bind
-          (with_default ~default:64 (J.get_opt J.get_int j "block_size"))
-          (positive "block_size")
+        with_default ~default:64 (J.get_opt J.get_int j "block_size")
       in
       let* profile =
         with_default ~default:"smoke" (J.get_str_opt j "profile")
@@ -117,17 +115,11 @@ let spec_of_json (j : J.t) : (spec, string) result =
                  (String.concat "|" (List.map Mutate.tag Mutate.all)))
         | r -> r
       in
-      if cfg.Gen.array_size < block_size then
-        Error
-          (Printf.sprintf
-             "block_size %d exceeds the profile's array_size %d (the \
-              generated kernel would race against itself)"
-             block_size cfg.Gen.array_size)
-      else
-        Ok
-          (Fuzz
-             { fz_seed = seed; fz_block_size = block_size; fz_smoke = smoke;
-               fz_features = features; fz_inject = inject })
+      let* block_size = Oracle.check_block_size cfg block_size in
+      Ok
+        (Fuzz
+           { fz_seed = seed; fz_block_size = block_size; fz_smoke = smoke;
+             fz_features = features; fz_inject = inject })
   | Some (J.Str other) ->
       Error (Printf.sprintf "unknown kind %S (registry|fuzz)" other)
   | _ -> Error "missing string field \"kind\""

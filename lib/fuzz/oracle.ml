@@ -23,15 +23,27 @@ type subject = {
   sb_input_seed : int;
 }
 
-let subject_of_seed ?(cfg = Gen.default_cfg) ?inject ~block_size ~seed () =
-  (* threads of one block must own distinct [b] cells, or the generated
-     kernel races against itself and the schedule oracle is unsound *)
-  if cfg.Gen.array_size < block_size then
-    invalid_arg
+let check_block_size (cfg : Gen.cfg) (block_size : int) :
+    (int, string) result =
+  if block_size <= 0 then
+    Error
+      (Printf.sprintf "field \"block_size\" must be positive, got %d"
+         block_size)
+  else if cfg.Gen.array_size < block_size then
+    (* threads of one block must own distinct [b] cells, or the
+       generated kernel races against itself and the schedule oracle is
+       unsound *)
+    Error
       (Printf.sprintf
-         "Oracle.subject_of_seed: array_size %d < block_size %d breaks the \
-          own-cell race-freedom discipline"
-         cfg.Gen.array_size block_size);
+         "block_size %d exceeds the profile's array_size %d (the generated \
+          kernel would race against itself)"
+         block_size cfg.Gen.array_size)
+  else Ok block_size
+
+let subject_of_seed ?(cfg = Gen.default_cfg) ?inject ~block_size ~seed () =
+  Result.iter_error
+    (fun e -> invalid_arg ("Oracle.subject_of_seed: " ^ e))
+    (check_block_size cfg block_size);
   let tag = Option.fold ~none:"" ~some:(fun b -> "+" ^ Mutate.tag b) inject in
   {
     sb_name = Printf.sprintf "fuzz_%d%s" seed tag;

@@ -47,14 +47,21 @@ type subject = {
   sb_input_seed : int;  (** seed of the deterministic array contents *)
 }
 
+(** [check_block_size cfg b] is [Ok b] when [b] is a block size the
+    generated kernels of profile [cfg] can run at: positive and at most
+    [cfg.array_size].  A larger block would make threads of one block
+    share output cells, the kernel would race against itself, and the
+    schedule oracle would report phantom failures.  The one check behind
+    both a manifest's fuzz specs and [darm_opt fuzz -b]; the error is
+    the manifest's message. *)
+val check_block_size : Gen.cfg -> int -> (int, string) result
+
 (** A generated kernel (optionally with an injected bug), named
     [fuzz_<seed>] or [fuzz_<seed>+<TAG>], over [n = cfg.array_size] and
     input seed [seed].  The one place that generates a kernel and grafts
     a bug: [sb_fresh] raises [Failure "inject: <reason>"] when the bug
     cannot be grafted.  Raises [Invalid_argument] when
-    [cfg.array_size < block_size]: threads of one block would then
-    share output cells, the kernel would race against itself, and the
-    schedule oracle would report phantom failures. *)
+    {!check_block_size} rejects [block_size]. *)
 val subject_of_seed :
   ?cfg:Gen.cfg -> ?inject:Mutate.bug -> block_size:int -> seed:int -> unit ->
   subject

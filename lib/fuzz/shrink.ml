@@ -30,7 +30,7 @@ let edits (f : Ssa.func) : (unit -> bool) list =
         Ssa.phi_remove_incoming drop ~pred:b;
         t.Ssa.op <- Op.Br;
         t.Ssa.operands <- [||];
-        t.Ssa.blocks <- [| keep |];
+        Ssa.retarget t [| keep |];
         true
       end
   in
@@ -87,9 +87,18 @@ let cleanup (f : Ssa.func) =
   in
   go 8
 
+(* Every block the entry reaches can still reach a [ret]: the
+   post-dominator tree's sweep back from the return blocks over
+   [Ssa.preds] gives each such block an immediate post-dominator.  A
+   kernel that fails this spins until the simulator's cycle cap. *)
+let can_finish (f : Ssa.func) : bool =
+  Array.for_all (fun d -> d >= 0) (Dom.compute ~is_post:true f).Dom.idom
+
 type attempt = Accepted of string | Rejected | Exhausted
 
-let attempt ~still_failing cur idx : attempt =
+(* [finish]: the input can finish, so a candidate must too — one that
+   cannot is rejected before [still_failing] would simulate it *)
+let attempt ~still_failing ~finish cur idx : attempt =
   match Parser.parse_func cur with
   | Error _ -> Exhausted
   | Ok f -> (
@@ -100,7 +109,8 @@ let attempt ~still_failing cur idx : attempt =
         match
           try
             cleanup f;
-            if Verify.run f = [] then Some (Printer.func_to_string f)
+            if Verify.run f = [] && ((not finish) || can_finish f) then
+              Some (Printer.func_to_string f)
             else None
           with _ -> None
         with
@@ -111,13 +121,18 @@ let attempt ~still_failing cur idx : attempt =
 let minimize ?(max_steps = 1_000) ~still_failing text0 : result =
   if not (still_failing text0) then
     invalid_arg "Shrink.minimize: the input does not satisfy still_failing";
+  let finish =
+    match Parser.parse_func text0 with
+    | Ok f -> ( try can_finish f with Invalid_argument _ -> false)
+    | Error _ -> false
+  in
   let cur = ref text0 in
   let steps = ref 0 in
   let idx = ref 0 in
   let accepted_this_round = ref false in
   let running = ref true in
   while !running && !steps < max_steps do
-    match attempt ~still_failing !cur !idx with
+    match attempt ~still_failing ~finish !cur !idx with
     | Accepted t ->
         (* stay at the same index: the edit list just shrank, so the
            slot now holds a different (untried) edit *)
@@ -153,18 +168,23 @@ let minimize_failure (sb : Oracle.subject) (fl : Oracle.failure) =
     |> run_subject ~stages ~warps
     |> List.exists (fun f -> failure_key f = failure_key fl)
   in
-  let r = minimize ~still_failing (Printer.func_to_string (sb.sb_fresh ())) in
-  ( r,
-    {
-      Corpus.en_name = String.map (function '+' -> '-' | c -> c) sb.sb_name;
-      en_seed = sb.sb_input_seed;
-      en_block_size = sb.sb_block_size;
-      en_n = sb.sb_n;
-      en_input_seed = sb.sb_input_seed;
-      en_expect = Corpus.Fail { stage = fl.fl_stage; kind = fl.fl_kind };
-      en_note =
-        Some
-          (Printf.sprintf "shrunk by darm_opt fuzz --minimize in %d steps"
-             r.sh_steps);
-      en_text = r.sh_text;
-    } )
+  match sb.sb_fresh () with
+  | exception Failure _ -> None
+  | f0 ->
+      let r = minimize ~still_failing (Printer.func_to_string f0) in
+      Some
+        ( r,
+          {
+            Corpus.en_name =
+              String.map (function '+' -> '-' | c -> c) sb.sb_name;
+            en_seed = sb.sb_input_seed;
+            en_block_size = sb.sb_block_size;
+            en_n = sb.sb_n;
+            en_input_seed = sb.sb_input_seed;
+            en_expect = Corpus.Fail { stage = fl.fl_stage; kind = fl.fl_kind };
+            en_note =
+              Some
+                (Printf.sprintf
+                   "shrunk by darm_opt fuzz --minimize in %d steps" r.sh_steps);
+            en_text = r.sh_text;
+          } )

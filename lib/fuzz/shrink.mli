@@ -16,9 +16,13 @@
     After every candidate edit the function is cleaned up (SimplifyCFG,
     constant folding, DCE), re-verified, re-printed, and accepted only
     when [still_failing] holds on the new text — so the result always
-    parses, verifies, and fails exactly like the original.  The search
-    is greedy and fully deterministic: the same input and predicate
-    always produce the same minimal repro. *)
+    parses, verifies, and fails exactly like the original.  When every
+    block the input's entry reaches can reach a [ret], a candidate with
+    a reachable block that cannot (one sweep back from the return
+    blocks over {!Darm_ir.Ssa.preds}) is rejected before
+    [still_failing] runs: simulating it would spin until the cycle cap.
+    The search is greedy and fully deterministic: the same input and
+    predicate always produce the same minimal repro. *)
 
 type result = {
   sh_text : string;  (** the minimized kernel, printed *)
@@ -40,5 +44,7 @@ val minimize :
     returns the result and the corpus entry that replays it: named
     after [sb] (['+'] becomes ['-']), expecting [fl]'s stage and kind,
     with [sb]'s block size, [n] and input seed (also its seed
-    provenance). *)
-val minimize_failure : Oracle.subject -> Oracle.failure -> result * Corpus.entry
+    provenance).  [None] when [sb]'s kernel cannot be built (its bug
+    does not graft), so there is nothing to shrink. *)
+val minimize_failure :
+  Oracle.subject -> Oracle.failure -> (result * Corpus.entry) option

@@ -12,11 +12,11 @@ type t = {
   is_post : bool;
 }
 
-(* CHK over nodes 0..n-1 with root 0: [preds] in the dominance
+(* CHK over nodes 0..n-1 with root 0: [dpreds] in the dominance
    direction, [rpo] a reverse postorder from the root.  Nodes the root
    does not reach keep idom -1. *)
-let chk_idoms ~(n : int) ~(preds : int list array) ~(rpo : int list) : int array
-    =
+let chk_idoms ~(n : int) ~(dpreds : int list array) ~(rpo : int list) :
+    int array =
   let rpo_num = Array.make n (-1) in
   List.iteri (fun k v -> rpo_num.(v) <- k) rpo;
   let idom = Array.make n (-1) in
@@ -32,7 +32,7 @@ let chk_idoms ~(n : int) ~(preds : int list array) ~(rpo : int list) : int array
     List.iter
       (fun b ->
         if b <> 0 then begin
-          let processed = List.filter (fun p -> idom.(p) >= 0) preds.(b) in
+          let processed = List.filter (fun p -> idom.(p) >= 0) dpreds.(b) in
           match processed with
           | [] -> ()
           | p0 :: rest ->
@@ -46,8 +46,7 @@ let chk_idoms ~(n : int) ~(preds : int list array) ~(rpo : int list) : int array
   done;
   idom
 
-let compute ~(is_post : bool) ~(preds : (int, block list) Hashtbl.t)
-    (f : func) : t =
+let compute ~(is_post : bool) (f : func) : t =
   (* Nodes: the blocks reachable from the entry in depth-first preorder,
      after node 0 = the virtual exit for the post-dominator tree. *)
   let base = if is_post then 1 else 0 in
@@ -75,7 +74,7 @@ let compute ~(is_post : bool) ~(preds : (int, block list) Hashtbl.t)
   List.iter
     (fun b ->
       let bi = Hashtbl.find index_of b.bid in
-      let cfg_preds = nodes (preds_of preds b) in
+      let cfg_preds = nodes (preds b) in
       let cfg_succs = nodes (successors b) in
       if is_post then begin
         dpreds.(bi) <- cfg_succs;
@@ -101,7 +100,7 @@ let compute ~(is_post : bool) ~(preds : (int, block list) Hashtbl.t)
     end
   in
   dfs 0;
-  let idom = chk_idoms ~n ~preds:dpreds ~rpo:!post in
+  let idom = chk_idoms ~n ~dpreds ~rpo:!post in
   (* Tree children + interval numbering. *)
   let children = Array.make n [] in
   Array.iteri

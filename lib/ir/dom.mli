@@ -23,9 +23,8 @@ type t = private {
   is_post : bool;
 }
 
-(** [compute ~is_post ~preds f], where [preds] is [Ssa.predecessors f]. *)
-val compute :
-  is_post:bool -> preds:(int, Ssa.block list) Hashtbl.t -> Ssa.func -> t
+(** [compute ~is_post f]; predecessors come from {!Ssa.preds}. *)
+val compute : is_post:bool -> Ssa.func -> t
 
 (** [dominates t a b]: does [a] (post-)dominate [b]?  Reflexive; [false]
     when either block is not a node the root reaches. *)

@@ -25,10 +25,6 @@ type ctx = {
   current_def : (int * int, value) Hashtbl.t;  (** (var, block) -> value *)
   incomplete : (int, (var * instr) list) Hashtbl.t;
       (** block id -> phis awaiting operands *)
-  preds : (int, block list) Hashtbl.t;
-      (** block id -> predecessors, highest block id first (the order
-          {!Ssa.predecessors} gives, since blocks are appended in id
-          order); final once the block is sealed *)
   forward : (int, value) Hashtbl.t;
       (** removed trivial phi id -> its replacement, which may itself
           have been removed since *)
@@ -41,11 +37,13 @@ type ctx = {
 (* ------------------------------------------------------------------ *)
 (* Braun et al. SSA construction
 
-   Linear in the size of the kernel: predecessor lists grow as branches
-   are emitted, and a removed trivial phi is forwarded to its
-   replacement instead of being rewritten out of the whole function.
-   Reads of [current_def] and phi operands resolve through the
-   forwarding table; one sweep at the end rewrites every operand. *)
+   Linear in the size of the kernel: a block's predecessors come from
+   the index [Ssa] keeps as branches are emitted (highest layout
+   position first, which is highest block id first here), and a removed
+   trivial phi is forwarded to its replacement instead of being
+   rewritten out of the whole function.  Reads of [current_def] and phi
+   operands resolve through the forwarding table; one sweep at the end
+   rewrites every operand. *)
 
 let rec resolve ctx (v : value) : value =
   match v with
@@ -83,17 +81,6 @@ let remove_phi (phi : instr) =
       b.instrs <- drop b.instrs;
       phi.parent <- None
 
-let block_preds ctx (b : block) : block list =
-  try Hashtbl.find ctx.preds b.bid with Not_found -> []
-
-let add_edge ctx ~(src : block) (dst : block) =
-  let rec insert = function
-    | p :: tl when p.bid > src.bid -> p :: insert tl
-    | p :: _ as l when p.bid = src.bid -> l
-    | l -> src :: l
-  in
-  Hashtbl.replace ctx.preds dst.bid (insert (block_preds ctx dst))
-
 let add_user ctx ~(user : instr) (v : value) =
   match v with
   | Instr p when p.op = Op.Phi ->
@@ -103,8 +90,7 @@ let add_user ctx ~(user : instr) (v : value) =
 
 let add_incoming ctx (phi : instr) (v : value) (pred : block) =
   let v = resolve ctx v in
-  phi.operands <- Array.append phi.operands [| v |];
-  phi.blocks <- Array.append phi.blocks [| pred |];
+  phi_add_incoming phi v pred;
   add_user ctx ~user:phi v
 
 (* The phis still in the function that use [phi], in function order:
@@ -163,7 +149,7 @@ and read_variable_recursive ctx (v : var) (b : block) : value =
       Instr phi
     end
     else
-      match block_preds ctx b with
+      match preds b with
       | [ p ] -> read_variable ctx v p
       | [] -> Undef v.vty (* entry block, variable never written *)
       | _ :: _ :: _ ->
@@ -178,7 +164,7 @@ and add_phi_operands ctx (v : var) (phi : instr) : value =
   let b = match phi.parent with Some b -> b | None -> assert false in
   List.iter
     (fun p -> add_incoming ctx phi (read_variable ctx v p) p)
-    (block_preds ctx b);
+    (preds b);
   try_remove_trivial_phi ctx phi
 
 let seal_block ctx (b : block) =
@@ -214,14 +200,11 @@ let move_to ctx (b : block) =
 
 let condbr ctx (cond : value) (then_b : block) (else_b : block) =
   Builder.ins_condbr (at ctx) cond then_b else_b;
-  add_edge ctx ~src:ctx.cur then_b;
-  add_edge ctx ~src:ctx.cur else_b;
   ctx.terminated <- true
 
 let terminate_with_br ctx (dest : block) =
   if not ctx.terminated then begin
     Builder.ins_br (at ctx) dest;
-    add_edge ctx ~src:ctx.cur dest;
     ctx.terminated <- true
   end
 
@@ -392,7 +375,6 @@ let build_kernel ~(name : string) ~(params : (string * Types.ty) list)
       sealed = Hashtbl.create 16;
       current_def = Hashtbl.create 64;
       incomplete = Hashtbl.create 16;
-      preds = Hashtbl.create 16;
       forward = Hashtbl.create 16;
       phi_users = Hashtbl.create 16;
       var_count = 0;

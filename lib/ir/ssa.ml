@@ -1,20 +1,5 @@
-(** Core SSA data structures: values, instructions, basic blocks, functions
-    and modules, plus the mutation primitives used by transformations.
-
-    The representation is deliberately LLVM-like and mutable: instructions
-    carry operand arrays that may reference other instructions directly,
-    blocks own an ordered instruction list whose last element is the unique
-    terminator, and control-flow edges live in the terminator's [blocks]
-    array.  [phi] nodes pair each operand with the corresponding incoming
-    block in [blocks].
-
-    Invariants (checked by {!Verify}):
-    - every reachable block ends in exactly one terminator, which is its
-      last instruction;
-    - [phi] nodes appear only as a prefix of a block and have exactly one
-      incoming entry per CFG predecessor;
-    - every instruction operand is defined by an instruction that dominates
-      the use (for [phi] uses: dominates the incoming edge's source). *)
+(** Core SSA data structures and the mutators that keep the
+    predecessor index exact.  See the interface for the invariants. *)
 
 type value =
   | Int of int
@@ -42,6 +27,8 @@ and block = {
   mutable bname : string;
   mutable instrs : instr list;  (** in execution order; last = terminator *)
   mutable bparent : func option;
+  mutable targeted_by : instr list;  (** terminators targeting it *)
+  mutable stamp : int;  (** layout stamp, set by [append_block] *)
 }
 
 and func = {
@@ -62,12 +49,28 @@ let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
+(* Index [t] under each block it targets; phis name incoming blocks,
+   not edges, and are never indexed. *)
+let link (t : instr) =
+  for k = 0 to Array.length t.blocks - 1 do
+    let b = t.blocks.(k) in
+    b.targeted_by <- t :: b.targeted_by
+  done
+
+let unlink (t : instr) =
+  Array.iter
+    (fun b -> b.targeted_by <- List.filter (fun x -> x != t) b.targeted_by)
+    t.blocks
+
 let mk_instr ?(name : string option) op operands blocks ty =
   ignore name;
-  { id = fresh_id (); op; operands; blocks; ty; parent = None }
+  let i = { id = fresh_id (); op; operands; blocks; ty; parent = None } in
+  if op <> Op.Phi then link i;
+  i
 
 let mk_block name =
-  { bid = fresh_id (); bname = name; instrs = []; bparent = None }
+  { bid = fresh_id (); bname = name; instrs = []; bparent = None;
+    targeted_by = []; stamp = 0 }
 
 let mk_func name params = { fname = name; params; blocks_list = [] }
 
@@ -163,8 +166,14 @@ let remove_instr (b : block) (i : instr) =
   i.parent <- None
 
 let append_block (f : func) (b : block) =
+  let rec append last = function
+    | [] ->
+        b.stamp <- last + 1;
+        [ b ]
+    | x :: tl -> x :: append x.stamp tl
+  in
   b.bparent <- Some f;
-  f.blocks_list <- f.blocks_list @ [ b ]
+  f.blocks_list <- append (-1) f.blocks_list
 
 let remove_block (f : func) (b : block) =
   f.blocks_list <- List.filter (fun x -> x.bid <> b.bid) f.blocks_list;
@@ -182,32 +191,36 @@ let fold_instrs (f : func) (g : 'a -> instr -> 'a) (init : 'a) =
     init f.blocks_list
 
 (* ------------------------------------------------------------------ *)
-(* CFG edge bookkeeping *)
+(* CFG edges *)
 
-(** Map from block id to predecessor blocks, recomputed on demand. *)
-let predecessors (f : func) : (int, block list) Hashtbl.t =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun b -> Hashtbl.replace tbl b.bid []) f.blocks_list;
-  List.iter
-    (fun b ->
-      List.iter
-        (fun s ->
-          let cur = try Hashtbl.find tbl s.bid with Not_found -> [] in
-          if not (List.exists (fun p -> p.bid = b.bid) cur) then
-            Hashtbl.replace tbl s.bid (b :: cur))
-        (successors b))
-    f.blocks_list;
-  tbl
+(* A terminator's source is its parent, while that block is in a
+   function; detached terminators and removed blocks stay indexed (they
+   may come back) but name no edge. *)
+let source (t : instr) : block option =
+  match t.parent with Some p when p.bparent <> None -> t.parent | _ -> None
 
-let preds_of tbl (b : block) = try Hashtbl.find tbl b.bid with Not_found -> []
+let preds (b : block) : block list =
+  match b.targeted_by with
+  | [ t ] -> Option.to_list (source t)
+  | ts ->
+      List.filter_map source ts
+      |> List.sort_uniq (fun x y ->
+             let c = compare y.stamp x.stamp in
+             if c <> 0 then c else compare y.bid x.bid)
+
+let retarget (t : instr) (targets : block array) =
+  assert (t.op <> Op.Phi);
+  unlink t;
+  t.blocks <- targets;
+  link t
 
 (** Replace every control-flow edge [src -> old_dest] with
     [src -> new_dest] in [src]'s terminator.  Phi nodes in [old_dest] and
     [new_dest] are {e not} adjusted; callers handle them explicitly. *)
 let redirect_edge (src : block) ~(old_dest : block) ~(new_dest : block) =
   let t = terminator src in
-  t.blocks <-
-    Array.map (fun b -> if b.bid = old_dest.bid then new_dest else b) t.blocks
+  retarget t
+    (Array.map (fun b -> if b.bid = old_dest.bid then new_dest else b) t.blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Phi helpers *)
@@ -221,6 +234,11 @@ let set_phi_incoming (i : instr) (pairs : (value * block) list) =
   assert (i.op = Op.Phi);
   i.operands <- Array.of_list (List.map fst pairs);
   i.blocks <- Array.of_list (List.map snd pairs)
+
+let phi_add_incoming (i : instr) (v : value) (pred : block) =
+  assert (i.op = Op.Phi);
+  i.operands <- Array.append i.operands [| v |];
+  i.blocks <- Array.append i.blocks [| pred |]
 
 let phi_incoming_for (i : instr) (pred : block) : value option =
   let rec find = function

@@ -9,9 +9,19 @@
     in the terminator's [blocks] array.  [phi] nodes pair each operand
     with the corresponding incoming block in [blocks].
 
+    As in LLVM, where a block's predecessors are the terminators in its
+    use list, each block indexes the terminators that target it
+    ([targeted_by]), so {!preds} costs what the block's in-edges cost
+    and no pass rebuilds a table.  This module is the only writer of a
+    terminator's [blocks] ({!mk_instr}, {!retarget}, {!redirect_edge})
+    and of a function's [blocks_list] ({!append_block},
+    {!remove_block}); code elsewhere that assigned either would leave
+    the index stale, which {!Verify} reports.
+
     Invariants (checked by {!Verify}):
     - every reachable block ends in exactly one terminator, which is its
       last instruction;
+    - {!preds} agrees, in order, with a rebuild from the terminators;
     - [phi] nodes appear only as a prefix of a block and have exactly
       one incoming entry per CFG predecessor;
     - every instruction operand is defined by an instruction that
@@ -44,6 +54,12 @@ and block = {
   mutable bname : string;
   mutable instrs : instr list;  (** in execution order; last = terminator *)
   mutable bparent : func option;
+  mutable targeted_by : instr list;
+      (** the terminators whose [blocks] name this block, attached or
+          not; written only by this module *)
+  mutable stamp : int;
+      (** layout stamp: larger for a block appended later to the same
+          function; set by {!append_block} *)
 }
 
 and func = {
@@ -105,7 +121,11 @@ val append_instr : block -> instr -> unit
 val insert_before : instr -> instr -> unit
 val insert_after_phis : block -> instr -> unit
 val remove_instr : block -> instr -> unit
+
+(** Append a block at the end of the function's layout and stamp it one
+    past the last block. *)
 val append_block : func -> block -> unit
+
 val remove_block : func -> block -> unit
 
 (** {2 Iteration} *)
@@ -115,10 +135,17 @@ val fold_instrs : func -> ('a -> instr -> 'a) -> 'a -> 'a
 
 (** {2 CFG edges} *)
 
-(** Map from block id to predecessor blocks, recomputed on demand. *)
-val predecessors : func -> (int, block list) Hashtbl.t
+(** The predecessors of a block, read from its index: the parent of
+    each terminator that targets it, counted once, when that parent is
+    in a function.  Highest layout position first (descending
+    [stamp]), the order phi incoming lists are threaded in.  Costs
+    O(in-edges), plus a sort when there are several. *)
+val preds : block -> block list
 
-val preds_of : (int, block list) Hashtbl.t -> block -> block list
+(** [retarget t targets] makes [targets] the branch destinations of the
+    non-phi instruction [t] and re-indexes it; the caller sets [t]'s
+    [op] and [operands] to match (e.g. a [condbr] folded to [br]). *)
+val retarget : instr -> block array -> unit
 
 (** Replace every control-flow edge [src -> old_dest] with
     [src -> new_dest] in [src]'s terminator.  Phi nodes in the old and
@@ -130,6 +157,10 @@ val redirect_edge : block -> old_dest:block -> new_dest:block -> unit
 
 val phi_incoming : instr -> (value * block) list
 val set_phi_incoming : instr -> (value * block) list -> unit
+
+(** Append one incoming [(value, block)] pair to a [phi]. *)
+val phi_add_incoming : instr -> value -> block -> unit
+
 val phi_incoming_for : instr -> block -> value option
 
 val phi_replace_incoming_block :

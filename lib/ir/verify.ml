@@ -2,10 +2,11 @@
 
     Run after every transformation in tests; a passing verifier means the
     function can be printed, parsed back, simulated, and further
-    transformed.  One predecessor table serves the phi checks and the
-    dominator tree, which comes from {!Dom} (the Cooper–Harvey–Kennedy
-    core shared with the analyses), so each def-use dominance query is
-    O(1). *)
+    transformed.  The predecessor sets come from a private rebuild over
+    the terminators, independent of the index {!Ssa.preds} reads, and
+    the index is checked against it.  The dominator tree comes from
+    {!Dom} (the Cooper–Harvey–Kennedy core shared with the analyses), so
+    each def-use dominance query is O(1). *)
 
 open Ssa
 
@@ -153,6 +154,22 @@ let type_check_instr (err : error -> unit) (i : instr) : unit =
           expect_no_narrowing "incoming" v)
         i.operands
 
+(* The reference the predecessor index is checked against: each block's
+   predecessors rebuilt from the listed blocks' terminators, highest
+   layout position first. *)
+let predecessors (f : func) : block -> block list =
+  let tbl = Hashtbl.create 32 in
+  let preds_of b = try Hashtbl.find tbl b.bid with Not_found -> [] in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun s ->
+          let cur = preds_of s in
+          if not (List.memq b cur) then Hashtbl.replace tbl s.bid (b :: cur))
+        (successors b))
+    f.blocks_list;
+  preds_of
+
 (** [run f] returns the list of well-formedness violations in [f];
     an empty list means the function verifies. *)
 let run (f : func) : error list =
@@ -163,7 +180,7 @@ let run (f : func) : error list =
   | _ -> ());
   if f.blocks_list = [] then List.rev !errors
   else begin
-    let preds = predecessors f in
+    let preds_of = predecessors f in
     let listed = Hashtbl.create 64 in
     List.iter (fun b -> Hashtbl.replace listed b.bid ()) f.blocks_list;
     (* Structural checks *)
@@ -202,12 +219,25 @@ let run (f : func) : error list =
                          b.bname s.bname f.fname))
                 last.blocks))
       f.blocks_list;
+    (* a stale index is structural: every CFG query reads it *)
+    if !errors = [] then
+      List.iter
+        (fun b ->
+          let names bs = String.concat " " (List.map (fun p -> p.bname) bs) in
+          let got = Ssa.preds b and want = preds_of b in
+          if not (List.equal ( == ) got want) then
+            err
+              (errf
+                 "stale predecessor index at %s: lists [%s], the terminators \
+                  give [%s]"
+                 b.bname (names got) (names want)))
+        f.blocks_list;
     if !errors <> [] then List.rev !errors
     else begin
       (* Dominance over the blocks reachable from the entry.  Every
-         edge stays inside [f.blocks_list] (checked above), so [preds]
-         holds every reachable edge. *)
-      let dom = Dom.compute ~is_post:false ~preds f in
+         edge stays inside [f.blocks_list] (checked above), so [preds_of]
+         holds every reachable edge, and the index agrees with it. *)
+      let dom = Dom.compute ~is_post:false f in
       let reachable b = Hashtbl.mem dom.Dom.index_of b.bid in
       let dominates = Dom.dominates dom in
       (* Phi incoming lists must match predecessor sets exactly (for
@@ -215,7 +245,7 @@ let run (f : func) : error list =
       List.iter
         (fun b ->
           if reachable b then begin
-            let ps = preds_of preds b in
+            let ps = preds_of b in
             List.iter
               (fun p ->
                 if Array.length p.operands <> Array.length p.blocks then begin

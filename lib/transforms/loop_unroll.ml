@@ -54,11 +54,10 @@ let trip_count (pred : Op.icmp_pred) ~(init : int) ~(step : int)
   if step = 0 then None else go init 0
 
 (* Match the shape described in the module docstring. *)
-let analyze (f : func) (l : Loops.loop) ~(max_trip : int) :
+let analyze (l : Loops.loop) ~(max_trip : int) :
     counted_loop option =
-  let preds_tbl = predecessors f in
   let header = l.Loops.header in
-  match l.Loops.latches, preds_of preds_tbl header with
+  match l.Loops.latches, preds header with
   | [ latch ], [ p1; p2 ] ->
       let preheader = if p1.bid = latch.bid then p2 else p1 in
       if preheader.bid = latch.bid then None
@@ -209,7 +208,7 @@ let clone_iteration (f : func) (cl : counted_loop) ~(iter : int)
              (phi_incoming orig))
       else begin
         clone.operands <- Array.map map_value orig.operands;
-        clone.blocks <- Array.map map_block_target orig.blocks
+        retarget clone (Array.map map_block_target orig.blocks)
       end)
     !fixups;
   bmap
@@ -328,7 +327,7 @@ let run ?(max_trip = 16) (f : func) : int =
                        && Hashtbl.mem l.Loops.body l2.Loops.header.bid)
                      li.Loops.loops)
               in
-              if is_innermost then analyze f l ~max_trip else None)
+              if is_innermost then analyze l ~max_trip else None)
         None li.Loops.loops
     in
     match candidate with

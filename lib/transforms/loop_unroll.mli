@@ -14,7 +14,7 @@ type counted_loop
 
 (** Match the unrollable shape and evaluate the trip count
     ([<= max_trip]). *)
-val analyze : Ssa.func -> Loops.loop -> max_trip:int -> counted_loop option
+val analyze : Loops.loop -> max_trip:int -> counted_loop option
 
 (** Fully unroll; the original loop blocks are removed. *)
 val unroll : Ssa.func -> counted_loop -> unit

@@ -1,18 +1,5 @@
-(** CFG clean-up in the spirit of LLVM's SimplifyCFG: the paper relies on
-    it (and on the melding pass's own post-optimizations, §IV-F) to tidy
-    up after subgraph melding.
-
-    Rewrites, iterated to a fixpoint:
-    - unreachable block removal;
-    - folding of conditional branches on constants and of conditional
-      branches with identical destinations;
-    - removal of trivial phis (single incoming, or all incomings equal);
-    - merging a block into its unique predecessor;
-    - removal of empty forwarding blocks (threading their predecessors
-      through, when no phi conflict arises);
-    - optional if-conversion of small pure triangles and diamonds into
-      [select]s (this is what "later optimization passes decide to
-      predicate them again" in §VI-C refers to). *)
+(** CFG clean-up in the spirit of LLVM's SimplifyCFG, plus
+    if-conversion.  See the interface for the rewrites. *)
 
 open Darm_ir
 open Darm_ir.Ssa
@@ -64,7 +51,7 @@ let fold_branches (f : func) : bool =
             | _ -> ());
             t.op <- Op.Br;
             t.operands <- [||];
-            t.blocks <- [| dest |];
+            retarget t [| dest |];
             changed := true
           in
           if tdest.bid = fdest.bid then to_unconditional ~dead:None tdest
@@ -79,17 +66,20 @@ let fold_branches (f : func) : bool =
   !changed
 
 (* Merge b into its unique predecessor p when p unconditionally branches
-   to b and b is p's only successor continuation. *)
+   to b and b is p's only successor continuation.  The sweep decides as
+   from the CFG at its start: when p has absorbed a block in this sweep
+   ([grown]), b's edge comes from the absorbed block's terminator, and b
+   waits for the next sweep. *)
 let merge_into_predecessor (f : func) : bool =
   let changed = ref false in
-  let preds = predecessors f in
   let entry = entry_block f in
+  let grown = Hashtbl.create 8 in
   let candidates =
     List.filter
       (fun b ->
         b.bid <> entry.bid
         &&
-        match preds_of preds b with
+        match preds b with
         | [ p ] ->
             has_terminator p
             && (terminator p).op = Op.Br
@@ -99,8 +89,9 @@ let merge_into_predecessor (f : func) : bool =
   in
   List.iter
     (fun b ->
-      match preds_of preds b with
-      | [ p ] when has_terminator p && (terminator p).op = Op.Br
+      match preds b with
+      | [ p ] when (not (Hashtbl.mem grown p.bid))
+                   && has_terminator p && (terminator p).op = Op.Br
                    && (match successors p with
                       | [ s ] -> s.bid = b.bid
                       | _ -> false)
@@ -132,25 +123,19 @@ let merge_into_predecessor (f : func) : bool =
             (fun s -> phi_replace_incoming_block s ~old_pred:b ~new_pred:p)
             (successors p);
           remove_block f b;
+          Hashtbl.replace grown p.bid ();
           changed := true
       | _ -> ())
     candidates;
   !changed
 
 (* Remove blocks that contain only `br dest` by threading predecessors
-   directly to dest, unless that would create a phi conflict.  One
-   predecessor table serves the whole sweep: removing [b] changes only
-   [dest]'s entry, which is patched to what a fresh [predecessors f]
-   would return, in its order (descending block-list position) — the
-   order the phi incoming lists below follow. *)
+   directly to dest, unless that would create a phi conflict.  The phi
+   incoming lists below follow [preds] order (descending layout
+   position). *)
 let remove_forwarding_blocks (f : func) : bool =
   let changed = ref false in
   let entry = entry_block f in
-  let preds = predecessors f in
-  let pos = Hashtbl.create 64 in
-  List.iteri (fun k b -> Hashtbl.replace pos b.bid k) f.blocks_list;
-  let at b = Hashtbl.find pos b.bid in
-  let removed = Hashtbl.create 16 in
   let forwarding =
     List.filter
       (fun b ->
@@ -164,12 +149,12 @@ let remove_forwarding_blocks (f : func) : bool =
     (fun b ->
       if
         (* earlier removals in this batch change the CFG: recheck *)
-        (not (Hashtbl.mem removed b.bid))
+        b.bparent <> None
         && (match b.instrs with [ t ] -> t.op = Op.Br | _ -> false)
       then begin
       let dest = (terminator b).blocks.(0) in
       if dest.bid <> b.bid then begin
-        let bpreds = preds_of preds b in
+        let bpreds = preds b in
         (* Conflict: a phi in dest would need two different values for the
            same predecessor edge, or a pred already reaches dest. *)
         let ok =
@@ -226,12 +211,6 @@ let remove_forwarding_blocks (f : func) : bool =
             (fun p -> redirect_edge p ~old_dest:b ~new_dest:dest)
             bpreds;
           remove_block f b;
-          Hashtbl.replace removed b.bid ();
-          Hashtbl.replace preds dest.bid
-            (List.sort_uniq
-               (fun x y -> compare (at y) (at x))
-               (bpreds
-               @ List.filter (fun p -> p.bid <> b.bid) (preds_of preds dest)));
           changed := true
         end
       end
@@ -271,12 +250,11 @@ let run (f : func) : bool =
 let if_convert ?(max_cost = 8) (f : func) : bool =
   let lat = Darm_analysis.Latency.default in
   let changed = ref false in
-  let preds = predecessors f in
   let speculatable b =
     List.for_all (fun i -> not (Op.unsafe_to_speculate i.op)) (body b)
     && phis b = []
     && (terminator b).op = Op.Br
-    && List.length (preds_of preds b) = 1
+    && List.length (preds b) = 1
   in
   let cost b =
     List.fold_left
@@ -347,7 +325,7 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
                 (phis j);
               t.op <- Op.Br;
               t.operands <- [||];
-              t.blocks <- [| j |];
+              retarget t [| j |];
               remove_block f tb;
               remove_block f fb;
               changed := true
@@ -378,7 +356,7 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
                   (phis j);
                 t.op <- Op.Br;
                 t.operands <- [||];
-                t.blocks <- [| j |];
+                retarget t [| j |];
                 remove_block f side;
                 changed := true
               in

@@ -9,11 +9,6 @@
 
 open Darm_ir
 
-val remove_trivial_phis : Ssa.func -> bool
-val fold_branches : Ssa.func -> bool
-val merge_into_predecessor : Ssa.func -> bool
-val remove_forwarding_blocks : Ssa.func -> bool
-
 (** Run all clean-ups to a fixpoint; [true] if the function changed. *)
 val run : Ssa.func -> bool
 

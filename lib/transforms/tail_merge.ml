@@ -1,15 +1,5 @@
-(** Tail merging (cross-jumping) — the restrictive baseline of Table I.
-
-    When two predecessors of a block end in {e identical} instruction
-    suffixes, the common suffix is hoisted into a fresh shared block and
-    both predecessors jump there.  Unlike melding this requires the
-    instructions to be exactly equal (same opcodes {e and} same
-    operands, up to references into the suffix itself), so it only helps
-    divergent branches whose paths literally duplicate code.
-
-    On the IPDOM execution model the payoff is earlier reconvergence:
-    the merged tail becomes the new immediate post-dominator of the
-    divergent branch. *)
+(** Tail merging (cross-jumping), the restrictive baseline of Table I.
+    See the interface. *)
 
 open Darm_ir
 open Darm_ir.Ssa
@@ -116,7 +106,6 @@ let merge_pair (f : func) (b1 : block) (b2 : block) (dest : block)
 (** One merging round; [min_suffix] is the minimum number of identical
     instructions worth sharing.  Returns [true] if a merge happened. *)
 let run_once ?(min_suffix = 1) (f : func) : bool =
-  let preds = predecessors f in
   let try_block (dest : block) : bool =
     let brs =
       List.filter
@@ -124,7 +113,7 @@ let run_once ?(min_suffix = 1) (f : func) : bool =
           has_terminator p
           && (terminator p).op = Op.Br
           && p.bid <> dest.bid)
-        (preds_of preds dest)
+        (preds dest)
     in
     let rec pairs = function
       | [] -> false

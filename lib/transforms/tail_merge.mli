@@ -10,9 +10,5 @@
 
 open Darm_ir
 
-(** One merging round; [min_suffix] is the minimum number of identical
-    instructions worth sharing. *)
-val run_once : ?min_suffix:int -> Ssa.func -> bool
-
 (** Merge to a fixpoint; returns the number of merges applied. *)
 val run : ?min_suffix:int -> Ssa.func -> int

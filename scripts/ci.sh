@@ -6,6 +6,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dune build @all
+
+# a block's predecessors come from the index lib/ir/ssa.ml keeps, which
+# is exact only while that file is the one writer of a terminator's
+# targets and of a function's block list
+edge_writes=$(grep -rnE '\.blocks( *<-|\.\(.*\) *<-)|blocks_list *<-' \
+  lib bin test --include='*.ml' | grep -v '^lib/ir/ssa\.ml:' || true)
+if [ -n "$edge_writes" ]; then
+  echo "ci: CFG edges assigned outside lib/ir/ssa.ml (use its mutators):" >&2
+  echo "$edge_writes" >&2
+  exit 1
+fi
+
 dune runtest
 
 # bench smoke pass; must append an env-fingerprinted record to the
@@ -297,6 +309,29 @@ test "$rc" -eq 1
 grep '^FAIL subject=fuzz_3+XRW ' "$fuzz_dir/xrw_j4.txt" > "$fuzz_dir/xrw_3.txt"
 test -s "$fuzz_dir/xrw_3.txt"
 grep '^FAIL ' "$fuzz_dir/xrw_s3.txt" | cmp - "$fuzz_dir/xrw_3.txt"
+# a block size the generated kernels cannot run at is refused before any
+# seed runs: exit 2 with the manifest's message
+for bs in 1024 0; do
+  rc=0
+  dune exec bin/darm_opt.exe -- fuzz --smoke -b "$bs" --count 1 \
+    > /dev/null 2> "$fuzz_dir/bs.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "ci: fuzz -b $bs exited $rc, expected 2" >&2
+    rm -rf "$fuzz_dir"; exit 1
+  fi
+  grep -q '^field "block_size" must be positive\|^block_size 1024 exceeds' \
+    "$fuzz_dir/bs.err"
+done
+# a subject whose bug cannot be grafted fails, and has nothing to shrink
+rc=0
+dune exec bin/darm_opt.exe -- fuzz --inject XRACE --features none \
+  --minimize --count 1 > "$fuzz_dir/nograft.txt" || rc=$?
+test "$rc" -eq 1
+grep -q '^FAIL subject=fuzz_0+XRACE ' "$fuzz_dir/nograft.txt"
+if grep -q '^MINIMIZED \|^CORPUS ' "$fuzz_dir/nograft.txt"; then
+  echo "ci: fuzz --minimize shrank a subject with no kernel" >&2
+  rm -rf "$fuzz_dir"; exit 1
+fi
 # --minimize shrinks each failing subject into a corpus directory whose
 # missing parents it creates, and the saved repro replays
 rc=0

@@ -210,7 +210,7 @@ let test_sync_joins_no_postdom () =
   Verify.run_exn f;
   let pdt = A.Domtree.compute_post f in
   check "entry has no real ipdom" true (A.Domtree.idom pdt e = None);
-  (match A.Divergence.sync_joins f pdt e with
+  (match A.Divergence.sync_joins pdt e with
   | [ b ] -> check "fallback join is tj" true (b.Ssa.bid = tj.Ssa.bid)
   | joins ->
       Alcotest.failf "expected exactly one fallback join, got %d"

@@ -39,14 +39,13 @@ let reference ~(post : bool) (f : Ssa.func) : Ssa.block -> Ssa.block -> bool =
   let roots, next =
     if not post then ([ entry ], Ssa.successors)
     else
-      let preds = Ssa.predecessors f in
       let live b = Hashtbl.mem fwd b.Ssa.bid in
       ( List.filter
           (fun b ->
             live b && Ssa.has_terminator b
             && (Ssa.terminator b).Ssa.op = Op.Ret)
           f.Ssa.blocks_list,
-        fun b -> List.filter live (Ssa.preds_of preds b) )
+        fun b -> List.filter live (Ssa.preds b) )
   in
   let all = reach ~roots ~next ~without:(-1) in
   let without = Hashtbl.create 64 in

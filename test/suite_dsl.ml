@@ -218,18 +218,17 @@ module Registry = Darm_kernels.Registry
 
 (* The invariants [build_kernel] promises beyond what the verifier
    checks: each phi's incoming blocks are its block's predecessors in
-   [Ssa.predecessors] order, no phi is trivial (fewer than two distinct
+   [Ssa.preds] order, no phi is trivial (fewer than two distinct
    operands other than itself), and every instruction operand is still
    in the function.  Returns the violations and the number of phis. *)
 let ssa_violations (f : Ssa.func) : string list * int =
-  let preds = Ssa.predecessors f in
   let present = Hashtbl.create 256 in
   Ssa.iter_instrs f (fun i -> Hashtbl.replace present i.Ssa.id ());
   let bad = ref [] and phis = ref 0 in
   let report fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
   List.iter
     (fun (b : Ssa.block) ->
-      let want = List.map (fun p -> p.Ssa.bid) (Ssa.preds_of preds b) in
+      let want = List.map (fun p -> p.Ssa.bid) (Ssa.preds b) in
       List.iter
         (fun (i : Ssa.instr) ->
           if i.Ssa.op = Op.Phi then begin

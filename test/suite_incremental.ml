@@ -46,8 +46,6 @@ let diamond_cfg () =
   Ssa.append_instr j (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
   (f, e, t, fl, j)
 
-let terminator (bl : Ssa.block) : Ssa.instr = List.hd (List.rev bl.Ssa.instrs)
-
 (* ------------------------------------------------------------------ *)
 (* Manager unit tests: the invalidation table *)
 
@@ -105,13 +103,13 @@ let test_invalidate_all () =
   check "domtree recomputed after invalidate_all" true (s.M.computes > c0)
 
 let test_debug_catches_underreport () =
-  let f, e, t, _, _ = diamond_cfg () in
+  let f, e, t, fl, _ = diamond_cfg () in
   let m = M.create ~debug:true f in
   ignore (M.domtree m);
   (* rewire the false arm onto the true arm WITHOUT telling the
      manager: the join's idom moves from entry to t, so the next
      cache-served domtree query must fail the debug cross-check *)
-  (terminator e).Ssa.blocks.(1) <- t;
+  Ssa.redirect_edge e ~old_dest:fl ~new_dest:t;
   let raised =
     try
       ignore (M.domtree m);
@@ -121,7 +119,7 @@ let test_debug_catches_underreport () =
   check "stale domtree caught by debug mode" true raised
 
 let test_analysis_equal_sanity () =
-  let f, e, _, _, _ = diamond_cfg () in
+  let f, e, t, fl, _ = diamond_cfg () in
   let f2, _, _, _, _ = diamond_cfg () in
   check "Domtree.equal reflexive across recomputes" true
     (A.Domtree.equal (A.Domtree.compute f) (A.Domtree.compute f));
@@ -129,7 +127,7 @@ let test_analysis_equal_sanity () =
     (A.Divergence.equal (A.Divergence.compute f) (A.Divergence.compute f));
   (* collapse the diamond in f2's clone-by-construction: domtree differs *)
   let dt = A.Domtree.compute f in
-  (terminator e).Ssa.blocks.(1) <- List.nth f.Ssa.blocks_list 1;
+  Ssa.redirect_edge e ~old_dest:fl ~new_dest:t;
   check "Domtree.equal detects a CFG change" false
     (A.Domtree.equal dt (A.Domtree.compute f));
   ignore f2
@@ -153,10 +151,9 @@ let check_bounds_on_func lat (f : Ssa.func) (matched : int ref) : unit =
   let dvg = A.Divergence.compute f in
   let dt = A.Domtree.compute f in
   let pdt = A.Domtree.compute_post f in
-  let preds = Ssa.predecessors f in
   List.iter
     (fun bl ->
-      match Region.detect ~preds f dvg dt pdt bl with
+      match Region.detect dvg dt pdt bl with
       | None -> ()
       | Some r ->
           let ts = Region.true_subgraphs pdt r in

@@ -37,7 +37,7 @@ let detect_region f =
       (fun acc b ->
         match acc with
         | Some _ -> acc
-        | None -> C.Region.detect f dvg dt pdt b)
+        | None -> C.Region.detect dvg dt pdt b)
       None
       (A.Cfg.reachable_blocks f)
   in

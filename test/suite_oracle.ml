@@ -228,18 +228,33 @@ let test_minimize_round_trip () =
       .O.sm_failing
   with
   | [ (sb, fl :: _) ] -> (
-      let r, entry = Sh.minimize_failure sb fl in
-      Alcotest.(check int) "blocks" 3 r.Sh.sh_blocks;
-      let dir = Filename.concat (Testlib.temp_dir ()) "a/b" in
-      let path = Corpus.save ~dir entry in
-      Alcotest.(check string) "corpus file" xbar0_entry
-        (Darm_obs.Fsio.read_file path);
-      match Corpus.load_file path with
-      | Error e -> Alcotest.fail e
-      | Ok e -> (
-          match Corpus.replay e with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "replay: %s" e))
+      match Sh.minimize_failure sb fl with
+      | None -> Alcotest.fail "the XBAR kernel builds, so it must shrink"
+      | Some (r, entry) -> (
+          Alcotest.(check int) "blocks" 3 r.Sh.sh_blocks;
+          let dir = Filename.concat (Testlib.temp_dir ()) "a/b" in
+          let path = Corpus.save ~dir entry in
+          Alcotest.(check string) "corpus file" xbar0_entry
+            (Darm_obs.Fsio.read_file path);
+          match Corpus.load_file path with
+          | Error e -> Alcotest.fail e
+          | Ok e -> (
+              match Corpus.replay e with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "replay: %s" e)))
+  | _ -> Alcotest.fail "expected one failing subject"
+
+(* A feature-free kernel has no shared array, so XRACE cannot graft:
+   the subject fails, but there is no kernel to shrink. *)
+let test_minimize_unbuildable () =
+  let cfg = { G.smoke_cfg with G.features = G.no_features } in
+  match
+    (O.run_seeds ~cfg ~inject:M.Xrace ~block_size:64 ~seeds:[ 0 ] ())
+      .O.sm_failing
+  with
+  | [ (sb, fl :: _) ] ->
+      Alcotest.(check bool) "nothing to shrink" true
+        (Sh.minimize_failure sb fl = None)
   | _ -> Alcotest.fail "expected one failing subject"
 
 let suites =
@@ -256,5 +271,7 @@ let suites =
           test_fresh_kernel;
         Alcotest.test_case "minimize, save nested, replay" `Quick
           test_minimize_round_trip;
+        Alcotest.test_case "minimize skips an unbuildable subject" `Quick
+          test_minimize_unbuildable;
       ] );
   ]

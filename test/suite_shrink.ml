@@ -32,6 +32,27 @@ let still_failing text =
 let minimize ?max_steps () =
   S.minimize ?max_steps ~still_failing (Lazy.force text0)
 
+(* Every block the entry reaches has a path to a [ret], searched forward
+   along the terminators. *)
+let can_finish text =
+  match Darm_ir.Parser.parse_func text with
+  | Error _ -> true
+  | Ok f ->
+      let open Darm_ir in
+      let reaches_ret b =
+        let seen = Hashtbl.create 16 in
+        let rec go (b : Ssa.block) =
+          (not (Hashtbl.mem seen b.Ssa.bid))
+          && begin
+               Hashtbl.replace seen b.Ssa.bid ();
+               (Ssa.has_terminator b && (Ssa.terminator b).Ssa.op = Op.Ret)
+               || List.exists go (Ssa.successors b)
+             end
+        in
+        go b
+      in
+      List.for_all reaches_ret (Darm_analysis.Cfg.reachable_blocks f)
+
 (* one full minimization shared by the fixpoint/predicate/verify cases;
    the determinism case pays for its own second, independent run *)
 let full = lazy (minimize ())
@@ -64,6 +85,20 @@ let suites =
             let r1 = Lazy.force full and r2 = minimize () in
             Alcotest.(check string) "text" r1.S.sh_text r2.S.sh_text;
             Alcotest.(check int) "steps" r1.S.sh_steps r2.S.sh_steps);
+        Alcotest.test_case "no candidate that cannot finish is simulated"
+          `Quick
+          (fun () ->
+            let runaways = ref 0 in
+            let r =
+              S.minimize
+                ~still_failing:(fun t ->
+                  if not (can_finish t) then incr runaways;
+                  still_failing t)
+                (Lazy.force text0)
+            in
+            Alcotest.(check int) "predicate calls on runaways" 0 !runaways;
+            Alcotest.(check string) "same repro" (Lazy.force full).S.sh_text
+              r.S.sh_text);
         Alcotest.test_case "max_steps caps accepted reductions" `Quick
           (fun () ->
             let r = minimize ~max_steps:1 () in
