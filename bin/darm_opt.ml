@@ -188,32 +188,13 @@ let meld_cmd =
   let dump_after =
     Arg.(value & flag & info [ "dump-after" ] ~doc:"Print the output IR.")
   in
-  let no_prefilter =
-    Arg.(
-      value & flag
-      & info [ "no-prefilter" ]
-          ~doc:
-            "Disable the similarity prefilter in front of the candidate \
-             search (exhaustive pair scoring; the chosen melds are \
-             identical either way).  Equivalent to DARM_NO_PREFILTER=1.")
-  in
-  let analysis_debug =
-    Arg.(
-      value & flag
-      & info [ "analysis-debug" ]
-          ~doc:
-            "Cross-validate every cached analysis query against a \
-             from-scratch recompute; fails loudly on a stale result.  \
-             Equivalent to DARM_ANALYSIS_DEBUG=1.")
-  in
   let metrics_out =
     metrics_out_term
       "Export the pass's darm_pass_* counters (melds, scored and \
        prefiltered candidate pairs, avoided analysis recomputes) as a \
        metrics snapshot to $(docv)."
   in
-  let run tag block_size n seed pass before after no_prefilter analysis_debug
-      write_metrics =
+  let run tag block_size n seed pass before after write_metrics =
     let kernel = find_kernel tag in
     let transform = find_transform pass in
     let inst = make_instance kernel ~seed ~block_size ~n in
@@ -222,9 +203,6 @@ let meld_cmd =
       print_endline ";; --- before ---";
       print_string (Darm_ir.Printer.func_to_string f)
     end;
-    (* the two debug flags are the environment switches the pass reads *)
-    if no_prefilter then Unix.putenv "DARM_NO_PREFILTER" "1";
-    if analysis_debug then Unix.putenv "DARM_ANALYSIS_DEBUG" "1";
     let rewrites, pass_stats = transform.E.t_apply f in
     Darm_ir.Verify.run_exn f;
     Printf.printf ";; pass %s applied %d rewrite(s)\n" pass rewrites;
@@ -252,8 +230,7 @@ let meld_cmd =
     (Cmd.info "meld" ~doc:"Apply a divergence-reduction pass to a kernel.")
     Term.(
       const run $ kernel_arg $ block_size_arg $ n_arg $ seed_arg $ pass_arg
-      $ dump_before $ dump_after $ no_prefilter $ analysis_debug
-      $ metrics_out)
+      $ dump_before $ dump_after $ metrics_out)
 
 let simulate_cmd =
   let run tag block_size n seed pass trace_out format mem_model reconvergence
@@ -374,6 +351,30 @@ let profile_cmd =
       const run $ kernel_arg $ n_arg $ seed_arg $ pass_arg $ jobs_arg
       $ format_arg $ out_arg)
 
+(* read FILE, parse it and verify every kernel before any pass runs:
+   a module that does not verify is a parse error too (exit 1) *)
+let read_module parse file : Darm_ir.Ssa.modul =
+  let verified (m : Darm_ir.Ssa.modul) =
+    let errors =
+      List.concat_map
+        (fun (f : Darm_ir.Ssa.func) ->
+          List.map
+            (fun (e : Darm_ir.Verify.error) ->
+              Printf.sprintf "@%s: %s" f.fname e.msg)
+            (Darm_ir.Verify.run f))
+        m.funcs
+    in
+    if errors = [] then Ok m else Error (String.concat "; " errors)
+  in
+  match
+    Result.bind (Darm_obs.Fsio.read file) (fun text ->
+        Result.bind (parse ~name:(Filename.basename file) text) verified)
+  with
+  | Ok m -> m
+  | Error msg ->
+      Printf.eprintf "parse error: %s\n" msg;
+      exit 1
+
 let parse_cmd =
   let file =
     Arg.(
@@ -382,19 +383,10 @@ let parse_cmd =
       & info [] ~docv:"FILE" ~doc:"Textual IR file (.cir).")
   in
   let run file =
-    match
-      Result.bind (Darm_obs.Fsio.read file)
-        (Darm_ir.Parser.parse_module ~name:(Filename.basename file))
-    with
-    | Ok m ->
-        List.iter
-          (fun f ->
-            Darm_ir.Verify.run_exn f;
-            print_string (Darm_ir.Printer.func_to_string f))
-          m.Darm_ir.Ssa.funcs
-    | Error msg ->
-        Printf.eprintf "parse error: %s\n" msg;
-        exit 1
+    let m = read_module Darm_ir.Parser.parse_module file in
+    List.iter
+      (fun f -> print_string (Darm_ir.Printer.func_to_string f))
+      m.Darm_ir.Ssa.funcs
   in
   Cmd.v
     (Cmd.info "parse"
@@ -421,22 +413,14 @@ let compile_cmd =
       then Darm_frontend.Lower.compile
       else Darm_ir.Parser.parse_module
     in
-    let parsed =
-      Result.bind (Darm_obs.Fsio.read file)
-        (parse ~name:(Filename.basename file))
-    in
-    match parsed with
-    | Error msg ->
-        Printf.eprintf "parse error: %s\n" msg;
-        exit 1
-    | Ok m ->
-        let steps = List.map find_transform passes in
-        List.iter
-          (fun f ->
-            List.iter (fun t -> ignore (t.E.t_apply f)) steps;
-            Darm_ir.Verify.run_exn f)
-          m.Darm_ir.Ssa.funcs;
-        print_string (Darm_ir.Printer.module_to_string m)
+    let m = read_module parse file in
+    let steps = List.map find_transform passes in
+    List.iter
+      (fun f ->
+        List.iter (fun t -> ignore (t.E.t_apply f)) steps;
+        Darm_ir.Verify.run_exn f)
+      m.Darm_ir.Ssa.funcs;
+    print_string (Darm_ir.Printer.module_to_string m)
   in
   Cmd.v
     (Cmd.info "compile"
@@ -938,10 +922,10 @@ let batch_cmd =
       & opt (some string) None
       & info [ "events" ] ~docv:"FILE"
           ~doc:
-            "Journal the run as a darm-events-v1 JSONL event stream to \
-             $(docv) (run/chunk/spec lifecycle, cache hits/misses, \
-             stalls).  The canonicalized stream (darm_opt events \
-             --canonical) is byte-identical at any --jobs count.")
+            "Journal the run to $(docv) as a JSONL trace, one instant \
+             per line (run/chunk/spec lifecycle, cache hits/misses, \
+             stalls).  Its canonical form (darm_opt events --canonical) \
+             is byte-identical at any --jobs count.")
   in
   let snapshot_arg =
     Arg.(
@@ -1053,8 +1037,7 @@ let batch_cmd =
 let top_cmd =
   let module MR = Darm_obs.Metrics_registry in
   let module Snapshot = Darm_obs.Snapshot in
-  let module Ev = Darm_obs.Events in
-  let module J = Darm_obs.Json in
+  let module T = Darm_obs.Trace in
   let snapshot_arg =
     Arg.(
       required
@@ -1069,7 +1052,7 @@ let top_cmd =
       value
       & opt (some string) None
       & info [ "events" ] ~docv:"FILE"
-          ~doc:"Also tail the run's darm-events-v1 stream (last few \
+          ~doc:"Also tail the run's --events journal (last few \
                 events at the bottom of the view).")
   in
   let once_flag =
@@ -1168,36 +1151,34 @@ let top_cmd =
         bpf "workers: %s\n" (String.concat " " (List.map row sorted)));
     (match events with
     | None -> ()
-    | Some views ->
+    | Some evs ->
         let tail =
-          let n = List.length views in
-          if n <= 6 then views
-          else List.filteri (fun i _ -> i >= n - 6) views
+          let n = List.length evs in
+          if n <= 6 then evs
+          else List.filteri (fun i _ -> i >= n - 6) evs
         in
-        let one v =
-          let extra =
-            match v.Ev.vw_ev with
-            | "spec_finish" -> (
-                match J.member "spec" v.Ev.vw_json with
-                | Some (J.Int i) -> Printf.sprintf " spec=%d" i
-                | _ -> "")
-            | "chunk_start" | "chunk_finish" -> (
-                match J.member "chunk" v.Ev.vw_json with
-                | Some (J.Int i) -> Printf.sprintf " chunk=%d" i
-                | _ -> "")
+        let one (ev : T.event) =
+          let arg key =
+            match List.assoc_opt key ev.ev_args with
+            | Some (T.Int i) -> Printf.sprintf " %s=%d" key i
             | _ -> ""
           in
-          Printf.sprintf "vt=%d %s%s" v.Ev.vw_vt v.Ev.vw_ev extra
+          let extra =
+            match ev.ev_name with
+            | "spec_finish" -> arg "spec"
+            | "chunk_start" | "chunk_finish" -> arg "chunk"
+            | _ -> ""
+          in
+          Printf.sprintf "ts=%d %s%s" ev.ev_ts ev.ev_name extra
         in
         bpf "events: %s\n" (String.concat " | " (List.map one tail)))
   in
   let read_events = function
     | None -> None
-    | Some path -> (
-        match Darm_obs.Fsio.read path with
-        | Error _ -> None
-        | Ok text -> (
-            match Ev.read text with Ok vs -> Some vs | Error _ -> None))
+    | Some path ->
+        Result.to_option
+          (Result.bind (Darm_obs.Fsio.read path)
+             (Export.events_of_jsonl ~name:path))
   in
   let run base events once interval_s =
     let path = Snapshot.json_path base in
@@ -1246,27 +1227,30 @@ let top_cmd =
     Term.(const run $ snapshot_arg $ events_arg $ once_flag $ interval_arg)
 
 let events_cmd =
-  let module Ev = Darm_obs.Events in
-  let module J = Darm_obs.Json in
+  let module B = Darm_fuzz.Batch in
+  let module T = Darm_obs.Trace in
   let file_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"darm-events-v1 JSONL stream to read.")
+      & info [] ~docv:"FILE"
+          ~doc:"Journal written by darm_opt batch --events.")
   in
   let validate_flag =
     Arg.(value & flag
          & info [ "validate-only" ]
-             ~doc:"Only validate the stream (schema, event catalogue, \
-                   strictly increasing vt); print the event count and \
-                   exit, non-zero when invalid.")
+             ~doc:"Only validate the journal (every line a trace event, \
+                   every name in the batch catalogue, strictly increasing \
+                   ts); print the event count and exit, non-zero when \
+                   invalid.")
   in
   let canonical_flag =
     Arg.(value & flag
          & info [ "canonical" ]
-             ~doc:"Print the canonical form — runtime events dropped, rt \
-                   envelopes stripped, vt renumbered — the byte-comparable \
-                   artifact of the determinism contract (doc/fleet.md).")
+             ~doc:"Print the canonical form — worker-track events dropped, \
+                   rt envelopes dropped, ts renumbered — the \
+                   byte-comparable artifact of the determinism contract \
+                   (doc/fleet.md).")
   in
   let ev_filter =
     Arg.(
@@ -1276,77 +1260,54 @@ let events_cmd =
           ~doc:"Only print events of this type (e.g. spec_finish).")
   in
   let run file validate canonical ev_filter =
-    let text =
-      match Darm_obs.Fsio.read file with
-      | Ok text -> text
-      | Error msg ->
-          Printf.eprintf "events: %s\n" msg;
-          exit 2
+    let fail msg =
+      Printf.eprintf "events: %s\n" msg;
+      exit 2
     in
-    if validate then (
-      match Ev.validate text with
-      | Ok n -> Printf.printf "events: %s: %d valid %s event(s)\n" file n
-                  Ev.schema
-      | Error msg ->
-          Printf.eprintf "events: %s: %s\n" file msg;
-          exit 2)
-    else if canonical then (
-      match Ev.canonicalize text with
-      | Ok s -> print_string s
-      | Error msg ->
-          Printf.eprintf "events: %s: %s\n" file msg;
-          exit 2)
+    let evs =
+      match
+        Result.bind (Darm_obs.Fsio.read file)
+          (Export.events_of_jsonl ~name:file)
+      with
+      | Ok evs -> evs
+      | Error msg -> fail msg
+    in
+    (match B.validate_journal evs with
+    | Ok () -> ()
+    | Error msg -> fail (Printf.sprintf "%s: %s" file msg));
+    if validate then
+      Printf.printf "events: %s: %d valid batch journal event(s)\n" file
+        (List.length evs)
+    else if canonical then
+      print_string (Export.to_jsonl (B.canonical_journal evs))
     else
-      match Ev.read text with
-      | Error msg ->
-          Printf.eprintf "events: %s: %s\n" file msg;
-          exit 2
-      | Ok views ->
-          let scalar = function
-            | J.Str s -> Some s
-            | J.Int i -> Some (string_of_int i)
-            | J.Float f -> Some (J.float_repr f)
-            | J.Bool b -> Some (string_of_bool b)
-            | J.Null -> Some "null"
-            | J.List _ | J.Obj _ -> None
-          in
-          let fields ?(skip = []) = function
-            | J.Obj kvs ->
-                List.filter_map
-                  (fun (k, v) ->
-                    if List.mem k skip then None
-                    else
-                      match scalar v with
-                      | Some s -> Some (Printf.sprintf "%s=%s" k s)
-                      | None -> None)
-                  kvs
-            | _ -> []
-          in
-          List.iter
-            (fun v ->
-              if ev_filter = None || ev_filter = Some v.Ev.vw_ev then begin
-                let core =
-                  fields ~skip:[ "schema"; "vt"; "ev"; "rt" ] v.Ev.vw_json
-                in
-                let rt =
-                  match J.member "rt" v.Ev.vw_json with
-                  | Some o -> fields o
-                  | None -> []
-                in
-                Printf.printf "vt=%-4d %-14s %s%s\n" v.Ev.vw_vt v.Ev.vw_ev
-                  (String.concat " " core)
-                  (if rt = [] then ""
-                   else Printf.sprintf "  [rt %s]" (String.concat " " rt))
-              end)
-            views
+      let scalar = function
+        | T.Str s -> s
+        | T.Int i -> string_of_int i
+        | T.Float f -> Darm_obs.Json.float_repr f
+        | T.Bool b -> string_of_bool b
+      in
+      let fields kvs =
+        List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (scalar v)) kvs
+      in
+      List.iter
+        (fun (ev : T.event) ->
+          if ev_filter = None || ev_filter = Some ev.ev_name then
+            Printf.printf "ts=%-4d %-14s %s%s\n" ev.ev_ts ev.ev_name
+              (String.concat " " (fields ev.ev_args))
+              (if ev.ev_rt = [] then ""
+               else
+                 Printf.sprintf "  [rt %s]"
+                   (String.concat " " (fields ev.ev_rt))))
+        evs
   in
   Cmd.v
     (Cmd.info "events"
        ~doc:
-         "Inspect a darm-events-v1 stream written by darm_opt batch \
-          --events: pretty-print it (optionally filtered by event type), \
-          validate it, or emit its canonical byte-comparable form for \
-          determinism checks.")
+         "Inspect the journal written by darm_opt batch --events: \
+          pretty-print it (optionally filtered by event type), validate \
+          it, or emit its canonical byte-comparable form for determinism \
+          checks.")
     Term.(const run $ file_arg $ validate_flag $ canonical_flag $ ev_filter)
 
 let bench_diff_cmd =

@@ -10,19 +10,10 @@
 
 open Darm_ir
 
-(** Result and operand types compatible for melding: equal, or both
-    pointers (possibly of different address spaces — the melded access
-    degrades to flat addressing). *)
-val types_compatible : Types.ty -> Types.ty -> bool
-
 (** Meldability under the criteria of Rocha et al. (Function Merging,
     PLDI'20): identical opcode, identical operand count, compatible
     operand and result types. *)
 val match_instrs : Ssa.instr -> Ssa.instr -> bool
-
-(** Number of operand positions that statically differ — an
-    over-approximation of the selects the meld will need. *)
-val selects_needed : Ssa.instr -> Ssa.instr -> int
 
 val fp_i :
   Darm_analysis.Latency.config -> Ssa.instr -> Ssa.instr -> float option

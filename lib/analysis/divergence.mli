@@ -31,10 +31,6 @@ val compute : ?pdt:Domtree.t -> Ssa.func -> t
 (** The post-dominator tree the analysis was computed over. *)
 val pdt : t -> Domtree.t
 
-(** Sorted ids of the divergent instructions — the analysis result as
-    plain data, for cross-validation and debugging. *)
-val divergent_ids : t -> int list
-
 (** Result equality: same divergent-instruction set. *)
 val equal : t -> t -> bool
 

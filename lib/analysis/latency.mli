@@ -33,12 +33,6 @@ type config = {
 
 val default : config
 
-(** Address space actually accessed by a memory instruction, from the
-    static type of its pointer operand. *)
-val mem_space : Ssa.instr -> Types.addrspace option
-
-val mem_latency : config -> Types.addrspace -> int
-
 val of_instr : config -> Ssa.instr -> int
 
 (** Canonical instruction-class key: opcode plus address space for

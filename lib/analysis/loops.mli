@@ -24,5 +24,4 @@ val blocks_of : loop -> Ssa.block list
 val exit_edges : loop -> (Ssa.block * Ssa.block) list
 
 val compute : Ssa.func -> t
-val innermost_loop : t -> Ssa.block -> loop option
 val loop_depth : t -> Ssa.block -> int

@@ -45,6 +45,4 @@ val const : int -> av
     carry distinct symbols (the sum [s1 + s2] is not representable). *)
 val av_add : av -> av -> av
 
-val equal_av : av -> av -> bool
-
 val to_string : av -> string

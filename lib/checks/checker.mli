@@ -39,7 +39,6 @@ val check_func :
 
 val has_errors : report -> bool
 val errors : report -> Diag.t list
-val warnings : report -> Diag.t list
 
 (** Error diagnostics of [after] whose id occurs more often than in
     [before] (one representative per excess occurrence); empty when

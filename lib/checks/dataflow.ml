@@ -18,7 +18,6 @@ end
 module Forward (D : DOMAIN) = struct
   type result = {
     in_facts : (int, D.t) Hashtbl.t;  (** block id -> entry fact *)
-    out_facts : (int, D.t) Hashtbl.t;
     init : D.t;
   }
 
@@ -72,15 +71,10 @@ module Forward (D : DOMAIN) = struct
           (successors b)
       end
     done;
-    { in_facts; out_facts; init }
+    { in_facts; init }
 
   let block_in (r : result) (b : block) : D.t =
     match Hashtbl.find_opt r.in_facts b.bid with
-    | Some x -> x
-    | None -> r.init
-
-  let block_out (r : result) (b : block) : D.t =
-    match Hashtbl.find_opt r.out_facts b.bid with
     | Some x -> x
     | None -> r.init
 end

@@ -41,7 +41,4 @@ module Forward (D : DOMAIN) : sig
   (** Fact at block entry (join over predecessor exits); [init] for
       unreachable blocks. *)
   val block_in : result -> Ssa.block -> D.t
-
-  (** Fact at block exit ([transfer] applied to {!block_in}). *)
-  val block_out : result -> Ssa.block -> D.t
 end

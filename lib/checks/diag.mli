@@ -33,8 +33,6 @@ val make :
   string ->
   t
 
-val severity_to_string : severity -> string
-
 (** [Error] sorts before [Warning] before [Info]; ties break on id,
     then block name, then the instruction's place in the block — a
     total, deterministic order. *)

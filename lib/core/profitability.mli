@@ -22,14 +22,8 @@
 open Darm_ir
 module Latency = Darm_analysis.Latency
 
-(** Instruction-class frequency profile of a block's body. *)
-val block_profile : Ssa.block -> (string, int) Hashtbl.t
-
 (** w_i per class present in the block. *)
 val class_weight : Latency.config -> Ssa.block -> (string, int) Hashtbl.t
-
-(** Static latency of the block's body instructions — lat(b). *)
-val body_latency : Latency.config -> Ssa.block -> int
 
 (** Block-pair melding profitability, in [0, 0.5]. *)
 val fp_b : Latency.config -> Ssa.block -> Ssa.block -> float

@@ -7,7 +7,5 @@ open Darm_ir
 
 exception Error of string
 
-val lower_kernel : Ast.kernel -> Ssa.func
-
 (** Compile a Mini-HIP source string into a verified IR module. *)
 val compile : name:string -> string -> (Ssa.modul, string) result

@@ -17,8 +17,6 @@ module Checker = Darm_checks.Checker
 module Diag = Darm_checks.Diag
 module Pass = Darm_core.Pass
 
-let manifest_schema = "darm-manifest-v1"
-
 (* ------------------------------------------------------------------ *)
 (* Manifest specs                                                      *)
 
@@ -473,7 +471,8 @@ let to_batch_stats (s : summary) : History.batch =
 (* ------------------------------------------------------------------ *)
 (* Telemetry plumbing                                                  *)
 
-module Ev = Darm_obs.Events
+module T = Darm_obs.Trace
+module Export = Darm_obs.Export
 module Snapshot = Darm_obs.Snapshot
 module Health = Darm_obs.Health
 
@@ -654,6 +653,43 @@ let write_snapshot (lv : live) ~(base : string) : unit =
   (* best-effort: a full disk must not kill the run it observes *)
   try Snapshot.write ~base (with_reg lv MR.snapshot) with _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The run journal                                                     *)
+
+(* the core events, which the coordinator emits on tid 0 in manifest
+   and chunk order, then those of a worker's track: how many of these
+   there are, and where, depends on the pool size and the wall clock *)
+let journal_events =
+  [
+    "run_start"; "chunk_start"; "spec_start"; "cache_hit"; "cache_miss";
+    "spec_finish"; "chunk_finish"; "run_finish"; "worker_start";
+    "worker_finish"; "stalled";
+  ]
+
+let validate_journal (evs : T.event list) : (unit, string) result =
+  let rec go i last = function
+    | [] -> Ok ()
+    | (ev : T.event) :: rest ->
+        if not (List.mem ev.ev_name journal_events) then
+          Error (Printf.sprintf "event %d: unknown event %S" i ev.ev_name)
+        else if ev.ev_ts <= last then
+          Error
+            (Printf.sprintf "event %d: ts %d is not above the previous %d" i
+               ev.ev_ts last)
+        else go (i + 1) ev.ev_ts rest
+  in
+  go 1 (-1) evs
+
+(* re-emitting on a fresh buffer renumbers ts from 0 *)
+let canonical_journal (evs : T.event list) : T.t =
+  let t = T.create () in
+  List.iter
+    (fun (ev : T.event) ->
+      if ev.ev_tid = 0 then
+        T.instant t ~cat:ev.ev_cat ~pid:ev.ev_pid ~args:ev.ev_args ev.ev_name)
+    evs;
+  t
+
 let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
     ?(cadence_s = 1.0) ?(stall_deadline_s = 30.) ~(out : string)
     (specs : spec list) : summary =
@@ -667,9 +703,21 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
   let cut = ref false in
   let pass_samples = ref [] in
   let lv = make_live ?registry ~jobs:jobs_n ~total ~t0 ~stall_deadline_s cache in
-  let sink = Option.map (fun path -> Ev.open_sink ~path) events in
-  let emit ?rt ~ev fields =
-    match sink with Some sk -> Ev.emit sk ?rt ~ev fields | None -> ()
+  (* the monitor domain emits [stalled] too: one lock over stamping and
+     writing keeps ts order equal to line order *)
+  let journal =
+    Option.map
+      (fun path ->
+        let sink, close = Export.jsonl_sink ~path in
+        (T.create ~sink (), Mutex.create (), close))
+      events
+  in
+  let emit ?(tid = 0) ?rt name args =
+    match journal with
+    | Some (tr, lock, _) ->
+        Mutex.protect lock (fun () ->
+            T.instant tr ~cat:"batch" ~tid ~args ?rt name)
+    | None -> ()
   in
   (* per-worker sequence counters: each slot is only ever touched by
      its worker inside a chunk, and chunk boundaries join all domains *)
@@ -695,9 +743,9 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                let newly = Health.check lv.lv_health ~now in
                List.iter
                  (fun w ->
-                   emit ~ev:"stalled"
-                     ~rt:[ ("wall_s", J.Float (now -. t0)) ]
-                     [ ("worker", J.Int w) ])
+                   emit ~tid:(1 + w) "stalled"
+                     ~rt:[ ("wall_s", T.Float (now -. t0)) ]
+                     [ ("worker", T.Int w) ])
                  newly;
                update_gauges lv ~now;
                (match snapshot with
@@ -721,18 +769,18 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
     Option.iter Domain.join monitor;
     update_gauges lv ~now:(Clock.now_s ());
     (match snapshot with Some base -> write_snapshot lv ~base | None -> ());
-    Option.iter Ev.close sink
+    Option.iter (fun (_, _, close) -> close ()) journal
   in
-  emit ~ev:"run_start"
-    ~rt:[ ("jobs", J.Int jobs_n) ]
+  emit "run_start"
+    ~rt:[ ("jobs", T.Int jobs_n) ]
     [
-      ("total", J.Int total);
-      ("chunk_size", J.Int chunk_size);
-      ("cache", J.Bool (cache <> None));
-      ("payload_schema", J.Str Cache.schema);
+      ("total", T.Int total);
+      ("chunk_size", T.Int chunk_size);
+      ("cache", T.Bool (cache <> None));
+      ("payload_schema", T.Str Cache.schema);
     ];
   for w = 0 to jobs_n - 1 do
-    emit ~ev:"worker_start" [ ("worker", J.Int w) ]
+    emit ~tid:(1 + w) "worker_start" [ ("worker", T.Int w) ]
   done;
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 out
@@ -746,11 +794,11 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
         Oracle.budgeted_chunks ?budget_s ~size:chunk_size specs
           (fun ci chunk ->
             let first = !run_n in
-            emit ~ev:"chunk_start"
+            emit "chunk_start"
               [
-                ("chunk", J.Int ci);
-                ("size", J.Int (List.length chunk));
-                ("first", J.Int first);
+                ("chunk", T.Int ci);
+                ("size", T.Int (List.length chunk));
+                ("first", T.Int first);
               ];
             for w = 0 to jobs_n - 1 do
               Health.set_busy lv.lv_health ~worker:w
@@ -776,70 +824,70 @@ let run ?jobs ?budget_s ?cache ?registry ?events ?snapshot
                    coordinator replays each chunk's outcomes after the
                    barrier, so core fields are deterministic and only
                    the rt envelope knows which worker served what *)
-                emit ~ev:"spec_start"
+                emit "spec_start"
                   [
-                    ("spec", J.Int gi);
-                    ("name", J.Str (spec_name spec));
-                    ("kind", J.Str (spec_kind spec));
-                    ("chunk", J.Int ci);
+                    ("spec", T.Int gi);
+                    ("name", T.Str (spec_name spec));
+                    ("kind", T.Str (spec_kind spec));
+                    ("chunk", T.Int ci);
                   ];
                 (match (cache, o.oc_key) with
                 | Some _, Some k ->
                     emit
-                      ~ev:(if o.oc_hit then "cache_hit" else "cache_miss")
-                      ~rt:[ ("lookup_ms", J.Float o.oc_lookup_ms) ]
-                      [ ("spec", J.Int gi); ("key", J.Str k) ]
+                      (if o.oc_hit then "cache_hit" else "cache_miss")
+                      ~rt:[ ("lookup_ms", T.Float o.oc_lookup_ms) ]
+                      [ ("spec", T.Int gi); ("key", T.Str k) ]
                 | _ -> ());
-                emit ~ev:"spec_finish"
+                emit "spec_finish"
                   ~rt:
                     [
-                      ("worker", J.Int o.oc_worker);
-                      ("seq", J.Int o.oc_seq);
-                      ("ms", J.Float o.oc_spec_ms);
-                      ("pass_ms", J.Float p.p_pass_ms);
-                      ("sim_ms", J.Float o.oc_sim_ms);
+                      ("worker", T.Int o.oc_worker);
+                      ("seq", T.Int o.oc_seq);
+                      ("ms", T.Float o.oc_spec_ms);
+                      ("pass_ms", T.Float p.p_pass_ms);
+                      ("sim_ms", T.Float o.oc_sim_ms);
                     ]
                   [
-                    ("spec", J.Int gi);
-                    ("status", J.Str p.p_status);
-                    ("hit", J.Bool o.oc_hit);
-                    ("correct", J.Bool p.p_correct);
+                    ("spec", T.Int gi);
+                    ("status", T.Str p.p_status);
+                    ("hit", T.Bool o.oc_hit);
+                    ("correct", T.Bool p.p_correct);
                   ])
               (List.combine chunk outs);
             (* flush per chunk: a crash or budget cut leaves a valid
                JSONL prefix in manifest order *)
             flush oc;
             run_n := !run_n + List.length chunk;
-            emit ~ev:"chunk_finish"
-              ~rt:[ ("wall_s", J.Float (Clock.now_s () -. t0)) ]
+            emit "chunk_finish"
+              ~rt:[ ("wall_s", T.Float (Clock.now_s () -. t0)) ]
               [
-                ("chunk", J.Int ci);
-                ("done", J.Int !run_n);
-                ("hits", J.Int !hits);
-                ("misses", J.Int !misses);
-                ("errors", J.Int !errors);
+                ("chunk", T.Int ci);
+                ("done", T.Int !run_n);
+                ("hits", T.Int !hits);
+                ("misses", T.Int !misses);
+                ("errors", T.Int !errors);
               ]);
       for w = 0 to jobs_n - 1 do
-        emit ~ev:"worker_finish"
-          [ ("worker", J.Int w) ]
-          ~rt:[ ("beats", J.Int (Health.beats lv.lv_health ~worker:w)) ]
+        emit ~tid:(1 + w) "worker_finish"
+          [ ("worker", T.Int w) ]
+          ~rt:[ ("beats", T.Int (Health.beats lv.lv_health ~worker:w)) ]
       done;
       let wall_s = Clock.now_s () -. t0 in
-      emit ~ev:"run_finish"
+      emit "run_finish"
         ~rt:
           [
-            ("wall_s", J.Float wall_s);
-            ("stalled", J.Int (Health.stalled_total lv.lv_health));
+            ("wall_s", T.Float wall_s);
+            ("stalled", T.Int (Health.stalled_total lv.lv_health));
           ]
         [
-          ("total", J.Int total);
-          ("run", J.Int !run_n);
-          ("hits", J.Int !hits);
-          ("misses", J.Int !misses);
-          ("incorrect", J.Int !incorrect);
-          ("check_failed", J.Int !check_failed);
-          ("errors", J.Int !errors);
-          ("budget_exhausted", J.Bool !cut);
+          ("total", T.Int total);
+          ("run", T.Int !run_n);
+          ("hits", T.Int !hits);
+          ("misses", T.Int !misses);
+          ("incorrect", T.Int !incorrect);
+          ("check_failed", T.Int !check_failed);
+          ("errors", T.Int !errors);
+          ("budget_exhausted", T.Bool !cut);
         ]);
   {
     bt_total = total;

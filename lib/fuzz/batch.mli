@@ -10,7 +10,7 @@
     deterministic output.
 
     {b Determinism.}  The manifest is processed in fixed-size chunks
-    ({!chunk_size}, independent of the pool size) over the
+    (64 specs, independent of the pool size) over the
     {!Darm_harness.Parallel_sweep} domain pool; each chunk's results
     are appended to the output file in manifest order before the next
     chunk starts, so at most one chunk of payloads is in memory at a
@@ -27,10 +27,10 @@
     budget never changes the outcome and a tight one cuts the manifest
     at a deterministic chunk boundary. *)
 
-(** {2 Manifest} *)
+(** {2 Manifest}
 
-(** ["darm-manifest-v1"] — one spec object per line (doc/fleet.md). *)
-val manifest_schema : string
+    A [darm-manifest-v1] manifest holds one spec object per line
+    (doc/fleet.md). *)
 
 type spec =
   | Registry of {
@@ -84,10 +84,6 @@ val write_fuzz_manifest :
 
 (** {2 Running} *)
 
-(** Specs per deterministic chunk (64): the bound on in-flight results
-    and the granularity of both output flushing and the budget check. *)
-val chunk_size : int
-
 type summary = {
   bt_total : int;  (** manifest entries *)
   bt_run : int;  (** entries processed (= total unless budget-cut) *)
@@ -132,11 +128,12 @@ val to_batch_stats : summary -> Darm_harness.History.batch
       [darm_worker_*] families.  After [run] returns the registry holds
       the final state — it is the one exporter of these families, so
       callers snapshot it directly.
-    - [events]: path of a [darm-events-v1] stream
-      ({!Darm_obs.Events}) journaling the run/chunk/spec lifecycle.
-      Core events are emitted by the coordinator in manifest order, so
-      the canonicalized stream is byte-identical at any [jobs] given
-      the same starting cache state.
+    - [events]: path of a JSONL trace ({!Darm_obs.Export}) journaling
+      the run/chunk/spec lifecycle as instants of category [batch],
+      one line per event, flushed as it is emitted (see
+      {!journal_events}).  Core events are emitted by the coordinator
+      in manifest order, so the {!canonical_journal} is byte-identical
+      at any [jobs] given the same starting cache state.
     - [snapshot]: base path for periodic atomic
       {!Darm_obs.Snapshot} files ([<base>.prom] / [<base>.json]),
       rewritten every [cadence_s] (default 1.0s, clamped to >= 0.05s)
@@ -162,6 +159,33 @@ val run :
   out:string ->
   spec list ->
   summary
+
+(** {2 Journal}
+
+    The [events] journal is a {!Darm_obs.Trace} event stream.  Its
+    eight core events ([run_start], [chunk_start], [spec_start],
+    [cache_hit], [cache_miss], [spec_finish], [chunk_finish],
+    [run_finish]) sit on tid 0 in manifest order, with their
+    deterministic fields in [args] and the rest (wall-clock durations,
+    which worker served a spec) in the [rt] envelope.
+    [worker_start], [worker_finish] and [stalled] sit on their
+    worker's track, tid [1 + worker]: how many there are and where
+    depends on the pool size and the wall clock.  [ts] is the
+    journal's own event counter, so it is strictly increasing. *)
+
+(** Every event name a journal may carry, core events first. *)
+val journal_events : string list
+
+(** [Ok ()] when every event's name is in {!journal_events} and [ts]
+    strictly increases; else an error naming the event, counted from
+    1. *)
+val validate_journal : Darm_obs.Trace.event list -> (unit, string) result
+
+(** The byte-comparable form of a journal: its tid-0 events, envelope
+    dropped, [ts] renumbered from 0.  Two runs over the same manifest
+    and starting cache state have equal canonical journals at any
+    [jobs]. *)
+val canonical_journal : Darm_obs.Trace.event list -> Darm_obs.Trace.t
 
 (** One deterministic summary line (the CLI's last stdout line):
     [batch: R/T kernel(s), H hit(s) / M miss(es), hit-rate P%, ...]. *)

@@ -11,9 +11,6 @@
 
 module E = Experiment
 
-(** Print a failure banner for incorrect results; [true] = all clean. *)
-val check_banner : E.result list -> bool
-
 (** Synthetic benchmark speedups per block size, with geomean. *)
 val fig7 : ?n:int -> ?jobs:int -> unit -> E.result list
 

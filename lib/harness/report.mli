@@ -119,9 +119,6 @@ val mem_delta : t -> int
     delta. *)
 val mem_residual : t -> int
 
-(** True when neither run issued a load or store. *)
-val no_memory : t -> bool
-
 (** Assemble a report from raw pieces (exposed so the tests can build
     synthetic inputs without running kernels).  Claims branches to
     melds, builds the joined branch table and the joined per-site

@@ -16,7 +16,6 @@ val func : t -> Ssa.func
 val add_block : t -> string -> Ssa.block
 
 val position_at_end : t -> Ssa.block -> unit
-val insertion_block : t -> Ssa.block
 
 (** {2 Instructions} *)
 

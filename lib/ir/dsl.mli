@@ -87,8 +87,6 @@ val shared_array : ctx -> int -> Ssa.value
 
 (** {2 Structured control flow} *)
 
-val fresh_block : ctx -> string -> Ssa.block
-
 val if_ : ctx -> Ssa.value -> (unit -> unit) -> (unit -> unit) -> unit
 val if_then : ctx -> Ssa.value -> (unit -> unit) -> unit
 

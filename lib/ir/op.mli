@@ -61,8 +61,5 @@ val is_alu : t -> bool
 
 val is_memory : t -> bool
 
-val icmp_to_string : icmp_pred -> string
-val fcmp_to_string : fcmp_pred -> string
 val ibinop_to_string : ibinop -> string
-val fbinop_to_string : fbinop -> string
 val to_string : t -> string

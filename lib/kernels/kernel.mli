@@ -37,7 +37,6 @@ val rng : int -> unit -> int
 
 val random_int_array : seed:int -> n:int -> bound:int -> int array
 
-val rv_equal : Memory.rv -> Memory.rv -> bool
 val rv_array_equal : Memory.rv array -> Memory.rv array -> bool
 val rv_to_string : Memory.rv -> string
 

@@ -3,6 +3,5 @@
     parity-divergent isomorphic loop subgraphs with nested
     data-dependent branches (the paper's most complex control flow). *)
 
-val bucket_len : int
 val build : block_size:int -> Darm_ir.Ssa.func
 val kernel : Kernel.t

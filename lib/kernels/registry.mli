@@ -4,9 +4,6 @@ val synthetic : Kernel.t list
 
 val real_world : Kernel.t list
 
-(** Extension workloads beyond the paper's figure set. *)
-val extras : Kernel.t list
-
 val all : Kernel.t list
 
 (** Deliberately broken kernels ({!Badkernels}) for the sanity-checker

@@ -15,21 +15,25 @@ let ph_of_string = function
   | "C" -> Ok Trace.C
   | other -> Error (Printf.sprintf "unknown phase %S" other)
 
+let fields_to_json (fields : (string * Trace.value) list) : Json.t =
+  Json.Obj (List.map (fun (k, v) -> (k, Trace.value_to_json v)) fields)
+
 let event_to_json (ev : Trace.event) : Json.t =
   Json.Obj
-    [
-      ("name", Json.Str ev.Trace.ev_name);
-      ("cat", Json.Str ev.Trace.ev_cat);
-      ("ph", Json.Str (ph_to_string ev.Trace.ev_ph));
-      ("ts", Json.Int ev.Trace.ev_ts);
-      ("pid", Json.Int ev.Trace.ev_pid);
-      ("tid", Json.Int ev.Trace.ev_tid);
-      ( "args",
-        Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Trace.value_to_json v))
-             ev.Trace.ev_args) );
-    ]
+    ([
+       ("name", Json.Str ev.Trace.ev_name);
+       ("cat", Json.Str ev.Trace.ev_cat);
+       ("ph", Json.Str (ph_to_string ev.Trace.ev_ph));
+       ("ts", Json.Int ev.Trace.ev_ts);
+       ("pid", Json.Int ev.Trace.ev_pid);
+       ("tid", Json.Int ev.Trace.ev_tid);
+       ("args", fields_to_json ev.Trace.ev_args);
+     ]
+    (* the envelope only when set, so events without one keep their
+       bytes *)
+    @
+    if ev.Trace.ev_rt = [] then []
+    else [ ("rt", fields_to_json ev.Trace.ev_rt) ])
 
 let event_of_json (j : Json.t) : (Trace.event, string) result =
   let ( let* ) = Result.bind in
@@ -49,8 +53,8 @@ let event_of_json (j : Json.t) : (Trace.event, string) result =
   let* ts = int_field "ts" in
   let* pid = int_field "pid" in
   let* tid = int_field "tid" in
-  let* args =
-    match Json.member "args" j with
+  let scalars key =
+    match Json.member key j with
     | None -> Ok []
     | Some (Json.Obj fields) ->
         List.fold_left
@@ -62,13 +66,15 @@ let event_of_json (j : Json.t) : (Trace.event, string) result =
               | Json.Int n -> Ok (Trace.Int n)
               | Json.Float x -> Ok (Trace.Float x)
               | Json.Bool b -> Ok (Trace.Bool b)
-              | _ -> Error (Printf.sprintf "arg %S is not a scalar" k)
+              | _ -> Error (Printf.sprintf "%s %S is not a scalar" key k)
             in
             Ok ((k, v) :: acc))
           (Ok []) fields
         |> Result.map List.rev
-    | Some _ -> Error "args is not an object"
+    | Some _ -> Error (Printf.sprintf "%s is not an object" key)
   in
+  let* args = scalars "args" in
+  let* rt = scalars "rt" in
   Ok
     {
       Trace.ev_name = name;
@@ -78,6 +84,7 @@ let event_of_json (j : Json.t) : (Trace.event, string) result =
       ev_pid = pid;
       ev_tid = tid;
       ev_args = args;
+      ev_rt = rt;
     }
 
 let to_jsonl (t : Trace.t) : string =
@@ -100,18 +107,20 @@ let to_chrome (t : Trace.t) : string =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-let events_of_jsonl (s : string) : (Trace.event list, string) result =
-  let ( let* ) = Result.bind in
-  String.split_on_char '\n' s
-  |> List.filter (fun line -> String.trim line <> "")
-  |> List.fold_left
-       (fun acc line ->
-         let* acc = acc in
-         let* j = Json.parse line in
-         let* ev = event_of_json j in
-         Ok (ev :: acc))
-       (Ok [])
-  |> Result.map List.rev
+let events_of_jsonl ~name (s : string) : (Trace.event list, string) result =
+  Json.parse_lines ~name event_of_json s
+
+let jsonl_sink ~(path : string) : (Trace.event -> unit) * (unit -> unit) =
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
+      path
+  in
+  let write ev =
+    output_string oc (Json.to_string (event_to_json ev));
+    output_char oc '\n';
+    flush oc
+  in
+  (write, fun () -> close_out_noerr oc)
 
 (* validate the written bytes by re-reading them: the parse must
    succeed and yield at least one event *)
@@ -119,10 +128,9 @@ let validate (format : format) (path : string) (contents : string) : unit =
   let count =
     match format with
     | Jsonl -> (
-        match events_of_jsonl contents with
+        match events_of_jsonl ~name:path contents with
         | Ok evs -> List.length evs
-        | Error msg ->
-            failwith (Printf.sprintf "%s: invalid JSONL trace: %s" path msg))
+        | Error msg -> failwith ("invalid JSONL trace: " ^ msg))
     | Chrome -> (
         match Json.parse contents with
         | Error msg ->

@@ -3,10 +3,12 @@
     directly.
 
     Both formats share one event schema — every event object carries
-    [name], [cat], [ph], [ts], [pid], [tid] and an [args] object — so a
-    JSONL file is exactly the Chrome [traceEvents] array split one event
-    per line.  Serialization is deterministic: byte-identical buffers
-    in, byte-identical files out. *)
+    [name], [cat], [ph], [ts], [pid], [tid] and an [args] object, then a
+    trailing [rt] object when the event's envelope ({!Trace.event}
+    [ev_rt]) is non-empty — so a JSONL file is exactly the Chrome
+    [traceEvents] array split one event per line.  Serialization is
+    deterministic: byte-identical buffers in, byte-identical files
+    out. *)
 
 type format = Jsonl | Chrome
 
@@ -17,15 +19,18 @@ val to_jsonl : Trace.t -> string
     [chrome://tracing]. *)
 val to_chrome : Trace.t -> string
 
-val event_to_json : Trace.event -> Json.t
+(** Parse a JSONL document back into its event list (round trip of
+    {!to_jsonl}).  Blank lines are skipped; an event missing any of
+    [name]/[cat]/[ph]/[ts]/[pid]/[tid], or with non-scalar [args]/[rt]
+    values, is an error, which reads ["<name>:<line>: ..."] with lines
+    counted from 1. *)
+val events_of_jsonl : name:string -> string -> (Trace.event list, string) result
 
-(** Inverse of {!event_to_json}; rejects objects missing any of the
-    required [name]/[ph]/[ts]/[pid]/[tid] fields. *)
-val event_of_json : Json.t -> (Trace.event, string) result
-
-(** Parse a JSONL document back into its event list (round-trip of
-    {!to_jsonl}; blank lines are skipped). *)
-val events_of_jsonl : string -> (Trace.event list, string) result
+(** A {!Trace.create} sink that writes each event to [path] (created or
+    truncated, binary) as one JSONL line and flushes it, so a reader
+    following the file always sees whole lines; returned with the
+    function that closes the file. *)
+val jsonl_sink : path:string -> (Trace.event -> unit) * (unit -> unit)
 
 (** Serialize to [path] and then re-read and re-parse the written file,
     raising [Failure] if the bytes on disk do not parse back to a

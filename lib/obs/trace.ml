@@ -13,6 +13,7 @@ type event = {
   ev_pid : int;
   ev_tid : int;
   ev_args : (string * value) list;
+  ev_rt : (string * value) list;
 }
 
 (* growable event array; events are append-only *)
@@ -20,13 +21,15 @@ type t = {
   mutable buf : event array;
   mutable len : int;
   mutable clock : int;  (** virtual time of the next default-ts event *)
+  sink : (event -> unit) option;  (** takes every event in place of [buf] *)
 }
 
 let dummy_event =
   { ev_name = ""; ev_cat = ""; ev_ph = I; ev_ts = 0; ev_pid = 0; ev_tid = 0;
-    ev_args = [] }
+    ev_args = []; ev_rt = [] }
 
-let create () = { buf = Array.make 64 dummy_event; len = 0; clock = 0 }
+let create ?sink () =
+  { buf = Array.make 64 dummy_event; len = 0; clock = 0; sink }
 
 let length t = t.len
 
@@ -39,13 +42,16 @@ let value_to_json : value -> Json.t = function
   | Bool b -> Json.Bool b
 
 let push (t : t) (ev : event) : unit =
-  if t.len = Array.length t.buf then begin
-    let bigger = Array.make (2 * t.len) dummy_event in
-    Array.blit t.buf 0 bigger 0 t.len;
-    t.buf <- bigger
-  end;
-  t.buf.(t.len) <- ev;
-  t.len <- t.len + 1
+  match t.sink with
+  | Some sink -> sink ev
+  | None ->
+      if t.len = Array.length t.buf then begin
+        let bigger = Array.make (2 * t.len) dummy_event in
+        Array.blit t.buf 0 bigger 0 t.len;
+        t.buf <- bigger
+      end;
+      t.buf.(t.len) <- ev;
+      t.len <- t.len + 1
 
 (* the virtual clock advances by one per event and never runs
    backwards; an explicit ts ahead of it fast-forwards it *)
@@ -55,7 +61,8 @@ let stamp (t : t) (ts : int option) : int =
   now
 
 let emit (t : t) ~(cat : string) ~(pid : int) ~(tid : int) ?ts
-    ~(args : (string * value) list) (ph : phase) (name : string) : unit =
+    ~(args : (string * value) list) ?(rt = []) (ph : phase) (name : string)
+    : unit =
   push t
     {
       ev_name = name;
@@ -65,10 +72,11 @@ let emit (t : t) ~(cat : string) ~(pid : int) ~(tid : int) ?ts
       ev_pid = pid;
       ev_tid = tid;
       ev_args = args;
+      ev_rt = rt;
     }
 
-let instant t ?(cat = "") ?(pid = 0) ?(tid = 0) ?ts ?(args = []) name =
-  emit t ~cat ~pid ~tid ?ts ~args I name
+let instant t ?(cat = "") ?(pid = 0) ?(tid = 0) ?ts ?(args = []) ?rt name =
+  emit t ~cat ~pid ~tid ?ts ~args ?rt I name
 
 let begin_span t ?(cat = "") ?(pid = 0) ?(tid = 0) ?ts ?(args = []) name =
   emit t ~cat ~pid ~tid ?ts ~args B name

@@ -3,8 +3,9 @@
 
     {b Event model.}  An event has a name, a category, a Chrome
     trace-event phase ([B]egin span / [E]nd span / [I]nstant /
-    [C]ounter), a timestamp, a (pid, tid) track, and a list of typed
-    attributes.  Timestamps are {e virtual}: either supplied by the
+    [C]ounter), a timestamp, a (pid, tid) track, a list of typed
+    attributes, and an envelope of typed fields that differ from run
+    to run (empty unless the emitter sets it).  Timestamps are {e virtual}: either supplied by the
     instrumented code (the simulator passes its deterministic cycle
     count) or drawn from the buffer's own event counter — never from the
     wall clock — so a trace is a pure function of the computation and
@@ -44,11 +45,19 @@ type event = {
   ev_pid : int;
   ev_tid : int;
   ev_args : (string * value) list;
+  ev_rt : (string * value) list;
+      (** the envelope for fields that differ from run to run (wall-clock
+          durations, which worker served what); empty on every event
+          except those that set [?rt] *)
 }
 
 type t
 
-val create : unit -> t
+(** A fresh buffer.  With [sink], each event goes to [sink] as it is
+    emitted and the buffer keeps none ({!events} stays empty), so a
+    long run can stream its trace without holding it. *)
+val create : ?sink:(event -> unit) -> unit -> t
+
 val length : t -> int
 
 (** Events in emission order. *)
@@ -68,6 +77,7 @@ val instant :
   ?tid:int ->
   ?ts:int ->
   ?args:(string * value) list ->
+  ?rt:(string * value) list ->
   string ->
   unit
 

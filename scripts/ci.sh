@@ -472,6 +472,25 @@ if dune exec bin/darm_opt.exe -- parse "$ir_dir" > /dev/null \
   rm -rf "$ir_dir"; exit 1
 fi
 grep -qF "$ir_dir: is a directory" "$ir_dir/err"
+# text that parses but does not verify (a kernel with no blocks, a
+# block with no terminator) is a parse error, exit 1, for parse and
+# compile alike
+printf 'kernel @f(%%a: ptr(global), %%b: ptr(global)) {}\n' \
+  > "$ir_dir/empty.cir"
+printf 'kernel @f(%%a: ptr(global), %%b: ptr(global)) {\nentry:\n  %%0 = thread.idx\n}\n' \
+  > "$ir_dir/noterm.cir"
+for bad in empty noterm; do
+  for cmd in parse compile; do
+    bad_rc=0
+    dune exec bin/darm_opt.exe -- $cmd "$ir_dir/$bad.cir" > /dev/null \
+      2> "$ir_dir/err" || bad_rc=$?
+    if [ "$bad_rc" -ne 1 ] || ! grep -q '^parse error: ' "$ir_dir/err"; then
+      echo "ci: darm_opt $cmd $bad.cir exited $bad_rc, expected 1 with a parse error" >&2
+      cat "$ir_dir/err" >&2
+      rm -rf "$ir_dir"; exit 1
+    fi
+  done
+done
 rm -rf "$ir_dir"
 
 # one transform table names every pipeline step: an unknown name is

@@ -8,7 +8,7 @@ module O = Darm_fuzz.Oracle
 
 (* cwd is _build/default/test under [dune runtest] (the glob_files dep
    copies the corpus next to the binary) but the project root under
-   [dune exec test/test_darm.exe] *)
+   [dune exec test/test_compiler.exe] *)
 let corpus_dir =
   if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
 

@@ -1,11 +1,12 @@
-(* Fleet telemetry, stream side: the darm-events-v1 sink and its
-   validation, the canonical form (runtime events dropped, rt stripped,
-   vt renumbered) that makes the stream byte-comparable across pool
-   sizes, and the batch driver's end-to-end emission — canonical
-   identity at jobs 1/2/4, injected-bug manifests, and mid-run
-   snapshots. *)
+(* Fleet telemetry, stream side: the batch journal (a JSONL trace of
+   [batch] instants) and its validation, the canonical form (worker
+   tracks dropped, rt envelopes dropped, ts renumbered) that makes the
+   journal byte-comparable across pool sizes, and the batch driver's
+   end-to-end emission — canonical identity at jobs 1/2/4,
+   injected-bug manifests, and mid-run snapshots. *)
 
-module Ev = Darm_obs.Events
+module T = Darm_obs.Trace
+module Export = Darm_obs.Export
 module Snapshot = Darm_obs.Snapshot
 module MR = Darm_obs.Metrics_registry
 module B = Darm_fuzz.Batch
@@ -20,102 +21,119 @@ let temp_dir = Testlib.temp_dir
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* a small emitted stream: 2 core events bracketed by runtime ones,
-   every event carrying an rt envelope *)
+(* the journal's reading: every line decodes, then the batch rules *)
+let read_journal text =
+  Result.bind (Export.events_of_jsonl ~name:"journal" text) (fun evs ->
+      Result.map (fun () -> evs) (B.validate_journal evs))
+
+(* a small streamed journal: 2 core events bracketed by worker-track
+   ones, each core event carrying an rt envelope *)
 let emit_sample path =
-  let s = Ev.open_sink ~path in
-  Ev.emit s ~ev:"run_start"
-    ~rt:[ ("jobs", J.Int 4) ]
-    [ ("total", J.Int 2) ];
-  Ev.emit s ~ev:"worker_start" [ ("worker", J.Int 0) ];
-  Ev.emit s ~ev:"spec_start"
-    ~rt:[ ("wall_s", J.Float 0.5) ]
-    [ ("spec", J.Int 0) ];
-  Ev.emit s ~ev:"worker_finish" [ ("worker", J.Int 0) ];
-  Alcotest.(check int) "count" 4 (Ev.count s);
-  Ev.close s
+  let sink, close = Export.jsonl_sink ~path in
+  let t = T.create ~sink () in
+  T.instant t ~cat:"batch" ~args:[ ("total", T.Int 2) ]
+    ~rt:[ ("jobs", T.Int 4) ] "run_start";
+  T.instant t ~cat:"batch" ~tid:1 ~args:[ ("worker", T.Int 0) ]
+    "worker_start";
+  T.instant t ~cat:"batch" ~args:[ ("spec", T.Int 0) ]
+    ~rt:[ ("wall_s", T.Float 0.5) ] "spec_start";
+  T.instant t ~cat:"batch" ~tid:1 ~args:[ ("worker", T.Int 0) ]
+    "worker_finish";
+  close ()
 
 (* ------------------------------------------------------------------ *)
-(* Sink, read, validate *)
+(* Journal, read, validate *)
 
 let test_emit_read_validate () =
   let path = Filename.concat (temp_dir ()) "ev.jsonl" in
   emit_sample path;
-  let text = read_file path in
-  (match Ev.validate text with
-  | Ok n -> Alcotest.(check int) "validates" 4 n
-  | Error msg -> Alcotest.failf "valid stream rejected: %s" msg);
-  match Ev.read text with
-  | Error msg -> Alcotest.failf "read failed: %s" msg
-  | Ok views ->
-      Alcotest.(check (list int)) "vt sequence" [ 0; 1; 2; 3 ]
-        (List.map (fun v -> v.Ev.vw_vt) views);
+  match read_journal (read_file path) with
+  | Error msg -> Alcotest.failf "valid journal rejected: %s" msg
+  | Ok evs ->
+      Alcotest.(check int) "validates" 4 (List.length evs);
+      Alcotest.(check (list int)) "ts sequence" [ 0; 1; 2; 3 ]
+        (List.map (fun (e : T.event) -> e.ev_ts) evs);
       Alcotest.(check (list string)) "event order"
         [ "run_start"; "worker_start"; "spec_start"; "worker_finish" ]
-        (List.map (fun v -> v.Ev.vw_ev) views);
-      (* every line self-describes its schema *)
+        (List.map (fun (e : T.event) -> e.ev_name) evs);
+      Alcotest.(check (list int)) "tracks" [ 0; 1; 0; 1 ]
+        (List.map (fun (e : T.event) -> e.ev_tid) evs);
+      (* every line is a batch instant, envelope intact *)
       List.iter
-        (fun v ->
-          Alcotest.(check bool) "schema stamped" true
-            (J.member "schema" v.Ev.vw_json = Some (J.Str Ev.schema)))
-        views
+        (fun (e : T.event) ->
+          Alcotest.(check bool) "batch instant" true
+            (e.ev_cat = "batch" && e.ev_ph = T.I))
+        evs;
+      Alcotest.(check bool) "rt read back" true
+        ((List.hd evs).ev_rt = [ ("jobs", T.Int 4) ])
 
-let test_emit_rejects_unknown_event () =
-  let path = Filename.concat (temp_dir ()) "ev.jsonl" in
-  let s = Ev.open_sink ~path in
-  (match Ev.emit s ~ev:"bogus_event" [] with
-  | () -> Alcotest.fail "unknown event type must be rejected"
-  | exception Invalid_argument _ -> ());
-  (match Ev.emit s ~ev:"run_start" [ ("vt", J.Int 0) ] with
-  | () -> Alcotest.fail "reserved field name must be rejected"
-  | exception Invalid_argument _ -> ());
-  (* the sink survives the rejections *)
-  Ev.emit s ~ev:"run_start" [];
-  Alcotest.(check int) "only the valid emit counted" 1 (Ev.count s);
-  Ev.close s
+(* names outside the catalogue fail validation; a core field named
+   like one of the event's own keys stays inside [args] *)
+let test_unknown_events_rejected () =
+  let t = T.create () in
+  T.instant t ~cat:"batch" "bogus_event";
+  (match B.validate_journal (T.events t) with
+  | Ok () -> Alcotest.fail "unknown event type must be rejected"
+  | Error msg ->
+      Alcotest.(check bool) "error names the event" true
+        (contains msg "bogus_event"));
+  let t = T.create () in
+  let args = [ ("ts", T.Int 7); ("rt", T.Int 3); ("name", T.Str "x") ] in
+  T.instant t ~cat:"batch" ~args "run_start";
+  match read_journal (Export.to_jsonl t) with
+  | Error msg -> Alcotest.failf "journal rejected: %s" msg
+  | Ok [ e ] ->
+      Alcotest.(check string) "name" "run_start" e.ev_name;
+      Alcotest.(check int) "ts" 0 e.ev_ts;
+      Alcotest.(check bool) "args intact, no envelope" true
+        (e.ev_args = args && e.ev_rt = [])
+  | Ok _ -> Alcotest.fail "one event expected"
 
 let test_validate_catches_damage () =
   let expect_error label text =
-    match Ev.validate text with
+    match read_journal text with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s must be rejected" label
   in
-  let line ?(schema = Ev.schema) ?(ev = "run_start") vt =
-    Printf.sprintf "{\"schema\":%s,\"vt\":%d,\"ev\":%s}\n"
-      (J.to_string (J.Str schema))
-      vt
+  let line ?(ev = "run_start") ?(rt = "") ts =
+    Printf.sprintf
+      "{\"name\":%s,\"cat\":\"batch\",\"ph\":\"i\",\"ts\":%d,\"pid\":0,\"tid\":0,\"args\":{}%s}\n"
       (J.to_string (J.Str ev))
+      ts rt
   in
-  expect_error "wrong schema" (line ~schema:"darm-events-v999" 0);
+  (match read_journal (line 0 ^ line 1) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "undamaged journal rejected: %s" msg);
+  expect_error "line without trace-event fields"
+    "{\"vt\":0,\"ev\":\"run_start\"}\n";
   expect_error "unknown event" (line ~ev:"bogus" 0);
-  expect_error "vt going backwards" (line 0 ^ line 0);
+  expect_error "ts going backwards" (line 0 ^ line 0);
   expect_error "non-object line" "[1,2,3]\n";
-  expect_error "rt not an object"
-    "{\"schema\":\"darm-events-v1\",\"vt\":0,\"ev\":\"run_start\",\"rt\":3}\n"
+  expect_error "rt not an object" (line ~rt:",\"rt\":3" 0)
 
 let test_canonicalize () =
   let path = Filename.concat (temp_dir ()) "ev.jsonl" in
   emit_sample path;
-  match Ev.canonicalize (read_file path) with
-  | Error msg -> Alcotest.failf "canonicalize failed: %s" msg
-  | Ok canon -> (
-      Alcotest.(check bool) "runtime events dropped" false
-        (contains canon "worker_start" || contains canon "worker_finish");
-      Alcotest.(check bool) "rt envelopes stripped" false
-        (contains canon "\"rt\"");
-      match Ev.read canon with
-      | Error msg -> Alcotest.failf "canonical form unreadable: %s" msg
-      | Ok views ->
-          Alcotest.(check (list int)) "vt renumbered" [ 0; 1 ]
-            (List.map (fun v -> v.Ev.vw_vt) views);
-          Alcotest.(check (list string)) "core order preserved"
-            [ "run_start"; "spec_start" ]
-            (List.map (fun v -> v.Ev.vw_ev) views);
-          (* canonicalizing a canonical stream is the identity *)
-          Alcotest.(check string) "idempotent" canon
-            (match Ev.canonicalize canon with
-            | Ok c -> c
-            | Error msg -> Alcotest.failf "re-canonicalize: %s" msg))
+  let canonical text =
+    match read_journal text with
+    | Ok evs -> Export.to_jsonl (B.canonical_journal evs)
+    | Error msg -> Alcotest.failf "journal rejected: %s" msg
+  in
+  let canon = canonical (read_file path) in
+  Alcotest.(check bool) "worker-track events dropped" false
+    (contains canon "worker_start" || contains canon "worker_finish");
+  Alcotest.(check bool) "rt envelopes stripped" false
+    (contains canon "\"rt\"");
+  match read_journal canon with
+  | Error msg -> Alcotest.failf "canonical form unreadable: %s" msg
+  | Ok evs ->
+      Alcotest.(check (list int)) "ts renumbered" [ 0; 1 ]
+        (List.map (fun (e : T.event) -> e.ev_ts) evs);
+      Alcotest.(check (list string)) "core order preserved"
+        [ "run_start"; "spec_start" ]
+        (List.map (fun (e : T.event) -> e.ev_name) evs);
+      (* canonicalizing a canonical journal is the identity *)
+      Alcotest.(check string) "idempotent" canon (canonical canon)
 
 (* ------------------------------------------------------------------ *)
 (* Injected-bug specs *)
@@ -188,13 +206,9 @@ let run_with_events dir jobs =
 let test_batch_events_canonical_identity () =
   let dir = temp_dir () in
   let canon jobs =
-    let text = run_with_events dir jobs in
-    (match Ev.validate text with
-    | Ok _ -> ()
-    | Error msg -> Alcotest.failf "jobs=%d stream invalid: %s" jobs msg);
-    match Ev.canonicalize text with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "jobs=%d canonicalize: %s" jobs msg
+    match read_journal (run_with_events dir jobs) with
+    | Ok evs -> Export.to_jsonl (B.canonical_journal evs)
+    | Error msg -> Alcotest.failf "jobs=%d journal invalid: %s" jobs msg
   in
   let c1 = canon 1 and c2 = canon 2 and c4 = canon 4 in
   Alcotest.(check string) "jobs 1 = jobs 2 (canonical bytes)" c1 c2;
@@ -243,8 +257,8 @@ let suites =
       [
         Alcotest.test_case "emit/read/validate round trip" `Quick
           test_emit_read_validate;
-        Alcotest.test_case "unknown events and reserved fields rejected"
-          `Quick test_emit_rejects_unknown_event;
+        Alcotest.test_case "unknown events rejected, fields nest in args"
+          `Quick test_unknown_events_rejected;
         Alcotest.test_case "validate catches damage" `Quick
           test_validate_catches_damage;
         Alcotest.test_case "canonical form (drop/strip/renumber)" `Quick

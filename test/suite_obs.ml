@@ -114,13 +114,77 @@ let sample_trace () =
 
 let test_jsonl_round_trip () =
   let t = sample_trace () in
-  match Export.events_of_jsonl (Export.to_jsonl t) with
+  match Export.events_of_jsonl ~name:"t" (Export.to_jsonl t) with
   | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
   | Ok evs ->
       Alcotest.(check bool) "same events" true (evs = Trace.events t)
 
+(* the envelope rides after [args] and reads back as it was written;
+   a buffer streaming through [jsonl_sink] writes the same line and
+   keeps no event *)
+let test_jsonl_envelope_round_trip () =
+  let emit t =
+    Trace.instant t ~cat:"batch" ~tid:2
+      ~args:[ ("spec", Trace.Int 3) ]
+      ~rt:[ ("worker", Trace.Int 1); ("ms", Trace.Float 0.125) ]
+      "spec_finish"
+  in
+  let t = Trace.create () in
+  emit t;
+  let doc = Export.to_jsonl t in
+  Alcotest.(check string) "rt written last"
+    "{\"name\":\"spec_finish\",\"cat\":\"batch\",\"ph\":\"i\",\"ts\":0,\"pid\":0,\"tid\":2,\"args\":{\"spec\":3},\"rt\":{\"worker\":1,\"ms\":0.125}}\n"
+    doc;
+  (match Export.events_of_jsonl ~name:"t" doc with
+  | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
+  | Ok evs -> Alcotest.(check bool) "same events" true (evs = Trace.events t));
+  let path = Filename.temp_file "darm_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let sink, close = Export.jsonl_sink ~path in
+      let streamed = Trace.create ~sink () in
+      emit streamed;
+      close ();
+      Alcotest.(check int) "sink keeps none" 0 (Trace.length streamed);
+      Alcotest.(check string) "streamed line" doc
+        (In_channel.with_open_bin path In_channel.input_all))
+
+let test_jsonl_error_line () =
+  let good = Export.to_jsonl (sample_trace ()) in
+  let first = String.sub good 0 (String.index good '\n' + 1) in
+  List.iter
+    (fun bad ->
+      match Export.events_of_jsonl ~name:"t" (first ^ bad ^ "\n") with
+      | Ok _ -> Alcotest.failf "%s must be rejected" bad
+      | Error msg ->
+          Alcotest.(check string) "names line 2" "t:2:"
+            (String.sub msg 0 (min 4 (String.length msg))))
+    [ "{\"name\":"; "{\"name\":\"x\",\"ph\":\"i\"}" ]
+
+(* pinned: an event with an empty envelope writes no [rt] key, so
+   every trace without one keeps these bytes *)
+let sample_jsonl =
+  "{\"name\":\"span\",\"cat\":\"pass\",\"ph\":\"B\",\"ts\":0,\"pid\":3,\"tid\":7,\"args\":{\"s\":\"v\\\"\\\\\\n\",\"i\":-42,\"f\":1.5,\"b\":true}}\n\
+   {\"name\":\"tick\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":99,\"pid\":0,\"tid\":0,\"args\":{}}\n\
+   {\"name\":\"gauge\",\"cat\":\"sim\",\"ph\":\"C\",\"ts\":100,\"pid\":0,\"tid\":0,\"args\":{\"value\":2.25}}\n\
+   {\"name\":\"span\",\"cat\":\"pass\",\"ph\":\"E\",\"ts\":101,\"pid\":3,\"tid\":7,\"args\":{}}\n"
+
+let sample_chrome =
+  "{\"traceEvents\":[{\"name\":\"span\",\"cat\":\"pass\",\"ph\":\"B\",\"ts\":0,\"pid\":3,\"tid\":7,\"args\":{\"s\":\"v\\\"\\\\\\n\",\"i\":-42,\"f\":1.5,\"b\":true}},\
+   {\"name\":\"tick\",\"cat\":\"sim\",\"ph\":\"i\",\"ts\":99,\"pid\":0,\"tid\":0,\"args\":{}},\
+   {\"name\":\"gauge\",\"cat\":\"sim\",\"ph\":\"C\",\"ts\":100,\"pid\":0,\"tid\":0,\"args\":{\"value\":2.25}},\
+   {\"name\":\"span\",\"cat\":\"pass\",\"ph\":\"E\",\"ts\":101,\"pid\":3,\"tid\":7,\"args\":{}}],\
+   \"displayTimeUnit\":\"ms\"}\n"
+
+let test_sample_bytes () =
+  Alcotest.(check string) "jsonl bytes" sample_jsonl
+    (Export.to_jsonl (sample_trace ()));
+  Alcotest.(check string) "chrome bytes" sample_chrome
+    (Export.to_chrome (sample_trace ()))
+
 let test_jsonl_rejects_incomplete () =
-  match Export.events_of_jsonl "{\"name\":\"x\",\"ph\":\"i\"}" with
+  match Export.events_of_jsonl ~name:"t" "{\"name\":\"x\",\"ph\":\"i\"}" with
   | Ok _ -> Alcotest.fail "event without ts/pid/tid must be rejected"
   | Error _ -> ()
 
@@ -364,5 +428,11 @@ let suites =
           test_zero_overhead;
         Alcotest.test_case "write_file: self-validation" `Quick
           test_write_file_validates;
+        Alcotest.test_case "jsonl + chrome: pinned bytes" `Quick
+          test_sample_bytes;
+        Alcotest.test_case "jsonl: envelope round-trip" `Quick
+          test_jsonl_envelope_round_trip;
+        Alcotest.test_case "jsonl: errors name the line" `Quick
+          test_jsonl_error_line;
       ] );
   ]

@@ -183,6 +183,30 @@ let test_module_with_two_kernels () =
   | Ok m -> check "two kernels" true (List.length m.Ssa.funcs = 2)
   | Error e -> Alcotest.failf "module should parse: %s" e
 
+(* text that parses but does not verify: the CLI's parse and compile
+   report it as a parse error through [Verify.run], so the verifier
+   must name the fault rather than raise *)
+let test_parses_but_fails_verify () =
+  List.iter
+    (fun (src, fault) ->
+      match Parser.parse_module ~name:"m" src with
+      | Error e -> Alcotest.failf "should parse: %s" e
+      | Ok m ->
+          let msgs =
+            List.concat_map
+              (fun f -> List.map (fun e -> e.Verify.msg) (Verify.run f))
+              m.Ssa.funcs
+          in
+          check fault true (List.exists (fun msg -> contains msg fault) msgs))
+    [
+      ("kernel @f(%a: ptr(global), %b: ptr(global)) {}\n", "has no blocks");
+      ( "kernel @f(%a: ptr(global), %b: ptr(global)) {\n\
+         entry:\n\
+        \  %0 = thread.idx\n\
+         }\n",
+        "lacks a terminator" );
+    ]
+
 let suites =
   [
     ( "parser",
@@ -211,5 +235,7 @@ let suites =
         Alcotest.test_case "undef literal" `Quick test_undef_literal;
         Alcotest.test_case "two-kernel module" `Quick
           test_module_with_two_kernels;
+        Alcotest.test_case "parses but fails verification" `Quick
+          test_parses_but_fails_verify;
       ] );
   ]
