@@ -103,7 +103,7 @@ let compute ?pdt (f : func) : t =
 let pdt (t : t) : Domtree.t = t.pdt
 
 (** Sorted ids of the divergent instructions — the analysis result as
-    plain data, for cross-validation and debugging. *)
+    plain data. *)
 let divergent_ids (t : t) : int list =
   Hashtbl.fold (fun id () acc -> id :: acc) t.divergent []
   |> List.sort compare

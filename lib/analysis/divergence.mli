@@ -31,7 +31,9 @@ val compute : ?pdt:Domtree.t -> Ssa.func -> t
 (** The post-dominator tree the analysis was computed over. *)
 val pdt : t -> Domtree.t
 
-(** Result equality: same divergent-instruction set. *)
+(** Result equality: same divergent-instruction set.  The random-edit
+    property of test/suite_cfg_index.ml compares the analysis manager's
+    result to a fresh one with it. *)
 val equal : t -> t -> bool
 
 val is_divergent_instr : t -> Ssa.instr -> bool

@@ -29,7 +29,9 @@ val dominates : t -> Ssa.block -> Ssa.block -> bool
 val strictly_dominates : t -> Ssa.block -> Ssa.block -> bool
 
 (** Structural equality of two trees over the same function: same node
-    set and same immediate-dominator relation. *)
+    set and same immediate-dominator relation.  The random-edit property
+    of test/suite_cfg_index.ml compares the analysis manager's trees to
+    fresh ones with it. *)
 val equal : t -> t -> bool
 
 (** Instruction-level dominance: does the definition [def] dominate a

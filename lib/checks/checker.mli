@@ -23,10 +23,9 @@ type report = {
   verdict : Race_check.verdict;
 }
 
-(** [facts] (when supplied) must be a {!Darm_analysis.Manager} for [f]
-    that is current (every edit noted); the checkers then draw the
-    divergence analysis, both dominator trees and the predecessor table
-    from its cache instead of recomputing them per checker.  [dvg]
+(** [facts] (when supplied) must be a {!Darm_analysis.Manager} for [f];
+    the checkers then draw the divergence analysis and both dominator
+    trees from its cache instead of recomputing them per checker.  [dvg]
     overrides the divergence result regardless.  Independent of
     [facts], the barrier-divergence analysis runs once and is shared
     with the race checker.  Raises [Invalid_argument] when [facts]

@@ -37,6 +37,7 @@ open Darm_ir
 open Darm_ir.Ssa
 module Latency = Darm_analysis.Latency
 module Domtree = Darm_analysis.Domtree
+module Manager = Darm_analysis.Manager
 
 type side = T | F
 
@@ -100,8 +101,7 @@ let entry_phi env (d : instr) ~(from_true : bool) : value =
         | None -> invalid_arg "Meld.entry_phi: no melded entry yet"
       in
       let phi = mk_instr Op.Phi [||] [||] d.ty in
-      phi.parent <- Some m0;
-      m0.instrs <- phi :: m0.instrs;
+      prepend_instr m0 phi;
       let incoming =
         if from_true then [ (Instr d, env.pre_t); (Undef d.ty, env.pre_f) ]
         else [ (Undef d.ty, env.pre_t); (Instr d, env.pre_f) ]
@@ -148,7 +148,7 @@ let value_key (v : value) : string =
   | Undef t -> "u" ^ Types.to_string t
   | Param p -> "p" ^ string_of_int p.pindex
 
-let select_for env (blk : block) (anchor : instr) (vt : value) (vf : value)
+let select_for env (anchor : instr) (vt : value) (vf : value)
     (cache : (string * string, value) Hashtbl.t) : value =
   let key = (value_key vt, value_key vf) in
   match Hashtbl.find_opt cache key with
@@ -160,13 +160,8 @@ let select_for env (blk : block) (anchor : instr) (vt : value) (vf : value)
         | ta, _ -> ta
       in
       let sel = mk_instr Op.Select [| env.cond; vt; vf |] [||] ty in
-      sel.parent <- Some blk;
-      (* insert before the instruction that needs it *)
-      let rec go = function
-        | [] -> [ sel ]
-        | x :: tl -> if x.id = anchor.id then sel :: x :: tl else x :: go tl
-      in
-      blk.instrs <- go blk.instrs;
+      (* right before the instruction that needs it *)
+      insert_before anchor sel;
       Hashtbl.replace env.provenance sel.id Melded;
       Hashtbl.replace cache key (Instr sel);
       env.stats.selects_inserted <- env.stats.selects_inserted + 1;
@@ -194,18 +189,15 @@ type clone_record =
 
 (** The main melding procedure.  [pairs] is the isomorphism
     correspondence in pre-order; the subgraphs must be normalized
-    ({!Simplify_region}) and [dt] computed after normalization.
-    Returns the melded entry block. *)
-let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
-    ~(lat : Latency.config) ~(s_t : Region.subgraph)
-    ~(s_f : Region.subgraph) ~(pre_t : block) ~(pre_f : block)
-    ~(pairs : (block * block) list) ~(unpredicate : bool) ~(stats : stats) :
-    block =
-  (* dirty set for the Edit protocol: blocks created or deleted here,
-     the rewired entry predecessors, and the exit destinations whose
-     incoming edges and phis change *)
-  let dirty : int list ref = ref [] in
-  let touch (b : block) = dirty := b.bid :: !dirty in
+    ({!Simplify_region}).  Both dominator trees come from [mgr]: the
+    normalized function's, read before the first edit, and the melded
+    one's for the dominance repair.  Returns the melded entry block. *)
+let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
+    ~(s_t : Region.subgraph) ~(s_f : Region.subgraph) ~(pre_t : block)
+    ~(pre_f : block) ~(pairs : (block * block) list) ~(unpredicate : bool)
+    ~(stats : stats) : block =
+  let fn = Manager.func mgr in
+  let dt = Manager.domtree mgr in
   let env =
     {
       fn;
@@ -232,7 +224,6 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
       (fun (bt, bf) ->
         let m = mk_block ("m." ^ bt.bname) in
         append_block fn m;
-        touch m;
         Hashtbl.replace env.block_map_t bt.bid m;
         Hashtbl.replace env.block_map_f bf.bid m;
         (bt, bf, m))
@@ -253,8 +244,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
       List.iter
         (fun (orig, side) ->
           let copy = mk_instr Op.Phi [||] [||] orig.ty in
-          copy.parent <- Some m;
-          m.instrs <- m.instrs @ [ copy ];
+          append_instr m copy;
           Hashtbl.replace env.operand_map orig.id (Instr copy);
           Hashtbl.replace env.provenance copy.id Melded;
           record (Phi_copy (copy, orig, side)))
@@ -267,8 +257,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
           match item with
           | Darm_align.Sequence.Both (it, if_) ->
               let clone = mk_instr it.op (Array.copy it.operands) [||] it.ty in
-              clone.parent <- Some m;
-              m.instrs <- m.instrs @ [ clone ];
+              append_instr m clone;
               Hashtbl.replace env.operand_map it.id (Instr clone);
               Hashtbl.replace env.operand_map if_.id (Instr clone);
               Hashtbl.replace env.provenance clone.id Melded;
@@ -276,8 +265,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
               record (Both_src (clone, it, if_))
           | Darm_align.Sequence.Left it ->
               let clone = mk_instr it.op (Array.copy it.operands) [||] it.ty in
-              clone.parent <- Some m;
-              m.instrs <- m.instrs @ [ clone ];
+              append_instr m clone;
               Hashtbl.replace env.operand_map it.id (Instr clone);
               Hashtbl.replace env.provenance clone.id (Gap T);
               env.stats.gap_instrs <- env.stats.gap_instrs + 1;
@@ -286,8 +274,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
               let clone =
                 mk_instr if_.op (Array.copy if_.operands) [||] if_.ty
               in
-              clone.parent <- Some m;
-              m.instrs <- m.instrs @ [ clone ];
+              append_instr m clone;
               Hashtbl.replace env.operand_map if_.id (Instr clone);
               Hashtbl.replace env.provenance clone.id (Gap F);
               env.stats.gap_instrs <- env.stats.gap_instrs + 1;
@@ -302,23 +289,14 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
           let bt' = mk_block "m.exit.t" and bf' = mk_block "m.exit.f" in
           append_block fn bt';
           append_block fn bf';
-          touch bt';
-          touch bf';
-          let jt =
-            mk_instr Op.Br [||] [| s_t.sg_exit_dest |] Types.Void
-          in
-          jt.parent <- Some bt';
-          bt'.instrs <- [ jt ];
-          let jf =
-            mk_instr Op.Br [||] [| s_f.sg_exit_dest |] Types.Void
-          in
-          jf.parent <- Some bf';
-          bf'.instrs <- [ jf ];
+          append_instr bt'
+            (mk_instr Op.Br [||] [| s_t.sg_exit_dest |] Types.Void);
+          append_instr bf'
+            (mk_instr Op.Br [||] [| s_f.sg_exit_dest |] Types.Void);
           let term =
             mk_instr Op.Condbr [| cond |] [| bt'; bf' |] Types.Void
           in
-          term.parent <- Some m;
-          m.instrs <- m.instrs @ [ term ];
+          append_instr m term;
           Hashtbl.replace env.provenance term.id Melded;
           (* exit-destination phis: retarget the incoming edges; the
              values are resolved side-aware after pass 2 (they may be
@@ -350,8 +328,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
           let term =
             mk_instr Op.Br [||] [| melded_of_t tt.blocks.(0) |] Types.Void
           in
-          term.parent <- Some m;
-          m.instrs <- m.instrs @ [ term ];
+          append_instr m term;
           Hashtbl.replace env.provenance term.id Melded
       | Op.Condbr ->
           (* normalization guarantees conditional branches stay internal *)
@@ -363,8 +340,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
               [| melded_of_t tt.blocks.(0); melded_of_t tt.blocks.(1) |]
               Types.Void
           in
-          term.parent <- Some m;
-          m.instrs <- m.instrs @ [ term ];
+          append_instr m term;
           Hashtbl.replace env.provenance term.id Melded;
           record (Term_both (term, tt, tf))
       | _ ->
@@ -391,10 +367,10 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
           let vt = resolve env vt_orig in
           let vf = resolve env if_.operands.(k) in
           if value_equal vt vf then vt
-          else select_for env m clone vt vf cache)
+          else select_for env clone vt vf cache)
         it.operands
     in
-    clone.operands <- ops;
+    set_operands clone ops;
     refresh_result_ty clone
   in
   List.iter
@@ -408,11 +384,11 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
           let vf = resolve env tf.operands.(0) in
           let c =
             if value_equal vt vf then vt
-            else select_for env m term vt vf cache
+            else select_for env term vt vf cache
           in
-          term.operands <- [| c |]
+          set_operands term [| c |]
       | Gap_src (clone, _orig, _side) ->
-          clone.operands <- Array.map (resolve env) clone.operands;
+          set_operands clone (Array.map (resolve env) clone.operands);
           refresh_result_ty clone
       | Phi_copy (copy, orig, side) ->
           let m0 = match env.melded_entry with Some b -> b | None -> assert false in
@@ -489,31 +465,19 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
         | None -> false
       in
       if not in_doomed then
-        user.operands <-
-          Array.map
-            (fun v ->
-              match v with
-              | Instr d when Hashtbl.mem melded_ids d.id -> lookup env v
-              | _ -> v)
-            user.operands);
+        set_operands user
+          (Array.map
+             (fun v ->
+               match v with
+               | Instr d when Hashtbl.mem melded_ids d.id -> lookup env v
+               | _ -> v)
+             user.operands));
   (* -------- pass 4: rewire entries and delete the originals -------- *)
   let m0 = match env.melded_entry with Some b -> b | None -> assert false in
   redirect_edge pre_t ~old_dest:s_t.sg_entry ~new_dest:m0;
   redirect_edge pre_f ~old_dest:s_f.sg_entry ~new_dest:m0;
-  touch pre_t;
-  touch pre_f;
-  touch s_t.sg_exit_dest;
-  touch s_f.sg_exit_dest;
-  List.iter
-    (fun b ->
-      touch b;
-      remove_block fn b)
-    (Region.subgraph_block_list s_t);
-  List.iter
-    (fun b ->
-      touch b;
-      remove_block fn b)
-    (Region.subgraph_block_list s_f);
+  List.iter (remove_block fn) (Region.subgraph_block_list s_t);
+  List.iter (remove_block fn) (Region.subgraph_block_list s_f);
   (* -------- pass 5: unpredication -------- *)
   (* The users of every instruction, indexed by one function scan on
      first need instead of one scan per moved instruction.  Splits keep
@@ -594,8 +558,6 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
         let tail = mk_block (blk.bname ^ ".tail") in
         append_block fn guard;
         append_block fn tail;
-        touch guard;
-        touch tail;
         let rec partition_instrs seen_run = function
           | [] -> ([], [])
           | i :: tl ->
@@ -608,11 +570,9 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
                 (i :: h, t)
         in
         let head_instrs, tail_instrs = partition_instrs false blk.instrs in
-        blk.instrs <- head_instrs;
-        List.iter (fun i -> i.parent <- Some guard) run_instrs;
-        guard.instrs <- run_instrs;
-        List.iter (fun i -> i.parent <- Some tail) tail_instrs;
-        tail.instrs <- tail_instrs;
+        set_instrs blk head_instrs;
+        set_instrs guard run_instrs;
+        set_instrs tail tail_instrs;
         (* successors' phis now come from tail *)
         List.iter
           (fun s -> phi_replace_incoming_block s ~old_pred:blk ~new_pred:tail)
@@ -624,12 +584,10 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
           | F -> [| tail; guard |]
         in
         let hterm = mk_instr Op.Condbr [| cond |] targets Types.Void in
-        hterm.parent <- Some blk;
-        blk.instrs <- blk.instrs @ [ hterm ];
+        append_instr blk hterm;
         Hashtbl.replace env.provenance hterm.id Melded;
         let gterm = mk_instr Op.Br [||] [| tail |] Types.Void in
-        gterm.parent <- Some guard;
-        guard.instrs <- guard.instrs @ [ gterm ];
+        append_instr guard gterm;
         Hashtbl.replace env.provenance gterm.id Melded;
         (* values escaping the guard get a phi in tail *)
         List.iter
@@ -645,8 +603,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
               in
               if escaping <> [] then begin
                 let phi = mk_instr Op.Phi [||] [||] r.ty in
-                phi.parent <- Some tail;
-                tail.instrs <- phi :: tail.instrs;
+                prepend_instr tail phi;
                 Hashtbl.replace env.provenance phi.id Melded;
                 set_phi_incoming phi
                   [ (Instr r, guard); (Undef r.ty, blk) ];
@@ -664,11 +621,11 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
                       set_phi_incoming u updated
                     end
                     else
-                      u.operands <-
-                        Array.map
-                          (fun v ->
-                            if value_equal v (Instr r) then Instr phi else v)
-                          u.operands)
+                      set_operands u
+                        (Array.map
+                           (fun v ->
+                             if value_equal v (Instr r) then Instr phi else v)
+                           u.operands))
                   escaping
               end
             end)
@@ -688,7 +645,7 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
      statically they are routed through an entry phi with undef on the
      opposite edge — the general form of the paper's Fig. 4
      pre-processing. *)
-  let dt2 = Domtree.compute fn in
+  let dt2 = Manager.domtree mgr in
   let repair (d : instr) : value option =
     let dom_t = Domtree.instr_dominates dt2 d (terminator pre_t) in
     let dom_f = Domtree.instr_dominates dt2 d (terminator pre_f) in
@@ -711,14 +668,14 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
         set_phi_incoming u updated
       end
       else
-        u.operands <-
-          Array.map
-            (fun v ->
-              match v with
-              | Instr d when not (Domtree.instr_dominates dt2 d u) -> (
-                  match repair d with Some v' -> v' | None -> v)
-              | _ -> v)
-            u.operands);
+        set_operands u
+          (Array.map
+             (fun v ->
+               match v with
+               | Instr d when not (Domtree.instr_dominates dt2 d u) -> (
+                   match repair d with Some v' -> v' | None -> v)
+               | _ -> v)
+             u.operands));
   (* -------- pass 7: pointer type repair --------
      Operand substitution can widen a melded pointer definition to flat
      (a select over mixed-space operands joins to Flat, and geps follow
@@ -750,10 +707,10 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
                 in
                 if narrows then begin
                   i.ty <- Types.Ptr Types.Flat;
-                  i.operands <-
-                    Array.map
-                      (function Undef _ -> Undef i.ty | v -> v)
-                      i.operands;
+                  set_operands i
+                    (Array.map
+                       (function Undef _ -> Undef i.ty | v -> v)
+                       i.operands);
                   changed := true
                 end
             | _ -> ())
@@ -776,5 +733,4 @@ let run ?edits (fn : func) ~(cond : value) ~(dt : Domtree.t)
             | _ -> ())
         | _ -> ())
   done;
-  Darm_analysis.Edit.note edits (Darm_analysis.Edit.Cfg_local !dirty);
   m0

@@ -15,7 +15,6 @@
 
 open Darm_ir
 module Latency = Darm_analysis.Latency
-module Domtree = Darm_analysis.Domtree
 
 type stats = {
   mutable melded_pairs : int;     (** I-I pairs collapsed into one *)
@@ -27,21 +26,15 @@ type stats = {
 
 val empty_stats : unit -> stats
 
-(** The main melding procedure.  [pairs] is the isomorphism
-    correspondence in pre-order; the subgraphs must be normalized
-    ({!Simplify_region}) with unique external predecessors [pre_t] /
-    [pre_f], and [dt] computed after normalization.  Returns the melded
-    entry block.
-
-    [edits] (when supplied) receives one {!Darm_analysis.Edit.Cfg_local}
-    edit listing every block this meld created or deleted, the rewired
-    entry predecessors and the exit destinations — the input to
-    {!Darm_analysis.Manager.note}'s selective invalidation. *)
+(** The main melding procedure on [mgr]'s function.  [pairs] is the
+    isomorphism correspondence in pre-order; the subgraphs must be
+    normalized ({!Simplify_region}) with unique external predecessors
+    [pre_t] / [pre_f].  Both dominator trees come from [mgr]: the
+    normalized function's, read before the first edit, and the melded
+    one's for the dominance repair.  Returns the melded entry block. *)
 val run :
-  ?edits:Darm_analysis.Edit.log ->
-  Ssa.func ->
+  Darm_analysis.Manager.t ->
   cond:Ssa.value ->
-  dt:Domtree.t ->
   lat:Latency.config ->
   s_t:Region.subgraph ->
   s_f:Region.subgraph ->

@@ -16,7 +16,6 @@ module Latency = Darm_analysis.Latency
 module Domtree = Darm_analysis.Domtree
 module Divergence = Darm_analysis.Divergence
 module Manager = Darm_analysis.Manager
-module Edit = Darm_analysis.Edit
 module Similarity = Darm_analysis.Similarity
 
 (** How the subgraph pair to meld is chosen (paper §IV-C): [Greedy] is
@@ -61,10 +60,6 @@ type config = {
           (shape mismatch or FP_S upper bound at most the threshold);
           meld decisions are unchanged.  ANDed with the
           [DARM_NO_PREFILTER] environment variable (set = off). *)
-  analysis_debug : bool;
-      (** cross-validate every cache-served analysis query against a
-          from-scratch recompute ({!Darm_analysis.Manager} debug mode);
-          ORed with the [DARM_ANALYSIS_DEBUG] environment variable *)
 }
 
 let default_config : config =
@@ -80,7 +75,6 @@ let default_config : config =
     obs = None;
     validate = Vnone;
     prefilter = true;
-    analysis_debug = false;
   }
 
 (* [DARM_NO_PREFILTER] set (non-empty, non-"0") forces the exhaustive
@@ -372,17 +366,13 @@ let best_pair ?(skip = fun _ -> false) ?(prefilter = false)
   end
 
 (* Meld one candidate; the subgraphs are re-matched after normalization
-   since normalization adds the dedicated exit blocks.  Normalization
-   and melding report their dirty blocks into [elog]; the edits are
-   flushed into [mgr] so the post-normalization dominator tree and any
-   later analysis query come from the (selectively invalidated)
-   manager. *)
-let apply_candidate (cfg : config) (mgr : Manager.t) (elog : Edit.log)
-    (f : func) (c : candidate) (stats : stats) : unit =
-  let st = Simplify_region.normalize_exit ~edits:elog f c.c_st in
-  let sf = Simplify_region.normalize_exit ~edits:elog f c.c_sf in
-  let st, pre_t = Simplify_region.normalize_entry ~edits:elog f st in
-  let sf, pre_f = Simplify_region.normalize_entry ~edits:elog f sf in
+   since normalization adds the dedicated exit blocks. *)
+let apply_candidate (cfg : config) (mgr : Manager.t) (f : func)
+    (c : candidate) (stats : stats) : unit =
+  let st = Simplify_region.normalize_exit f c.c_st in
+  let sf = Simplify_region.normalize_exit f c.c_sf in
+  let st, pre_t = Simplify_region.normalize_entry f st in
+  let sf, pre_f = Simplify_region.normalize_entry f sf in
   let pairs =
     match Isomorphism.match_subgraphs st sf with
     | Some p -> p
@@ -390,13 +380,10 @@ let apply_candidate (cfg : config) (mgr : Manager.t) (elog : Edit.log)
         invalid_arg
           "Pass.apply_candidate: normalization broke subgraph isomorphism"
   in
-  Manager.note_all mgr (Edit.drain elog);
-  let dt = Manager.domtree mgr in
   ignore
-    (Meld.run ~edits:elog f ~cond:c.c_region.Region.r_cond ~dt
-       ~lat:cfg.latency ~s_t:st ~s_f:sf ~pre_t ~pre_f ~pairs
-       ~unpredicate:cfg.unpredicate ~stats:stats.meld_stats);
-  Manager.note_all mgr (Edit.drain elog);
+    (Meld.run mgr ~cond:c.c_region.Region.r_cond ~lat:cfg.latency ~s_t:st
+       ~s_f:sf ~pre_t ~pre_f ~pairs ~unpredicate:cfg.unpredicate
+       ~stats:stats.meld_stats);
   stats.melds_applied <- stats.melds_applied + 1
 
 (* Snapshot/restore for [Vreject]: the printed IR round-trips through
@@ -423,14 +410,9 @@ let restore_func (f : func) (snap : string) : unit =
 let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
   let stats = empty_stats () in
   let prefilter = config.prefilter && prefilter_enabled () in
-  (* one manager per run: analyses persist across iterations and are
-     selectively invalidated by the edits each transform reports *)
-  let mgr =
-    Manager.create
-      ?debug:(if config.analysis_debug then Some true else None)
-      f
-  in
-  let elog = Edit.log () in
+  (* one manager per run: an analysis persists across iterations until
+     the function is next edited *)
+  let mgr = Manager.create f in
   let obs_span name args body =
     match config.obs with
     | None -> body ()
@@ -499,19 +481,14 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
         in
         let record = record_of_candidate c (stats.melds_applied + 1) in
         obs_span "pass.apply" [] (fun () ->
-            apply_candidate config mgr elog f c stats);
+            apply_candidate config mgr f c stats);
         (* most-recent-first while running so Vreject can pop; reversed
            into application order before [run] returns *)
         stats.melds <- record :: stats.melds;
         obs_span "pass.cleanup" [] (fun () ->
             if config.run_cleanups then begin
-              (* the cleanups don't track their rewrites; a changed CFG
-                 falls back to whole-function invalidation, a pure DCE
-                 sweep keeps every CFG-derived analysis *)
-              if Darm_transforms.Simplify_cfg.run f then
-                Manager.note mgr Edit.Whole;
-              if Darm_transforms.Dce.run f then
-                Manager.note mgr (Edit.Dce [])
+              ignore (Darm_transforms.Simplify_cfg.run f);
+              ignore (Darm_transforms.Dce.run f)
             end);
         if verify_each then Darm_ir.Verify.run_exn f;
         (match pre_meld with
@@ -549,8 +526,6 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
                             c.c_region.Region.r_entry.bname f.fname detail))
                 | Vreject ->
                     restore_func f snap;
-                    (* the graft replaces the whole body *)
-                    Manager.invalidate_all mgr;
                     stats.melds_applied <- stats.melds_applied - 1;
                     stats.melds_rejected <- stats.melds_rejected + 1;
                     (match stats.melds with

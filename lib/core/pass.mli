@@ -70,11 +70,6 @@ type config = {
           [meld.decision] trace instant.  ANDed with the
           [DARM_NO_PREFILTER] environment variable (set to a non-empty
           value other than ["0"] to force the exhaustive search). *)
-  analysis_debug : bool;
-      (** run the analysis manager in debug mode: every cache-served
-          query is cross-validated against a from-scratch recompute and
-          {!Darm_analysis.Manager.Stale_analysis} is raised on mismatch.
-          ORed with the [DARM_ANALYSIS_DEBUG] environment variable. *)
 }
 
 val default_config : config
@@ -84,7 +79,7 @@ val default_config : config
 val branch_fusion_config : config
 
 (** One line naming every field of [config] that decides the printed
-    IR ([obs], [prefilter] and [analysis_debug] do not).  The batch
+    IR ([obs] and [prefilter] do not).  The batch
     result cache keys on it, so a config change starts a fresh key
     space; the default config prints
     [darm|pairing=greedy|threshold=0.1|...|lat=1,4,16,...]. *)

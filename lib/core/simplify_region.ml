@@ -21,13 +21,10 @@ open Darm_ir.Ssa
     every [src] in [srcs] is redirected to [q] and [q] branches to
     [dest].  Phi nodes in [dest] are split: the entries for [srcs] move
     into a new phi in [q].  Returns [q]. *)
-let split_edges ?edits (f : func) ~(srcs : block list) ~(dest : block)
+let split_edges (f : func) ~(srcs : block list) ~(dest : block)
     ~(name : string) : block =
   let q = mk_block name in
   append_block f q;
-  Darm_analysis.Edit.note edits
-    (Darm_analysis.Edit.Cfg_local
-       (q.bid :: dest.bid :: List.map (fun b -> b.bid) srcs));
   let src_ids = List.map (fun b -> b.bid) srcs in
   List.iter
     (fun phi ->
@@ -41,14 +38,11 @@ let split_edges ?edits (f : func) ~(srcs : block list) ~(dest : block)
       | [ (v, _) ] -> set_phi_incoming phi (others @ [ (v, q) ])
       | _ :: _ :: _ ->
           let merged = mk_instr Op.Phi [||] [||] phi.ty in
-          merged.parent <- Some q;
-          q.instrs <- merged :: q.instrs;
+          prepend_instr q merged;
           set_phi_incoming merged from_srcs;
           set_phi_incoming phi (others @ [ (Instr merged, q) ]))
     (phis dest);
-  let t = mk_instr Op.Br [||] [| dest |] Types.Void in
-  t.parent <- Some q;
-  q.instrs <- q.instrs @ [ t ];
+  append_instr q (mk_instr Op.Br [||] [| dest |] Types.Void);
   List.iter (fun src -> redirect_edge src ~old_dest:dest ~new_dest:q) srcs;
   q
 
@@ -62,7 +56,7 @@ let exit_sources (sg : Region.subgraph) : block list =
 (** Normalize the exit of [sg]: afterwards [sg_exit_src] is a dedicated
     block holding only [br sg_exit_dest].  Returns the (possibly
     updated) subgraph. *)
-let normalize_exit ?edits (f : func) (sg : Region.subgraph) :
+let normalize_exit (f : func) (sg : Region.subgraph) :
     Region.subgraph =
   match exit_sources sg with
   | [] ->
@@ -73,7 +67,7 @@ let normalize_exit ?edits (f : func) (sg : Region.subgraph) :
          pair, and an unconditional insertion keeps the two sides
          isomorphic to each other. *)
       let q =
-        split_edges ?edits f ~srcs ~dest:sg.sg_exit_dest ~name:"meld.exit"
+        split_edges f ~srcs ~dest:sg.sg_exit_dest ~name:"meld.exit"
       in
       Hashtbl.replace sg.sg_blocks q.bid q;
       { sg with sg_exit_src = q }
@@ -82,7 +76,7 @@ let normalize_exit ?edits (f : func) (sg : Region.subgraph) :
     when the entry has several external predecessors or when an external
     predecessor also reaches other blocks (shared entry from the region
     entry's conditional branch). *)
-let normalize_entry ?edits (f : func) (sg : Region.subgraph) :
+let normalize_entry (f : func) (sg : Region.subgraph) :
     Region.subgraph * block =
   let external_preds =
     List.filter (fun p -> not (Region.in_subgraph sg p)) (preds sg.sg_entry)
@@ -98,6 +92,6 @@ let normalize_entry ?edits (f : func) (sg : Region.subgraph) :
          via a conditional branch (e.g. the region entry E): insert a
          dedicated pre-entry block. *)
       let q =
-        split_edges ?edits f ~srcs:ps ~dest:sg.sg_entry ~name:"meld.pre"
+        split_edges f ~srcs:ps ~dest:sg.sg_entry ~name:"meld.pre"
       in
       (sg, q)

@@ -2,12 +2,9 @@
     so that it has a single, dedicated, unconditional exit edge and a
     unique external predecessor — the paper's conversion of regions into
     simple regions with fresh entry/exit blocks, which makes the melding
-    code generation uniform.
-
-    Every function takes an optional [?edits] log
-    ({!Darm_analysis.Edit.log}) into which it reports the blocks it
-    dirtied, so a caller holding a {!Darm_analysis.Manager} can
-    invalidate selectively. *)
+    code generation uniform.  Every edit goes through {!Darm_ir.Ssa}'s
+    mutators, so an analysis manager for the function drops what it
+    cached. *)
 
 open Darm_ir
 
@@ -16,7 +13,6 @@ open Darm_ir
     in [dest] are split: the entries for [srcs] move into a new phi in
     [q].  Returns [q]. *)
 val split_edges :
-  ?edits:Darm_analysis.Edit.log ->
   Ssa.func -> srcs:Ssa.block list -> dest:Ssa.block -> name:string -> Ssa.block
 
 (** Blocks of the subgraph with an edge to its exit destination. *)
@@ -26,12 +22,10 @@ val exit_sources : Region.subgraph -> Ssa.block list
     holding only [br sg_exit_dest].  Always inserts the fresh block so
     that both subgraphs of a melding pair stay isomorphic. *)
 val normalize_exit :
-  ?edits:Darm_analysis.Edit.log ->
   Ssa.func -> Region.subgraph -> Region.subgraph
 
 (** Unique external predecessor of the subgraph entry; splits the edge
     when the entry has several external predecessors or a single one
     arriving via a conditional branch (the region entry E). *)
 val normalize_entry :
-  ?edits:Darm_analysis.Edit.log ->
   Ssa.func -> Region.subgraph -> Region.subgraph * Ssa.block

@@ -28,9 +28,7 @@ let edits (f : Ssa.func) : (unit -> bool) list =
       if keep == drop then false
       else begin
         Ssa.phi_remove_incoming drop ~pred:b;
-        t.Ssa.op <- Op.Br;
-        t.Ssa.operands <- [||];
-        Ssa.retarget t [| keep |];
+        Ssa.fold_to_br t keep;
         true
       end
   in
@@ -54,7 +52,7 @@ let edits (f : Ssa.func) : (unit -> bool) list =
   let zero_operand i j () =
     match i.Ssa.operands.(j) with
     | Ssa.Int k when k <> 0 ->
-        i.Ssa.operands.(j) <- Ssa.Int 0;
+        Ssa.set_operand i j (Ssa.Int 0);
         true
     | _ -> false
   in

@@ -62,24 +62,11 @@ let write_variable ctx (v : var) (b : block) (value : value) =
 (* Phis form a prefix of the block; a new one goes after the last. *)
 let new_phi (v : var) (b : block) : instr =
   let i = mk_instr Op.Phi [||] [||] v.vty in
-  i.parent <- Some b;
-  let rec after_phis = function
-    | x :: tl when x.op = Op.Phi -> x :: after_phis tl
-    | rest -> i :: rest
-  in
-  b.instrs <- after_phis b.instrs;
+  insert_after_phis b i;
   i
 
 let remove_phi (phi : instr) =
-  match phi.parent with
-  | None -> ()
-  | Some b ->
-      let rec drop = function
-        | [] -> []
-        | x :: tl -> if x.id = phi.id then tl else x :: drop tl
-      in
-      b.instrs <- drop b.instrs;
-      phi.parent <- None
+  Option.iter (fun b -> remove_instr b phi) phi.parent
 
 let add_user ctx ~(user : instr) (v : value) =
   match v with
@@ -184,7 +171,7 @@ let resolve_operands ctx =
         Array.iteri
           (fun k op ->
             let r = resolve ctx op in
-            if r != op then i.operands.(k) <- r)
+            if r != op then set_operand i k r)
           i.operands)
 
 (* ------------------------------------------------------------------ *)
@@ -276,9 +263,7 @@ let sync ctx = Builder.ins_syncthreads (at ctx)
 let shared_array ctx (n : int) : value =
   let entry = entry_block ctx.func in
   let i = mk_instr (Op.Alloc_shared n) [||] [||] (Types.Ptr Types.Shared) in
-  i.parent <- Some entry;
-  let ps, rest = List.partition (fun x -> x.op = Op.Phi) entry.instrs in
-  entry.instrs <- ps @ (i :: rest);
+  insert_after_phis entry i;
   Instr i
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
 (** Core SSA data structures and the mutators that keep the
-    predecessor index exact.  See the interface for the invariants. *)
+    predecessor index and the edit count exact.  See the interface for
+    the invariants. *)
 
 type value =
   | Int of int
@@ -35,6 +36,7 @@ and func = {
   fname : string;
   params : param list;
   mutable blocks_list : block list;  (** first element is the entry block *)
+  mutable edit_count : int;  (** bumped by every edit made here *)
 }
 
 type modul = { mname : string; mutable funcs : func list }
@@ -45,6 +47,17 @@ type modul = { mname : string; mutable funcs : func list }
 let next_id = Atomic.make 0
 
 let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
+
+(* ------------------------------------------------------------------ *)
+(* Edit count *)
+
+(* Every mutator below bumps the count of the function the edited block
+   or instruction sits in; a detached one has no function to tell. *)
+let bump_func (f : func) = f.edit_count <- f.edit_count + 1
+
+let bump_block (b : block) = Option.iter bump_func b.bparent
+
+let bump_instr (i : instr) = Option.iter bump_block i.parent
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -62,8 +75,7 @@ let unlink (t : instr) =
     (fun b -> b.targeted_by <- List.filter (fun x -> x != t) b.targeted_by)
     t.blocks
 
-let mk_instr ?(name : string option) op operands blocks ty =
-  ignore name;
+let mk_instr op operands blocks ty =
   let i = { id = fresh_id (); op; operands; blocks; ty; parent = None } in
   if op <> Op.Phi then link i;
   i
@@ -72,7 +84,8 @@ let mk_block name =
   { bid = fresh_id (); bname = name; instrs = []; bparent = None;
     targeted_by = []; stamp = 0 }
 
-let mk_func name params = { fname = name; params; blocks_list = [] }
+let mk_func name params =
+  { fname = name; params; blocks_list = []; edit_count = 0 }
 
 let mk_module name = { mname = name; funcs = [] }
 
@@ -141,7 +154,14 @@ let successors (b : block) : block list =
     The caller must maintain the terminator-last invariant. *)
 let append_instr (b : block) (i : instr) =
   i.parent <- Some b;
-  b.instrs <- b.instrs @ [ i ]
+  b.instrs <- b.instrs @ [ i ];
+  bump_block b
+
+(** Insert [i] at the front of [b]. *)
+let prepend_instr (b : block) (i : instr) =
+  i.parent <- Some b;
+  b.instrs <- i :: b.instrs;
+  bump_block b
 
 (** Insert [i] immediately before [anchor] in its block. *)
 let insert_before (anchor : instr) (i : instr) =
@@ -153,17 +173,35 @@ let insert_before (anchor : instr) (i : instr) =
         | [] -> invalid_arg "Ssa.insert_before: anchor not in its block"
         | x :: tl -> if x.id = anchor.id then i :: x :: tl else x :: go tl
       in
-      b.instrs <- go b.instrs
+      b.instrs <- go b.instrs;
+      bump_block b
 
-(** Insert [i] after the last [phi] of [b] (i.e. as the first non-phi). *)
+(** Insert [i] after the last [phi] of [b] (i.e. as the first non-phi);
+    phis form a prefix, so only that prefix is rebuilt. *)
 let insert_after_phis (b : block) (i : instr) =
+  let rec after_phis = function
+    | x :: tl when x.op = Op.Phi -> x :: after_phis tl
+    | rest -> i :: rest
+  in
   i.parent <- Some b;
-  let ps, rest = List.partition (fun x -> x.op = Op.Phi) b.instrs in
-  b.instrs <- ps @ (i :: rest)
+  b.instrs <- after_phis b.instrs;
+  bump_block b
 
+(* ids are unique, so the first match is the only one *)
 let remove_instr (b : block) (i : instr) =
-  b.instrs <- List.filter (fun x -> x.id <> i.id) b.instrs;
-  i.parent <- None
+  let rec drop = function
+    | [] -> []
+    | x :: tl -> if x.id = i.id then tl else x :: drop tl
+  in
+  b.instrs <- drop b.instrs;
+  i.parent <- None;
+  bump_block b
+
+(** Make [instrs] the whole of [b], in order, each parented to [b]. *)
+let set_instrs (b : block) (instrs : instr list) =
+  List.iter (fun i -> i.parent <- Some b) instrs;
+  b.instrs <- instrs;
+  bump_block b
 
 let append_block (f : func) (b : block) =
   let rec append last = function
@@ -173,11 +211,13 @@ let append_block (f : func) (b : block) =
     | x :: tl -> x :: append x.stamp tl
   in
   b.bparent <- Some f;
-  f.blocks_list <- append (-1) f.blocks_list
+  f.blocks_list <- append (-1) f.blocks_list;
+  bump_func f
 
 let remove_block (f : func) (b : block) =
   f.blocks_list <- List.filter (fun x -> x.bid <> b.bid) f.blocks_list;
-  b.bparent <- None
+  b.bparent <- None;
+  bump_func f
 
 (* ------------------------------------------------------------------ *)
 (* Iteration *)
@@ -212,7 +252,13 @@ let retarget (t : instr) (targets : block array) =
   assert (t.op <> Op.Phi);
   unlink t;
   t.blocks <- targets;
-  link t
+  link t;
+  bump_instr t
+
+let fold_to_br (t : instr) (dest : block) =
+  t.op <- Op.Br;
+  t.operands <- [||];
+  retarget t [| dest |]
 
 (** Replace every control-flow edge [src -> old_dest] with
     [src -> new_dest] in [src]'s terminator.  Phi nodes in [old_dest] and
@@ -233,12 +279,14 @@ let phi_incoming (i : instr) : (value * block) list =
 let set_phi_incoming (i : instr) (pairs : (value * block) list) =
   assert (i.op = Op.Phi);
   i.operands <- Array.of_list (List.map fst pairs);
-  i.blocks <- Array.of_list (List.map snd pairs)
+  i.blocks <- Array.of_list (List.map snd pairs);
+  bump_instr i
 
 let phi_add_incoming (i : instr) (v : value) (pred : block) =
   assert (i.op = Op.Phi);
   i.operands <- Array.append i.operands [| v |];
-  i.blocks <- Array.append i.blocks [| pred |]
+  i.blocks <- Array.append i.blocks [| pred |];
+  bump_instr i
 
 let phi_incoming_for (i : instr) (pred : block) : value option =
   let rec find = function
@@ -256,7 +304,8 @@ let phi_replace_incoming_block (b : block) ~(old_pred : block)
       p.blocks <-
         Array.map
           (fun blk -> if blk.bid = old_pred.bid then new_pred else blk)
-          p.blocks)
+          p.blocks;
+      bump_instr p)
     (phis b)
 
 (** Drop the incoming entries coming from [pred] in every phi of [b]. *)
@@ -268,7 +317,15 @@ let phi_remove_incoming (b : block) ~(pred : block) =
     (phis b)
 
 (* ------------------------------------------------------------------ *)
-(* Use replacement *)
+(* Operands *)
+
+let set_operands (i : instr) (operands : value array) =
+  i.operands <- operands;
+  bump_instr i
+
+let set_operand (i : instr) (k : int) (v : value) =
+  i.operands.(k) <- v;
+  bump_instr i
 
 (** Replace every use of [old_v] as an operand anywhere in [f] by
     [new_v]. *)
@@ -276,7 +333,8 @@ let replace_all_uses (f : func) ~(old_v : value) ~(new_v : value) =
   iter_instrs f (fun i ->
       i.operands <-
         Array.map (fun v -> if value_equal v old_v then new_v else v)
-          i.operands)
+          i.operands);
+  bump_func f
 
 (** All instructions in [f] that use [v] as an operand. *)
 let users (f : func) (v : value) : instr list =

@@ -12,11 +12,19 @@
     As in LLVM, where a block's predecessors are the terminators in its
     use list, each block indexes the terminators that target it
     ([targeted_by]), so {!preds} costs what the block's in-edges cost
-    and no pass rebuilds a table.  This module is the only writer of a
-    terminator's [blocks] ({!mk_instr}, {!retarget}, {!redirect_edge})
-    and of a function's [blocks_list] ({!append_block},
-    {!remove_block}); code elsewhere that assigned either would leave
-    the index stale, which {!Verify} reports.
+    and no pass rebuilds a table.
+
+    This module is the one writer of every IR field an analysis reads:
+    a block's [instrs], an instruction's [op], [operands] (whole array
+    or one element), [blocks] and [parent], and a function's
+    [blocks_list].  Every mutator here that edits a block or
+    instruction sitting in a function bumps that function's
+    [edit_count], so a result computed at one count is current for as
+    long as the count stays the same ({!Darm_analysis.Manager} keys its
+    cache on it).  Code elsewhere that assigned one of these fields
+    would leave the predecessor index stale, which {!Verify} reports,
+    or a cached analysis stale, which nothing would; [scripts/ci.sh]
+    rejects such an assignment.
 
     Invariants (checked by {!Verify}):
     - every reachable block ends in exactly one terminator, which is its
@@ -66,6 +74,9 @@ and func = {
   fname : string;
   params : param list;
   mutable blocks_list : block list;  (** first element is the entry block *)
+  mutable edit_count : int;
+      (** edits made to the function so far, by this module's mutators;
+          only ever grows *)
 }
 
 type modul = { mname : string; mutable funcs : func list }
@@ -74,8 +85,7 @@ val fresh_id : unit -> int
 
 (** {2 Construction} *)
 
-val mk_instr :
-  ?name:string -> Op.t -> value array -> block array -> Types.ty -> instr
+val mk_instr : Op.t -> value array -> block array -> Types.ty -> instr
 
 val mk_block : string -> block
 val mk_func : string -> param list -> func
@@ -118,9 +128,16 @@ val site : ?block:block -> instr -> string
 val successors : block -> block list
 
 val append_instr : block -> instr -> unit
+val prepend_instr : block -> instr -> unit
 val insert_before : instr -> instr -> unit
 val insert_after_phis : block -> instr -> unit
 val remove_instr : block -> instr -> unit
+
+(** [set_instrs b l] makes [l] the whole instruction list of [b],
+    parenting each to [b]; an instruction moved in from another block
+    must leave that block's list first (or with it, by another
+    [set_instrs]). *)
+val set_instrs : block -> instr list -> unit
 
 (** Append a block at the end of the function's layout and stamp it one
     past the last block. *)
@@ -143,9 +160,13 @@ val fold_instrs : func -> ('a -> instr -> 'a) -> 'a -> 'a
 val preds : block -> block list
 
 (** [retarget t targets] makes [targets] the branch destinations of the
-    non-phi instruction [t] and re-indexes it; the caller sets [t]'s
-    [op] and [operands] to match (e.g. a [condbr] folded to [br]). *)
+    non-phi instruction [t] and re-indexes it; [targets] must match
+    [t]'s [op] (one for [br], two for [condbr]). *)
 val retarget : instr -> block array -> unit
+
+(** [fold_to_br t dest] turns the terminator [t] into [br dest]; phis
+    of a destination it no longer reaches are the caller's to fix. *)
+val fold_to_br : instr -> block -> unit
 
 (** Replace every control-flow edge [src -> old_dest] with
     [src -> new_dest] in [src]'s terminator.  Phi nodes in the old and
@@ -167,6 +188,13 @@ val phi_replace_incoming_block :
   block -> old_pred:block -> new_pred:block -> unit
 
 val phi_remove_incoming : block -> pred:block -> unit
+
+(** {2 Operands} *)
+
+val set_operands : instr -> value array -> unit
+
+(** [set_operand i k v] replaces [i]'s [k]th operand. *)
+val set_operand : instr -> int -> value -> unit
 
 (** {2 Use replacement} *)
 

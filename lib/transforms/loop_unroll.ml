@@ -207,7 +207,7 @@ let clone_iteration (f : func) (cl : counted_loop) ~(iter : int)
              (fun (v, src) -> (map_value v, map_block_phi src))
              (phi_incoming orig))
       else begin
-        clone.operands <- Array.map map_value orig.operands;
+        set_operands clone (Array.map map_value orig.operands);
         retarget clone (Array.map map_block_target orig.blocks)
       end)
     !fixups;
@@ -291,14 +291,14 @@ let unroll (f : func) (cl : counted_loop) : unit =
   in
   iter_instrs f (fun u ->
       if not (in_loop_block u) && u.parent != Some epi then
-        u.operands <-
-          Array.map
-            (fun v ->
-              match v with
-              | Instr d when in_loop_block d ->
-                  Option.value ~default:v (Hashtbl.find_opt evmap d.id)
-              | _ -> v)
-            u.operands);
+        set_operands u
+          (Array.map
+             (fun v ->
+               match v with
+               | Instr d when in_loop_block d ->
+                   Option.value ~default:v (Hashtbl.find_opt evmap d.id)
+               | _ -> v)
+             u.operands));
   phi_replace_incoming_block cl.cl_exit ~old_pred:header ~new_pred:epi;
   (* drop the original loop *)
   List.iter (fun b -> remove_block f b) (Loops.blocks_of l)

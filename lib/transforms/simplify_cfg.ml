@@ -49,9 +49,7 @@ let fold_branches (f : func) : bool =
             (match dead with
             | Some d when d.bid <> dest.bid -> phi_remove_incoming d ~pred:b
             | _ -> ());
-            t.op <- Op.Br;
-            t.operands <- [||];
-            retarget t [| dest |];
+            fold_to_br t dest;
             changed := true
           in
           if tdest.bid = fdest.bid then to_unconditional ~dead:None tdest
@@ -112,12 +110,8 @@ let merge_into_predecessor (f : func) : bool =
           (* drop p's terminator, move b's instructions into p *)
           let t = terminator p in
           remove_instr p t;
-          List.iter
-            (fun i ->
-              i.parent <- Some p;
-              p.instrs <- p.instrs @ [ i ])
-            b.instrs;
-          b.instrs <- [];
+          set_instrs p (p.instrs @ b.instrs);
+          set_instrs b [];
           (* successors of b now come from p *)
           List.iter
             (fun s -> phi_replace_incoming_block s ~old_pred:b ~new_pred:p)
@@ -323,9 +317,7 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
                       set_phi_incoming phi ((Instr sel, b) :: rest)
                   | _ -> ())
                 (phis j);
-              t.op <- Op.Br;
-              t.operands <- [||];
-              retarget t [| j |];
+              fold_to_br t j;
               remove_block f tb;
               remove_block f fb;
               changed := true
@@ -354,9 +346,7 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
                         set_phi_incoming phi ((Instr sel, b) :: rest)
                     | _ -> ())
                   (phis j);
-                t.op <- Op.Br;
-                t.operands <- [||];
-                retarget t [| j |];
+                fold_to_br t j;
                 remove_block f side;
                 changed := true
               in

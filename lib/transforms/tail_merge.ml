@@ -88,8 +88,7 @@ let merge_pair (f : func) (b1 : block) (b2 : block) (dest : block)
             if value_equal v1 v2 then v1
             else begin
               let pm = mk_instr Op.Phi [||] [||] phi.ty in
-              pm.parent <- Some m;
-              m.instrs <- pm :: m.instrs;
+              prepend_instr m pm;
               set_phi_incoming pm [ (v1, b1); (v2, b2) ];
               Instr pm
             end

@@ -7,14 +7,21 @@ cd "$(dirname "$0")/.."
 
 dune build @all
 
-# a block's predecessors come from the index lib/ir/ssa.ml keeps, which
-# is exact only while that file is the one writer of a terminator's
-# targets and of a function's block list
-edge_writes=$(grep -rnE '\.blocks( *<-|\.\(.*\) *<-)|blocks_list *<-' \
-  lib bin test --include='*.ml' | grep -v '^lib/ir/ssa\.ml:' || true)
-if [ -n "$edge_writes" ]; then
-  echo "ci: CFG edges assigned outside lib/ir/ssa.ml (use its mutators):" >&2
-  echo "$edge_writes" >&2
+# a block's predecessors come from the index lib/ir/ssa.ml keeps, and a
+# cached analysis is current while the function's edit count is, which
+# holds only while that file is the one writer of every IR field an
+# analysis reads: a block's instructions, an instruction's op, operands,
+# targets and parent, a function's block list.  The loop forest's own
+# [parent] (lib/analysis/loops.ml) is not an IR field.
+ir_writes=$( {
+  grep -rnE '\.(blocks|instrs|operands|op)( *<-|\.\(.*\) *<-)|blocks_list *<-' \
+    lib bin test --include='*.ml'
+  grep -rnE '\.parent *<-' lib bin test --include='*.ml' \
+    | grep -v '^lib/analysis/loops\.ml:'
+} | grep -v '^lib/ir/ssa\.ml:' || true)
+if [ -n "$ir_writes" ]; then
+  echo "ci: IR fields assigned outside lib/ir/ssa.ml (use its mutators):" >&2
+  echo "$ir_writes" >&2
   exit 1
 fi
 
@@ -254,15 +261,13 @@ rm -f /tmp/darm_check_xbar.json /tmp/darm_check_xrace.json /tmp/darm_check_xrw.j
 # incremental analysis + similarity prefilter (doc/static-analysis.md):
 # the prefilter is exact — disabling it (and changing the job count)
 # must leave every meld decision, and therefore the whole attribution
-# report, byte-identical; a debug-mode meld pass over the registry
-# cross-validates every cached analysis against a fresh recompute; and
-# the meld CLI must export the new darm_pass_* counter families
+# report, byte-identical; and the meld CLI must export the new
+# darm_pass_* counter families
 dune exec bin/darm_opt.exe -- report --all -j 1 > /tmp/darm_pref_on.txt
 DARM_NO_PREFILTER=1 dune exec bin/darm_opt.exe -- report --all -j 4 \
   > /tmp/darm_pref_off.txt
 cmp /tmp/darm_pref_on.txt /tmp/darm_pref_off.txt
 rm -f /tmp/darm_pref_on.txt /tmp/darm_pref_off.txt
-DARM_ANALYSIS_DEBUG=1 dune exec bin/darm_opt.exe -- check --all --pass darm
 dune exec bin/darm_opt.exe -- meld --kernel BIT --pass darm \
   --metrics-out /tmp/darm_pass_metrics.prom > /tmp/darm_meld_bit.txt
 grep -q ';; candidates:' /tmp/darm_meld_bit.txt

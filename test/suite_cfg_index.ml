@@ -1,10 +1,15 @@
-(* The predecessor index [Ssa] keeps (Ssa.preds): random CFG edits
-   against a rebuild from the terminators, the verifier's stale-index
-   error, and the pass output's independence from process history. *)
+(* The predecessor index [Ssa] keeps (Ssa.preds) and the edit count the
+   analysis manager keys its cache on: random CFG and instruction edits
+   against a rebuild from the terminators and against fresh analyses,
+   the verifier's stale-index error, and the pass output's independence
+   from process history. *)
 
 open Darm_ir
 module Gen = Darm_fuzz.Gen
 module Cfg = Darm_analysis.Cfg
+module Domtree = Darm_analysis.Domtree
+module Divergence = Darm_analysis.Divergence
+module Manager = Darm_analysis.Manager
 module Pass = Darm_core.Pass
 
 (* Block id -> predecessors, rebuilt from each listed block's
@@ -31,6 +36,23 @@ let index_mismatch (f : Ssa.func) : string option =
              (String.concat " " (List.map string_of_int want))))
     f.Ssa.blocks_list
 
+(* The manager's four analyses against a fresh compute; the edit count
+   alone keeps them current, so a mutator that skipped its bump would
+   show here as a cached result that differs. *)
+let analysis_mismatch (m : Manager.t) (f : Ssa.func) : string option =
+  let bids = List.map (fun b -> b.Ssa.bid) in
+  if bids (Manager.reachable m) <> bids (Cfg.reachable_blocks f) then
+    Some "reachable"
+  else if not (Domtree.equal (Manager.domtree m) (Domtree.compute f)) then
+    Some "domtree"
+  else if
+    not (Domtree.equal (Manager.postdomtree m) (Domtree.compute_post f))
+  then Some "postdomtree"
+  else if
+    not (Divergence.equal (Manager.divergence m) (Divergence.compute f))
+  then Some "divergence"
+  else None
+
 let pick rng = function
   | [] -> None
   | l -> Some (List.nth l (Random.State.int rng (List.length l)))
@@ -38,12 +60,32 @@ let pick rng = function
 let terminated (f : Ssa.func) =
   List.filter Ssa.has_terminator f.Ssa.blocks_list
 
-(* One random CFG edit through the [Ssa] mutators; [detached] holds
+(* A value to put in place of [v]: a constant or another instruction's
+   result of the same type. *)
+let replacement rng (f : Ssa.func) (v : Ssa.value) : Ssa.value option =
+  let ty = Ssa.value_ty v in
+  let consts =
+    match ty with
+    | Types.I32 -> [ Ssa.Int 0; Ssa.Int 7 ]
+    | Types.I1 -> [ Ssa.Bool true; Ssa.Bool false ]
+    | Types.F32 -> [ Ssa.Float 0.5 ]
+    | Types.Ptr _ | Types.Void -> []
+  in
+  let defs =
+    Ssa.fold_instrs f
+      (fun acc d -> if Types.equal d.Ssa.ty ty then Ssa.Instr d :: acc else acc)
+      []
+  in
+  pick rng (consts @ defs)
+
+(* One random edit through the [Ssa] mutators: a CFG edit, or an
+   instruction edit (an unused instruction removed, one operand
+   rewritten, a phi's incoming list changed).  [detached] holds
    terminators removed from their block, which may come back. *)
 let edit rng (f : Ssa.func) (detached : (Ssa.block * Ssa.instr) list ref) :
     string =
   let blocks = f.Ssa.blocks_list in
-  match Random.State.int rng 6 with
+  match Random.State.int rng 9 with
   | 0 -> (
       match pick rng (terminated f) with
       | Some src when (Ssa.terminator src).Ssa.blocks <> [||] -> (
@@ -65,10 +107,7 @@ let edit rng (f : Ssa.func) (detached : (Ssa.block * Ssa.instr) list ref) :
       match pick rng condbrs with
       | Some b ->
           let t = Ssa.terminator b in
-          let keep = t.Ssa.blocks.(Random.State.int rng 2) in
-          t.Ssa.op <- Op.Br;
-          t.Ssa.operands <- [||];
-          Ssa.retarget t [| keep |];
+          Ssa.fold_to_br t t.Ssa.blocks.(Random.State.int rng 2);
           "condbr->br"
       | None -> "none")
   | 2 ->
@@ -97,13 +136,74 @@ let edit rng (f : Ssa.func) (detached : (Ssa.block * Ssa.instr) list ref) :
              | None -> ());
           "append terminator"
       | _ -> "none")
-  | _ -> (
+  | 5 -> (
       match pick rng blocks with
       | Some d ->
           let nb = Ssa.mk_block "fresh" in
           Ssa.append_block f nb;
           Ssa.append_instr nb (Ssa.mk_instr Op.Br [||] [| d |] Types.Void);
           "append block"
+      | None -> "none")
+  | 6 -> (
+      let used = Hashtbl.create 64 in
+      Ssa.iter_instrs f (fun u ->
+          Array.iter
+            (function Ssa.Instr d -> Hashtbl.replace used d.Ssa.id () | _ -> ())
+            u.Ssa.operands);
+      let unused =
+        List.concat_map
+          (fun b ->
+            List.filter_map
+              (fun i ->
+                if Hashtbl.mem used i.Ssa.id then None else Some (b, i))
+              (Ssa.body b))
+          blocks
+      in
+      match pick rng unused with
+      | Some (b, i) ->
+          Ssa.remove_instr b i;
+          "remove unused instruction"
+      | None -> "none")
+  | 7 -> (
+      let with_operands =
+        Ssa.fold_instrs f
+          (fun acc i ->
+            if i.Ssa.op <> Op.Phi && Array.length i.Ssa.operands > 0 then
+              i :: acc
+            else acc)
+          []
+      in
+      match pick rng with_operands with
+      | Some i -> (
+          let k = Random.State.int rng (Array.length i.Ssa.operands) in
+          match replacement rng f i.Ssa.operands.(k) with
+          | Some v ->
+              Ssa.set_operand i k v;
+              "rewrite one operand"
+          | None -> "none")
+      | None -> "none")
+  | _ -> (
+      let phis = List.concat_map Ssa.phis blocks in
+      match pick rng (List.filter (fun p -> p.Ssa.operands <> [||]) phis) with
+      | Some p -> (
+          let incoming = Ssa.phi_incoming p in
+          let k = Random.State.int rng (List.length incoming) in
+          let v, from = List.nth incoming k in
+          if Random.State.bool rng then (
+            match p.Ssa.parent with
+            | Some b ->
+                Ssa.phi_remove_incoming b ~pred:from;
+                "drop phi incoming"
+            | None -> "none")
+          else
+            match replacement rng f v with
+            | Some v' ->
+                Ssa.set_phi_incoming p
+                  (List.mapi
+                     (fun j (x, blk) -> if j = k then (v', blk) else (x, blk))
+                     incoming);
+                "rewrite phi incoming"
+            | None -> "none")
       | None -> "none")
 
 let subject_gen : (bool * int * int) QCheck2.Gen.t =
@@ -117,19 +217,29 @@ let print_subject (smoke, seed, edits) =
 let prop_index_matches_rebuild =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:40 ~print:print_subject
-       ~name:"random CFG edits keep preds equal to a rebuild" subject_gen
+       ~name:"random CFG edits keep preds and analyses fresh" subject_gen
        (fun (smoke, seed, edit_seed) ->
          let cfg = if smoke then Gen.smoke_cfg else Gen.default_cfg in
          let f = Gen.generate ~cfg ~seed () in
+         let mgr = Manager.create f in
          let rng = Random.State.make [| edit_seed |] in
          let detached = ref [] in
          (match index_mismatch f with
          | Some m -> QCheck2.Test.fail_reportf "as generated: %s" m
          | None -> ());
+         (* fill the cache, so the first edit meets cached results *)
+         ignore (analysis_mismatch mgr f);
          for k = 1 to 40 do
            let what = edit rng f detached in
-           match index_mismatch f with
+           (match index_mismatch f with
            | Some m -> QCheck2.Test.fail_reportf "after edit %d (%s): %s" k what m
+           | None -> ());
+           match analysis_mismatch mgr f with
+           | Some a ->
+               QCheck2.Test.fail_reportf
+                 "after edit %d (%s): the manager's %s differs from a fresh \
+                  compute"
+                 k what a
            | None -> ()
          done;
          true))

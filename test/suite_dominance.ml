@@ -179,7 +179,7 @@ let check_rewires ~(what : string) ~(rng : Random.State.t) ~(rounds : int)
       let k = Random.State.int rng (Array.length use.Ssa.operands) in
       let def = defs.(Random.State.int rng (Array.length defs)) in
       let saved = use.Ssa.operands.(k) in
-      use.Ssa.operands.(k) <- Ssa.Instr def;
+      Ssa.set_operand use k (Ssa.Instr def);
       let use_live =
         match use.Ssa.parent with
         | Some ub -> Hashtbl.mem live ub.Ssa.bid
@@ -189,7 +189,7 @@ let check_rewires ~(what : string) ~(rng : Random.State.t) ~(rounds : int)
         use_live && not (reference_ok ~dominates ~pos def use k)
       in
       let got = reports_dominance (Verify.run f) in
-      use.Ssa.operands.(k) <- saved;
+      Ssa.set_operand use k saved;
       if got <> expect then
         Alcotest.failf
           "%s: operand %d of instr %d (%s) rewired to def %d: verifier %s a \

@@ -48,7 +48,7 @@ let test_broken_transform_is_detected () =
               if !changed = 0 then
                 match i.Darm_ir.Ssa.op, i.Darm_ir.Ssa.operands with
                 | Darm_ir.Op.Ibin Darm_ir.Op.Add, [| a; Darm_ir.Ssa.Int k |] ->
-                    i.Darm_ir.Ssa.operands <- [| a; Darm_ir.Ssa.Int (k + 1) |];
+                    Darm_ir.Ssa.set_operands i [| a; Darm_ir.Ssa.Int (k + 1) |];
                     incr changed
                 | _ -> ());
           (!changed, None));

@@ -1,13 +1,13 @@
 (* Incremental analysis manager + similarity prefilter (the caching /
-   candidate-search layer): the invalidation table per edit kind,
-   debug-mode cross-validation catching under-reported edits, and the
-   exactness of the meld-candidate prefilter — decisions must be byte-identical with it on or off, over
-   the registry, the regression corpus, and fuzz-generated kernels. *)
+   candidate-search layer): every Ssa mutator bumps the edit count the
+   manager keys its cache on, an edit makes every query recompute, and
+   the meld-candidate prefilter is exact — decisions must be
+   byte-identical with it on or off, over the registry, the regression
+   corpus, and fuzz-generated kernels. *)
 
 open Darm_ir
 module A = Darm_analysis
 module M = A.Manager
-module E = A.Edit
 module G = Darm_fuzz.Gen
 module C = Darm_fuzz.Corpus
 module Pass = Darm_core.Pass
@@ -47,11 +47,85 @@ let diamond_cfg () =
   (f, e, t, fl, j)
 
 (* ------------------------------------------------------------------ *)
-(* Manager unit tests: the invalidation table *)
+(* The edit count: one case per Ssa mutator *)
+
+(* the diamond, plus a phi at the join and the compare feeding the
+   branch *)
+type fixture = {
+  f : Ssa.func;
+  e : Ssa.block;
+  t : Ssa.block;
+  fl : Ssa.block;
+  j : Ssa.block;
+  cmp : Ssa.instr;
+  phi : Ssa.instr;
+}
+
+let fixture () : fixture =
+  let f, e, t, fl, j = diamond_cfg () in
+  let cmp = List.nth e.Ssa.instrs 1 in
+  let phi = Ssa.mk_instr Op.Phi [||] [||] Types.I32 in
+  Ssa.prepend_instr j phi;
+  Ssa.set_phi_incoming phi [ (Ssa.Int 1, t); (Ssa.Int 2, fl) ];
+  { f; e; t; fl; j; cmp; phi }
+
+let fresh_tid () = Ssa.mk_instr Op.Thread_idx [||] [||] Types.I32
+
+let mutators : (string * (fixture -> unit)) list =
+  [
+    ("append_instr", fun x -> Ssa.append_instr x.t (fresh_tid ()));
+    ("prepend_instr", fun x -> Ssa.prepend_instr x.t (fresh_tid ()));
+    ( "insert_before",
+      fun x -> Ssa.insert_before (Ssa.terminator x.t) (fresh_tid ()) );
+    ("insert_after_phis", fun x -> Ssa.insert_after_phis x.j (fresh_tid ()));
+    ("remove_instr", fun x -> Ssa.remove_instr x.e x.cmp);
+    ("set_instrs", fun x -> Ssa.set_instrs x.t x.t.Ssa.instrs);
+    ("append_block", fun x -> Ssa.append_block x.f (Ssa.mk_block "new"));
+    ("remove_block", fun x -> Ssa.remove_block x.f x.fl);
+    ("retarget", fun x -> Ssa.retarget (Ssa.terminator x.e) [| x.fl; x.t |]);
+    ("fold_to_br", fun x -> Ssa.fold_to_br (Ssa.terminator x.e) x.t);
+    ( "redirect_edge",
+      fun x -> Ssa.redirect_edge x.e ~old_dest:x.fl ~new_dest:x.t );
+    ( "set_phi_incoming",
+      fun x -> Ssa.set_phi_incoming x.phi (Ssa.phi_incoming x.phi) );
+    ("phi_add_incoming", fun x -> Ssa.phi_add_incoming x.phi (Ssa.Int 3) x.e);
+    ( "phi_replace_incoming_block",
+      fun x -> Ssa.phi_replace_incoming_block x.j ~old_pred:x.t ~new_pred:x.e );
+    ("phi_remove_incoming", fun x -> Ssa.phi_remove_incoming x.j ~pred:x.t);
+    ( "set_operands",
+      fun x -> Ssa.set_operands x.cmp [| Ssa.Int 0; Ssa.Int 3 |] );
+    ("set_operand", fun x -> Ssa.set_operand x.cmp 1 (Ssa.Int 4));
+    ( "replace_all_uses",
+      fun x ->
+        Ssa.replace_all_uses x.f ~old_v:(Ssa.Instr x.cmp)
+          ~new_v:(Ssa.Bool true) );
+  ]
+
+let test_bumps edit () =
+  let x = fixture () in
+  let c0 = x.f.Ssa.edit_count in
+  edit x;
+  check "edit count bumped" true (x.f.Ssa.edit_count > c0)
+
+(* edits to blocks and instructions that sit in no function have no
+   count to bump, and leave every function's alone *)
+let test_detached_bumps_nothing () =
+  let x = fixture () in
+  let c0 = x.f.Ssa.edit_count in
+  let b = Ssa.mk_block "loose" in
+  let i = fresh_tid () in
+  Ssa.append_instr b i;
+  Ssa.set_operands i [||];
+  Ssa.remove_instr b i;
+  Ssa.retarget (Ssa.mk_instr Op.Br [||] [| b |] Types.Void) [| x.t |];
+  check_int "count unchanged" c0 x.f.Ssa.edit_count
+
+(* ------------------------------------------------------------------ *)
+(* Manager unit tests: the cache rule *)
 
 let test_reuse_and_pdt_share () =
   let f, _, _, _, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
+  let m = M.create f in
   let s = M.stats m in
   (* divergence computes a post-dominator tree internally; the explicit
      postdomtree query right after must be a cache hit *)
@@ -62,61 +136,38 @@ let test_reuse_and_pdt_share () =
   check "repeat query serves the same result" true (d == d2);
   check "recomputes_avoided tracks reuses" true (M.recomputes_avoided m >= 2)
 
-let test_dce_drops_divergence_only () =
-  let f, _, t, _, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.divergence m);
-  ignore (M.domtree m);
+(* an operand edit leaves the CFG alone, and still every query after it
+   recomputes *)
+let test_edit_drops_all () =
+  let x = fixture () in
+  let m = M.create x.f in
   let s = M.stats m in
-  let c0 = s.M.computes in
-  M.note m (E.Dce [ t.Ssa.bid ]);
-  ignore (M.domtree m);
-  check_int "CFG-derived analyses survive Dce" c0 s.M.computes;
-  ignore (M.divergence m);
-  check "divergent-id set may shrink: divergence recomputed" true
-    (s.M.computes > c0)
-
-let test_cfg_local_drops_cfg () =
-  let f, _, t, _, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.domtree m);
-  ignore (M.divergence m);
-  let s = M.stats m in
-  let c0 = s.M.computes in
-  M.note m (E.Cfg_local [ t.Ssa.bid ]);
-  ignore (M.domtree m);
-  ignore (M.divergence m);
-  check "Cfg_local recomputes domtree and divergence" true
-    (s.M.computes >= c0 + 2)
-
-let test_invalidate_all () =
-  let f, _, _, _, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.divergence m);
-  ignore (M.domtree m);
-  let s = M.stats m in
-  let inv0 = s.M.invalidations in
-  M.invalidate_all m;
-  check "invalidate_all drops cached results" true (s.M.invalidations > inv0);
-  let c0 = s.M.computes in
-  ignore (M.domtree m);
-  check "domtree recomputed after invalidate_all" true (s.M.computes > c0)
-
-let test_debug_catches_underreport () =
-  let f, e, t, fl, _ = diamond_cfg () in
-  let m = M.create ~debug:true f in
-  ignore (M.domtree m);
-  (* rewire the false arm onto the true arm WITHOUT telling the
-     manager: the join's idom moves from entry to t, so the next
-     cache-served domtree query must fail the debug cross-check *)
-  Ssa.redirect_edge e ~old_dest:fl ~new_dest:t;
-  let raised =
-    try
-      ignore (M.domtree m);
-      false
-    with M.Stale_analysis _ -> true
+  let query_all () =
+    ignore (M.reachable m);
+    ignore (M.domtree m);
+    ignore (M.divergence m)
   in
-  check "stale domtree caught by debug mode" true raised
+  query_all ();
+  let c0 = s.M.computes in
+  query_all ();
+  check_int "no edit: served from cache" c0 s.M.computes;
+  Ssa.set_operand x.cmp 1 (Ssa.Int 4);
+  query_all ();
+  check_int "after an edit: all three recomputed" (c0 + 3) s.M.computes
+
+(* nothing is reported to the manager, and the next query still sees
+   the rewired CFG *)
+let test_unreported_edit_not_stale () =
+  let f, e, t, fl, _ = diamond_cfg () in
+  let m = M.create f in
+  let before = M.domtree m in
+  (* the join's idom moves from entry to t *)
+  Ssa.redirect_edge e ~old_dest:fl ~new_dest:t;
+  let after = M.domtree m in
+  check "domtree equals a fresh compute" true
+    (A.Domtree.equal after (A.Domtree.compute f));
+  check "and differs from the pre-edit tree" false
+    (A.Domtree.equal before after)
 
 let test_analysis_equal_sanity () =
   let f, e, t, fl, _ = diamond_cfg () in
@@ -281,32 +332,6 @@ let test_prefilter_identity_corpus () =
 
 let fuzz_cfg = { G.default_cfg with G.max_depth = 3 }
 
-(* incremental == from-scratch: the debug manager cross-validates every
-   cache-served query along real meld edit sequences (meld, simplify,
-   cleanups, Vreject rollback); any under-reported edit raises
-   Stale_analysis and fails the property *)
-let prop_debug_no_stale =
-  qcheck
-    (QCheck2.Test.make ~count:20
-       ~name:"debug pass over fuzz kernels raises no Stale_analysis"
-       QCheck2.Gen.(int_range 0 500)
-       (fun seed ->
-         let run validate =
-           let f = G.generate ~cfg:fuzz_cfg ~seed () in
-           ignore
-             (Pass.run
-                ~config:
-                  {
-                    Pass.default_config with
-                    Pass.analysis_debug = true;
-                    validate;
-                  }
-                f)
-         in
-         run Pass.Vnone;
-         run Pass.Vreject;
-         true))
-
 let prop_prefilter_identity_fuzz =
   qcheck
     (QCheck2.Test.make ~count:20
@@ -320,42 +345,26 @@ let prop_prefilter_identity_fuzz =
               (fun () -> G.generate ~cfg:fuzz_cfg ~seed ()));
          true))
 
-(* the debug pass over the registry — the same gate scripts/ci.sh runs,
-   pinned here so a plain `dune runtest` catches staleness too *)
-let test_debug_registry () =
-  List.iter
-    (fun (k : Kernel.t) ->
-      let f = registry_mk k () in
-      let s =
-        Pass.run
-          ~config:{ Pass.default_config with Pass.analysis_debug = true }
-          f
-      in
-      check
-        (k.Kernel.tag ^ ": manager reused analyses")
-        true
-        (s.Pass.analysis_recomputes_avoided >= 0))
-    Registry.all
-
 let suites =
   [
     ( "incremental manager",
       [
         Alcotest.test_case "reuse + pdt/divergence sharing" `Quick
           test_reuse_and_pdt_share;
-        Alcotest.test_case "Dce drops divergence only" `Quick
-          test_dce_drops_divergence_only;
-        Alcotest.test_case "Cfg_local drops CFG analyses" `Quick
-          test_cfg_local_drops_cfg;
-        Alcotest.test_case "invalidate_all" `Quick test_invalidate_all;
-        Alcotest.test_case "debug mode catches under-reported edit" `Quick
-          test_debug_catches_underreport;
+        Alcotest.test_case "an edit drops every analysis" `Quick
+          test_edit_drops_all;
+        Alcotest.test_case "unreported edit is not stale" `Quick
+          test_unreported_edit_not_stale;
         Alcotest.test_case "analysis equal sanity" `Quick
           test_analysis_equal_sanity;
-        Alcotest.test_case "debug pass over the registry" `Slow
-          test_debug_registry;
-        prop_debug_no_stale;
-      ] );
+        Alcotest.test_case "detached edits bump nothing" `Quick
+          test_detached_bumps_nothing;
+      ]
+      @ List.map
+          (fun (name, edit) ->
+            Alcotest.test_case (name ^ " bumps the count") `Quick
+              (test_bumps edit))
+          mutators );
     ( "similarity prefilter",
       [
         Alcotest.test_case "upper bound dominates FP_S" `Quick

@@ -40,7 +40,7 @@ let sabotage =
             if
               i.Ssa.op = Op.Store
               && Types.equal (Ssa.value_ty i.Ssa.operands.(0)) Types.I32
-            then i.Ssa.operands.(0) <- Ssa.Int 12345));
+            then Ssa.set_operand i 0 (Ssa.Int 12345)));
     stage "raise" (fun _ -> failwith "sabotaged stage");
     stage "reject" (fun _ ->
         raise (Pass.Validation_failed "sabotaged validation"));
@@ -55,7 +55,7 @@ let sabotage =
                 Types.I32
             in
             Ssa.insert_before st d;
-            st.Ssa.operands.(0) <- Ssa.Instr d);
+            Ssa.set_operand st 0 (Ssa.Instr d));
   ]
 
 let smoke_subject ?inject seed =
