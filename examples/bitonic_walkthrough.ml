@@ -67,7 +67,7 @@ let () =
             pairs));
 
   print_endline "\n=== applying DARM (Algorithm 1) ===";
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   Printf.printf
     "iterations: %d, melds: %d, aligned pairs: %d, gap instrs: %d, \
      selects: %d, unpredicated runs: %d\n"

@@ -37,11 +37,14 @@ let () =
         kernel.K.Kernel.make ~seed:1 ~block_size
           ~n:(min kernel.K.Kernel.default_n 512)
       in
-      let dvg = A.Divergence.compute inst.K.Kernel.func in
+      (* one manager: the checkers reuse the divergence counted here *)
+      let facts = A.Manager.create inst.K.Kernel.func in
       let static_count =
-        List.length (A.Divergence.divergent_branches dvg inst.K.Kernel.func)
+        List.length
+          (A.Divergence.divergent_branches (A.Manager.divergence facts)
+             inst.K.Kernel.func)
       in
-      let report = CK.Checker.check_func ~dvg inst.K.Kernel.func in
+      let report = CK.Checker.check_func ~facts inst.K.Kernel.func in
       let r = E.run kernel ~block_size ~n:(min kernel.K.Kernel.default_n 512) in
       collect_branches kernel.K.Kernel.tag r;
       Printf.printf "%-8s %18d %20d %16d %12s\n" kernel.K.Kernel.tag

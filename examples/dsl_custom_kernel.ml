@@ -65,7 +65,7 @@ let () =
   in
 
   (* optimize *)
-  let stats = Darm_core.Pass.run ~verify_each:true f in
+  let stats = Darm_core.Pass.run ~checked:true f in
   Printf.printf "\nDARM applied %d meld(s)\n" stats.Darm_core.Pass.melds_applied;
 
   (* simulate and check against the host mirror *)

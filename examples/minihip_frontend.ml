@@ -46,7 +46,7 @@ let () =
   print_endline "\n=== lowered SSA ===";
   print_string (Printer.func_to_string f);
 
-  let stats = Darm_core.Pass.run ~verify_each:true f in
+  let stats = Darm_core.Pass.run ~checked:true f in
   Printf.printf "\n=== after DARM (%d meld(s)) ===\n"
     stats.Darm_core.Pass.melds_applied;
   print_string (Printer.func_to_string f);

@@ -65,7 +65,7 @@ let () =
   Printf.printf "%s\n" (Metrics.to_string base_metrics ~warp_size:64);
 
   print_endline "\n=== 4. DARM melding ===";
-  let stats = Darm_core.Pass.run ~verify_each:true f in
+  let stats = Darm_core.Pass.run ~checked:true f in
   Printf.printf "melds applied: %d (aligned instruction pairs: %d, selects: %d)\n"
     stats.Darm_core.Pass.melds_applied
     stats.Darm_core.Pass.meld_stats.Darm_core.Meld.melded_pairs

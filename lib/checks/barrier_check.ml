@@ -89,5 +89,3 @@ let open_in (t : t) (b : block) : block list =
   close_at t.block_of_id t.pdt b (Solver.block_in t.result b)
   |> IntSet.elements
   |> List.filter_map (Hashtbl.find_opt t.block_of_id)
-
-let check (f : func) : Diag.t list = diags (analyze f)

@@ -42,7 +42,6 @@ val diags : t -> Diag.t list
     unreachable from the entry. *)
 val open_in : t -> Ssa.block -> Ssa.block list
 
-(** [analyze] + [diags]. *)
-val check : Ssa.func -> Diag.t list
-
+(** The [id] of this checker's diagnostics; suite_checks' barrier cases
+    and "race: negative kernels" match on it. *)
 val id_barrier_divergence : string

@@ -11,7 +11,7 @@ type report = {
   verdict : Race_check.verdict;
 }
 
-let check_func ?facts ?dvg (f : Ssa.func) : report =
+let check_func ?facts (f : Ssa.func) : report =
   (match facts with
   | Some m when not (Darm_analysis.Manager.func m == f) ->
       invalid_arg "Checker.check_func: facts manager is for another function"
@@ -30,10 +30,9 @@ let check_func ?facts ?dvg (f : Ssa.func) : report =
       }
   | [] ->
       let dvg =
-        match dvg, facts with
-        | Some d, _ -> d
-        | None, Some m -> Darm_analysis.Manager.divergence m
-        | None, None -> Darm_analysis.Divergence.compute f
+        match facts with
+        | Some m -> Darm_analysis.Manager.divergence m
+        | None -> Darm_analysis.Divergence.compute f
       in
       let pdt = Option.map Darm_analysis.Manager.postdomtree facts in
       let dt = Option.map Darm_analysis.Manager.domtree facts in
@@ -52,8 +51,6 @@ let errors (r : report) : Diag.t list = List.filter Diag.is_error r.diags
 
 let warnings (r : report) : Diag.t list =
   List.filter (fun d -> d.Diag.severity = Diag.Warning) r.diags
-
-let has_errors (r : report) : bool = errors r <> []
 
 (* multiset of error ids *)
 let error_counts (r : report) : (string, int) Hashtbl.t =

@@ -25,18 +25,12 @@ type report = {
 
 (** [facts] (when supplied) must be a {!Darm_analysis.Manager} for [f];
     the checkers then draw the divergence analysis and both dominator
-    trees from its cache instead of recomputing them per checker.  [dvg]
-    overrides the divergence result regardless.  Independent of
-    [facts], the barrier-divergence analysis runs once and is shared
-    with the race checker.  Raises [Invalid_argument] when [facts]
-    manages a different function. *)
-val check_func :
-  ?facts:Darm_analysis.Manager.t ->
-  ?dvg:Darm_analysis.Divergence.t ->
-  Ssa.func ->
-  report
+    trees from its cache instead of recomputing them per checker.
+    Independent of [facts], the barrier-divergence analysis runs once
+    and is shared with the race checker.  Raises [Invalid_argument]
+    when [facts] manages a different function. *)
+val check_func : ?facts:Darm_analysis.Manager.t -> Ssa.func -> report
 
-val has_errors : report -> bool
 val errors : report -> Diag.t list
 
 (** Error diagnostics of [after] whose id occurs more often than in
@@ -51,4 +45,6 @@ val report_to_string : report -> string
     [darm-check-v2] — see doc/schemas.md). *)
 val report_to_json : report -> Darm_obs.Json.t
 
+(** The [id] of the diagnostics a {!Darm_ir.Verify} failure becomes;
+    suite_checks' "checker: invalid ir" case matches on it. *)
 val id_invalid_ir : string

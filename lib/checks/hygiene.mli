@@ -25,6 +25,8 @@ open Darm_ir
 
 val check : Ssa.func -> Diag.t list
 
+(** The [id]s of the lints' diagnostics; suite_checks' "hygiene: lints"
+    case matches on them. *)
 val id_undef_operand : string
 val id_undef_trap : string
 val id_alloc_outside_entry : string

@@ -344,5 +344,3 @@ let analyze ?dvg ?dt ?bdiv (f : func) : t =
     end
   in
   { diags = List.rev !diags; verdict }
-
-let check (f : func) : Diag.t list = diags (analyze f)

@@ -52,11 +52,11 @@ val analyze :
 
 val diags : t -> Diag.t list
 val verdict : t -> verdict
-
-val check : Ssa.func -> Diag.t list
-
 val verdict_to_string : verdict -> string
 
+(** The [id]s of this checker's diagnostics; suite_checks' "race:
+    negative kernels" and "race: divergent demoted" cases match on
+    them. *)
 val id_race_ww : string
 val id_race_rw : string
 val id_race_divergent : string

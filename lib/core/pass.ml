@@ -25,14 +25,6 @@ module Similarity = Darm_analysis.Similarity
     picks the most profitable aligned pair. *)
 type pairing = Greedy | Alignment
 
-(** Translation validation: re-run the {!Darm_checks} sanity checkers
-    after each meld and compare against the pre-meld report. *)
-type validation =
-  | Vnone  (** no validation (default) *)
-  | Vfail  (** raise {!Validation_failed} on any new error diagnostic *)
-  | Vreject
-      (** roll back the offending meld, skip that candidate, continue *)
-
 exception Validation_failed of string
 
 type config = {
@@ -43,17 +35,12 @@ type config = {
   unpredicate : bool;  (** move {e all} gap runs out of line (§IV-E);
                            unsafe-to-speculate runs always move *)
   diamonds_only : bool;  (** branch-fusion compatibility mode *)
-  max_iterations : int;
-  run_cleanups : bool;  (** run SimplifyCFG + DCE after each meld *)
   if_convert_after : bool;
       (** re-run the predicating if-conversion after the pass, modelling
           the later -O3 pipeline (the paper's §VI-C observation) *)
   obs : Darm_obs.Trace.t option;
       (** trace buffer for pass-pipeline spans and meld-decision events
           (see doc/observability.md); [None] = no instrumentation *)
-  validate : validation;
-      (** translation validation of each meld against the sanity
-          checkers (see doc/static-analysis.md) *)
   prefilter : bool;
       (** skip subgraph pairs whose {!Darm_analysis.Similarity}
           signatures prove the exhaustive search would reject them
@@ -69,11 +56,8 @@ let default_config : config =
     threshold = 0.1;
     unpredicate = true;
     diamonds_only = false;
-    max_iterations = 64;
-    run_cleanups = true;
     if_convert_after = false;
     obs = None;
-    validate = Vnone;
     prefilter = true;
   }
 
@@ -87,20 +71,22 @@ let prefilter_enabled () =
 let branch_fusion_config : config =
   { default_config with diamonds_only = true }
 
+(* Algorithm 1 stops at a fixpoint; this cap only bounds a pass that
+   keeps finding profitable pairs *)
+let max_iterations = 64
+
 (* the fields that decide the printed IR, in a fixed order; the batch
    result cache keys on this string, so its bytes are part of the
-   cache's key space *)
+   cache's key space.  The iteration-cap, cleanup and validation
+   entries are fixed text: the cap is a constant, the cleanups always
+   run and a checked run prints the IR a plain one does, so they name
+   no choice, but stored keys carry them. *)
 let signature (c : config) : string =
   let l = c.latency in
   Printf.sprintf
-    "darm|pairing=%s|threshold=%g|unpredicate=%b|diamonds_only=%b|max_iterations=%d|run_cleanups=%b|if_convert_after=%b|validate=%s|lat=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
+    "darm|pairing=%s|threshold=%g|unpredicate=%b|diamonds_only=%b|max_iterations=64|run_cleanups=true|if_convert_after=%b|validate=none|lat=%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d"
     (match c.pairing with Greedy -> "greedy" | Alignment -> "alignment")
-    c.threshold c.unpredicate c.diamonds_only c.max_iterations c.run_cleanups
-    c.if_convert_after
-    (match c.validate with
-    | Vnone -> "none"
-    | Vfail -> "fail"
-    | Vreject -> "reject")
+    c.threshold c.unpredicate c.diamonds_only c.if_convert_after
     l.Latency.alu l.Latency.mul l.Latency.div l.Latency.falu l.Latency.fdiv
     l.Latency.cast l.Latency.select l.Latency.branch l.Latency.shared_mem
     l.Latency.global_mem l.Latency.flat_mem l.Latency.barrier
@@ -128,8 +114,6 @@ type stats = {
   mutable iterations : int;
   mutable regions_found : int;
   mutable melds_applied : int;
-  mutable melds_rejected : int;
-      (** melds rolled back by [Vreject] translation validation *)
   mutable pairs_scored : int;
       (** subgraph pairs that went through full isomorphism matching +
           FP_S scoring *)
@@ -148,7 +132,6 @@ let empty_stats () =
     iterations = 0;
     regions_found = 0;
     melds_applied = 0;
-    melds_rejected = 0;
     pairs_scored = 0;
     candidates_prefiltered = 0;
     analysis_recomputes_avoided = 0;
@@ -215,20 +198,11 @@ let obs_decision (cfg : config) (r : Region.t) (st : Region.subgraph)
           ]
         "meld.decision"
 
-(* Identifying key of a candidate, stable across snapshot/restore: the
-   region entry and the two subgraph entries by name.  Used to skip
-   candidates already rolled back by translation validation. *)
-let candidate_key (r : Region.t) (st : Region.subgraph)
-    (sf : Region.subgraph) : string * string * string =
-  ( r.Region.r_entry.bname,
-    st.Region.sg_entry.bname,
-    sf.Region.sg_entry.bname )
-
 (* Greedy MostProfitableSubgraphPair: m x n comparison (paper §IV-C).
    [admit] is the similarity prefilter (a pair it refuses is one the
    exhaustive search provably rejects, so the winner is unchanged);
    [score] is the counted [pair_profit]. *)
-let best_pair_greedy ~skip ~admit ~score (cfg : config) (r : Region.t)
+let best_pair_greedy ~admit ~score (cfg : config) (r : Region.t)
     (t_sgs : Region.subgraph list) (f_sgs : Region.subgraph list) :
     candidate option =
   let best = ref None in
@@ -236,30 +210,29 @@ let best_pair_greedy ~skip ~admit ~score (cfg : config) (r : Region.t)
     (fun ti st ->
       List.iteri
         (fun fi sf ->
-          if skip (candidate_key r st sf) || not (admit st sf) then ()
-          else
-          match score st sf with
-          | None -> ()
-          | Some profit ->
-              obs_decision cfg r st sf profit;
-              if profit > cfg.threshold then begin
-                let rank = ti + fi in
-                match !best with
-                | Some b
-                  when b.c_profit > profit
-                       || (b.c_profit = profit && b.c_rank <= rank) ->
-                    ()
-                | _ ->
-                    best :=
-                      Some
-                        {
-                          c_region = r;
-                          c_st = st;
-                          c_sf = sf;
-                          c_profit = profit;
-                          c_rank = rank;
-                        }
-              end)
+          if admit st sf then
+            match score st sf with
+            | None -> ()
+            | Some profit ->
+                obs_decision cfg r st sf profit;
+                if profit > cfg.threshold then begin
+                  let rank = ti + fi in
+                  match !best with
+                  | Some b
+                    when b.c_profit > profit
+                         || (b.c_profit = profit && b.c_rank <= rank) ->
+                      ()
+                  | _ ->
+                      best :=
+                        Some
+                          {
+                            c_region = r;
+                            c_st = st;
+                            c_sf = sf;
+                            c_profit = profit;
+                            c_rank = rank;
+                          }
+                end)
         f_sgs)
     t_sgs;
   !best
@@ -268,11 +241,11 @@ let best_pair_greedy ~skip ~admit ~score (cfg : config) (r : Region.t)
    Needleman-Wunsch over the two sequences, scored by FP_S; the most
    profitable aligned pair is melded this iteration (the rest re-align
    after the CFG is rebuilt). *)
-let best_pair_alignment ~skip ~admit ~score (cfg : config) (r : Region.t)
+let best_pair_alignment ~admit ~score (cfg : config) (r : Region.t)
     (t_sgs : Region.subgraph list) (f_sgs : Region.subgraph list) :
     candidate option =
   let cell_score st sf =
-    if skip (candidate_key r st sf) || not (admit st sf) then None
+    if not (admit st sf) then None
     else
       match score st sf with
       | Some p when p > cfg.threshold -> Some p
@@ -286,9 +259,7 @@ let best_pair_alignment ~skip ~admit ~score (cfg : config) (r : Region.t)
   List.fold_left
     (fun acc item ->
       match item with
-      | Darm_align.Sequence.Both (st, sf)
-        when skip (candidate_key r st sf) || not (admit st sf) ->
-          acc
+      | Darm_align.Sequence.Both (st, sf) when not (admit st sf) -> acc
       | Darm_align.Sequence.Both (st, sf) -> (
           match score st sf with
           | None -> acc
@@ -318,8 +289,7 @@ let sg_signature (lat : Latency.config) (sg : Region.subgraph) :
     ~in_subgraph:(Region.in_subgraph sg)
     ~exit_dest:sg.Region.sg_exit_dest
 
-let best_pair ?(skip = fun _ -> false) ?(prefilter = false)
-    ?(stats = empty_stats ()) (cfg : config) (r : Region.t)
+let best_pair ~prefilter ~stats (cfg : config) (r : Region.t)
     (pdt : Domtree.t) : candidate option =
   let t_sgs = Region.true_subgraphs pdt r in
   let f_sgs = Region.false_subgraphs pdt r in
@@ -361,8 +331,8 @@ let best_pair ?(skip = fun _ -> false) ?(prefilter = false)
       end
     in
     match cfg.pairing with
-    | Greedy -> best_pair_greedy ~skip ~admit ~score cfg r t_sgs f_sgs
-    | Alignment -> best_pair_alignment ~skip ~admit ~score cfg r t_sgs f_sgs
+    | Greedy -> best_pair_greedy ~admit ~score cfg r t_sgs f_sgs
+    | Alignment -> best_pair_alignment ~admit ~score cfg r t_sgs f_sgs
   end
 
 (* Meld one candidate; the subgraphs are re-matched after normalization
@@ -386,28 +356,10 @@ let apply_candidate (cfg : config) (mgr : Manager.t) (f : func)
        ~stats:stats.meld_stats);
   stats.melds_applied <- stats.melds_applied + 1
 
-(* Snapshot/restore for [Vreject]: the printed IR round-trips through
-   the parser (a property the test suites already rely on), and the
-   simulator binds parameters by index, so grafting the re-parsed
-   body onto the original [func] record restores pre-meld behaviour. *)
-let snapshot_func (f : func) : string = Darm_ir.Printer.func_to_string f
-
-let restore_func (f : func) (snap : string) : unit =
-  match Darm_ir.Parser.parse_func snap with
-  | Error e ->
-      invalid_arg ("Pass.restore_func: snapshot does not re-parse: " ^ e)
-  | Ok g ->
-      List.iter (remove_block f) f.blocks_list;
-      List.iter
-        (fun b ->
-          remove_block g b;
-          append_block f b)
-        g.blocks_list
-
 (** Run the melding pass on [f] to a fixpoint; returns the statistics.
-    The function is verified after every meld when [verify_each] is set
-    (the test suites use this). *)
-let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
+    A [checked] run verifies [f] after every meld and raises
+    [Validation_failed] when the meld added a checker error. *)
+let run ?(config = default_config) ?(checked = false) (f : func) : stats =
   let stats = empty_stats () in
   let prefilter = config.prefilter && prefilter_enabled () in
   (* one manager per run: an analysis persists across iterations until
@@ -422,14 +374,11 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
     [ ("func", Darm_obs.Trace.Str f.fname) ]
   @@ fun () ->
   let continue_ = ref true in
-  (* candidates rolled back by Vreject validation, by stable key; a key
-     rejected twice means restore did not reproduce the pre-meld shape,
-     so stop rather than loop *)
-  let rejected : (string * string * string, unit) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let skip key = Hashtbl.mem rejected key in
-  while !continue_ && stats.iterations < config.max_iterations do
+  (* checked runs: the checker report of [f] after the last meld, which
+     is the next meld's pre-meld report, since nothing edits [f] between
+     the two *)
+  let last_report = ref None in
+  while !continue_ && stats.iterations < max_iterations do
     stats.iterations <- stats.iterations + 1;
     obs_span "pass.iteration"
       [ ("iteration", Darm_obs.Trace.Int stats.iterations) ]
@@ -454,12 +403,12 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
               | None -> None
               | Some r ->
                   stats.regions_found <- stats.regions_found + 1;
-                  best_pair ~skip ~prefilter ~stats config r pdt))
+                  best_pair ~prefilter ~stats config r pdt))
         None (Manager.reachable mgr)
     in
     match candidate with
     | None -> continue_ := false
-    | Some c ->
+    | Some c -> (
         (match config.obs with
         | None -> ()
         | Some tr ->
@@ -472,36 +421,31 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
                   ("fp_s", Darm_obs.Trace.Float c.c_profit);
                 ]
               "meld.apply");
-        let key = candidate_key c.c_region c.c_st c.c_sf in
-        let pre_meld =
-          if config.validate = Vnone then None
-          else
-            Some
-              (snapshot_func f, Darm_checks.Checker.check_func ~facts:mgr f)
+        let before =
+          match !last_report with
+          | Some _ as r -> r
+          | None when checked ->
+              Some (Darm_checks.Checker.check_func ~facts:mgr f)
+          | None -> None
         in
         let record = record_of_candidate c (stats.melds_applied + 1) in
         obs_span "pass.apply" [] (fun () ->
             apply_candidate config mgr f c stats);
-        (* most-recent-first while running so Vreject can pop; reversed
-           into application order before [run] returns *)
+        (* most-recent-first while running; reversed into application
+           order before [run] returns *)
         stats.melds <- record :: stats.melds;
         obs_span "pass.cleanup" [] (fun () ->
-            if config.run_cleanups then begin
-              ignore (Darm_transforms.Simplify_cfg.run f);
-              ignore (Darm_transforms.Dce.run f)
-            end);
-        if verify_each then Darm_ir.Verify.run_exn f;
-        (match pre_meld with
+            ignore (Darm_transforms.Simplify_cfg.run f);
+            ignore (Darm_transforms.Dce.run f));
+        match before with
         | None -> ()
-        | Some (snap, before) -> (
+        | Some before -> (
+            Darm_ir.Verify.run_exn f;
             let after = Darm_checks.Checker.check_func ~facts:mgr f in
+            last_report := Some after;
             match Darm_checks.Checker.new_errors ~before ~after with
             | [] -> ()
-            | news -> (
-                let detail =
-                  String.concat "\n"
-                    (List.map Darm_checks.Diag.to_string news)
-                in
+            | news ->
                 (match config.obs with
                 | None -> ()
                 | Some tr ->
@@ -515,24 +459,14 @@ let run ?(config = default_config) ?(verify_each = false) (f : func) : stats =
                            Darm_obs.Trace.Int (List.length news));
                         ]
                       "meld.validation_failed");
-                match config.validate with
-                | Vnone -> ()
-                | Vfail ->
-                    raise
-                      (Validation_failed
-                         (Printf.sprintf
-                            "meld of region %s in @%s introduced new \
-                             checker errors:\n%s"
-                            c.c_region.Region.r_entry.bname f.fname detail))
-                | Vreject ->
-                    restore_func f snap;
-                    stats.melds_applied <- stats.melds_applied - 1;
-                    stats.melds_rejected <- stats.melds_rejected + 1;
-                    (match stats.melds with
-                    | _rolled_back :: rest -> stats.melds <- rest
-                    | [] -> ());
-                    if Hashtbl.mem rejected key then continue_ := false
-                    else Hashtbl.replace rejected key ())))
+                raise
+                  (Validation_failed
+                     (Printf.sprintf
+                        "meld of region %s in @%s introduced new checker \
+                         errors:\n%s"
+                        c.c_region.Region.r_entry.bname f.fname
+                        (String.concat "\n"
+                           (List.map Darm_checks.Diag.to_string news))))))
   done;
   if config.if_convert_after then begin
     ignore (Darm_transforms.Simplify_cfg.if_convert f);
@@ -555,8 +489,6 @@ let fill_metrics (reg : Darm_obs.Metrics_registry.t)
     s.iterations;
   count "darm_pass_melds_applied_total" "Subgraph melds applied"
     s.melds_applied;
-  count "darm_pass_melds_rejected_total"
-    "Melds rolled back by translation validation" s.melds_rejected;
   count "darm_pass_pairs_scored_total"
     "Subgraph pairs through full isomorphism matching + FP_S scoring"
     s.pairs_scored;

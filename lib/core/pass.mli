@@ -16,18 +16,9 @@ module Latency = Darm_analysis.Latency
     most profitable aligned pair. *)
 type pairing = Greedy | Alignment
 
-(** Translation validation of each meld: after a candidate is melded
-    (and cleaned up), the {!Darm_checks} sanity checkers re-run and the
-    report is diffed against the pre-meld one with
-    {!Darm_checks.Checker.new_errors}. *)
-type validation =
-  | Vnone  (** no validation (default) *)
-  | Vfail  (** raise {!Validation_failed} on any new error diagnostic *)
-  | Vreject
-      (** roll back the offending meld from a snapshot, skip that
-          candidate for the rest of the run, and keep going;
-          rejections are counted in [stats.melds_rejected] *)
-
+(** Raised by a [checked] {!run} when a meld adds a checker error; the
+    message names the region and the function and lists the new
+    diagnostics. *)
 exception Validation_failed of string
 
 type config = {
@@ -39,8 +30,6 @@ type config = {
       (** move {e all} gap runs out of line (§IV-E);
           unsafe-to-speculate runs always move *)
   diamonds_only : bool;  (** branch-fusion compatibility mode *)
-  max_iterations : int;
-  run_cleanups : bool;  (** SimplifyCFG + DCE after each meld *)
   if_convert_after : bool;
       (** re-run the predicating if-conversion after the pass, modelling
           the later -O3 pipeline (the paper's §VI-C observation) *)
@@ -54,11 +43,9 @@ type config = {
           scored subgraph pair (region entry, pair entries, FP_S,
           threshold, accept/reject — prefiltered pairs emit none) and
           a [meld.apply] instant for each meld actually performed.
-          Translation validation adds a [meld.validation_failed]
-          instant per offending meld.  [None] (the default) emits
-          nothing and adds no measurable overhead. *)
-  validate : validation;
-      (** translation validation mode (see doc/static-analysis.md) *)
+          A [checked] run adds a [meld.validation_failed] instant
+          before it raises.  [None] (the default) emits nothing and
+          adds no measurable overhead. *)
   prefilter : bool;
       (** similarity prefilter in front of the candidate search
           (default [true]): subgraph pairs whose
@@ -82,7 +69,9 @@ val branch_fusion_config : config
     IR ([obs] and [prefilter] do not).  The batch
     result cache keys on it, so a config change starts a fresh key
     space; the default config prints
-    [darm|pairing=greedy|threshold=0.1|...|lat=1,4,16,...]. *)
+    [darm|pairing=greedy|threshold=0.1|...|lat=1,4,16,...].  Its
+    iteration-cap, cleanup and validation entries are fixed text (64,
+    on, none), kept so that stored keys stay valid. *)
 val signature : config -> string
 
 (** Provenance of one applied meld — the join key between the pass and
@@ -109,8 +98,6 @@ type stats = {
   mutable iterations : int;
   mutable regions_found : int;
   mutable melds_applied : int;
-  mutable melds_rejected : int;
-      (** melds rolled back by [Vreject] translation validation *)
   mutable pairs_scored : int;
       (** subgraph pairs that went through full isomorphism matching +
           FP_S scoring (in [Alignment] mode a pair may be scored in
@@ -121,34 +108,25 @@ type stats = {
       (** analysis queries served from the manager cache — each one is
           a recompute the unmanaged driver would have performed *)
   mutable melds : meld_record list;
-      (** provenance of the applied melds, in application order;
-          [Vreject]ed melds are removed, so
+      (** provenance of the applied melds, in application order, so
           [List.length melds = melds_applied] *)
   meld_stats : Meld.stats;
 }
 
-val empty_stats : unit -> stats
-
-(** {2 Snapshot / restore}
-
-    Used by [Vreject] validation to roll back a meld; exposed because
-    the test suites exercise the round-trip directly. *)
-
-(** Printed-IR snapshot of the function body. *)
-val snapshot_func : Ssa.func -> string
-
-(** Graft the re-parsed snapshot back onto [f] (in place).  Raises
-    [Invalid_argument] if the snapshot no longer parses. *)
-val restore_func : Ssa.func -> string -> unit
-
-(** Run the melding pass to a fixpoint; returns the statistics.  The
-    function is verified after every meld when [verify_each] is set (the
-    test suites use this). *)
-val run : ?config:config -> ?verify_each:bool -> Ssa.func -> stats
+(** Run the melding pass to a fixpoint (at most 64 iterations, each
+    meld followed by SimplifyCFG and DCE); returns the statistics.
+    [checked] (default [false]), the conformance oracle's mode, is
+    translation validation: after every meld the function is verified
+    and the {!Darm_checks} checkers re-run, and an error the pre-meld
+    report lacks ({!Darm_checks.Checker.new_errors}) raises
+    {!Validation_failed}.  Each post-meld report is the next meld's
+    pre-meld one, so the checkers run once per meld plus once before
+    the first. *)
+val run : ?config:config -> ?checked:bool -> Ssa.func -> stats
 
 (** Export the run counters into a metrics registry as the
     [darm_pass_*] families ([iterations], [melds_applied],
-    [melds_rejected], [pairs_scored], [candidates_prefiltered],
+    [pairs_scored], [candidates_prefiltered],
     [analysis_recomputes_avoided] — all [_total] counters; see
     doc/observability.md).  [labels] (e.g. [("kernel", tag)]) are
     attached to every sample. *)

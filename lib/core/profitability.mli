@@ -22,10 +22,10 @@
 open Darm_ir
 module Latency = Darm_analysis.Latency
 
-(** w_i per class present in the block. *)
-val class_weight : Latency.config -> Ssa.block -> (string, int) Hashtbl.t
-
-(** Block-pair melding profitability, in [0, 0.5]. *)
+(** Block-pair melding profitability, in [0, 0.5].  The pass reads it
+    only through {!fp_s}; the melding suite's "fp_b identical profile"
+    and "fp_b disjoint profile" cases and the properties suite's FP_B
+    bounds property call it directly. *)
 val fp_b : Latency.config -> Ssa.block -> Ssa.block -> float
 
 (** Subgraph-pair melding profitability over an isomorphic block

@@ -11,12 +11,11 @@ open Darm_ir
 (** Insert a fresh block [q] between the edges [srcs -> dest]: every
     source is redirected to [q] and [q] branches to [dest].  Phi nodes
     in [dest] are split: the entries for [srcs] move into a new phi in
-    [q].  Returns [q]. *)
+    [q].  Returns [q].  The pass reaches it only through the two
+    normalizations below; the regions suite's "split_edges merges phis"
+    and "split single edge" cases call it on hand-built CFGs. *)
 val split_edges :
   Ssa.func -> srcs:Ssa.block list -> dest:Ssa.block -> name:string -> Ssa.block
-
-(** Blocks of the subgraph with an edge to its exit destination. *)
-val exit_sources : Region.subgraph -> Ssa.block list
 
 (** Normalize the exit: afterwards [sg_exit_src] is a dedicated block
     holding only [br sg_exit_dest].  Always inserts the fresh block so

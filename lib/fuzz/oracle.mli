@@ -13,10 +13,12 @@
       (race-free kernels are schedule-independent; the warp size is the
       schedule knob);
     - {b every pipeline stage} — cleanups, tail merging, branch fusion,
-      and DARM with and without unpredication (melding stages run under
-      [Vfail] translation validation): each transformed kernel must
-      verify, mint no new checker errors, and reproduce the baseline
-      memory image at every warp size;
+      and DARM with and without unpredication (melding stages run as a
+      checked {!Darm_core.Pass.run}, which raises
+      {!Darm_core.Pass.Validation_failed} on the first meld that adds
+      a checker error): each transformed kernel must verify, mint no
+      new checker errors, and reproduce the baseline memory image at
+      every warp size;
     - {b cross-model differential} — the untransformed kernel and every
       transformed kernel are re-executed under independent thread
       scheduling ({!Darm_sim.Simulator.Its}) at every warp size, and

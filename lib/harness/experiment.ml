@@ -22,14 +22,11 @@ let pass_transform name (config : Pass.config) : transform =
   {
     t_name = name;
     t_apply =
-      (fun ?obs ?(checked = false) f ->
+      (fun ?obs ?checked f ->
         let config =
           match obs with None -> config | Some _ -> { config with Pass.obs }
         in
-        let validate = if checked then Pass.Vfail else config.Pass.validate in
-        let stats =
-          Pass.run ~config:{ config with validate } ~verify_each:checked f
-        in
+        let stats = Pass.run ~config ?checked f in
         (stats.Pass.melds_applied, Some stats));
   }
 

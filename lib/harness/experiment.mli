@@ -26,8 +26,9 @@ type transform = {
       (** #rewrites applied, and the pass's stats for a melding step
           ([None] otherwise).  [obs] receives the pass's spans and meld
           decisions; [checked] (default [false]), the conformance
-          oracle's mode, runs a melding step under [Vfail] translation
-          validation and verifies the IR after every meld. *)
+          oracle's mode, runs a melding step as a checked {!Pass.run}:
+          the IR is verified and the checkers re-run after every meld,
+          and a new checker error raises {!Pass.Validation_failed}. *)
 }
 
 (** The melding pass under [config], displayed as [name].  Outside

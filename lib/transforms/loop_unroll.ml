@@ -289,8 +289,11 @@ let unroll (f : func) (cl : counted_loop) : unit =
   let in_loop_block i =
     match i.parent with Some b -> Loops.in_loop l b | None -> false
   in
+  let in_epilogue i =
+    match i.parent with Some b -> b == epi | None -> false
+  in
   iter_instrs f (fun u ->
-      if not (in_loop_block u) && u.parent != Some epi then
+      if not (in_loop_block u || in_epilogue u) then
         set_operands u
           (Array.map
              (fun v ->

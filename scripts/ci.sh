@@ -258,6 +258,15 @@ fi
 grep -q '"id":"shared-race-rw"' /tmp/darm_check_xrw.json
 rm -f /tmp/darm_check_xbar.json /tmp/darm_check_xrace.json /tmp/darm_check_xrw.json
 
+# every example program runs to exit 0 (all five take under a second);
+# four of them meld through a checked Pass.run, so a meld that adds a
+# checker error to one of them fails here too
+for ex in examples/*.ml; do
+  if ! dune exec "./examples/$(basename "$ex" .ml).exe" > /dev/null; then
+    echo "ci: example $ex failed" >&2; exit 1
+  fi
+done
+
 # incremental analysis + similarity prefilter (doc/static-analysis.md):
 # the prefilter is exact — disabling it (and changing the job count)
 # must leave every meld decision, and therefore the whole attribution

@@ -32,7 +32,7 @@ let test_sb_divergence_reduced (kernel : K.Kernel.t) () =
 
 let test_unpredication_off_still_correct () =
   let config = { C.Pass.default_config with unpredicate = false } in
-  let transform f = ignore (C.Pass.run ~config ~verify_each:true f) in
+  let transform f = ignore (C.Pass.run ~config ~checked:true f) in
   List.iter
     (fun kernel -> ignore (equiv ~transform kernel ~block_size:64 ~n:128 ~seed:11))
     [ K.Sb.sb1; K.Sb.sb2; K.Sb.sb3; K.Sb.sb1_r; K.Sb.sb2_r; K.Sb.sb3_r ]
@@ -40,7 +40,7 @@ let test_unpredication_off_still_correct () =
 let test_branch_fusion_equivalence () =
   let transform f =
     ignore
-      (C.Pass.run ~config:C.Pass.branch_fusion_config ~verify_each:true f)
+      (C.Pass.run ~config:C.Pass.branch_fusion_config ~checked:true f)
   in
   List.iter
     (fun kernel -> ignore (equiv ~transform kernel ~block_size:64 ~n:128 ~seed:13))

@@ -71,7 +71,7 @@ kernel oddeven(int* a) {
   in
   Alcotest.(check (array int)) "odd/even" expected out;
   (* and DARM melds the region *)
-  let stats = Darm_core.Pass.run ~verify_each:true f in
+  let stats = Darm_core.Pass.run ~checked:true f in
   check "melds" true (stats.Darm_core.Pass.melds_applied >= 1)
 
 let test_for_loop_and_opassign () =
@@ -190,7 +190,7 @@ __global__ void bitonic(int* values) {
 |}
   in
   let f = compile_one src in
-  let stats = Darm_core.Pass.run ~verify_each:true f in
+  let stats = Darm_core.Pass.run ~checked:true f in
   check "hip bitonic melds" true (stats.Darm_core.Pass.melds_applied >= 1);
   let input = Darm_kernels.Kernel.random_int_array ~seed:7 ~n:128 ~bound:1000 in
   let g = Memory.create ~space:Memory.Sp_global 128 in

@@ -65,7 +65,7 @@ let suites =
               ignore
                 (C.Pass.run
                    ~config:{ C.Pass.default_config with pairing = C.Pass.Alignment }
-                   ~verify_each:true f)
+                   ~checked:true f)
             in
             run_gen_seeds ~cfg:small_cfg ~name:"alignment" ~transform
               ~seeds:(seeds 360 374) ());
@@ -78,7 +78,7 @@ let suites =
                and therefore the interleaving of memory accesses.  The
                oracle's darm stage runs exactly that check: no checker
                error before melding and none new after it (melding runs
-               under Vfail validation, so the TV hook is exercised on
+               as a checked pass, so the TV hook is exercised on
                random kernels too), and the same memory at warp sizes
                64, 16 and 4, before and after melding. *)
             let darm_stage =

@@ -27,7 +27,7 @@ let check_source (tag : string) (src : string) ~(meld : bool) () =
   let inst = kernel.K.Kernel.make ~seed:5 ~block_size:64 ~n:(n_for tag) in
   let f = compile_hip src in
   if meld then begin
-    let stats = Darm_core.Pass.run ~verify_each:true f in
+    let stats = Darm_core.Pass.run ~checked:true f in
     ignore stats
   end;
   ignore

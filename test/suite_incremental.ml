@@ -268,7 +268,7 @@ let check_identity ~tag (base : Pass.config) (mk : unit -> Ssa.func) :
     (melds_string s_off) (melds_string s_on);
   Alcotest.(check string)
     (tag ^ ": final IR identical")
-    (Pass.snapshot_func f_off) (Pass.snapshot_func f_on);
+    (Printer.func_to_string f_off) (Printer.func_to_string f_on);
   (s_on, s_off)
 
 let registry_mk (k : Kernel.t) () : Ssa.func =
@@ -313,7 +313,9 @@ let test_prefilter_identity_corpus () =
         match
           Pass.run ~config:{ Pass.default_config with Pass.prefilter } f
         with
-        | s -> Printf.sprintf "ok|%s|%s" (melds_string s) (Pass.snapshot_func f)
+        | s ->
+            Printf.sprintf "ok|%s|%s" (melds_string s)
+              (Printer.func_to_string f)
         | exception exn -> "raised:" ^ Printexc.to_string exn)
   in
   List.iter

@@ -14,7 +14,7 @@ let count_op f op =
   Ssa.fold_instrs f (fun acc i -> if i.Ssa.op = op then acc + 1 else acc) 0
 
 let melded f =
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   (f, stats)
 
 (* Both sides compute x*K + tid with a different constant K: the mul
@@ -84,7 +84,7 @@ let test_entry_phi_for_one_sided_def () =
             D.if_then ctx (D.sgt ctx x (D.i32 (-1))) (fun () -> ());
             D.store ctx (D.add ctx x (D.i32 100)) g))
   in
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   check "melded something" true (stats.C.Pass.melds_applied >= 1);
   check "entry phi inserted (Fig. 4 preprocessing)" true
     (stats.C.Pass.meld_stats.C.Meld.entry_phis >= 1
@@ -153,7 +153,7 @@ let test_unpredication_guards_stores () =
           (fun () -> D.store ctx (D.i32 3) g))
   in
   let config = { C.Pass.default_config with unpredicate = false } in
-  let stats = C.Pass.run ~config ~verify_each:true f in
+  let stats = C.Pass.run ~config ~checked:true f in
   check "melded" true (stats.C.Pass.melds_applied = 1);
   (* even with unpredication off, the store run must be guarded *)
   check "a guarded run exists" true
@@ -217,7 +217,7 @@ let test_no_meld_across_different_structures () =
             D.store ctx (D.get ctx acc) g)
           (fun () -> D.store ctx (D.i32 6) g))
   in
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   (* Definition 6 case 2 (region vs single block) is out of scope, so
      the loop subgraph must survive unmelded; the matching single-block
      tails of the two paths may still meld *)
@@ -256,7 +256,7 @@ let test_meld_preserves_instruction_order_within_thread () =
   in
   let base = run (build ()) in
   let f = build () in
-  ignore (C.Pass.run ~verify_each:true f);
+  ignore (C.Pass.run ~checked:true f);
   let opt = run f in
   Alcotest.(check (array int)) "last store wins consistently" base opt
 

@@ -164,7 +164,7 @@ let test_fp_b_disjoint_profile () =
 
 let test_pass_melds_if_then_region () =
   let f = if_then_region_func () in
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   check "at least one meld" true (stats.C.Pass.melds_applied >= 1);
   Verify.run_exn f
 
@@ -181,7 +181,7 @@ let test_pass_leaves_uniform_code_alone () =
           (fun () -> D.store ctx (D.i32 2) (D.gep ctx a t)))
   in
   let before = Printer.func_to_string f in
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   check "no melds" true (stats.C.Pass.melds_applied = 0);
   Alcotest.(check string) "IR unchanged" before (Printer.func_to_string f)
 
@@ -190,7 +190,7 @@ let test_pass_respects_threshold () =
   let config =
     { C.Pass.default_config with threshold = 0.99 (* nothing reaches this *) }
   in
-  let stats = C.Pass.run ~config ~verify_each:true f in
+  let stats = C.Pass.run ~config ~checked:true f in
   check "no melds above impossible threshold" true
     (stats.C.Pass.melds_applied = 0)
 
@@ -198,21 +198,21 @@ let test_branch_fusion_rejects_complex () =
   (* branch fusion only handles diamonds; the SB2 shape must be skipped *)
   let f = if_then_region_func () in
   let stats =
-    C.Pass.run ~config:C.Pass.branch_fusion_config ~verify_each:true f
+    C.Pass.run ~config:C.Pass.branch_fusion_config ~checked:true f
   in
   check "no fusion on complex CF" true (stats.C.Pass.melds_applied = 0)
 
 let test_branch_fusion_handles_diamond () =
   let f = Testlib.diamond_func () in
   let stats =
-    C.Pass.run ~config:C.Pass.branch_fusion_config ~verify_each:true f
+    C.Pass.run ~config:C.Pass.branch_fusion_config ~checked:true f
   in
   check "diamond fused" true (stats.C.Pass.melds_applied >= 1);
   Verify.run_exn f
 
 let test_meld_stats_accounting () =
   let f = if_then_region_func () in
-  let stats = C.Pass.run ~verify_each:true f in
+  let stats = C.Pass.run ~checked:true f in
   let m = stats.C.Pass.meld_stats in
   check "melded pairs counted" true (m.C.Meld.melded_pairs > 0)
 

@@ -138,7 +138,9 @@ let test_normalize_exit_dedicated_block () =
         ((Ssa.terminator src).Ssa.op = Op.Br);
       check "exit src in subgraph" true (C.Region.in_subgraph sg src);
       check_int "single exit edge" 1
-        (List.length (C.Simplify_region.exit_sources sg))
+        (List.length
+           (List.filter (C.Region.in_subgraph sg)
+              (Ssa.preds sg.C.Region.sg_exit_dest)))
 
 let test_normalize_entry_splits_condbr_pred () =
   let f = multi_subgraph_func () in

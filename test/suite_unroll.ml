@@ -113,7 +113,7 @@ let test_unroll_divergent_body () =
   let unrolled = T.Loop_unroll.run opt in
   Verify.run_exn opt;
   check "unrolled" true (unrolled = 1);
-  let stats = Darm_core.Pass.run ~verify_each:true opt in
+  let stats = Darm_core.Pass.run ~checked:true opt in
   check "unroll exposes melds" true (stats.Darm_core.Pass.melds_applied >= 1);
   let out_base = run_sum base 16 in
   let out_opt = run_sum opt 16 in
@@ -123,7 +123,7 @@ let test_unroll_fuzz () =
   let transform f =
     ignore (T.Loop_unroll.run ~max_trip:8 f);
     Verify.run_exn f;
-    ignore (Darm_core.Pass.run ~verify_each:true f)
+    ignore (Darm_core.Pass.run ~checked:true f)
   in
   (* every feature, constant-trip loops included, so unrolling has
      something to expose to the melder *)

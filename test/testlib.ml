@@ -63,7 +63,7 @@ let show_mismatch tagline a b =
 (** The central correctness oracle: simulate [kernel] untransformed and
     after [transform]; both must match each other and the host
     reference. Returns (baseline metrics, transformed metrics). *)
-let check_equivalence ?(transform = fun f -> ignore (Pass.run ~verify_each:true f))
+let check_equivalence ?(transform = fun f -> ignore (Pass.run ~checked:true f))
     (kernel : Kernel.t) ~(block_size : int) ~(n : int) ~(seed : int) :
     Metrics.t * Metrics.t =
   let base = kernel.Kernel.make ~seed ~block_size ~n in
@@ -117,16 +117,16 @@ let seeds lo hi =
   let rec go k acc = if k < lo then acc else go (k - 1) (k :: acc) in
   go hi []
 
-let darm f = ignore (Pass.run ~verify_each:true f)
+let darm f = ignore (Pass.run ~checked:true f)
 
 let darm_no_unpred f =
   ignore
     (Pass.run
        ~config:{ Pass.default_config with unpredicate = false }
-       ~verify_each:true f)
+       ~checked:true f)
 
 let fusion f =
-  ignore (Pass.run ~config:Pass.branch_fusion_config ~verify_each:true f)
+  ignore (Pass.run ~config:Pass.branch_fusion_config ~checked:true f)
 
 let tail_merge f =
   ignore (Tf.Tail_merge.run f);
