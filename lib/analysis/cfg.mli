@@ -19,5 +19,6 @@ val reachable_without : Ssa.block -> stop:Ssa.block list -> Ssa.block list
     removed. *)
 val remove_unreachable : Ssa.func -> bool
 
-(** All blocks ending in [Ret]. *)
+(** All blocks ending in [Ret].  No pass calls it; the properties
+    suite's "post-dominator invariants" property does. *)
 val exit_blocks : Ssa.func -> Ssa.block list

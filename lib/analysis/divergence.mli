@@ -43,7 +43,9 @@ val is_divergent_branch : t -> Ssa.block -> bool
 
 (** Multi-predecessor blocks on paths from the successors of a branch
     block, stopping at (and including) its immediate post-dominator —
-    the sync joins of the branch. *)
+    the sync joins of the branch.  {!compute} reads it; the analysis
+    suite's "sync_joins: no-postdom fallback" case calls it on a
+    branch with no real post-dominator. *)
 val sync_joins : Domtree.t -> Ssa.block -> Ssa.block list
 
 (** Blocks ending in a divergent conditional branch. *)

@@ -89,10 +89,9 @@ let of_instr (c : config) (i : Ssa.instr) : int =
   | Op.Alloc_shared _ -> 0
   | Op.Sitofp | Op.Fptosi | Op.Addrspace_cast -> c.cast
 
-(** Canonical instruction-class key for the opcode-frequency profile used
-    by FP_B: opcode plus address space for memory operations, so a shared
-    load and a global load count as different classes (they have very
-    different costs). *)
+(** Canonical instruction-class key: opcode plus address space for
+    memory operations, so a shared load and a global load count as
+    different classes (they have very different costs). *)
 let class_of (i : Ssa.instr) : string =
   match i.op with
   | Op.Load | Op.Store -> (

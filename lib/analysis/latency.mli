@@ -37,6 +37,7 @@ val of_instr : config -> Ssa.instr -> int
 
 (** Canonical instruction-class key: opcode plus address space for
     memory operations (a shared and a global load have very different
-    costs).  Used for diagnostics; the melding profitability uses plain
-    opcodes as its class set Q, see {!Darm_core.Profitability}. *)
+    costs).  The melding profitability uses plain opcodes as its class
+    set Q instead (see {!Darm_core.Profitability}); the analysis
+    suite's "latency model" case calls this one. *)
 val class_of : Ssa.instr -> string

@@ -24,4 +24,8 @@ val blocks_of : loop -> Ssa.block list
 val exit_edges : loop -> (Ssa.block * Ssa.block) list
 
 val compute : Ssa.func -> t
+
+(** Nesting depth of the innermost loop holding the block, 0 outside
+    every loop.  No pass calls it; the analysis suite's "domtree +
+    loops" case does. *)
 val loop_depth : t -> Ssa.block -> int

@@ -21,8 +21,7 @@
       again an exact skip.
 
     With the default threshold the prefilter therefore never changes a
-    meld decision; {!distance} additionally offers the papers' graded
-    similarity for aggressive (inexact) filtering and observability. *)
+    meld decision. *)
 
 open Darm_ir
 open Darm_ir.Ssa
@@ -51,8 +50,6 @@ type t = {
       (** per class, sorted by key: (class, total freq F, max over
           blocks of the per-block class weight W) *)
 }
-
-let size (s : t) = s.sg_size
 
 (* Canonical shape walk mirroring Isomorphism.match_subgraphs: DFS from
    the entry in terminator-successor order; per first visit emit the
@@ -207,24 +204,3 @@ let profit_upper_bound (a : t) (b : t) : float =
     threshold ([fp_s > threshold] is required to meld). *)
 let may_profit ~(threshold : float) (a : t) (b : t) : bool =
   compatible a b && profit_upper_bound a b > threshold
-
-(** Graded structural distance in [0,1] for aggressive (inexact)
-    filtering and observability: cosine distance of the class-frequency
-    vectors, 1.0 when the shapes cannot match at all. *)
-let distance (a : t) (b : t) : float =
-  if not (compatible a b) then 1.
-  else
-    let dot =
-      fold_common a b
-        (fun acc ~fa ~wa:_ ~fb ~wb:_ -> acc +. (float_of_int fa *. float_of_int fb))
-        0.
-    in
-    let norm (s : t) =
-      sqrt
-        (Array.fold_left
-           (fun acc (_, f, _) -> acc +. (float_of_int f *. float_of_int f))
-           0. s.sg_classes)
-    in
-    let na = norm a and nb = norm b in
-    if na = 0. || nb = 0. then if na = nb then 0. else 1.
-    else 1. -. (dot /. (na *. nb))

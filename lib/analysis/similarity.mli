@@ -27,8 +27,6 @@ val signature :
   exit_dest:Ssa.block ->
   t
 
-val size : t -> int
-
 (** Necessary condition for the pair to be isomorphic; [false] proves
     non-isomorphism. *)
 val compatible : t -> t -> bool
@@ -41,8 +39,3 @@ val profit_upper_bound : t -> t -> float
     proves the exhaustive search would skip it (shape mismatch or
     FP_S bound ≤ threshold). *)
 val may_profit : threshold:float -> t -> t -> bool
-
-(** Graded structural distance in [0,1] (cosine distance of the
-    class-frequency vectors; 1.0 for incompatible shapes), for
-    aggressive inexact filtering and observability. *)
-val distance : t -> t -> float

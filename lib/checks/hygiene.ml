@@ -7,11 +7,6 @@ module IntSet = Set.Make (Int)
 let id_undef_operand = "undef-operand"
 let id_undef_trap = "undef-trap-hazard"
 let id_alloc_outside_entry = "alloc-shared-outside-entry"
-let id_addr_not_pointer = "memop-addr-not-pointer"
-let id_addrspace_mismatch = "addrspace-mismatch"
-
-let ptr_space (ty : Types.ty) : Types.addrspace option =
-  match ty with Types.Ptr s -> Some s | _ -> None
 
 let check (f : func) : Diag.t list =
   let diags = ref [] in
@@ -60,66 +55,12 @@ let check (f : func) : Diag.t list =
                   | _ -> ())
                 i.operands);
           (* shared allocation placement *)
-          (match i.op with
+          match i.op with
           | Op.Alloc_shared _ when b.bid <> entry.bid ->
               add ~id:id_alloc_outside_entry ~severity:Diag.Error b i
                 "alloc.shared outside the entry block: shared memory must \
                  be allocated unconditionally"
-          | _ -> ());
-          (* memory-op address sanity *)
-          (match i.op with
-          | Op.Load when Array.length i.operands = 1 ->
-              if not (Types.is_pointer (value_ty i.operands.(0))) then
-                add ~id:id_addr_not_pointer ~severity:Diag.Error b i
-                  "load through a non-pointer value"
-          | Op.Store when Array.length i.operands = 2 ->
-              if not (Types.is_pointer (value_ty i.operands.(1))) then
-                add ~id:id_addr_not_pointer ~severity:Diag.Error b i
-                  "store through a non-pointer value"
-          | _ -> ());
-          (* address-space flow *)
-          (match i.op with
-          | Op.Gep when Array.length i.operands = 2 -> (
-              match ptr_space (value_ty i.operands.(0)), ptr_space i.ty with
-              | Some s0, Some s1 when not (Types.addrspace_equal s0 s1) ->
-                  add ~id:id_addrspace_mismatch ~severity:Diag.Error b i
-                    (Printf.sprintf
-                       "gep changes address space (%s base, %s result)"
-                       (Types.addrspace_to_string s0)
-                       (Types.addrspace_to_string s1))
-              | _ -> ())
-          | Op.Addrspace_cast -> (
-              match ptr_space i.ty with
-              | Some Types.Flat | None -> ()
-              | Some s ->
-                  add ~id:id_addrspace_mismatch ~severity:Diag.Error b i
-                    (Printf.sprintf
-                       "addrspace.cast result must be flat, got %s"
-                       (Types.addrspace_to_string s)))
-          | Op.Phi | Op.Select -> (
-              match ptr_space i.ty with
-              | Some ((Types.Shared | Types.Global) as rs) ->
-                  let check_val v =
-                    match ptr_space (value_ty v) with
-                    | Some s when not (Types.addrspace_equal s rs) ->
-                        add ~id:id_addrspace_mismatch ~severity:Diag.Error b i
-                          (Printf.sprintf
-                             "%s narrows a %s pointer into address space %s"
-                             (Op.to_string i.op)
-                             (Types.addrspace_to_string s)
-                             (Types.addrspace_to_string rs))
-                    | _ -> ()
-                  in
-                  let vals =
-                    match i.op with
-                    | Op.Select when Array.length i.operands = 3 ->
-                        [ i.operands.(1); i.operands.(2) ]
-                    | Op.Phi -> Array.to_list i.operands
-                    | _ -> []
-                  in
-                  List.iter check_val vals
-              | _ -> ())
-          | _ -> ()))
+          | _ -> ())
         b.instrs)
     f.blocks_list;
   List.rev !diags

@@ -12,14 +12,11 @@
       or the divisor of [sdiv]/[srem].
     - [alloc-shared-outside-entry] ({e error}): [alloc.shared] outside
       the entry block; allocation must be unconditional and uniform.
-    - [memop-addr-not-pointer] ({e error}): load/store through a
-      non-pointer value.
-    - [addrspace-mismatch] ({e error}): address-space-violating
-      pointer flow — a [gep] that changes its base's space, an
-      [addrspace.cast] whose result is not flat, or a [phi]/[select]
-      that {e narrows} (a flat incoming into a concrete-space result;
-      widening into flat is fine).  Mirrors the {!Darm_ir.Verify}
-      address-space rules as diagnostics. *)
+
+    Type errors (a load or store through a non-pointer, pointer flow
+    that changes or narrows an address space) are {!Darm_ir.Verify}'s:
+    {!Checker} reports them as [invalid-ir] and runs no lint on such a
+    function. *)
 
 open Darm_ir
 
@@ -30,5 +27,3 @@ val check : Ssa.func -> Diag.t list
 val id_undef_operand : string
 val id_undef_trap : string
 val id_alloc_outside_entry : string
-val id_addr_not_pointer : string
-val id_addrspace_mismatch : string

@@ -154,32 +154,15 @@ let select_for env (anchor : instr) (vt : value) (vf : value)
   match Hashtbl.find_opt cache key with
   | Some s -> s
   | None ->
-      let ty =
-        match value_ty vt, value_ty vf with
-        | Types.Ptr a, Types.Ptr b -> Types.Ptr (Types.join_ptr a b)
-        | ta, _ -> ta
-      in
-      let sel = mk_instr Op.Select [| env.cond; vt; vf |] [||] ty in
+      let ops = [| env.cond; vt; vf |] in
+      let ty = Option.get (result_ty Op.Select ops) in
+      let sel = mk_instr Op.Select ops [||] ty in
       (* right before the instruction that needs it *)
       insert_before anchor sel;
       Hashtbl.replace env.provenance sel.id Melded;
       Hashtbl.replace cache key (Instr sel);
       env.stats.selects_inserted <- env.stats.selects_inserted + 1;
       Instr sel
-
-(* After operand substitution some result types must be recomputed:
-   geps and selects over pointers may have degraded to flat. *)
-let refresh_result_ty (i : instr) =
-  match i.op with
-  | Op.Gep -> (
-      match value_ty i.operands.(0) with
-      | Types.Ptr a -> i.ty <- Types.Ptr a
-      | _ -> ())
-  | Op.Select -> (
-      match value_ty i.operands.(1), value_ty i.operands.(2) with
-      | Types.Ptr a, Types.Ptr b -> i.ty <- Types.Ptr (Types.join_ptr a b)
-      | _ -> ())
-  | _ -> ()
 
 type clone_record =
   | Both_src of instr * instr * instr  (** melded, orig_t, orig_f *)
@@ -370,8 +353,7 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
           else select_for env clone vt vf cache)
         it.operands
     in
-    set_operands clone ops;
-    refresh_result_ty clone
+    set_operands clone ops
   in
   List.iter
     (fun r ->
@@ -388,8 +370,7 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
           in
           set_operands term [| c |]
       | Gap_src (clone, _orig, _side) ->
-          set_operands clone (Array.map (resolve env) clone.operands);
-          refresh_result_ty clone
+          set_operands clone (Array.map (resolve env) clone.operands)
       | Phi_copy (copy, orig, side) ->
           let m0 = match env.melded_entry with Some b -> b | None -> assert false in
           let my_block =
@@ -679,58 +660,39 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
   (* -------- pass 7: pointer type repair --------
      Operand substitution can widen a melded pointer definition to flat
      (a select over mixed-space operands joins to Flat, and geps follow
-     their base).  A phi copied with its original concrete-space type —
-     in particular an unpredication phi from an {e earlier} meld whose
-     sides this meld just merged — would then "narrow" the widened
-     value, which the verifier rejects.  Repair only instructions the
-     widening made invalid, propagating to a fixpoint; valid types are
-     never touched, so unaffected kernels keep their exact latencies. *)
+     their base; [Ssa] re-derives both).  A phi copied with its original
+     concrete-space type — in particular an unpredication phi from an
+     {e earlier} meld whose sides this meld just merged — would then
+     "narrow" the widened value, which the verifier rejects.  Widen only
+     the phis the widening made invalid, propagating to a fixpoint;
+     valid types are never touched, so unaffected kernels keep their
+     exact latencies. *)
   let changed = ref true in
   while !changed do
     changed := false;
     iter_instrs fn (fun i ->
-        match i.op with
-        | Op.Phi -> (
-            match i.ty with
-            | Types.Ptr rs when not (Types.addrspace_equal rs Types.Flat) ->
-                let narrows =
-                  Array.exists
-                    (fun v ->
-                      match v with
-                      | Undef _ -> false
-                      | _ -> (
-                          match value_ty v with
-                          | Types.Ptr vs ->
-                              not (Types.addrspace_equal rs vs)
-                          | _ -> false))
-                    i.operands
-                in
-                if narrows then begin
-                  i.ty <- Types.Ptr Types.Flat;
-                  set_operands i
-                    (Array.map
-                       (function Undef _ -> Undef i.ty | v -> v)
-                       i.operands);
-                  changed := true
-                end
-            | _ -> ())
-        | Op.Gep -> (
-            match value_ty i.operands.(0), i.ty with
-            | Types.Ptr base, Types.Ptr rs
-              when not (Types.addrspace_equal base rs) ->
-                i.ty <- Types.Ptr base;
-                changed := true
-            | _ -> ())
-        | Op.Select -> (
-            match i.ty, value_ty i.operands.(1), value_ty i.operands.(2) with
-            | Types.Ptr rs, Types.Ptr a, Types.Ptr b
-              when (not (Types.addrspace_equal rs Types.Flat))
-                   && not
-                        (Types.addrspace_equal rs a
-                        && Types.addrspace_equal rs b) ->
-                i.ty <- Types.Ptr (Types.join_ptr a b);
-                changed := true
-            | _ -> ())
+        match i.op, i.ty with
+        | Op.Phi, Types.Ptr rs when not (Types.addrspace_equal rs Types.Flat)
+          ->
+            let narrows =
+              Array.exists
+                (fun v ->
+                  match v with
+                  | Undef _ -> false
+                  | _ -> (
+                      match value_ty v with
+                      | Types.Ptr vs -> not (Types.addrspace_equal rs vs)
+                      | _ -> false))
+                i.operands
+            in
+            if narrows then begin
+              set_ty i (Types.Ptr Types.Flat);
+              set_operands i
+                (Array.map
+                   (function Undef _ -> Undef i.ty | v -> v)
+                   i.operands);
+              changed := true
+            end
         | _ -> ())
   done;
   m0

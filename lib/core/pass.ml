@@ -356,9 +356,13 @@ let apply_candidate (cfg : config) (mgr : Manager.t) (f : func)
        ~stats:stats.meld_stats);
   stats.melds_applied <- stats.melds_applied + 1
 
+let is_invalid_ir (d : Darm_checks.Diag.t) =
+  String.equal d.Darm_checks.Diag.id Darm_checks.Checker.id_invalid_ir
+
 (** Run the melding pass on [f] to a fixpoint; returns the statistics.
-    A [checked] run verifies [f] after every meld and raises
-    [Validation_failed] when the meld added a checker error. *)
+    A [checked] run re-runs the checkers (which verify [f] first) after
+    every meld and raises [Validation_failed] when the meld added a
+    checker error. *)
 let run ?(config = default_config) ?(checked = false) (f : func) : stats =
   let stats = empty_stats () in
   let prefilter = config.prefilter && prefilter_enabled () in
@@ -440,8 +444,12 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
         match before with
         | None -> ()
         | Some before -> (
-            Darm_ir.Verify.run_exn f;
             let after = Darm_checks.Checker.check_func ~facts:mgr f in
+            (* the checker verifies first and reports IR the verifier
+               rejects as invalid-ir errors; that raises, as a plain
+               verification would *)
+            if List.exists is_invalid_ir after.Darm_checks.Checker.diags then
+              Darm_ir.Verify.run_exn f;
             last_report := Some after;
             match Darm_checks.Checker.new_errors ~before ~after with
             | [] -> ()

@@ -116,12 +116,13 @@ type stats = {
 (** Run the melding pass to a fixpoint (at most 64 iterations, each
     meld followed by SimplifyCFG and DCE); returns the statistics.
     [checked] (default [false]), the conformance oracle's mode, is
-    translation validation: after every meld the function is verified
-    and the {!Darm_checks} checkers re-run, and an error the pre-meld
-    report lacks ({!Darm_checks.Checker.new_errors}) raises
+    translation validation: after every meld the {!Darm_checks}
+    checkers re-run, verifying the function first (IR the verifier
+    rejects raises {!Darm_ir.Verify.Invalid_ir}), and an error the
+    pre-meld report lacks ({!Darm_checks.Checker.new_errors}) raises
     {!Validation_failed}.  Each post-meld report is the next meld's
-    pre-meld one, so the checkers run once per meld plus once before
-    the first. *)
+    pre-meld one, so the checkers, and the verifier with them, run
+    once per meld plus once before the first. *)
 val run : ?config:config -> ?checked:bool -> Ssa.func -> stats
 
 (** Export the run counters into a metrics registry as the

@@ -47,6 +47,13 @@ let inject (bug : bug) (f : func) : (unit, string) result =
       let ret = terminator exit_b in
       let tid = entry_tid f in
       let bld = Builder.create f in
+      let ins ?ty ?targets op operands =
+        Builder.ins bld ?ty ?targets op operands
+      in
+      let store v p = ignore (ins Op.Store [| v; p |]) in
+      let slot p k = ins Op.Gep [| p; k |] in
+      let next_tid () = ins (Op.Ibin Op.Add) [| tid; Builder.i32 1 |] in
+      let add_ret () = ignore (ins Op.Ret [||]) in
       match bug with
       | Xbar ->
           (* guard a fresh barrier by [tid < 16]: the canonical
@@ -55,13 +62,13 @@ let inject (bug : bug) (f : func) : (unit, string) result =
           let sb = Builder.add_block bld "xbar_sync" in
           let join = Builder.add_block bld "xbar_join" in
           Builder.position_at_end bld exit_b;
-          let cond = Builder.ins_icmp bld Op.Islt tid (Builder.i32 16) in
-          Builder.ins_condbr bld cond sb join;
+          let cond = ins (Op.Icmp Op.Islt) [| tid; Builder.i32 16 |] in
+          ignore (ins ~targets:[| sb; join |] Op.Condbr [| cond |]);
           Builder.position_at_end bld sb;
-          Builder.ins_syncthreads bld;
-          Builder.ins_br bld join;
+          ignore (ins Op.Syncthreads [||]);
+          ignore (ins ~targets:[| join |] Op.Br [||]);
           Builder.position_at_end bld join;
-          Builder.ins_ret bld;
+          add_ret ();
           Ok ()
       | Xrace -> (
           match find_shared f with
@@ -71,13 +78,9 @@ let inject (bug : bug) (f : func) : (unit, string) result =
                  one barrier interval *)
               remove_instr exit_b ret;
               Builder.position_at_end bld exit_b;
-              ignore
-                (Builder.ins_store bld tid (Builder.ins_gep bld s tid));
-              ignore
-                (Builder.ins_store bld tid
-                   (Builder.ins_gep bld s
-                      (Builder.add bld tid (Builder.i32 1))));
-              Builder.ins_ret bld;
+              store tid (slot s tid);
+              store tid (slot s (next_tid ()));
+              add_ret ();
               Ok ())
       | Xrw -> (
           match (find_shared f, f.params) with
@@ -90,15 +93,8 @@ let inject (bug : bug) (f : func) : (unit, string) result =
                  hide the bug *)
               remove_instr exit_b ret;
               Builder.position_at_end bld exit_b;
-              ignore
-                (Builder.ins_store bld tid (Builder.ins_gep bld s tid));
-              let v =
-                Builder.ins_load bld
-                  (Builder.ins_gep bld s
-                     (Builder.add bld tid (Builder.i32 1)))
-              in
-              ignore
-                (Builder.ins_store bld v
-                   (Builder.ins_gep bld (Param pb) tid));
-              Builder.ins_ret bld;
+              store tid (slot s tid);
+              let v = ins ~ty:Types.I32 Op.Load [| slot s (next_tid ()) |] in
+              store v (slot (Param pb) tid);
+              add_ret ();
               Ok ()))

@@ -3,6 +3,4 @@
     labelled T/F, and [highlight] marks blocks (e.g. divergent branches)
     with a filled background. *)
 
-val escape : string -> string
-
 val func_to_dot : ?highlight:(Ssa.block -> bool) -> Ssa.func -> string

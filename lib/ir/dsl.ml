@@ -186,12 +186,13 @@ let move_to ctx (b : block) =
   ctx.terminated <- false
 
 let condbr ctx (cond : value) (then_b : block) (else_b : block) =
-  Builder.ins_condbr (at ctx) cond then_b else_b;
+  ignore
+    (Builder.ins (at ctx) ~targets:[| then_b; else_b |] Op.Condbr [| cond |]);
   ctx.terminated <- true
 
 let terminate_with_br ctx (dest : block) =
   if not ctx.terminated then begin
-    Builder.ins_br (at ctx) dest;
+    ignore (Builder.ins (at ctx) ~targets:[| dest |] Op.Br [||]);
     ctx.terminated <- true
   end
 
@@ -218,45 +219,48 @@ let get ctx (v : var) : value = read_variable ctx v ctx.cur
 let i32 = Builder.i32
 let i1 = Builder.i1
 let f32 = Builder.f32
-let add ctx a b = Builder.add (at ctx) a b
-let sub ctx a b = Builder.sub (at ctx) a b
-let mul ctx a b = Builder.mul (at ctx) a b
-let sdiv ctx a b = Builder.sdiv (at ctx) a b
-let srem ctx a b = Builder.srem (at ctx) a b
-let and_ ctx a b = Builder.and_ (at ctx) a b
-let or_ ctx a b = Builder.or_ (at ctx) a b
-let xor ctx a b = Builder.xor (at ctx) a b
-let shl ctx a b = Builder.shl (at ctx) a b
-let lshr ctx a b = Builder.lshr (at ctx) a b
-let smin ctx a b = Builder.ins_ibin (at ctx) Op.Smin a b
-let smax ctx a b = Builder.ins_ibin (at ctx) Op.Smax a b
-let fadd ctx a b = Builder.ins_fbin (at ctx) Op.Fadd a b
-let fsub ctx a b = Builder.ins_fbin (at ctx) Op.Fsub a b
-let fmul ctx a b = Builder.ins_fbin (at ctx) Op.Fmul a b
-let fdiv ctx a b = Builder.ins_fbin (at ctx) Op.Fdiv a b
-let fmin ctx a b = Builder.ins_fbin (at ctx) Op.Fmin a b
-let fmax ctx a b = Builder.ins_fbin (at ctx) Op.Fmax a b
-let icmp ctx p a b = Builder.ins_icmp (at ctx) p a b
+let ins ctx ?ty op operands = Builder.ins (at ctx) ?ty op operands
+let ibin op ctx a b = ins ctx (Op.Ibin op) [| a; b |]
+let fbin op ctx a b = ins ctx (Op.Fbin op) [| a; b |]
+let add = ibin Op.Add
+let sub = ibin Op.Sub
+let mul = ibin Op.Mul
+let sdiv = ibin Op.Sdiv
+let srem = ibin Op.Srem
+let and_ = ibin Op.And
+let or_ = ibin Op.Or
+let xor = ibin Op.Xor
+let shl = ibin Op.Shl
+let lshr = ibin Op.Lshr
+let smin = ibin Op.Smin
+let smax = ibin Op.Smax
+let fadd = fbin Op.Fadd
+let fsub = fbin Op.Fsub
+let fmul = fbin Op.Fmul
+let fdiv = fbin Op.Fdiv
+let fmin = fbin Op.Fmin
+let fmax = fbin Op.Fmax
+let icmp ctx p a b = ins ctx (Op.Icmp p) [| a; b |]
 let eq ctx a b = icmp ctx Op.Ieq a b
 let ne ctx a b = icmp ctx Op.Ine a b
 let slt ctx a b = icmp ctx Op.Islt a b
 let sle ctx a b = icmp ctx Op.Isle a b
 let sgt ctx a b = icmp ctx Op.Isgt a b
 let sge ctx a b = icmp ctx Op.Isge a b
-let fcmp ctx p a b = Builder.ins_fcmp (at ctx) p a b
-let not_ ctx a = Builder.ins_not (at ctx) a
-let select ctx c a b = Builder.ins_select (at ctx) c a b
-let load ctx p = Builder.ins_load (at ctx) p
-let load_f ctx p = Builder.ins_load_f (at ctx) p
-let store ctx v p = ignore (Builder.ins_store (at ctx) v p)
-let gep ctx p i = Builder.ins_gep (at ctx) p i
-let sitofp ctx a = Builder.ins_sitofp (at ctx) a
-let fptosi ctx a = Builder.ins_fptosi (at ctx) a
-let tid ctx = Builder.ins_thread_idx (at ctx)
-let bid ctx = Builder.ins_block_idx (at ctx)
-let bdim ctx = Builder.ins_block_dim (at ctx)
-let gdim ctx = Builder.ins_grid_dim (at ctx)
-let sync ctx = Builder.ins_syncthreads (at ctx)
+let fcmp ctx p a b = ins ctx (Op.Fcmp p) [| a; b |]
+let not_ ctx a = ins ctx Op.Not [| a |]
+let select ctx c a b = ins ctx Op.Select [| c; a; b |]
+let load ctx p = ins ctx ~ty:Types.I32 Op.Load [| p |]
+let load_f ctx p = ins ctx ~ty:Types.F32 Op.Load [| p |]
+let store ctx v p = ignore (ins ctx Op.Store [| v; p |])
+let gep ctx p i = ins ctx Op.Gep [| p; i |]
+let sitofp ctx a = ins ctx Op.Sitofp [| a |]
+let fptosi ctx a = ins ctx Op.Fptosi [| a |]
+let tid ctx = ins ctx Op.Thread_idx [||]
+let bid ctx = ins ctx Op.Block_idx [||]
+let bdim ctx = ins ctx Op.Block_dim [||]
+let gdim ctx = ins ctx Op.Grid_dim [||]
+let sync ctx = ignore (ins ctx Op.Syncthreads [||])
 
 (** Allocate a per-block shared-memory array; hoisted to the entry block
     like LLVM allocas / CUDA [__shared__] declarations. *)
@@ -368,7 +372,7 @@ let build_kernel ~(name : string) ~(params : (string * Types.ty) list)
   seal_block ctx entry;
   body ctx (List.map (fun p -> Param p) ps);
   if not ctx.terminated then begin
-    Builder.ins_ret (at ctx);
+    ignore (ins ctx Op.Ret [||]);
     ctx.terminated <- true
   end;
   resolve_operands ctx;

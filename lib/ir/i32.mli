@@ -3,10 +3,9 @@
     diverge.  The canonical representation of an i32 value is the
     sign-extended OCaml [int] in [-2^31, 2^31 - 1]. *)
 
-(** Low-32-bit mask, [0xFFFFFFFF]. *)
-val mask : int
-
-(** Unsigned 32-bit view: the low 32 bits of the argument. *)
+(** Unsigned 32-bit view: the low 32 bits of the argument.  Nothing
+    in the library calls it; the i32 suite's "to_i32/of_i32 round trip"
+    case does. *)
 val of_i32 : int -> int
 
 (** Canonical i32: truncate to 32 bits and sign-extend. *)

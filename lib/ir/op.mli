@@ -61,5 +61,4 @@ val is_alu : t -> bool
 
 val is_memory : t -> bool
 
-val ibinop_to_string : ibinop -> string
 val to_string : t -> string

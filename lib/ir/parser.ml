@@ -329,31 +329,6 @@ let parse_rhs (s : stream) (p_result : string option) : proto =
 (* ------------------------------------------------------------------ *)
 (* Function assembly *)
 
-let infer_ty (op : Op.t) (operands : value array) (explicit : Types.ty option)
-    : Types.ty =
-  match explicit with
-  | Some t -> t
-  | None -> (
-      match op with
-      | Op.Ibin _ -> Types.I32
-      | Op.Fbin _ -> Types.F32
-      | Op.Icmp _ | Op.Fcmp _ | Op.Not -> Types.I1
-      | Op.Select -> (
-          match value_ty operands.(1), value_ty operands.(2) with
-          | Types.Ptr a, Types.Ptr b -> Types.Ptr (Types.join_ptr a b)
-          | t, _ -> t)
-      | Op.Gep -> (
-          match value_ty operands.(0) with
-          | Types.Ptr a -> Types.Ptr a
-          | _ -> errf "gep base is not a pointer")
-      | Op.Thread_idx | Op.Block_idx | Op.Block_dim | Op.Grid_dim -> Types.I32
-      | Op.Alloc_shared _ -> Types.Ptr Types.Shared
-      | Op.Sitofp -> Types.F32
-      | Op.Fptosi -> Types.I32
-      | Op.Addrspace_cast -> Types.Ptr Types.Flat
-      | Op.Store | Op.Br | Op.Condbr | Op.Ret | Op.Syncthreads -> Types.Void
-      | Op.Phi | Op.Load -> errf "phi/load require an explicit type")
-
 (* is the upcoming token sequence `IDENT :` (i.e. a new block label)? *)
 let at_label (s : stream) : bool =
   match s.toks with
@@ -485,12 +460,16 @@ let parse_kernel (s : stream) : func =
                   (List.map (fun sym -> resolve_now sym p.p_line) p.p_syms)
               in
               let targets = Array.of_list (List.map block_of p.p_labels) in
-              (* infer_ty reads a select's arms *)
               (match (p.p_op, Array.length operands) with
               | Op.Select, k when k <> 3 ->
                   errf "line %d: select takes 3 operands, got %d" p.p_line k
               | _ -> ());
-              let ty = infer_ty p.p_op operands p.p_ty in
+              (* a load states its type; the rule derives the rest *)
+              let ty =
+                match p.p_ty, result_ty p.p_op operands with
+                | Some t, _ | None, Some t -> t
+                | None, None -> errf "gep base is not a pointer"
+              in
               let i = mk_instr p.p_op operands targets ty in
               (match p.p_result with
               | Some name -> Hashtbl.replace env name (Instr i)

@@ -317,24 +317,27 @@ let phi_remove_incoming (b : block) ~(pred : block) =
     (phis b)
 
 (* ------------------------------------------------------------------ *)
-(* Operands *)
+(* Result types and operands *)
 
-let set_operands (i : instr) (operands : value array) =
-  i.operands <- operands;
-  bump_instr i
-
-let set_operand (i : instr) (k : int) (v : value) =
-  i.operands.(k) <- v;
-  bump_instr i
-
-(** Replace every use of [old_v] as an operand anywhere in [f] by
-    [new_v]. *)
-let replace_all_uses (f : func) ~(old_v : value) ~(new_v : value) =
-  iter_instrs f (fun i ->
-      i.operands <-
-        Array.map (fun v -> if value_equal v old_v then new_v else v)
-          i.operands);
-  bump_func f
+let result_ty (op : Op.t) (operands : value array) : Types.ty option =
+  match op with
+  | Op.Ibin _ | Op.Fptosi | Op.Thread_idx | Op.Block_idx | Op.Block_dim
+  | Op.Grid_dim ->
+      Some Types.I32
+  | Op.Fbin _ | Op.Sitofp -> Some Types.F32
+  | Op.Icmp _ | Op.Fcmp _ | Op.Not -> Some Types.I1
+  | Op.Alloc_shared _ -> Some (Types.Ptr Types.Shared)
+  | Op.Addrspace_cast -> Some (Types.Ptr Types.Flat)
+  | Op.Store | Op.Br | Op.Condbr | Op.Ret | Op.Syncthreads -> Some Types.Void
+  | Op.Select when Array.length operands = 3 -> (
+      match value_ty operands.(1), value_ty operands.(2) with
+      | Types.Ptr a, Types.Ptr b -> Some (Types.Ptr (Types.join_ptr a b))
+      | t, _ -> Some t)
+  | Op.Gep when Array.length operands > 0 -> (
+      match value_ty operands.(0) with
+      | Types.Ptr _ as t -> Some t
+      | Types.I1 | Types.I32 | Types.F32 | Types.Void -> None)
+  | Op.Select | Op.Gep | Op.Phi | Op.Load -> None
 
 (** All instructions in [f] that use [v] as an operand. *)
 let users (f : func) (v : value) : instr list =
@@ -344,3 +347,63 @@ let users (f : func) (v : value) : instr list =
       else acc)
     []
   |> List.rev
+
+(* Give [i] the type the rule derives; true when that changed it. *)
+let rederive (i : instr) : bool =
+  match result_ty i.op i.operands with
+  | Some t when not (Types.equal t i.ty) ->
+      i.ty <- t;
+      true
+  | Some _ | None -> false
+
+(* The types of [retyped] changed: re-derive their users' types, and
+   the users' of each one whose type changes in turn. *)
+let rec retype_users (f : func) (retyped : instr list) =
+  match retyped with
+  | [] -> ()
+  | i :: rest ->
+      let changed = List.filter rederive (users f (Instr i)) in
+      if changed <> [] then bump_func f;
+      retype_users f (changed @ rest)
+
+let retype_users_of (i : instr) =
+  match i.parent with
+  | Some { bparent = Some f; _ } -> retype_users f [ i ]
+  | Some { bparent = None; _ } | None -> ()
+
+(* [i]'s operands were edited *)
+let operands_edited (i : instr) =
+  bump_instr i;
+  if rederive i then retype_users_of i
+
+let set_operands (i : instr) (operands : value array) =
+  i.operands <- operands;
+  operands_edited i
+
+let set_operand (i : instr) (k : int) (v : value) =
+  i.operands.(k) <- v;
+  operands_edited i
+
+let set_ty (i : instr) (t : Types.ty) =
+  (match i.op with
+  | Op.Phi | Op.Load -> ()
+  | op -> invalid_arg ("Ssa.set_ty: the rule types " ^ Op.to_string op));
+  if not (Types.equal i.ty t) then begin
+    i.ty <- t;
+    bump_instr i;
+    retype_users_of i
+  end
+
+(** Replace every use of [old_v] as an operand anywhere in [f] by
+    [new_v]. *)
+let replace_all_uses (f : func) ~(old_v : value) ~(new_v : value) =
+  let is_old v = value_equal v old_v in
+  let retyped = ref [] in
+  iter_instrs f (fun i ->
+      if Array.exists is_old i.operands then begin
+        i.operands <-
+          Array.map (fun v -> if is_old v then new_v else v) i.operands;
+        if rederive i then retyped := i :: !retyped
+      end);
+  bump_func f;
+  retype_users f (List.rev !retyped)

@@ -16,7 +16,7 @@
 
     This module is the one writer of every IR field an analysis reads:
     a block's [instrs], an instruction's [op], [operands] (whole array
-    or one element), [blocks] and [parent], and a function's
+    or one element), [blocks], [parent] and [ty], and a function's
     [blocks_list].  Every mutator here that edits a block or
     instruction sitting in a function bumps that function's
     [edit_count], so a result computed at one count is current for as
@@ -27,6 +27,8 @@
     rejects such an assignment.
 
     Invariants (checked by {!Verify}):
+    - every instruction but a [phi] or a [load] has the type
+      {!result_ty} derives;
     - every reachable block ends in exactly one terminator, which is its
       last instruction;
     - {!preds} agrees, in order, with a rebuild from the terminators;
@@ -54,6 +56,8 @@ and instr = {
       (** [phi]: incoming blocks, index-aligned with [operands];
           [br]: the destination; [condbr]: [| then; else |] *)
   mutable ty : Types.ty;
+      (** {!result_ty} of [op] and [operands], or stated for a [phi] or
+          a [load]; written only by this module *)
   mutable parent : block option;
 }
 
@@ -81,10 +85,16 @@ and func = {
 
 type modul = { mname : string; mutable funcs : func list }
 
+(** The next instruction or block id.  {!mk_instr} and {!mk_block}
+    draw from it; the cfg-index suite's "pass output ignores the SSA id
+    offset" case burns ids with it. *)
 val fresh_id : unit -> int
 
 (** {2 Construction} *)
 
+(** [mk_instr op operands blocks ty] takes [ty] as given: a producer
+    that means the instruction to verify passes the {!result_ty} of
+    [op] and [operands] where the rule derives one. *)
 val mk_instr : Op.t -> value array -> block array -> Types.ty -> instr
 
 val mk_block : string -> block
@@ -189,17 +199,44 @@ val phi_replace_incoming_block :
 
 val phi_remove_incoming : block -> pred:block -> unit
 
-(** {2 Operands} *)
+(** {2 Result types and operands}
 
+    Every instruction but a [phi] or a [load] has the type
+    {!result_ty} derives from its opcode and operands; the printer
+    omits it and the parser derives it back, so the mutators below
+    keep it current.  An edit that changes an instruction's type
+    re-derives its users' types too, through {!users}, for as long as
+    types keep changing. *)
+
+(** The one type rule: [result_ty op operands] is the result type of
+    [op] over [operands] — [i32] for integer arithmetic, the thread and
+    grid intrinsics and [fptosi]; [f32] for float arithmetic and
+    [sitofp]; [i1] for comparisons and [not]; [ptr(shared)] for
+    [alloc.shared]; [ptr(flat)] for [addrspace.cast]; [void] for
+    stores, barriers and terminators; a [gep]'s base type; a
+    [select]'s first arm's type, or the join of two pointer arms
+    ({!Types.join_ptr}).  [None] for a [phi] or a [load], whose type the
+    writer states, for a [select] without exactly three operands and
+    for a [gep] without a pointer base.  Total on any arity. *)
+val result_ty : Op.t -> value array -> Types.ty option
+
+(** [set_operands i ops] makes [ops] [i]'s operands and re-derives its
+    type. *)
 val set_operands : instr -> value array -> unit
 
-(** [set_operand i k v] replaces [i]'s [k]th operand. *)
+(** [set_operand i k v] replaces [i]'s [k]th operand and re-derives its
+    type. *)
 val set_operand : instr -> int -> value -> unit
+
+(** [set_ty i t] states the type of the [phi] or [load] [i] (raises
+    [Invalid_argument] for any other opcode) and re-derives its users'
+    types when it changes. *)
+val set_ty : instr -> Types.ty -> unit
 
 (** {2 Use replacement} *)
 
 (** Replace every use of [old_v] as an operand anywhere in the function
-    by [new_v]. *)
+    by [new_v], re-deriving the type of each instruction edited. *)
 val replace_all_uses : func -> old_v:value -> new_v:value -> unit
 
 (** All instructions in the function that use [v] as an operand. *)

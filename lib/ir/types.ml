@@ -41,6 +41,4 @@ let to_string = function
   | Ptr a -> Printf.sprintf "ptr(%s)" (addrspace_to_string a)
   | Void -> "void"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let is_pointer = function Ptr _ -> true | I1 | I32 | F32 | Void -> false

@@ -29,6 +29,4 @@ val addrspace_to_string : addrspace -> string
 
 val to_string : ty -> string
 
-val pp : Format.formatter -> ty -> unit
-
 val is_pointer : ty -> bool

@@ -14,145 +14,125 @@ type error = { msg : string }
 
 let errf fmt = Printf.ksprintf (fun msg -> { msg }) fmt
 
-(* Operand/result type rules per opcode.  Pointer positions accept any
-   address space: melding legitimately mixes spaces through flat
-   pointers. *)
-let type_check_instr (err : error -> unit) (i : instr) : unit =
-  let name = Op.to_string i.op in
-  let ty k = value_ty i.operands.(k) in
-  let expect k want =
-    if Array.length i.operands > k && not (Types.equal (ty k) want) then
-      err
-        (errf "%s: operand %d has type %s, expected %s" name k
-           (Types.to_string (ty k))
-           (Types.to_string want))
-  in
-  let expect_ptr k =
-    if Array.length i.operands > k && not (Types.is_pointer (ty k)) then
-      err (errf "%s: operand %d is not a pointer" name k)
-  in
-  let expect_result want =
-    if not (Types.equal i.ty want) then
-      err
-        (errf "%s: result type is %s, expected %s" name
-           (Types.to_string i.ty) (Types.to_string want))
-  in
-  let expect_arity n =
-    if Array.length i.operands <> n then
-      err (errf "%s: expected %d operands, got %d" name n
-             (Array.length i.operands))
-  in
-  let compatible a b =
-    Types.equal a b || (Types.is_pointer a && Types.is_pointer b)
-  in
-  (* Address-space flow: a concrete-space (shared/global) pointer result
-     may only be fed by pointers of the same space; widening into Flat
-     is always allowed (that is what [Types.join_ptr] produces), and
-     crossing back from Flat into a concrete space requires an explicit
-     [addrspace.cast] — which itself always produces Flat, so narrowing
-     is never implicit. *)
-  let expect_no_narrowing what v =
-    match i.ty, value_ty v with
-    | Types.Ptr rs, Types.Ptr vs
-      when (match rs with Types.Flat -> false | _ -> true)
-           && not (Types.addrspace_equal rs vs) ->
-        err
-          (errf "%s: %s narrows a %s pointer into address space %s" name what
-             (Types.addrspace_to_string vs)
-             (Types.addrspace_to_string rs))
-    | _ -> ()
-  in
-  match i.op with
+(* The per-instruction type check.  Builder runs it on every
+   instruction it builds, so it allocates only to report: the helpers
+   take what they read as arguments, and a message is formatted (and
+   the opcode named) only when a rule fails. *)
+
+let report err op fmt =
+  Printf.ksprintf (fun msg -> err (Op.to_string op ^ ": " ^ msg)) fmt
+
+let arity err op (ops : value array) n =
+  if Array.length ops <> n then
+    report err op "expected %d operands, got %d" n (Array.length ops)
+
+let expect err op (ops : value array) k want =
+  if Array.length ops > k && not (Types.equal (value_ty ops.(k)) want) then
+    report err op "operand %d has type %s, expected %s" k
+      (Types.to_string (value_ty ops.(k)))
+      (Types.to_string want)
+
+let expect_ptr err op (ops : value array) k =
+  if Array.length ops > k && not (Types.is_pointer (value_ty ops.(k))) then
+    report err op "operand %d is not a pointer" k
+
+(* equal, or both pointers: melding mixes address spaces *)
+let compatible a b =
+  Types.equal a b || (Types.is_pointer a && Types.is_pointer b)
+
+(* A phi states its type.  A concrete-space (shared/global) phi may only
+   be fed pointers of that space; widening into Flat is always allowed,
+   and crossing back from Flat into a concrete space takes an explicit
+   [addrspace.cast], which itself produces Flat. *)
+let check_incoming err ty v =
+  let vty = value_ty v in
+  if not (compatible vty ty) then
+    report err Op.Phi "incoming type %s incompatible with %s"
+      (Types.to_string vty) (Types.to_string ty);
+  match ty, vty with
+  | Types.Ptr ((Types.Shared | Types.Global) as rs), Types.Ptr vs
+    when not (Types.addrspace_equal rs vs) ->
+      report err Op.Phi "incoming narrows a %s pointer into address space %s"
+        (Types.addrspace_to_string vs)
+        (Types.addrspace_to_string rs)
+  | _ -> ()
+
+let check_instr err (op : Op.t) (ops : value array) (targets : block array)
+    (ty : Types.ty) =
+  (match op with
   | Op.Ibin _ ->
-      expect_arity 2;
-      expect 0 Types.I32;
-      expect 1 Types.I32;
-      expect_result Types.I32
-  | Op.Fbin _ ->
-      expect_arity 2;
-      expect 0 Types.F32;
-      expect 1 Types.F32;
-      expect_result Types.F32
+      arity err op ops 2;
+      expect err op ops 0 Types.I32;
+      expect err op ops 1 Types.I32
+  | Op.Fbin _ | Op.Fcmp _ ->
+      arity err op ops 2;
+      expect err op ops 0 Types.F32;
+      expect err op ops 1 Types.F32
   | Op.Icmp _ ->
-      expect_arity 2;
-      if Array.length i.operands = 2 && not (compatible (ty 0) (ty 1)) then
-        err (errf "icmp: operand types differ");
-      expect_result Types.I1
-  | Op.Fcmp _ ->
-      expect_arity 2;
-      expect 0 Types.F32;
-      expect 1 Types.F32;
-      expect_result Types.I1
-  | Op.Not ->
-      expect_arity 1;
-      expect 0 Types.I1;
-      expect_result Types.I1
-  | Op.Select ->
-      expect_arity 3;
-      expect 0 Types.I1;
-      if Array.length i.operands = 3 then begin
-        if not (compatible (ty 1) (ty 2) && compatible (ty 1) i.ty) then
-          err (errf "select: arm/result types incompatible");
-        expect_no_narrowing "true arm" i.operands.(1);
-        expect_no_narrowing "false arm" i.operands.(2)
-      end
-  | Op.Load ->
-      expect_arity 1;
-      expect_ptr 0;
-      if Types.equal i.ty Types.Void || Types.is_pointer i.ty then
-        err (errf "load: result must be a scalar")
-  | Op.Store ->
-      expect_arity 2;
-      expect_ptr 1;
+      arity err op ops 2;
       if
-        Array.length i.operands = 2 && Types.equal (ty 0) Types.Void
-      then err (errf "store: cannot store void")
+        Array.length ops = 2
+        && not (compatible (value_ty ops.(0)) (value_ty ops.(1)))
+      then err "icmp: operand types differ"
+  | Op.Not ->
+      arity err op ops 1;
+      expect err op ops 0 Types.I1
+  | Op.Select ->
+      arity err op ops 3;
+      expect err op ops 0 Types.I1;
+      if
+        Array.length ops = 3
+        && not (compatible (value_ty ops.(1)) (value_ty ops.(2)))
+      then report err op "arm/result types incompatible"
+  | Op.Load ->
+      arity err op ops 1;
+      expect_ptr err op ops 0;
+      if Types.equal ty Types.Void || Types.is_pointer ty then
+        report err op "result must be a scalar"
+  | Op.Store ->
+      arity err op ops 2;
+      expect_ptr err op ops 1;
+      if Array.length ops = 2 && Types.equal (value_ty ops.(0)) Types.Void
+      then report err op "cannot store void"
   | Op.Gep ->
-      expect_arity 2;
-      expect_ptr 0;
-      expect 1 Types.I32;
-      if not (Types.is_pointer i.ty) then
-        err (errf "gep: result must be a pointer")
-      else if Array.length i.operands = 2 then (
-        match ty 0 with
-        | Types.Ptr base when not (Types.equal i.ty (Types.Ptr base)) ->
-            err
-              (errf "gep: result space %s differs from base space %s"
-                 (Types.to_string i.ty)
-                 (Types.addrspace_to_string base))
-        | _ -> ())
+      arity err op ops 2;
+      expect_ptr err op ops 0;
+      expect err op ops 1 Types.I32
   | Op.Condbr ->
-      expect_arity 1;
-      expect 0 Types.I1
-  | Op.Br | Op.Ret | Op.Syncthreads -> expect_arity 0
-  | Op.Thread_idx | Op.Block_idx | Op.Block_dim | Op.Grid_dim ->
-      expect_arity 0;
-      expect_result Types.I32
+      arity err op ops 1;
+      expect err op ops 0 Types.I1
+  | Op.Br | Op.Ret | Op.Syncthreads | Op.Thread_idx | Op.Block_idx
+  | Op.Block_dim | Op.Grid_dim ->
+      arity err op ops 0
   | Op.Alloc_shared n ->
-      expect_arity 0;
-      if n <= 0 then err (errf "alloc.shared: non-positive size");
-      expect_result (Types.Ptr Types.Shared)
+      arity err op ops 0;
+      if n <= 0 then err "alloc.shared: non-positive size"
   | Op.Sitofp ->
-      expect_arity 1;
-      expect 0 Types.I32;
-      expect_result Types.F32
+      arity err op ops 1;
+      expect err op ops 0 Types.I32
   | Op.Fptosi ->
-      expect_arity 1;
-      expect 0 Types.F32;
-      expect_result Types.I32
+      arity err op ops 1;
+      expect err op ops 0 Types.F32
   | Op.Addrspace_cast ->
-      expect_arity 1;
-      expect_ptr 0;
-      expect_result (Types.Ptr Types.Flat)
+      arity err op ops 1;
+      expect_ptr err op ops 0
   | Op.Phi ->
-      Array.iter
-        (fun v ->
-          if not (compatible (value_ty v) i.ty) then
-            err (errf "phi: incoming type %s incompatible with %s"
-                   (Types.to_string (value_ty v))
-                   (Types.to_string i.ty));
-          expect_no_narrowing "incoming" v)
-        i.operands
+      for k = 0 to Array.length ops - 1 do
+        check_incoming err ty ops.(k)
+      done);
+  (match result_ty op ops with
+  | Some want when not (Types.equal ty want) ->
+      report err op "result type is %s, expected %s" (Types.to_string ty)
+        (Types.to_string want)
+  | Some _ | None -> ());
+  (* a phi's blocks pair with its incomings; [run] checks them *)
+  match op with
+  | Op.Phi -> ()
+  | _ ->
+      let want = match op with Op.Br -> 1 | Op.Condbr -> 2 | _ -> 0 in
+      if Array.length targets <> want then
+        report err op "expected %d targets, got %d" want
+          (Array.length targets)
 
 (* The reference the predecessor index is checked against: each block's
    predecessors rebuilt from the listed blocks' terminators, highest
@@ -309,7 +289,9 @@ let run (f : func) : error list =
                 else dominates db ub)
         | _ -> false
       in
-      iter_instrs f (fun i -> type_check_instr err i);
+      let err_msg msg = err { msg } in
+      iter_instrs f (fun i ->
+          check_instr err_msg i.op i.operands i.blocks i.ty);
       iter_instrs f (fun i ->
           match i.parent with
           | Some b when reachable b ->

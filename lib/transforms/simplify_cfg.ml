@@ -259,6 +259,12 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
     let t = terminator dst in
     List.iter (fun i -> remove_instr side i; insert_before t i) (body side)
   in
+  (* typed by the rule: a widening phi's own type may be wider than
+     its incomings *)
+  let select_of cond vt vf =
+    let ops = [| cond; vt; vf |] in
+    mk_instr Op.Select ops [||] (Option.get (result_ty Op.Select ops))
+  in
   List.iter
     (fun b ->
       if has_terminator b && (terminator b).op = Op.Condbr then begin
@@ -304,9 +310,7 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
                 (fun phi ->
                   match phi_incoming_for phi tb, phi_incoming_for phi fb with
                   | Some vt, Some vf ->
-                      let sel =
-                        mk_instr Op.Select [| cond; vt; vf |] [||] phi.ty
-                      in
+                      let sel = select_of cond vt vf in
                       insert_before (terminator b) sel;
                       let rest =
                         List.filter
@@ -333,9 +337,7 @@ let if_convert ?(max_cost = 8) (f : func) : bool =
                         let tv, fv =
                           if side_is_true then vs, vb else vb, vs
                         in
-                        let sel =
-                          mk_instr Op.Select [| cond; tv; fv |] [||] phi.ty
-                        in
+                        let sel = select_of cond tv fv in
                         insert_before (terminator b) sel;
                         let rest =
                           List.filter

@@ -30,30 +30,41 @@ let test_builder_types () =
   let b = Builder.create f in
   let blk = Builder.add_block b "entry" in
   Builder.position_at_end b blk;
-  let x = Builder.add b (Builder.i32 1) (Builder.i32 2) in
+  let x = Builder.ins b (Op.Ibin Op.Add) [| Builder.i32 1; Builder.i32 2 |] in
   check "add ty" true (Ssa.value_ty x = Types.I32);
-  let c = Builder.ins_icmp b Op.Islt x (Builder.i32 5) in
+  let c = Builder.ins b (Op.Icmp Op.Islt) [| x; Builder.i32 5 |] in
   check "icmp ty" true (Ssa.value_ty c = Types.I1);
   (try
-     ignore (Builder.ins_ibin b Op.Add c c);
+     ignore (Builder.ins b (Op.Ibin Op.Add) [| c; c |]);
      Alcotest.fail "expected type error"
    with Invalid_argument _ -> ());
   (try
-     ignore (Builder.ins_select b x x x);
+     ignore (Builder.ins b Op.Select [| x; x; x |]);
      Alcotest.fail "expected select cond type error"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  (* a rejected branch is never built, so it names no edge *)
+  let dest = Builder.add_block b "dest" in
+  (try
+     ignore (Builder.ins b ~targets:[| dest; dest |] Op.Condbr [| x |]);
+     Alcotest.fail "expected condbr cond type error"
+   with Invalid_argument _ -> ());
+  (try
+     ignore (Builder.ins b ~targets:[| dest |] Op.Condbr [| c |]);
+     Alcotest.fail "expected condbr target count error"
+   with Invalid_argument _ -> ());
+  check "no edge" true (Ssa.preds dest = [])
 
 let test_select_ptr_join () =
   let f = Ssa.mk_func "t" [] in
   let b = Builder.create f in
   let blk = Builder.add_block b "entry" in
   Builder.position_at_end b blk;
-  let g = Builder.ins_alloc_shared b 4 in
+  let g = Builder.ins b (Op.Alloc_shared 4) [||] in
   let p =
     Ssa.Param { Ssa.pname = "g"; pty = Types.Ptr Types.Global; pindex = 0 }
   in
   let c = Builder.i1 true in
-  let s = Builder.ins_select b c g p in
+  let s = Builder.ins b Op.Select [| c; g; p |] in
   check "select ptr degrades to flat" true
     (Ssa.value_ty s = Types.Ptr Types.Flat)
 
@@ -166,6 +177,25 @@ let test_verifier_type_checks () =
   Ssa.append_instr blk (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
   check "cross-space select accepted" true (Verify.run f = [])
 
+let test_verifier_target_counts () =
+  let msgs build =
+    let f = Ssa.mk_func "tg" [] in
+    let e = Ssa.mk_block "entry" and x = Ssa.mk_block "exit" in
+    Ssa.append_block f e;
+    Ssa.append_block f x;
+    Ssa.append_instr e (build x);
+    Ssa.append_instr x (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
+    List.map (fun (e : Verify.error) -> e.Verify.msg) (Verify.run f)
+  in
+  (* the printer reads a condbr's two targets *)
+  Alcotest.(check (list string)) "condbr with one target"
+    [ "condbr: expected 2 targets, got 1" ]
+    (msgs (fun x ->
+         Ssa.mk_instr Op.Condbr [| Ssa.Bool true |] [| x |] Types.Void));
+  Alcotest.(check (list string)) "br with two targets"
+    [ "br: expected 1 targets, got 2" ]
+    (msgs (fun x -> Ssa.mk_instr Op.Br [||] [| x; x |] Types.Void))
+
 let test_dsl_diamond_verifies () =
   let f = Testlib.diamond_func () in
   Verify.run_exn f;
@@ -257,6 +287,8 @@ let suites =
           test_verifier_catches_dangling_target;
         Alcotest.test_case "verifier: type checks" `Quick
           test_verifier_type_checks;
+        Alcotest.test_case "verifier: branch target counts" `Quick
+          test_verifier_target_counts;
         Alcotest.test_case "dsl diamond verifies" `Quick
           test_dsl_diamond_verifies;
         Alcotest.test_case "dsl loop phis" `Quick test_dsl_loop_phis;

@@ -5,6 +5,8 @@ module K = Darm_kernels
 
 let check = Alcotest.(check bool)
 
+(* the printer omits every type the rule derives, so the text is
+   stable only if each instruction's type reads back as it was *)
 let roundtrip_stable (f : Ssa.func) =
   let t1 = Printer.func_to_string f in
   match Parser.parse_func t1 with
@@ -12,7 +14,12 @@ let roundtrip_stable (f : Ssa.func) =
   | Ok f2 ->
       Verify.run_exn f2;
       let t2 = Printer.func_to_string f2 in
-      Alcotest.(check string) "round-trip is stable" t1 t2
+      Alcotest.(check string) "round-trip is stable" t1 t2;
+      let types g =
+        Ssa.fold_instrs g (fun acc i -> Types.to_string i.Ssa.ty :: acc) []
+      in
+      Alcotest.(check (list string)) "instruction types read back" (types f)
+        (types f2)
 
 let test_roundtrip_all_kernels () =
   List.iter

@@ -3,6 +3,9 @@
 open Darm_ir
 module T = Darm_transforms
 module D = Dsl
+module Sim = Darm_sim.Simulator
+module Memory = Darm_sim.Memory
+module Metrics = Darm_sim.Metrics
 
 let check = Alcotest.(check bool)
 
@@ -136,6 +139,73 @@ let test_if_convert_refuses_stores () =
   check "not converted" false (T.Simplify_cfg.if_convert f);
   check "cfg unchanged" true (List.length f.Ssa.blocks_list = n_blocks)
 
+(* [j]'s phi is typed ptr(flat), wider than its shared incomings
+   [%0] and [in_r]; the accesses below read through it *)
+let widening_phi ~in_r =
+  let src =
+    Printf.sprintf
+      "kernel @widen(%%a: ptr(global)) {\n\
+       entry:\n\
+      \  %%0 = alloc.shared 64\n\
+      \  %%1 = alloc.shared 64\n\
+      \  %%2 = thread.idx\n\
+      \  %%3 = and %%2, 1\n\
+      \  %%4 = icmp eq %%3, 0\n\
+      \  condbr %%4, l, r\n\
+       l:\n\
+      \  br j\n\
+       r:\n\
+      \  br j\n\
+       j:\n\
+      \  %%5 = phi ptr(flat) [%%0, l], [%s, r]\n\
+      \  %%6 = gep %%5, %%2\n\
+      \  store %%2, %%6\n\
+      \  %%7 = load i32, %%6\n\
+      \  %%8 = gep %%a, %%2\n\
+      \  store %%7, %%8\n\
+      \  ret\n\
+       }\n"
+      in_r
+  in
+  match Parser.parse_func src with
+  | Ok f -> f
+  | Error e -> Alcotest.fail e
+
+let verify_msgs f =
+  List.map (fun (e : Verify.error) -> e.Verify.msg) (Verify.run f)
+
+let test_simplify_widening_phi () =
+  (* both incomings are %0: the phi folds away and the gep, which read
+     a flat pointer, now reads %0 and is re-typed shared *)
+  let f = widening_phi ~in_r:"%0" in
+  ignore (T.Simplify_cfg.run f);
+  Alcotest.(check (list string)) "verifies" [] (verify_msgs f)
+
+let test_if_convert_widening_phi_roundtrip () =
+  (* the select over two shared allocations is typed shared, as the
+     parser reads it back, so the printed bytes simulate as the IR in
+     memory does *)
+  let f = widening_phi ~in_r:"%1" in
+  check "converted" true (T.Simplify_cfg.if_convert f);
+  Alcotest.(check (list string)) "verifies" [] (verify_msgs f);
+  let reparsed =
+    match Parser.parse_func (Printer.func_to_string f) with
+    | Ok g -> g
+    | Error e -> Alcotest.fail e
+  in
+  let simulate f =
+    let global = Memory.create ~space:Memory.Sp_global 64 in
+    let a = Memory.alloc global 64 in
+    let m =
+      Sim.run f ~args:[| a |] ~global { Sim.grid_dim = 1; block_dim = 64 }
+    in
+    (Metrics.to_string m ~warp_size:Sim.default_config.Sim.warp_size,
+     Metrics.site_stats m)
+  in
+  let in_memory = simulate f and after_parse = simulate reparsed in
+  Alcotest.(check string) "metrics" (fst after_parse) (fst in_memory);
+  check "per-site stats" true (snd in_memory = snd after_parse)
+
 let test_simplify_preserves_semantics () =
   (* random diamond program: simplify+dce must not change the output *)
   let kernel = Darm_kernels.Sb.sb1 in
@@ -231,6 +301,10 @@ let suites =
         Alcotest.test_case "if-convert diamond" `Quick test_if_convert_diamond;
         Alcotest.test_case "if-convert refuses stores" `Quick
           test_if_convert_refuses_stores;
+        Alcotest.test_case "simplify widening phi" `Quick
+          test_simplify_widening_phi;
+        Alcotest.test_case "if-convert widening phi round trip" `Quick
+          test_if_convert_widening_phi_roundtrip;
         Alcotest.test_case "simplify preserves semantics" `Quick
           test_simplify_preserves_semantics;
         Alcotest.test_case "tail merge identical diamond" `Quick
