@@ -52,22 +52,24 @@ let sync_joins (pdt : Domtree.t) (b : block) : block list =
         joins;
       !out
 
+(* One worklist along def-use edges: a value is divergent once any
+   operand is, and a divergent [condbr] marks the phis of its sync
+   joins. *)
 let compute ?pdt (f : func) : t =
   let pdt =
     match pdt with Some p -> p | None -> Domtree.compute_post f
   in
   let divergent = Hashtbl.create 64 in
-  let t = { divergent; pdt } in
-  let changed = ref true in
+  let work = Stack.create () in
   let mark i =
     if not (Hashtbl.mem divergent i.id) then begin
       Hashtbl.replace divergent i.id ();
-      changed := true
+      Stack.push i work
     end
   in
   (* The joins of a branch depend only on the CFG and the
      post-dominator tree — not on which values are divergent — so one
-     joins list per branch serves the whole fixpoint. *)
+     joins list per branch serves the whole analysis. *)
   let joins_memo : (int, block list) Hashtbl.t = Hashtbl.create 16 in
   let joins_of (b : block) : block list =
     match Hashtbl.find_opt joins_memo b.bid with
@@ -77,26 +79,16 @@ let compute ?pdt (f : func) : t =
         Hashtbl.replace joins_memo b.bid js;
         js
   in
-  (* seeds *)
   iter_instrs f (fun i -> if i.op = Op.Thread_idx then mark i);
-  while !changed do
-    changed := false;
-    (* data dependence *)
-    iter_instrs f (fun i ->
-        if (not (Hashtbl.mem divergent i.id)) && i.op <> Op.Phi then
-          if Array.exists (is_divergent_value t) i.operands then mark i);
-    (* phi data dependence *)
-    iter_instrs f (fun i ->
-        if i.op = Op.Phi && not (Hashtbl.mem divergent i.id) then
-          if Array.exists (is_divergent_value t) i.operands then mark i);
-    (* sync dependence *)
-    List.iter
-      (fun b ->
-        if is_divergent_branch t b then
-          List.iter (fun join -> List.iter mark (phis join)) (joins_of b))
-      f.blocks_list
+  while not (Stack.is_empty work) do
+    let i = Stack.pop work in
+    (match i.op, i.parent with
+    | Op.Condbr, Some b when terminator b == i ->
+        List.iter (fun join -> List.iter mark (phis join)) (joins_of b)
+    | _ -> ());
+    List.iter mark (users i)
   done;
-  t
+  { divergent; pdt }
 
 (** The post-dominator tree the analysis was computed over (shared with
     callers that would otherwise recompute it). *)

@@ -24,8 +24,11 @@ open Darm_ir
 
 type t
 
-(** [compute ?pdt f] runs the analysis; [pdt] (when supplied) must be
-    the current post-dominator tree of [f] and saves recomputing it. *)
+(** [compute ?pdt f] runs the analysis as one worklist along def-use
+    edges ({!Darm_ir.Ssa.users}), from the [thread.idx] instructions: a
+    divergent [condbr] marks the phis of its sync joins, which are
+    found once per branch.  [pdt] (when supplied) must be the current
+    post-dominator tree of [f] and saves recomputing it. *)
 val compute : ?pdt:Domtree.t -> Ssa.func -> t
 
 (** The post-dominator tree the analysis was computed over. *)

@@ -431,28 +431,21 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
         (phis dest))
     env.exit_fixups;
   (* -------- pass 3: replace external uses of the original values ----- *)
-  let melded_ids = Hashtbl.create 64 in
+  (* the originals' own uses are about to be deleted *)
+  let in_doomed (u : instr) =
+    match u.parent with
+    | Some b -> Region.in_subgraph s_t b || Region.in_subgraph s_f b
+    | None -> false
+  in
   List.iter
     (fun (bt, bf, _) ->
-      List.iter (fun i -> Hashtbl.replace melded_ids i.id ()) bt.instrs;
-      List.iter (fun i -> Hashtbl.replace melded_ids i.id ()) bf.instrs)
+      List.iter
+        (fun o ->
+          match lookup env (Instr o) with
+          | Instr m when m == o -> ()
+          | v -> replace_uses o v ~where:(fun u _ -> not (in_doomed u)))
+        (bt.instrs @ bf.instrs))
     melded_blocks;
-  iter_instrs fn (fun user ->
-      (* skip instructions that are about to be deleted *)
-      let in_doomed =
-        match user.parent with
-        | Some b ->
-            Region.in_subgraph s_t b || Region.in_subgraph s_f b
-        | None -> false
-      in
-      if not in_doomed then
-        set_operands user
-          (Array.map
-             (fun v ->
-               match v with
-               | Instr d when Hashtbl.mem melded_ids d.id -> lookup env v
-               | _ -> v)
-             user.operands));
   (* -------- pass 4: rewire entries and delete the originals -------- *)
   let m0 = match env.melded_entry with Some b -> b | None -> assert false in
   redirect_edge pre_t ~old_dest:s_t.sg_entry ~new_dest:m0;
@@ -460,32 +453,6 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
   List.iter (remove_block fn) (Region.subgraph_block_list s_t);
   List.iter (remove_block fn) (Region.subgraph_block_list s_f);
   (* -------- pass 5: unpredication -------- *)
-  (* The users of every instruction, indexed by one function scan on
-     first need instead of one scan per moved instruction.  Splits keep
-     it exact for every value still to be queried: a split only adds
-     tail phis over its run's own values and rewrites uses of those
-     values, and each value's run moves once.  Users move between
-     blocks, so [escaping] reads their current parents. *)
-  let users_index =
-    lazy
-      (let idx : (int, instr list) Hashtbl.t = Hashtbl.create 256 in
-       iter_instrs fn (fun u ->
-           Array.iter
-             (function
-               | Instr d -> (
-                   match Hashtbl.find_opt idx d.id with
-                   | Some (u' :: _) when u' == u -> ()
-                   | Some l -> Hashtbl.replace idx d.id (u :: l)
-                   | None -> Hashtbl.replace idx d.id [ u ])
-               | _ -> ())
-             u.operands);
-       idx)
-  in
-  let users_of (r : instr) : instr list =
-    match Hashtbl.find_opt (Lazy.force users_index) r.id with
-    | Some l -> List.rev l
-    | None -> []
-  in
   let unpredicate_block (m : block) =
     (* repeatedly extract the first run that must move *)
     let continue_ = ref true in
@@ -570,45 +537,24 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
         let gterm = mk_instr Op.Br [||] [| tail |] Types.Void in
         append_instr guard gterm;
         Hashtbl.replace env.provenance gterm.id Melded;
-        (* values escaping the guard get a phi in tail *)
+        (* values escaping the guard get a phi in tail, which takes
+           over every use outside the guard but the guard's own edge *)
+        let outside u =
+          match u.parent with Some pb -> pb.bid <> guard.bid | None -> false
+        in
         List.iter
           (fun r ->
-            if not (Types.equal r.ty Types.Void) then begin
-              let escaping =
-                List.filter
-                  (fun u ->
-                    match u.parent with
-                    | Some pb -> pb.bid <> guard.bid
-                    | None -> false)
-                  (users_of r)
-              in
-              if escaping <> [] then begin
-                let phi = mk_instr Op.Phi [||] [||] r.ty in
-                prepend_instr tail phi;
-                Hashtbl.replace env.provenance phi.id Melded;
-                set_phi_incoming phi
-                  [ (Instr r, guard); (Undef r.ty, blk) ];
-                List.iter
-                  (fun u ->
-                    if u.op = Op.Phi then begin
-                      let updated =
-                        List.map
-                          (fun (v, src) ->
-                            if value_equal v (Instr r) && src.bid <> guard.bid
-                            then (Instr phi, src)
-                            else (v, src))
-                          (phi_incoming u)
-                      in
-                      set_phi_incoming u updated
-                    end
-                    else
-                      set_operands u
-                        (Array.map
-                           (fun v ->
-                             if value_equal v (Instr r) then Instr phi else v)
-                           u.operands))
-                  escaping
-              end
+            if
+              (not (Types.equal r.ty Types.Void))
+              && List.exists outside (users r)
+            then begin
+              let phi = mk_instr Op.Phi [||] [||] r.ty in
+              prepend_instr tail phi;
+              Hashtbl.replace env.provenance phi.id Melded;
+              set_phi_incoming phi [ (Instr r, guard); (Undef r.ty, blk) ];
+              replace_uses r (Instr phi) ~where:(fun u k ->
+                  outside u
+                  && (u.op <> Op.Phi || u.blocks.(k).bid <> guard.bid))
             end)
           run_instrs;
         env.stats.unpredicated_runs <- env.stats.unpredicated_runs + 1;

@@ -43,9 +43,9 @@ let edits (f : Ssa.func) : (unit -> bool) list =
     match zero_of_ty i.Ssa.ty with
     | None -> false
     | Some z ->
-        if Ssa.users f (Ssa.Instr i) = [] then false
+        if Ssa.users i = [] then false
         else begin
-          Ssa.replace_all_uses f ~old_v:(Ssa.Instr i) ~new_v:z;
+          Ssa.replace_all_uses i z;
           true
         end
   in

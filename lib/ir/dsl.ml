@@ -27,10 +27,8 @@ type ctx = {
       (** block id -> phis awaiting operands *)
   forward : (int, value) Hashtbl.t;
       (** removed trivial phi id -> its replacement, which may itself
-          have been removed since *)
-  phi_users : (int, instr list) Hashtbl.t;
-      (** phi id -> phis with an operand that resolves to it; may hold
-          removed phis and duplicates, which readers skip *)
+          have been removed since; [current_def] and the kernel body
+          may still hold a removed phi *)
   mutable var_count : int;
 }
 
@@ -40,10 +38,10 @@ type ctx = {
    Linear in the size of the kernel: a block's predecessors come from
    the index [Ssa] keeps as branches are emitted (highest layout
    position first, which is highest block id first here), and a removed
-   trivial phi is forwarded to its replacement instead of being
-   rewritten out of the whole function.  Reads of [current_def] and phi
-   operands resolve through the forwarding table; one sweep at the end
-   rewrites every operand. *)
+   trivial phi's uses are rewritten through its use list.  A value read
+   before the removal may still name the phi, so reads of [current_def]
+   and the operands of each new instruction resolve through the
+   forwarding table. *)
 
 let rec resolve ctx (v : value) : value =
   match v with
@@ -55,6 +53,15 @@ let rec resolve ctx (v : value) : value =
           if r' != r then Hashtbl.replace ctx.forward i.id r';
           r')
   | _ -> v
+
+let rec live ctx (operands : value array) k =
+  k >= Array.length operands
+  || (resolve ctx operands.(k) == operands.(k) && live ctx operands (k + 1))
+
+(* The operands of a new instruction, each resolved; the array itself
+   when none names a removed phi, which is the common case. *)
+let resolve_all ctx (operands : value array) : value array =
+  if live ctx operands 0 then operands else Array.map (resolve ctx) operands
 
 let write_variable ctx (v : var) (b : block) (value : value) =
   Hashtbl.replace ctx.current_def (v.vid, b.bid) value
@@ -68,29 +75,6 @@ let new_phi (v : var) (b : block) : instr =
 let remove_phi (phi : instr) =
   Option.iter (fun b -> remove_instr b phi) phi.parent
 
-let add_user ctx ~(user : instr) (v : value) =
-  match v with
-  | Instr p when p.op = Op.Phi ->
-      let us = try Hashtbl.find ctx.phi_users p.id with Not_found -> [] in
-      Hashtbl.replace ctx.phi_users p.id (user :: us)
-  | _ -> ()
-
-let add_incoming ctx (phi : instr) (v : value) (pred : block) =
-  let v = resolve ctx v in
-  phi_add_incoming phi v pred;
-  add_user ctx ~user:phi v
-
-(* The phis still in the function that use [phi], in function order:
-   block position (ascending id), then position among the block's phis
-   (ascending id, since each new phi goes after the others). *)
-let live_users ctx (phi : instr) : instr list =
-  let us = try Hashtbl.find ctx.phi_users phi.id with Not_found -> [] in
-  List.filter (fun u -> u.id <> phi.id && u.parent <> None) us
-  |> List.sort_uniq (fun a b ->
-         match a.parent, b.parent with
-         | Some x, Some y when x.bid <> y.bid -> compare x.bid y.bid
-         | _ -> compare a.id b.id)
-
 (* Remove phi if all its operands are the same value (or itself). *)
 let rec try_remove_trivial_phi ctx (phi : instr) : value =
   if Hashtbl.mem ctx.forward phi.id then resolve ctx (Instr phi)
@@ -99,7 +83,7 @@ let rec try_remove_trivial_phi ctx (phi : instr) : value =
     let trivial = ref true in
     Array.iter
       (fun op ->
-        match resolve ctx op with
+        match op with
         | Instr i when i.id = phi.id -> ()
         | v -> (
             match !same with
@@ -112,11 +96,12 @@ let rec try_remove_trivial_phi ctx (phi : instr) : value =
         match !same with Some v -> v | None -> Undef phi.ty
       in
       (* Users that are phis may become trivial in turn. *)
-      let user_phis = live_users ctx phi in
+      let user_phis =
+        List.filter (fun u -> u != phi && u.op = Op.Phi) (users phi)
+      in
       Hashtbl.replace ctx.forward phi.id replacement;
+      replace_all_uses phi replacement;
       remove_phi phi;
-      List.iter (fun u -> add_user ctx ~user:u replacement) user_phis;
-      Hashtbl.remove ctx.phi_users phi.id;
       List.iter (fun u -> ignore (try_remove_trivial_phi ctx u)) user_phis;
       resolve ctx replacement
     end
@@ -149,9 +134,7 @@ and read_variable_recursive ctx (v : var) (b : block) : value =
 
 and add_phi_operands ctx (v : var) (phi : instr) : value =
   let b = match phi.parent with Some b -> b | None -> assert false in
-  List.iter
-    (fun p -> add_incoming ctx phi (read_variable ctx v p) p)
-    (preds b);
+  List.iter (fun p -> phi_add_incoming phi (read_variable ctx v p) p) (preds b);
   try_remove_trivial_phi ctx phi
 
 let seal_block ctx (b : block) =
@@ -163,16 +146,6 @@ let seal_block ctx (b : block) =
     Hashtbl.remove ctx.incomplete b.bid;
     List.iter (fun (v, phi) -> ignore (add_phi_operands ctx v phi)) pending
   end
-
-(* Point every operand at the live value its removed phi forwards to. *)
-let resolve_operands ctx =
-  if Hashtbl.length ctx.forward > 0 then
-    iter_instrs ctx.func (fun i ->
-        Array.iteri
-          (fun k op ->
-            let r = resolve ctx op in
-            if r != op then set_operand i k r)
-          i.operands)
 
 (* ------------------------------------------------------------------ *)
 (* Cursor helpers *)
@@ -187,7 +160,8 @@ let move_to ctx (b : block) =
 
 let condbr ctx (cond : value) (then_b : block) (else_b : block) =
   ignore
-    (Builder.ins (at ctx) ~targets:[| then_b; else_b |] Op.Condbr [| cond |]);
+    (Builder.ins (at ctx) ~targets:[| then_b; else_b |] Op.Condbr
+       (resolve_all ctx [| cond |]));
   ctx.terminated <- true
 
 let terminate_with_br ctx (dest : block) =
@@ -219,7 +193,8 @@ let get ctx (v : var) : value = read_variable ctx v ctx.cur
 let i32 = Builder.i32
 let i1 = Builder.i1
 let f32 = Builder.f32
-let ins ctx ?ty op operands = Builder.ins (at ctx) ?ty op operands
+let ins ctx ?ty op operands =
+  Builder.ins (at ctx) ?ty op (resolve_all ctx operands)
 let ibin op ctx a b = ins ctx (Op.Ibin op) [| a; b |]
 let fbin op ctx a b = ins ctx (Op.Fbin op) [| a; b |]
 let add = ibin Op.Add
@@ -365,7 +340,6 @@ let build_kernel ~(name : string) ~(params : (string * Types.ty) list)
       current_def = Hashtbl.create 64;
       incomplete = Hashtbl.create 16;
       forward = Hashtbl.create 16;
-      phi_users = Hashtbl.create 16;
       var_count = 0;
     }
   in
@@ -375,6 +349,5 @@ let build_kernel ~(name : string) ~(params : (string * Types.ty) list)
     ignore (ins ctx Op.Ret [||]);
     ctx.terminated <- true
   end;
-  resolve_operands ctx;
   Verify.run_exn f;
   f

@@ -21,7 +21,10 @@ and instr = {
           [br]: the destination; [condbr]: [| then; else |] *)
   mutable ty : Types.ty;
   mutable parent : block option;
+  mutable uses : use list;  (** operand slots naming it, attached or not *)
 }
+
+and use = { user : instr; slot : int }
 
 and block = {
   bid : int;
@@ -75,8 +78,42 @@ let unlink (t : instr) =
     (fun b -> b.targeted_by <- List.filter (fun x -> x != t) b.targeted_by)
     t.blocks
 
+(* Index operand slot [k] of [u], which holds [v], under the
+   instruction [v] names; other values have no use list. *)
+let add_use (v : value) (u : instr) (k : int) =
+  match v with Instr d -> d.uses <- { user = u; slot = k } :: d.uses | _ -> ()
+
+let remove_use (v : value) (u : instr) (k : int) =
+  let rec drop = function
+    | [] -> []
+    | x :: tl -> if x.user == u && x.slot = k then tl else x :: drop tl
+  in
+  match v with Instr d -> d.uses <- drop d.uses | _ -> ()
+
+(* A slot keeps its entry when it names the same instruction as
+   before; passes rewrite whole operand arrays in which most slots
+   stay, so only the others move between use lists. *)
+let stays (old : value) (v : value) =
+  match old, v with Instr x, Instr y -> x == y | _ -> false
+
+let relink (u : instr) (ops : value array) =
+  let old = u.operands in
+  let n = min (Array.length old) (Array.length ops) in
+  for k = 0 to Array.length old - 1 do
+    if k >= n || not (stays old.(k) ops.(k)) then remove_use old.(k) u k
+  done;
+  u.operands <- ops;
+  for k = 0 to Array.length ops - 1 do
+    if k >= n || not (stays old.(k) ops.(k)) then add_use ops.(k) u k
+  done
+
 let mk_instr op operands blocks ty =
-  let i = { id = fresh_id (); op; operands; blocks; ty; parent = None } in
+  let i =
+    { id = fresh_id (); op; operands; blocks; ty; parent = None; uses = [] }
+  in
+  for k = 0 to Array.length operands - 1 do
+    add_use operands.(k) i k
+  done;
   if op <> Op.Phi then link i;
   i
 
@@ -257,7 +294,7 @@ let retarget (t : instr) (targets : block array) =
 
 let fold_to_br (t : instr) (dest : block) =
   t.op <- Op.Br;
-  t.operands <- [||];
+  relink t [||];
   retarget t [| dest |]
 
 (** Replace every control-flow edge [src -> old_dest] with
@@ -278,13 +315,13 @@ let phi_incoming (i : instr) : (value * block) list =
 
 let set_phi_incoming (i : instr) (pairs : (value * block) list) =
   assert (i.op = Op.Phi);
-  i.operands <- Array.of_list (List.map fst pairs);
+  relink i (Array.of_list (List.map fst pairs));
   i.blocks <- Array.of_list (List.map snd pairs);
   bump_instr i
 
 let phi_add_incoming (i : instr) (v : value) (pred : block) =
   assert (i.op = Op.Phi);
-  i.operands <- Array.append i.operands [| v |];
+  relink i (Array.append i.operands [| v |]);
   i.blocks <- Array.append i.blocks [| pred |];
   bump_instr i
 
@@ -339,14 +376,23 @@ let result_ty (op : Op.t) (operands : value array) : Types.ty option =
       | Types.I1 | Types.I32 | Types.F32 | Types.Void -> None)
   | Op.Select | Op.Gep | Op.Phi | Op.Load -> None
 
-(** All instructions in [f] that use [v] as an operand. *)
-let users (f : func) (v : value) : instr list =
-  fold_instrs f
-    (fun acc i ->
-      if Array.exists (fun o -> value_equal o v) i.operands then i :: acc
-      else acc)
-    []
-  |> List.rev
+let in_function (i : instr) =
+  match i.parent with Some { bparent = Some _; _ } -> true | _ -> false
+
+(* A user counts once, at the first slot that names [d]. *)
+let first_slot (d : instr) (u : use) =
+  let rec earlier k =
+    k < u.slot
+    && ((match u.user.operands.(k) with Instr x -> x == d | _ -> false)
+       || earlier (k + 1))
+  in
+  not (earlier 0)
+
+let users (d : instr) : instr list =
+  List.filter_map
+    (fun u ->
+      if in_function u.user && first_slot d u then Some u.user else None)
+    d.uses
 
 (* Give [i] the type the rule derives; true when that changed it. *)
 let rederive (i : instr) : bool =
@@ -358,30 +404,30 @@ let rederive (i : instr) : bool =
 
 (* The types of [retyped] changed: re-derive their users' types, and
    the users' of each one whose type changes in turn. *)
-let rec retype_users (f : func) (retyped : instr list) =
+let rec retype_users (retyped : instr list) =
   match retyped with
   | [] -> ()
   | i :: rest ->
-      let changed = List.filter rederive (users f (Instr i)) in
-      if changed <> [] then bump_func f;
-      retype_users f (changed @ rest)
-
-let retype_users_of (i : instr) =
-  match i.parent with
-  | Some { bparent = Some f; _ } -> retype_users f [ i ]
-  | Some { bparent = None; _ } | None -> ()
+      let changed = List.filter rederive (users i) in
+      List.iter bump_instr changed;
+      retype_users (changed @ rest)
 
 (* [i]'s operands were edited *)
 let operands_edited (i : instr) =
   bump_instr i;
-  if rederive i then retype_users_of i
+  if rederive i then retype_users [ i ]
 
 let set_operands (i : instr) (operands : value array) =
-  i.operands <- operands;
+  relink i operands;
   operands_edited i
 
 let set_operand (i : instr) (k : int) (v : value) =
+  let old = i.operands.(k) in
   i.operands.(k) <- v;
+  if not (stays old v) then begin
+    remove_use old i k;
+    add_use v i k
+  end;
   operands_edited i
 
 let set_ty (i : instr) (t : Types.ty) =
@@ -391,19 +437,21 @@ let set_ty (i : instr) (t : Types.ty) =
   if not (Types.equal i.ty t) then begin
     i.ty <- t;
     bump_instr i;
-    retype_users_of i
+    retype_users [ i ]
   end
 
-(** Replace every use of [old_v] as an operand anywhere in [f] by
-    [new_v]. *)
-let replace_all_uses (f : func) ~(old_v : value) ~(new_v : value) =
-  let is_old v = value_equal v old_v in
-  let retyped = ref [] in
-  iter_instrs f (fun i ->
-      if Array.exists is_old i.operands then begin
-        i.operands <-
-          Array.map (fun v -> if is_old v then new_v else v) i.operands;
-        if rederive i then retyped := i :: !retyped
-      end);
-  bump_func f;
-  retype_users f (List.rev !retyped)
+let replace_uses (d : instr) (v : value) ~(where : instr -> int -> bool) =
+  let moved, kept =
+    List.partition (fun u -> in_function u.user && where u.user u.slot) d.uses
+  in
+  d.uses <- kept;
+  List.rev moved
+  |> List.filter_map (fun { user; slot } ->
+         user.operands.(slot) <- v;
+         add_use v user slot;
+         bump_instr user;
+         if rederive user then Some user else None)
+  |> retype_users
+
+let replace_all_uses (d : instr) (v : value) =
+  replace_uses d v ~where:(fun _ _ -> true)

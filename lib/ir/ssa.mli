@@ -12,19 +12,26 @@
     As in LLVM, where a block's predecessors are the terminators in its
     use list, each block indexes the terminators that target it
     ([targeted_by]), so {!preds} costs what the block's in-edges cost
-    and no pass rebuilds a table.
+    and no pass rebuilds a table.  Def-use edges are kept the same way:
+    each instruction lists the operand slots that name it ([uses], one
+    entry per slot), so {!users} and {!replace_all_uses} cost what the
+    value's uses cost.  The mutators below move only the slots whose
+    value changes.  As with [targeted_by], a detached user stays listed
+    (it may come back) and the readers count only users that sit in a
+    function.
 
     This module is the one writer of every IR field an analysis reads:
-    a block's [instrs], an instruction's [op], [operands] (whole array
-    or one element), [blocks], [parent] and [ty], and a function's
-    [blocks_list].  Every mutator here that edits a block or
-    instruction sitting in a function bumps that function's
-    [edit_count], so a result computed at one count is current for as
-    long as the count stays the same ({!Darm_analysis.Manager} keys its
-    cache on it).  Code elsewhere that assigned one of these fields
-    would leave the predecessor index stale, which {!Verify} reports,
-    or a cached analysis stale, which nothing would; [scripts/ci.sh]
-    rejects such an assignment.
+    a block's [instrs] and [targeted_by], an instruction's [op],
+    [operands] (whole array or one element), [blocks], [parent], [ty]
+    and [uses], and a function's [blocks_list].  Every mutator here
+    that edits a block or instruction sitting in a function bumps that
+    function's [edit_count], so a result computed at one count is
+    current for as long as the count stays the same
+    ({!Darm_analysis.Manager} keys its cache on it).  Code elsewhere
+    that assigned one of these fields would leave the predecessor index
+    or a use list stale, which {!Verify} reports, or a cached analysis
+    stale, which nothing would; [scripts/ci.sh] rejects such an
+    assignment.
 
     Invariants (checked by {!Verify}):
     - every instruction but a [phi] or a [load] has the type
@@ -32,6 +39,9 @@
     - every reachable block ends in exactly one terminator, which is its
       last instruction;
     - {!preds} agrees, in order, with a rebuild from the terminators;
+    - each instruction's [uses] lists every operand slot of the
+      function that names it, once, and no slot that names another
+      value;
     - [phi] nodes appear only as a prefix of a block and have exactly
       one incoming entry per CFG predecessor;
     - every instruction operand is defined by an instruction that
@@ -59,7 +69,13 @@ and instr = {
       (** {!result_ty} of [op] and [operands], or stated for a [phi] or
           a [load]; written only by this module *)
   mutable parent : block option;
+  mutable uses : use list;
+      (** the operand slots that name this instruction, attached or
+          not, one entry per slot; written only by this module *)
 }
+
+(** Slot [slot] of [user]'s operands. *)
+and use = { user : instr; slot : int }
 
 and block = {
   bid : int;
@@ -204,9 +220,9 @@ val phi_remove_incoming : block -> pred:block -> unit
     Every instruction but a [phi] or a [load] has the type
     {!result_ty} derives from its opcode and operands; the printer
     omits it and the parser derives it back, so the mutators below
-    keep it current.  An edit that changes an instruction's type
-    re-derives its users' types too, through {!users}, for as long as
-    types keep changing. *)
+    keep it current, and keep the use lists exact.  An edit that
+    changes an instruction's type re-derives its users' types too,
+    through {!users}, for as long as types keep changing. *)
 
 (** The one type rule: [result_ty op operands] is the result type of
     [op] over [operands] — [i32] for integer arithmetic, the thread and
@@ -233,11 +249,18 @@ val set_operand : instr -> int -> value -> unit
     types when it changes. *)
 val set_ty : instr -> Types.ty -> unit
 
-(** {2 Use replacement} *)
+(** {2 Def-use} *)
 
-(** Replace every use of [old_v] as an operand anywhere in the function
-    by [new_v], re-deriving the type of each instruction edited. *)
-val replace_all_uses : func -> old_v:value -> new_v:value -> unit
+(** [replace_uses d v ~where] makes each operand slot [k] of a user
+    [u] that names [d] name [v] instead, where [u] sits in a function
+    and [where u k] holds, re-deriving the type of each instruction
+    edited.  Costs what [d]'s use list costs. *)
+val replace_uses : instr -> value -> where:(instr -> int -> bool) -> unit
 
-(** All instructions in the function that use [v] as an operand. *)
-val users : func -> value -> instr list
+(** [replace_uses] in every slot. *)
+val replace_all_uses : instr -> value -> unit
+
+(** The instructions sitting in a function that use [d] as an operand,
+    each once, read from [d]'s use list.  Their order is not part of
+    the contract. *)
+val users : instr -> instr list

@@ -4,7 +4,8 @@
     function can be printed, parsed back, simulated, and further
     transformed.  The predecessor sets come from a private rebuild over
     the terminators, independent of the index {!Ssa.preds} reads, and
-    the index is checked against it.  The dominator tree comes from
+    the index is checked against it, as the use lists are against the
+    operands.  The dominator tree comes from
     {!Dom} (the Cooper–Harvey–Kennedy core shared with the analyses), so
     each def-use dominance query is O(1). *)
 
@@ -117,6 +118,7 @@ let check_instr err (op : Op.t) (ops : value array) (targets : block array)
       arity err op ops 1;
       expect_ptr err op ops 0
   | Op.Phi ->
+      if Array.length ops = 0 then report err op "no incoming values";
       for k = 0 to Array.length ops - 1 do
         check_incoming err ty ops.(k)
       done);
@@ -150,6 +152,37 @@ let predecessors (f : func) : block -> block list =
     f.blocks_list;
   preds_of
 
+(* The use lists against the operands of the instructions in [f]:
+   every entry names a slot that holds its instruction, and the entries
+   from instructions in [f] are as many as the slots in [f] that name
+   an instruction of [f].  It costs no lookup, so a list that drops
+   one slot and lists another twice passes. *)
+let check_uses err (f : func) =
+  let in_f (i : instr) =
+    match i.parent with Some { bparent = Some g; _ } -> g == f | _ -> false
+  in
+  let entries = ref 0 and slots = ref 0 in
+  iter_instrs f (fun d ->
+      let rec walk = function
+        | [] -> ()
+        | { user = u; slot = k } :: tl ->
+            (if
+               k >= Array.length u.operands
+               || match u.operands.(k) with Instr x -> x != d | _ -> true
+             then
+               err
+                 (errf "stale use list of %s: it lists operand %d of %s"
+                    (site d) k (site u))
+             else if in_f u then incr entries);
+            walk tl
+      in
+      walk d.uses;
+      for k = 0 to Array.length d.operands - 1 do
+        match d.operands.(k) with Instr x when in_f x -> incr slots | _ -> ()
+      done);
+  if !entries <> !slots then
+    err (errf "stale use lists: %d operand slots, %d listed" !slots !entries)
+
 (** [run f] returns the list of well-formedness violations in [f];
     an empty list means the function verifies. *)
 let run (f : func) : error list =
@@ -163,6 +196,7 @@ let run (f : func) : error list =
     let preds_of = predecessors f in
     let listed = Hashtbl.create 64 in
     List.iter (fun b -> Hashtbl.replace listed b.bid ()) f.blocks_list;
+
     (* Structural checks *)
     List.iter
       (fun b ->
@@ -212,6 +246,7 @@ let run (f : func) : error list =
                   give [%s]"
                  b.bname (names got) (names want)))
         f.blocks_list;
+    if !errors = [] then check_uses err f;
     if !errors <> [] then List.rev !errors
     else begin
       (* Dominance over the blocks reachable from the entry.  Every

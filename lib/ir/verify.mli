@@ -3,7 +3,9 @@
     Run after every transformation in the test suites; a passing
     verifier means the function can be printed, parsed back, simulated
     and further transformed.  Checks: block/terminator structure, branch
-    targets inside the function's block list, phi incoming lists
+    targets inside the function's block list, the predecessor index
+    against the terminators and the use lists against the operands
+    ({!Ssa.preds}, {!Ssa.users}), phi incoming lists
     matching the predecessor sets, each instruction's types
     ({!check_instr}), and def-use dominance (including per-edge
     dominance for phi operands) over the blocks reachable from the
@@ -17,8 +19,9 @@ type error = { msg : string }
     targets [targets] and type [ty] breaks: its arity, its operand
     types, and its type, which must be exactly
     {!Ssa.result_ty}[ op operands] where the rule derives one; a [load]
-    must state a scalar, and a [phi]'s incomings must fit its stated
-    type without narrowing a pointer into a concrete space; a [br] has
+    must state a scalar, and a [phi] needs at least one incoming, each
+    fitting its stated type without narrowing a pointer into a concrete
+    space; a [br] has
     one target, a [condbr] two, any other non-phi none.  It allocates
     nothing unless it reports.  {!run} applies it to every
     instruction; {!Builder} to each one before building it. *)

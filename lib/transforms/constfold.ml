@@ -3,26 +3,19 @@
 open Darm_ir
 open Darm_ir.Ssa
 
-(* both the folder and the simulator evaluate integer arithmetic
-   through Darm_ir.I32, so folding a computation can never change what
-   the machine would have computed *)
-let fold_ibin (op : Op.ibinop) (x : int) (y : int) : int option =
-  I32.eval op x y
-
-let fold_icmp (p : Op.icmp_pred) (x : int) (y : int) : bool =
-  I32.compare_i32 p x y
-
-(** Try to fold [i] to a constant value. *)
+(** Try to fold [i] to a constant value.  Integer arithmetic goes
+    through {!I32}, as the simulator's does, so folding a computation
+    can never change what the machine would have computed. *)
 let fold_instr (i : instr) : value option =
   match i.op, Array.to_list i.operands with
   | Op.Ibin op, [ Int x; Int y ] ->
-      Option.map (fun v -> Int v) (fold_ibin op x y)
+      Option.map (fun v -> Int v) (I32.eval op x y)
   (* algebraic identities *)
   | Op.Ibin Op.Add, [ v; Int 0 ] | Op.Ibin Op.Add, [ Int 0; v ] -> Some v
   | Op.Ibin Op.Sub, [ v; Int 0 ] -> Some v
   | Op.Ibin Op.Mul, [ v; Int 1 ] | Op.Ibin Op.Mul, [ Int 1; v ] -> Some v
   | Op.Ibin Op.Mul, [ _; Int 0 ] | Op.Ibin Op.Mul, [ Int 0; _ ] -> Some (Int 0)
-  | Op.Icmp p, [ Int x; Int y ] -> Some (Bool (fold_icmp p x y))
+  | Op.Icmp p, [ Int x; Int y ] -> Some (Bool (I32.compare_i32 p x y))
   | Op.Not, [ Bool b ] -> Some (Bool (not b))
   | Op.Select, [ Bool true; tv; _ ] -> Some tv
   | Op.Select, [ Bool false; _; fv ] -> Some fv
@@ -39,7 +32,7 @@ let run (f : func) : bool =
     iter_instrs f (fun i ->
         match fold_instr i with
         | Some v ->
-            replace_all_uses f ~old_v:(Instr i) ~new_v:v;
+            replace_all_uses i v;
             (match i.parent with Some b -> remove_instr b i | None -> ());
             progress := true;
             changed := true

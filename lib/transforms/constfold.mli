@@ -3,10 +3,9 @@
 
 open Darm_ir
 
-val fold_ibin : Op.ibinop -> int -> int -> int option
-val fold_icmp : Op.icmp_pred -> int -> int -> bool
-
-(** Try to fold one instruction to a constant value. *)
+(** Try to fold one instruction to a constant value.  {!run} applies
+    it; the transforms suite's constfold cases and the i32 suite's
+    constfold properties call it on one instruction. *)
 val fold_instr : Ssa.instr -> Ssa.value option
 
 (** Fold everything foldable to a fixpoint; returns [true] if anything

@@ -1,41 +1,27 @@
-(** Dead-code elimination: removes instructions without side effects whose
-    results are unused, iterating until a fixpoint. *)
+(** Dead-code elimination: removes instructions without side effects
+    whose results are unused, then the operands each removal left
+    unused, off a worklist. *)
 
 open Darm_ir
 open Darm_ir.Ssa
 
 let run (f : func) : bool =
   let changed = ref false in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    (* one pass: count uses, then sweep *)
-    let use_count = Hashtbl.create 64 in
-    iter_instrs f (fun i ->
-        Array.iter
-          (fun v ->
-            match v with
-            | Instr d ->
-                Hashtbl.replace use_count d.id
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt use_count d.id))
-            | Int _ | Bool _ | Float _ | Undef _ | Param _ -> ())
-          i.operands);
-    List.iter
-      (fun b ->
-        let dead =
-          List.filter
-            (fun i ->
-              (not (Op.has_side_effect i.op))
-              && (not (Op.is_terminator i.op))
-              && Option.value ~default:0 (Hashtbl.find_opt use_count i.id) = 0)
-            b.instrs
-        in
-        List.iter
-          (fun i ->
-            remove_instr b i;
-            progress := true;
-            changed := true)
-          dead)
-      f.blocks_list
+  let work = Stack.create () in
+  let try_remove (i : instr) =
+    match i.parent with
+    | Some b
+      when b.bparent <> None
+           && (not (Op.has_side_effect i.op))
+           && (not (Op.is_terminator i.op))
+           && users i = [] ->
+        remove_instr b i;
+        changed := true;
+        Array.iter (function Instr d -> Stack.push d work | _ -> ()) i.operands
+    | Some _ | None -> ()
+  in
+  iter_instrs f try_remove;
+  while not (Stack.is_empty work) do
+    try_remove (Stack.pop work)
   done;
   !changed

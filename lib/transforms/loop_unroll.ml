@@ -285,23 +285,22 @@ let unroll (f : func) (cl : counted_loop) : unit =
   append_instr epi (mk_instr Op.Br [||] [| cl.cl_exit |] Types.Void);
   redirect_edge !prev_tail ~old_dest:header ~new_dest:epi;
   (* external uses of loop values can only reference header-defined
-     values (nothing else dominates the exit); map them to the epilogue *)
+     values (nothing else dominates the exit); map the users of each
+     one outside the loop to the epilogue *)
   let in_loop_block i =
     match i.parent with Some b -> Loops.in_loop l b | None -> false
   in
   let in_epilogue i =
     match i.parent with Some b -> b == epi | None -> false
   in
-  iter_instrs f (fun u ->
-      if not (in_loop_block u || in_epilogue u) then
-        set_operands u
-          (Array.map
-             (fun v ->
-               match v with
-               | Instr d when in_loop_block d ->
-                   Option.value ~default:v (Hashtbl.find_opt evmap d.id)
-               | _ -> v)
-             u.operands));
+  List.iter
+    (fun d ->
+      Option.iter
+        (fun v ->
+          replace_uses d v ~where:(fun u _ ->
+              not (in_loop_block u || in_epilogue u)))
+        (Hashtbl.find_opt evmap d.id))
+    header.instrs;
   phi_replace_incoming_block cl.cl_exit ~old_pred:header ~new_pred:epi;
   (* drop the original loop *)
   List.iter (fun b -> remove_block f b) (Loops.blocks_of l)

@@ -8,16 +8,6 @@
     block and whose induction variable has constant init/step/bound. *)
 
 open Darm_ir
-module Loops = Darm_analysis.Loops
-
-type counted_loop
-
-(** Match the unrollable shape and evaluate the trip count
-    ([<= max_trip]). *)
-val analyze : Loops.loop -> max_trip:int -> counted_loop option
-
-(** Fully unroll; the original loop blocks are removed. *)
-val unroll : Ssa.func -> counted_loop -> unit
 
 (** Fully unroll every simple counted loop with trip count at most
     [max_trip], repeating until none qualify (nested counted loops

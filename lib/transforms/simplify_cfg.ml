@@ -25,7 +25,7 @@ let remove_trivial_phis (f : func) : bool =
           in
           match all_same with
           | Some v ->
-              replace_all_uses f ~old_v:(Instr i) ~new_v:v;
+              replace_all_uses i v;
               (match i.parent with
               | Some b -> remove_instr b i
               | None -> ());
@@ -103,7 +103,7 @@ let merge_into_predecessor (f : func) : bool =
                 | _ -> Instr phi (* shouldn't happen; leave as-is *)
               in
               if not (value_equal v (Instr phi)) then begin
-                replace_all_uses f ~old_v:(Instr phi) ~new_v:v;
+                replace_all_uses phi v;
                 remove_instr b phi
               end)
             (phis b);

@@ -70,7 +70,7 @@ let merge_pair (f : func) (b1 : block) (b2 : block) (dest : block)
     (fun (i1, i2) ->
       remove_instr b1 i1;
       append_instr m i1;
-      replace_all_uses f ~old_v:(Instr i2) ~new_v:(Instr i1);
+      replace_all_uses i2 (Instr i1);
       remove_instr b2 i2)
     suffix;
   let jump = mk_instr Op.Br [||] [| dest |] Types.Void in
@@ -102,9 +102,10 @@ let merge_pair (f : func) (b1 : block) (b2 : block) (dest : block)
       | _ -> ())
     (phis dest)
 
-(** One merging round; [min_suffix] is the minimum number of identical
-    instructions worth sharing.  Returns [true] if a merge happened. *)
-let run_once ?(min_suffix = 1) (f : func) : bool =
+(** One merging round: a pair of predecessors sharing at least one
+    identical trailing instruction merges.  Returns [true] if a merge
+    happened. *)
+let run_once (f : func) : bool =
   let try_block (dest : block) : bool =
     let brs =
       List.filter
@@ -121,7 +122,7 @@ let run_once ?(min_suffix = 1) (f : func) : bool =
             List.exists
               (fun b2 ->
                 let suffix = common_suffix b1 b2 in
-                if List.length suffix >= min_suffix then begin
+                if suffix <> [] then begin
                   merge_pair f b1 b2 dest suffix;
                   true
                 end
@@ -135,9 +136,9 @@ let run_once ?(min_suffix = 1) (f : func) : bool =
   List.exists try_block f.blocks_list
 
 (** Merge to a fixpoint; returns the number of merges applied. *)
-let run ?(min_suffix = 1) (f : func) : int =
+let run (f : func) : int =
   let count = ref 0 in
-  while run_once ~min_suffix f do
+  while run_once f do
     incr count;
     ignore (Simplify_cfg.run f)
   done;

@@ -11,4 +11,4 @@
 open Darm_ir
 
 (** Merge to a fixpoint; returns the number of merges applied. *)
-val run : ?min_suffix:int -> Ssa.func -> int
+val run : Ssa.func -> int

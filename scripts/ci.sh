@@ -7,19 +7,24 @@ cd "$(dirname "$0")/.."
 
 dune build @all
 
-# a block's predecessors come from the index lib/ir/ssa.ml keeps, and a
-# cached analysis is current while the function's edit count is, which
-# holds only while that file is the one writer of every IR field an
-# analysis reads: a block's instructions, an instruction's op, operands,
-# targets and parent, a function's block list.  The loop forest's own
-# [parent] (lib/analysis/loops.ml) is not an IR field.  An instruction's
-# type is written there too: Ssa re-derives it by its one type rule
-# whenever operands change, which a direct write would bypass.
+# a block's predecessors and an instruction's users come from the
+# indexes lib/ir/ssa.ml keeps, and a cached analysis is current while
+# the function's edit count is, which holds only while that file is the
+# one writer of every IR field an analysis reads: a block's
+# instructions and predecessor index, an instruction's op, operands,
+# targets, parent and use list, a function's block list.  The loop
+# forest's own [parent] (lib/analysis/loops.ml) is not an IR field, and
+# the stale-index cases of test/suite_cfg_index.ml corrupt the two
+# indexes on purpose.  An instruction's type is written there too: Ssa
+# re-derives it by its one type rule whenever operands change, which a
+# direct write would bypass.
 ir_writes=$( {
   grep -rnE '\.(blocks|instrs|operands|op|ty)( *<-|\.\(.*\) *<-)|blocks_list *<-' \
     lib bin test --include='*.ml'
   grep -rnE '\.parent *<-' lib bin test --include='*.ml' \
     | grep -v '^lib/analysis/loops\.ml:'
+  grep -rnE '\.(targeted_by|uses) *<-' lib bin test --include='*.ml' \
+    | grep -v '^test/suite_cfg_index\.ml:'
 } | grep -v '^lib/ir/ssa\.ml:' || true)
 if [ -n "$ir_writes" ]; then
   echo "ci: IR fields assigned outside lib/ir/ssa.ml (use its mutators):" >&2

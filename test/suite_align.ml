@@ -68,12 +68,30 @@ let test_nw_order_preserved () =
 
 let mk op operands ty = Ssa.mk_instr op operands [||] ty
 
+(* The alignment of two blocks holding [l] and [r], rendered with the
+   instructions' names: "(a b)" a melded pair, "<a" and ">b" gaps. *)
+let aligned (l : (string * Ssa.instr) list) (r : (string * Ssa.instr) list) =
+  let block instrs =
+    let b = Ssa.mk_block "b" in
+    List.iter (fun (_, i) -> Ssa.append_instr b i) instrs;
+    b
+  in
+  let name i = fst (List.find (fun (_, j) -> j == i) (l @ r)) in
+  IA.align_blocks Darm_analysis.Latency.default (block l) (block r)
+  |> List.map (function
+       | Seq.Both (a, b) -> Printf.sprintf "(%s %s)" (name a) (name b)
+       | Seq.Left a -> "<" ^ name a
+       | Seq.Right b -> ">" ^ name b)
+  |> String.concat ""
+
 let test_match_instrs () =
   let a = mk (Op.Ibin Op.Add) [| Ssa.Int 1; Ssa.Int 2 |] Types.I32 in
-  let b = mk (Op.Ibin Op.Add) [| Ssa.Int 3; Ssa.Int 4 |] Types.I32 in
-  let c = mk (Op.Ibin Op.Sub) [| Ssa.Int 3; Ssa.Int 4 |] Types.I32 in
-  check "same opcode matches" true (IA.match_instrs a b);
-  check "different opcode does not" false (IA.match_instrs a c)
+  let b = mk (Op.Ibin Op.Add) [| Ssa.Int 1; Ssa.Int 2 |] Types.I32 in
+  let c = mk (Op.Ibin Op.Sub) [| Ssa.Int 1; Ssa.Int 2 |] Types.I32 in
+  Alcotest.(check string) "same opcode matches" "(a b)"
+    (aligned [ ("a", a) ] [ ("b", b) ]);
+  Alcotest.(check string) "different opcode does not" ">c<a"
+    (aligned [ ("a", a) ] [ ("c", c) ])
 
 let test_match_loads_cross_space () =
   let lsh = mk Op.Load [| Ssa.Undef (Types.Ptr Types.Shared) |] Types.I32 in
@@ -81,33 +99,35 @@ let test_match_loads_cross_space () =
   let st =
     mk Op.Store [| Ssa.Int 0; Ssa.Undef (Types.Ptr Types.Shared) |] Types.Void
   in
-  check "loads of different spaces match" true (IA.match_instrs lsh lgl);
-  check "load does not match store" false (IA.match_instrs lsh st)
+  Alcotest.(check string) "loads of different spaces match" "(lsh lgl)"
+    (aligned [ ("lsh", lsh) ] [ ("lgl", lgl) ]);
+  Alcotest.(check string) "load does not match store" ">st<lsh"
+    (aligned [ ("lsh", lsh) ] [ ("st", st) ])
 
+(* FP_I prefers the pair that needs no select: [a] melds with [same]
+   rather than with [diff], whose two operands differ *)
 let test_fp_i_scoring () =
-  let c = Darm_analysis.Latency.default in
   let x = Ssa.Int 1 and y = Ssa.Int 2 in
   let a = mk (Op.Ibin Op.Add) [| x; y |] Types.I32 in
-  let b_same = mk (Op.Ibin Op.Add) [| x; y |] Types.I32 in
-  let b_diff = mk (Op.Ibin Op.Add) [| Ssa.Int 9; Ssa.Int 8 |] Types.I32 in
-  (match IA.fp_i c a b_same with
-  | Some s -> Alcotest.(check (float 0.001)) "no selects" (float_of_int c.Darm_analysis.Latency.alu) s
-  | None -> Alcotest.fail "expected match");
-  match IA.fp_i c a b_diff, IA.fp_i c a b_same with
-  | Some sd, Some ss -> check "selects reduce profit" true (sd < ss)
-  | _ -> Alcotest.fail "expected matches"
+  let diff = mk (Op.Ibin Op.Add) [| Ssa.Int 9; Ssa.Int 8 |] Types.I32 in
+  let same = mk (Op.Ibin Op.Add) [| x; y |] Types.I32 in
+  Alcotest.(check string) "selects reduce profit" ">diff(a same)"
+    (aligned [ ("a", a) ] [ ("diff", diff); ("same", same) ]);
+  Alcotest.(check string) "in either order" "(a same)>diff"
+    (aligned [ ("a", a) ] [ ("same", same); ("diff", diff) ])
 
+(* Melding a shared load saves more than melding four adds: with the
+   two orders crossed, either the loads or the adds meld, each leaving
+   two gap runs, and the alignment keeps the loads *)
 let test_fp_i_memory_dominates () =
-  (* melding a shared load saves far more than melding an add *)
-  let c = Darm_analysis.Latency.default in
   let p = Ssa.Undef (Types.Ptr Types.Shared) in
-  let l1 = mk Op.Load [| p |] Types.I32 in
-  let l2 = mk Op.Load [| p |] Types.I32 in
-  let a1 = mk (Op.Ibin Op.Add) [| Ssa.Int 1; Ssa.Int 2 |] Types.I32 in
-  let a2 = mk (Op.Ibin Op.Add) [| Ssa.Int 1; Ssa.Int 2 |] Types.I32 in
-  match IA.fp_i c l1 l2, IA.fp_i c a1 a2 with
-  | Some sl, Some sa -> check "load >> add" true (sl > sa *. 4.)
-  | _ -> Alcotest.fail "expected matches"
+  let load n = (n, mk Op.Load [| p |] Types.I32) in
+  let add n = (n, mk (Op.Ibin Op.Add) [| Ssa.Int 1; Ssa.Int 2 |] Types.I32) in
+  Alcotest.(check string) "load >> four adds"
+    ">b1>b2>b3>b4(l1 l2)<a1<a2<a3<a4"
+    (aligned
+       [ load "l1"; add "a1"; add "a2"; add "a3"; add "a4" ]
+       [ add "b1"; add "b2"; add "b3"; add "b4"; load "l2" ])
 
 let suites =
   [

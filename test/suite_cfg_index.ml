@@ -1,8 +1,9 @@
-(* The predecessor index [Ssa] keeps (Ssa.preds) and the edit count the
-   analysis manager keys its cache on: random CFG and instruction edits
-   against a rebuild from the terminators and against fresh analyses,
-   the verifier's stale-index error, and the pass output's independence
-   from process history. *)
+(* The predecessor index and the use lists [Ssa] keeps (Ssa.preds,
+   Ssa.users) and the edit count the analysis manager keys its cache
+   on: random CFG and instruction edits against rebuilds from the
+   terminators and the operands and against fresh analyses, the
+   verifier's stale-index and stale-use-list errors, and the pass
+   output's independence from process history. *)
 
 open Darm_ir
 module Gen = Darm_fuzz.Gen
@@ -35,6 +36,34 @@ let index_mismatch (f : Ssa.func) : string option =
              (String.concat " " (List.map string_of_int got))
              (String.concat " " (List.map string_of_int want))))
     f.Ssa.blocks_list
+
+(* Instruction id -> its users, rebuilt from the operands of every
+   listed instruction: what [Ssa.users] must give, in any order. *)
+let users_mismatch (f : Ssa.func) : string option =
+  let want = Hashtbl.create 64 in
+  let want_of d = Option.value ~default:[] (Hashtbl.find_opt want d.Ssa.id) in
+  Ssa.iter_instrs f (fun u ->
+      Array.iter
+        (function
+          | Ssa.Instr d ->
+              if not (List.memq u (want_of d)) then
+                Hashtbl.replace want d.Ssa.id (u :: want_of d)
+          | _ -> ())
+        u.Ssa.operands);
+  let ids l = List.sort compare (List.map (fun u -> u.Ssa.id) l) in
+  let show l = String.concat " " (List.map string_of_int l) in
+  Ssa.fold_instrs f
+    (fun acc d ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          let got = ids (Ssa.users d) and want = ids (want_of d) in
+          if got = want then None
+          else
+            Some
+              (Printf.sprintf "users of %s: list [%s], rebuild [%s]"
+                 (Ssa.site d) (show got) (show want)))
+    None
 
 (* The manager's four analyses against a fresh compute; the edit count
    alone keeps them current, so a mutator that skipped its bump would
@@ -234,6 +263,9 @@ let prop_index_matches_rebuild =
            (match index_mismatch f with
            | Some m -> QCheck2.Test.fail_reportf "after edit %d (%s): %s" k what m
            | None -> ());
+           (match users_mismatch f with
+           | Some m -> QCheck2.Test.fail_reportf "after edit %d (%s): %s" k what m
+           | None -> ());
            match analysis_mismatch mgr f with
            | Some a ->
                QCheck2.Test.fail_reportf
@@ -264,6 +296,39 @@ let test_verify_reports_stale_index () =
   Alcotest.(check (list string))
     "emptied index"
     [ "stale predecessor index at join: lists [], the terminators give [f t]" ]
+    (msgs ())
+
+(* a stale use list is a structural verifier error too *)
+let test_verify_reports_stale_uses () =
+  let f = Ssa.mk_func "stale" [] in
+  let e = Ssa.mk_block "entry" in
+  Ssa.append_block f e;
+  let t = Ssa.mk_instr Op.Thread_idx [||] [||] Types.I32 in
+  let a =
+    Ssa.mk_instr (Op.Ibin Op.Add) [| Ssa.Instr t; Ssa.Instr t |] [||]
+      Types.I32
+  in
+  List.iter (Ssa.append_instr e)
+    [ t; a; Ssa.mk_instr Op.Ret [||] [||] Types.Void ];
+  let msgs () =
+    List.map (fun (e : Verify.error) -> e.Verify.msg) (Verify.run f)
+  in
+  Alcotest.(check (list string)) "verifies" [] (msgs ());
+  let listed = t.Ssa.uses in
+  t.Ssa.uses <- [ List.hd listed ];
+  Alcotest.(check (list string))
+    "one slot dropped"
+    [ "stale use lists: 2 operand slots, 1 listed" ]
+    (msgs ());
+  t.Ssa.uses <- { Ssa.user = a; slot = 1 } :: listed;
+  Alcotest.(check (list string))
+    "one slot twice"
+    [ "stale use lists: 2 operand slots, 3 listed" ]
+    (msgs ());
+  t.Ssa.uses <- { Ssa.user = a; slot = 2 } :: listed;
+  Alcotest.(check (list string))
+    "a slot that names no such value"
+    [ "stale use list of entry#0: it lists operand 2 of entry#1" ]
     (msgs ())
 
 (* The melded output printed from a kernel's text does not depend on
@@ -299,6 +364,8 @@ let suites =
         prop_index_matches_rebuild;
         Alcotest.test_case "verifier reports a stale index" `Quick
           test_verify_reports_stale_index;
+        Alcotest.test_case "verifier reports a stale use list" `Quick
+          test_verify_reports_stale_uses;
         Alcotest.test_case "pass output ignores the SSA id offset" `Quick
           test_output_ignores_id_offset;
       ] );

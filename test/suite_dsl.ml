@@ -321,6 +321,33 @@ let prop_ssa_invariants_gen =
               (Gen.generate ~cfg ~seed ()));
          true))
 
+(* [seen] is read in the loop header, where it is a phi until the
+   header is sealed and the phi, trivial, is removed; the store after
+   the loop still holds the phi and is built with its replacement *)
+let test_value_read_before_phi_removal () =
+  let f =
+    D.build_kernel ~name:"stale" ~params:[ ("p", Types.Ptr Types.Global) ]
+      (fun ctx params ->
+        let x = D.local ctx ~name:"x" Types.I32 in
+        D.set ctx x (D.tid ctx);
+        let seen = ref (D.i32 0) in
+        D.while_ ctx
+          (fun () ->
+            seen := D.get ctx x;
+            D.slt ctx !seen (D.i32 0))
+          (fun () -> ());
+        D.store ctx !seen (D.gep ctx (List.hd params) (D.i32 0)))
+  in
+  let store =
+    Ssa.fold_instrs f
+      (fun acc i -> if i.Ssa.op = Op.Store then Some i else acc)
+      None
+  in
+  check "stores the thread id" true
+    (match store with
+    | Some { Ssa.operands = [| Ssa.Instr d; _ |]; _ } -> d.Ssa.op = Op.Thread_idx
+    | _ -> false)
+
 let suites =
   [
     ( "dsl",
@@ -343,6 +370,8 @@ let suites =
           test_type_mismatch_rejected;
         Alcotest.test_case "custom step loop" `Quick test_for_with_custom_step;
         Alcotest.test_case "float pipeline" `Quick test_float_pipeline;
+        Alcotest.test_case "value read before its phi's removal" `Quick
+          test_value_read_before_phi_removal;
         Alcotest.test_case "ssa invariants: registry and Mini-HIP" `Quick
           test_ssa_invariants_registry;
         prop_ssa_invariants_gen;

@@ -95,10 +95,7 @@ let mutators : (string * (fixture -> unit)) list =
     ( "set_operands",
       fun x -> Ssa.set_operands x.cmp [| Ssa.Int 0; Ssa.Int 3 |] );
     ("set_operand", fun x -> Ssa.set_operand x.cmp 1 (Ssa.Int 4));
-    ( "replace_all_uses",
-      fun x ->
-        Ssa.replace_all_uses x.f ~old_v:(Ssa.Instr x.cmp)
-          ~new_v:(Ssa.Bool true) );
+    ("replace_all_uses", fun x -> Ssa.replace_all_uses x.cmp (Ssa.Bool true));
   ]
 
 let test_bumps edit () =

@@ -196,6 +196,18 @@ let test_verifier_target_counts () =
     [ "br: expected 1 targets, got 2" ]
     (msgs (fun x -> Ssa.mk_instr Op.Br [||] [| x; x |] Types.Void))
 
+(* an entry phi with no incoming prints as "phi i32 ", which the
+   parser rejects *)
+let test_verifier_empty_phi () =
+  let f = Ssa.mk_func "ep" [] in
+  let e = Ssa.mk_block "entry" in
+  Ssa.append_block f e;
+  Ssa.append_instr e (Ssa.mk_instr Op.Phi [||] [||] Types.I32);
+  Ssa.append_instr e (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
+  Alcotest.(check (list string))
+    "rejected" [ "phi: no incoming values" ]
+    (List.map (fun (e : Verify.error) -> e.Verify.msg) (Verify.run f))
+
 let test_dsl_diamond_verifies () =
   let f = Testlib.diamond_func () in
   Verify.run_exn f;
@@ -253,7 +265,7 @@ let test_replace_all_uses () =
   Ssa.append_instr blk a;
   Ssa.append_instr blk b;
   Ssa.append_instr blk (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
-  Ssa.replace_all_uses f ~old_v:(Ssa.Instr a) ~new_v:(Ssa.Int 7);
+  Ssa.replace_all_uses a (Ssa.Int 7);
   check "both operands replaced" true
     (Array.for_all (fun v -> Ssa.value_equal v (Ssa.Int 7)) b.Ssa.operands)
 
@@ -267,7 +279,9 @@ let test_users () =
   List.iter (Ssa.append_instr blk) [ a; b; c ];
   Ssa.append_instr blk (Ssa.mk_instr Op.Ret [||] [||] Types.Void);
   check "one user" true
-    (match Ssa.users f (Ssa.Instr a) with [ u ] -> u.Ssa.id = b.Ssa.id | _ -> false)
+    (match Ssa.users a with [ u ] -> u.Ssa.id = b.Ssa.id | _ -> false);
+  Ssa.remove_instr blk b;
+  check "a removed user drops out" true (Ssa.users a = [])
 
 let suites =
   [
@@ -289,6 +303,8 @@ let suites =
           test_verifier_type_checks;
         Alcotest.test_case "verifier: branch target counts" `Quick
           test_verifier_target_counts;
+        Alcotest.test_case "verifier: phi without incoming" `Quick
+          test_verifier_empty_phi;
         Alcotest.test_case "dsl diamond verifies" `Quick
           test_dsl_diamond_verifies;
         Alcotest.test_case "dsl loop phis" `Quick test_dsl_loop_phis;
