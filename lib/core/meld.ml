@@ -571,38 +571,90 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
      entry).  Such uses are dynamically dead for wrong-side threads;
      statically they are routed through an entry phi with undef on the
      opposite edge — the general form of the paper's Fig. 4
-     pre-processing. *)
+     pre-processing.
+
+     Only the definitions in pre_t, pre_f and the surviving side blocks
+     above them can have stopped dominating a use.  Every path the meld
+     adds runs from one pre-entry block through the melded subgraph, so
+     a definition above the region entry still lies on every path to
+     its uses, and so does one downstream of the melded subgraph.  The
+     blocks holding those definitions are the ones on the dominator-tree
+     paths from pre_t and pre_f up to their nearest common dominator:
+     the blocks that dominate exactly one of the two, whose definitions
+     alone [repair] gives an entry phi.  So only their users are
+     visited, in function order (the entry phis come out in the order a
+     whole-function sweep creates them), and only the operands that
+     change are written: the meld stamps no block it does not touch. *)
   let dt2 = Manager.domtree mgr in
   let repair (d : instr) : value option =
     let dom_t = Domtree.instr_dominates dt2 d (terminator pre_t) in
     let dom_f = Domtree.instr_dominates dt2 d (terminator pre_f) in
     if dom_t <> dom_f then Some (entry_phi env d ~from_true:dom_t) else None
   in
-  iter_instrs fn (fun u ->
-      if u.op = Op.Phi then begin
-        let updated =
-          List.map
-            (fun (v, src) ->
-              match v with
-              | Instr d
-                when not (Domtree.instr_dominates dt2 d (terminator src)) -> (
-                  match repair d with
-                  | Some v' -> (v', src)
-                  | None -> (v, src))
-              | _ -> (v, src))
-            (phi_incoming u)
-        in
+  (* [v], or its entry phi where [v] does not dominate the use *)
+  let repaired (v : value) ~(dominated : instr -> bool) : value =
+    match v with
+    | Instr d when not (dominated d) -> Option.value (repair d) ~default:v
+    | _ -> v
+  in
+  let fix (u : instr) =
+    if u.op = Op.Phi then begin
+      let incoming = phi_incoming u in
+      let updated =
+        List.map
+          (fun (v, src) ->
+            ( repaired v ~dominated:(fun d ->
+                  Domtree.instr_dominates dt2 d (terminator src)),
+              src ))
+          incoming
+      in
+      if List.exists2 (fun (a, _) (b, _) -> a != b) incoming updated then
         set_phi_incoming u updated
-      end
-      else
-        set_operands u
-          (Array.map
-             (fun v ->
-               match v with
-               | Instr d when not (Domtree.instr_dominates dt2 d u) -> (
-                   match repair d with Some v' -> v' | None -> v)
-               | _ -> v)
-             u.operands));
+    end
+    else begin
+      let ops =
+        Array.map
+          (repaired ~dominated:(fun d -> Domtree.instr_dominates dt2 d u))
+          u.operands
+      in
+      if Array.exists2 ( != ) ops u.operands then set_operands u ops
+    end
+  in
+  let above_meld =
+    let rec chain b =
+      b :: Option.fold ~none:[] ~some:chain (Domtree.idom dt2 b)
+    in
+    let below_common c other =
+      let ids = Hashtbl.create 16 in
+      List.iter (fun b -> Hashtbl.replace ids b.bid ()) other;
+      let rec take = function
+        | b :: tl when not (Hashtbl.mem ids b.bid) -> b :: take tl
+        | _ -> []
+      in
+      take c
+    in
+    let ct = chain pre_t and cf = chain pre_f in
+    below_common ct cf @ below_common cf ct
+  in
+  let to_fix = Hashtbl.create 64 and fix_blocks = Hashtbl.create 16 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun d ->
+          List.iter
+            (fun u ->
+              Hashtbl.replace to_fix u.id ();
+              Option.iter
+                (fun ub -> Hashtbl.replace fix_blocks ub.bid ub)
+                u.parent)
+            (users d))
+        b.instrs)
+    above_meld;
+  (* a function's blocks are in ascending layout stamp *)
+  Hashtbl.fold (fun _ b acc -> b :: acc) fix_blocks []
+  |> List.sort (fun a b -> compare a.stamp b.stamp)
+  |> List.iter (fun b ->
+         List.iter (fun u -> if Hashtbl.mem to_fix u.id then fix u) b.instrs);
   (* -------- pass 7: pointer type repair --------
      Operand substitution can widen a melded pointer definition to flat
      (a select over mixed-space operands joins to Flat, and geps follow

@@ -113,6 +113,10 @@ type meld_record = {
 type stats = {
   mutable iterations : int;
   mutable regions_found : int;
+  mutable regions_reused : int;
+      (** divergent-branch lookups served from memory: an earlier
+          search of the same region found no candidate, and nothing it
+          read has changed since *)
   mutable melds_applied : int;
   mutable pairs_scored : int;
       (** subgraph pairs that went through full isomorphism matching +
@@ -131,6 +135,7 @@ let empty_stats () =
   {
     iterations = 0;
     regions_found = 0;
+    regions_reused = 0;
     melds_applied = 0;
     pairs_scored = 0;
     candidates_prefiltered = 0;
@@ -356,6 +361,28 @@ let apply_candidate (cfg : config) (mgr : Manager.t) (f : func)
        ~stats:stats.meld_stats);
   stats.melds_applied <- stats.melds_applied + 1
 
+(* A region whose search found no candidate, remembered by its entry:
+   the function's edit count at the search, the region exit and the
+   blocks of both sides. *)
+type searched = { s_at : int; s_exit : block; s_sides : block list }
+
+(* The search of [b]'s region would find no candidate again when [b]
+   still ends in a divergent branch with the same immediate
+   post-dominator, and neither [b] nor a side block has left the
+   function or been stamped since the search.  Everything the search
+   read is then as it was: [b]'s branch and every side block's
+   instructions, operand types, successors and predecessors (so the
+   sides, closed at the search, are the same sets, dominated by [b] and
+   post-dominated by the exit, with the same cut points), and the
+   subgraph signatures and scores derive from those alone. *)
+let still_without_candidate (dvg : Divergence.t) (pdt : Domtree.t)
+    (s : searched) (b : block) : bool =
+  let clean blk = blk.bparent <> None && blk.edit_stamp <= s.s_at in
+  Divergence.is_divergent_branch dvg b
+  && (match Domtree.idom pdt b with Some x -> x == s.s_exit | None -> false)
+  && clean b
+  && List.for_all clean s.s_sides
+
 let is_invalid_ir (d : Darm_checks.Diag.t) =
   String.equal d.Darm_checks.Diag.id Darm_checks.Checker.id_invalid_ir
 
@@ -382,6 +409,28 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
      is the next meld's pre-meld report, since nothing edits [f] between
      the two *)
   let last_report = ref None in
+  (* divergent branches whose region had no candidate, by entry bid *)
+  let searched : (int, searched) Hashtbl.t = Hashtbl.create 64 in
+  let search dvg dt pdt b =
+    match Hashtbl.find_opt searched b.bid with
+    | Some s when still_without_candidate dvg pdt s b ->
+        stats.regions_reused <- stats.regions_reused + 1;
+        None
+    | Some _ | None -> (
+        match Region.detect dvg dt pdt b with
+        | None -> None
+        | Some r ->
+            stats.regions_found <- stats.regions_found + 1;
+            let c = best_pair ~prefilter ~stats config r pdt in
+            if Option.is_none c then
+              Hashtbl.replace searched b.bid
+                {
+                  s_at = f.edit_count;
+                  s_exit = r.Region.r_exit;
+                  s_sides = r.Region.r_t_side @ r.Region.r_f_side;
+                };
+            c)
+  in
   while !continue_ && stats.iterations < max_iterations do
     stats.iterations <- stats.iterations + 1;
     obs_span "pass.iteration"
@@ -400,14 +449,7 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
       obs_span "pass.candidates" [] @@ fun () ->
       List.fold_left
         (fun acc b ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-              match Region.detect dvg dt pdt b with
-              | None -> None
-              | Some r ->
-                  stats.regions_found <- stats.regions_found + 1;
-                  best_pair ~prefilter ~stats config r pdt))
+          match acc with Some _ -> acc | None -> search dvg dt pdt b)
         None (Manager.reachable mgr)
     in
     match candidate with
@@ -503,6 +545,10 @@ let fill_metrics (reg : Darm_obs.Metrics_registry.t)
   count "darm_pass_candidates_prefiltered_total"
     "Pair evaluations skipped by the similarity prefilter"
     s.candidates_prefiltered;
+  count "darm_pass_regions_reused_total"
+    "Divergent branches whose region search was skipped: an earlier \
+     search found no candidate and none of its blocks changed since"
+    s.regions_reused;
   count "darm_pass_analysis_recomputes_avoided_total"
     "Analysis queries served from the manager cache instead of recomputed"
     s.analysis_recomputes_avoided

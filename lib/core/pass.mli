@@ -97,6 +97,18 @@ type meld_record = {
 type stats = {
   mutable iterations : int;
   mutable regions_found : int;
+      (** region searches: divergent branches {!Region.detect} found a
+          meldable region at, whose subgraph pairs were then searched *)
+  mutable regions_reused : int;
+      (** divergent-branch lookups served from memory: an earlier
+          search in the same run found no candidate in the branch's
+          region, the branch is still divergent with the same immediate
+          post-dominator, and neither it nor a block of the region's
+          sides has left the function or been stamped
+          ({!Darm_ir.Ssa.block}'s [edit_stamp]) since that search.  Such
+          a lookup skips {!Region.detect} and the pair search: it counts
+          in neither [regions_found] nor [pairs_scored] and emits no
+          [meld.decision] event.  Every meld decision is unchanged *)
   mutable melds_applied : int;
   mutable pairs_scored : int;
       (** subgraph pairs that went through full isomorphism matching +
@@ -128,7 +140,8 @@ val run : ?config:config -> ?checked:bool -> Ssa.func -> stats
 (** Export the run counters into a metrics registry as the
     [darm_pass_*] families ([iterations], [melds_applied],
     [pairs_scored], [candidates_prefiltered],
-    [analysis_recomputes_avoided] — all [_total] counters; see
+    [analysis_recomputes_avoided], [regions_reused] — all [_total]
+    counters; see
     doc/observability.md).  [labels] (e.g. [("kernel", tag)]) are
     attached to every sample. *)
 val fill_metrics :

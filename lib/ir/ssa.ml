@@ -1,6 +1,6 @@
 (** Core SSA data structures and the mutators that keep the
-    predecessor index and the edit count exact.  See the interface for
-    the invariants. *)
+    predecessor index, the edit count and the blocks' edit stamps
+    exact.  See the interface for the invariants. *)
 
 type value =
   | Int of int
@@ -33,6 +33,7 @@ and block = {
   mutable bparent : func option;
   mutable targeted_by : instr list;  (** terminators targeting it *)
   mutable stamp : int;  (** layout stamp, set by [append_block] *)
+  mutable edit_stamp : int;  (** [edit_count] at the block's last edit *)
 }
 
 and func = {
@@ -52,15 +53,41 @@ let next_id = Atomic.make 0
 let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
 
 (* ------------------------------------------------------------------ *)
-(* Edit count *)
+(* Edit count and edit stamps *)
 
 (* Every mutator below bumps the count of the function the edited block
-   or instruction sits in; a detached one has no function to tell. *)
+   or instruction sits in, and stamps each block it changed with the new
+   count; a detached one has no function to tell. *)
 let bump_func (f : func) = f.edit_count <- f.edit_count + 1
 
-let bump_block (b : block) = Option.iter bump_func b.bparent
+(* Stamp [b] with its function's count; an edit bumps the count first,
+   so the stamp is later than any count read before the edit. *)
+let stamp (b : block) =
+  match b.bparent with Some f -> b.edit_stamp <- f.edit_count | None -> ()
+
+let bump_block (b : block) =
+  match b.bparent with
+  | Some f ->
+      bump_func f;
+      b.edit_stamp <- f.edit_count
+  | None -> ()
 
 let bump_instr (i : instr) = Option.iter bump_block i.parent
+
+(* A terminator's source is its parent, while that block is in a
+   function; detached terminators and removed blocks stay indexed (they
+   may come back) but name no edge. *)
+let source (t : instr) : block option =
+  match t.parent with Some p when p.bparent <> None -> t.parent | _ -> None
+
+(* An attached terminator's edges are its targets' predecessors: when
+   the terminator is attached, detached, moved or retargeted, or its
+   block enters or leaves the function, each target is stamped too, with
+   the count the edit has just bumped.  A detached one names no edge and
+   stamps nothing. *)
+let stamp_targets (t : instr) =
+  if Array.length t.blocks > 0 && t.op <> Op.Phi then
+    match source t with Some _ -> Array.iter stamp t.blocks | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
@@ -119,7 +146,7 @@ let mk_instr op operands blocks ty =
 
 let mk_block name =
   { bid = fresh_id (); bname = name; instrs = []; bparent = None;
-    targeted_by = []; stamp = 0 }
+    targeted_by = []; stamp = 0; edit_stamp = 0 }
 
 let mk_func name params =
   { fname = name; params; blocks_list = []; edit_count = 0 }
@@ -161,9 +188,12 @@ let terminator (b : block) : instr =
   last b.instrs
 
 let has_terminator (b : block) =
-  match List.rev b.instrs with
-  | i :: _ -> Op.is_terminator i.op
-  | [] -> false
+  let rec last = function
+    | [] -> false
+    | [ i ] -> Op.is_terminator i.op
+    | _ :: tl -> last tl
+  in
+  last b.instrs
 
 let phis (b : block) = List.filter (fun i -> i.op = Op.Phi) b.instrs
 
@@ -192,13 +222,15 @@ let successors (b : block) : block list =
 let append_instr (b : block) (i : instr) =
   i.parent <- Some b;
   b.instrs <- b.instrs @ [ i ];
-  bump_block b
+  bump_block b;
+  stamp_targets i
 
 (** Insert [i] at the front of [b]. *)
 let prepend_instr (b : block) (i : instr) =
   i.parent <- Some b;
   b.instrs <- i :: b.instrs;
-  bump_block b
+  bump_block b;
+  stamp_targets i
 
 (** Insert [i] immediately before [anchor] in its block. *)
 let insert_before (anchor : instr) (i : instr) =
@@ -211,7 +243,8 @@ let insert_before (anchor : instr) (i : instr) =
         | x :: tl -> if x.id = anchor.id then i :: x :: tl else x :: go tl
       in
       b.instrs <- go b.instrs;
-      bump_block b
+      bump_block b;
+      stamp_targets i
 
 (** Insert [i] after the last [phi] of [b] (i.e. as the first non-phi);
     phis form a prefix, so only that prefix is rebuilt. *)
@@ -222,7 +255,8 @@ let insert_after_phis (b : block) (i : instr) =
   in
   i.parent <- Some b;
   b.instrs <- after_phis b.instrs;
-  bump_block b
+  bump_block b;
+  stamp_targets i
 
 (* ids are unique, so the first match is the only one *)
 let remove_instr (b : block) (i : instr) =
@@ -231,14 +265,19 @@ let remove_instr (b : block) (i : instr) =
     | x :: tl -> if x.id = i.id then tl else x :: drop tl
   in
   b.instrs <- drop b.instrs;
-  i.parent <- None;
-  bump_block b
+  bump_block b;
+  stamp_targets i;
+  i.parent <- None
 
 (** Make [instrs] the whole of [b], in order, each parented to [b]. *)
 let set_instrs (b : block) (instrs : instr list) =
+  let old = b.instrs in
   List.iter (fun i -> i.parent <- Some b) instrs;
   b.instrs <- instrs;
-  bump_block b
+  bump_block b;
+  (* a terminator that left or entered [b] moved its edges *)
+  List.iter stamp_targets old;
+  List.iter stamp_targets instrs
 
 let append_block (f : func) (b : block) =
   let rec append last = function
@@ -249,12 +288,14 @@ let append_block (f : func) (b : block) =
   in
   b.bparent <- Some f;
   f.blocks_list <- append (-1) f.blocks_list;
-  bump_func f
+  bump_block b;
+  List.iter stamp_targets b.instrs
 
 let remove_block (f : func) (b : block) =
   f.blocks_list <- List.filter (fun x -> x.bid <> b.bid) f.blocks_list;
-  b.bparent <- None;
-  bump_func f
+  bump_block b;
+  List.iter stamp_targets b.instrs;
+  b.bparent <- None
 
 (* ------------------------------------------------------------------ *)
 (* Iteration *)
@@ -270,12 +311,6 @@ let fold_instrs (f : func) (g : 'a -> instr -> 'a) (init : 'a) =
 (* ------------------------------------------------------------------ *)
 (* CFG edges *)
 
-(* A terminator's source is its parent, while that block is in a
-   function; detached terminators and removed blocks stay indexed (they
-   may come back) but name no edge. *)
-let source (t : instr) : block option =
-  match t.parent with Some p when p.bparent <> None -> t.parent | _ -> None
-
 let preds (b : block) : block list =
   match b.targeted_by with
   | [ t ] -> Option.to_list (source t)
@@ -287,10 +322,12 @@ let preds (b : block) : block list =
 
 let retarget (t : instr) (targets : block array) =
   assert (t.op <> Op.Phi);
+  bump_instr t;
+  stamp_targets t;
   unlink t;
   t.blocks <- targets;
   link t;
-  bump_instr t
+  stamp_targets t
 
 let fold_to_br (t : instr) (dest : block) =
   t.op <- Op.Br;
@@ -345,12 +382,14 @@ let phi_replace_incoming_block (b : block) ~(old_pred : block)
       bump_instr p)
     (phis b)
 
-(** Drop the incoming entries coming from [pred] in every phi of [b]. *)
+(** Drop the incoming entries coming from [pred] in every phi of [b];
+    a phi without one is left as it is. *)
 let phi_remove_incoming (b : block) ~(pred : block) =
   List.iter
     (fun p ->
-      set_phi_incoming p
-        (List.filter (fun (_, blk) -> blk.bid <> pred.bid) (phi_incoming p)))
+      if Array.exists (fun blk -> blk.bid = pred.bid) p.blocks then
+        set_phi_incoming p
+          (List.filter (fun (_, blk) -> blk.bid <> pred.bid) (phi_incoming p)))
     (phis b)
 
 (* ------------------------------------------------------------------ *)
@@ -403,14 +442,16 @@ let rederive (i : instr) : bool =
   | Some _ | None -> false
 
 (* The types of [retyped] changed: re-derive their users' types, and
-   the users' of each one whose type changes in turn. *)
+   the users' of each one whose type changes in turn.  Every user's
+   operand types changed with them (a load's or a store's latency reads
+   its pointer's address space), so every user's block is stamped. *)
 let rec retype_users (retyped : instr list) =
   match retyped with
   | [] -> ()
   | i :: rest ->
-      let changed = List.filter rederive (users i) in
-      List.iter bump_instr changed;
-      retype_users (changed @ rest)
+      let us = users i in
+      List.iter bump_instr us;
+      retype_users (List.filter rederive us @ rest)
 
 (* [i]'s operands were edited *)
 let operands_edited (i : instr) =

@@ -23,7 +23,8 @@
     This module is the one writer of every IR field an analysis reads:
     a block's [instrs] and [targeted_by], an instruction's [op],
     [operands] (whole array or one element), [blocks], [parent], [ty]
-    and [uses], and a function's [blocks_list].  Every mutator here
+    and [uses], and a function's [blocks_list]; and of each block's
+    [edit_stamp].  Every mutator here
     that edits a block or instruction sitting in a function bumps that
     function's [edit_count], so a result computed at one count is
     current for as long as the count stays the same
@@ -32,6 +33,23 @@
     or a use list stale, which {!Verify} reports, or a cached analysis
     stale, which nothing would; [scripts/ci.sh] rejects such an
     assignment.
+
+    {b Edit stamps.}  Each block also carries an [edit_stamp]: the
+    function's [edit_count] right after the block's last edit, so a
+    block whose stamp is at most a count read earlier is unchanged since
+    that read.  A mutator that bumps the count stamps every block in the
+    function whose readable state it changed: the block's instructions
+    (added, removed, reordered), their operands, incoming blocks and
+    types, its terminator's targets, and its predecessor set.  So
+    attaching, detaching, moving or retargeting an attached terminator,
+    and {!append_block} or {!remove_block} of its block, also stamp the
+    blocks that terminator targets; a detached terminator names no edge
+    and stamps nothing.  A type change also stamps the blocks of the
+    retyped value's users, whose operand types changed with it (the
+    latency of a load or a store reads its pointer's address space).  A
+    block that leaves the function keeps its stamp, and {!append_block}
+    stamps it when it comes back.  {!Darm_core.Pass} keeps a region
+    search while the blocks it read are clean.
 
     Invariants (checked by {!Verify}):
     - every instruction but a [phi] or a [load] has the type
@@ -88,6 +106,10 @@ and block = {
   mutable stamp : int;
       (** layout stamp: larger for a block appended later to the same
           function; set by {!append_block} *)
+  mutable edit_stamp : int;
+      (** edit stamp: the function's [edit_count] right after the last
+          edit that changed what a region search can read of this block
+          (see "Edit stamps" above); written only by this module *)
 }
 
 and func = {

@@ -17,10 +17,14 @@ dune build @all
 # the stale-index cases of test/suite_cfg_index.ml corrupt the two
 # indexes on purpose.  An instruction's type is written there too: Ssa
 # re-derives it by its one type rule whenever operands change, which a
-# direct write would bypass.
+# direct write would bypass.  So is a block's edit stamp, the count at
+# its last edit: the pass keeps a region search while its blocks'
+# stamps are no later than the search, so a stamp written anywhere
+# else could hide an edit from it.
 ir_writes=$( {
   grep -rnE '\.(blocks|instrs|operands|op|ty)( *<-|\.\(.*\) *<-)|blocks_list *<-' \
     lib bin test --include='*.ml'
+  grep -rnE '\.edit_stamp *<-' lib bin test --include='*.ml'
   grep -rnE '\.parent *<-' lib bin test --include='*.ml' \
     | grep -v '^lib/analysis/loops\.ml:'
   grep -rnE '\.(targeted_by|uses) *<-' lib bin test --include='*.ml' \
@@ -289,6 +293,7 @@ dune exec bin/darm_opt.exe -- meld --kernel BIT --pass darm \
 grep -q ';; candidates:' /tmp/darm_meld_bit.txt
 grep -q 'darm_pass_candidates_prefiltered_total' /tmp/darm_pass_metrics.prom
 grep -q 'darm_pass_analysis_recomputes_avoided_total' /tmp/darm_pass_metrics.prom
+grep -q 'darm_pass_regions_reused_total' /tmp/darm_pass_metrics.prom
 rm -f /tmp/darm_pass_metrics.prom /tmp/darm_meld_bit.txt
 
 # generative conformance fuzzing (doc/fuzzing.md): a time-boxed oracle

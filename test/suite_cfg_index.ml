@@ -1,9 +1,11 @@
 (* The predecessor index and the use lists [Ssa] keeps (Ssa.preds,
-   Ssa.users) and the edit count the analysis manager keys its cache
-   on: random CFG and instruction edits against rebuilds from the
-   terminators and the operands and against fresh analyses, the
-   verifier's stale-index and stale-use-list errors, and the pass
-   output's independence from process history. *)
+   Ssa.users), the edit count the analysis manager keys its cache on
+   and the blocks' edit stamps the pass keeps region searches by:
+   random CFG and instruction edits against rebuilds from the
+   terminators and the operands, against fresh analyses and against
+   each block as it was before the edit, the verifier's stale-index and
+   stale-use-list errors, and the pass output's independence from
+   process history. *)
 
 open Darm_ir
 module Gen = Darm_fuzz.Gen
@@ -82,6 +84,60 @@ let analysis_mismatch (m : Manager.t) (f : Ssa.func) : string option =
   then Some "divergence"
   else None
 
+(* A block as a region search can read it: each instruction's opcode,
+   type, operands with their types, and targets. *)
+let render_block (b : Ssa.block) : string =
+  let value v =
+    let name =
+      match v with
+      | Ssa.Instr d -> "%" ^ string_of_int d.Ssa.id
+      | Ssa.Param p -> "@" ^ p.Ssa.pname
+      | Ssa.Int k -> string_of_int k
+      | Ssa.Bool x -> string_of_bool x
+      | Ssa.Float x -> Printf.sprintf "%h" x
+      | Ssa.Undef _ -> "undef"
+    in
+    name ^ ":" ^ Types.to_string (Ssa.value_ty v)
+  in
+  let instr (i : Ssa.instr) =
+    Printf.sprintf "%%%d = %s %s (%s) [%s]" i.Ssa.id (Op.to_string i.Ssa.op)
+      (Types.to_string i.Ssa.ty)
+      (String.concat ", " (List.map value (Array.to_list i.Ssa.operands)))
+      (String.concat " "
+         (List.map (fun t -> string_of_int t.Ssa.bid) (Array.to_list i.Ssa.blocks)))
+  in
+  String.concat "; " (List.map instr b.Ssa.instrs)
+
+let pred_ids (b : Ssa.block) = List.map (fun p -> p.Ssa.bid) (Ssa.preds b)
+
+(* Each block of [f] by id: its edit stamp, rendering and predecessors. *)
+let snapshot (f : Ssa.func) : (int, int * string * int list) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun b ->
+      Hashtbl.replace t b.Ssa.bid (b.Ssa.edit_stamp, render_block b, pred_ids b))
+    f.Ssa.blocks_list;
+  t
+
+(* A block of [f], in it before and after an edit, whose stamp did not
+   move but whose rendering or predecessors did. *)
+let unstamped_change before (f : Ssa.func) : string option =
+  List.find_map
+    (fun b ->
+      match Hashtbl.find_opt before b.Ssa.bid with
+      | Some (stamp, text, preds) when stamp = b.Ssa.edit_stamp ->
+          if text <> render_block b then
+            Some
+              (Printf.sprintf "%s changed under stamp %d: was [%s], is [%s]"
+                 b.Ssa.bname stamp text (render_block b))
+          else if preds <> pred_ids b then
+            Some
+              (Printf.sprintf "%s's predecessors changed under stamp %d"
+                 b.Ssa.bname stamp)
+          else None
+      | Some _ | None -> None)
+    f.Ssa.blocks_list
+
 let pick rng = function
   | [] -> None
   | l -> Some (List.nth l (Random.State.int rng (List.length l)))
@@ -107,14 +163,27 @@ let replacement rng (f : Ssa.func) (v : Ssa.value) : Ssa.value option =
   in
   pick rng (consts @ defs)
 
-(* One random edit through the [Ssa] mutators: a CFG edit, or an
-   instruction edit (an unused instruction removed, one operand
-   rewritten, a phi's incoming list changed).  [detached] holds
-   terminators removed from their block, which may come back. *)
+(* Loads of [f] whose pointer operand is of pointer type. *)
+let loads (f : Ssa.func) : Ssa.instr list =
+  Ssa.fold_instrs f
+    (fun acc i ->
+      if i.Ssa.op = Op.Load && Types.is_pointer (Ssa.value_ty i.Ssa.operands.(0))
+      then i :: acc
+      else acc)
+    []
+
+(* One random edit through the [Ssa] mutators: a CFG edit (an edge
+   redirected, a branch folded, a terminator detached, attached or
+   moved to another block), or an instruction edit (an unused
+   instruction removed, one operand rewritten, a phi's incoming list
+   changed, a load's pointer routed through a gep in another block, a
+   gep feeding a load in another block retyped to a flat pointer).
+   [detached] holds terminators removed from their block, which may
+   come back. *)
 let edit rng (f : Ssa.func) (detached : (Ssa.block * Ssa.instr) list ref) :
     string =
   let blocks = f.Ssa.blocks_list in
-  match Random.State.int rng 9 with
+  match Random.State.int rng 12 with
   | 0 -> (
       match pick rng (terminated f) with
       | Some src when (Ssa.terminator src).Ssa.blocks <> [||] -> (
@@ -211,7 +280,7 @@ let edit rng (f : Ssa.func) (detached : (Ssa.block * Ssa.instr) list ref) :
               "rewrite one operand"
           | None -> "none")
       | None -> "none")
-  | _ -> (
+  | 8 -> (
       let phis = List.concat_map Ssa.phis blocks in
       match pick rng (List.filter (fun p -> p.Ssa.operands <> [||]) phis) with
       | Some p -> (
@@ -233,6 +302,50 @@ let edit rng (f : Ssa.func) (detached : (Ssa.block * Ssa.instr) list ref) :
                      incoming);
                 "rewrite phi incoming"
             | None -> "none")
+      | None -> "none")
+  | 9 -> (
+      (* as SimplifyCFG's merge moves a terminator: out of one block's
+         list, into another's *)
+      match !detached, pick rng (terminated f) with
+      | (b, t) :: rest, Some a
+        when a != b && b.Ssa.bparent <> None && not (Ssa.has_terminator b) ->
+          let ta = Ssa.terminator a in
+          Ssa.set_instrs a (List.filter (fun i -> i != ta) a.Ssa.instrs);
+          Ssa.set_instrs b (b.Ssa.instrs @ [ ta ]);
+          detached := (a, t) :: rest;
+          "move terminator"
+      | _ -> "none")
+  | 10 -> (
+      match pick rng (loads f), pick rng blocks with
+      | Some ({ Ssa.parent = Some b; _ } as l), Some a when a != b ->
+          let ops = [| l.Ssa.operands.(0); Ssa.Int 0 |] in
+          let g =
+            Ssa.mk_instr Op.Gep ops [||]
+              (Option.get (Ssa.result_ty Op.Gep ops))
+          in
+          Ssa.insert_after_phis a g;
+          Ssa.set_operand l 0 (Ssa.Instr g);
+          "route a load through a gep"
+      | _ -> "none")
+  | _ -> (
+      let cross_block l =
+        match l.Ssa.operands.(0) with
+        | Ssa.Instr ({ Ssa.parent = Some a; _ } as g)
+          when g.Ssa.op = Op.Gep
+               && (match l.Ssa.parent with Some b -> a != b | None -> false)
+               && g.Ssa.ty <> Types.Ptr Types.Flat ->
+            Some g
+        | _ -> None
+      in
+      match pick rng (List.filter_map cross_block (loads f)) with
+      | Some g ->
+          let cast =
+            Ssa.mk_instr Op.Addrspace_cast [| g.Ssa.operands.(0) |] [||]
+              (Types.Ptr Types.Flat)
+          in
+          Ssa.insert_before g cast;
+          Ssa.set_operand g 0 (Ssa.Instr cast);
+          "retype a gep feeding a load"
       | None -> "none")
 
 let subject_gen : (bool * int * int) QCheck2.Gen.t =
@@ -259,7 +372,11 @@ let prop_index_matches_rebuild =
          (* fill the cache, so the first edit meets cached results *)
          ignore (analysis_mismatch mgr f);
          for k = 1 to 40 do
+           let before = snapshot f in
            let what = edit rng f detached in
+           (match unstamped_change before f with
+           | Some m -> QCheck2.Test.fail_reportf "after edit %d (%s): %s" k what m
+           | None -> ());
            (match index_mismatch f with
            | Some m -> QCheck2.Test.fail_reportf "after edit %d (%s): %s" k what m
            | None -> ());

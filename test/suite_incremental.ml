@@ -105,17 +105,21 @@ let test_bumps edit () =
   check "edit count bumped" true (x.f.Ssa.edit_count > c0)
 
 (* edits to blocks and instructions that sit in no function have no
-   count to bump, and leave every function's alone *)
+   count to bump, and leave every function's alone: its count, and
+   every block's edit stamp, a detached terminator's target's included *)
 let test_detached_bumps_nothing () =
   let x = fixture () in
   let c0 = x.f.Ssa.edit_count in
+  let stamps () = List.map (fun b -> b.Ssa.edit_stamp) x.f.Ssa.blocks_list in
+  let s0 = stamps () in
   let b = Ssa.mk_block "loose" in
   let i = fresh_tid () in
   Ssa.append_instr b i;
   Ssa.set_operands i [||];
   Ssa.remove_instr b i;
   Ssa.retarget (Ssa.mk_instr Op.Br [||] [| b |] Types.Void) [| x.t |];
-  check_int "count unchanged" c0 x.f.Ssa.edit_count
+  check_int "count unchanged" c0 x.f.Ssa.edit_count;
+  Alcotest.(check (list int)) "stamps unchanged" s0 (stamps ())
 
 (* ------------------------------------------------------------------ *)
 (* Manager unit tests: the cache rule *)
