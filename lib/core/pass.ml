@@ -16,7 +16,6 @@ module Latency = Darm_analysis.Latency
 module Domtree = Darm_analysis.Domtree
 module Divergence = Darm_analysis.Divergence
 module Manager = Darm_analysis.Manager
-module Similarity = Darm_analysis.Similarity
 
 (** How the subgraph pair to meld is chosen (paper §IV-C): [Greedy] is
     the paper's implementation (m x n profitability comparison);
@@ -42,9 +41,9 @@ type config = {
       (** trace buffer for pass-pipeline spans and meld-decision events
           (see doc/observability.md); [None] = no instrumentation *)
   prefilter : bool;
-      (** skip subgraph pairs whose {!Darm_analysis.Similarity}
-          signatures prove the exhaustive search would reject them
-          (shape mismatch or FP_S upper bound at most the threshold);
+      (** skip subgraph pairs whose {!Profitability.summary} values
+          prove the exhaustive search would reject them (walk shapes
+          differ, or the FP_S upper bound is at most the threshold);
           meld decisions are unchanged.  ANDed with the
           [DARM_NO_PREFILTER] environment variable (set = off). *)
 }
@@ -119,8 +118,8 @@ type stats = {
           read has changed since *)
   mutable melds_applied : int;
   mutable pairs_scored : int;
-      (** subgraph pairs that went through full isomorphism matching +
-          FP_S scoring *)
+      (** subgraph pairs that went through isomorphism matching + FP_S
+          scoring, each at most once per search *)
   mutable candidates_prefiltered : int;
       (** subgraph pair evaluations skipped by the similarity
           prefilter *)
@@ -177,13 +176,6 @@ let record_of_candidate (c : candidate) (index : int) : meld_record =
     m_branches = branches;
   }
 
-(* profitability of a subgraph pair, when meldable *)
-let pair_profit (cfg : config) (st : Region.subgraph) (sf : Region.subgraph)
-    : float option =
-  match Isomorphism.match_subgraphs st sf with
-  | None -> None
-  | Some pairs -> Some (Profitability.fp_s cfg.latency pairs)
-
 (* one auditable event per scored subgraph pair: Algorithm 1's
    accept/reject of FP_S against the threshold *)
 let obs_decision (cfg : config) (r : Region.t) (st : Region.subgraph)
@@ -203,141 +195,108 @@ let obs_decision (cfg : config) (r : Region.t) (st : Region.subgraph)
           ]
         "meld.decision"
 
+let candidate (r : Region.t) (st : Region.subgraph) (sf : Region.subgraph)
+    (profit : float) (rank : int) : candidate =
+  { c_region = r; c_st = st; c_sf = sf; c_profit = profit; c_rank = rank }
+
 (* Greedy MostProfitableSubgraphPair: m x n comparison (paper §IV-C).
-   [admit] is the similarity prefilter (a pair it refuses is one the
-   exhaustive search provably rejects, so the winner is unchanged);
-   [score] is the counted [pair_profit]. *)
-let best_pair_greedy ~admit ~score (cfg : config) (r : Region.t)
-    (t_sgs : Region.subgraph list) (f_sgs : Region.subgraph list) :
-    candidate option =
+   Both pairings read [profits.(ti).(fi)], the FP_S of the [ti]-th
+   true-path and the [fi]-th false-path subgraph when the pair was
+   scored and is isomorphic. *)
+let best_pair_greedy (cfg : config) (r : Region.t)
+    (t_sgs : Region.subgraph array) (f_sgs : Region.subgraph array)
+    (profits : float option array array) : candidate option =
   let best = ref None in
-  List.iteri
-    (fun ti st ->
-      List.iteri
-        (fun fi sf ->
-          if admit st sf then
-            match score st sf with
-            | None -> ()
-            | Some profit ->
-                obs_decision cfg r st sf profit;
-                if profit > cfg.threshold then begin
-                  let rank = ti + fi in
-                  match !best with
-                  | Some b
-                    when b.c_profit > profit
-                         || (b.c_profit = profit && b.c_rank <= rank) ->
-                      ()
-                  | _ ->
-                      best :=
-                        Some
-                          {
-                            c_region = r;
-                            c_st = st;
-                            c_sf = sf;
-                            c_profit = profit;
-                            c_rank = rank;
-                          }
-                end)
-        f_sgs)
-    t_sgs;
+  Array.iteri
+    (fun ti row ->
+      Array.iteri
+        (fun fi p ->
+          match p with
+          | Some profit when profit > cfg.threshold -> (
+              let rank = ti + fi in
+              match !best with
+              | Some b
+                when b.c_profit > profit
+                     || (b.c_profit = profit && b.c_rank <= rank) ->
+                  ()
+              | _ ->
+                  best := Some (candidate r t_sgs.(ti) f_sgs.(fi) profit rank))
+          | Some _ | None -> ())
+        row)
+    profits;
   !best
 
 (* Subgraph-sequence alignment (Definition 7): an order-preserving
    Needleman-Wunsch over the two sequences, scored by FP_S; the most
    profitable aligned pair is melded this iteration (the rest re-align
    after the CFG is rebuilt). *)
-let best_pair_alignment ~admit ~score (cfg : config) (r : Region.t)
-    (t_sgs : Region.subgraph list) (f_sgs : Region.subgraph list) :
-    candidate option =
-  let cell_score st sf =
-    if not (admit st sf) then None
-    else
-      match score st sf with
-      | Some p when p > cfg.threshold -> Some p
-      | Some _ | None -> None
+let best_pair_alignment (cfg : config) (r : Region.t)
+    (t_sgs : Region.subgraph array) (f_sgs : Region.subgraph array)
+    (profits : float option array array) : candidate option =
+  let accepted ti fi =
+    match profits.(ti).(fi) with
+    | Some p when p > cfg.threshold -> Some p
+    | Some _ | None -> None
   in
   let aligned, _ =
-    Darm_align.Sequence.needleman_wunsch ~score:cell_score ~gap_open:0.
+    Darm_align.Sequence.needleman_wunsch ~score:accepted ~gap_open:0.
       ~gap_extend:0.
-      (Array.of_list t_sgs) (Array.of_list f_sgs)
+      (Array.init (Array.length t_sgs) Fun.id)
+      (Array.init (Array.length f_sgs) Fun.id)
   in
   List.fold_left
     (fun acc item ->
       match item with
-      | Darm_align.Sequence.Both (st, sf) when not (admit st sf) -> acc
-      | Darm_align.Sequence.Both (st, sf) -> (
-          match score st sf with
-          | None -> acc
-          | Some profit -> (
-              obs_decision cfg r st sf profit;
-              if profit <= cfg.threshold then acc
-              else
-                match acc with
-                | Some b when b.c_profit >= profit -> acc
-                | _ ->
-                    Some
-                      {
-                        c_region = r;
-                        c_st = st;
-                        c_sf = sf;
-                        c_profit = profit;
-                        c_rank = 0;
-                      }))
+      | Darm_align.Sequence.Both (ti, fi) -> (
+          match accepted ti fi, acc with
+          | None, _ -> acc
+          | Some profit, Some b when b.c_profit >= profit -> acc
+          | Some profit, _ ->
+              Some (candidate r t_sgs.(ti) f_sgs.(fi) profit 0))
       | Darm_align.Sequence.Left _ | Darm_align.Sequence.Right _ -> acc)
     None aligned
 
-let sg_signature (lat : Latency.config) (sg : Region.subgraph) :
-    Similarity.t =
-  Similarity.signature ~lat
-    ~blocks:(Region.subgraph_block_list sg)
-    ~entry:sg.Region.sg_entry
-    ~in_subgraph:(Region.in_subgraph sg)
-    ~exit_dest:sg.Region.sg_exit_dest
-
 let best_pair ~prefilter ~stats (cfg : config) (r : Region.t)
     (pdt : Domtree.t) : candidate option =
-  let t_sgs = Region.true_subgraphs pdt r in
-  let f_sgs = Region.false_subgraphs pdt r in
+  let t_sgs = Array.of_list (Region.true_subgraphs pdt r) in
+  let f_sgs = Array.of_list (Region.false_subgraphs pdt r) in
   let single_block sg = Region.subgraph_size sg = 1 in
   if
     cfg.diamonds_only
     && not
-         (List.length t_sgs = 1 && List.length f_sgs = 1
-         && List.for_all single_block t_sgs
-         && List.for_all single_block f_sgs)
+         (Array.length t_sgs = 1 && Array.length f_sgs = 1
+         && single_block t_sgs.(0) && single_block f_sgs.(0))
   then None
   else begin
-    let score st sf =
-      stats.pairs_scored <- stats.pairs_scored + 1;
-      pair_profit cfg st sf
-    in
-    let admit =
-      if not prefilter then fun _ _ -> true
-      else begin
-        (* one signature per subgraph per search, keyed by entry bid *)
-        let sigs = Hashtbl.create 16 in
-        let sig_of sg =
-          match Hashtbl.find_opt sigs sg.Region.sg_entry.bid with
-          | Some s -> s
-          | None ->
-              let s = sg_signature cfg.latency sg in
-              Hashtbl.replace sigs sg.Region.sg_entry.bid s;
-              s
-        in
-        fun st sf ->
-          let ok =
-            Similarity.may_profit ~threshold:cfg.threshold (sig_of st)
-              (sig_of sf)
-          in
-          if not ok then
-            stats.candidates_prefiltered <-
-              stats.candidates_prefiltered + 1;
-          ok
-      end
+    (* one summary per subgraph per search *)
+    let t_sums = Array.map (Profitability.summarize cfg.latency) t_sgs in
+    let f_sums = Array.map (Profitability.summarize cfg.latency) f_sgs in
+    (* every pair once, in row-major order: skipped when the prefilter
+       proves the exhaustive search would reject it (so the winner is
+       unchanged), else scored, with a decision event when isomorphic *)
+    let profits =
+      Array.init (Array.length t_sgs) (fun ti ->
+          Array.init (Array.length f_sgs) (fun fi ->
+              let a = t_sums.(ti) and b = f_sums.(fi) in
+              if
+                prefilter
+                && not
+                     (Profitability.may_profit ~threshold:cfg.threshold a b)
+              then begin
+                stats.candidates_prefiltered <-
+                  stats.candidates_prefiltered + 1;
+                None
+              end
+              else begin
+                stats.pairs_scored <- stats.pairs_scored + 1;
+                let p = Profitability.score a b in
+                Option.iter (obs_decision cfg r t_sgs.(ti) f_sgs.(fi)) p;
+                p
+              end))
     in
     match cfg.pairing with
-    | Greedy -> best_pair_greedy ~admit ~score cfg r t_sgs f_sgs
-    | Alignment -> best_pair_alignment ~admit ~score cfg r t_sgs f_sgs
+    | Greedy -> best_pair_greedy cfg r t_sgs f_sgs profits
+    | Alignment -> best_pair_alignment cfg r t_sgs f_sgs profits
   end
 
 (* Meld one candidate; the subgraphs are re-matched after normalization
@@ -374,7 +333,7 @@ type searched = { s_at : int; s_exit : block; s_sides : block list }
    instructions, operand types, successors and predecessors (so the
    sides, closed at the search, are the same sets, dominated by [b] and
    post-dominated by the exit, with the same cut points), and the
-   subgraph signatures and scores derive from those alone. *)
+   subgraph summaries and scores derive from those alone. *)
 let still_without_candidate (dvg : Divergence.t) (pdt : Domtree.t)
     (s : searched) (b : block) : bool =
   let clean blk = blk.bparent <> None && blk.edit_stamp <= s.s_at in

@@ -49,14 +49,17 @@ type config = {
   prefilter : bool;
       (** similarity prefilter in front of the candidate search
           (default [true]): subgraph pairs whose
-          {!Darm_analysis.Similarity} signatures prove the exhaustive
-          search would reject them (CFG-shape mismatch, or FP_S upper
-          bound at most [threshold]) are skipped before isomorphism
-          matching.  The filter is {e exact} — the chosen melds are
-          identical with it on or off — but skipped pairs emit no
-          [meld.decision] trace instant.  ANDed with the
-          [DARM_NO_PREFILTER] environment variable (set to a non-empty
-          value other than ["0"] to force the exhaustive search). *)
+          {!Profitability.summary} values prove the exhaustive search
+          would reject them are skipped before they are scored
+          ({!Profitability.may_profit}).  Either their
+          {!Isomorphism.walk} shapes differ, so they are not
+          isomorphic, or an upper bound on their computed FP_S is at
+          most [threshold].  The filter
+          is {e exact} — the chosen melds are identical with it on or
+          off — but skipped pairs emit no [meld.decision] trace
+          instant.  ANDed with the [DARM_NO_PREFILTER] environment
+          variable (set to a non-empty value other than ["0"] to force
+          the exhaustive search). *)
 }
 
 val default_config : config
@@ -111,9 +114,10 @@ type stats = {
           [meld.decision] event.  Every meld decision is unchanged *)
   mutable melds_applied : int;
   mutable pairs_scored : int;
-      (** subgraph pairs that went through full isomorphism matching +
-          FP_S scoring (in [Alignment] mode a pair may be scored in
-          both the alignment and the selection phase) *)
+      (** subgraph pairs that went through isomorphism matching + FP_S
+          scoring: each pair of a search once, under either pairing.
+          With the prefilter on, each is isomorphic and emits one
+          [meld.decision] instant *)
   mutable candidates_prefiltered : int;
       (** pair evaluations skipped by the similarity prefilter *)
   mutable analysis_recomputes_avoided : int;

@@ -288,6 +288,16 @@ DARM_NO_PREFILTER=1 dune exec bin/darm_opt.exe -- report --all -j 4 \
   > /tmp/darm_pref_off.txt
 cmp /tmp/darm_pref_on.txt /tmp/darm_pref_off.txt
 rm -f /tmp/darm_pref_on.txt /tmp/darm_pref_off.txt
+# ...and so must the ablation, the one runner of Alignment pairing and
+# of the 0.05-0.6 threshold sweep; it collects no experiment points, so
+# it appends no bench history
+hist_lines=$(wc -l < BENCH_history.jsonl)
+dune exec bench/main.exe -- ablation > /tmp/darm_abl_on.txt
+DARM_NO_PREFILTER=1 dune exec bench/main.exe -- ablation \
+  > /tmp/darm_abl_off.txt
+cmp /tmp/darm_abl_on.txt /tmp/darm_abl_off.txt
+test "$(wc -l < BENCH_history.jsonl)" -eq "$hist_lines"
+rm -f /tmp/darm_abl_on.txt /tmp/darm_abl_off.txt
 dune exec bin/darm_opt.exe -- meld --kernel BIT --pass darm \
   --metrics-out /tmp/darm_pass_metrics.prom > /tmp/darm_meld_bit.txt
 grep -q ';; candidates:' /tmp/darm_meld_bit.txt

@@ -185,66 +185,213 @@ let test_analysis_equal_sanity () =
   ignore f2
 
 (* ------------------------------------------------------------------ *)
-(* Similarity vs the exhaustive search: compatible is necessary for
-   isomorphism and profit_upper_bound bounds FP_S from above — the two
-   facts the prefilter's exactness rests on.  Checked over every
-   subgraph pair of every meldable region of the registry kernels plus
-   a band of fuzz-generated kernels; the pair count is asserted
-   non-zero so the property cannot pass vacuously. *)
+(* The walk and the summaries against their definitions: what
+   [match_subgraphs] returns is an isomorphism, and a summary scores
+   and bounds a pair as FP_S over that isomorphism does — the facts the
+   prefilter's exactness rests on.  Checked over every subgraph pair of
+   every meldable region of the registry kernels and a band of
+   fuzz-generated kernels, with Gen smoke seed 148 and Gen default seed
+   20, whose isomorphic pairs include three that score one ulp above
+   the exact ratio bound; the pair counts are asserted non-zero so no
+   property passes vacuously. *)
 
-let sg_sig lat (sg : Region.subgraph) : A.Similarity.t =
-  A.Similarity.signature ~lat
-    ~blocks:(Region.subgraph_block_list sg)
-    ~entry:sg.Region.sg_entry
-    ~in_subgraph:(Region.in_subgraph sg)
-    ~exit_dest:sg.Region.sg_exit_dest
+let lat = Pass.default_config.Pass.latency
 
-let check_bounds_on_func lat (f : Ssa.func) (matched : int ref) : unit =
-  let dvg = A.Divergence.compute f in
-  let dt = A.Domtree.compute f in
-  let pdt = A.Domtree.compute_post f in
-  List.iter
-    (fun bl ->
-      match Region.detect dvg dt pdt bl with
-      | None -> ()
-      | Some r ->
-          let ts = Region.true_subgraphs pdt r in
-          let fs = Region.false_subgraphs pdt r in
-          List.iter
-            (fun st ->
-              List.iter
-                (fun sf ->
-                  let sa = sg_sig lat st and sb = sg_sig lat sf in
-                  match Iso.match_subgraphs st sf with
-                  | None -> ()
-                  | Some pairs ->
-                      incr matched;
-                      check "isomorphic pair is signature-compatible" true
-                        (A.Similarity.compatible sa sb);
-                      let fp = Prof.fp_s lat pairs in
-                      check "profit_upper_bound dominates FP_S" true
-                        (A.Similarity.profit_upper_bound sa sb >= fp -. 1e-9))
-                fs)
-            ts)
-    f.Ssa.blocks_list
-
-let test_similarity_bounds () =
-  let lat = Pass.default_config.Pass.latency in
-  let matched = ref 0 in
-  List.iter
+let subject_funcs () : Ssa.func list =
+  let depth4 = { G.default_cfg with G.max_depth = 4 } in
+  List.map
     (fun (k : Kernel.t) ->
-      let inst =
-        k.Kernel.make ~seed:1
-          ~block_size:(List.hd k.Kernel.block_sizes)
-          ~n:k.Kernel.default_n
+      (k.Kernel.make ~seed:1
+         ~block_size:(List.hd k.Kernel.block_sizes)
+         ~n:k.Kernel.default_n)
+        .Kernel.func)
+    Registry.all
+  @ List.map (fun seed -> G.generate ~cfg:depth4 ~seed ()) (Testlib.seeds 0 10)
+  @ [
+      G.generate ~cfg:G.smoke_cfg ~seed:148 ();
+      G.generate ~cfg:G.default_cfg ~seed:20 ();
+    ]
+
+(* [f sides] for the two subgraph sequences of every meldable region of
+   every subject *)
+let for_each_region (f : Region.subgraph list * Region.subgraph list -> unit)
+    : unit =
+  List.iter
+    (fun (fn : Ssa.func) ->
+      let dvg = A.Divergence.compute fn in
+      let dt = A.Domtree.compute fn in
+      let pdt = A.Domtree.compute_post fn in
+      List.iter
+        (fun bl ->
+          match Region.detect dvg dt pdt bl with
+          | None -> ()
+          | Some r ->
+              f (Region.true_subgraphs pdt r, Region.false_subgraphs pdt r))
+        fn.Ssa.blocks_list)
+    (subject_funcs ())
+
+(* [f st sf pairs] for every isomorphic subgraph pair; returns how many *)
+let for_each_isomorphic_pair
+    (f : Region.subgraph -> Region.subgraph -> (Ssa.block * Ssa.block) list ->
+    unit) : int =
+  let matched = ref 0 in
+  for_each_region (fun (ts, fs) ->
+      List.iter
+        (fun st ->
+          List.iter
+            (fun sf ->
+              match Iso.match_subgraphs st sf with
+              | None -> ()
+              | Some pairs ->
+                  incr matched;
+                  f st sf pairs)
+            fs)
+        ts);
+  !matched
+
+(* what [match_subgraphs] returned is an isomorphism: a bijection from
+   entry to entry that keeps each terminator's opcode and pairs
+   successor k with successor k, or sends both to their exits *)
+let check_isomorphism (st : Region.subgraph) (sf : Region.subgraph)
+    (pairs : (Ssa.block * Ssa.block) list) : unit =
+  let fwd = Hashtbl.create 8 and bwd = Hashtbl.create 8 in
+  List.iter
+    (fun ((a : Ssa.block), (b : Ssa.block)) ->
+      Hashtbl.replace fwd a.Ssa.bid b;
+      Hashtbl.replace bwd b.Ssa.bid a)
+    pairs;
+  (match pairs with
+  | (a, b) :: _ ->
+      check "entry pairs with entry" true
+        (a == st.Region.sg_entry && b == sf.Region.sg_entry)
+  | [] -> Alcotest.fail "empty correspondence");
+  check "a bijection between the two block sets" true
+    (List.length pairs = Region.subgraph_size st
+    && Hashtbl.length fwd = Region.subgraph_size st
+    && Hashtbl.length bwd = Region.subgraph_size sf
+    && List.for_all
+         (fun (a, b) -> Region.in_subgraph st a && Region.in_subgraph sf b)
+         pairs);
+  List.iter
+    (fun ((a : Ssa.block), (b : Ssa.block)) ->
+      let ta = Ssa.terminator a and tb = Ssa.terminator b in
+      check "terminator opcode kept" true (ta.Ssa.op = tb.Ssa.op);
+      check "successor counts equal" true
+        (Array.length ta.Ssa.blocks = Array.length tb.Ssa.blocks);
+      Array.iteri
+        (fun k (sa : Ssa.block) ->
+          let sb = tb.Ssa.blocks.(k) in
+          check "successor k pairs with successor k, or both exit" true
+            (match Hashtbl.find_opt fwd sa.Ssa.bid with
+            | Some b' -> b' == sb
+            | None ->
+                sa == st.Region.sg_exit_dest && sb == sf.Region.sg_exit_dest))
+        ta.Ssa.blocks)
+    pairs
+
+(* a subgraph of fresh blocks b0..bn-1 (entry b0): block k branches to
+   the blocks [succs.(k)] lists by index, [-1] being the exit; one
+   successor makes a br, two a condbr *)
+let hand_subgraph (succs : int list list) : Region.subgraph =
+  let blocks =
+    Array.of_list
+      (List.mapi (fun k _ -> Ssa.mk_block (Printf.sprintf "b%d" k)) succs)
+  in
+  let exit = Ssa.mk_block "exit" in
+  List.iteri
+    (fun k targets ->
+      let dests =
+        Array.of_list
+          (List.map (fun t -> if t < 0 then exit else blocks.(t)) targets)
       in
-      check_bounds_on_func lat inst.Kernel.func matched)
-    Registry.all;
-  let cfg = { G.default_cfg with G.max_depth = 4 } in
-  for seed = 0 to 10 do
-    check_bounds_on_func lat (G.generate ~cfg ~seed ()) matched
-  done;
-  check "at least one isomorphic pair exercised the bound" true (!matched > 0)
+      let op, operands =
+        if Array.length dests = 1 then (Op.Br, [||])
+        else (Op.Condbr, [| Ssa.Bool true |])
+      in
+      Ssa.append_instr blocks.(k) (Ssa.mk_instr op operands dests Types.Void))
+    succs;
+  let members = Hashtbl.create 8 in
+  Array.iter (fun (b : Ssa.block) -> Hashtbl.replace members b.Ssa.bid b) blocks;
+  {
+    Region.sg_entry = blocks.(0);
+    sg_blocks = members;
+    sg_exit_src = blocks.(Array.length blocks - 1);
+    sg_exit_dest = exit;
+  }
+
+(* pairs that a walk blind to terminator kinds, or to which earlier
+   block a successor revisits, would match *)
+let hand_mismatches =
+  [
+    (* condbr (b1, exit); b1: br exit — against br b1; b1: condbr (exit,
+       exit) *)
+    ([ [ 1; -1 ]; [ -1 ] ], [ [ 1 ]; [ -1; -1 ] ]);
+    (* condbr (b1, b2); b1: br b2 — against condbr (b1, b1); b1: br b2 *)
+    ([ [ 1; 2 ]; [ 2 ]; [ -1 ] ], [ [ 1; 1 ]; [ 2 ]; [ -1 ] ]);
+  ]
+
+let test_match_is_isomorphism () =
+  check "some pair is isomorphic" true
+    (for_each_isomorphic_pair check_isomorphism > 0);
+  List.iter
+    (fun (a, b) ->
+      let sa = hand_subgraph a in
+      let sa' = hand_subgraph a and sb = hand_subgraph b in
+      check "hand-built pair is not isomorphic" true
+        (Iso.match_subgraphs sa sb = None);
+      match Iso.match_subgraphs sa sa' with
+      | Some pairs -> check_isomorphism sa sa' pairs
+      | None -> Alcotest.fail "a hand-built shape does not match its copy")
+    hand_mismatches
+
+let test_match_self () =
+  let subgraphs = ref 0 in
+  for_each_region (fun (ts, fs) ->
+      List.iter
+        (fun sg ->
+          incr subgraphs;
+          match Iso.match_subgraphs sg sg with
+          | None -> Alcotest.fail "a subgraph does not match itself"
+          | Some pairs ->
+              check "the identity on every block" true
+                (List.length pairs = Region.subgraph_size sg
+                && List.for_all (fun (a, b) -> a == b) pairs))
+        (ts @ fs));
+  check "some subgraph was walked" true (!subgraphs > 0)
+
+let summary = Prof.summarize lat
+
+(* the prefilter's bound dominates the computed FP_S of every
+   isomorphic pair: [may_profit] admits it at the threshold one ulp
+   below its score, which holds exactly when the bound is at least the
+   score *)
+let test_similarity_bounds () =
+  let matched =
+    for_each_isomorphic_pair (fun st sf pairs ->
+        check "may_profit just below FP_S" true
+          (Prof.may_profit
+             ~threshold:(Float.pred (Prof.fp_s lat pairs))
+             (summary st) (summary sf)))
+  in
+  check "at least one isomorphic pair exercised the bound" true (matched > 0)
+
+let test_score_is_fp_s () =
+  let pairs = ref 0 in
+  for_each_region (fun (ts, fs) ->
+      List.iter
+        (fun st ->
+          List.iter
+            (fun sf ->
+              incr pairs;
+              let bits = Option.map Int64.bits_of_float in
+              check "score is fp_s over match_subgraphs, bit for bit" true
+                (bits (Prof.score (summary st) (summary sf))
+                = bits
+                    (Option.map (Prof.fp_s lat)
+                       (Iso.match_subgraphs st sf))))
+            fs)
+        ts);
+  check "some pair was scored" true (!pairs > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Prefilter exactness: meld decisions byte-identical with the
@@ -299,6 +446,33 @@ let test_prefilter_identity_alignment () =
     (fun (k : Kernel.t) ->
       ignore (check_identity ~tag:("align:" ^ k.Kernel.tag) base (registry_mk k)))
     Registry.all
+
+(* every scored pair emits one meld.decision instant, under either
+   pairing: Alignment scores each pair of a search once, as Greedy
+   does *)
+let test_decision_per_scored_pair () =
+  List.iter
+    (fun pairing ->
+      List.iter
+        (fun (k : Kernel.t) ->
+          let tr = Darm_obs.Trace.create () in
+          let s =
+            Pass.run
+              ~config:{ Pass.default_config with Pass.pairing; obs = Some tr }
+              (registry_mk k ())
+          in
+          let decisions =
+            List.length
+              (List.filter
+                 (fun (e : Darm_obs.Trace.event) ->
+                   e.Darm_obs.Trace.ev_name = "meld.decision")
+                 (Darm_obs.Trace.events tr))
+          in
+          check_int
+            (k.Kernel.tag ^ ": one decision per scored pair")
+            s.Pass.pairs_scored decisions)
+        Registry.all)
+    [ Pass.Greedy; Pass.Alignment ]
 
 (* corpus replay: every parseable corpus kernel must produce the same
    outcome (same decisions and IR, or the same failure) either way *)
@@ -372,10 +546,17 @@ let suites =
       [
         Alcotest.test_case "upper bound dominates FP_S" `Quick
           test_similarity_bounds;
+        Alcotest.test_case "walk pairs an isomorphism" `Quick
+          test_match_is_isomorphism;
+        Alcotest.test_case "walk matches itself" `Quick test_match_self;
+        Alcotest.test_case "score is fp_s of the match" `Quick
+          test_score_is_fp_s;
         Alcotest.test_case "decision identity: registry (greedy)" `Quick
           test_prefilter_identity_registry;
         Alcotest.test_case "decision identity: registry (alignment)" `Quick
           test_prefilter_identity_alignment;
+        Alcotest.test_case "decisions equal pairs scored" `Quick
+          test_decision_per_scored_pair;
         Alcotest.test_case "decision identity: corpus replay" `Quick
           test_prefilter_identity_corpus;
         prop_prefilter_identity_fuzz;
