@@ -172,7 +172,7 @@ let divergence_cmd =
     let kernel = find_kernel tag in
     let inst = make_instance kernel ~seed ~block_size ~n in
     let f = inst.Kernel.func in
-    let dvg = Darm_analysis.Divergence.compute f in
+    let dvg = Darm_analysis.Manager.divergence f in
     print_string (Darm_analysis.Divergence.report dvg f)
   in
   Cmd.v
@@ -361,7 +361,7 @@ let read_module parse file : Darm_ir.Ssa.modul =
           List.map
             (fun (e : Darm_ir.Verify.error) ->
               Printf.sprintf "@%s: %s" f.fname e.msg)
-            (Darm_ir.Verify.run f))
+            (Darm_ir.Verify.check f))
         m.funcs
     in
     if errors = [] then Ok m else Error (String.concat "; " errors)
@@ -439,7 +439,7 @@ let dot_cmd =
     let inst = make_instance kernel ~seed ~block_size ~n in
     let f = inst.Kernel.func in
     if melded then ignore (E.darm_default.E.t_apply f);
-    let dvg = Darm_analysis.Divergence.compute f in
+    let dvg = Darm_analysis.Manager.divergence f in
     print_string
       (Darm_ir.Dot.func_to_dot
          ~highlight:(Darm_analysis.Divergence.is_divergent_branch dvg)

@@ -17,10 +17,11 @@ let () =
   print_endline "=== bitonic sort: original CFG (paper Fig. 5a) ===";
   print_endline (Printer.cfg_summary f);
 
-  (* --- region detection, as the pass does it --- *)
-  let dvg = A.Divergence.compute f in
-  let dt = A.Domtree.compute f in
-  let pdt = A.Domtree.compute_post f in
+  (* --- region detection, as the pass does it: the analyses come from
+     the function's analysis cache --- *)
+  let dvg = A.Manager.divergence f in
+  let dt = A.Manager.domtree f in
+  let pdt = A.Manager.postdomtree f in
   let region =
     List.fold_left
       (fun acc b ->
@@ -28,7 +29,7 @@ let () =
         | Some _ -> acc
         | None -> C.Region.detect dvg dt pdt b)
       None
-      (A.Cfg.reachable_blocks f)
+      (A.Manager.reachable f)
   in
   (match region with
   | None -> failwith "no meldable divergent region found?!"

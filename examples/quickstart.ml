@@ -55,7 +55,7 @@ let () =
   print_string (Printer.func_to_string f);
 
   print_endline "\n=== 2. divergence analysis ===";
-  let dvg = Darm_analysis.Divergence.compute f in
+  let dvg = Darm_analysis.Manager.divergence f in
   List.iter
     (fun b -> Printf.printf "divergent branch at block %s\n" b.Ssa.bname)
     (Darm_analysis.Divergence.divergent_branches dvg f);

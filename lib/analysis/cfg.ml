@@ -4,6 +4,7 @@ open Darm_ir.Ssa
 
 (** Blocks reachable from the entry, in depth-first preorder. *)
 let reachable_blocks (f : func) : block list =
+  computed f ~kind:"reachable";
   let seen = Hashtbl.create 32 in
   let acc = ref [] in
   let rec dfs b =

@@ -4,10 +4,7 @@
 open Darm_ir
 open Darm_ir.Ssa
 
-type t = {
-  divergent : (int, unit) Hashtbl.t;  (** divergent instruction ids *)
-  pdt : Domtree.t;
-}
+type t = { divergent : (int, unit) Hashtbl.t  (** divergent instruction ids *) }
 
 let is_divergent_instr (t : t) (i : instr) = Hashtbl.mem t.divergent i.id
 
@@ -55,10 +52,9 @@ let sync_joins (pdt : Domtree.t) (b : block) : block list =
 (* One worklist along def-use edges: a value is divergent once any
    operand is, and a divergent [condbr] marks the phis of its sync
    joins. *)
-let compute ?pdt (f : func) : t =
-  let pdt =
-    match pdt with Some p -> p | None -> Domtree.compute_post f
-  in
+let compute (f : func) : t =
+  computed f ~kind:"divergence";
+  let pdt = Dom.tree ~is_post:true f in
   let divergent = Hashtbl.create 64 in
   let work = Stack.create () in
   let mark i =
@@ -88,11 +84,7 @@ let compute ?pdt (f : func) : t =
     | _ -> ());
     List.iter mark (users i)
   done;
-  { divergent; pdt }
-
-(** The post-dominator tree the analysis was computed over (shared with
-    callers that would otherwise recompute it). *)
-let pdt (t : t) : Domtree.t = t.pdt
+  { divergent }
 
 (** Sorted ids of the divergent instructions — the analysis result as
     plain data. *)
@@ -100,8 +92,7 @@ let divergent_ids (t : t) : int list =
   Hashtbl.fold (fun id () acc -> id :: acc) t.divergent []
   |> List.sort compare
 
-(** Result equality: same divergent-instruction set (the post-dominator
-    trees are compared separately by their own {!Domtree.equal}). *)
+(** Result equality: same divergent-instruction set. *)
 let equal (a : t) (b : t) : bool =
   Hashtbl.length a.divergent = Hashtbl.length b.divergent
   && divergent_ids a = divergent_ids b

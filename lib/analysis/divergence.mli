@@ -24,18 +24,16 @@ open Darm_ir
 
 type t
 
-(** [compute ?pdt f] runs the analysis as one worklist along def-use
+(** [compute f] runs the analysis as one worklist along def-use
     edges ({!Darm_ir.Ssa.users}), from the [thread.idx] instructions: a
     divergent [condbr] marks the phis of its sync joins, which are
-    found once per branch.  [pdt] (when supplied) must be the current
-    post-dominator tree of [f] and saves recomputing it. *)
-val compute : ?pdt:Domtree.t -> Ssa.func -> t
-
-(** The post-dominator tree the analysis was computed over. *)
-val pdt : t -> Domtree.t
+    found once per branch, over [f]'s post-dominator tree from its
+    analysis cache ({!Darm_ir.Dom.tree}).  {!Manager.divergence} caches
+    the result. *)
+val compute : Ssa.func -> t
 
 (** Result equality: same divergent-instruction set.  The random-edit
-    property of test/suite_cfg_index.ml compares the analysis manager's
+    property of test/suite_cfg_index.ml compares the analysis cache's
     result to a fresh one with it. *)
 val equal : t -> t -> bool
 

@@ -12,7 +12,7 @@
 
 open Darm_ir
 
-type t
+type t = Dom.t
 
 val compute : Ssa.func -> t
 val compute_post : Ssa.func -> t
@@ -30,7 +30,7 @@ val strictly_dominates : t -> Ssa.block -> Ssa.block -> bool
 
 (** Structural equality of two trees over the same function: same node
     set and same immediate-dominator relation.  The random-edit property
-    of test/suite_cfg_index.ml compares the analysis manager's trees to
+    of test/suite_cfg_index.ml compares the analysis cache's trees to
     fresh ones with it. *)
 val equal : t -> t -> bool
 

@@ -30,8 +30,8 @@ let exit_edges (l : loop) : (block * block) list =
     (blocks_of l)
 
 let compute (f : func) : t =
-  let dt = Domtree.compute f in
-  let reach = Cfg.reachable_blocks f in
+  let dt = Manager.domtree f in
+  let reach = Manager.reachable f in
   (* back edge: b -> h where h dominates b *)
   let back_edges =
     List.concat_map

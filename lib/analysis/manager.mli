@@ -1,41 +1,42 @@
-(** Per-function analysis manager: caches the CFG walk, dominator and
-    post-dominator trees and divergence behind a typed query API.
+(** The analysis cache: the reachable walk, the dominator and
+    post-dominator trees and divergence of a function, kept with the
+    function itself ({!Darm_ir.Ssa.cached}), beside the verifier's pass
+    mark ({!Darm_ir.Verify.check}).  Every consumer asks by function:
+    the verifier, the checkers, the simulator's post-dominator tree, the
+    pass, [Meld.run] and {!Loops.compute}.
 
-    A cached analysis is served while the function's edit count
+    A cached result is served while the function's edit count
     ([Ssa.func]'s [edit_count]) is unchanged.  Every mutator in
-    {!Darm_ir.Ssa} bumps that count, and nothing else writes a field the
-    analyses read, so a query after any edit recomputes: a stale result
-    cannot be served.
+    {!Darm_ir.Ssa} bumps that count, and nothing else writes a field
+    the analyses read, so a query after any edit recomputes: a stale
+    result cannot be served.
 
-    The post-dominator tree is shared with a cached divergence result
-    in both directions: it is served from one (divergence computes one
-    internally), and divergence is seeded with a cached one. *)
+    Only one domain uses a function at a time, since a query writes the
+    function's cache.  The harness's experiments, the batch workers, the
+    fuzz oracle's subjects and the bench's cross-model re-runs each
+    build the functions they run in the domain that runs them. *)
 
 open Darm_ir
 
-type stats = {
-  mutable computes : int;  (** from-scratch analysis runs *)
-  mutable reuses : int;
-      (** queries served from cache — each one is a recompute a
-          manager-less driver would have performed *)
-}
+(** Reachable blocks in DFS preorder ({!Cfg.reachable_blocks}); kind
+    ["reachable"]. *)
+val reachable : Ssa.func -> Ssa.block list
 
-type t
+(** {!Domtree.compute}; kind ["domtree"]. *)
+val domtree : Ssa.func -> Domtree.t
 
-(** [create f] makes an empty manager for [f]. *)
-val create : Ssa.func -> t
+(** {!Domtree.compute_post}; kind ["postdomtree"]. *)
+val postdomtree : Ssa.func -> Domtree.t
 
-val func : t -> Ssa.func
-val stats : t -> stats
+(** {!Divergence.compute}; kind ["divergence"]. *)
+val divergence : Ssa.func -> Divergence.t
 
-(** Cache-served queries so far — the recomputes a manager-less driver
-    would have performed (feeds the [analysis_recomputes_avoided]
-    counter). *)
-val recomputes_avoided : t -> int
+(** [computes f kind]: how many results of [kind] have been computed
+    over [f], through the cache or not: one of the kinds above, or
+    ["verify"] for the verifier's walks ({!Darm_ir.Verify.run}). *)
+val computes : Ssa.func -> string -> int
 
-(** Reachable blocks in DFS preorder (cached {!Cfg.reachable_blocks}). *)
-val reachable : t -> Ssa.block list
-
-val domtree : t -> Domtree.t
-val postdomtree : t -> Domtree.t
-val divergence : t -> Divergence.t
+(** The queries of every kind that [f]'s cache has served so far; a
+    pass run's [analysis_recomputes_avoided] is its growth over the
+    run. *)
+val recomputes_avoided : Ssa.func -> int

@@ -5,7 +5,7 @@ open Darm_ir
 open Darm_ir.Ssa
 module Divergence = Darm_analysis.Divergence
 module Domtree = Darm_analysis.Domtree
-module Cfg = Darm_analysis.Cfg
+module Manager = Darm_analysis.Manager
 module IntSet = Set.Make (Int)
 
 let id_barrier_divergence = "barrier-divergence"
@@ -40,9 +40,8 @@ let close_at (block_of_id : (int, block) Hashtbl.t) (pdt : Domtree.t)
           | None -> true))
     fact
 
-let analyze ?dvg ?pdt (f : func) : t =
-  let dvg = match dvg with Some d -> d | None -> Divergence.compute f in
-  let pdt = match pdt with Some p -> p | None -> Domtree.compute_post f in
+let analyze (f : func) : t =
+  let dvg = Manager.divergence f and pdt = Manager.postdomtree f in
   let block_of_id = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_of_id b.bid b) f.blocks_list;
   let transfer (b : block) (fact : IntSet.t) : IntSet.t =
@@ -80,7 +79,7 @@ let analyze ?dvg ?pdt (f : func) : t =
                 :: !diags
             end)
           b.instrs)
-    (Cfg.reachable_blocks f);
+    (Manager.reachable f);
   { result; block_of_id; pdt; diags = List.rev !diags }
 
 let diags (t : t) : Diag.t list = t.diags

@@ -25,14 +25,9 @@ open Darm_ir
 
 type t
 
-(** [dvg] / [pdt] (when supplied) must be current for [f]; they save
-    recomputing the divergence analysis and the post-dominator tree —
-    e.g. from a {!Darm_analysis.Manager}. *)
-val analyze :
-  ?dvg:Darm_analysis.Divergence.t ->
-  ?pdt:Darm_analysis.Domtree.t ->
-  Ssa.func ->
-  t
+(** Divergence and the post-dominator tree come from [f]'s analysis
+    cache ({!Darm_analysis.Manager}). *)
+val analyze : Ssa.func -> t
 
 val diags : t -> Diag.t list
 

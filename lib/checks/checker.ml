@@ -11,12 +11,8 @@ type report = {
   verdict : Race_check.verdict;
 }
 
-let check_func ?facts (f : Ssa.func) : report =
-  (match facts with
-  | Some m when not (Darm_analysis.Manager.func m == f) ->
-      invalid_arg "Checker.check_func: facts manager is for another function"
-  | _ -> ());
-  match Verify.run f with
+let check_func (f : Ssa.func) : report =
+  match Verify.check f with
   | _ :: _ as errs ->
       {
         kernel = f.Ssa.fname;
@@ -29,17 +25,10 @@ let check_func ?facts (f : Ssa.func) : report =
         verdict = Race_check.Unknown;
       }
   | [] ->
-      let dvg =
-        match facts with
-        | Some m -> Darm_analysis.Manager.divergence m
-        | None -> Darm_analysis.Divergence.compute f
-      in
-      let pdt = Option.map Darm_analysis.Manager.postdomtree facts in
-      let dt = Option.map Darm_analysis.Manager.domtree facts in
       (* one barrier-divergence run feeds both its own diagnostics and
          the race checker (which previously recomputed it) *)
-      let bdiv = Barrier_check.analyze ~dvg ?pdt f in
-      let race = Race_check.analyze ~dvg ?dt ~bdiv f in
+      let bdiv = Barrier_check.analyze f in
+      let race = Race_check.analyze ~bdiv f in
       let hygiene = Hygiene.check f in
       let diags =
         List.sort Diag.compare

@@ -1,13 +1,13 @@
 (** Checker orchestration: run every sanity checker over a kernel and
     produce one structured report.
 
-    Order matters: {!Darm_ir.Verify} runs first, and when it fails the
-    dataflow checkers are skipped (their CFG walks assume well-formed
-    IR) — the report then carries one [invalid-ir] error per verifier
-    complaint.  On well-formed IR the barrier-divergence checker, the
-    shared-memory race checker and the hygiene lints all run, their
-    diagnostics are merged and sorted (errors first), and the race
-    checker's sound verdict is attached.
+    Order matters: {!Darm_ir.Verify.check} runs first, and when it
+    fails the dataflow checkers are skipped (their CFG walks assume
+    well-formed IR) — the report then carries one [invalid-ir] error
+    per verifier complaint.  On well-formed IR the barrier-divergence
+    checker, the shared-memory race checker and the hygiene lints all
+    run, their diagnostics are merged and sorted (errors first), and
+    the race checker's sound verdict is attached.
 
     {!new_errors} is the translation-validation primitive used by
     {!Darm_core.Pass}: it diffs two reports by {e error id multiset},
@@ -23,13 +23,13 @@ type report = {
   verdict : Race_check.verdict;
 }
 
-(** [facts] (when supplied) must be a {!Darm_analysis.Manager} for [f];
-    the checkers then draw the divergence analysis and both dominator
-    trees from its cache instead of recomputing them per checker.
-    Independent of [facts], the barrier-divergence analysis runs once
-    and is shared with the race checker.  Raises [Invalid_argument]
-    when [facts] manages a different function. *)
-val check_func : ?facts:Darm_analysis.Manager.t -> Ssa.func -> report
+(** The checkers draw the verifier's pass, the divergence analysis and
+    both dominator trees from [f]'s analysis cache
+    ({!Darm_analysis.Manager}), so a function verified and analysed at
+    its current edit count is neither walked nor analysed again.  The
+    barrier-divergence analysis runs once and is shared with the race
+    checker. *)
+val check_func : Ssa.func -> report
 
 val errors : report -> Diag.t list
 

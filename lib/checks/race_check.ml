@@ -6,9 +6,8 @@
 
 open Darm_ir
 open Darm_ir.Ssa
-module Divergence = Darm_analysis.Divergence
 module Domtree = Darm_analysis.Domtree
-module Cfg = Darm_analysis.Cfg
+module Manager = Darm_analysis.Manager
 module IntSet = Set.Make (Int)
 
 let id_race_ww = "shared-race-ww"
@@ -108,10 +107,10 @@ let may_same_interval a b = not (IntSet.disjoint a.a_intervals b.a_intervals)
    operands are affine with distinct tid coefficients, so for any
    fixed value of the uniform symbols at most one thread satisfies
    equality. *)
-let solo_block_set ?dt (af : Affine.t) (f : func) : IntSet.t =
-  let dt = match dt with Some d -> d | None -> Domtree.compute f in
+let solo_block_set (af : Affine.t) (f : func) : IntSet.t =
+  let dt = Manager.domtree f in
   let solo = ref IntSet.empty in
-  let reachable = Cfg.reachable_blocks f in
+  let reachable = Manager.reachable f in
   List.iter
     (fun c ->
       match List.rev c.instrs with
@@ -226,21 +225,20 @@ let collect_accesses (af : Affine.t) (bdiv : Barrier_check.t)
                 :: !accesses
           | _ -> ())
         b.instrs)
-    (Cfg.reachable_blocks f);
+    (Manager.reachable f);
   List.rev !accesses
 
-let analyze ?dvg ?dt ?bdiv (f : func) : t =
-  let dvg = match dvg with Some d -> d | None -> Divergence.compute f in
-  let af = Affine.compute dvg f in
+let analyze ?bdiv (f : func) : t =
+  let af = Affine.compute (Manager.divergence f) f in
   let bdiv =
-    match bdiv with Some b -> b | None -> Barrier_check.analyze ~dvg f
+    match bdiv with Some b -> b | None -> Barrier_check.analyze f
   in
   let intervals =
     Solver.solve
       ~entry:(IntSet.singleton entry_marker)
       ~init:IntSet.empty ~transfer:block_transfer f
   in
-  let solo = solo_block_set ?dt af f in
+  let solo = solo_block_set af f in
   let accesses = collect_accesses af bdiv intervals solo f in
   let arr = Array.of_list accesses in
   let n = Array.length arr in

@@ -38,17 +38,11 @@ type verdict =
 
 type t
 
-(** [dvg], [dt] and [bdiv] (when supplied) must be current for [f];
-    they save recomputing the divergence analysis, the dominator tree
-    and the barrier-divergence analysis — e.g. from a
-    {!Darm_analysis.Manager} and a {!Checker}-level shared
-    {!Barrier_check.analyze} run. *)
-val analyze :
-  ?dvg:Darm_analysis.Divergence.t ->
-  ?dt:Darm_analysis.Domtree.t ->
-  ?bdiv:Barrier_check.t ->
-  Ssa.func ->
-  t
+(** Divergence and the dominator tree come from [f]'s analysis cache
+    ({!Darm_analysis.Manager}); [bdiv] (when supplied) must be current
+    for [f] and saves re-running {!Barrier_check.analyze}, as the
+    {!Checker} does. *)
+val analyze : ?bdiv:Barrier_check.t -> Ssa.func -> t
 
 val diags : t -> Diag.t list
 val verdict : t -> verdict

@@ -172,15 +172,15 @@ type clone_record =
 
 (** The main melding procedure.  [pairs] is the isomorphism
     correspondence in pre-order; the subgraphs must be normalized
-    ({!Simplify_region}).  Both dominator trees come from [mgr]: the
-    normalized function's, read before the first edit, and the melded
-    one's for the dominance repair.  Returns the melded entry block. *)
-let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
+    ({!Simplify_region}).  Both dominator trees come from [fn]'s
+    analysis cache: the normalized function's, read before the first
+    edit, and the melded one's for the dominance repair.  Returns the
+    melded entry block. *)
+let run (fn : func) ~(cond : value) ~(lat : Latency.config)
     ~(s_t : Region.subgraph) ~(s_f : Region.subgraph) ~(pre_t : block)
     ~(pre_f : block) ~(pairs : (block * block) list) ~(unpredicate : bool)
     ~(stats : stats) : block =
-  let fn = Manager.func mgr in
-  let dt = Manager.domtree mgr in
+  let dt = Manager.domtree fn in
   let env =
     {
       fn;
@@ -585,7 +585,7 @@ let run (mgr : Manager.t) ~(cond : value) ~(lat : Latency.config)
      visited, in function order (the entry phis come out in the order a
      whole-function sweep creates them), and only the operands that
      change are written: the meld stamps no block it does not touch. *)
-  let dt2 = Manager.domtree mgr in
+  let dt2 = Manager.domtree fn in
   let repair (d : instr) : value option =
     let dom_t = Domtree.instr_dominates dt2 d (terminator pre_t) in
     let dom_f = Domtree.instr_dominates dt2 d (terminator pre_f) in

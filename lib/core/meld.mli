@@ -26,14 +26,15 @@ type stats = {
 
 val empty_stats : unit -> stats
 
-(** The main melding procedure on [mgr]'s function.  [pairs] is the
-    isomorphism correspondence in pre-order; the subgraphs must be
-    normalized ({!Simplify_region}) with unique external predecessors
-    [pre_t] / [pre_f].  Both dominator trees come from [mgr]: the
-    normalized function's, read before the first edit, and the melded
-    one's for the dominance repair.  Returns the melded entry block. *)
+(** The main melding procedure on [fn].  [pairs] is the isomorphism
+    correspondence in pre-order; the subgraphs must be normalized
+    ({!Simplify_region}) with unique external predecessors [pre_t] /
+    [pre_f].  Both dominator trees come from [fn]'s analysis cache
+    ({!Darm_analysis.Manager}): the normalized function's, read before
+    the first edit, and the melded one's for the dominance repair.
+    Returns the melded entry block. *)
 val run :
-  Darm_analysis.Manager.t ->
+  Ssa.func ->
   cond:Ssa.value ->
   lat:Latency.config ->
   s_t:Region.subgraph ->

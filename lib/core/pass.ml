@@ -44,8 +44,7 @@ type config = {
       (** skip subgraph pairs whose {!Profitability.summary} values
           prove the exhaustive search would reject them (walk shapes
           differ, or the FP_S upper bound is at most the threshold);
-          meld decisions are unchanged.  ANDed with the
-          [DARM_NO_PREFILTER] environment variable (set = off). *)
+          meld decisions are unchanged *)
 }
 
 let default_config : config =
@@ -57,15 +56,14 @@ let default_config : config =
     diamonds_only = false;
     if_convert_after = false;
     obs = None;
-    prefilter = true;
+    (* [DARM_NO_PREFILTER] set (non-empty, non-"0") when the program
+       starts forces the exhaustive candidate search; the CI
+       equivalence stages use it *)
+    prefilter =
+      (match Sys.getenv_opt "DARM_NO_PREFILTER" with
+      | Some ("" | "0") | None -> true
+      | Some _ -> false);
   }
-
-(* [DARM_NO_PREFILTER] set (non-empty, non-"0") forces the exhaustive
-   candidate search — the CI equivalence stage uses it. *)
-let prefilter_enabled () =
-  match Sys.getenv_opt "DARM_NO_PREFILTER" with
-  | Some ("" | "0") | None -> true
-  | Some _ -> false
 
 let branch_fusion_config : config =
   { default_config with diamonds_only = true }
@@ -124,7 +122,7 @@ type stats = {
       (** subgraph pair evaluations skipped by the similarity
           prefilter *)
   mutable analysis_recomputes_avoided : int;
-      (** analysis queries served from the manager cache *)
+      (** analysis queries of the run served from the analysis cache *)
   mutable melds : meld_record list;
       (** provenance of the applied melds, in application order *)
   meld_stats : Meld.stats;
@@ -256,7 +254,7 @@ let best_pair_alignment (cfg : config) (r : Region.t)
       | Darm_align.Sequence.Left _ | Darm_align.Sequence.Right _ -> acc)
     None aligned
 
-let best_pair ~prefilter ~stats (cfg : config) (r : Region.t)
+let best_pair ~stats (cfg : config) (r : Region.t)
     (pdt : Domtree.t) : candidate option =
   let t_sgs = Array.of_list (Region.true_subgraphs pdt r) in
   let f_sgs = Array.of_list (Region.false_subgraphs pdt r) in
@@ -279,7 +277,7 @@ let best_pair ~prefilter ~stats (cfg : config) (r : Region.t)
           Array.init (Array.length f_sgs) (fun fi ->
               let a = t_sums.(ti) and b = f_sums.(fi) in
               if
-                prefilter
+                cfg.prefilter
                 && not
                      (Profitability.may_profit ~threshold:cfg.threshold a b)
               then begin
@@ -301,8 +299,8 @@ let best_pair ~prefilter ~stats (cfg : config) (r : Region.t)
 
 (* Meld one candidate; the subgraphs are re-matched after normalization
    since normalization adds the dedicated exit blocks. *)
-let apply_candidate (cfg : config) (mgr : Manager.t) (f : func)
-    (c : candidate) (stats : stats) : unit =
+let apply_candidate (cfg : config) (f : func) (c : candidate)
+    (stats : stats) : unit =
   let st = Simplify_region.normalize_exit f c.c_st in
   let sf = Simplify_region.normalize_exit f c.c_sf in
   let st, pre_t = Simplify_region.normalize_entry f st in
@@ -315,7 +313,7 @@ let apply_candidate (cfg : config) (mgr : Manager.t) (f : func)
           "Pass.apply_candidate: normalization broke subgraph isomorphism"
   in
   ignore
-    (Meld.run mgr ~cond:c.c_region.Region.r_cond ~lat:cfg.latency ~s_t:st
+    (Meld.run f ~cond:c.c_region.Region.r_cond ~lat:cfg.latency ~s_t:st
        ~s_f:sf ~pre_t ~pre_f ~pairs ~unpredicate:cfg.unpredicate
        ~stats:stats.meld_stats);
   stats.melds_applied <- stats.melds_applied + 1
@@ -351,10 +349,9 @@ let is_invalid_ir (d : Darm_checks.Diag.t) =
     checker error. *)
 let run ?(config = default_config) ?(checked = false) (f : func) : stats =
   let stats = empty_stats () in
-  let prefilter = config.prefilter && prefilter_enabled () in
-  (* one manager per run: an analysis persists across iterations until
-     the function is next edited *)
-  let mgr = Manager.create f in
+  (* the function's analysis cache serves every query below until the
+     function is next edited, and may already hold its analyses *)
+  let reuses0 = Manager.recomputes_avoided f in
   let obs_span name args body =
     match config.obs with
     | None -> body ()
@@ -380,7 +377,7 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
         | None -> None
         | Some r ->
             stats.regions_found <- stats.regions_found + 1;
-            let c = best_pair ~prefilter ~stats config r pdt in
+            let c = best_pair ~stats config r pdt in
             if Option.is_none c then
               Hashtbl.replace searched b.bid
                 {
@@ -397,11 +394,11 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
     @@ fun () ->
     let dvg, dt, pdt =
       obs_span "pass.analysis" [] @@ fun () ->
-      (* divergence first: it computes a post-dominator tree internally,
-         so the postdomtree query right after is a cache hit *)
-      let dvg = Manager.divergence mgr in
-      let dt = Manager.domtree mgr in
-      let pdt = Manager.postdomtree mgr in
+      (* divergence first: it asks for the post-dominator tree, so the
+         postdomtree query right after is a cache hit *)
+      let dvg = Manager.divergence f in
+      let dt = Manager.domtree f in
+      let pdt = Manager.postdomtree f in
       (dvg, dt, pdt)
     in
     let candidate =
@@ -409,7 +406,7 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
       List.fold_left
         (fun acc b ->
           match acc with Some _ -> acc | None -> search dvg dt pdt b)
-        None (Manager.reachable mgr)
+        None (Manager.reachable f)
     in
     match candidate with
     | None -> continue_ := false
@@ -430,12 +427,12 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
           match !last_report with
           | Some _ as r -> r
           | None when checked ->
-              Some (Darm_checks.Checker.check_func ~facts:mgr f)
+              Some (Darm_checks.Checker.check_func f)
           | None -> None
         in
         let record = record_of_candidate c (stats.melds_applied + 1) in
         obs_span "pass.apply" [] (fun () ->
-            apply_candidate config mgr f c stats);
+            apply_candidate config f c stats);
         (* most-recent-first while running; reversed into application
            order before [run] returns *)
         stats.melds <- record :: stats.melds;
@@ -445,7 +442,7 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
         match before with
         | None -> ()
         | Some before -> (
-            let after = Darm_checks.Checker.check_func ~facts:mgr f in
+            let after = Darm_checks.Checker.check_func f in
             (* the checker verifies first and reports IR the verifier
                rejects as invalid-ir errors; that raises, as a plain
                verification would *)
@@ -481,7 +478,7 @@ let run ?(config = default_config) ?(checked = false) (f : func) : stats =
     ignore (Darm_transforms.Simplify_cfg.if_convert f);
     ignore (Darm_transforms.Dce.run f)
   end;
-  stats.analysis_recomputes_avoided <- Manager.recomputes_avoided mgr;
+  stats.analysis_recomputes_avoided <- Manager.recomputes_avoided f - reuses0;
   stats.melds <- List.rev stats.melds;
   stats
 

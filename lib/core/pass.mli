@@ -37,7 +37,7 @@ type config = {
       (** trace buffer for the pass-pipeline instrumentation: a
           [pass.run] span wrapping one [pass.iteration] span per
           Algorithm 1 iteration, each broken down into [pass.analysis]
-          (manager queries), [pass.candidates] (region detection +
+          (analysis cache queries), [pass.candidates] (region detection +
           pair search), [pass.apply] (normalization + melding) and
           [pass.cleanup] child spans; a [meld.decision] instant per
           scored subgraph pair (region entry, pair entries, FP_S,
@@ -57,11 +57,13 @@ type config = {
           most [threshold].  The filter
           is {e exact} — the chosen melds are identical with it on or
           off — but skipped pairs emit no [meld.decision] trace
-          instant.  ANDed with the [DARM_NO_PREFILTER] environment
-          variable (set to a non-empty value other than ["0"] to force
-          the exhaustive search). *)
+          instant.  {!run} obeys this field alone. *)
 }
 
+(** [prefilter] is [false] when the [DARM_NO_PREFILTER] environment
+    variable holds a non-empty value other than ["0"] at program start,
+    which forces the exhaustive search wherever the default config
+    runs; [true] otherwise. *)
 val default_config : config
 
 (** [default_config] restricted to single-block diamonds — branch fusion
@@ -121,8 +123,9 @@ type stats = {
   mutable candidates_prefiltered : int;
       (** pair evaluations skipped by the similarity prefilter *)
   mutable analysis_recomputes_avoided : int;
-      (** analysis queries served from the manager cache — each one is
-          a recompute the unmanaged driver would have performed *)
+      (** analysis queries of this run that the function's analysis
+          cache served ({!Darm_analysis.Manager.recomputes_avoided},
+          taken over the run) — each one a recompute avoided *)
   mutable melds : meld_record list;
       (** provenance of the applied melds, in application order, so
           [List.length melds = melds_applied] *)

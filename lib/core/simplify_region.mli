@@ -3,8 +3,7 @@
     unique external predecessor — the paper's conversion of regions into
     simple regions with fresh entry/exit blocks, which makes the melding
     code generation uniform.  Every edit goes through {!Darm_ir.Ssa}'s
-    mutators, so an analysis manager for the function drops what it
-    cached. *)
+    mutators, so the function's analysis cache drops what it held. *)
 
 open Darm_ir
 

@@ -90,7 +90,7 @@ let cleanup (f : Ssa.func) =
    [Ssa.preds] gives each such block an immediate post-dominator.  A
    kernel that fails this spins until the simulator's cycle cap. *)
 let can_finish (f : Ssa.func) : bool =
-  Array.for_all (fun d -> d >= 0) (Dom.compute ~is_post:true f).Dom.idom
+  Array.for_all (fun d -> d >= 0) (Dom.tree ~is_post:true f).Dom.idom
 
 type attempt = Accepted of string | Rejected | Exhausted
 

@@ -632,7 +632,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
       (List.length fn.params) (Array.length args);
   Verify.run_exn fn;
   let ws = cfg.warp_size in
-  let pdt = Darm_analysis.Domtree.compute_post fn in
+  let pdt = Darm_analysis.Manager.postdomtree fn in
   let blocks = Array.of_list fn.blocks_list in
   let nblocks = Array.length blocks in
   let bidx : (int, int) Hashtbl.t = Hashtbl.create (2 * nblocks) in

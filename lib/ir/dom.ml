@@ -47,6 +47,7 @@ let chk_idoms ~(n : int) ~(dpreds : int list array) ~(rpo : int list) :
   idom
 
 let compute ~(is_post : bool) (f : func) : t =
+  computed f ~kind:(if is_post then "postdomtree" else "domtree");
   (* Nodes: the blocks reachable from the entry in depth-first preorder,
      after node 0 = the virtual exit for the post-dominator tree. *)
   let base = if is_post then 1 else 0 in
@@ -117,6 +118,15 @@ let compute ~(is_post : bool) (f : func) : t =
   in
   number 0;
   { index_of; node_block; idom; tin; tout; is_post }
+
+type fact += Tree of t
+
+let tree ~(is_post : bool) (f : func) : t =
+  cached f
+    ~kind:(if is_post then "postdomtree" else "domtree")
+    (function Tree t when t.is_post = is_post -> Some t | _ -> None)
+    ~keep:(fun t -> Some (Tree t))
+    (fun () -> compute ~is_post f)
 
 let dominates (t : t) (a : block) (b : block) : bool =
   let node b = Hashtbl.find_opt t.index_of b.bid in

@@ -26,6 +26,11 @@ type t = private {
 (** [compute ~is_post f]; predecessors come from {!Ssa.preds}. *)
 val compute : is_post:bool -> Ssa.func -> t
 
+(** [tree ~is_post f]: [compute ~is_post f], served from [f]'s analysis
+    cache ({!Ssa.cached}, kinds ["domtree"] and ["postdomtree"]) while
+    [f] is unedited. *)
+val tree : is_post:bool -> Ssa.func -> t
+
 (** [dominates t a b]: does [a] (post-)dominate [b]?  Reflexive; [false]
     when either block is not a node the root reaches. *)
 val dominates : t -> Ssa.block -> Ssa.block -> bool

@@ -1,6 +1,9 @@
 (** Core SSA data structures and the mutators that keep the
     predecessor index, the edit count and the blocks' edit stamps
-    exact.  See the interface for the invariants. *)
+    exact, and the per-function analysis cache that each bump of the
+    count drops.  See the interface for the invariants. *)
+
+type fact = ..
 
 type value =
   | Int of int
@@ -41,7 +44,11 @@ and func = {
   params : param list;
   mutable blocks_list : block list;  (** first element is the entry block *)
   mutable edit_count : int;  (** bumped by every edit made here *)
+  mutable facts : fact list;  (** analysis results, dropped by every edit *)
+  mutable fact_counts : fact_count list;
 }
+
+and fact_count = { kind : string; mutable computes : int; mutable reuses : int }
 
 type modul = { mname : string; mutable funcs : func list }
 
@@ -56,9 +63,12 @@ let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
 (* Edit count and edit stamps *)
 
 (* Every mutator below bumps the count of the function the edited block
-   or instruction sits in, and stamps each block it changed with the new
-   count; a detached one has no function to tell. *)
-let bump_func (f : func) = f.edit_count <- f.edit_count + 1
+   or instruction sits in, which drops its cached analyses, and stamps
+   each block it changed with the new count; a detached one has no
+   function to tell. *)
+let bump_func (f : func) =
+  f.edit_count <- f.edit_count + 1;
+  f.facts <- []
 
 (* Stamp [b] with its function's count; an edit bumps the count first,
    so the stamp is later than any count read before the edit. *)
@@ -73,6 +83,33 @@ let bump_block (b : block) =
   | None -> ()
 
 let bump_instr (i : instr) = Option.iter bump_block i.parent
+
+(* ------------------------------------------------------------------ *)
+(* Analysis cache *)
+
+let fact_count (f : func) (kind : string) : fact_count =
+  match List.find_opt (fun c -> String.equal c.kind kind) f.fact_counts with
+  | Some c -> c
+  | None ->
+      let c = { kind; computes = 0; reuses = 0 } in
+      f.fact_counts <- c :: f.fact_counts;
+      c
+
+let computed (f : func) ~(kind : string) =
+  let c = fact_count f kind in
+  c.computes <- c.computes + 1
+
+let cached (f : func) ~(kind : string) (find : fact -> 'a option)
+    ~(keep : 'a -> fact option) (compute : unit -> 'a) : 'a =
+  match List.find_map find f.facts with
+  | Some v ->
+      let c = fact_count f kind in
+      c.reuses <- c.reuses + 1;
+      v
+  | None ->
+      let v = compute () in
+      Option.iter (fun x -> f.facts <- x :: f.facts) (keep v);
+      v
 
 (* A terminator's source is its parent, while that block is in a
    function; detached terminators and removed blocks stay indexed (they
@@ -149,7 +186,8 @@ let mk_block name =
     targeted_by = []; stamp = 0; edit_stamp = 0 }
 
 let mk_func name params =
-  { fname = name; params; blocks_list = []; edit_count = 0 }
+  { fname = name; params; blocks_list = []; edit_count = 0; facts = [];
+    fact_counts = [] }
 
 let mk_module name = { mname = name; funcs = [] }
 

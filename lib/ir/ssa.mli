@@ -27,8 +27,8 @@
     [edit_stamp].  Every mutator here
     that edits a block or instruction sitting in a function bumps that
     function's [edit_count], so a result computed at one count is
-    current for as long as the count stays the same
-    ({!Darm_analysis.Manager} keys its cache on it).  Code elsewhere
+    current for as long as the count stays the same; a bump drops the
+    function's analysis cache ({!cached}).  Code elsewhere
     that assigned one of these fields would leave the predecessor index
     or a use list stale, which {!Verify} reports, or a cached analysis
     stale, which nothing would; [scripts/ci.sh] rejects such an
@@ -65,6 +65,11 @@
     - every instruction operand is defined by an instruction that
       dominates the use (for [phi] uses: dominates the incoming edge's
       source). *)
+
+(** A result cached on a function by {!cached}, extended by each owner
+    with private constructors: {!Dom}'s trees, {!Verify}'s pass mark,
+    [Darm_analysis.Manager]'s reachable walk and divergence. *)
+type fact = ..
 
 type value =
   | Int of int
@@ -119,7 +124,13 @@ and func = {
   mutable edit_count : int;
       (** edits made to the function so far, by this module's mutators;
           only ever grows *)
+  mutable facts : fact list;
+      (** results computed since the last edit; written only here *)
+  mutable fact_counts : fact_count list;
+      (** per kind, results computed ({!computed}) and served so far *)
 }
+
+and fact_count = { kind : string; mutable computes : int; mutable reuses : int }
 
 type modul = { mname : string; mutable funcs : func list }
 
@@ -127,6 +138,24 @@ type modul = { mname : string; mutable funcs : func list }
     draw from it; the cfg-index suite's "pass output ignores the SSA id
     offset" case burns ids with it. *)
 val fresh_id : unit -> int
+
+(** {2 Analysis cache}
+
+    [cached f ~kind find ~keep compute]: the first of [f]'s facts that
+    [find] maps to [Some v], counted as a reuse of [kind]; otherwise
+    [compute ()], kept as the fact [keep] makes of it, if any.  Only one
+    domain may use a function at a time: a query writes its cache. *)
+val cached :
+  func ->
+  kind:string ->
+  (fact -> 'a option) ->
+  keep:('a -> fact option) ->
+  (unit -> 'a) ->
+  'a
+
+(** Counts a compute of [kind] over [f]; each analysis counts its own
+    runs, so a result built outside the cache counts too. *)
+val computed : func -> kind:string -> unit
 
 (** {2 Construction} *)
 

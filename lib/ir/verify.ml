@@ -5,9 +5,8 @@
     transformed.  The predecessor sets come from a private rebuild over
     the terminators, independent of the index {!Ssa.preds} reads, and
     the index is checked against it, as the use lists are against the
-    operands.  The dominator tree comes from
-    {!Dom} (the Cooper–Harvey–Kennedy core shared with the analyses), so
-    each def-use dominance query is O(1). *)
+    operands.  The dominator tree comes from the function's analysis
+    cache ({!Dom.tree}), so each def-use dominance query is O(1). *)
 
 open Ssa
 
@@ -186,6 +185,7 @@ let check_uses err (f : func) =
 (** [run f] returns the list of well-formedness violations in [f];
     an empty list means the function verifies. *)
 let run (f : func) : error list =
+  computed f ~kind:"verify";
   let errors = ref [] in
   let err e = errors := e :: !errors in
   (match f.blocks_list with
@@ -252,7 +252,7 @@ let run (f : func) : error list =
       (* Dominance over the blocks reachable from the entry.  Every
          edge stays inside [f.blocks_list] (checked above), so [preds_of]
          holds every reachable edge, and the index agrees with it. *)
-      let dom = Dom.compute ~is_post:false f in
+      let dom = Dom.tree ~is_post:false f in
       let reachable b = Hashtbl.mem dom.Dom.index_of b.bid in
       let dominates = Dom.dominates dom in
       (* Phi incoming lists must match predecessor sets exactly (for
@@ -363,12 +363,20 @@ let run (f : func) : error list =
     end
   end
 
+type fact += Verified
+
+let check (f : func) : error list =
+  cached f ~kind:"verify"
+    (function Verified -> Some [] | _ -> None)
+    ~keep:(function [] -> Some Verified | _ :: _ -> None)
+    (fun () -> run f)
+
 exception Invalid_ir of string
 
-(** Like {!run} but raises {!Invalid_ir} with a readable report on the
-    first failure. *)
+(** Like {!check} but raises {!Invalid_ir} with a readable report on
+    the first failure. *)
 let run_exn (f : func) : unit =
-  match run f with
+  match check f with
   | [] -> ()
   | errs ->
       let report =

@@ -9,8 +9,10 @@
     matching the predecessor sets, each instruction's types
     ({!check_instr}), and def-use dominance (including per-edge
     dominance for phi operands) over the blocks reachable from the
-    entry.  Dominance comes from the shared {!Dom} tree, so each
-    def-use query is O(1). *)
+    entry.  Dominance comes from the function's cached {!Dom.tree}, so
+    each def-use query is O(1).  {!run} always walks; {!check} and
+    {!run_exn} keep a pass in the function's analysis cache (kind
+    ["verify"]) and skip the walk until the next edit. *)
 
 type error = { msg : string }
 
@@ -37,8 +39,11 @@ val check_instr :
     empty list means the function verifies. *)
 val run : Ssa.func -> error list
 
+(** [run f], or [[]] when [f] passed since its last edit. *)
+val check : Ssa.func -> error list
+
 exception Invalid_ir of string
 
-(** Like {!run} but raises {!Invalid_ir} with a readable report (the
+(** Like {!check} but raises {!Invalid_ir} with a readable report (the
     violations plus the offending IR) on the first failure. *)
 val run_exn : Ssa.func -> unit

@@ -20,11 +20,15 @@ dune build @all
 # direct write would bypass.  So is a block's edit stamp, the count at
 # its last edit: the pass keeps a region search while its blocks'
 # stamps are no later than the search, so a stamp written anywhere
-# else could hide an edit from it.
+# else could hide an edit from it.  The function's edit count and its
+# analysis cache (the facts each edit drops, and their per-kind
+# counts) are written there too: a cached analysis survives exactly
+# until Ssa's next bump.
 ir_writes=$( {
   grep -rnE '\.(blocks|instrs|operands|op|ty)( *<-|\.\(.*\) *<-)|blocks_list *<-' \
     lib bin test --include='*.ml'
-  grep -rnE '\.edit_stamp *<-' lib bin test --include='*.ml'
+  grep -rnE '\.(edit_stamp|edit_count|facts|fact_counts|computes|reuses) *<-' \
+    lib bin test --include='*.ml'
   grep -rnE '\.parent *<-' lib bin test --include='*.ml' \
     | grep -v '^lib/analysis/loops\.ml:'
   grep -rnE '\.(targeted_by|uses) *<-' lib bin test --include='*.ml' \
@@ -33,6 +37,16 @@ ir_writes=$( {
 if [ -n "$ir_writes" ]; then
   echo "ci: IR fields assigned outside lib/ir/ssa.ml (use its mutators):" >&2
   echo "$ir_writes" >&2
+  exit 1
+fi
+# each kind of cached fact has one owner, which alone can make one:
+# Dom's trees, Verify's pass mark, Manager's reachable walk and
+# divergence
+fact_owners=$(grep -rnE 'fact *\+=' lib bin test examples --include='*.ml' \
+  | grep -vE '^lib/(ir/dom|ir/verify|analysis/manager)\.ml:' || true)
+if [ -n "$fact_owners" ]; then
+  echo "ci: analysis-cache facts declared outside their owners:" >&2
+  echo "$fact_owners" >&2
   exit 1
 fi
 
@@ -298,6 +312,14 @@ DARM_NO_PREFILTER=1 dune exec bench/main.exe -- ablation \
 cmp /tmp/darm_abl_on.txt /tmp/darm_abl_off.txt
 test "$(wc -l < BENCH_history.jsonl)" -eq "$hist_lines"
 rm -f /tmp/darm_abl_on.txt /tmp/darm_abl_off.txt
+# the variable is read once, into Pass.default_config: the prefilter
+# suite's cases that need the prefilter on set it themselves, and the
+# default pipeline behind the cmp stages above really searches
+# exhaustively under it
+DARM_NO_PREFILTER=1 dune exec test/test_compiler.exe -- \
+  test 'similarity prefilter' > /dev/null
+DARM_NO_PREFILTER=1 dune exec bin/darm_opt.exe -- meld --kernel BIT \
+  --pass darm | grep -q ', 0 prefiltered;'
 dune exec bin/darm_opt.exe -- meld --kernel BIT --pass darm \
   --metrics-out /tmp/darm_pass_metrics.prom > /tmp/darm_meld_bit.txt
 grep -q ';; candidates:' /tmp/darm_meld_bit.txt

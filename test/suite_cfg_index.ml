@@ -1,6 +1,6 @@
 (* The predecessor index and the use lists [Ssa] keeps (Ssa.preds,
-   Ssa.users), the edit count the analysis manager keys its cache on
-   and the blocks' edit stamps the pass keeps region searches by:
+   Ssa.users), the edit count the analysis cache is keyed on and the
+   blocks' edit stamps the pass keeps region searches by:
    random CFG and instruction edits against rebuilds from the
    terminators and the operands, against fresh analyses and against
    each block as it was before the edit, the verifier's stale-index and
@@ -67,21 +67,24 @@ let users_mismatch (f : Ssa.func) : string option =
                  (Ssa.site d) (show got) (show want)))
     None
 
-(* The manager's four analyses against a fresh compute; the edit count
-   alone keeps them current, so a mutator that skipped its bump would
-   show here as a cached result that differs. *)
-let analysis_mismatch (m : Manager.t) (f : Ssa.func) : string option =
+(* The cache's four analyses and its verifier mark against a fresh
+   compute; the edit count alone keeps them current, so a mutator that
+   skipped its bump would show here as a cached answer that differs.
+   Each cached answer is asked before its fresh compute, which may fill
+   the cache itself. *)
+let analysis_mismatch (f : Ssa.func) : string option =
   let bids = List.map (fun b -> b.Ssa.bid) in
-  if bids (Manager.reachable m) <> bids (Cfg.reachable_blocks f) then
+  if bids (Manager.reachable f) <> bids (Cfg.reachable_blocks f) then
     Some "reachable"
-  else if not (Domtree.equal (Manager.domtree m) (Domtree.compute f)) then
+  else if not (Domtree.equal (Manager.domtree f) (Domtree.compute f)) then
     Some "domtree"
   else if
-    not (Domtree.equal (Manager.postdomtree m) (Domtree.compute_post f))
+    not (Domtree.equal (Manager.postdomtree f) (Domtree.compute_post f))
   then Some "postdomtree"
   else if
-    not (Divergence.equal (Manager.divergence m) (Divergence.compute f))
+    not (Divergence.equal (Manager.divergence f) (Divergence.compute f))
   then Some "divergence"
+  else if (Verify.check f = []) <> (Verify.run f = []) then Some "verified"
   else None
 
 (* A block as a region search can read it: each instruction's opcode,
@@ -363,14 +366,13 @@ let prop_index_matches_rebuild =
        (fun (smoke, seed, edit_seed) ->
          let cfg = if smoke then Gen.smoke_cfg else Gen.default_cfg in
          let f = Gen.generate ~cfg ~seed () in
-         let mgr = Manager.create f in
          let rng = Random.State.make [| edit_seed |] in
          let detached = ref [] in
          (match index_mismatch f with
          | Some m -> QCheck2.Test.fail_reportf "as generated: %s" m
          | None -> ());
          (* fill the cache, so the first edit meets cached results *)
-         ignore (analysis_mismatch mgr f);
+         ignore (analysis_mismatch f);
          for k = 1 to 40 do
            let before = snapshot f in
            let what = edit rng f detached in
@@ -383,10 +385,10 @@ let prop_index_matches_rebuild =
            (match users_mismatch f with
            | Some m -> QCheck2.Test.fail_reportf "after edit %d (%s): %s" k what m
            | None -> ());
-           match analysis_mismatch mgr f with
+           match analysis_mismatch f with
            | Some a ->
                QCheck2.Test.fail_reportf
-                 "after edit %d (%s): the manager's %s differs from a fresh \
+                 "after edit %d (%s): the cache's %s differs from a fresh \
                   compute"
                  k what a
            | None -> ()

@@ -1,9 +1,10 @@
-(* Incremental analysis manager + similarity prefilter (the caching /
-   candidate-search layer): every Ssa mutator bumps the edit count the
-   manager keys its cache on, an edit makes every query recompute, and
-   the meld-candidate prefilter is exact — decisions must be
-   byte-identical with it on or off, over the registry, the regression
-   corpus, and fuzz-generated kernels. *)
+(* The per-function analysis cache + similarity prefilter (the caching
+   / candidate-search layer): every Ssa mutator bumps the edit count the
+   cache is keyed on, an edit makes every query recompute, one cache
+   serves a fuzz spec's build, checker, simulations and pass, and the
+   meld-candidate prefilter is exact — decisions must be byte-identical
+   with it on or off, over the registry, the regression corpus, and
+   fuzz-generated kernels. *)
 
 open Darm_ir
 module A = Darm_analysis
@@ -122,53 +123,100 @@ let test_detached_bumps_nothing () =
   Alcotest.(check (list int)) "stamps unchanged" s0 (stamps ())
 
 (* ------------------------------------------------------------------ *)
-(* Manager unit tests: the cache rule *)
+(* The analysis cache: the cache rule *)
+
+let kinds = [ "reachable"; "domtree"; "postdomtree"; "divergence"; "verify" ]
+
+(* every result computed over [f], of every kind *)
+let computes (f : Ssa.func) : int =
+  List.fold_left (fun n k -> n + M.computes f k) 0 kinds
 
 let test_reuse_and_pdt_share () =
   let f, _, _, _, _ = diamond_cfg () in
-  let m = M.create f in
-  let s = M.stats m in
-  (* divergence computes a post-dominator tree internally; the explicit
+  (* divergence asks the cache for a post-dominator tree; the explicit
      postdomtree query right after must be a cache hit *)
-  let d = M.divergence m in
-  ignore (M.postdomtree m);
-  check "postdomtree shared with divergence" true (s.M.reuses >= 1);
-  let d2 = M.divergence m in
+  let d = M.divergence f in
+  ignore (M.postdomtree f);
+  check_int "one post-dominator tree" 1 (M.computes f "postdomtree");
+  check_int "postdomtree shared with divergence" 1 (M.recomputes_avoided f);
+  let d2 = M.divergence f in
   check "repeat query serves the same result" true (d == d2);
-  check "recomputes_avoided tracks reuses" true (M.recomputes_avoided m >= 2)
+  check_int "recomputes_avoided tracks reuses" 2 (M.recomputes_avoided f)
 
 (* an operand edit leaves the CFG alone, and still every query after it
    recomputes *)
 let test_edit_drops_all () =
   let x = fixture () in
-  let m = M.create x.f in
-  let s = M.stats m in
   let query_all () =
-    ignore (M.reachable m);
-    ignore (M.domtree m);
-    ignore (M.divergence m)
+    ignore (M.reachable x.f);
+    ignore (M.domtree x.f);
+    ignore (M.divergence x.f)
   in
   query_all ();
-  let c0 = s.M.computes in
+  let c0 = computes x.f in
   query_all ();
-  check_int "no edit: served from cache" c0 s.M.computes;
+  check_int "no edit: served from cache" c0 (computes x.f);
   Ssa.set_operand x.cmp 1 (Ssa.Int 4);
   query_all ();
-  check_int "after an edit: all three recomputed" (c0 + 3) s.M.computes
+  (* divergence asks for the post-dominator tree again *)
+  check_int "after an edit: all four recomputed" (c0 + 4) (computes x.f)
 
-(* nothing is reported to the manager, and the next query still sees
+(* nothing is reported to the cache, and the next query still sees
    the rewired CFG *)
 let test_unreported_edit_not_stale () =
   let f, e, t, fl, _ = diamond_cfg () in
-  let m = M.create f in
-  let before = M.domtree m in
+  let before = M.domtree f in
   (* the join's idom moves from entry to t *)
   Ssa.redirect_edge e ~old_dest:fl ~new_dest:t;
-  let after = M.domtree m in
+  let after = M.domtree f in
   check "domtree equals a fresh compute" true
     (A.Domtree.equal after (A.Domtree.compute f));
   check "and differs from the pre-edit tree" false
     (A.Domtree.equal before after)
+
+(* [Batch.compute_fuzz]'s sequence on one Gen smoke kernel: build,
+   checker, base simulation, pass, melded simulation.  One cache serves
+   them all, so the kernel is verified when built and again when
+   melded, divergence is computed once at the build's edit count (by
+   the checker; the pass's first iteration reuses it) and once after
+   each meld, and neither simulation builds a tree.  A consumer that
+   went back to building its own result would move these counts. *)
+let test_one_cache_along_a_spec () =
+  let sb =
+    Darm_fuzz.Oracle.subject_of_seed ~cfg:G.smoke_cfg ~block_size:64 ~seed:0
+      ()
+  in
+  let f = sb.Darm_fuzz.Oracle.sb_fresh () in
+  let n = M.computes f in
+  let exec () =
+    ignore
+      (Darm_fuzz.Oracle.exec ~n:sb.Darm_fuzz.Oracle.sb_n
+         ~input_seed:sb.Darm_fuzz.Oracle.sb_input_seed ~block_size:64
+         ~warp_size:64 f)
+  in
+  check_int "the build verifies" 1 (n "verify");
+  check_int "over one dominator tree" 1 (n "domtree");
+  let report = Darm_checks.Checker.check_func f in
+  check_int "a clean kernel" 0
+    (List.length (Darm_checks.Checker.errors report));
+  check_int "the checker reuses the build's walk" 1 (n "verify");
+  check_int "the checker computes divergence" 1 (n "divergence");
+  check_int "over the build's dominator tree" 1 (n "domtree");
+  let pdt = n "postdomtree" in
+  exec ();
+  check_int "the base simulation builds no post-dominator tree" pdt
+    (n "postdomtree");
+  check_int "nor verifies again" 1 (n "verify");
+  let s = Pass.run f in
+  check "the pass melds" true (s.Pass.melds_applied > 0);
+  check_int "divergence: once at the build's count, then once per meld"
+    (1 + s.Pass.melds_applied) (n "divergence");
+  let pdt = n "postdomtree" and dt = n "domtree" in
+  exec ();
+  check_int "the melded simulation builds no post-dominator tree" pdt
+    (n "postdomtree");
+  check_int "its verify takes the pass's dominator tree" dt (n "domtree");
+  check_int "two verifier walks" 2 (n "verify")
 
 let test_analysis_equal_sanity () =
   let f, e, t, fl, _ = diamond_cfg () in
@@ -449,7 +497,8 @@ let test_prefilter_identity_alignment () =
 
 (* every scored pair emits one meld.decision instant, under either
    pairing: Alignment scores each pair of a search once, as Greedy
-   does *)
+   does.  Only with the prefilter on is every scored pair isomorphic,
+   which a decision needs. *)
 let test_decision_per_scored_pair () =
   List.iter
     (fun pairing ->
@@ -458,7 +507,13 @@ let test_decision_per_scored_pair () =
           let tr = Darm_obs.Trace.create () in
           let s =
             Pass.run
-              ~config:{ Pass.default_config with Pass.pairing; obs = Some tr }
+              ~config:
+                {
+                  Pass.default_config with
+                  Pass.pairing;
+                  obs = Some tr;
+                  prefilter = true;
+                }
               (registry_mk k ())
           in
           let decisions =
@@ -534,6 +589,8 @@ let suites =
           test_unreported_edit_not_stale;
         Alcotest.test_case "analysis equal sanity" `Quick
           test_analysis_equal_sanity;
+        Alcotest.test_case "one cache along a fuzz spec" `Quick
+          test_one_cache_along_a_spec;
         Alcotest.test_case "detached edits bump nothing" `Quick
           test_detached_bumps_nothing;
       ]
