@@ -115,7 +115,6 @@ let report (t : t) (f : func) : string =
   List.iter
     (fun b ->
       Buffer.add_string buf
-        (Printf.sprintf "  branch in %s : divergent\n"
-           (Printer.block_str names b)))
+        (Printf.sprintf "  branch in %s : divergent\n" b.bname))
     (divergent_branches t f);
   Buffer.contents buf

@@ -150,8 +150,8 @@ type candidate = {
 }
 
 (* Provenance must be captured BEFORE apply_candidate: normalization
-   renames blocks and melding merges them, so the subsumed branch ids
-   are only readable from the pre-meld subgraphs. *)
+   adds blocks and melding removes the subgraphs' blocks, so the
+   subsumed branch ids are only readable from the pre-meld subgraphs. *)
 let record_of_candidate (c : candidate) (index : int) : meld_record =
   let condbrs sg =
     List.filter_map

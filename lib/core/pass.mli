@@ -95,7 +95,7 @@ type meld_record = {
   m_branches : string list;
       (** static branch ids subsumed by this meld: the region entry plus
           every conditional branch inside the two melded subgraphs
-          (captured {e before} normalization renames blocks), sorted and
+          (captured {e before} normalization adds blocks), sorted and
           deduplicated *)
 }
 

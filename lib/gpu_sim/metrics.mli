@@ -3,9 +3,9 @@
     divergence attribution. *)
 
 (** Divergence attribution for one static branch, keyed by its {e static
-    branch id}: the name of the block whose terminator is the
-    conditional branch.  Block names survive the melding pass for
-    unmelded code, so base and optimized runs join on this id (the
+    branch id}: the name, unique in the kernel, of the block whose
+    terminator is the conditional branch.  Block names survive melding
+    for unmelded code, so base and optimized runs join on this id (the
     [darm_opt report] pipeline). *)
 type branch_stat = {
   mutable br_divergences : int;
@@ -21,10 +21,10 @@ type branch_stat = {
 }
 
 (** Memory attribution for one static access site, keyed by its
-    {e static site id}: ["<block>#<k>"] — block name plus index among
-    the block's non-phi instructions.  Site ids survive melding for
-    unmelded code, so base and optimized runs join on them (the memory
-    section of [darm_opt report]).  Always collected; the
+    {e static site id}: ["<block>#<k>"] ([Darm_ir.Ssa.site_id]) —
+    block name plus index among the block's non-phis.  Site ids survive
+    melding for unmelded code, so base and optimized runs join on them
+    (the memory section of [darm_opt report]).  Always collected; the
     L1/stall/conflict-cycle fields stay zero under the flat model. *)
 type mem_site_stat = {
   mutable ms_issues : int;

@@ -680,7 +680,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
   let base_of (i : instr) : int = Hashtbl.find slot_of i.id * ws in
   let sites_rev = ref [] in
   let nsites = ref 0 in
-  let decode_instr ~(bname : string) ~(k : int) (i : instr) : dinstr =
+  let decode_instr (b : block) (k : int) (i : instr) : dinstr =
     let src = Array.map base_of_value i.operands in
     let d_mem, d_ptr =
       if Op.is_memory i.op then begin
@@ -697,7 +697,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
     let d_site =
       if d_mem <> Mc_none then begin
         let s = !nsites in
-        sites_rev := Printf.sprintf "%s#%d" bname k :: !sites_rev;
+        sites_rev := Ssa.site_id b (Some k) :: !sites_rev;
         incr nsites;
         s
       end
@@ -752,12 +752,7 @@ let prepare (cfg : config) (fn : func) ~(args : rv array) : fctx =
            (fun p -> { p_slot = base_of p; p_inc = phi_row p })
            (phis b))
     in
-    let db_code =
-      Array.of_list
-        (List.mapi
-           (fun k i -> decode_instr ~bname:b.bname ~k i)
-           (non_phis b))
-    in
+    let db_code = Array.of_list (List.mapi (decode_instr b) (non_phis b)) in
     let db_ipdom =
       match Darm_analysis.Domtree.idom pdt b with
       | Some r -> Hashtbl.find bidx r.bid

@@ -7,9 +7,9 @@
     {2 Attribution model}
 
     Every conditional branch that splits a warp is keyed by its stable
-    static branch id (block name), which survives the melding pass for
-    unmelded code.  A meld's provenance lists the branch ids it
-    subsumed; each branch id is {e claimed} by the first meld (in
+    static branch id (block name, unique in the kernel), which survives
+    melding for unmelded code.  A meld's provenance lists the branch
+    ids it subsumed; each branch id is {e claimed} by the first meld (in
     application order) that lists it, so no cycle is counted twice.  A
     meld's [cycles saved] is the drop in divergent-arm issue cycles
     over its claimed branches between the baseline and optimized runs.

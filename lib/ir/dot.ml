@@ -33,7 +33,7 @@ let func_to_dot ?(highlight = fun (_ : block) -> false) (f : func) : string =
   List.iter
     (fun b ->
       let label =
-        Printer.block_str names b ^ ":\n"
+        b.bname ^ ":\n"
         ^ String.concat "\n"
             (List.map (fun i -> "  " ^ Printer.instr_str names i) b.instrs)
         ^ "\n"

@@ -360,8 +360,8 @@ let parse_kernel (s : stream) : func =
   let params = parse_params [] 0 in
   expect s T_lbrace "'{' opening the function body";
   (* parse blocks into protos *)
+  let f = mk_func fname params in
   let block_tbl : (string, block) Hashtbl.t = Hashtbl.create 16 in
-  let block_order : block list ref = ref [] in
   let block_of name =
     match Hashtbl.find_opt block_tbl name with
     | Some b -> b
@@ -375,10 +375,13 @@ let parse_kernel (s : stream) : func =
     match peek s with
     | T_rbrace -> ignore (advance s)
     | T_ident label when at_label s ->
+        let line = line_of s in
         ignore (advance s);
         ignore (advance s) (* ':' *);
         let b = block_of label in
-        block_order := b :: !block_order;
+        if Option.is_some b.bparent then
+          errf "line %d: label %s is defined twice" line label;
+        append_block f b;
         let rec instrs acc =
           match peek s with
           | T_rbrace | T_eof -> List.rev acc
@@ -435,10 +438,8 @@ let parse_kernel (s : stream) : func =
     parsed;
   (* create instructions in order *)
   let pending_phis : (instr * proto) list ref = ref [] in
-  let f = mk_func fname params in
   List.iter
     (fun (b, protos) ->
-      append_block f b;
       List.iter
         (fun p ->
           let i =

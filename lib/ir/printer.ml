@@ -15,47 +15,24 @@
 
 open Ssa
 
-type names = {
-  val_names : (int, string) Hashtbl.t;  (** instr id -> printable name *)
-  blk_names : (int, string) Hashtbl.t;  (** block id -> printable name *)
-}
+type names = (int, string) Hashtbl.t  (** instr id -> printable name *)
 
-(** Assign stable, human-readable names: blocks keep their [bname]
-    (uniquified on collision), instruction results are numbered in block
-    order. *)
+(** Number instruction results in block order. *)
 let assign_names (f : func) : names =
-  let val_names = Hashtbl.create 64 in
-  let blk_names = Hashtbl.create 16 in
-  let used = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      let base = if b.bname = "" then "bb" else b.bname in
-      let name =
-        if Hashtbl.mem used base then begin
-          let rec pick k =
-            let cand = Printf.sprintf "%s.%d" base k in
-            if Hashtbl.mem used cand then pick (k + 1) else cand
-          in
-          pick 1
-        end
-        else base
-      in
-      Hashtbl.replace used name ();
-      Hashtbl.replace blk_names b.bid name)
-    f.blocks_list;
+  let names = Hashtbl.create 64 in
   let counter = ref 0 in
   iter_instrs f (fun i ->
       if not (Types.equal i.ty Types.Void) then begin
-        Hashtbl.replace val_names i.id (string_of_int !counter);
+        Hashtbl.replace names i.id (string_of_int !counter);
         incr counter
       end);
-  { val_names; blk_names }
+  names
 
 (* Everything below appends to one buffer; the [*_str] functions are
    thin wrappers for callers that want a single piece. *)
 
 let add_instr_name buf (n : names) (i : instr) =
-  match Hashtbl.find_opt n.val_names i.id with
+  match Hashtbl.find_opt n i.id with
   | Some s -> Buffer.add_string buf s
   | None ->
       Buffer.add_char buf '?';
@@ -77,13 +54,6 @@ let add_value buf (n : names) (v : value) =
       Buffer.add_char buf '%';
       add_instr_name buf n i
 
-let add_block_name buf (n : names) (b : block) =
-  match Hashtbl.find_opt n.blk_names b.bid with
-  | Some s -> Buffer.add_string buf s
-  | None ->
-      Buffer.add_string buf "?blk";
-      Buffer.add_string buf (string_of_int b.bid)
-
 let add_instr buf (n : names) (i : instr) =
   let v k = add_value buf n i.operands.(k) in
   let s = Buffer.add_string buf in
@@ -104,19 +74,19 @@ let add_instr buf (n : names) (i : instr) =
           s (if k = 0 then "[" else ", [");
           v k;
           s ", ";
-          add_block_name buf n blk;
+          s blk.bname;
           Buffer.add_char buf ']')
         i.blocks
   | Op.Br ->
       s "br ";
-      add_block_name buf n i.blocks.(0)
+      s i.blocks.(0).bname
   | Op.Condbr ->
       s "condbr ";
       v 0;
       s ", ";
-      add_block_name buf n i.blocks.(0);
+      s i.blocks.(0).bname;
       s ", ";
-      add_block_name buf n i.blocks.(1)
+      s i.blocks.(1).bname
   | Op.Ret -> s "ret"
   | Op.Store ->
       s "store ";
@@ -145,9 +115,6 @@ let to_string (add : Buffer.t -> 'a -> unit) (x : 'a) : string =
 let value_str (n : names) (v : value) : string =
   to_string (fun buf -> add_value buf n) v
 
-let block_str (n : names) (b : block) : string =
-  to_string (fun buf -> add_block_name buf n) b
-
 let instr_str (n : names) (i : instr) : string =
   to_string (fun buf -> add_instr buf n) i
 
@@ -169,7 +136,7 @@ let func_to_string (f : func) : string =
   s ") {\n";
   List.iter
     (fun b ->
-      add_block_name buf n b;
+      s b.bname;
       s ":\n";
       List.iter
         (fun i ->
@@ -187,10 +154,9 @@ let module_to_string (m : modul) : string =
 (** Compact structural summary of the CFG: one line per block listing its
     successors, handy in debug logs and tests. *)
 let cfg_summary (f : func) : string =
-  let n = assign_names f in
   String.concat "\n"
     (List.map
        (fun b ->
-         Printf.sprintf "%s -> [%s]" (block_str n b)
-           (String.concat ", " (List.map (block_str n) (successors b))))
+         Printf.sprintf "%s -> [%s]" b.bname
+           (String.concat ", " (List.map (fun s -> s.bname) (successors b))))
        f.blocks_list)

@@ -9,20 +9,16 @@
       condbr %1, body, exit
     ...
     }
-    v} *)
+    v}
+    A block prints as its [bname], which {!Ssa.append_block} made
+    unique in the function; only instruction results are numbered. *)
 
-type names = {
-  val_names : (int, string) Hashtbl.t;  (** instr id -> printable name *)
-  blk_names : (int, string) Hashtbl.t;  (** block id -> printable name *)
-}
+type names = (int, string) Hashtbl.t  (** instr id -> printable name *)
 
-(** Assign stable, human-readable names: blocks keep their [bname]
-    (uniquified on collision), instruction results are numbered in block
-    order. *)
+(** Number instruction results in block order. *)
 val assign_names : Ssa.func -> names
 
 val value_str : names -> Ssa.value -> string
-val block_str : names -> Ssa.block -> string
 val instr_str : names -> Ssa.instr -> string
 
 val func_to_string : Ssa.func -> string

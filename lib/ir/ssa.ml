@@ -46,6 +46,7 @@ and func = {
   mutable edit_count : int;  (** bumped by every edit made here *)
   mutable facts : fact list;  (** analysis results, dropped by every edit *)
   mutable fact_counts : fact_count list;
+  block_names : (string, int) Hashtbl.t;  (** name given -> next [k] *)
 }
 
 and fact_count = { kind : string; mutable computes : int; mutable reuses : int }
@@ -187,7 +188,7 @@ let mk_block name =
 
 let mk_func name params =
   { fname = name; params; blocks_list = []; edit_count = 0; facts = [];
-    fact_counts = [] }
+    fact_counts = []; block_names = Hashtbl.create 16 }
 
 let mk_module name = { mname = name; funcs = [] }
 
@@ -246,10 +247,12 @@ let site_index (b : block) (i : instr) : int option =
   List.find_index (fun x -> x == i) b.instrs
   |> Option.map (fun k -> k - List.length (phis b))
 
+let site_id (b : block) (k : int option) : string =
+  b.bname ^ "#" ^ Option.fold ~none:"?" ~some:string_of_int k
+
 let site ?block (i : instr) : string =
   match (block, i.parent) with
-  | Some b, _ | None, Some b ->
-      b.bname ^ "#" ^ Option.fold ~none:"?" ~some:string_of_int (site_index b i)
+  | Some b, _ | None, Some b -> site_id b (site_index b i)
   | None, None -> "?"
 
 let successors (b : block) : block list =
@@ -317,7 +320,23 @@ let set_instrs (b : block) (instrs : instr list) =
   List.iter stamp_targets old;
   List.iter stamp_targets instrs
 
+(* The first [base.k] no block of [f] has had, searched from where the
+   last search for [base] stopped: names are never freed. *)
+let rec free_name (f : func) base k =
+  let name = base ^ "." ^ string_of_int k in
+  if Hashtbl.mem f.block_names name then free_name f base (k + 1)
+  else begin
+    Hashtbl.replace f.block_names base (k + 1);
+    name
+  end
+
 let append_block (f : func) (b : block) =
+  let base = if b.bname = "" then "bb" else b.bname in
+  b.bname <-
+    (match Hashtbl.find_opt f.block_names base with
+    | None -> base
+    | Some k -> free_name f base k);
+  Hashtbl.replace f.block_names b.bname 1;
   let rec append last = function
     | [] ->
         b.stamp <- last + 1;

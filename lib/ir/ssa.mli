@@ -51,7 +51,11 @@
     stamps it when it comes back.  {!Darm_core.Pass} keeps a region
     search while the blocks it read are clean.
 
-    Invariants (checked by {!Verify}):
+    Invariants (checked by {!Verify}, but the first, which
+    {!append_block} keeps):
+    - no two blocks a function ever held share a [bname]: it is the
+      label the printer prints, and the id the simulator's counters,
+      the meld records and every diagnostic give the block;
     - every instruction but a [phi] or a [load] has the type
       {!result_ty} derives;
     - every reachable block ends in exactly one terminator, which is its
@@ -103,6 +107,8 @@ and use = { user : instr; slot : int }
 and block = {
   bid : int;
   mutable bname : string;
+      (** unique in the function once {!append_block} named the block,
+          and never given to another; written only by this module *)
   mutable instrs : instr list;  (** in execution order; last = terminator *)
   mutable bparent : func option;
   mutable targeted_by : instr list;
@@ -128,6 +134,9 @@ and func = {
       (** results computed since the last edit; written only here *)
   mutable fact_counts : fact_count list;
       (** per kind, results computed ({!computed}) and served so far *)
+  block_names : (string, int) Hashtbl.t;
+      (** each name {!append_block} gave, to the next [k] it tries for
+          [name.k]; never shrinks; written only by this module *)
 }
 
 and fact_count = { kind : string; mutable computes : int; mutable reuses : int }
@@ -197,9 +206,12 @@ val body : block -> instr list
     it walks [b], so callers compute it only when they report. *)
 val site_index : block -> instr -> int option
 
-(** ["<block>#<k>"]: the name of [block] (default: [i]'s parent) and
-    {!site_index} — for a load or a store, the simulator's memory-site
-    id; [?] stands for a missing block or index. *)
+(** ["<block>#<k>"], the one formatter of the id of a block's [k]th
+    non-phi — for a load or a store, the simulator's memory-site id;
+    [?] stands for a missing index. *)
+val site_id : block -> int option -> string
+
+(** {!site_id} of [i] in [block] (default: [i]'s parent), or ["?"]. *)
 val site : ?block:block -> instr -> string
 
 val successors : block -> block list
@@ -216,8 +228,9 @@ val remove_instr : block -> instr -> unit
     [set_instrs]). *)
 val set_instrs : block -> instr list -> unit
 
-(** Append a block at the end of the function's layout and stamp it one
-    past the last block. *)
+(** Append a block at the end of the function's layout, stamp it one
+    past the last block and name it: its [bname] ([bb] for [""]) if no
+    block of the function had it, else the first such free [bname.k]. *)
 val append_block : func -> block -> unit
 
 val remove_block : func -> block -> unit

@@ -23,11 +23,17 @@ dune build @all
 # else could hide an edit from it.  The function's edit count and its
 # analysis cache (the facts each edit drops, and their per-kind
 # counts) are written there too: a cached analysis survives exactly
-# until Ssa's next bump.
+# until Ssa's next bump.  So are a block's name and the function's
+# table of the names its blocks were given: Ssa.append_block names each
+# block so that no two blocks a function ever held share a name, which
+# the branch and site ids, the meld records and every diagnostic rely
+# on.
 ir_writes=$( {
   grep -rnE '\.(blocks|instrs|operands|op|ty)( *<-|\.\(.*\) *<-)|blocks_list *<-' \
     lib bin test --include='*.ml'
-  grep -rnE '\.(edit_stamp|edit_count|facts|fact_counts|computes|reuses) *<-' \
+  grep -rnE '\.(edit_stamp|edit_count|facts|fact_counts|computes|reuses|bname) *<-' \
+    lib bin test --include='*.ml'
+  grep -rnE 'Hashtbl\.(add|replace|remove|reset|clear|filter_map_inplace) +[^ ]*block_names' \
     lib bin test --include='*.ml'
   grep -rnE '\.parent *<-' lib bin test --include='*.ml' \
     | grep -v '^lib/analysis/loops\.ml:'

@@ -221,6 +221,51 @@ let test_report_identity_all_kernels () =
         (List.length (List.sort_uniq String.compare claimed)))
     Registry.all
 
+(* BIT at block size 64 melds once, at [if.then], pairing its true
+   side [if.then.1] with [if.else]: three distinct branches, and every
+   memory-site id names one block of the kernel or its melded form *)
+let test_report_bit_names_blocks () =
+  let module Ssa = Darm_ir.Ssa in
+  let k = kernel "BIT" in
+  let r = Report.compute k ~block_size:64 in
+  (match r.Report.rp_melds with
+  | [ m ] ->
+      let p = m.Report.mr_meld in
+      Alcotest.(check string) "region" "if.then" p.Pass.m_region;
+      Alcotest.(check string) "pair" "if.then.1 ~ if.else"
+        (p.Pass.m_st ^ " ~ " ^ p.Pass.m_sf);
+      Alcotest.(check int) "claimed branches" 3
+        (List.length m.Report.mr_claimed);
+      Alcotest.(check int) "attributed + residual" 70368
+        (Report.meld_saved m + Report.residual r)
+  | ms -> Alcotest.failf "expected one meld, got %d" (List.length ms));
+  let f =
+    (k.Kernel.make ~seed:r.Report.rp_seed ~block_size:64 ~n:r.Report.rp_n)
+      .Kernel.func
+  in
+  let owner = Hashtbl.create 64 in
+  let record () =
+    List.iter
+      (fun (b : Ssa.block) ->
+        List.iter
+          (fun i ->
+            let site = Ssa.site ~block:b i in
+            match Hashtbl.find_opt owner site with
+            | Some bid ->
+                Alcotest.(check int) (site ^ " names one block") bid b.Ssa.bid
+            | None -> Hashtbl.replace owner site b.Ssa.bid)
+          (Ssa.non_phis b))
+      f.Ssa.blocks_list
+  in
+  record ();
+  ignore (Pass.run f);
+  record ();
+  List.iter
+    (fun (j : Report.mem_join) ->
+      Alcotest.(check bool) (j.Report.mj_id ^ " is a block's site") true
+        (Hashtbl.mem owner j.Report.mj_id))
+    r.Report.rp_mem_sites
+
 let test_report_byte_identical_across_jobs () =
   let points =
     List.map (fun k -> (k, List.hd k.Kernel.block_sizes)) Registry.all
@@ -564,6 +609,8 @@ let suites =
           test_pass_provenance;
         Alcotest.test_case "report: exact-sum identity on all kernels" `Slow
           test_report_identity_all_kernels;
+        Alcotest.test_case "report: BIT names each block once" `Quick
+          test_report_bit_names_blocks;
         Alcotest.test_case "report: byte-identical across jobs" `Slow
           test_report_byte_identical_across_jobs;
         Alcotest.test_case "report: zero-divergence degenerate" `Quick

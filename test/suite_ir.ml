@@ -283,6 +283,107 @@ let test_users () =
   Ssa.remove_instr blk b;
   check "a removed user drops out" true (Ssa.users a = [])
 
+(* [append_block]'s rule: the name asked for, [bb] for [""], else the
+   first free [base.k]; a removed block's name stays taken *)
+let test_block_naming_rule () =
+  let f = Ssa.mk_func "names" [] in
+  let add name =
+    let b = Ssa.mk_block name in
+    Ssa.append_block f b;
+    b
+  in
+  let a = add "a" in
+  let a1 = add "a" in
+  let taken = add "a.2" in
+  let a3 = add "a" in
+  let bb = add "" in
+  let bb1 = add "" in
+  Ssa.remove_block f a1;
+  let a4 = add "a" in
+  let a11 = add "a.1" in
+  Alcotest.(check (list string))
+    "names"
+    [ "a"; "a.1"; "a.2"; "a.3"; "bb"; "bb.1"; "a.4"; "a.1.1" ]
+    (List.map (fun b -> b.Ssa.bname) [ a; a1; taken; a3; bb; bb1; a4; a11 ])
+
+(* The labels [Printer.func_to_string] prints, in layout order. *)
+let printed_labels (f : Ssa.func) : string list =
+  List.filter_map
+    (fun l ->
+      let n = String.length l in
+      if n > 1 && l.[0] <> ' ' && l.[n - 1] = ':' then
+        Some (String.sub l 0 (n - 1))
+      else None)
+    (String.split_on_char '\n' (Printer.func_to_string f))
+
+(* Every block's name is unique in its function and is the label the
+   printer prints, after the build and after the pass; a block that
+   survives the pass keeps its label, and no block the pass adds takes
+   the label of one it removed. *)
+let test_block_names_printed_and_stable () =
+  let module Kernel = Darm_kernels.Kernel in
+  let check_labels what (f : Ssa.func) =
+    let labels = printed_labels f in
+    Alcotest.(check (list string))
+      (what ^ ": labels are the block names")
+      (List.map (fun b -> b.Ssa.bname) f.Ssa.blocks_list)
+      labels;
+    Alcotest.(check int)
+      (what ^ ": labels distinct")
+      (List.length labels)
+      (List.length (List.sort_uniq String.compare labels));
+    List.combine (List.map (fun b -> b.Ssa.bid) f.Ssa.blocks_list) labels
+  in
+  let check_pass what (f : Ssa.func) =
+    let before = check_labels (what ^ " built") f in
+    ignore (Darm_core.Pass.run f);
+    List.iter
+      (fun (bid, label) ->
+        match List.assoc_opt bid before with
+        | Some was -> Alcotest.(check string) (what ^ ": label kept") was label
+        | None ->
+            check
+              (Printf.sprintf "%s: new block %s takes no old label" what label)
+              false
+              (List.exists (fun (_, l) -> l = label) before))
+      (check_labels (what ^ " melded") f)
+  in
+  List.iter
+    (fun (k : Kernel.t) ->
+      List.iter
+        (fun bs ->
+          check_pass
+            (Printf.sprintf "%s/bs%d" k.Kernel.tag bs)
+            (k.Kernel.make ~seed:2022 ~block_size:bs ~n:k.Kernel.default_n)
+              .Kernel.func)
+        k.Kernel.block_sizes)
+    Darm_kernels.Registry.all;
+  List.iter
+    (fun (tag, src) ->
+      match Darm_frontend.Lower.compile ~name:tag src with
+      | Ok m -> List.iter (check_pass ("hip/" ^ tag)) m.Ssa.funcs
+      | Error e -> Alcotest.failf "hip/%s: %s" tag e)
+    Darm_kernels.Hip_sources.all;
+  List.iter
+    (fun seed ->
+      check_pass
+        (Printf.sprintf "gen-smoke/%d" seed)
+        (Darm_fuzz.Gen.generate ~cfg:Darm_fuzz.Gen.smoke_cfg ~seed ()))
+    (Testlib.seeds 0 99);
+  (* melded BIT read back from its text: the parser keeps every label *)
+  let bit =
+    (Darm_kernels.Bitonic.kernel.Kernel.make ~seed:2022 ~block_size:64
+       ~n:256)
+      .Kernel.func
+  in
+  ignore (Darm_core.Pass.run bit);
+  match Parser.parse_func (Printer.func_to_string bit) with
+  | Error e -> Alcotest.failf "melded BIT does not parse back: %s" e
+  | Ok f ->
+      Alcotest.(check (list string))
+        "parsed labels" (printed_labels bit) (printed_labels f);
+      check_pass "BIT/bs64 melded, parsed back" f
+
 let suites =
   [
     ( "ir",
@@ -314,5 +415,9 @@ let suites =
           test_printer_names_stable;
         Alcotest.test_case "replace_all_uses" `Quick test_replace_all_uses;
         Alcotest.test_case "users" `Quick test_users;
+        Alcotest.test_case "block names: the naming rule" `Quick
+          test_block_naming_rule;
+        Alcotest.test_case "block names: printed and stable" `Slow
+          test_block_names_printed_and_stable;
       ] );
   ]

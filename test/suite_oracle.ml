@@ -143,12 +143,13 @@ let test_sabotage_golden () =
         (lines (O.run_subject ~stages:sabotage (smoke_subject seed))))
     sabotage_golden
 
+(* [if.end.1] is the label the printed kernel gives the racing block *)
 let xrw3 =
   "FAIL subject=fuzz_3+XRW stage=base kind=checker:shared-race-rw :: \
-   error[shared-race-rw] @fuzz_3 block if.end: read-write race on shared \
-   array %0: instrs if.end#5 (index 1*tid, block if.end) and if.end#8 \
-   (index 1*tid + 1, block if.end); e.g. threads 1 and 0 hit the same \
-   element with no barrier in between"
+   error[shared-race-rw] @fuzz_3 block if.end.1: read-write race on \
+   shared array %0: instrs if.end.1#5 (index 1*tid, block if.end.1) and \
+   if.end.1#8 (index 1*tid + 1, block if.end.1); e.g. threads 1 and 0 \
+   hit the same element with no barrier in between"
 
 let test_history_free_text () =
   let run () = lines (O.run_subject (smoke_subject ~inject:M.Xrw 3)) in

@@ -124,6 +124,12 @@ let test_error_escapes () =
         (contains e needle))
     escape_rows
 
+(* a repeated label is an error, not one block appended twice *)
+let test_error_label_twice () =
+  Alcotest.(check string)
+    "typed error" "line 4: label a is defined twice"
+    (parse_err "kernel @f() {\na:\n  br a\na:\n  ret\n}\n")
+
 let test_comments_and_whitespace () =
   let src =
     "; a leading comment\n\
@@ -235,6 +241,8 @@ let suites =
         Alcotest.test_case "error: bad literal" `Quick test_error_bad_literal;
         Alcotest.test_case "error: malformed operands and names" `Quick
           test_error_escapes;
+        Alcotest.test_case "error: label defined twice" `Quick
+          test_error_label_twice;
         Alcotest.test_case "comments and whitespace" `Quick
           test_comments_and_whitespace;
         Alcotest.test_case "parse then simulate" `Quick

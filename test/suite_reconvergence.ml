@@ -132,61 +132,66 @@ let models =
    every registry kernel at its first block size, default n, seed 2022,
    recorded before the simulator's issue loop was rewritten for speed.
    The digest is [stats_digest]: a change to any counter of either run
-   — aggregate, per-block, per-branch or per-site — changes it. *)
+   — aggregate, per-block, per-branch or per-site — changes it, and so
+   does a change of a branch or site id.  The digests of SB1, SB2, SB3,
+   their -R forms, BIT, MS, PCM and FLAT were recorded again when
+   Ssa.append_block began to name blocks uniquely: their per-branch and
+   per-site rows split where two blocks had shared a name; summed back
+   under the old names, every counter is what it was. *)
 let golden_stats =
   [
-    ("SB1", "flat_stack", 114816, 72064, "14da3511f73e9906", "f2f2010b94cc2112");
-    ("SB1", "hier_stack", 121984, 79232, "54a12356369727a6", "00e57a89124f29b4");
-    ("SB1", "flat_its", 114816, 72064, "651b5d7ae4f8504b", "f2f2010b94cc2112");
-    ("SB1", "hier_its", 121984, 79232, "e979ecf262350b3b", "00e57a89124f29b4");
-    ("SB2", "flat_stack", 96998, 63538, "d5079425377ccec8", "6220d41bf65e87f3");
-    ("SB2", "hier_stack", 104166, 70706, "d4d39495825b6234", "8aeab8edd6f6893f");
-    ("SB2", "flat_its", 96998, 63538, "1eea2ba4273e98c9", "1859fdaef9799de5");
-    ("SB2", "hier_its", 104166, 70706, "bedd3ba09080d18e", "02074d9179793cb9");
-    ("SB3", "flat_stack", 210662, 121906, "37a11db99587589c", "63fbfd111c3395a0");
-    ("SB3", "hier_stack", 217830, 129074, "95a81f52f25ca667", "0b02f7b5062b2509");
-    ("SB3", "flat_its", 210662, 121906, "58b0e9978f302d68", "7d1d776698c2f124");
-    ("SB3", "hier_its", 217830, 129074, "dc1a30ccb448d27a", "a3032ebc0a601a8b");
-    ("SB1-R", "flat_stack", 115328, 79744, "1d724800491d35b2", "cc11bb1955fc0e03");
-    ("SB1-R", "hier_stack", 122496, 86912, "ff37aade13a2f8f8", "3c2488f4d3c7730e");
-    ("SB1-R", "flat_its", 115328, 79744, "71853916bb362377", "6d261d4ffc426e6c");
-    ("SB1-R", "hier_its", 122496, 86912, "6d58d14f7e1c7041", "51a9aef6d44b6f4c");
-    ("SB2-R", "flat_stack", 133142, 105384, "bfd8c31217779890", "5104aafe1aba62fc");
-    ("SB2-R", "hier_stack", 140310, 112552, "0a52979744c1d241", "7bfd936ae6663959");
-    ("SB2-R", "flat_its", 133142, 105384, "980c1919f099a6d2", "9b0013c845b42652");
-    ("SB2-R", "hier_its", 140310, 112552, "133d9bb90dd9bdb5", "69c85d834112ee1a");
-    ("SB3-R", "flat_stack", 209190, 129070, "a292cb94e45a9537", "dae77894ee9daf29");
-    ("SB3-R", "hier_stack", 216358, 136238, "f62a317a8c5f2357", "878d0b280869c5f1");
-    ("SB3-R", "flat_its", 209190, 129070, "c04badad76d9f88c", "6ce50e84bd321d11");
-    ("SB3-R", "hier_its", 216358, 136238, "39a37224ffa7b54c", "9d79cec474e1b6ee");
+    ("SB1", "flat_stack", 114816, 72064, "37078798ae174bd9", "741a2eb4d319e76f");
+    ("SB1", "hier_stack", 121984, 79232, "f5c0e8e8d4992361", "6e50ff053396e8e2");
+    ("SB1", "flat_its", 114816, 72064, "8f0f779bc55187b5", "741a2eb4d319e76f");
+    ("SB1", "hier_its", 121984, 79232, "53078133e44b6c8a", "6e50ff053396e8e2");
+    ("SB2", "flat_stack", 96998, 63538, "3703772263141908", "f7ca5df3eacb2057");
+    ("SB2", "hier_stack", 104166, 70706, "ac1465b1ef24ade0", "ffbc2cc0504d7783");
+    ("SB2", "flat_its", 96998, 63538, "86f4f88ebb1b8346", "8a5ae9b83d3db46b");
+    ("SB2", "hier_its", 104166, 70706, "8175e36087f04e6b", "7bb643079988f257");
+    ("SB3", "flat_stack", 210662, 121906, "39d6498a1cab8b42", "e62e7f92375a2305");
+    ("SB3", "hier_stack", 217830, 129074, "044b25749e1d17a7", "460b437018b55869");
+    ("SB3", "flat_its", 210662, 121906, "c0890dddf3d65395", "6f968dba5864453f");
+    ("SB3", "hier_its", 217830, 129074, "73435318f9be195c", "50cd57540e196fae");
+    ("SB1-R", "flat_stack", 115328, 79744, "eefaf978ff7d5ed9", "153a371896d46987");
+    ("SB1-R", "hier_stack", 122496, 86912, "db01c3e50ca2e01d", "d2af45c6b751247e");
+    ("SB1-R", "flat_its", 115328, 79744, "038f5be638664682", "20fba501c600a09a");
+    ("SB1-R", "hier_its", 122496, 86912, "cd1b70b1952cbd91", "cd5e15122ee235af");
+    ("SB2-R", "flat_stack", 133142, 105384, "0405dc1329965393", "a3bc2294c183b267");
+    ("SB2-R", "hier_stack", 140310, 112552, "e93ef4064a220a2a", "a2b1802b2f170e82");
+    ("SB2-R", "flat_its", 133142, 105384, "52d11baa96cf0982", "084a5e3b588d264f");
+    ("SB2-R", "hier_its", 140310, 112552, "70618cbac07ce63b", "7480a7e5954acf39");
+    ("SB3-R", "flat_stack", 209190, 129070, "ea08768f06dd7cb7", "1ce89d48e7eb7925");
+    ("SB3-R", "hier_stack", 216358, 136238, "2b5473d04da6bfc2", "7c213aeb6f3af3f4");
+    ("SB3-R", "flat_its", 209190, 129070, "50d0d237d974d259", "59482da0a4d05128");
+    ("SB3-R", "hier_its", 216358, 136238, "9902b3e49f0771f6", "fc8956b687cadba5");
     ("LUD", "flat_stack", 544000, 272640, "ad0c7d7524ba4e4f", "45a1d4023ce91c85");
     ("LUD", "hier_stack", 302336, 167424, "e46fff7b52d63086", "13cc580b2563a484");
     ("LUD", "flat_its", 544000, 272640, "810d51abe34ae42c", "0b6d1f299a86a5a4");
     ("LUD", "hier_its", 302336, 167424, "fe6e305b11cd4cc1", "c1281b9459293654");
-    ("BIT", "flat_stack", 215776, 145408, "15cc0e4bff9a4a8b", "8fd281be6f0f193f");
-    ("BIT", "hier_stack", 216544, 146176, "91840b3d3bd8a27d", "97c71cc56f10bbc0");
-    ("BIT", "flat_its", 215776, 168592, "b69db674aabcb8ca", "6ac899b530c3a7d1");
-    ("BIT", "hier_its", 216544, 169360, "cb55a6fd9791b72d", "491889bee251159b");
+    ("BIT", "flat_stack", 215776, 145408, "9be9de78162f959f", "1429e69aa1bd11bf");
+    ("BIT", "hier_stack", 216544, 146176, "f35521e45d6e5c59", "486a20d773475f1e");
+    ("BIT", "flat_its", 215776, 168592, "d2f48ee954382c7e", "b304d67b8eed0194");
+    ("BIT", "hier_its", 216544, 169360, "fa55d1c1b72e6dbd", "eb3b8947851cc4e6");
     ("DCT", "flat_stack", 24576, 22656, "8723c001dd86de1d", "55f174ec9fc25a47");
     ("DCT", "hier_stack", 31744, 29824, "96efb489004950b7", "41a9be0ac465774d");
     ("DCT", "flat_its", 24576, 22656, "d67c6d49284935e0", "021f23267e023fcb");
     ("DCT", "hier_its", 31744, 29824, "50a5c7bbc2d3620a", "2da6d9ce6ca1b74d");
-    ("MS", "flat_stack", 215585, 198612, "5aa5972b654065ac", "7996fece8f1c8d14");
-    ("MS", "hier_stack", 215969, 198996, "173cd3b4868b3803", "7636e45c27f68a61");
-    ("MS", "flat_its", 215585, 198612, "f4288eae7bd37a52", "d986fb1124b2d283");
-    ("MS", "hier_its", 215969, 198996, "93f96ae2eea1a680", "ddb2d327d681c235");
-    ("PCM", "flat_stack", 16972, 13740, "6768fe8bb448fc2c", "fc4aab0900fa305f");
-    ("PCM", "hier_stack", 23568, 18380, "b1e62eb32e8dfd16", "3e401714a74a62f1");
-    ("PCM", "flat_its", 16972, 13740, "c3ecaf0c786810be", "dae9d7c9d0c73adb");
-    ("PCM", "hier_its", 23568, 18380, "04e0706040c9ca46", "7efd7123961db2ab");
+    ("MS", "flat_stack", 215585, 198612, "1a49fc513928b4e0", "c9a8b4a2bc98c617");
+    ("MS", "hier_stack", 215969, 198996, "5f26d336aa8fc689", "aa2e13d79f9c8ccf");
+    ("MS", "flat_its", 215585, 198612, "a9f92bd2692afc36", "bf8c3765df8ba3ee");
+    ("MS", "hier_its", 215969, 198996, "b26386fce68da48a", "1e13f2a0333003c0");
+    ("PCM", "flat_stack", 16972, 13740, "2eb10a27cc4238ee", "ea9204e054927704");
+    ("PCM", "hier_stack", 23568, 18380, "734156eb9b284cb1", "d85d5516dae2dd83");
+    ("PCM", "flat_its", 16972, 13740, "8e4a509998b170ce", "9e2aacf805ab3b62");
+    ("PCM", "hier_its", 23568, 18380, "e6f9aa9485f169ab", "09ab009f696c2415");
     ("IDENT", "flat_stack", 6592, 3312, "36a9a189e0fe9e25", "fd9d2936d9b8d512");
     ("IDENT", "hier_stack", 4928, 3696, "308a3981c2210ba8", "b117d1265ab022e9");
     ("IDENT", "flat_its", 6592, 3312, "81f7b00e442d9d60", "fd9d2936d9b8d512");
     ("IDENT", "hier_its", 4928, 3696, "3279e79975b7df7a", "b117d1265ab022e9");
-    ("FLAT", "flat_stack", 8512, 7712, "7c9bade65fd95089", "33d4bc45b2dce091");
-    ("FLAT", "hier_stack", 6848, 8096, "ffaf145a27e8f59e", "2af3b5795a58a521");
-    ("FLAT", "flat_its", 8512, 7712, "f887713f57db2276", "e485fa4ab686078b");
-    ("FLAT", "hier_its", 6848, 8096, "26bd397145b1b668", "2fcf01f141ddc714");
+    ("FLAT", "flat_stack", 8512, 7712, "960478b5968f5eaa", "a436059f8d02a122");
+    ("FLAT", "hier_stack", 6848, 8096, "0f5d331666703dd8", "8c67acc117e25048");
+    ("FLAT", "flat_its", 8512, 7712, "97fcdfc0003c1a51", "db65a1d8d4244687");
+    ("FLAT", "hier_its", 6848, 8096, "2918411e2a3dddb8", "9d985a0c3c8aa13d");
     ("FDCT", "flat_stack", 11392, 10848, "abc5e1b7e0fb03f4", "f4e526c589453936");
     ("FDCT", "hier_stack", 14976, 14432, "841ab7c2df19eeed", "3908694726e8fcee");
     ("FDCT", "flat_its", 11392, 10848, "4ff4a0f4e2e4a851", "9a58ebc105363514");
@@ -746,13 +751,15 @@ let test_handwritten_golden_memory () =
 (* Generated smoke kernel 23, melded: under ITS a reconvergence pop
    wakes lanes the same pops pass has already visited, so their own
    pops are still pending when the next group issues — the scheduler
-   must not run that group through its block before they happen. *)
+   must not run that group through its block before they happen.  The
+   digests were recorded again when Ssa.append_block began to name
+   blocks uniquely (branch and site ids renamed; cycles unchanged). *)
 let golden_generated =
   [
-    (23, "flat_stack", 4856, "84652cf8f77ced5e");
-    (23, "hier_stack", 3116, "b4482b2802e15466");
-    (23, "flat_its", 8552, "e8bae1e8c8b869be");
-    (23, "hier_its", 4644, "3bdde434f87182ee");
+    (23, "flat_stack", 4856, "f5ce467d7f3a285d");
+    (23, "hier_stack", 3116, "082f9ad037670f75");
+    (23, "flat_its", 8552, "28323d7deae4428f");
+    (23, "hier_its", 4644, "03cecc42f7d31e6c");
   ]
 
 let test_generated_golden () =
