@@ -141,9 +141,10 @@ let metrics_invariants (m : Metrics.t) : string option =
         (Printf.sprintf
            "per-branch splits sum to %d but divergent_branches = %d" div
            m.Metrics.divergent_branches)
-  | None when reconv > m.Metrics.reconvergences ->
+  | None when reconv <> m.Metrics.reconvergences ->
       Some
-        (Printf.sprintf "per-branch reconvergences sum to %d > total %d"
+        (Printf.sprintf
+           "per-branch reconvergences sum to %d but reconvergences = %d"
            reconv m.Metrics.reconvergences)
   | None -> None
 

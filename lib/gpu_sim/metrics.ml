@@ -66,49 +66,23 @@ type t = {
   mutable mem_global : int;  (** vector (global) memory instructions *)
   mutable mem_shared : int;  (** LDS / shared memory instructions *)
   mutable mem_flat : int;    (** flat-addressed memory instructions *)
-  mutable global_transactions : int;
-      (** 32-cell memory transactions generated by global/flat accesses;
-          perfectly coalesced warp-wide accesses cost
-          ceil(warp/32 * active/warp) transactions, scattered ones up to
-          one per lane *)
-  mutable global_accesses : int;
-      (** global/flat memory instruction issues (denominator for the
-          coalescing ratio) *)
-  mutable bank_conflicts : int;
-      (** extra LDS cycles from multiple active lanes hitting the same
-          bank at different addresses (32 banks, word-interleaved) *)
-  mutable l1_hits : int;
-      (** hierarchical model: global accesses fully served by L1 (every
-          touched segment resident); 0 under [Flat] *)
-  mutable l1_misses : int;
-      (** hierarchical model: global accesses with at least one segment
-          miss; [l1_hits + l1_misses = global_accesses] under [Hier] *)
-  mutable mem_stall_cycles : int;
-      (** hierarchical model: cycles warps stalled waiting for a free
-          in-flight-request (MSHR) slot *)
-  mutable bank_conflict_cycles : int;
-      (** hierarchical model: cycles charged for LDS serialization *)
-  mutable mem_cycles : int;
-      (** issue cycles charged at memory instructions (incl. stalls);
-          a sub-total of [cycles] *)
-  mutable divergent_branches : int;
-      (** dynamic occurrences of a warp splitting at a branch *)
-  mutable lost_lane_cycles : int;
-      (** global idle-lane cycle counter: incremented in lock-step with
-          the per-branch {!branch_stat.br_lost_lane_cycles} fields, so
-          the sum over {!branch_stats} equals this exactly — under the
-          SIMT stack and under independent thread scheduling alike *)
-  mutable reconvergences : int;
+  (* the eleven totals below are sums of the per-site and per-branch
+     records, set by [sum_records] *)
+  mutable global_transactions : int;  (** sum of [ms_transactions] *)
+  mutable global_accesses : int;  (** sum of [ms_accesses] *)
+  mutable bank_conflicts : int;  (** sum of [ms_bank_conflicts] *)
+  mutable l1_hits : int;  (** sum of [ms_l1_hits] *)
+  mutable l1_misses : int;  (** sum of [ms_l1_misses] *)
+  mutable mem_stall_cycles : int;  (** sum of [ms_stall_cycles] *)
+  mutable bank_conflict_cycles : int;  (** sum of [ms_bank_conflict_cycles] *)
+  mutable mem_cycles : int;  (** sum of [ms_cycles] *)
+  mutable divergent_branches : int;  (** sum of [br_divergences] *)
+  mutable lost_lane_cycles : int;  (** sum of [br_lost_lane_cycles] *)
+  mutable reconvergences : int;  (** sum of [br_reconvergences] *)
   mutable barriers : int;
   mutable block_cycles : int list;
-      (** issue cycles of each thread block — input to the multi-CU
-          makespan estimate.
-
-          Ordering CONTRACT: {e most recently executed block first}
-          (the simulator conses each block on completion, so a
-          single-run list is descending block index).  {!add} preserves
-          it: [add a b] prepends [b]'s blocks — the more recent run —
-          in front of [a]'s. *)
+      (** issue cycles of each thread block, most recently executed
+          first — input to the multi-CU makespan estimate *)
   branches : (string, branch_stat) Hashtbl.t;
       (** per-branch divergence attribution; read through
           {!branch_stats} for deterministic ordering *)
@@ -143,50 +117,32 @@ let create () =
     mem_sites = Hashtbl.create 8;
   }
 
-let touch_branch (m : t) (id : string) : branch_stat =
-  match Hashtbl.find_opt m.branches id with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          br_divergences = 0;
-          br_cycles = 0;
-          br_lost_lane_cycles = 0;
-          br_reconvergences = 0;
-        }
-      in
-      Hashtbl.replace m.branches id s;
-      s
-
 (* sorted by branch id: the deterministic-snapshot contract *)
 let branch_stats (m : t) : (string * branch_stat) list =
   Hashtbl.fold (fun id s acc -> (id, s) :: acc) m.branches []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let touch_site (m : t) (id : string) : mem_site_stat =
-  match Hashtbl.find_opt m.mem_sites id with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          ms_issues = 0;
-          ms_accesses = 0;
-          ms_transactions = 0;
-          ms_l1_hits = 0;
-          ms_l1_misses = 0;
-          ms_bank_conflicts = 0;
-          ms_bank_conflict_cycles = 0;
-          ms_stall_cycles = 0;
-          ms_cycles = 0;
-        }
-      in
-      Hashtbl.replace m.mem_sites id s;
-      s
-
 (* sorted by site id: the deterministic-snapshot contract *)
 let site_stats (m : t) : (string * mem_site_stat) list =
   Hashtbl.fold (fun id s acc -> (id, s) :: acc) m.mem_sites []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* The one writer of the eleven totals: each is the sum of one field of
+   the per-branch or per-site records, so the records partition it. *)
+let sum_records (m : t) : unit =
+  let br f = Hashtbl.fold (fun _ s n -> n + f s) m.branches 0 in
+  let ms f = Hashtbl.fold (fun _ s n -> n + f s) m.mem_sites 0 in
+  m.divergent_branches <- br (fun s -> s.br_divergences);
+  m.lost_lane_cycles <- br (fun s -> s.br_lost_lane_cycles);
+  m.reconvergences <- br (fun s -> s.br_reconvergences);
+  m.mem_cycles <- ms (fun s -> s.ms_cycles);
+  m.global_transactions <- ms (fun s -> s.ms_transactions);
+  m.global_accesses <- ms (fun s -> s.ms_accesses);
+  m.bank_conflicts <- ms (fun s -> s.ms_bank_conflicts);
+  m.l1_hits <- ms (fun s -> s.ms_l1_hits);
+  m.l1_misses <- ms (fun s -> s.ms_l1_misses);
+  m.mem_stall_cycles <- ms (fun s -> s.ms_stall_cycles);
+  m.bank_conflict_cycles <- ms (fun s -> s.ms_bank_conflict_cycles)
 
 (** Coalescing efficiency of one site: ideal transactions (one per
     access) over actual; 1.0 is perfectly coalesced within a 32-lane
@@ -208,55 +164,10 @@ let alu_utilization (m : t) ~(warp_size : int) : float =
     /. float_of_int (m.alu_issues * warp_size)
     *. 100.
 
-let add (a : t) (b : t) : unit =
-  a.cycles <- a.cycles + b.cycles;
-  a.instructions <- a.instructions + b.instructions;
-  a.alu_issues <- a.alu_issues + b.alu_issues;
-  a.alu_active_lanes <- a.alu_active_lanes + b.alu_active_lanes;
-  a.mem_global <- a.mem_global + b.mem_global;
-  a.mem_shared <- a.mem_shared + b.mem_shared;
-  a.mem_flat <- a.mem_flat + b.mem_flat;
-  a.global_transactions <- a.global_transactions + b.global_transactions;
-  a.global_accesses <- a.global_accesses + b.global_accesses;
-  a.bank_conflicts <- a.bank_conflicts + b.bank_conflicts;
-  a.l1_hits <- a.l1_hits + b.l1_hits;
-  a.l1_misses <- a.l1_misses + b.l1_misses;
-  a.mem_stall_cycles <- a.mem_stall_cycles + b.mem_stall_cycles;
-  a.bank_conflict_cycles <- a.bank_conflict_cycles + b.bank_conflict_cycles;
-  a.mem_cycles <- a.mem_cycles + b.mem_cycles;
-  a.divergent_branches <- a.divergent_branches + b.divergent_branches;
-  a.lost_lane_cycles <- a.lost_lane_cycles + b.lost_lane_cycles;
-  a.reconvergences <- a.reconvergences + b.reconvergences;
-  a.barriers <- a.barriers + b.barriers;
-  a.block_cycles <- b.block_cycles @ a.block_cycles;
-  Hashtbl.iter
-    (fun id sb ->
-      let sa = touch_branch a id in
-      sa.br_divergences <- sa.br_divergences + sb.br_divergences;
-      sa.br_cycles <- sa.br_cycles + sb.br_cycles;
-      sa.br_lost_lane_cycles <- sa.br_lost_lane_cycles + sb.br_lost_lane_cycles;
-      sa.br_reconvergences <- sa.br_reconvergences + sb.br_reconvergences)
-    b.branches;
-  Hashtbl.iter
-    (fun id sb ->
-      let sa = touch_site a id in
-      sa.ms_issues <- sa.ms_issues + sb.ms_issues;
-      sa.ms_accesses <- sa.ms_accesses + sb.ms_accesses;
-      sa.ms_transactions <- sa.ms_transactions + sb.ms_transactions;
-      sa.ms_l1_hits <- sa.ms_l1_hits + sb.ms_l1_hits;
-      sa.ms_l1_misses <- sa.ms_l1_misses + sb.ms_l1_misses;
-      sa.ms_bank_conflicts <- sa.ms_bank_conflicts + sb.ms_bank_conflicts;
-      sa.ms_bank_conflict_cycles <-
-        sa.ms_bank_conflict_cycles + sb.ms_bank_conflict_cycles;
-      sa.ms_stall_cycles <- sa.ms_stall_cycles + sb.ms_stall_cycles;
-      sa.ms_cycles <- sa.ms_cycles + sb.ms_cycles)
-    b.mem_sites
-
 (** Estimated wall-clock cycles when [num_cus] compute units execute the
     thread blocks in parallel: a longest-processing-time greedy schedule
-    over the per-block cycle counts (order-insensitive — the schedule
-    sorts, so the {!t.block_cycles} ordering contract does not affect
-    the result).  With one CU this equals [cycles]; with more CUs than
+    over the per-block cycle counts (order-insensitive: the schedule
+    sorts them).  With one CU this equals [cycles]; with more CUs than
     blocks it is the longest block; with no recorded blocks it is 0. *)
 let makespan (m : t) ~(num_cus : int) : int =
   if num_cus <= 1 then m.cycles

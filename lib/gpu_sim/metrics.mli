@@ -60,40 +60,42 @@ type t = {
   mutable mem_global : int;  (** vector (global) memory instructions *)
   mutable mem_shared : int;  (** LDS / shared memory instructions *)
   mutable mem_flat : int;    (** flat-addressed memory instructions *)
+  (* The eleven totals below are the per-site and per-branch records'
+     sums, set once per run by {!sum_records}: each names the record
+     field it sums, so the records partition it exactly. *)
   mutable global_transactions : int;
-      (** 32-cell memory transactions generated by global accesses *)
+      (** 32-cell global segments touched: the sum of [ms_transactions] *)
   mutable global_accesses : int;
+      (** issues generating global traffic: the sum of [ms_accesses] *)
   mutable bank_conflicts : int;
-      (** extra LDS cycles from bank-conflicting shared accesses *)
+      (** extra LDS serialization phases: the sum of [ms_bank_conflicts] *)
   mutable l1_hits : int;
-      (** global accesses fully served by L1; 0 under the flat model *)
+      (** global accesses fully served by L1: the sum of [ms_l1_hits];
+          0 under the flat model *)
   mutable l1_misses : int;
-      (** global accesses with >= 1 segment miss;
-          [l1_hits + l1_misses = global_accesses] under [Hier] *)
+      (** global accesses with >= 1 segment miss: the sum of
+          [ms_l1_misses]; [l1_hits + l1_misses = global_accesses] under
+          [Hier] *)
   mutable mem_stall_cycles : int;
-      (** cycles stalled waiting for a free MSHR slot *)
+      (** cycles stalled waiting for a free MSHR slot: the sum of
+          [ms_stall_cycles] *)
   mutable bank_conflict_cycles : int;
-      (** cycles charged for LDS serialization (hierarchical model) *)
+      (** cycles charged for LDS serialization (hierarchical model): the
+          sum of [ms_bank_conflict_cycles] *)
   mutable mem_cycles : int;
-      (** issue cycles charged at memory instructions (incl. stalls) *)
+      (** issue cycles charged at memory instructions, incl. stalls: the
+          sum of [ms_cycles] *)
   mutable divergent_branches : int;
-      (** dynamic occurrences of a warp splitting at a branch *)
+      (** dynamic warp splits: the sum of [br_divergences] *)
   mutable lost_lane_cycles : int;
-      (** global idle-lane cycle counter, incremented in lock-step with
-          the per-branch {!branch_stat.br_lost_lane_cycles} fields: the
-          sum of [br_lost_lane_cycles] over {!branch_stats} equals this
-          exactly, under the SIMT stack and under independent thread
-          scheduling alike (the identity [test/suite_reconvergence.ml]
-          pins) *)
+      (** idle-lane cycles: the sum of [br_lost_lane_cycles], under the
+          SIMT stack and under independent thread scheduling alike *)
   mutable reconvergences : int;
+      (** arm completions at an IPDOM: the sum of [br_reconvergences] *)
   mutable barriers : int;
   mutable block_cycles : int list;
-      (** issue cycles of each thread block.
-
-          Ordering CONTRACT: {e most recently executed block first} —
-          the simulator conses each block on completion, and {!add}
-          preserves the contract by prepending the accumulated (more
-          recent) run's blocks. *)
+      (** issue cycles of each thread block, most recently executed
+          first *)
   branches : (string, branch_stat) Hashtbl.t;
       (** per-branch divergence attribution; iterate through
           {!branch_stats} for deterministic ordering *)
@@ -104,21 +106,18 @@ type t = {
 
 val create : unit -> t
 
-(** The attribution entry for branch id [id], created zeroed on first
-    use. *)
-val touch_branch : t -> string -> branch_stat
-
 (** Per-branch attribution sorted by branch id — the deterministic
     snapshot the report generator and the tests consume. *)
 val branch_stats : t -> (string * branch_stat) list
 
-(** The attribution entry for access site [id], created zeroed on first
-    use. *)
-val touch_site : t -> string -> mem_site_stat
-
 (** Per-site memory attribution sorted by site id — the deterministic
     snapshot the report generator and the tests consume. *)
 val site_stats : t -> (string * mem_site_stat) list
+
+(** Set the eleven totals from the records in [branches] and
+    [mem_sites]: each total becomes the sum of the record field its
+    comment names.  {!Simulator.run} calls it once, after the launch. *)
+val sum_records : t -> unit
 
 (** Coalescing efficiency of one site: accesses over transactions; 1.0
     is perfectly coalesced, lower is scatter, 0 without global
@@ -133,11 +132,6 @@ val l1_hit_rate : t -> float
     instruction was issued. *)
 val alu_utilization : t -> warp_size:int -> float
 
-(** Accumulate [b] into [a].  [b]'s [block_cycles] — the more recent
-    run — end up in front of [a]'s, keeping the most-recent-first
-    contract. *)
-val add : t -> t -> unit
-
 (** Estimated wall-clock cycles when [num_cus] compute units execute the
     thread blocks in parallel (LPT greedy schedule over the per-block
     cycle counts; insensitive to the [block_cycles] ordering).  Equals
@@ -147,7 +141,9 @@ val makespan : t -> num_cus:int -> int
 
 (** Average transactions per global memory instruction: low is
     coalesced, up to one per lane when scattered; 0 when no global
-    access was issued. *)
+    access was issued.  [to_string] prints it as [txn/access]; exported
+    for suite_metrics' "txn/access" cases and suite_sim's coalescing
+    case. *)
 val transactions_per_access : t -> float
 
 (** Export the run into a {!Darm_obs.Metrics_registry}: whole-run

@@ -828,26 +828,16 @@ type launch_ctx = {
   phi_stage : regfile;
       (** two-phase phi staging buffer: one row per phi of a block *)
   cond_sel : bool array;  (** per-lane branch outcome of one condbr *)
-  (* per-branch divergence attribution, indexed by dense block index
-     of the branch block; folded into [metrics.branches] (keyed by
-     block name — the stable static branch id) at the end of the
-     launch.  Shared across the whole grid like the scratch buffers. *)
-  br_div : int array;  (** warp splits at this branch *)
-  br_cycles : int array;  (** issue cycles inside the branch's arms *)
-  br_lost : int array;  (** idle-lane cycles inside the arms *)
-  br_reconv : int array;  (** arm completions at the IPDOM *)
-  (* per-site memory attribution, indexed by [d_site]; folded into
-     [metrics.mem_sites] (keyed by the stable "<block>#<k>" site id) at
-     the end of the launch, mirroring the branch arrays above. *)
-  ms_issues : int array;
-  ms_accesses : int array;
-  ms_transactions : int array;
-  ms_l1_hits : int array;
-  ms_l1_misses : int array;
-  ms_bank_conflicts : int array;
-  ms_bank_conflict_cycles : int array;
-  ms_stall_cycles : int array;
-  ms_cycles : int array;
+  branch_recs : Metrics.branch_stat array;
+      (** the run's per-branch records, indexed by the dense index of
+          the branch block; they join [metrics.branches] under the
+          block's name (the stable static branch id) at the end of the
+          launch.  Shared across the whole grid like the scratch
+          buffers. *)
+  site_recs : Metrics.mem_site_stat array;
+      (** the run's per-site records, indexed by [d_site]; they join
+          [metrics.mem_sites] under the stable "<block>#<k>" site id at
+          the end of the launch *)
   hier : hier_state option;  (** [Some] iff [cfg.mem_model] is [Hier] *)
 }
 
@@ -899,52 +889,38 @@ let obs_warp (ctx : launch_ctx) (w : warp) (name : string)
       Tr.instant tr ~cat:"sim" ~pid:ctx.cfg.obs_pid ~tid:(1 + w.tid_base)
         ~ts:ctx.metrics.Metrics.cycles ~args name
 
-let obs_diverge (ctx : launch_ctx) (w : warp) (db : dblock) ~(tcount : int)
-    ~(fcount : int) (mask : bool array) (sel : bool array) : unit =
-  let tmask = Array.mapi (fun l m -> m && sel.(l)) mask in
-  let fmask = Array.mapi (fun l m -> m && not sel.(l)) mask in
-  let rpc = db.db_ipdom in
-  obs_warp ctx w "warp.diverge"
-    [
-      ("block", Tr.Str db.db_name);
-      ("branch_id", Tr.Str db.db_name);
-      ("t_active", Tr.Int tcount);
-      ("f_active", Tr.Int fcount);
-      ("t_mask", Tr.Str (mask_hex tmask));
-      ("f_mask", Tr.Str (mask_hex fmask));
-      ( "reconverge",
-        Tr.Str (if rpc >= 0 then ctx.fctx.dblocks.(rpc).db_name else "<none>")
-      );
-    ]
-
-let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
+(* The one charge of an issue, under either memory model: [lat]
+   cycles for the lanes of [fr], counted on the run, on the record of
+   the branch at [fr.origin] when the issue runs inside one of its
+   divergent arms (the split's other-arm lanes idle meanwhile), and on
+   the record of a load/store's site. *)
+let charge (ctx : launch_ctx) (d : dinstr) (fr : frame) (lat : int) : unit =
   let m = ctx.metrics in
-  m.cycles <- m.cycles + d.d_lat;
+  m.cycles <- m.cycles + lat;
   m.instructions <- m.instructions + 1;
   if fr.origin >= 0 then begin
-    (* divergence attribution: this issue runs inside an arm of the
-       branch at block [origin]; the split's other-arm lanes idle *)
-    ctx.br_cycles.(fr.origin) <- ctx.br_cycles.(fr.origin) + d.d_lat;
-    ctx.br_lost.(fr.origin) <-
-      ctx.br_lost.(fr.origin) + (fr.f_lost * d.d_lat);
-    (* the global counter moves in lock-step with the per-branch one,
-       so sum(br_lost_lane_cycles) = lost_lane_cycles exactly *)
-    m.lost_lane_cycles <- m.lost_lane_cycles + (fr.f_lost * d.d_lat)
+    let b = ctx.branch_recs.(fr.origin) in
+    b.br_cycles <- b.br_cycles + lat;
+    b.br_lost_lane_cycles <- b.br_lost_lane_cycles + (fr.f_lost * lat)
   end;
   if d.d_alu then begin
     m.alu_issues <- m.alu_issues + 1;
     m.alu_active_lanes <- m.alu_active_lanes + fr.f_active
   end;
   if d.d_site >= 0 then begin
-    ctx.ms_issues.(d.d_site) <- ctx.ms_issues.(d.d_site) + 1;
-    ctx.ms_cycles.(d.d_site) <- ctx.ms_cycles.(d.d_site) + d.d_lat;
-    m.mem_cycles <- m.mem_cycles + d.d_lat
+    let s = ctx.site_recs.(d.d_site) in
+    s.ms_issues <- s.ms_issues + 1;
+    s.ms_cycles <- s.ms_cycles + lat
   end;
   match d.d_mem with
   | Mc_none -> ()
   | Mc_global -> m.mem_global <- m.mem_global + 1
   | Mc_shared -> m.mem_shared <- m.mem_shared + 1
   | Mc_flat -> m.mem_flat <- m.mem_flat + 1
+
+(* the flat model charges every issue its static latency *)
+let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
+  charge ctx d fr d.d_lat
 
 (* Memory coalescing: a warp-wide global access is served in 32-cell
    transactions; the scan records the distinct segments the active
@@ -953,13 +929,14 @@ let account (ctx : launch_ctx) (d : dinstr) (fr : frame) : unit =
    serving the warp in 32-lane phases; lanes touching different
    addresses in the same bank serialize, so a phase costs as many
    passes as its worst bank has distinct offsets (bank conflicts).
-   Both memory models share this scan, so the coalescing and conflict
+   Both memory models share this scan, which counts the access, its
+   transactions and its conflict phases on the site's record, so those
    counters are model-independent.  One linear pass over the lanes
    plus an O(bn^2) distinct-offset pass per phase, over pre-allocated
    scratch — no per-issue allocation. *)
 let scan_mem (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array) :
     unit =
-  let s = ctx.scan in
+  let s = ctx.scan and site = ctx.site_recs.(d.d_site) in
   let rf = w.rf and pb = d.d_ptr in
   let segs = s.segs and offs = s.bank_offs and cnt = s.bank_count in
   let ws = Array.length mask in
@@ -1011,31 +988,21 @@ let scan_mem (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array) :
         cnt.(offs.(i) land 31) <- 0
       done;
       if !worst > 1 then begin
-        ctx.metrics.bank_conflicts <- ctx.metrics.bank_conflicts + (!worst - 1);
-        ctx.ms_bank_conflicts.(d.d_site) <-
-          ctx.ms_bank_conflicts.(d.d_site) + (!worst - 1);
+        site.ms_bank_conflicts <- site.ms_bank_conflicts + (!worst - 1);
         s.conflicts <- s.conflicts + (!worst - 1)
       end
     end;
     phase := !phase + 32
-  done
-
-(* Flat-model transaction accounting, on top of [account]. *)
-let account_transactions (ctx : launch_ctx) (w : warp) (d : dinstr)
-    (mask : bool array) : unit =
-  scan_mem ctx w d mask;
-  let nseg = ctx.scan.nseg in
-  if nseg > 0 then begin
-    ctx.metrics.global_transactions <- ctx.metrics.global_transactions + nseg;
-    ctx.metrics.global_accesses <- ctx.metrics.global_accesses + 1;
-    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + nseg;
-    ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1
+  done;
+  if s.nseg > 0 then begin
+    site.ms_transactions <- site.ms_transactions + s.nseg;
+    site.ms_accesses <- site.ms_accesses + 1
   end
 
-(* Hierarchical accounting for one memory issue: replaces [account] +
-   [account_transactions] when [cfg.mem_model] is [Hier].  On top of
-   the shared coalescing/bank scan, the L1 probe decides the charged
-   global latency, each coalesced segment beyond the first serializes at
+(* Hierarchical accounting for one memory issue, in place of [account]
+   when [cfg.mem_model] is [Hier].  On top of the shared
+   coalescing/bank scan, the L1 probe decides the charged global
+   latency, each coalesced segment beyond the first serializes at
    [txn_cycles], LDS conflict phases cost [lds_conflict_cycles] each,
    and a miss finding every MSHR slot busy stalls issue until the
    earliest in-flight request completes.  The charged issue latency is
@@ -1093,46 +1060,13 @@ let account_mem_hier (ctx : launch_ctx) (w : warp) (frame : frame)
   let slat = (if ctx.scan.shared_seen then d.d_lat else 0) + bc_cycles in
   let lat = max glat slat in
   let lat = if lat = 0 then d.d_lat else lat in
-  let charged = !stall + lat in
-  m.cycles <- m.cycles + charged;
-  m.instructions <- m.instructions + 1;
-  if frame.origin >= 0 then begin
-    ctx.br_cycles.(frame.origin) <- ctx.br_cycles.(frame.origin) + charged;
-    ctx.br_lost.(frame.origin) <-
-      ctx.br_lost.(frame.origin) + (frame.f_lost * charged);
-    m.lost_lane_cycles <- m.lost_lane_cycles + (frame.f_lost * charged)
-  end;
-  (match d.d_mem with
-  | Mc_none -> ()
-  | Mc_global -> m.mem_global <- m.mem_global + 1
-  | Mc_shared -> m.mem_shared <- m.mem_shared + 1
-  | Mc_flat -> m.mem_flat <- m.mem_flat + 1);
-  m.mem_cycles <- m.mem_cycles + charged;
-  ctx.ms_issues.(d.d_site) <- ctx.ms_issues.(d.d_site) + 1;
-  ctx.ms_cycles.(d.d_site) <- ctx.ms_cycles.(d.d_site) + charged;
-  if !stall > 0 then begin
-    m.mem_stall_cycles <- m.mem_stall_cycles + !stall;
-    ctx.ms_stall_cycles.(d.d_site) <-
-      ctx.ms_stall_cycles.(d.d_site) + !stall
-  end;
-  if bc_cycles > 0 then begin
-    m.bank_conflict_cycles <- m.bank_conflict_cycles + bc_cycles;
-    ctx.ms_bank_conflict_cycles.(d.d_site) <-
-      ctx.ms_bank_conflict_cycles.(d.d_site) + bc_cycles
-  end;
+  charge ctx d frame (!stall + lat);
+  let s = ctx.site_recs.(d.d_site) in
+  s.ms_stall_cycles <- s.ms_stall_cycles + !stall;
+  s.ms_bank_conflict_cycles <- s.ms_bank_conflict_cycles + bc_cycles;
   if nseg > 0 then begin
-    m.global_transactions <- m.global_transactions + nseg;
-    m.global_accesses <- m.global_accesses + 1;
-    ctx.ms_transactions.(d.d_site) <- ctx.ms_transactions.(d.d_site) + nseg;
-    ctx.ms_accesses.(d.d_site) <- ctx.ms_accesses.(d.d_site) + 1;
-    if !all_hit then begin
-      m.l1_hits <- m.l1_hits + 1;
-      ctx.ms_l1_hits.(d.d_site) <- ctx.ms_l1_hits.(d.d_site) + 1
-    end
-    else begin
-      m.l1_misses <- m.l1_misses + 1;
-      ctx.ms_l1_misses.(d.d_site) <- ctx.ms_l1_misses.(d.d_site) + 1
-    end;
+    if !all_hit then s.ms_l1_hits <- s.ms_l1_hits + 1
+    else s.ms_l1_misses <- s.ms_l1_misses + 1;
     match ctx.cfg.obs with
     | None -> ()
     | Some tr ->
@@ -1188,7 +1122,7 @@ let issue (ctx : launch_ctx) (w : warp) (fr : frame) (d : dinstr) : unit =
   | Some h when d.d_mem <> Mc_none -> account_mem_hier ctx w fr d h
   | _ ->
       account ctx d fr;
-      if d.d_mem <> Mc_none then account_transactions ctx w d fr.mask);
+      if d.d_mem <> Mc_none then scan_mem ctx w d fr.mask);
   d.d_exec ctx.env w fr.mask
 
 let set_pred_for_mask (w : warp) (mask : bool array) (bi : int) : unit =
@@ -1210,6 +1144,62 @@ let eval_cond (ctx : launch_ctx) (w : warp) (d : dinstr) (mask : bool array)
     end
   done;
   !t
+
+(* ------------------------------------------------------------------ *)
+(* Divergence events — one routine per event, shared by both
+   reconvergence models; each counts the event once, on the record of
+   the branch it belongs to. *)
+
+(** The lanes of [mask] split at the condbr ending block [bi]: [tcount]
+    of them take the true edge (per [ctx.cond_sel]), [fcount] the
+    false one. *)
+let split (ctx : launch_ctx) (w : warp) (bi : int) ~(tcount : int)
+    ~(fcount : int) (mask : bool array) : unit =
+  let b = ctx.branch_recs.(bi) in
+  b.br_divergences <- b.br_divergences + 1;
+  if observing ctx then begin
+    let dbs = ctx.fctx.dblocks and sel = ctx.cond_sel in
+    let tmask = Array.mapi (fun l m -> m && sel.(l)) mask in
+    let fmask = Array.mapi (fun l m -> m && not sel.(l)) mask in
+    let rpc = dbs.(bi).db_ipdom in
+    obs_warp ctx w "warp.diverge"
+      [
+        ("block", Tr.Str dbs.(bi).db_name);
+        ("branch_id", Tr.Str dbs.(bi).db_name);
+        ("t_active", Tr.Int tcount);
+        ("f_active", Tr.Int fcount);
+        ("t_mask", Tr.Str (mask_hex tmask));
+        ("f_mask", Tr.Str (mask_hex fmask));
+        ( "reconverge",
+          Tr.Str (if rpc >= 0 then dbs.(rpc).db_name else "<none>") );
+      ]
+  end
+
+(** The lanes [joined ()] of the split at branch block [o] reconverge at
+    block [r]; [joined] is called only when the run is traced. *)
+let reconverge (ctx : launch_ctx) (w : warp) ~(o : int) ~(r : int)
+    (joined : unit -> bool array) : unit =
+  let b = ctx.branch_recs.(o) in
+  b.br_reconvergences <- b.br_reconvergences + 1;
+  if observing ctx then begin
+    let dbs = ctx.fctx.dblocks and mask = joined () in
+    obs_warp ctx w "warp.reconverge"
+      [
+        ("block", Tr.Str dbs.(r).db_name);
+        ("branch_id", Tr.Str dbs.(o).db_name);
+        ("active", Tr.Int (popcount mask));
+        ("mask", Tr.Str (mask_hex mask));
+      ]
+  end
+
+(** The lanes of [fr] reach the [syncthreads] [d] of block [db]. *)
+let barrier (ctx : launch_ctx) (w : warp) (fr : frame) (d : dinstr)
+    (db : dblock) : unit =
+  account ctx d fr;
+  ctx.metrics.barriers <- ctx.metrics.barriers + 1;
+  if observing ctx then
+    obs_warp ctx w "warp.barrier"
+      [ ("block", Tr.Str db.db_name); ("active", Tr.Int fr.f_active) ]
 
 (* ------------------------------------------------------------------ *)
 (* SIMT stack *)
@@ -1236,8 +1226,7 @@ let exec_terminator (ctx : launch_ctx) (w : warp) (frame : frame)
       end
       else begin
         (* the warp splits: IPDOM reconvergence *)
-        ctx.metrics.divergent_branches <- ctx.metrics.divergent_branches + 1;
-        ctx.br_div.(cur) <- ctx.br_div.(cur) + 1;
+        split ctx w cur ~tcount ~fcount frame.mask;
         let sel = ctx.cond_sel in
         let tmask = Array.make ws false in
         let fmask = Array.make ws false in
@@ -1245,8 +1234,6 @@ let exec_terminator (ctx : launch_ctx) (w : warp) (frame : frame)
           if frame.mask.(lane) then
             if sel.(lane) then tmask.(lane) <- true else fmask.(lane) <- true
         done;
-        if observing ctx then
-          obs_diverge ctx w db ~tcount ~fcount frame.mask sel;
         let rpc = db.db_ipdom in
         let t_frame =
           { pc = d.d_succ.(0); ip = 0; rpc; mask = tmask; origin = cur;
@@ -1280,21 +1267,10 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
         continue_ := false
     | frame :: rest ->
         if frame.rpc >= 0 && frame.rpc = frame.pc then begin
-          (* reconverged: drop the frame, the parent resumes at rpc *)
-          ctx.metrics.reconvergences <- ctx.metrics.reconvergences + 1;
-          if frame.origin >= 0 then
-            ctx.br_reconv.(frame.origin) <- ctx.br_reconv.(frame.origin) + 1;
-          if observing ctx then
-            obs_warp ctx w "warp.reconverge"
-              [
-                ("block", Tr.Str dbs.(frame.pc).db_name);
-                ( "branch_id",
-                  Tr.Str
-                    (if frame.origin >= 0 then dbs.(frame.origin).db_name
-                     else "<entry>") );
-                ("active", Tr.Int frame.f_active);
-                ("mask", Tr.Str (mask_hex frame.mask));
-              ];
+          (* reconverged: drop the frame, the parent resumes at rpc (only
+             a split pushes a frame with a reconvergence point, so the
+             frame has an origin) *)
+          reconverge ctx w ~o:frame.origin ~r:frame.pc (fun () -> frame.mask);
           w.stack <- rest
         end
         else begin
@@ -1314,14 +1290,7 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
                 decr budget;
                 incr k
             | K_sync ->
-                account ctx d frame;
-                ctx.metrics.barriers <- ctx.metrics.barriers + 1;
-                if observing ctx then
-                  obs_warp ctx w "warp.barrier"
-                    [
-                      ("block", Tr.Str db.db_name);
-                      ("active", Tr.Int frame.f_active);
-                    ];
+                barrier ctx w frame d db;
                 (match w.stack with
                 | _ :: _ :: _ -> errf "syncthreads in divergent control flow"
                 | _ -> ());
@@ -1356,9 +1325,9 @@ let run_warp (ctx : launch_ctx) (w : warp) : unit =
    Divergence attribution reuses the stack model's machinery: each
    issue goes through a scratch [frame] whose [origin] is the issuing
    group leader's innermost open split and whose [f_lost] counts the
-   warp's other non-retired lanes, so [account] / [account_mem_hier]
-   feed the same per-branch and global lost-lane counters and the
-   exact-sum identities hold under both models.
+   warp's other non-retired lanes, so [charge] feeds the same
+   per-branch records under both models, and splits, reconvergences
+   and barriers go through the same event routines.
 
    Cost per issue is O(warp size): one pass for the pending
    reconvergence pops (skipped when no lane can have one), one for the
@@ -1411,7 +1380,6 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
     (iw : its_warp) : unit =
   let ws = ctx.cfg.warp_size in
   let dbs = ctx.fctx.dblocks in
-  let m = ctx.metrics in
   let stat = iw.iw_stat and pcs = iw.iw_pc and ips = iw.iw_ip in
   let holders = iw.iw_holders in
   let gmask = Array.make ws false in
@@ -1434,20 +1402,6 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
       end
     done
   in
-  let reconverge_event o r =
-    m.reconvergences <- m.reconvergences + 1;
-    ctx.br_reconv.(o) <- ctx.br_reconv.(o) + 1;
-    if observing ctx then begin
-      let joined = Array.init ws (fun l -> stat.(l) <> L_done && pcs.(l) = r) in
-      obs_warp ctx w "warp.reconverge"
-        [
-          ("block", Tr.Str dbs.(r).db_name);
-          ("branch_id", Tr.Str dbs.(o).db_name);
-          ("active", Tr.Int (popcount joined));
-          ("mask", Tr.Str (mask_hex joined));
-        ]
-    end
-  in
   (* at a block entry, pop every open split whose reconvergence point
      is this block; with [its_reconv_wait] park for straggling siblings *)
   let process_pops lane =
@@ -1461,7 +1415,9 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
           let others = if still then holders.(o) - 1 else holders.(o) in
           if others = 0 then begin
             (* last lane out of the split: this is the reconvergence *)
-            reconverge_event o pcs.(lane);
+            let r = pcs.(lane) in
+            reconverge ctx w ~o ~r (fun () ->
+                Array.init ws (fun l -> stat.(l) <> L_done && pcs.(l) = r));
             wake o
           end
           else if p.its_reconv_wait then begin
@@ -1594,11 +1550,7 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
             end
         | K_sync ->
             more := false;
-            account ctx d fr;
-            m.barriers <- m.barriers + 1;
-            if observing ctx then
-              obs_warp ctx w "warp.barrier"
-                [ ("block", Tr.Str db.db_name); ("active", Tr.Int gsize) ];
+            barrier ctx w fr d db;
             for l = 0 to ws - 1 do
               if gmask.(l) then begin
                 stat.(l) <- L_barrier;
@@ -1640,11 +1592,8 @@ let run_warp_its (ctx : launch_ctx) (p : its_params) (w : warp)
               (* the group splits: open a per-lane divergence entry;
                  lanes rejoin at the IPDOM (or opportunistically
                  earlier when their PCs coincide) *)
-              m.divergent_branches <- m.divergent_branches + 1;
-              ctx.br_div.(pc) <- ctx.br_div.(pc) + 1;
+              split ctx w pc ~tcount ~fcount gmask;
               let sel = ctx.cond_sel in
-              if observing ctx then
-                obs_diverge ctx w db ~tcount ~fcount gmask sel;
               for l = 0 to ws - 1 do
                 if gmask.(l) then begin
                   if not (holds pc iw.iw_div.(l)) then
@@ -1692,21 +1641,29 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
   let phi_stage = make_regfile (max fctx.max_phis 1 * ws) in
   let cond_sel = Array.make ws false in
   let nblocks = Array.length fctx.dblocks in
-  let br_div = Array.make nblocks 0 in
-  let br_cycles = Array.make nblocks 0 in
-  let br_lost = Array.make nblocks 0 in
-  let br_reconv = Array.make nblocks 0 in
-  let nsites = Array.length fctx.sites in
-  let msa () = Array.make (max 1 nsites) 0 in
-  let ms_issues = msa () in
-  let ms_accesses = msa () in
-  let ms_transactions = msa () in
-  let ms_l1_hits = msa () in
-  let ms_l1_misses = msa () in
-  let ms_bank_conflicts = msa () in
-  let ms_bank_conflict_cycles = msa () in
-  let ms_stall_cycles = msa () in
-  let ms_cycles = msa () in
+  let branch_recs =
+    Array.init nblocks (fun _ ->
+        {
+          Metrics.br_divergences = 0;
+          br_cycles = 0;
+          br_lost_lane_cycles = 0;
+          br_reconvergences = 0;
+        })
+  in
+  let site_recs =
+    Array.init (Array.length fctx.sites) (fun _ ->
+        {
+          Metrics.ms_issues = 0;
+          ms_accesses = 0;
+          ms_transactions = 0;
+          ms_l1_hits = 0;
+          ms_l1_misses = 0;
+          ms_bank_conflicts = 0;
+          ms_bank_conflict_cycles = 0;
+          ms_stall_cycles = 0;
+          ms_cycles = 0;
+        })
+  in
   let hier =
     match config.mem_model with
     | Flat -> None
@@ -1761,19 +1718,8 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
         scan;
         phi_stage;
         cond_sel;
-        br_div;
-        br_cycles;
-        br_lost;
-        br_reconv;
-        ms_issues;
-        ms_accesses;
-        ms_transactions;
-        ms_l1_hits;
-        ms_l1_misses;
-        ms_bank_conflicts;
-        ms_bank_conflict_cycles;
-        ms_stall_cycles;
-        ms_cycles;
+        branch_recs;
+        site_recs;
         hier;
       }
     in
@@ -1844,8 +1790,7 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
             end)
           warps
     done;
-    (* CONTRACT: block_cycles is kept most-recent-block-first; see
-       {!Metrics.t} *)
+    (* most recent block first *)
     metrics.block_cycles <-
       (metrics.cycles - cycles_before) :: metrics.block_cycles;
     match config.obs with
@@ -1856,43 +1801,30 @@ let run ?(config = default_config) (fn : func) ~(args : rv array)
         Tr.counter tr ~cat:"sim" ~pid:config.obs_pid ~tid:0 ~ts:metrics.cycles
           "block.cycles"
           (float_of_int (metrics.cycles - cycles_before));
-        (* cumulative L1 hit rate, one sample per block boundary *)
-        if hier <> None then
+        (* cumulative L1 hit rate, one sample per block boundary, over
+           the site records so far (the totals are summed at the end) *)
+        if hier <> None then begin
+          let sum f = Array.fold_left (fun n s -> n + f s) 0 site_recs in
+          let hits = sum (fun s -> s.Metrics.ms_l1_hits)
+          and misses = sum (fun s -> s.Metrics.ms_l1_misses) in
+          let n = hits + misses in
           Tr.counter tr ~cat:"sim" ~pid:config.obs_pid ~tid:0
             ~ts:metrics.cycles "mem.l1_hit_rate"
-            (Metrics.l1_hit_rate metrics)
+            (if n = 0 then 0. else float_of_int hits /. float_of_int n)
+        end
   done;
-  (* fold the dense attribution arrays into the metrics, keyed by the
-     stable static branch id (the branch block's name) *)
-  for bi = 0 to nblocks - 1 do
-    if br_div.(bi) > 0 || br_cycles.(bi) > 0 || br_reconv.(bi) > 0 then begin
-      let s = Metrics.touch_branch metrics fctx.dblocks.(bi).db_name in
-      s.Metrics.br_divergences <- s.Metrics.br_divergences + br_div.(bi);
-      s.Metrics.br_cycles <- s.Metrics.br_cycles + br_cycles.(bi);
-      s.Metrics.br_lost_lane_cycles <-
-        s.Metrics.br_lost_lane_cycles + br_lost.(bi);
-      s.Metrics.br_reconvergences <-
-        s.Metrics.br_reconvergences + br_reconv.(bi)
-    end
-  done;
-  (* likewise for the per-site memory attribution, keyed by the stable
-     "<block>#<k>" access-site id *)
-  for si = 0 to nsites - 1 do
-    if ms_issues.(si) > 0 then begin
-      let s = Metrics.touch_site metrics fctx.sites.(si) in
-      s.Metrics.ms_issues <- s.Metrics.ms_issues + ms_issues.(si);
-      s.Metrics.ms_accesses <- s.Metrics.ms_accesses + ms_accesses.(si);
-      s.Metrics.ms_transactions <-
-        s.Metrics.ms_transactions + ms_transactions.(si);
-      s.Metrics.ms_l1_hits <- s.Metrics.ms_l1_hits + ms_l1_hits.(si);
-      s.Metrics.ms_l1_misses <- s.Metrics.ms_l1_misses + ms_l1_misses.(si);
-      s.Metrics.ms_bank_conflicts <-
-        s.Metrics.ms_bank_conflicts + ms_bank_conflicts.(si);
-      s.Metrics.ms_bank_conflict_cycles <-
-        s.Metrics.ms_bank_conflict_cycles + ms_bank_conflict_cycles.(si);
-      s.Metrics.ms_stall_cycles <-
-        s.Metrics.ms_stall_cycles + ms_stall_cycles.(si);
-      s.Metrics.ms_cycles <- s.Metrics.ms_cycles + ms_cycles.(si)
-    end
-  done;
+  (* every record that saw an event joins its table under its stable id
+     (the branch block's name, the "<block>#<k>" site id), and the run's
+     totals are the records' sums *)
+  Array.iteri
+    (fun bi (s : Metrics.branch_stat) ->
+      if s.br_divergences > 0 || s.br_cycles > 0 || s.br_reconvergences > 0
+      then Hashtbl.replace metrics.branches fctx.dblocks.(bi).db_name s)
+    branch_recs;
+  Array.iteri
+    (fun si (s : Metrics.mem_site_stat) ->
+      if s.ms_issues > 0 then
+        Hashtbl.replace metrics.mem_sites fctx.sites.(si) s)
+    site_recs;
+  Metrics.sum_records metrics;
   metrics

@@ -130,8 +130,9 @@ exception Sim_error of string
 (** The interpreter's integer ALU: uniform two's-complement i32
     semantics via {!Darm_ir.I32} (the same evaluator the constant
     folder uses, so the two can never diverge).  Raises {!Sim_error} on
-    division or remainder by zero.  Exposed for the differential
-    property tests. *)
+    division or remainder by zero.  Exported for test/suite_i32.ml:
+    the "simulator eval_ibin = Int32 oracle" property and the pinned
+    boundary and zero-divisor cases. *)
 val eval_ibin : Op.ibinop -> int -> int -> int
 
 type launch = { grid_dim : int; block_dim : int }
@@ -145,8 +146,10 @@ type launch = { grid_dim : int; block_dim : int }
     branch that split a warp is keyed by its static branch id (block
     name) with its split count, the issue cycles spent inside its arms,
     the idle-lane cycles those splits wasted, and its reconvergence
-    count.  Attribution is always on — it costs two array increments
-    per issue — and deterministic like every other counter.
+    count.  Attribution is always on and deterministic: each event is
+    counted once, on its branch's or site's record, and the divergence
+    and memory totals of the result are the records' sums
+    ({!Metrics.sum_records}).
 
     Memory behaviour is attributed the same way
     ({!Metrics.site_stats}): every load/store is keyed by its static

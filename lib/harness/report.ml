@@ -201,6 +201,25 @@ let speedup_str (t : t) : string =
 let pair_str (m : Pass.meld_record) : string =
   Printf.sprintf "%s ~ %s" m.Pass.m_st m.Pass.m_sf
 
+(* Cells shared by the text and markdown renderers: a site counter (0
+   for a run without the site), its coalescing, and its L1 hit
+   percentage ("-" for a site without global traffic) *)
+let g f = Option.fold ~none:0 ~some:f
+let coal = Option.fold ~none:0. ~some:Metrics.site_coalescing
+
+let hitp ?(pct = "") = function
+  | Some s when s.Metrics.ms_accesses > 0 ->
+      Printf.sprintf "%.0f%s"
+        (100.
+        *. float_of_int s.Metrics.ms_l1_hits
+        /. float_of_int s.Metrics.ms_accesses)
+        pct
+  | _ -> "-"
+
+(* the width of a text column: its widest cell, and at least [min] *)
+let width (min : int) (cells : string list) : int =
+  List.fold_left (fun w c -> max w (String.length c)) min cells
+
 let header_lines (t : t) : string list =
   [
     Printf.sprintf "kernel %s  block_size %d  (seed %d, n %d, %s \
@@ -223,12 +242,15 @@ let to_text (t : t) : string =
        applied; nothing to attribute."
   else begin
     line "per-meld attribution (divergent-arm issue cycles, base -> opt):";
-    line "  %3s  %-14s %-24s %8s %9s  %16s %10s" "#" "region" "melded pair"
-      "FP_S" "branches" "div cycles" "saved";
+    let wr =
+      width 14 (List.map (fun r -> r.mr_meld.Pass.m_region) t.rp_melds)
+    and wp = width 24 (List.map (fun r -> pair_str r.mr_meld) t.rp_melds) in
+    line "  %3s  %-*s %-*s %8s %9s  %16s %10s" "#" wr "region" wp
+      "melded pair" "FP_S" "branches" "div cycles" "saved";
     List.iter
       (fun r ->
-        line "  %3d  %-14s %-24s %8.2f %9d  %7d -> %-6d %10d"
-          r.mr_meld.Pass.m_index r.mr_meld.Pass.m_region
+        line "  %3d  %-*s %-*s %8.2f %9d  %7d -> %-6d %10d"
+          r.mr_meld.Pass.m_index wr r.mr_meld.Pass.m_region wp
           (pair_str r.mr_meld) r.mr_meld.Pass.m_fp_s
           (List.length r.mr_claimed) r.mr_base_cycles r.mr_opt_cycles
           (meld_saved r))
@@ -247,12 +269,13 @@ let to_text (t : t) : string =
     in
     if unclaimed <> [] then begin
       line "unmelded divergent branches (baseline divergences / cycles):";
+      let wb = width 24 (List.map (fun bj -> bj.bj_id) unclaimed) in
       List.iter
         (fun bj ->
           match bj.bj_base with
           | None -> ()
           | Some s ->
-              line "  %-24s %6d / %d" bj.bj_id s.Metrics.br_divergences
+              line "  %-*s %6d / %d" wb bj.bj_id s.Metrics.br_divergences
                 s.Metrics.br_cycles)
         unclaimed
     end
@@ -266,29 +289,18 @@ let to_text (t : t) : string =
     line
       "per-site memory attribution (base -> opt; txn/acc = transactions \
        per access):";
-    line "  %-18s %11s %13s %11s %9s %9s %16s %8s" "site" "accesses"
+    let ws = width 18 (List.map (fun mj -> mj.mj_id) t.rp_mem_sites) in
+    line "  %-*s %11s %13s %11s %9s %9s %16s %8s" ws "site" "accesses"
       "txn/acc" "L1 hit" "conf cyc" "stall cyc" "cycles" "saved";
-    let g f = Option.fold ~none:0 ~some:f in
-    let coal = Option.fold ~none:0. ~some:Metrics.site_coalescing in
-    let hitp o =
-      match o with
-      | None -> "-"
-      | Some s ->
-          let acc = s.Metrics.ms_accesses in
-          if acc = 0 then "-"
-          else
-            Printf.sprintf "%.0f%%"
-              (100. *. float_of_int s.Metrics.ms_l1_hits /. float_of_int acc)
-    in
     List.iter
       (fun mj ->
         let b = mj.mj_base and o = mj.mj_opt in
-        line "  %-18s %5d>%-5d %6.2f>%-6.2f %5s>%-5s %4d>%-4d %4d>%-4d \
+        line "  %-*s %5d>%-5d %6.2f>%-6.2f %5s>%-5s %4d>%-4d %4d>%-4d \
               %7d>%-8d %8d"
-          mj.mj_id
+          ws mj.mj_id
           (g (fun s -> s.Metrics.ms_accesses) b)
           (g (fun s -> s.Metrics.ms_accesses) o)
-          (coal b) (coal o) (hitp b) (hitp o)
+          (coal b) (coal o) (hitp ~pct:"%" b) (hitp ~pct:"%" o)
           (g (fun s -> s.Metrics.ms_bank_conflict_cycles) b)
           (g (fun s -> s.Metrics.ms_bank_conflict_cycles) o)
           (g (fun s -> s.Metrics.ms_stall_cycles) b)
@@ -342,18 +354,6 @@ let to_markdown (t : t) : string =
           stall cyc | cycles | saved |";
     line "|------|----------|------------|----------|--------------|\
           -----------|--------|-------|";
-    let g f = Option.fold ~none:0 ~some:f in
-    let coal = Option.fold ~none:0. ~some:Metrics.site_coalescing in
-    let hitp = function
-      | None -> "-"
-      | Some s ->
-          if s.Metrics.ms_accesses = 0 then "-"
-          else
-            Printf.sprintf "%.0f"
-              (100.
-              *. float_of_int s.Metrics.ms_l1_hits
-              /. float_of_int s.Metrics.ms_accesses)
-    in
     List.iter
       (fun mj ->
         let b = mj.mj_base and o = mj.mj_opt in

@@ -55,6 +55,20 @@ if [ -n "$fact_owners" ]; then
   echo "$fact_owners" >&2
   exit 1
 fi
+# the simulator counts each split, reconvergence and memory event once,
+# on its per-branch or per-site record; the eleven run totals those
+# records partition are their sums, set only by Metrics.sum_records.
+# A total incremented anywhere else could drift from its records.  The
+# suites under test/ build synthetic metrics by hand and stay exempt.
+total_writes=$(grep -rnE '\.(lost_lane_cycles|divergent_branches|reconvergences|mem_cycles|global_transactions|global_accesses|bank_conflicts|l1_hits|l1_misses|mem_stall_cycles|bank_conflict_cycles) *<-' \
+  lib bin bench examples --include='*.ml' \
+  | grep -v '^lib/gpu_sim/metrics\.ml:' || true)
+if [ -n "$total_writes" ]; then
+  echo "ci: simulator totals assigned outside lib/gpu_sim/metrics.ml" \
+    "(count on the records; Metrics.sum_records sums them):" >&2
+  echo "$total_writes" >&2
+  exit 1
+fi
 
 dune runtest
 

@@ -201,17 +201,6 @@ let test_result_carries_stats_and_machine () =
   in
   check "machine never carries obs" true (traced.E.machine.Sim.obs = None)
 
-let test_metrics_add () =
-  let module M = Darm_sim.Metrics in
-  let a = M.create () and b = M.create () in
-  a.M.cycles <- 10;
-  b.M.cycles <- 5;
-  a.M.mem_shared <- 3;
-  b.M.mem_shared <- 4;
-  M.add a b;
-  Alcotest.(check int) "cycles" 15 a.M.cycles;
-  Alcotest.(check int) "shared" 7 a.M.mem_shared
-
 let suites =
   [
     ( "harness",
@@ -225,7 +214,6 @@ let suites =
           test_broken_transform_is_detected;
         Alcotest.test_case "csv row shape" `Quick test_csv_export_shape;
         Alcotest.test_case "registry tags" `Quick test_registry_tags_unique;
-        Alcotest.test_case "metrics add" `Quick test_metrics_add;
         Alcotest.test_case "makespan" `Quick test_makespan;
         Alcotest.test_case "block cycles recorded" `Quick
           test_block_cycles_recorded;

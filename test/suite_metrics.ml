@@ -1,6 +1,6 @@
-(* Metrics unit tests: the block_cycles ordering contract, the makespan
-   estimator's documented edge cases, and the zero-denominator guards of
-   the derived ratios. *)
+(* Metrics unit tests: the totals summed from the per-branch and
+   per-site records, the makespan estimator's documented edge cases, and
+   the zero-denominator guards of the derived ratios. *)
 
 module Metrics = Darm_sim.Metrics
 
@@ -11,21 +11,53 @@ let with_blocks ?(cycles = 0) blocks =
   m
 
 (* ------------------------------------------------------------------ *)
-(* block_cycles ordering contract: most recently executed block first *)
+(* sum_records: each total is the sum of one record field *)
 
-let test_add_prepends_recent_blocks () =
-  let a = with_blocks [ 2; 1 ] in
-  let b = with_blocks [ 4; 3 ] in
-  Metrics.add a b;
-  (* [b] is the more recent run, so its blocks land in front *)
-  Alcotest.(check (list int)) "most-recent-first" [ 4; 3; 2; 1 ]
-    a.Metrics.block_cycles;
-  Alcotest.(check (list int)) "b untouched" [ 4; 3 ] b.Metrics.block_cycles
+let branch d c l r =
+  { Metrics.br_divergences = d; br_cycles = c; br_lost_lane_cycles = l;
+    br_reconvergences = r }
 
-let test_add_into_empty () =
-  let a = with_blocks [] in
-  Metrics.add a (with_blocks [ 7 ]);
-  Alcotest.(check (list int)) "prepend to empty" [ 7 ] a.Metrics.block_cycles
+let site k =
+  (* field [i] of site [k] holds [k * 10 + i], so every sum is distinct *)
+  let f i = (k * 10) + i in
+  { Metrics.ms_issues = f 0; ms_accesses = f 1; ms_transactions = f 2;
+    ms_l1_hits = f 3; ms_l1_misses = f 4; ms_bank_conflicts = f 5;
+    ms_bank_conflict_cycles = f 6; ms_stall_cycles = f 7; ms_cycles = f 8 }
+
+let test_sum_records_branches () =
+  let m = Metrics.create () in
+  Hashtbl.replace m.Metrics.branches "a" (branch 1 10 100 2);
+  Hashtbl.replace m.Metrics.branches "b" (branch 3 30 300 6);
+  (* a stale total is overwritten, not added to *)
+  m.Metrics.divergent_branches <- 99;
+  Metrics.sum_records m;
+  Alcotest.(check int) "divergent_branches" 4 m.Metrics.divergent_branches;
+  Alcotest.(check int) "lost_lane_cycles" 400 m.Metrics.lost_lane_cycles;
+  Alcotest.(check int) "reconvergences" 8 m.Metrics.reconvergences;
+  Alcotest.(check int) "no site: mem_cycles" 0 m.Metrics.mem_cycles
+
+let test_sum_records_sites () =
+  let m = Metrics.create () in
+  Hashtbl.replace m.Metrics.mem_sites "bb#0" (site 1);
+  Hashtbl.replace m.Metrics.mem_sites "bb#1" (site 2);
+  m.Metrics.l1_hits <- 99;
+  Metrics.sum_records m;
+  (* field [i] sums to (10 + i) + (20 + i) = 30 + 2i *)
+  let sum i = 30 + (2 * i) in
+  List.iter
+    (fun (name, i, got) -> Alcotest.(check int) name (sum i) got)
+    [
+      ("global_accesses", 1, m.Metrics.global_accesses);
+      ("global_transactions", 2, m.Metrics.global_transactions);
+      ("l1_hits", 3, m.Metrics.l1_hits);
+      ("l1_misses", 4, m.Metrics.l1_misses);
+      ("bank_conflicts", 5, m.Metrics.bank_conflicts);
+      ("bank_conflict_cycles", 6, m.Metrics.bank_conflict_cycles);
+      ("mem_stall_cycles", 7, m.Metrics.mem_stall_cycles);
+      ("mem_cycles", 8, m.Metrics.mem_cycles);
+    ];
+  Alcotest.(check int) "no branch: divergent_branches" 0
+    m.Metrics.divergent_branches
 
 (* ------------------------------------------------------------------ *)
 (* makespan *)
@@ -88,9 +120,10 @@ let suites =
   [
     ( "metrics",
       [
-        Alcotest.test_case "add: prepends recent blocks" `Quick
-          test_add_prepends_recent_blocks;
-        Alcotest.test_case "add: into empty" `Quick test_add_into_empty;
+        Alcotest.test_case "sum_records: branch totals" `Quick
+          test_sum_records_branches;
+        Alcotest.test_case "sum_records: site totals" `Quick
+          test_sum_records_sites;
         Alcotest.test_case "makespan: 1 CU = cycles" `Quick
           test_makespan_one_cu_is_cycles;
         Alcotest.test_case "makespan: more CUs than blocks" `Quick

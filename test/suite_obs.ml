@@ -1,6 +1,7 @@
 (* Observability subsystem (lib/obs + harness profiling): span
    balancing, serialization round-trips, Chrome schema, trace
-   determinism across pool sizes, and the zero-overhead guarantee. *)
+   determinism across pool sizes, the zero-overhead guarantee, and the
+   simulator's pinned timelines. *)
 
 module Trace = Darm_obs.Trace
 module Export = Darm_obs.Export
@@ -9,6 +10,7 @@ module Profile = Darm_harness.Profile
 module E = Darm_harness.Experiment
 module Registry = Darm_kernels.Registry
 module Kernel = Darm_kernels.Kernel
+module Sim = Darm_sim.Simulator
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -298,22 +300,92 @@ let test_sweep_chrome_valid () =
 
 let test_zero_overhead () =
   (* with no buffer installed the observed computation is bit-identical:
-     same cycle counts with obs absent and present *)
+     every statistic of both runs is the same with obs absent and
+     present, under all four models *)
   let k = kernel "BIT" in
   let block_size = List.hd k.Kernel.block_sizes in
-  let _, observed = Profile.run_point ~n:128 k ~block_size in
-  let plain =
-    E.run
-      ~transform:(E.pass_transform "DARM" Darm_core.Pass.default_config)
-      ~n:128 k ~block_size
+  List.iter
+    (fun (name, mem_model, reconvergence) ->
+      let _, observed =
+        Profile.run_point ~n:128 ~mem_model ~reconvergence k ~block_size
+      in
+      let plain =
+        E.run
+          ~transform:(E.pass_transform "DARM" Darm_core.Pass.default_config)
+          ~n:128 ~mem_model ~reconvergence k ~block_size
+      in
+      Alcotest.(check string) (name ^ " base stats")
+        (Testlib.stats_digest plain.E.base)
+        (Testlib.stats_digest observed.E.base);
+      Alcotest.(check string) (name ^ " opt stats")
+        (Testlib.stats_digest plain.E.opt)
+        (Testlib.stats_digest observed.E.opt))
+    Testlib.models
+
+(* ------------------------------------------------------------------ *)
+(* Simulator timelines, pinned: the MD5 prefix of the JSONL trace of one
+   traced simulation per kernel, run and model — warp.diverge,
+   warp.reconverge and warp.barrier instants, block spans and
+   block.cycles counters, and under the hierarchical model the
+   mem.inflight and mem.l1_hit_rate samples.  BIT and PCM at their
+   first block size, n 512, seed 2022, base and after the DARM pass;
+   recorded before the simulator's counters became sums of its
+   per-branch and per-site records. *)
+
+let golden_timelines =
+  [
+    (("BIT", "flat_stack", "base"), "0604781819475b74");
+    (("BIT", "flat_stack", "darm"), "5a3249b132ab7f8b");
+    (("BIT", "hier_stack", "base"), "e7d0848d0f9f4429");
+    (("BIT", "hier_stack", "darm"), "91fc98e2d7de097d");
+    (("BIT", "flat_its", "base"), "b69a70bfa99517fb");
+    (("BIT", "flat_its", "darm"), "b27d799025edc2bb");
+    (("BIT", "hier_its", "base"), "9d8098110a5f49fb");
+    (("BIT", "hier_its", "darm"), "40309449eed5f4c7");
+    (("PCM", "flat_stack", "base"), "09996456498c2c07");
+    (("PCM", "flat_stack", "darm"), "390e3a534f04bf9c");
+    (("PCM", "hier_stack", "base"), "981a27f424ffab3f");
+    (("PCM", "hier_stack", "darm"), "728240a6af8051c5");
+    (("PCM", "flat_its", "base"), "c181fe03b75a85dd");
+    (("PCM", "flat_its", "darm"), "f5c724ce4cb3aba5");
+    (("PCM", "hier_its", "base"), "f93aea32d34fae08");
+    (("PCM", "hier_its", "darm"), "5fb5cbdbae51b426");
+  ]
+
+let timeline_digest (k : Kernel.t) ~darm mem_model reconvergence : string =
+  let block_size = List.hd k.Kernel.block_sizes in
+  let inst =
+    k.Kernel.make ~seed:2022 ~block_size ~n:(min k.Kernel.default_n 512)
   in
-  Alcotest.(check int) "base cycles" plain.E.base.Darm_sim.Metrics.cycles
-    observed.E.base.Darm_sim.Metrics.cycles;
-  Alcotest.(check int) "opt cycles" plain.E.opt.Darm_sim.Metrics.cycles
-    observed.E.opt.Darm_sim.Metrics.cycles;
-  Alcotest.(check int) "divergent branches"
-    plain.E.opt.Darm_sim.Metrics.divergent_branches
-    observed.E.opt.Darm_sim.Metrics.divergent_branches
+  if darm then ignore (Darm_core.Pass.run inst.Kernel.func);
+  let tr = Trace.create () in
+  let config =
+    { E.sim_config with Sim.mem_model; reconvergence; obs = Some tr }
+  in
+  ignore
+    (Sim.run ~config inst.Kernel.func ~args:inst.Kernel.args
+       ~global:inst.Kernel.global inst.Kernel.launch);
+  String.sub (Digest.to_hex (Digest.string (Export.to_jsonl tr))) 0 16
+
+let test_timelines_pinned () =
+  let got =
+    List.concat_map
+      (fun tag ->
+        List.concat_map
+          (fun (name, mem_model, reconvergence) ->
+            List.map
+              (fun (run, darm) ->
+                ( (tag, name, run),
+                  timeline_digest (kernel tag) ~darm mem_model reconvergence
+                ))
+              [ ("base", false); ("darm", true) ])
+          Testlib.models)
+      [ "BIT"; "PCM" ]
+  in
+  Testlib.check_table ~what:"simulator timelines" golden_timelines got
+    ~label:(fun (t, m, r) -> String.concat " " [ t; m; r ])
+    ~record:(fun (t, m, r) d -> Printf.sprintf "((%S, %S, %S), %S);" t m r d)
+    (fun label g v -> Alcotest.(check string) label g v)
 
 let test_write_file_validates () =
   let path = Filename.temp_file "darm_obs" ".json" in
@@ -426,6 +498,8 @@ let suites =
           test_sweep_chrome_valid;
         Alcotest.test_case "zero overhead: metrics unchanged" `Quick
           test_zero_overhead;
+        Alcotest.test_case "sim timelines: pinned, four models" `Quick
+          test_timelines_pinned;
         Alcotest.test_case "write_file: self-validation" `Quick
           test_write_file_validates;
         Alcotest.test_case "jsonl + chrome: pinned bytes" `Quick

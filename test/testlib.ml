@@ -52,6 +52,60 @@ let check_table ~what ~label ~record table got check =
     Alcotest.failf "%s: no golden rows; record:\n%s" what
       (String.concat "\n" missing)
 
+(* Canonical rendering of every counter a run produces: the aggregate
+   [Metrics.t] fields, the per-block cycles, and the per-branch and
+   per-site attribution in their deterministic orders.  Two runs agree
+   on this string iff every statistic the simulator reports agrees. *)
+let canonical_stats (m : Metrics.t) : string =
+  let b = Buffer.create 1024 in
+  let ints xs = String.concat "," (List.map string_of_int xs) in
+  Printf.bprintf b "%s;blocks=%s"
+    (ints
+       [
+         m.cycles; m.instructions; m.alu_issues; m.alu_active_lanes;
+         m.mem_global; m.mem_shared; m.mem_flat; m.global_transactions;
+         m.global_accesses; m.bank_conflicts; m.l1_hits; m.l1_misses;
+         m.mem_stall_cycles; m.bank_conflict_cycles; m.mem_cycles;
+         m.divergent_branches; m.lost_lane_cycles; m.reconvergences;
+         m.barriers;
+       ])
+    (ints m.block_cycles);
+  List.iter
+    (fun (id, (s : Metrics.branch_stat)) ->
+      Printf.bprintf b ";br:%s=%s" id
+        (ints
+           [
+             s.br_divergences; s.br_cycles; s.br_lost_lane_cycles;
+             s.br_reconvergences;
+           ]))
+    (Metrics.branch_stats m);
+  List.iter
+    (fun (id, (s : Metrics.mem_site_stat)) ->
+      Printf.bprintf b ";site:%s=%s" id
+        (ints
+           [
+             s.ms_issues; s.ms_accesses; s.ms_transactions; s.ms_l1_hits;
+             s.ms_l1_misses; s.ms_bank_conflicts; s.ms_bank_conflict_cycles;
+             s.ms_stall_cycles; s.ms_cycles;
+           ]))
+    (Metrics.site_stats m);
+  Buffer.contents b
+
+(* the four machine models, named as the suites and the ledger name
+   them *)
+let models =
+  let hier = Simulator.Hier Simulator.default_hier_params
+  and its = Simulator.Its Simulator.default_its_params in
+  [
+    ("flat_stack", Simulator.Flat, Simulator.Stack);
+    ("hier_stack", hier, Simulator.Stack);
+    ("flat_its", Simulator.Flat, its);
+    ("hier_its", hier, its);
+  ]
+
+let stats_digest (m : Metrics.t) : string =
+  String.sub (Digest.to_hex (Digest.string (canonical_stats m))) 0 16
+
 let show_mismatch tagline a b =
   match Kernel.first_mismatch a b with
   | None -> ()
